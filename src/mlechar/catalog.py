@@ -35,8 +35,8 @@ from typing import Callable, Optional
 
 from .coverage import MnssResult
 from .density import DensityModel, SupportSet
-from .errors import InvalidParams, NotCharacterizable, UnknownFamily
-from .score import GroupTransform
+from .errors import InvalidConfig, InvalidParams, NotCharacterizable, UnknownFamily
+from .score import LOCATION, SCALE, GroupTransform, Kind
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -417,3 +417,21 @@ def expected_mnss(entry: CatalogEntry, kind_label: str) -> MnssResult:
         reason = entry.blocked.get(kind_label, "outside the characterization scope")
         raise NotCharacterizable(f"{entry.name} / {kind_label}: {reason}")
     return MnssResult(entry.expected[kind_label])
+
+
+def kind_for(entry: Optional[CatalogEntry], label: str) -> Kind:
+    """The parameter kind named by ``label`` for a catalog entry.
+
+    ``group`` resolves to the entry's transform, so it needs a catalog entry
+    that carries one; ``entry`` may be ``None`` (a tabulated density) for
+    location and scale.
+    """
+    if label == "location":
+        return LOCATION
+    if label == "scale":
+        return SCALE
+    if label != "group":
+        raise InvalidConfig(f"unknown kind {label!r}")
+    if entry is None or entry.transform is None:
+        raise InvalidConfig("group kind needs a catalog family with a transform")
+    return entry.transform

@@ -31,9 +31,8 @@ from .errors import (
     UnknownFamily,
     UnsupportedSupport,
 )
-from .estimator import mle_group, mle_location, mle_scale
+from .estimator import mle
 from .forge import OddPower, PlusEvenDerivative, forge_odd_h, verify_counterexample
-from .score import LOCATION, SCALE, Group
 from .specfiles import load_family_spec, write_tabulated
 from .suite import (
     SuiteConfig,
@@ -82,16 +81,6 @@ def _parse_kind(text: str) -> str:
     return kind
 
 
-def _kind_for(entry, model, kind_label: str):
-    if kind_label == "location":
-        return LOCATION
-    if kind_label == "scale":
-        return SCALE
-    if entry is None or entry.transform is None:
-        raise InvalidConfig("group kind needs a catalog family with a transform")
-    return Group(entry.transform.u1, entry.transform.u2)
-
-
 def _read_sample(path: str) -> Sample:
     try:
         values = [float(line) for line in Path(path).read_text().split()]
@@ -124,14 +113,12 @@ def _cmd_analyze(args) -> int:
         _kv("characterizable", "false")
         _kv("reason", str(exc))
         return 0
-    prof_list = profiles if isinstance(profiles, tuple) else (profiles,)
-    for prof in prof_list:
+    for prof in profiles if isinstance(profiles, tuple) else (profiles,):
         tag = f"bounds{prof.domain}"
         _kv(tag, f"(-{_fmt(prof.p_minus)}, {_fmt(prof.p_plus)})")
         _kv(f"provenance{prof.domain}", prof.bounds_provenance.method)
         _kv(f"mcss{prof.domain}", _fmt(mcss(prof.p_minus, prof.p_plus).value))
-    kind_obj = _kind_for(entry, entry.model, kind)
-    computed = mnss(prof_list if len(prof_list) > 1 else prof_list[0], kind_obj)
+    computed = mnss(profiles, cat.kind_for(entry, kind))
     expected = cat.expected_mnss(entry, kind)
     _kv("mnss", _fmt(computed.value))
     _kv("expected_mnss", _fmt(expected.value))
@@ -158,14 +145,7 @@ def _cmd_mle(args) -> int:
     model, entry = load_family_spec(args.family)
     kind = _parse_kind(args.kind)
     sample = _read_sample(args.data)
-    if kind == "location":
-        result = mle_location(model, sample)
-    elif kind == "scale":
-        result = mle_scale(model, sample)
-    else:
-        if entry is None or entry.transform is None:
-            raise InvalidConfig("group MLE needs a catalog family with a transform")
-        result = mle_group(model, entry.transform, sample)
+    result = mle(model, cat.kind_for(entry, kind), sample)
     _kv("n", sample.n)
     _kv("theta_hat", repr(result.theta_hat))
     if kind == "scale":
@@ -178,8 +158,7 @@ def _cmd_mle(args) -> int:
 def _cmd_tilt(args) -> int:
     model, entry = load_family_spec(args.family)
     kind_label = _parse_kind(args.kind)
-    kind = _kind_for(entry, model, kind_label)
-    tilted, spec = tilt_with_spec(model, args.d, kind)
+    tilted, spec = tilt_with_spec(model, args.d, cat.kind_for(entry, kind_label))
     _kv("base", model.name)
     _kv("kind", kind_label)
     _kv("d", args.d)
@@ -196,7 +175,7 @@ def _cmd_same_class(args) -> int:
     f_model, f_entry = load_family_spec(args.f)
     g_model, _ = load_family_spec(args.g)
     kind_label = _parse_kind(args.kind)
-    kind = _kind_for(f_entry, f_model, kind_label)
+    kind = cat.kind_for(f_entry, kind_label)
     if args.tol is not None:
         tol = args.tol
     else:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidBounds, NotCharacterizable
-from .score import ParameterKind, ScoreProfile
+from .score import Kind, ScoreProfile
 
 #: relative fuzz applied before the ceiling so floating noise cannot
 #: inflate an exact-integer ratio into the next sample size
@@ -133,32 +133,11 @@ def projection_interval(p_minus: float, p_plus: float, n: int) -> tuple[float, f
 def is_projectable(p_minus: float, p_plus: float, n: int) -> bool:
     """Whether every coordinate projection covers the full image at size ``n``.
 
-    Computed three equivalent ways (projection interval equality, the
-    covering rule ``n >= mcss``, and the two-sided inequality for finite
-    bounds); the answers must agree.
+    That is the covering rule ``n >= mcss``: the projection interval of
+    :func:`projection_interval` reaches both image bounds exactly from the
+    minimal covering sample size on.
     """
-    pm = _validate_bound(p_minus, "p_minus")
-    pp = _validate_bound(p_plus, "p_plus")
-    slack = 1.0 + 1e-12
-    k = float(n - 1)
-
-    lo, hi = projection_interval(pm, pp, n)
-    by_interval = (math.isinf(pm) and math.isinf(-lo)) or (-lo >= pm / slack)
-    by_interval = by_interval and ((math.isinf(pp) and math.isinf(hi)) or (hi >= pp / slack))
-
-    by_mcss = n >= mcss(pm, pp).value
-
-    if math.isfinite(pm) and math.isfinite(pp):
-        by_rule = max(pm, pp) <= k * min(pm, pp) * slack
-    else:
-        by_rule = by_mcss
-
-    if not (by_interval == by_mcss == by_rule):
-        raise AssertionError(
-            f"projectability criteria disagree for ({pm}, {pp}, n={n}): "
-            f"interval={by_interval}, mcss={by_mcss}, rule={by_rule}"
-        )
-    return by_mcss
+    return n >= mcss(p_minus, p_plus).value
 
 
 def brute_force_projectable(p_minus: float, p_plus: float, n: int,
@@ -206,7 +185,7 @@ def brute_force_projectable(p_minus: float, p_plus: float, n: int,
 
 
 def mnss(profiles: Union[ScoreProfile, Sequence[ScoreProfile]],
-         kind: ParameterKind) -> MnssResult:
+         kind: Kind) -> MnssResult:
     """Minimal necessary sample size from one or two score profiles.
 
     A single profile yields ``max(mcss, 3)``.  Scale parameters on the full

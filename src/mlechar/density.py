@@ -118,7 +118,8 @@ class SupportSet:
 class DensityModel:
     """A density on a declared support, accessed through its log-density.
 
-    ``log_pdf`` is wrapped so that it returns ``-inf`` outside the support.
+    ``log_pdf`` is wrapped so that it returns ``-inf`` outside the support
+    (the unwrapped function is kept for :meth:`with_log_shift`).
     ``dlog_pdf``, when present, is the analytic ``d/dx log f`` and must match
     central finite differences of ``log_pdf`` on the interior (this is
     checked by the test-suite for every catalog family, and can be checked
@@ -132,6 +133,8 @@ class DensityModel:
     params: dict = field(default_factory=dict)
     normalized: bool = False
     _sampler: Any = field(default=None, init=False, repr=False, compare=False)
+    _raw_log_pdf: Optional[LogPdf] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
         raw = self.log_pdf
@@ -142,6 +145,7 @@ class DensityModel:
                 return -math.inf
             return raw(x)
 
+        object.__setattr__(self, "_raw_log_pdf", raw)
         object.__setattr__(self, "log_pdf", guarded)
 
     def pdf(self, x: float) -> float:
@@ -150,7 +154,7 @@ class DensityModel:
 
     def with_log_shift(self, shift: float, normalized: bool = False) -> "DensityModel":
         """New model whose log-density is shifted by the constant ``shift``."""
-        inner = self.log_pdf
+        inner = self._raw_log_pdf
         return DensityModel(
             name=self.name,
             support=self.support,
@@ -190,6 +194,15 @@ class Sample:
 # ---------------------------------------------------------------------------
 
 
+def _fd_step(support: SupportSet, x: float) -> float:
+    """``FD_STEP_SCALE * max(1, |x|)``, shrunk so ``x +- step`` stay inside."""
+    step = FD_STEP_SCALE * max(1.0, abs(x))
+    gap = min(x - support.lower, support.upper - x)
+    if math.isfinite(gap):
+        step = min(step, 0.5 * gap)
+    return step
+
+
 def eval_dlogf(model: DensityModel, x: float, step: Optional[float] = None) -> float:
     """Evaluate ``d/dx log f`` at an interior point.
 
@@ -202,10 +215,7 @@ def eval_dlogf(model: DensityModel, x: float, step: Optional[float] = None) -> f
     if model.dlog_pdf is not None:
         return float(model.dlog_pdf(x))
     if step is None:
-        step = FD_STEP_SCALE * max(1.0, abs(x))
-        gap = min(x - model.support.lower, model.support.upper - x)
-        if math.isfinite(gap):
-            step = min(step, 0.5 * gap)
+        step = _fd_step(model.support, x)
     if step <= 0.0:
         raise ValueError("finite-difference step must be positive")
     if not (model.support.contains(x - step) and model.support.contains(x + step)):
@@ -222,10 +232,7 @@ def check_dlog_pdf(model: DensityModel, xs, tol: float = 1e-6) -> float:
         raise ValueError("model has no analytic dlog_pdf to check")
     worst = 0.0
     for x in xs:
-        step = FD_STEP_SCALE * max(1.0, abs(x))
-        gap = min(x - model.support.lower, model.support.upper - x)
-        if math.isfinite(gap):
-            step = min(step, 0.5 * gap)
+        step = _fd_step(model.support, x)
         fd = (model.log_pdf(x + step) - model.log_pdf(x - step)) / (2.0 * step)
         worst = max(worst, abs(fd - float(model.dlog_pdf(x))))
     if worst >= tol:
@@ -267,13 +274,7 @@ def normalize(model: DensityModel, tol: float = QUAD_ABS_TOL):
     Returns ``(c, normalized_model)`` with ``c > 0`` such that adding
     ``log c`` to the log-density integrates to one over the support.
     """
-    lo, hi = model.support.lower, model.support.upper
-
-    def density(x: float) -> float:
-        lp = model.log_pdf(x)
-        return math.exp(lp) if lp > -745.0 else 0.0
-
-    total = integrate(density, lo, hi, abs_tol=tol)
+    total = integrate(model.pdf, model.support.lower, model.support.upper, abs_tol=tol)
     if not math.isfinite(total) or total <= 0.0:
         raise DivergentIntegral(f"density mass {total} is not positive and finite")
     c = 1.0 / total
@@ -402,14 +403,6 @@ class _InverseCdfSampler:
             raise InversionFailure("CDF inversion produced non-finite quantiles")
         return np.asarray(_from_t(t)) if self._mapped else t
 
-    def cdf_at(self, x: float) -> float:
-        t = _to_t(x) if self._mapped else x
-        if t <= self._edges[0]:
-            return 0.0
-        if t >= self._edges[-1]:
-            return 1.0
-        return float(self._interp(t))
-
 
 def sample_from(model: DensityModel, n: int, seed: int) -> Sample:
     """Draw ``n`` i.i.d. observations from a normalized model.
@@ -438,12 +431,7 @@ def numeric_cdf(model: DensityModel, x: float) -> float:
         return 0.0
     if x >= model.support.upper:
         return 1.0
-
-    def density(y: float) -> float:
-        lp = model.log_pdf(y)
-        return math.exp(lp) if lp > -745.0 else 0.0
-
-    return integrate(density, lo, x, abs_tol=1e-9)
+    return integrate(model.pdf, lo, x, abs_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------

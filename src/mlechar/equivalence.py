@@ -4,14 +4,14 @@ Two densities whose scores (of a given parameter kind) are positive multiples
 of each other share every MLE of that parameter.  The constructive direction
 is the *tilt* with exponent ``d > 0``:
 
-- location:  ``log g = d log f + log c``,
-- scale:     ``log g = (d-1) log|x| + d log f + log c``  (half-line supports),
-- group:     ``log g = (d-1) * int u2/u1 + d log f + log c``.
+    log g = (d-1) * int u2/u1 + d log f + log c,
 
-Scale classes over the full line and group classes whose ``u1`` vanishes at
-an interior point are singletons: only ``d = 1`` is admissible.  The reverse
-direction, :func:`same_class`, recovers ``d`` from the pointwise score ratio
-when that ratio is constant on a probe grid.
+with the kind's closed-form ``int u2/u1`` where it has one (``0`` for
+location, ``log|x|`` for scale on a half-line) and a numeric antiderivative
+otherwise.  Classes whose ``u1`` vanishes at an interior point, scale over
+the full line among them, are singletons: only ``d = 1`` is admissible.  The
+reverse direction, :func:`same_class`, recovers ``d`` from the pointwise
+score ratio when that ratio is constant on a probe grid.
 
 Half-line scale families additionally admit a scale-identification filter, a
 limit comparison of ``g(lambda x)/g(x)`` against the target at the origin,
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,23 +32,17 @@ from .density import (
     POSITIVE_HALF_LINE,
     CumulativeIntegral,
     DensityModel,
-    SupportSet,
     effective_interval,
-    eval_dlogf,
     normalize,
 )
 from .errors import DegenerateScore, SingletonClass, UnsupportedSupport
 from .score import (
-    Group,
-    Location,
-    ParameterKind,
-    Scale,
+    Kind,
     analyze_image,
     bracketed_root,
-    group_score,
-    group_score_fn,
-    location_score,
-    scale_score,
+    kind_score,
+    score_fn,
+    u1_zero_structure,
 )
 
 
@@ -57,7 +51,7 @@ class TiltSpec:
     """A validated tilt request; ``normalizer`` is filled by :func:`tilt`."""
 
     d: float
-    kind: ParameterKind
+    kind: Kind
     normalizer: Optional[float] = None
     notes: str = ""
 
@@ -66,97 +60,43 @@ class TiltSpec:
             raise ValueError(f"tilt exponent must be a positive real, got {self.d}")
 
 
-def _u1_zero_structure(u1: Callable[[float], float], support: SupportSet) -> str:
-    """'interior', 'endpoint' or 'none' depending on where u1 vanishes."""
-    lo, hi = support.lower, support.upper
-    if support.kind == FULL_LINE:
-        xs = np.linspace(-20.0, 20.0, 401)
-    elif support.kind == POSITIVE_HALF_LINE:
-        xs = np.geomspace(1e-8, 20.0, 401)
-    elif support.kind == NEGATIVE_HALF_LINE:
-        xs = -np.geomspace(1e-8, 20.0, 401)[::-1]
-    else:
-        pad = (hi - lo) * 1e-6
-        xs = np.linspace(lo + pad, hi - pad, 401)
-    vals = np.array([float(u1(float(x))) for x in xs])
-    if (np.abs(vals) < 1e-12).any() or (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0).any():
-        return "interior"
-    # vanishing limits at the ends count as endpoint zeros, not interior ones
-    if abs(vals[0]) < 1e-6 or abs(vals[-1]) < 1e-6:
-        return "endpoint"
-    return "none"
-
-
 def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
     d = spec.d
     kind = spec.kind
+    kind.check(model.support)
+    u1, u2 = kind.u1, kind.u2
     base_log = model.log_pdf
     base_dlog = model.dlog_pdf
+    structure = u1_zero_structure(kind, model.support)
 
-    if isinstance(kind, Location):
-        if model.support.kind != FULL_LINE:
-            raise UnsupportedSupport("location tilts need full-line support")
-
-        def log_pdf(x: float) -> float:
-            return d * base_log(x)
-
-        dlog = (lambda x: d * base_dlog(x)) if base_dlog else None
-
-    elif isinstance(kind, Scale):
-        if model.support.kind == FULL_LINE:
-            if d != 1.0:
-                raise SingletonClass(
-                    "scale classes over the full line are singletons (d = 1 only)"
-                )
-
-            def log_pdf(x: float) -> float:
-                return base_log(x)
-
-            dlog = base_dlog
-        elif model.support.kind in (POSITIVE_HALF_LINE, NEGATIVE_HALF_LINE):
-
-            def log_pdf(x: float) -> float:
-                return (d - 1.0) * math.log(abs(x)) + d * base_log(x)
-
-            dlog = (lambda x: (d - 1.0) / x + d * base_dlog(x)) if base_dlog else None
-        else:
-            raise UnsupportedSupport("scale tilts need R or a half-line support")
-
-    elif isinstance(kind, Group):
-        u1, u2 = kind.u1, kind.u2
-        structure = _u1_zero_structure(u1, model.support)
-        if structure == "interior":
-            if d != 1.0:
-                raise SingletonClass(
-                    "u1 vanishes at an interior point; the class is a singleton"
-                )
-
-            def log_pdf(x: float) -> float:
-                return base_log(x)
-
-            dlog = base_dlog
-        else:
+    if structure == "interior":
+        if d != 1.0:
+            raise SingletonClass(
+                f"u1 of the {kind!r} kind vanishes inside {model.support}; "
+                "the class is a singleton (d = 1 only)"
+            )
+        log_pdf, dlog = base_log, base_dlog
+    else:
+        antider = kind.antiderivative
+        if antider is None:
             if structure == "endpoint":
                 spec.notes = "u1 vanishes at a support endpoint; d left free"
-            profile = analyze_image(group_score_fn(model, u1, u2))
+            profile = analyze_image(score_fn(model, kind))
             anchor = bracketed_root(profile)
             drop = max(80.0, 80.0 / d)
             lo, hi = effective_interval(model, drop=drop)
             lo = min(lo, anchor - 1.0)
             hi = max(hi, anchor + 1.0)
-            antider = CumulativeIntegral(lambda y: float(u2(y)) / float(u1(y)),
-                                         anchor, lo, hi)
+            antider = CumulativeIntegral(lambda y: u2(y) / u1(y), anchor, lo, hi)
 
-            def log_pdf(x: float) -> float:
-                return (d - 1.0) * antider(x) + d * base_log(x)
+        def log_pdf(x: float) -> float:
+            return (d - 1.0) * antider(x) + d * base_log(x)
 
-            dlog = (
-                (lambda x: (d - 1.0) * float(u2(x)) / float(u1(x)) + d * base_dlog(x))
-                if base_dlog
-                else None
-            )
-    else:
-        raise TypeError(f"unknown parameter kind {kind!r}")
+        dlog = (
+            (lambda x: (d - 1.0) * u2(x) / u1(x) + d * base_dlog(x))
+            if base_dlog
+            else None
+        )
 
     raw = DensityModel(
         name=f"{model.name}~tilt(d={d:g},{kind.label})",
@@ -170,13 +110,13 @@ def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
     return tilted
 
 
-def tilt(model: DensityModel, d: float, kind: ParameterKind) -> DensityModel:
+def tilt(model: DensityModel, d: float, kind: Kind) -> DensityModel:
     """Equivalence-class member of ``model`` with exponent ``d`` (normalized)."""
     return _tilt_build(model, TiltSpec(d=d, kind=kind))
 
 
 def tilt_with_spec(model: DensityModel, d: float,
-                   kind: ParameterKind) -> tuple[DensityModel, TiltSpec]:
+                   kind: Kind) -> tuple[DensityModel, TiltSpec]:
     """Like :func:`tilt` but also returns the filled :class:`TiltSpec`."""
     spec = TiltSpec(d=d, kind=kind)
     return _tilt_build(model, spec), spec
@@ -210,17 +150,7 @@ def _default_grid(f: DensityModel, g: DensityModel, points: int = 41) -> np.ndar
     return np.linspace(lo + pad, hi - pad, points)
 
 
-def _score_eval(model: DensityModel, kind: ParameterKind, x: float) -> float:
-    if isinstance(kind, Location):
-        return location_score(model, x)
-    if isinstance(kind, Scale):
-        return scale_score(model, x)
-    if isinstance(kind, Group):
-        return group_score(model, kind.u1, kind.u2, x)
-    raise TypeError(f"unknown parameter kind {kind!r}")
-
-
-def same_class(f: DensityModel, g: DensityModel, kind: ParameterKind,
+def same_class(f: DensityModel, g: DensityModel, kind: Kind,
                grid=None, tol: float = 1e-6) -> Optional[float]:
     """Common score multiplier ``d`` if ``f`` and ``g`` share a class, else None.
 
@@ -235,11 +165,11 @@ def same_class(f: DensityModel, g: DensityModel, kind: ParameterKind,
     ratios = []
     any_usable = False
     for x in xs:
-        sf = _score_eval(f, kind, float(x))
+        sf = kind_score(f, kind, float(x))
         if abs(sf) <= tol:
             continue
         any_usable = True
-        sg = _score_eval(g, kind, float(x))
+        sg = kind_score(g, kind, float(x))
         ratios.append(sg / sf)
     if not any_usable:
         raise DegenerateScore("reference score vanishes on the whole grid")

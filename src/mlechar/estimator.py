@@ -1,17 +1,21 @@
 """Maximum-likelihood estimation by score-equation root solving.
 
-For each parameter kind the MLE is the root of the sample score sum:
+For every parameter kind the MLE is the root of the sample score sum
+``sum_i score(h(theta, x_i)) = 0``, with the kind's score ``u2 + u1 f'/f`` and
+action ``h``:
 
-- location: ``sum_i phi(x_i - theta) = 0``         (phi = -f'/f),
-- scale:    ``sum_i psi(theta * x_i) = 0``         (psi = 1 + x f'/f),
-  under the rate-like convention ``theta * f(theta * x)``; the conventional
-  scale is ``sigma = 1/theta``,
-- group:    ``sum_i [u2 + u1 f'/f](H_theta(x_i)) = 0``.
+- location: ``sum_i phi(x_i - theta)``          (phi = -f'/f),
+- scale:    ``sum_i psi(theta * x_i)``          (psi = 1 + x f'/f),
+  under the rate-like convention ``theta * f(theta * x)``, solved for
+  ``log theta``; the conventional scale is ``sigma = 1/theta``,
+- group:    ``sum_i [u2 + u1 f'/f](H_theta(x_i))``.
 
 Monotone scores that cross zero make each sum strictly monotone in theta
-with a unique root; the solvers expand a sign-change bracket geometrically
-and refine it with Brent's bisection/secant iteration.  Catalog families with
-closed-form estimators get a direct fast path via :func:`closed_form_mle`.
+with a unique root.  One solver serves every kind: it seeds a bracket from
+the sample, doubles its half-width (clipped to the kind's window) until the
+sum changes sign, and refines it with Brent's bisection/secant iteration.
+Catalog families with closed-form estimators get a direct fast path via
+:func:`closed_form_mle`.
 """
 
 from __future__ import annotations
@@ -24,27 +28,18 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .density import DensityModel, Sample
-from .errors import (
-    AllZeroSample,
-    BracketFailure,
-    NoClosedForm,
-    NotMonotone,
-)
+from .errors import BracketFailure, NoClosedForm, NotCharacterizable, NotMonotone
 from .score import (
     LOCATION,
     SCALE,
-    Group,
     GroupTransform,
-    ParameterKind,
+    Kind,
     analyze_image,
-    group_score,
-    location_score,
     location_score_fn,
-    scale_score,
+    score_sum,
 )
 
 DEFAULT_TOL = 1e-10      # score-sum residual tolerance
-THETA_FLOOR = 1e-12      # root-interval floor passed to the refiner
 MAX_DOUBLINGS = 60
 
 
@@ -66,7 +61,7 @@ class MleResult:
     theta_hat: float
     residual: float
     method: Union[ClosedForm, BracketedRoot]
-    kind: ParameterKind
+    kind: Kind
 
     @property
     def sigma_hat(self) -> float:
@@ -75,50 +70,72 @@ class MleResult:
 
 
 def location_score_sum(model: DensityModel, sample: Sample, theta: float) -> float:
-    return math.fsum(location_score(model, x - theta) for x in sample.values)
+    LOCATION.check(model.support)
+    return score_sum(model, LOCATION, sample, theta)
 
 
 def scale_score_sum(model: DensityModel, sample: Sample, theta: float) -> float:
-    return math.fsum(scale_score(model, theta * x) for x in sample.values)
+    SCALE.check(model.support)
+    return score_sum(model, SCALE, sample, theta)
 
 
 def group_score_sum(model: DensityModel, transform: GroupTransform,
                     sample: Sample, theta: float) -> float:
-    u1, u2 = transform.u1, transform.u2
-    return math.fsum(
-        group_score(model, u1, u2, transform.h(theta, x)) for x in sample.values
-    )
+    return score_sum(model, transform, sample, theta)
 
 
-def _refine(score_sum: Callable[[float], float], lo: float, hi: float,
-            tol: float, kind: ParameterKind) -> MleResult:
-    # refine well below the documented 1e-12 interval floor so the residual
-    # contract holds even for interpolated (slightly jittery) scores
-    root, info = brentq(score_sum, lo, hi, xtol=1e-15, rtol=8.9e-16,
+def mle(model: DensityModel, kind: Kind, sample: Sample,
+        tol: float = DEFAULT_TOL) -> MleResult:
+    """MLE of ``kind``'s parameter: root of ``sum_i score(h(theta, x_i))``.
+
+    ``model`` is the base density f; the family members share its support,
+    so the sample must lie inside it.  The search runs in the kind's solver
+    coordinate t (``theta = kind.to_theta(t)``): the bracket starts at the
+    kind's sample seed and its half-width doubles, clipped to the kind's
+    window, until the score sum changes sign.  The root must bring the sum
+    below ``tol`` in absolute value.
+    """
+    if kind.h is None:
+        raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
+    kind.check(model.support)
+    sample.require_inside(model)
+    w_lo, w_hi = kind.theta_window
+    if kind.seed is None:
+        center, half = 0.0, min(0.5, (w_hi - w_lo) / 4.0)
+    else:
+        center, half = kind.seed(sample.values)
+    center = min(max(center, w_lo), w_hi)
+    to_theta = kind.to_theta
+
+    def s(t: float) -> float:
+        return score_sum(model, kind, sample, to_theta(t))
+
+    doublings = 0
+    while True:
+        lo, hi = max(w_lo, center - half), min(w_hi, center + half)
+        s_lo, s_hi = s(lo), s(hi)
+        if s_lo == 0.0 or s_hi == 0.0 or (s_lo > 0.0) != (s_hi > 0.0):
+            break
+        if doublings == MAX_DOUBLINGS or (lo, hi) == (w_lo, w_hi):
+            raise BracketFailure(
+                f"no sign change within {doublings} doublings (last bracket "
+                f"[{lo:.6g}, {hi:.6g}] with sums [{s_lo:.3g}, {s_hi:.3g}])"
+            )
+        doublings += 1
+        half *= 2.0
+
+    # refine far below a 1e-12 interval so the residual contract holds even
+    # for interpolated (slightly jittery) scores
+    root, info = brentq(s, lo, hi, xtol=1e-15, rtol=8.9e-16,
                         maxiter=300, full_output=True)
-    residual = score_sum(float(root))
+    residual = s(float(root))
     if abs(residual) >= tol:
         raise BracketFailure(
             f"residual {residual:.3e} at theta={root!r} exceeds tol={tol:g}"
         )
-    return MleResult(float(root), float(residual),
-                     BracketedRoot(int(info.iterations), (lo, hi)), kind)
-
-
-def _expand_bracket(score_sum: Callable[[float], float], lo: float, hi: float,
-                    grow: Callable[[float, float], tuple[float, float]]) -> tuple[float, float]:
-    s_lo, s_hi = score_sum(lo), score_sum(hi)
-    for _ in range(MAX_DOUBLINGS):
-        if s_lo == 0.0 or s_hi == 0.0 or (s_lo > 0.0) != (s_hi > 0.0):
-            return lo, hi
-        lo, hi = grow(lo, hi)
-        s_lo, s_hi = score_sum(lo), score_sum(hi)
-    if (s_lo > 0.0) != (s_hi > 0.0):
-        return lo, hi
-    raise BracketFailure(
-        f"no sign change within {MAX_DOUBLINGS} doublings (last bracket "
-        f"[{lo:.6g}, {hi:.6g}] with sums [{s_lo:.3g}, {s_hi:.3g}])"
-    )
+    return MleResult(to_theta(float(root)), float(residual),
+                     BracketedRoot(int(info.iterations), (to_theta(lo), to_theta(hi))),
+                     kind)
 
 
 def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL,
@@ -127,78 +144,25 @@ def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL,
 
     The score sum is strictly decreasing in theta for monotone increasing
     ``phi`` (set ``check_monotone`` to verify that precondition explicitly).
-    Bracketing starts at the sample median with half-width one plus the
-    sample range.
     """
-    sample.require_inside(model)
-    if check_monotone:
-        profile = analyze_image(location_score_fn(model))
-        if not profile.crosses_zero:
-            raise NotMonotone("location score does not cross zero")
-
-    def s(theta: float) -> float:
-        return location_score_sum(model, sample, theta)
-
-    med = float(np.median(sample.values))
-    width = float(sample.values.max() - sample.values.min()) + 1.0
-    center = med
-
-    def grow(lo: float, hi: float) -> tuple[float, float]:
-        half = (hi - lo)  # doubles each round
-        return center - half, center + half
-
-    lo, hi = _expand_bracket(s, center - width, center + width, grow)
-    return _refine(s, lo, hi, tol, LOCATION)
+    if check_monotone and not analyze_image(location_score_fn(model)).crosses_zero:
+        raise NotMonotone("location score does not cross zero")
+    return mle(model, LOCATION, sample, tol)
 
 
 def mle_scale(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> MleResult:
     """Scale MLE under the rate convention: root of ``sum_i psi(theta x_i)``.
 
-    Bracketing runs on a log-theta grid seeded at theta = 1.  The returned
-    ``theta_hat`` is the rate; use ``sigma_hat`` for the conventional scale.
+    The returned ``theta_hat`` is the rate; use ``sigma_hat`` for the
+    conventional scale.
     """
-    sample.require_inside(model)
-    if not np.any(sample.values != 0.0):
-        raise AllZeroSample("scale estimation needs a nonzero observation")
-
-    def s_log(t: float) -> float:
-        return scale_score_sum(model, sample, math.exp(t))
-
-    def grow(lo: float, hi: float) -> tuple[float, float]:
-        return 2.0 * lo, 2.0 * hi
-
-    lo, hi = _expand_bracket(s_log, -math.log(2.0), math.log(2.0), grow)
-    result = _refine(s_log, lo, hi, tol, SCALE)
-    theta = math.exp(result.theta_hat)
-    residual = scale_score_sum(model, sample, theta)
-    if abs(residual) >= tol:
-        raise BracketFailure(f"scale residual {residual:.3e} exceeds tol={tol:g}")
-    method = BracketedRoot(result.method.iterations, (math.exp(lo), math.exp(hi)))
-    return MleResult(theta, residual, method, SCALE)
+    return mle(model, SCALE, sample, tol)
 
 
 def mle_group(model: DensityModel, transform: GroupTransform, sample: Sample,
               tol: float = DEFAULT_TOL) -> MleResult:
-    """Group-parameter MLE: root of the transformed score sum.
-
-    ``model`` is the base density f; the sample follows the group family
-    member at the unknown theta and lives in the transform's domain, so no
-    support check against the base model applies here.  The common factor
-    T(theta) is dropped; the transform's theta window must keep it of
-    constant nonzero sign.
-    """
-    w_lo, w_hi = transform.theta_window
-
-    def s(theta: float) -> float:
-        return group_score_sum(model, transform, sample, theta)
-
-    def grow(lo: float, hi: float) -> tuple[float, float]:
-        half = hi - lo
-        return max(w_lo, lo - half), min(w_hi, hi + half)
-
-    half0 = min(0.5, (w_hi - w_lo) / 4.0)
-    lo, hi = _expand_bracket(s, -half0, half0, grow)
-    return _refine(s, lo, hi, tol, Group(transform.u1, transform.u2))
+    """Group-parameter MLE: root of the transformed score sum."""
+    return mle(model, transform, sample, tol)
 
 
 _CLOSED_FORMS: dict[str, Callable[[np.ndarray, dict], float]] = {
@@ -214,7 +178,7 @@ _CLOSED_FORMS: dict[str, Callable[[np.ndarray, dict], float]] = {
 }
 
 
-def closed_form_mle(entry, kind: ParameterKind, sample: Sample) -> MleResult:
+def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
     """Evaluate a catalog entry's closed-form estimator for the given kind.
 
     ``entry`` must expose ``closed_form`` (kind label to formula id),
@@ -224,8 +188,5 @@ def closed_form_mle(entry, kind: ParameterKind, sample: Sample) -> MleResult:
     if formula is None:
         raise NoClosedForm(f"{entry.name} has no closed-form {kind.label} MLE")
     theta = _CLOSED_FORMS[formula](np.asarray(sample.values, dtype=float), entry.params)
-    if kind.label == "location":
-        residual = location_score_sum(entry.model, sample, theta)
-    else:
-        residual = scale_score_sum(entry.model, sample, theta)
+    residual = score_sum(entry.model, kind, sample, theta)
     return MleResult(float(theta), float(residual), ClosedForm(formula), kind)

@@ -1,11 +1,16 @@
-"""Score functions and image analysis.
+"""Parameter kinds, score functions and image analysis.
 
-Three score constructions are supported, one per parameter kind:
+Every parameter kind is a :class:`Kind`: factor functions ``(u1, u2)`` of the
+score ``u2(x) + u1(x) f'(x)/f(x)``, the action ``h(theta, x)`` of the
+parameter on the data, and optionally a closed form of ``int u2/u1``:
 
-- location: ``phi(x) = -f'(x)/f(x)`` on the full line (stored with this sign
-  so that well-behaved targets have *increasing* scores),
-- scale:    ``psi(x) = 1 + x f'(x)/f(x)`` on the full line or a half-line,
-- group:    ``u2(x) + u1(x) f'(x)/f(x)`` for a transformation pair (u1, u2).
+- location: ``(u1, u2) = (-1, 0)``, ``h = x - theta``, so the score is
+  ``phi(x) = -f'(x)/f(x)`` on the full line (stored with this sign so that
+  well-behaved targets have *increasing* scores), ``int u2/u1 = 0``,
+- scale:    ``(u1, u2) = (x, 1)``, ``h = theta x`` with ``theta = e^t``, so
+  the score is ``psi(x) = 1 + x f'(x)/f(x)`` on the full line or a
+  half-line, ``int u2/u1 = log|x|``,
+- group:    any transformation pair (u1, u2) with its own ``H_theta``.
 
 ``analyze_image`` classifies a score over its domain: strict monotonicity,
 zero crossing, and the image bounds ``(-p_minus, p_plus)`` with the two
@@ -16,6 +21,7 @@ geometric sequences approaching the domain endpoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,105 +33,164 @@ from .density import (
     NEGATIVE_HALF_LINE,
     POSITIVE_HALF_LINE,
     DensityModel,
+    Sample,
     SupportSet,
     eval_dlogf,
 )
-from .errors import NonFiniteLogDensity, NotMonotone, UnsupportedSupport
+from .errors import AllZeroSample, NonFiniteLogDensity, NotMonotone, UnsupportedSupport
 
 # ---------------------------------------------------------------------------
 # parameter kinds
 # ---------------------------------------------------------------------------
 
 
-class ParameterKind:
-    """Marker base class; see Location, Scale and Group."""
+def _same(t: float) -> float:
+    return t
 
-    label = "?"
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Kind:
+    """A parameter kind: the score ``u2 + u1 f'/f`` and the action of theta.
+
+    ``h(theta, x)`` maps an observation of the family member at ``theta``
+    into the coordinates of the base density f (``dh_dx`` is its
+    x-derivative, needed to assemble member densities); the MLE is the root
+    of ``sum_i score(h(theta, x_i))``.  The solver searches a coordinate ``t``
+    with ``theta = to_theta(t)``, inside ``theta_window`` (in t), starting
+    from ``seed(values) -> (centre, half-width)`` (default: centre 0).  Any
+    common factor T(theta) of the score is dropped, so the window must keep
+    it of constant nonzero sign.  ``antiderivative`` is a closed form of
+    ``int u2/u1`` (tilts integrate the ratio numerically without one), and
+    ``supports`` lists the admitted support shapes (``None``: any).
+
+    A kind without an action still has scores, image profiles and tilts,
+    but no estimator.  ``u1`` must be nonzero on the support except possibly
+    at isolated points; an interior zero collapses the equivalence class to
+    a singleton.
+    """
+
+    u1: Callable[[float], float]
+    u2: Callable[[float], float]
+    h: Optional[Callable[[float, float], float]] = None
+    dh_dx: Optional[Callable[[float, float], float]] = None
+    theta_window: tuple[float, float] = (-16.0, 16.0)
+    label: str = "group"
+    antiderivative: Optional[Callable[[float], float]] = None
+    supports: Optional[tuple[str, ...]] = None
+    seed: Optional[Callable[[np.ndarray], tuple[float, float]]] = None
+    to_theta: Callable[[float], float] = _same
 
     def __repr__(self) -> str:
         return self.label
 
-
-class Location(ParameterKind):
-    label = "location"
-
-
-class Scale(ParameterKind):
-    label = "scale"
-
-
-@dataclass(frozen=True, eq=False)
-class Group(ParameterKind):
-    """Transformation-family kind carrying the factor functions u1, u2.
-
-    ``u1`` must be nonzero on the support except possibly at isolated
-    points (interior zeros collapse the equivalence class to a singleton).
-    """
-
-    u1: Callable[[float], float]
-    u2: Callable[[float], float]
-    label = "group"
+    def check(self, support: SupportSet) -> None:
+        """Raise :class:`UnsupportedSupport` unless ``support`` is admitted."""
+        if self.supports is not None and support.kind not in self.supports:
+            raise UnsupportedSupport(
+                f"{self.label} parameters need {' or '.join(self.supports)} "
+                f"support, got {support}"
+            )
 
 
-LOCATION = Location()
-SCALE = Scale()
+#: a transformation family H_theta acting on the data is a kind with an action
+GroupTransform = Kind
 
 
-@dataclass(frozen=True, eq=False)
-class GroupTransform:
-    """A one-parameter transformation family H_theta acting on the data.
+def Group(u1: Callable[[float], float], u2: Callable[[float], float]) -> Kind:
+    """Action-less kind with the factor functions ``u1``, ``u2``."""
+    return Kind(u1, u2)
 
-    ``h(theta, x)`` maps an observation into the base support and ``dh_dx``
-    is its x-derivative (needed to assemble the family's density).  ``u1``
-    and ``u2`` are the factor functions of the score decomposition
-    ``u2 + u1 f'/f``; the common theta factor T is dropped and assumed to
-    keep a constant nonzero sign on ``theta_window``.
-    """
 
-    u1: Callable[[float], float]
-    u2: Callable[[float], float]
-    h: Callable[[float, float], float]
-    dh_dx: Callable[[float, float], float]
-    theta_window: tuple[float, float] = (-16.0, 16.0)
+def _median(values: np.ndarray) -> float:
+    # the value np.median returns, without its call overhead (which rivals a
+    # whole small-sample solve)
+    v = np.sort(values)
+    mid = v.size // 2
+    return float(v[mid]) if v.size % 2 else float((v[mid - 1] + v[mid]) / 2.0)
 
-    def kind(self) -> "Group":
-        return Group(self.u1, self.u2)
+
+def _location_seed(values: np.ndarray) -> tuple[float, float]:
+    # the sample median, with half-width one plus the sample range
+    return _median(values), float(values.max() - values.min()) + 1.0
+
+
+def _rate_seed(values: np.ndarray) -> tuple[float, float]:
+    # log-rate that maps the median nonzero magnitude to one
+    nonzero = np.abs(values[values != 0.0])
+    if nonzero.size == 0:
+        raise AllZeroSample("scale estimation needs a nonzero observation")
+    return -math.log(_median(nonzero)), math.log(2.0)
+
+
+LOCATION = Kind(
+    u1=lambda x: -1.0,
+    u2=lambda x: 0.0,
+    h=lambda theta, x: x - theta,
+    theta_window=(-math.inf, math.inf),
+    label="location",
+    antiderivative=lambda x: 0.0,
+    supports=(FULL_LINE,),
+    seed=_location_seed,
+)
+
+#: rate convention ``theta * f(theta * x)``, solved for ``t = log theta``
+#: inside the range where ``e^t`` is a normal double
+SCALE = Kind(
+    u1=lambda x: x,
+    u2=lambda x: 1.0,
+    h=lambda theta, x: theta * x,
+    theta_window=(math.log(sys.float_info.min), math.log(sys.float_info.max)),
+    label="scale",
+    antiderivative=lambda x: math.log(abs(x)),
+    supports=(FULL_LINE, POSITIVE_HALF_LINE, NEGATIVE_HALF_LINE),
+    seed=_rate_seed,
+    to_theta=math.exp,
+)
 
 
 # ---------------------------------------------------------------------------
-# pointwise scores
+# scores
 # ---------------------------------------------------------------------------
+
+
+def _score_at(model: DensityModel, u1, u2, x: float) -> float:
+    # support admission is the caller's job (once per profile, solve or tilt)
+    a = u1(x)
+    if a == 0.0:
+        # where u1 vanishes (the origin, for scale) the score is u2 wherever
+        # log f is finite, whether or not f is differentiable there
+        if not math.isfinite(model.log_pdf(x)):
+            raise NonFiniteLogDensity(f"log-density not finite at x={x}")
+        return u2(x)
+    return u2(x) + a * eval_dlogf(model, x)
+
+
+def kind_score(model: DensityModel, kind: Kind, x: float) -> float:
+    """Score ``u2(x) + u1(x) f'(x)/f(x)`` of ``kind`` at ``x``."""
+    kind.check(model.support)
+    return _score_at(model, kind.u1, kind.u2, x)
+
+
+def score_sum(model: DensityModel, kind: Kind, sample: Sample, theta: float) -> float:
+    """``math.fsum`` of the kind's score at ``h(theta, x_i)`` over the sample."""
+    h, u1, u2 = kind.h, kind.u1, kind.u2
+    return math.fsum(_score_at(model, u1, u2, h(theta, x)) for x in sample.values)
 
 
 def location_score(model: DensityModel, x: float) -> float:
     """Location score ``-f'(x)/f(x)`` (full-line supports only)."""
-    if model.support.kind != FULL_LINE:
-        raise UnsupportedSupport(
-            f"location parameters need full-line support, got {model.support}"
-        )
-    return -eval_dlogf(model, x)
+    return kind_score(model, LOCATION, x)
 
 
 def scale_score(model: DensityModel, x: float) -> float:
     """Scale score ``1 + x f'(x)/f(x)``."""
-    if model.support.kind not in (FULL_LINE, POSITIVE_HALF_LINE, NEGATIVE_HALF_LINE):
-        raise UnsupportedSupport(
-            f"scale parameters need R or a half-line, got {model.support}"
-        )
-    if x == 0.0:
-        # interior only for full-line supports; the formula value there is
-        # 1 + 0 * dlogf(0) = 1 whenever log f is finite at 0
-        lp = model.log_pdf(0.0)
-        if not math.isfinite(lp):
-            raise NonFiniteLogDensity("log-density not finite at x=0")
-        return 1.0
-    return 1.0 + x * eval_dlogf(model, x)
+    return kind_score(model, SCALE, x)
 
 
 def group_score(model: DensityModel, u1: Callable[[float], float],
                 u2: Callable[[float], float], x: float) -> float:
     """Group-family score ``u2(x) + u1(x) f'(x)/f(x)``."""
-    return float(u2(x)) + float(u1(x)) * eval_dlogf(model, x)
+    return _score_at(model, u1, u2, x)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +204,24 @@ class ScoreFunction:
 
     evaluate: Callable[[float], float]
     domain: SupportSet
-    kind: ParameterKind
+    kind: Kind
+
+
+_HALF_LINES = {"neg": SupportSet.negative_half_line(),
+               "pos": SupportSet.positive_half_line()}
+
+
+def score_fn(model: DensityModel, kind: Kind,
+             domain: Optional[SupportSet] = None) -> ScoreFunction:
+    """The score of ``kind`` on ``domain`` (default: the model's support)."""
+    kind.check(model.support)
+    u1, u2 = kind.u1, kind.u2
+    return ScoreFunction(lambda x: _score_at(model, u1, u2, x),
+                         model.support if domain is None else domain, kind)
 
 
 def location_score_fn(model: DensityModel) -> ScoreFunction:
-    if model.support.kind != FULL_LINE:
-        raise UnsupportedSupport(
-            f"location parameters need full-line support, got {model.support}"
-        )
-    return ScoreFunction(lambda x: location_score(model, x), model.support, LOCATION)
+    return score_fn(model, LOCATION)
 
 
 def scale_score_fn(model: DensityModel, halfline: Optional[str] = None) -> ScoreFunction:
@@ -156,22 +230,13 @@ def scale_score_fn(model: DensityModel, halfline: Optional[str] = None) -> Score
     ``halfline`` is ``None`` (natural support), ``"pos"`` or ``"neg"``; the
     restrictions are only meaningful for full-line supports.
     """
-    if halfline is None:
-        domain = model.support
-        if domain.kind not in (FULL_LINE, POSITIVE_HALF_LINE, NEGATIVE_HALF_LINE):
-            raise UnsupportedSupport(f"scale needs R or a half-line, got {domain}")
-    elif halfline == "pos":
-        domain = SupportSet.positive_half_line()
-    elif halfline == "neg":
-        domain = SupportSet.negative_half_line()
-    else:
+    if halfline is not None and halfline not in _HALF_LINES:
         raise ValueError("halfline must be None, 'pos' or 'neg'")
-    return ScoreFunction(lambda x: scale_score(model, x), domain, SCALE)
+    return score_fn(model, SCALE, _HALF_LINES.get(halfline))
 
 
 def group_score_fn(model: DensityModel, u1, u2) -> ScoreFunction:
-    return ScoreFunction(lambda x: group_score(model, u1, u2, x),
-                         model.support, Group(u1, u2))
+    return score_fn(model, Group(u1, u2))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +261,7 @@ class ScoreProfile:
     bounds positive (possibly infinite).
     """
 
-    kind: ParameterKind
+    kind: Kind
     domain: SupportSet
     evaluate: Callable[[float], float]
     monotone_increasing: bool
@@ -365,6 +430,40 @@ def analyze_image(score: ScoreFunction, probe: ProbeConfig = DEFAULT_PROBE,
     )
 
 
+#: u1 is probed closer to half-line origins than scores are
+_U1_PROBE = ProbeConfig(points=401, inner_start=1e-8)
+
+
+def u1_zero_structure(kind: Kind, support: SupportSet) -> str:
+    """'interior', 'endpoint' or 'none' depending on where ``kind.u1`` vanishes."""
+    vals = np.array([float(kind.u1(float(x))) for x in _central_grid(support, _U1_PROBE)])
+    if (np.abs(vals) < 1e-12).any() or (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0).any():
+        return "interior"
+    # vanishing limits at the ends count as endpoint zeros, not interior ones
+    if abs(vals[0]) < 1e-6 or abs(vals[-1]) < 1e-6:
+        return "endpoint"
+    return "none"
+
+
+def kind_profiles(model: DensityModel, kind: Kind, probe: ProbeConfig = DEFAULT_PROBE,
+                  analytic_bounds=None):
+    """Score profile of ``kind`` over the model's support.
+
+    When ``u1`` vanishes inside the support (scale on the full line) the
+    score is analyzed on each side of the zero, taken to be the origin, and
+    the ``(negative half-line, positive half-line)`` pair is returned; there
+    ``analytic_bounds`` may be one ``(p_minus, p_plus)`` pair for both sides
+    or a pair of pairs.
+    """
+    kind.check(model.support)
+    if u1_zero_structure(kind, model.support) != "interior":
+        return analyze_image(score_fn(model, kind), probe, analytic_bounds)
+    if analytic_bounds is None or not isinstance(analytic_bounds[0], tuple):
+        analytic_bounds = (analytic_bounds, analytic_bounds)
+    return tuple(analyze_image(score_fn(model, kind, _HALF_LINES[side]), probe, bounds)
+                 for side, bounds in zip(("neg", "pos"), analytic_bounds))
+
+
 def split_halflines(model: DensityModel, probe: ProbeConfig = DEFAULT_PROBE,
                     analytic_bounds=None) -> tuple[ScoreProfile, ScoreProfile]:
     """Scale-score profiles on the two open half-lines of a full-line model.
@@ -375,15 +474,7 @@ def split_halflines(model: DensityModel, probe: ProbeConfig = DEFAULT_PROBE,
     """
     if model.support.kind != FULL_LINE:
         raise UnsupportedSupport("split_halflines needs a full-line support")
-    if analytic_bounds is None:
-        ab_neg = ab_pos = None
-    elif isinstance(analytic_bounds[0], tuple):
-        ab_neg, ab_pos = analytic_bounds
-    else:
-        ab_neg = ab_pos = analytic_bounds
-    neg = analyze_image(scale_score_fn(model, "neg"), probe, ab_neg)
-    pos = analyze_image(scale_score_fn(model, "pos"), probe, ab_pos)
-    return neg, pos
+    return kind_profiles(model, SCALE, probe, analytic_bounds)
 
 
 def bracketed_root(profile: ScoreProfile, probe: ProbeConfig = DEFAULT_PROBE) -> float:

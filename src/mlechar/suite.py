@@ -33,23 +33,9 @@ from .coverage import brute_force_projectable, is_projectable, mcss, mnss
 from .density import DensityModel, Sample, effective_interval, sample_from
 from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
-from .estimator import closed_form_mle, mle_group, mle_location, mle_scale
+from .estimator import closed_form_mle, mle, mle_location, mle_scale
 from .forge import OddPower, forge_odd_h, verify_counterexample
-from .score import (
-    DEFAULT_PROBE,
-    LOCATION,
-    SCALE,
-    Group,
-    ProbeConfig,
-    analyze_image,
-    group_score,
-    group_score_fn,
-    location_score,
-    location_score_fn,
-    scale_score,
-    scale_score_fn,
-    split_halflines,
-)
+from .score import DEFAULT_PROBE, LOCATION, SCALE, ProbeConfig, kind_profiles, kind_score
 
 SCHEMA_VERSION = "mlechar-report-1"
 
@@ -316,14 +302,6 @@ def _draw_blocks(model, sizes, seed) -> list[Sample]:
     return out
 
 
-def _kind_obj(entry, kind_label: str):
-    if kind_label == "location":
-        return LOCATION
-    if kind_label == "scale":
-        return SCALE
-    return Group(entry.transform.u1, entry.transform.u2)
-
-
 def build_profiles(entry, kind_label: str, probe: ProbeConfig = DEFAULT_PROBE,
                    analytic: bool = False):
     """Score profile(s) for a catalog entry and kind.
@@ -332,18 +310,8 @@ def build_profiles(entry, kind_label: str, probe: ProbeConfig = DEFAULT_PROBE,
     scale parameters of full-line families.  ``analytic`` switches the image
     bounds to the recorded catalog values instead of numeric estimation.
     """
-    model = entry.model
     bounds = entry.analytic_bounds.get(kind_label) if analytic else None
-    if kind_label == "location":
-        return analyze_image(location_score_fn(model), probe, bounds)
-    if kind_label == "scale":
-        if model.support.kind == "full_line":
-            return split_halflines(model, probe, bounds)
-        return analyze_image(scale_score_fn(model), probe, bounds)
-    if kind_label == "group":
-        tr = entry.transform
-        return analyze_image(group_score_fn(model, tr.u1, tr.u2), probe, bounds)
-    raise InvalidConfig(f"unknown kind {kind_label!r}")
+    return kind_profiles(entry.model, cat.kind_for(entry, kind_label), probe, bounds)
 
 
 def _mnss_match(computed, expected_value) -> bool:
@@ -363,8 +331,7 @@ def _section_catalog_mnss(config: SuiteConfig) -> list[dict]:
         entry = cat.lookup(name, params)
         for kind_label in kinds:
             profiles = build_profiles(entry, kind_label)
-            kind = _kind_obj(entry, kind_label)
-            computed = mnss(profiles, kind)
+            computed = mnss(profiles, cat.kind_for(entry, kind_label))
             expected = entry.expected[kind_label]
             match = _mnss_match(computed, expected)
             prof_list = profiles if isinstance(profiles, tuple) else (profiles,)
@@ -391,7 +358,7 @@ def _section_equivalence(config: SuiteConfig, forged) -> list[dict]:
     records = []
     for name, params, kind_label in config.equivalence:
         entry = cat.lookup(name, params)
-        kind = _kind_obj(entry, kind_label)
+        kind = cat.kind_for(entry, kind_label)
         model = entry.model
         for d in config.tilt_exponents:
             tilted = tilt(model, d, kind)
@@ -403,16 +370,8 @@ def _section_equivalence(config: SuiteConfig, forged) -> list[dict]:
                                     int(d * 1000), size_i)
                 sizes = [n] * config.trials
                 for sample in _draw_blocks(model, sizes, seed):
-                    if kind_label == "location":
-                        tf = mle_location(model, sample, config.mle_tol).theta_hat
-                        tg = mle_location(tilted, sample, config.mle_tol).theta_hat
-                    elif kind_label == "scale":
-                        tf = mle_scale(model, sample, config.mle_tol).theta_hat
-                        tg = mle_scale(tilted, sample, config.mle_tol).theta_hat
-                    else:
-                        tr = entry.transform
-                        tf = mle_group(model, tr, sample, config.mle_tol).theta_hat
-                        tg = mle_group(tilted, tr, sample, config.mle_tol).theta_hat
+                    tf = mle(model, kind, sample, config.mle_tol).theta_hat
+                    tg = mle(tilted, kind, sample, config.mle_tol).theta_hat
                     max_gap = max(max_gap, abs(tf - tg))
             ok = d_ok and max_gap < config.agreement_tol
             records.append({
@@ -548,17 +507,14 @@ def _section_closed_form(config: SuiteConfig, n_samples: int = 500) -> list[dict
         if not _configured(config, name, params, kind_label):
             continue
         entry = cat.lookup(name, params)
-        kind = _kind_obj(entry, kind_label)
+        kind = cat.kind_for(entry, kind_label)
         seed = _derive_seed(config.seed, "closed_form", name, kind_label)
         worst = 0.0
         for sample in _draw_blocks(entry.model, sizes_cycle, seed):
             closed = closed_form_mle(entry, kind, sample).theta_hat
-            if kind_label == "location":
-                numeric = mle_location(entry.model, sample, config.mle_tol).theta_hat
-                dev = abs(closed - numeric)
-            else:
-                numeric = mle_scale(entry.model, sample, config.mle_tol).theta_hat
-                dev = abs(closed - numeric) / abs(numeric)
+            numeric = mle(entry.model, kind, sample, config.mle_tol).theta_hat
+            # rates compare relatively, locations absolutely
+            dev = abs(closed - numeric) / (abs(numeric) if kind is SCALE else 1.0)
             worst = max(worst, dev)
         ok = worst < 1e-8
         records.append({
@@ -624,7 +580,7 @@ def _section_equivariance(config: SuiteConfig, n_samples: int = 200) -> list[dic
     return records
 
 
-def _crosscheck_grid(entry, kind_label: str) -> np.ndarray:
+def _crosscheck_grid(entry) -> np.ndarray:
     """201 interior probe points, kept inside the effective support so the
     finite-difference reference is not dominated by truncation/cancellation."""
     support = entry.model.support
@@ -654,18 +610,12 @@ def _section_score_crosscheck(config: SuiteConfig) -> list[dict]:
             analytic = entry.analytic_scores.get(kind_label)
             if analytic is None:
                 continue
-            xs = _crosscheck_grid(entry, kind_label)
+            kind = cat.kind_for(entry, kind_label)
+            xs = _crosscheck_grid(entry)
             worst = 0.0
             for x in xs:
                 x = float(x)
-                if kind_label == "location":
-                    got = location_score(fd_model, x)
-                elif kind_label == "scale":
-                    got = scale_score(fd_model, x)
-                else:
-                    tr = entry.transform
-                    got = group_score(fd_model, tr.u1, tr.u2, x)
-                worst = max(worst, abs(got - float(analytic(x))))
+                worst = max(worst, abs(kind_score(fd_model, kind, x) - float(analytic(x))))
             score_ok = worst < config.score_tol
             records.append({
                 "check": "fd_vs_analytic_score",

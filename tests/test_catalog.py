@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from mlechar import expected_mnss, lookup, mnss, sample_from
 from mlechar.errors import InvalidParams, NotCharacterizable, UnknownFamily
-from mlechar.suite import _kind_obj, build_profiles
+from mlechar.catalog import kind_for
+from mlechar.suite import build_profiles
 
 
 def test_lookup_unknown_family():
@@ -132,7 +133,7 @@ def test_analytic_scores_match_construction(gaussian, gamma2):
 ])
 def test_numeric_pipeline_reproduces_expected_mnss(name, params, kind):
     entry = lookup(name, params)
-    computed = mnss(build_profiles(entry, kind), _kind_obj(entry, kind))
+    computed = mnss(build_profiles(entry, kind), kind_for(entry, kind))
     expected = entry.expected[kind]
     if math.isinf(expected):
         assert not computed.is_finite

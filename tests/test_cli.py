@@ -60,6 +60,13 @@ def test_cli_mcss(capsys):
     assert kv(capsys)["mcss"] == "inf"
 
 
+def test_cli_mcss_near_integer_ratio(capsys):
+    assert main(["mcss", "--pminus", "1", "--pplus", "3.0000000001", "--n", "4"]) == 0
+    out = kv(capsys)
+    assert out["mcss"] == "4"
+    assert out["projectable"] == "true"
+
+
 def test_cli_mcss_rejects_bad_bounds(capsys):
     assert main(["mcss", "--pminus", "-1", "--pplus", "2"]) == 3
     assert "numeric error" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlechar import (
@@ -93,6 +93,31 @@ def test_is_projectable_examples():
     assert not is_projectable(1.0, 3.0, 3)
     assert is_projectable(INF, INF, 2)
     assert not is_projectable(INF, 1.0, 1000)
+
+
+def test_is_projectable_near_integer_ratio():
+    # a ratio within the mcss ceiling fuzz of 3 has covering size 4
+    assert mcss(1.0, 3.0 + 1e-10).value == 4
+    assert is_projectable(1.0, 3.0 + 1e-10, 4)
+    assert not is_projectable(1.0, 3.0 + 1e-10, 3)
+
+
+@given(a=st.one_of(bounds_strategy, st.just(INF)),
+       b=st.one_of(bounds_strategy, st.just(INF)),
+       n=st.integers(min_value=2, max_value=12))
+@settings(max_examples=400, deadline=None)
+def test_is_projectable_matches_interval_and_two_sided_rule(a, b, n):
+    finite = math.isfinite(a) and math.isfinite(b)
+    if finite:
+        # ratios inside the ceiling fuzz band of an integer are decided by
+        # the fuzz, not by exact comparisons
+        ratio = max(a, b) / min(a, b)
+        assume(abs(ratio - round(ratio)) > 1e-6 * ratio)
+    got = is_projectable(a, b, n)
+    lo, hi = projection_interval(a, b, n)
+    assert got == (-lo >= a and hi >= b)
+    if finite:
+        assert got == (max(a, b) <= (n - 1) * min(a, b))
 
 
 def test_brute_force_examples():

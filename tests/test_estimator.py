@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from mlechar import (
@@ -17,8 +19,8 @@ from mlechar import (
 )
 from mlechar.density import Sample
 from mlechar.errors import AllZeroSample, BracketFailure, NoClosedForm, OutsideSupport
-from mlechar.estimator import BracketedRoot, ClosedForm
-from mlechar.score import GroupTransform
+from mlechar.estimator import BracketedRoot, ClosedForm, mle
+from mlechar.score import GroupTransform, Kind
 
 
 def s(*values):
@@ -220,3 +222,56 @@ def test_bracket_failure_outside_window(gaussian, sinh_arcsinh):
     )
     with pytest.raises(BracketFailure):
         mle_group(gaussian.model, narrow, s(5.0, 6.0, 7.0))
+
+
+@pytest.mark.parametrize("values", [(1e-300, 2e-300), (1e200, 3e200)])
+def test_scale_mle_at_extreme_magnitudes(gamma2, values):
+    # the bracket is seeded at the sample's own magnitude, so rates near the
+    # ends of the double range are found without overflow
+    sample = s(*values)
+    closed = closed_form_mle(gamma2, SCALE, sample).theta_hat
+    got = mle_scale(gamma2.model, sample).theta_hat
+    assert abs(got - closed) / closed < 1e-8
+
+
+def test_group_solver_reduces_to_scale(gamma2):
+    # (u1, u2) = (x, 1) acting by e^t x is the scale kind on the log-rate
+    log_rate = Kind(u1=lambda x: x, u2=lambda x: 1.0,
+                    h=lambda t, x: math.exp(t) * x)
+    for seed in range(3):
+        sample = sample_from(gamma2.model, 7, seed=seed)
+        t_hat = mle_group(gamma2.model, log_rate, sample).theta_hat
+        theta = mle_scale(gamma2.model, sample).theta_hat
+        assert abs(math.exp(t_hat) - theta) / theta < 1e-10
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       shift=st.floats(min_value=-50.0, max_value=50.0))
+@settings(max_examples=60, deadline=None)
+def test_location_equivariance_property(gumbel, seed, shift):
+    sample = sample_from(gumbel.model, 6, seed=seed)
+    base = mle(gumbel.model, LOCATION, sample).theta_hat
+    got = mle(gumbel.model, LOCATION, Sample(sample.values + shift)).theta_hat
+    assert abs(got - base - shift) < 1e-8
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       lam=st.floats(min_value=1e-3, max_value=1e3))
+@settings(max_examples=60, deadline=None)
+def test_scale_equivariance_property(weibull2, seed, lam):
+    sample = sample_from(weibull2.model, 6, seed=seed)
+    base = mle(weibull2.model, SCALE, sample).theta_hat
+    got = mle(weibull2.model, SCALE, Sample(sample.values * lam)).theta_hat
+    assert abs(got * lam - base) / base < 1e-8
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       skew=st.floats(min_value=-3.0, max_value=3.0))
+@settings(max_examples=60, deadline=None)
+def test_group_equivariance_property(sinh_arcsinh, seed, skew):
+    kind = sinh_arcsinh.transform
+    sample = sample_from(sinh_arcsinh.model, 6, seed=seed)
+    base = mle(sinh_arcsinh.model, kind, sample).theta_hat
+    moved = Sample(np.array([math.sinh(math.asinh(x) - skew) for x in sample.values]))
+    got = mle(sinh_arcsinh.model, kind, moved).theta_hat
+    assert abs(got - base - skew) < 1e-8
