@@ -7,13 +7,17 @@ this interface, so the module also provides the shared numeric machinery:
 
 - central finite differences with a boundary-aware step (``eval_dlogf``),
 - adaptive quadrature over possibly infinite supports (``normalize``),
+- one discretization of a support: probe points per support shape
+  (``probe_grid``), grids uniform in a compactified coordinate
+  (``compact_grid``) and fixed-order Gauss-Legendre cell integrals,
 - seeded inverse-CDF sampling from an arbitrary log-density (``sample_from``),
 - tabulated densities interpolated with monotone cubic pieces,
-- cached cumulative integrals used by tilt and forge constructions.
+- cached cumulative integrals anchored at a score's zero, used by tilt and
+  forge constructions (``anchored_antiderivative``).
 
 Supports are open sets; endpoints are never evaluated.  Infinite ranges are
 mapped through ``x = t / (1 - t**2)`` when a finite parameterization is
-needed (sampling grids, effective-range scans).
+needed (effective-range scans, sampling grids, tabulated files).
 """
 
 from __future__ import annotations
@@ -282,8 +286,28 @@ def normalize(model: DensityModel, tol: float = QUAD_ABS_TOL):
 
 
 # ---------------------------------------------------------------------------
-# compactifying map for infinite ranges
+# discretizing a support
 # ---------------------------------------------------------------------------
+
+
+def probe_grid(support: SupportSet, window: tuple[float, float], points: int,
+               radius: float, inner: float, pad: float) -> np.ndarray:
+    """``points`` increasing probe points in ``window`` for the support's shape.
+
+    Full line: uniform within ``+-radius``.  Half-line: geometric from
+    ``inner`` out to ``radius`` (mirrored on the negative one).  Bounded
+    interval: uniform, inset from both window ends by ``pad`` of its width.
+    """
+    lo, hi = window
+    kind = support.kind
+    if kind == FULL_LINE:
+        return np.linspace(max(lo, -radius), min(hi, radius), points)
+    if kind == POSITIVE_HALF_LINE:
+        return np.geomspace(max(lo, inner), min(hi, radius), points)
+    if kind == NEGATIVE_HALF_LINE:
+        return -np.geomspace(max(-hi, inner), min(-lo, radius), points)[::-1]
+    inset = (hi - lo) * pad
+    return np.linspace(lo + inset, hi - inset, points)
 
 
 def _from_t(t: np.ndarray) -> np.ndarray:
@@ -293,6 +317,8 @@ def _from_t(t: np.ndarray) -> np.ndarray:
 def _to_t(x: float) -> float:
     if x == 0.0:
         return 0.0
+    if math.isinf(x):
+        return math.copysign(1.0, x)
     return (math.sqrt(1.0 + 4.0 * x * x) - 1.0) / (2.0 * x)
 
 
@@ -300,16 +326,24 @@ def _dx_dt(t: np.ndarray) -> np.ndarray:
     return (1.0 + t * t) / (1.0 - t * t) ** 2
 
 
-def _t_domain(support: SupportSet) -> tuple[float, float, bool]:
-    """(t_lo, t_hi, mapped) for the compactified parameterization."""
-    kind = support.kind
-    if kind == FULL_LINE:
-        return -1.0, 1.0, True
-    if kind == POSITIVE_HALF_LINE:
-        return 0.0, 1.0, True
-    if kind == NEGATIVE_HALF_LINE:
-        return -1.0, 0.0, True
-    return support.lower, support.upper, False
+def _mapped(support: SupportSet) -> bool:
+    """Whether the support is unbounded, so grids live in ``t``."""
+    return support.kind != OPEN_INTERVAL
+
+
+def compact_grid(support: SupportSet, lo: float, hi: float, points: int,
+                 inset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, x)`` grids of ``points`` nodes uniform in ``t`` between x-ends.
+
+    On unbounded supports ``x = t / (1 - t**2)``, so infinite ends map to
+    ``t = +-1``; on bounded ones ``t = x``.  ``inset`` pulls both t-ends in
+    by that fraction of the t-range.
+    """
+    mapped = _mapped(support)
+    t_lo, t_hi = (_to_t(lo), _to_t(hi)) if mapped else (lo, hi)
+    margin = (t_hi - t_lo) * inset
+    ts = np.linspace(t_lo + margin, t_hi - margin, points)
+    return ts, (_from_t(ts) if mapped else ts)
 
 
 def effective_interval(model: DensityModel, drop: float = EFFECTIVE_DROP,
@@ -319,10 +353,8 @@ def effective_interval(model: DensityModel, drop: float = EFFECTIVE_DROP,
     Scans the (compactified) support and keeps the hull of points whose
     log-density lies within ``drop`` of the maximum, padded by one scan cell.
     """
-    t_lo, t_hi, mapped = _t_domain(model.support)
-    margin = (t_hi - t_lo) * 1e-7
-    ts = np.linspace(t_lo + margin, t_hi - margin, scan)
-    xs = _from_t(ts) if mapped else ts
+    support = model.support
+    _, xs = compact_grid(support, support.lower, support.upper, scan, inset=1e-7)
     vals = np.array([model.log_pdf(float(x)) for x in xs])
     finite = np.isfinite(vals)
     if not finite.any():
@@ -333,38 +365,29 @@ def effective_interval(model: DensityModel, drop: float = EFFECTIVE_DROP,
     return float(xs[i0]), float(xs[i1])
 
 
-# ---------------------------------------------------------------------------
-# inverse-CDF sampling
-# ---------------------------------------------------------------------------
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _cell_masses(fn_log: Callable[[float], float], edges: np.ndarray) -> np.ndarray:
-    """Per-cell integrals of exp(fn_log) with fixed-order Gauss-Legendre."""
+def _cell_integrals(integrand: Callable[[float], float], edges: np.ndarray) -> np.ndarray:
+    """Per-cell integrals of ``integrand`` with fixed-order Gauss-Legendre."""
     mids = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = mids[:, None] + half[:, None] * _GL_NODES[None, :]
-    flat = nodes.ravel()
-    vals = np.empty(flat.size)
-    for i, x in enumerate(flat):
-        lp = fn_log(float(x))
-        vals[i] = math.exp(lp) if lp > -745.0 else 0.0
-    vals = vals.reshape(nodes.shape)
+    vals = np.array([integrand(float(x)) for x in nodes.ravel()]).reshape(nodes.shape)
     return (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+
+
+# ---------------------------------------------------------------------------
+# inverse-CDF sampling
+# ---------------------------------------------------------------------------
 
 
 class _InverseCdfSampler:
     """Grid CDF (cumulative quadrature) plus vectorized bisection inversion."""
 
     def __init__(self, model: DensityModel, cells: int = 2048):
-        x_lo, x_hi = effective_interval(model)
-        t_lo_dom, t_hi_dom, mapped = _t_domain(model.support)
-        if mapped:
-            t_lo, t_hi = _to_t(x_lo), _to_t(x_hi)
-        else:
-            t_lo, t_hi = x_lo, x_hi
-        edges = np.linspace(t_lo, t_hi, cells + 1)
+        mapped = _mapped(model.support)
+        edges, _ = compact_grid(model.support, *effective_interval(model), cells + 1)
 
         if mapped:
             def log_mass(t: float) -> float:
@@ -373,7 +396,11 @@ class _InverseCdfSampler:
         else:
             log_mass = model.log_pdf
 
-        masses = _cell_masses(log_mass, edges)
+        def mass(t: float) -> float:
+            lp = log_mass(t)
+            return math.exp(lp) if lp > -745.0 else 0.0
+
+        masses = _cell_integrals(mass, edges)
         cdf = np.concatenate([[0.0], np.cumsum(masses)])
         total = float(cdf[-1])
         if not math.isfinite(total) or total <= 0.0:
@@ -446,6 +473,7 @@ class CumulativeIntegral:
     across ``(lo, hi)`` and interpolated with monotone cubic pieces; beyond
     the tabulated range it is extended linearly using the integrand value at
     the nearest end.  Cheap enough to sit inside MLE root-finding loops.
+    ``lo`` and ``hi`` are the ends of the tabulated range.
     """
 
     def __init__(self, integrand: Callable[[float], float], anchor: float,
@@ -453,30 +481,40 @@ class CumulativeIntegral:
         if not lo < anchor < hi:
             raise ValueError("anchor must lie strictly inside (lo, hi)")
         edges = np.linspace(lo, hi, cells + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = mids[:, None] + half[:, None] * _GL_NODES[None, :]
-        flat = nodes.ravel()
-        vals = np.array([integrand(float(x)) for x in flat]).reshape(nodes.shape)
-        masses = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+        masses = _cell_integrals(integrand, edges)
         cum = np.concatenate([[0.0], np.cumsum(masses)])
         if not np.isfinite(cum).all():
             raise DivergentIntegral("cumulative integrand is not finite on the grid")
         self._interp = PchipInterpolator(edges, cum, extrapolate=False)
-        self._lo, self._hi = float(lo), float(hi)
+        self.lo, self.hi = float(lo), float(hi)
         self._cum_lo, self._cum_hi = float(cum[0]), float(cum[-1])
         self._slope_lo = float(integrand(lo))
         self._slope_hi = float(integrand(hi))
         self._offset = float(self._interp(anchor))
 
     def __call__(self, x: float) -> float:
-        if x < self._lo:
-            base = self._cum_lo + self._slope_lo * (x - self._lo)
-        elif x > self._hi:
-            base = self._cum_hi + self._slope_hi * (x - self._hi)
+        if x < self.lo:
+            base = self._cum_lo + self._slope_lo * (x - self.lo)
+        elif x > self.hi:
+            base = self._cum_hi + self._slope_hi * (x - self.hi)
         else:
             base = float(self._interp(x))
         return base - self._offset
+
+
+def anchored_antiderivative(model: DensityModel, profile, integrand: Callable[[float], float],
+                            drop: float) -> CumulativeIntegral:
+    """Antiderivative of ``integrand`` that vanishes at the zero of a score.
+
+    ``profile`` is a zero-crossing score profile of ``model``; the anchor is
+    its root.  The table spans the model's effective interval at ``drop``,
+    widened to reach at least one unit beyond the anchor on either side.
+    """
+    from .score import bracketed_root  # score builds on this module
+
+    anchor = bracketed_root(profile)
+    lo, hi = effective_interval(model, drop=drop)
+    return CumulativeIntegral(integrand, anchor, min(lo, anchor - 1.0), max(hi, anchor + 1.0))
 
 
 # ---------------------------------------------------------------------------

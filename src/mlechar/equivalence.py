@@ -27,23 +27,16 @@ from typing import Optional
 import numpy as np
 
 from .density import (
-    FULL_LINE,
     NEGATIVE_HALF_LINE,
     POSITIVE_HALF_LINE,
-    CumulativeIntegral,
     DensityModel,
+    anchored_antiderivative,
     effective_interval,
     normalize,
+    probe_grid,
 )
 from .errors import DegenerateScore, SingletonClass, UnsupportedSupport
-from .score import (
-    Kind,
-    analyze_image,
-    bracketed_root,
-    kind_score,
-    score_fn,
-    u1_zero_structure,
-)
+from .score import Kind, analyze_image, kind_score, score_fn, u1_zero_structure
 
 
 @dataclass
@@ -81,13 +74,8 @@ def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
         if antider is None:
             if structure == "endpoint":
                 spec.notes = "u1 vanishes at a support endpoint; d left free"
-            profile = analyze_image(score_fn(model, kind))
-            anchor = bracketed_root(profile)
-            drop = max(80.0, 80.0 / d)
-            lo, hi = effective_interval(model, drop=drop)
-            lo = min(lo, anchor - 1.0)
-            hi = max(hi, anchor + 1.0)
-            antider = CumulativeIntegral(lambda y: u2(y) / u1(y), anchor, lo, hi)
+            antider = anchored_antiderivative(model, analyze_image(score_fn(model, kind)),
+                                              lambda y: u2(y) / u1(y), max(80.0, 80.0 / d))
 
         def log_pdf(x: float) -> float:
             return (d - 1.0) * antider(x) + d * base_log(x)
@@ -134,20 +122,12 @@ def _default_grid(f: DensityModel, g: DensityModel, points: int = 41) -> np.ndar
     confining the grid keeps both scores evaluable, as the comparison
     requires.
     """
-    support = f.support
-    lo = max(effective_interval(f, drop=40.0)[0], effective_interval(g, drop=40.0)[0])
-    hi = min(effective_interval(f, drop=40.0)[1], effective_interval(g, drop=40.0)[1])
+    f_lo, f_hi = effective_interval(f, drop=40.0)
+    g_lo, g_hi = effective_interval(g, drop=40.0)
+    lo, hi = max(f_lo, g_lo), min(f_hi, g_hi)
     if not lo < hi:
         raise DegenerateScore("effective supports do not overlap")
-    kind = support.kind
-    if kind == FULL_LINE:
-        return np.linspace(max(lo, -8.0), min(hi, 8.0), points)
-    if kind == POSITIVE_HALF_LINE:
-        return np.geomspace(max(lo, 0.05), min(hi, 8.0), points)
-    if kind == NEGATIVE_HALF_LINE:
-        return -np.geomspace(max(-hi, 0.05), min(-lo, 8.0), points)[::-1]
-    pad = (hi - lo) * 1e-3
-    return np.linspace(lo + pad, hi - pad, points)
+    return probe_grid(f.support, (lo, hi), points, 8.0, 0.05, 1e-3)
 
 
 def same_class(f: DensityModel, g: DensityModel, kind: Kind,

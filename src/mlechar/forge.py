@@ -25,16 +25,15 @@ import numpy as np
 
 from .coverage import mcss, projection_interval
 from .density import (
-    CumulativeIntegral,
     DensityModel,
     Sample,
-    effective_interval,
+    anchored_antiderivative,
     normalize,
     sample_from,
 )
 from .errors import AlreadyCovered, InvalidBounds, NotMonotone
 from .estimator import mle_location
-from .score import ScoreProfile, analyze_image, bracketed_root, location_score_fn
+from .score import ScoreProfile, analyze_image, location_score_fn
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class PlusEvenDerivative:
     ``w_prime`` may be supplied analytically; otherwise it is taken by
     central differences of ``w``.  The amplitude guard rejects w whose
     perturbation destroys strict monotonicity of h (min slope below the
-    guard threshold on the probe grid).
+    guard threshold on a uniform grid over the target score's range).
     """
 
     w: Callable[[float], float]
@@ -85,10 +84,12 @@ def h_function(spec: HSpec) -> Callable[[float], float]:
     return lambda y: y + w_prime(y)
 
 
-def _check_h_increasing(h: Callable[[float], float], ys: np.ndarray,
+def _check_h_increasing(h: Callable[[float], float], y_lo: float, y_hi: float,
                         guard: float) -> None:
-    vals = np.array([h(float(y)) for y in ys])
-    slopes = np.diff(vals) / np.diff(ys)
+    # a uniform grid over the score's range: sorted score samples repeat
+    # where the score saturates, and a slope between equal values is 0/0
+    ys = np.linspace(y_lo, y_hi, 201)
+    slopes = np.diff([h(float(y)) for y in ys]) / np.diff(ys)
     if not np.all(slopes > guard):
         raise NotMonotone(
             f"h is not strictly increasing on the probe grid "
@@ -104,20 +105,12 @@ def forge_odd_h(target: DensityModel, h_spec: HSpec) -> DensityModel:
     :class:`DivergentIntegral` when the composed density is not integrable.
     """
     profile = analyze_image(location_score_fn(target))
-    if not profile.crosses_zero:
-        raise NotMonotone("target location score does not cross zero")
     phi = profile.evaluate
-    anchor = bracketed_root(profile)
-
     h = h_function(h_spec)
-    lo, hi = effective_interval(target, drop=80.0)
-    lo = min(lo, anchor - 1.0)
-    hi = max(hi, anchor + 1.0)
+    antider = anchored_antiderivative(target, profile, lambda y: h(phi(y)), 80.0)
     if isinstance(h_spec, PlusEvenDerivative):
-        ys = np.array([phi(x) for x in np.linspace(lo, hi, 201)])
-        _check_h_increasing(h, np.sort(ys), h_spec.amplitude_guard)
-
-    antider = CumulativeIntegral(lambda y: h(phi(y)), anchor, lo, hi)
+        phis = [phi(float(x)) for x in np.linspace(antider.lo, antider.hi, 201)]
+        _check_h_increasing(h, min(phis), max(phis), h_spec.amplitude_guard)
 
     def log_pdf(x: float) -> float:
         return -antider(x)

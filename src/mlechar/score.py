@@ -36,6 +36,7 @@ from .density import (
     Sample,
     SupportSet,
     eval_dlogf,
+    probe_grid,
 )
 from .errors import AllZeroSample, NonFiniteLogDensity, NotMonotone, UnsupportedSupport
 
@@ -292,17 +293,8 @@ DEFAULT_PROBE = ProbeConfig()
 
 
 def _central_grid(domain: SupportSet, cfg: ProbeConfig) -> np.ndarray:
-    lo, hi = domain.lower, domain.upper
-    r = cfg.central_radius
-    kind = domain.kind
-    if kind == FULL_LINE:
-        return np.linspace(-r, r, cfg.points)
-    if kind == POSITIVE_HALF_LINE:
-        return np.geomspace(cfg.inner_start, r, cfg.points)
-    if kind == NEGATIVE_HALF_LINE:
-        return -np.geomspace(cfg.inner_start, r, cfg.points)[::-1]
-    pad = (hi - lo) * 1e-6
-    return np.linspace(lo + pad, hi - pad, cfg.points)
+    return probe_grid(domain, (domain.lower, domain.upper), cfg.points,
+                      cfg.central_radius, cfg.inner_start, 1e-6)
 
 
 def _tail_points(domain: SupportSet, side: str, start: float, cfg: ProbeConfig):

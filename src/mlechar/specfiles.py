@@ -27,9 +27,7 @@ from .catalog import CatalogEntry, lookup
 from .density import (
     DensityModel,
     SupportSet,
-    _from_t,
-    _t_domain,
-    _to_t,
+    compact_grid,
     effective_interval,
     normalize,
     tabulated_model,
@@ -94,13 +92,7 @@ def write_tabulated(model: DensityModel, path, points: int = 4001) -> None:
     supports, which concentrates resolution in the bulk of the density (and
     around score zero crossings) rather than on far tails.
     """
-    lo, hi = effective_interval(model)
-    _, _, mapped = _t_domain(model.support)
-    if mapped:
-        ts = np.linspace(_to_t(lo), _to_t(hi), points)
-        xs = _from_t(ts)
-    else:
-        xs = np.linspace(lo, hi, points)
+    _, xs = compact_grid(model.support, *effective_interval(model), points)
     ys = [model.log_pdf(float(x)) for x in xs]
     if not all(math.isfinite(y) for y in ys):
         # clip to the finite part of the grid

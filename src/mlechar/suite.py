@@ -30,10 +30,10 @@ import numpy as np
 
 from . import catalog as cat
 from .coverage import brute_force_projectable, is_projectable, mcss, mnss
-from .density import DensityModel, Sample, effective_interval, sample_from
+from .density import FULL_LINE, DensityModel, Sample, effective_interval, probe_grid, sample_from
 from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
-from .estimator import closed_form_mle, mle, mle_location, mle_scale
+from .estimator import closed_form_mle, mle, mle_location
 from .forge import OddPower, forge_odd_h, verify_counterexample
 from .score import DEFAULT_PROBE, LOCATION, SCALE, ProbeConfig, kind_profiles, kind_score
 
@@ -533,50 +533,37 @@ def _section_closed_form(config: SuiteConfig, n_samples: int = 500) -> list[dict
 def _section_equivariance(config: SuiteConfig, n_samples: int = 200) -> list[dict]:
     records = []
     sizes_cycle = [3 + (i % 8) for i in range(n_samples)]
-
-    for name, params in EQUIVARIANCE_LOCATION:
-        if not _configured(config, name, params, "location"):
-            continue
-        entry = cat.lookup(name, params)
-        seed = _derive_seed(config.seed, "equivariance_loc", name)
-        worst = 0.0
-        for sample in _draw_blocks(entry.model, sizes_cycle, seed):
-            base = mle_location(entry.model, sample, config.mle_tol).theta_hat
-            for shift in LOCATION_SHIFTS:
-                shifted = Sample(sample.values + shift)
-                got = mle_location(entry.model, shifted, config.mle_tol).theta_hat
-                worst = max(worst, abs(got - base - shift))
-        records.append({
-            "check": "location_shift",
-            "family": name,
-            "samples": n_samples,
-            "shifts": "/".join(str(s) for s in LOCATION_SHIFTS),
-            "max_deviation": enc(worst),
-            "provenance": "numeric",
-            "verdict": "pass" if worst < 1e-8 else "fail",
-        })
-
-    for name, params in EQUIVARIANCE_SCALE:
-        if not _configured(config, name, params, "scale"):
-            continue
-        entry = cat.lookup(name, params)
-        seed = _derive_seed(config.seed, "equivariance_scale", name)
-        worst = 0.0
-        for sample in _draw_blocks(entry.model, sizes_cycle, seed):
-            base = mle_scale(entry.model, sample, config.mle_tol).theta_hat
-            for lam in SCALE_FACTORS:
-                rescaled = Sample(sample.values * lam)
-                got = mle_scale(entry.model, rescaled, config.mle_tol).theta_hat
-                worst = max(worst, abs(got * lam - base) / abs(base))
-        records.append({
-            "check": "scale_rescale",
-            "family": name,
-            "samples": n_samples,
-            "factors": "/".join(str(s) for s in SCALE_FACTORS),
-            "max_deviation": enc(worst),
-            "provenance": "numeric",
-            "verdict": "pass" if worst < 1e-8 else "fail",
-        })
+    # (kind, cases, check, record key, group elements, seed label,
+    #  action on the data, deviation of the moved estimate)
+    plan = (
+        (LOCATION, EQUIVARIANCE_LOCATION, "location_shift", "shifts", LOCATION_SHIFTS,
+         "equivariance_loc", lambda v, s: v + s, lambda got, base, s: abs(got - base - s)),
+        (SCALE, EQUIVARIANCE_SCALE, "scale_rescale", "factors", SCALE_FACTORS,
+         "equivariance_scale", lambda v, lam: v * lam,
+         lambda got, base, lam: abs(got * lam - base) / abs(base)),
+    )
+    for kind, cases, check, key, elements, seed_label, act, deviation in plan:
+        for name, params in cases:
+            if not _configured(config, name, params, kind.label):
+                continue
+            model = cat.lookup(name, params).model
+            worst = 0.0
+            for sample in _draw_blocks(model, sizes_cycle,
+                                       _derive_seed(config.seed, seed_label, name)):
+                base = mle(model, kind, sample, config.mle_tol).theta_hat
+                for g in elements:
+                    got = mle(model, kind, Sample(act(sample.values, g)),
+                              config.mle_tol).theta_hat
+                    worst = max(worst, deviation(got, base, g))
+            records.append({
+                "check": check,
+                "family": name,
+                "samples": n_samples,
+                key: "/".join(str(g) for g in elements),
+                "max_deviation": enc(worst),
+                "provenance": "numeric",
+                "verdict": "pass" if worst < 1e-8 else "fail",
+            })
     return records
 
 
@@ -584,13 +571,9 @@ def _crosscheck_grid(entry) -> np.ndarray:
     """201 interior probe points, kept inside the effective support so the
     finite-difference reference is not dominated by truncation/cancellation."""
     support = entry.model.support
-    lo, hi = effective_interval(entry.model, drop=60.0)
-    if support.kind == "positive_half_line":
-        return np.geomspace(max(lo, 1e-2), min(hi, 8.0), 201)
-    if support.kind == "negative_half_line":
-        return -np.geomspace(max(-hi, 1e-2), min(-lo, 8.0), 201)[::-1]
+    xs = probe_grid(support, effective_interval(entry.model, drop=60.0), 201, 8.0, 1e-2, 1e-3)
     # offset so the grid avoids 0 (kinked densities) and stays symmetric-ish
-    return np.linspace(max(lo, -8.0), min(hi, 8.0), 201) + 0.0137
+    return xs + 0.0137 if support.kind == FULL_LINE else xs
 
 
 def _section_score_crosscheck(config: SuiteConfig) -> list[dict]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
@@ -11,8 +13,10 @@ from mlechar.density import (
     Sample,
     SupportSet,
     check_dlog_pdf,
+    compact_grid,
     eval_dlogf,
     numeric_cdf,
+    probe_grid,
     tabulated_model,
 )
 from mlechar.errors import DivergentIntegral, OutsideSupport
@@ -207,3 +211,62 @@ def test_tabulated_model_rejects_bad_grids():
     with pytest.raises(ValueError):
         tabulated_model(SupportSet.positive_half_line(),
                         np.array([-1.0, 0.5, 1.0, 2.0]), np.zeros(4))
+
+
+# (radius, inner, pad) of the probe grids in use: image analysis, the u1
+# probe, class comparison and the score cross-check
+PROBE_CONSTANTS = ((20.0, 1e-3, 1e-6), (20.0, 1e-8, 1e-6), (8.0, 0.05, 1e-3),
+                   (8.0, 1e-2, 1e-3))
+
+# window ends keep |x| within [1e-2, 1e2]: beyond that range x -> t -> x loses
+# relative precision (cancellation in sqrt(1 + 4x^2) - 1 near 0 and in
+# 1 - t^2 far out), so the round trip below would not hold to 1e-12
+magnitudes = st.floats(min_value=1e-2, max_value=1e2)
+
+
+@st.composite
+def supports_and_windows(draw):
+    shape = draw(st.sampled_from(["full", "pos", "neg", "interval"]))
+    if shape == "interval":
+        a = draw(st.floats(min_value=-100.0, max_value=100.0))
+        width = draw(st.floats(min_value=1e-2, max_value=100.0))
+        support = SupportSet.open_interval(a, a + width)
+        u = draw(st.floats(min_value=1e-3, max_value=0.998))
+        v = draw(st.floats(min_value=u + 1e-3, max_value=0.999))
+        return support, (a + u * width, a + v * width)
+    if shape == "full":
+        ends = sorted(draw(st.sampled_from([-1.0, 1.0])) * draw(magnitudes) for _ in range(2))
+        return SupportSet.full_line(), tuple(ends)
+    lo, hi = sorted(draw(magnitudes) for _ in range(2))
+    if shape == "pos":
+        return SupportSet.positive_half_line(), (lo, hi)
+    return SupportSet.negative_half_line(), (-hi, -lo)
+
+
+@given(case=supports_and_windows(), constants=st.sampled_from(PROBE_CONSTANTS),
+       points=st.sampled_from((41, 201, 401)))
+@settings(max_examples=300, deadline=None)
+def test_probe_and_compact_grids_stay_inside(case, constants, points):
+    support, (lo, hi) = case
+    radius, inner, pad = constants
+    # the probe grid covers the part of the window within the central range
+    if support.kind == "full_line":
+        assume(min(hi, radius) - max(lo, -radius) > 1e-3)
+    elif support.kind != "open_interval":
+        near, far = sorted((abs(lo), abs(hi)))
+        assume(max(near, inner) * (1.0 + 1e-3) < min(far, radius))
+
+    xs = probe_grid(support, (lo, hi), points, radius, inner, pad)
+    assert xs.size == points
+    assert (np.diff(xs) > 0).all()
+    assert all(support.contains(float(x)) for x in xs)
+    assert lo <= xs[0] and xs[-1] <= hi
+
+    ts, xs = compact_grid(support, lo, hi, points)
+    assert (np.diff(ts) > 0).all() and (np.diff(xs) > 0).all()
+    assert all(support.contains(float(x)) for x in xs)
+    assert abs(xs[0] - lo) <= 1e-12 * abs(lo) and abs(xs[-1] - hi) <= 1e-12 * abs(hi)
+    # the effective-interval scan: infinite ends map to finite inner nodes
+    _, xs = compact_grid(support, support.lower, support.upper, points, inset=1e-7)
+    assert np.isfinite(xs).all() and (np.diff(xs) > 0).all()
+    assert all(support.contains(float(x)) for x in xs)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mlechar import (
     LOCATION,
@@ -66,6 +67,24 @@ def test_amplitude_guard_rejects_large_perturbations(gaussian):
             w=lambda y: 2.0 * math.cos(y),
             w_prime=lambda y: -2.0 * math.sin(y),
         ))
+
+
+def test_even_derivative_perturbation_of_a_saturating_score(logistic):
+    # the logistic score tanh(x/2) saturates at +-1, so sampled score values
+    # repeat; h = y - 0.1 sin(y) is increasing on the score's range and the
+    # amplitude guard must accept it
+    forged = forge_odd_h(logistic.model, PlusEvenDerivative(
+        w=lambda y: 0.1 * math.cos(y),
+        w_prime=lambda y: -0.1 * math.sin(y),
+    ))
+    assert same_class(logistic.model, forged, LOCATION) is None
+    # quadrature oracle: log g(x) - log g(0) = -int_0^x h(tanh(y/2)) dy; the
+    # tabulated antiderivative spans the logistic's wide drop-80 range in
+    # cells ~0.08 wide, and is off by up to 1.1e-4 between its nodes
+    h_phi = lambda y: math.tanh(y / 2.0) - 0.1 * math.sin(math.tanh(y / 2.0))
+    for x in (-4.0, -1.0, 0.5, 3.0):
+        want = -quad(h_phi, 0.0, x, epsabs=1e-13)[0]
+        assert abs(forged.log_pdf(x) - forged.log_pdf(0.0) - want) < 5e-4
 
 
 def test_forge_requires_monotone_target():
