@@ -113,7 +113,7 @@ def _cmd_analyze(args) -> int:
         _kv("characterizable", "false")
         _kv("reason", str(exc))
         return 0
-    for prof in profiles if isinstance(profiles, tuple) else (profiles,):
+    for prof in profiles:
         tag = f"bounds{prof.domain}"
         _kv(tag, f"(-{_fmt(prof.p_minus)}, {_fmt(prof.p_plus)})")
         _kv(f"provenance{prof.domain}", prof.bounds_provenance.method)

@@ -184,24 +184,20 @@ def brute_force_projectable(p_minus: float, p_plus: float, n: int,
     return True
 
 
-def mnss(profiles: Union[ScoreProfile, Sequence[ScoreProfile]],
-         kind: Kind) -> MnssResult:
-    """Minimal necessary sample size from one or two score profiles.
+def mnss(profiles: Sequence[ScoreProfile], kind: Kind) -> MnssResult:
+    """Minimal necessary sample size from the profiles of a score's pieces.
 
-    A single profile yields ``max(mcss, 3)``.  Scale parameters on the full
-    line supply the two half-line profiles; the result is the maximum of the
+    ``profiles`` is what :func:`~mlechar.score.kind_profiles` returns: one
+    profile, which yields ``max(mcss, 3)``, or the two half-line profiles of
+    scale parameters on the full line, which yield the maximum of the
     per-half-line values.  Profiles that do not cross zero fall outside the
     characterization results and raise :class:`NotCharacterizable`.
     """
-    if isinstance(profiles, ScoreProfile):
-        profile_list = [profiles]
-    else:
-        profile_list = list(profiles)
-    if len(profile_list) not in (1, 2):
+    if len(profiles) not in (1, 2):
         raise ValueError("mnss expects one profile or a half-line pair")
 
     results = []
-    for prof in profile_list:
+    for prof in profiles:
         if not prof.crosses_zero:
             raise NotCharacterizable(
                 f"{kind!r} score on {prof.domain} does not cross zero"

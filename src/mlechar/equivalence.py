@@ -36,7 +36,7 @@ from .density import (
     probe_grid,
 )
 from .errors import DegenerateScore, SingletonClass, UnsupportedSupport
-from .score import Kind, analyze_image, kind_score, score_fn, u1_zero_structure
+from .score import Kind, analyze_image, kind_score, u1_zero_structure
 
 
 @dataclass
@@ -74,7 +74,7 @@ def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
         if antider is None:
             if structure == "endpoint":
                 spec.notes = "u1 vanishes at a support endpoint; d left free"
-            antider = anchored_antiderivative(model, analyze_image(score_fn(model, kind)),
+            antider = anchored_antiderivative(model, analyze_image(model, kind),
                                               lambda y: u2(y) / u1(y), max(80.0, 80.0 / d))
 
         def log_pdf(x: float) -> float:

@@ -28,16 +28,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .density import DensityModel, Sample
-from .errors import BracketFailure, NoClosedForm, NotCharacterizable, NotMonotone
-from .score import (
-    LOCATION,
-    SCALE,
-    GroupTransform,
-    Kind,
-    analyze_image,
-    location_score_fn,
-    score_sum,
-)
+from .errors import BracketFailure, NoClosedForm, NotCharacterizable
+from .score import LOCATION, SCALE, GroupTransform, Kind, score_sum
 
 DEFAULT_TOL = 1e-10      # score-sum residual tolerance
 MAX_DOUBLINGS = 60
@@ -67,21 +59,6 @@ class MleResult:
     def sigma_hat(self) -> float:
         """Conventional scale 1/theta (scale kind only)."""
         return 1.0 / self.theta_hat
-
-
-def location_score_sum(model: DensityModel, sample: Sample, theta: float) -> float:
-    LOCATION.check(model.support)
-    return score_sum(model, LOCATION, sample, theta)
-
-
-def scale_score_sum(model: DensityModel, sample: Sample, theta: float) -> float:
-    SCALE.check(model.support)
-    return score_sum(model, SCALE, sample, theta)
-
-
-def group_score_sum(model: DensityModel, transform: GroupTransform,
-                    sample: Sample, theta: float) -> float:
-    return score_sum(model, transform, sample, theta)
 
 
 def mle(model: DensityModel, kind: Kind, sample: Sample,
@@ -138,15 +115,12 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
                      kind)
 
 
-def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL,
-                 check_monotone: bool = False) -> MleResult:
+def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> MleResult:
     """Location MLE: root of ``sum_i phi(x_i - theta)``.
 
     The score sum is strictly decreasing in theta for monotone increasing
-    ``phi`` (set ``check_monotone`` to verify that precondition explicitly).
+    ``phi``.
     """
-    if check_monotone and not analyze_image(location_score_fn(model)).crosses_zero:
-        raise NotMonotone("location score does not cross zero")
     return mle(model, LOCATION, sample, tol)
 
 

@@ -33,7 +33,7 @@ from .density import (
 )
 from .errors import AlreadyCovered, InvalidBounds, NotMonotone
 from .estimator import mle_location
-from .score import ScoreProfile, analyze_image, location_score_fn
+from .score import LOCATION, analyze_image
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def forge_odd_h(target: DensityModel, h_spec: HSpec) -> DensityModel:
     strictly monotone/crossing (or when h fails its amplitude guard), and
     :class:`DivergentIntegral` when the composed density is not integrable.
     """
-    profile = analyze_image(location_score_fn(target))
+    profile = analyze_image(target, LOCATION)
     phi = profile.evaluate
     h = h_function(h_spec)
     antider = anchored_antiderivative(target, profile, lambda y: h(phi(y)), 80.0)
@@ -202,18 +202,15 @@ class SubcriticalWitness:
     unidentified: tuple[tuple[float, float], ...]
 
 
-def subcritical_witness(profile_or_bounds: Union[ScoreProfile, tuple],
-                        n: int) -> SubcriticalWitness:
-    """Identifiable sub-interval of the image at sample size ``n < MCSS``.
+def subcritical_witness(bounds: tuple[float, float], n: int) -> SubcriticalWitness:
+    """Identifiable sub-interval of the image ``bounds = (p_minus, p_plus)``
+    at sample size ``n < MCSS``.
 
     The coordinate projections only reach ``projection_interval`` at size n;
     the remainder of the image is structurally unidentified at that size.
     Raises :class:`AlreadyCovered` once n reaches the MCSS.
     """
-    if isinstance(profile_or_bounds, ScoreProfile):
-        pm, pp = profile_or_bounds.p_minus, profile_or_bounds.p_plus
-    else:
-        pm, pp = profile_or_bounds
+    pm, pp = bounds
     if n < 1:
         raise ValueError("n must be >= 1")
     cov = mcss(pm, pp)

@@ -12,10 +12,12 @@ parameter on the data, and optionally a closed form of ``int u2/u1``:
   half-line, ``int u2/u1 = log|x|``,
 - group:    any transformation pair (u1, u2) with its own ``H_theta``.
 
-``analyze_image`` classifies a score over its domain: strict monotonicity,
-zero crossing, and the image bounds ``(-p_minus, p_plus)`` with the two
-endpoint limits either taken from analytic catalog data or estimated along
-geometric sequences approaching the domain endpoints.
+``analyze_image`` classifies a kind's score over a domain: strict
+monotonicity, zero crossing, and the image bounds ``(-p_minus, p_plus)`` with
+the two endpoint limits either taken from analytic catalog data or estimated
+along geometric sequences approaching the domain endpoints.
+``kind_profiles`` analyzes the score on each monotone piece of the support:
+the support itself, or the two half-lines when ``u1`` vanishes inside it.
 """
 
 from __future__ import annotations
@@ -195,52 +197,6 @@ def group_score(model: DensityModel, u1: Callable[[float], float],
 
 
 # ---------------------------------------------------------------------------
-# score-as-function wrappers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreFunction:
-    """A score together with the (sub)domain it is analyzed on."""
-
-    evaluate: Callable[[float], float]
-    domain: SupportSet
-    kind: Kind
-
-
-_HALF_LINES = {"neg": SupportSet.negative_half_line(),
-               "pos": SupportSet.positive_half_line()}
-
-
-def score_fn(model: DensityModel, kind: Kind,
-             domain: Optional[SupportSet] = None) -> ScoreFunction:
-    """The score of ``kind`` on ``domain`` (default: the model's support)."""
-    kind.check(model.support)
-    u1, u2 = kind.u1, kind.u2
-    return ScoreFunction(lambda x: _score_at(model, u1, u2, x),
-                         model.support if domain is None else domain, kind)
-
-
-def location_score_fn(model: DensityModel) -> ScoreFunction:
-    return score_fn(model, LOCATION)
-
-
-def scale_score_fn(model: DensityModel, halfline: Optional[str] = None) -> ScoreFunction:
-    """Scale score on the model's support or restricted to one half-line.
-
-    ``halfline`` is ``None`` (natural support), ``"pos"`` or ``"neg"``; the
-    restrictions are only meaningful for full-line supports.
-    """
-    if halfline is not None and halfline not in _HALF_LINES:
-        raise ValueError("halfline must be None, 'pos' or 'neg'")
-    return score_fn(model, SCALE, _HALF_LINES.get(halfline))
-
-
-def group_score_fn(model: DensityModel, u1, u2) -> ScoreFunction:
-    return score_fn(model, Group(u1, u2))
-
-
-# ---------------------------------------------------------------------------
 # image analysis
 # ---------------------------------------------------------------------------
 
@@ -362,20 +318,29 @@ def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
     return math.copysign(math.inf, expected), "infinite"
 
 
-def analyze_image(score: ScoreFunction, probe: ProbeConfig = DEFAULT_PROBE,
+def analyze_image(model: DensityModel, kind: Kind, domain: Optional[SupportSet] = None,
+                  probe: ProbeConfig = DEFAULT_PROBE,
                   analytic_bounds: Optional[tuple[float, float]] = None) -> ScoreProfile:
-    """Build a :class:`ScoreProfile` for a score over its domain.
+    """Build a :class:`ScoreProfile` for ``kind``'s score of ``model``.
 
+    The score is analyzed on ``domain`` (default: the model's support).
     Strict monotonicity is required across the central probe grid (slack 0);
     violations raise :class:`NotMonotone`, which signals that the family is
     outside the scope of the characterization theory for this kind.  Image
     bounds come from ``analytic_bounds`` when given, otherwise from endpoint
     limit estimation.
     """
-    xs = _central_grid(score.domain, probe)
+    kind.check(model.support)
+    domain = model.support if domain is None else domain
+    u1, u2 = kind.u1, kind.u2
+
+    def evaluate(x: float) -> float:
+        return _score_at(model, u1, u2, x)
+
+    xs = _central_grid(domain, probe)
     vs = np.empty(xs.size)
     for i, x in enumerate(xs):
-        v = score.evaluate(float(x))
+        v = evaluate(float(x))
         if not math.isfinite(v):
             raise NonFiniteLogDensity(f"score is not finite at probe x={x:g}")
         vs[i] = v
@@ -387,15 +352,15 @@ def analyze_image(score: ScoreFunction, probe: ProbeConfig = DEFAULT_PROBE,
     else:
         raise NotMonotone(
             "score is not strictly monotone on the probe grid "
-            f"(domain {score.domain})"
+            f"(domain {domain})"
         )
 
     # walking toward the lower endpoint, an increasing score must keep
     # decreasing; toward the upper endpoint it must keep increasing
-    lo_limit, lo_class = _estimate_limit(score.evaluate, score.domain, "lower",
+    lo_limit, lo_class = _estimate_limit(evaluate, domain, "lower",
                                          float(xs[0]), float(vs[0]),
                                          -1.0 if increasing else 1.0, probe)
-    hi_limit, hi_class = _estimate_limit(score.evaluate, score.domain, "upper",
+    hi_limit, hi_class = _estimate_limit(evaluate, domain, "upper",
                                          float(xs[-1]), float(vs[-1]),
                                          1.0 if increasing else -1.0, probe)
     inf_limit, sup_limit = (lo_limit, hi_limit) if increasing else (hi_limit, lo_limit)
@@ -411,9 +376,9 @@ def analyze_image(score: ScoreFunction, probe: ProbeConfig = DEFAULT_PROBE,
         provenance = BoundsProvenance("numeric", grid_size=probe.points, note=note)
 
     return ScoreProfile(
-        kind=score.kind,
-        domain=score.domain,
-        evaluate=score.evaluate,
+        kind=kind,
+        domain=domain,
+        evaluate=evaluate,
         monotone_increasing=increasing,
         crosses_zero=crosses,
         p_minus=p_minus,
@@ -437,36 +402,29 @@ def u1_zero_structure(kind: Kind, support: SupportSet) -> str:
     return "none"
 
 
-def kind_profiles(model: DensityModel, kind: Kind, probe: ProbeConfig = DEFAULT_PROBE,
-                  analytic_bounds=None):
-    """Score profile of ``kind`` over the model's support.
+#: the two sides of an interior zero of u1, taken to be the origin
+_HALF_LINES = (SupportSet.negative_half_line(), SupportSet.positive_half_line())
 
-    When ``u1`` vanishes inside the support (scale on the full line) the
-    score is analyzed on each side of the zero, taken to be the origin, and
-    the ``(negative half-line, positive half-line)`` pair is returned; there
-    ``analytic_bounds`` may be one ``(p_minus, p_plus)`` pair for both sides
-    or a pair of pairs.
+
+def kind_profiles(model: DensityModel, kind: Kind) -> tuple[ScoreProfile, ...]:
+    """Score profiles of ``kind`` on the monotone pieces of the model's support.
+
+    One piece, the support itself; or, when ``u1`` vanishes inside the
+    support (scale on the full line), the ``(negative, positive)`` half-lines.
     """
-    kind.check(model.support)
     if u1_zero_structure(kind, model.support) != "interior":
-        return analyze_image(score_fn(model, kind), probe, analytic_bounds)
-    if analytic_bounds is None or not isinstance(analytic_bounds[0], tuple):
-        analytic_bounds = (analytic_bounds, analytic_bounds)
-    return tuple(analyze_image(score_fn(model, kind, _HALF_LINES[side]), probe, bounds)
-                 for side, bounds in zip(("neg", "pos"), analytic_bounds))
+        return (analyze_image(model, kind),)
+    return tuple(analyze_image(model, kind, half) for half in _HALF_LINES)
 
 
-def split_halflines(model: DensityModel, probe: ProbeConfig = DEFAULT_PROBE,
-                    analytic_bounds=None) -> tuple[ScoreProfile, ScoreProfile]:
+def split_halflines(model: DensityModel) -> tuple[ScoreProfile, ScoreProfile]:
     """Scale-score profiles on the two open half-lines of a full-line model.
 
     Returns ``(negative half-line profile, positive half-line profile)``.
-    ``analytic_bounds`` may be a single ``(p_minus, p_plus)`` pair applied to
-    both sides or a pair of pairs.
     """
     if model.support.kind != FULL_LINE:
         raise UnsupportedSupport("split_halflines needs a full-line support")
-    return kind_profiles(model, SCALE, probe, analytic_bounds)
+    return kind_profiles(model, SCALE)
 
 
 def bracketed_root(profile: ScoreProfile, probe: ProbeConfig = DEFAULT_PROBE) -> float:

@@ -35,7 +35,7 @@ from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
 from .estimator import closed_form_mle, mle, mle_location
 from .forge import OddPower, forge_odd_h, verify_counterexample
-from .score import DEFAULT_PROBE, LOCATION, SCALE, ProbeConfig, kind_profiles, kind_score
+from .score import LOCATION, SCALE, kind_profiles, kind_score
 
 SCHEMA_VERSION = "mlechar-report-1"
 
@@ -302,16 +302,11 @@ def _draw_blocks(model, sizes, seed) -> list[Sample]:
     return out
 
 
-def build_profiles(entry, kind_label: str, probe: ProbeConfig = DEFAULT_PROBE,
-                   analytic: bool = False):
-    """Score profile(s) for a catalog entry and kind.
-
-    Returns a single profile, or the (negative, positive) half-line pair for
-    scale parameters of full-line families.  ``analytic`` switches the image
-    bounds to the recorded catalog values instead of numeric estimation.
-    """
-    bounds = entry.analytic_bounds.get(kind_label) if analytic else None
-    return kind_profiles(entry.model, cat.kind_for(entry, kind_label), probe, bounds)
+def build_profiles(entry, kind_label: str):
+    """Score profiles for a catalog entry and kind (see ``kind_profiles``):
+    one profile, or the (negative, positive) half-line pair for scale
+    parameters of full-line families."""
+    return kind_profiles(entry.model, cat.kind_for(entry, kind_label))
 
 
 def _mnss_match(computed, expected_value) -> bool:
@@ -334,16 +329,15 @@ def _section_catalog_mnss(config: SuiteConfig) -> list[dict]:
             computed = mnss(profiles, cat.kind_for(entry, kind_label))
             expected = entry.expected[kind_label]
             match = _mnss_match(computed, expected)
-            prof_list = profiles if isinstance(profiles, tuple) else (profiles,)
             rec = {
                 "family": name,
                 "params": json.dumps(params, sort_keys=True),
                 "kind": kind_label,
                 "bounds": " ".join(
-                    f"({enc(p.p_minus)},{enc(p.p_plus)})@{p.domain}" for p in prof_list
+                    f"({enc(p.p_minus)},{enc(p.p_plus)})@{p.domain}" for p in profiles
                 ),
-                "provenance": prof_list[0].bounds_provenance.method,
-                "mcss": enc(max(mcss(p.p_minus, p.p_plus).value for p in prof_list)),
+                "provenance": profiles[0].bounds_provenance.method,
+                "mcss": enc(max(mcss(p.p_minus, p.p_plus).value for p in profiles)),
                 "mnss": enc(computed.value),
                 "expected_mnss": enc(expected),
                 "needs_scale_identification": entry.needs_scale_identification,
@@ -614,11 +608,9 @@ def _section_score_crosscheck(config: SuiteConfig) -> list[dict]:
             bounds = entry.analytic_bounds.get(kind_label)
             if bounds is None:
                 continue
-            profiles = build_profiles(entry, kind_label)
-            prof_list = profiles if isinstance(profiles, tuple) else (profiles,)
             ok = True
             details = []
-            for prof in prof_list:
+            for prof in build_profiles(entry, kind_label):
                 for est, ref in ((prof.p_minus, bounds[0]), (prof.p_plus, bounds[1])):
                     if math.isinf(ref):
                         ok = ok and math.isinf(est)

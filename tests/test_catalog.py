@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from mlechar import expected_mnss, lookup, mnss, sample_from
 from mlechar.errors import InvalidParams, NotCharacterizable, UnknownFamily
 from mlechar.catalog import kind_for
-from mlechar.suite import build_profiles
+from mlechar.score import u1_zero_structure
+from mlechar.suite import DEFAULT_FAMILIES, build_profiles
 
 
 def test_lookup_unknown_family():
@@ -122,7 +123,7 @@ def test_analytic_scores_match_construction(gaussian, gamma2):
                    - gamma2.analytic_scores["scale"](float(x))) < 1e-10
 
 
-@pytest.mark.parametrize("name,params,kind", [
+_PIPELINE_CASES = [
     ("gaussian", {}, "location"),
     ("gaussian", {}, "scale"),
     ("gamma", {"alpha": 5.0}, "scale"),
@@ -130,10 +131,21 @@ def test_analytic_scores_match_construction(gaussian, gamma2):
     ("student", {"nu": 5.0}, "scale"),
     ("logistic", {}, "location"),
     ("sinh_arcsinh_skew_normal", {}, "group"),
-])
+]
+# every other default (family, kind), appended so the ids above stay put
+_PIPELINE_CASES += [(name, params, kind) for name, params, kinds in DEFAULT_FAMILIES
+                    for kind in kinds if (name, params, kind) not in _PIPELINE_CASES]
+
+
+@pytest.mark.parametrize("name,params,kind", _PIPELINE_CASES)
 def test_numeric_pipeline_reproduces_expected_mnss(name, params, kind):
     entry = lookup(name, params)
-    computed = mnss(build_profiles(entry, kind), kind_for(entry, kind))
+    profiles = build_profiles(entry, kind)
+    # one profile per monotone piece: two exactly when u1 vanishes inside
+    interior = u1_zero_structure(kind_for(entry, kind), entry.model.support) == "interior"
+    assert isinstance(profiles, tuple)
+    assert len(profiles) == (2 if interior else 1)
+    computed = mnss(profiles, kind_for(entry, kind))
     expected = entry.expected[kind]
     if math.isinf(expected):
         assert not computed.is_finite
@@ -142,7 +154,7 @@ def test_numeric_pipeline_reproduces_expected_mnss(name, params, kind):
 
 
 def test_gumbel_location_numeric_bounds(gumbel):
-    prof = build_profiles(gumbel, "location")
+    (prof,) = build_profiles(gumbel, "location")
     assert math.isinf(prof.p_minus)
     assert abs(prof.p_plus - 1.0) < 1e-3
 

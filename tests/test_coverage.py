@@ -13,7 +13,7 @@ from mlechar import (
     projection_interval,
 )
 from mlechar.errors import BudgetExceeded, InvalidBounds, NotCharacterizable
-from mlechar.score import LOCATION, SCALE, analyze_image, location_score_fn
+from mlechar.score import LOCATION, SCALE, analyze_image
 from mlechar import lookup, split_halflines
 
 INF = math.inf
@@ -145,8 +145,8 @@ def test_lattice_agreement():
 
 
 def test_mnss_from_profiles(gaussian):
-    prof = analyze_image(location_score_fn(gaussian.model))
-    assert mnss(prof, LOCATION).value == 3
+    prof = analyze_image(gaussian.model, LOCATION)
+    assert mnss((prof,), LOCATION).value == 3
 
     pair = split_halflines(gaussian.model)
     result = mnss(pair, SCALE)
@@ -158,13 +158,13 @@ def test_mnss_from_profiles(gaussian):
 
 
 def test_mnss_is_at_least_three():
-    prof = analyze_image(location_score_fn(lookup("logistic").model))
-    r = mnss(prof, LOCATION)
+    prof = analyze_image(lookup("logistic").model, LOCATION)
+    r = mnss((prof,), LOCATION)
     assert r.value == 3  # symmetric image, covering size 2, floor 3
 
 
 def test_mnss_requires_zero_crossing(gaussian):
-    prof = analyze_image(location_score_fn(gaussian.model))
+    prof = analyze_image(gaussian.model, LOCATION)
     shifted = type(prof)(
         kind=prof.kind, domain=prof.domain,
         evaluate=lambda x: prof.evaluate(x) ** 2 + 1.0,
@@ -173,7 +173,7 @@ def test_mnss_requires_zero_crossing(gaussian):
         bounds_provenance=prof.bounds_provenance,
     )
     with pytest.raises(NotCharacterizable):
-        mnss(shifted, LOCATION)
+        mnss((shifted,), LOCATION)
 
 
 def test_zero_sum_tuple():

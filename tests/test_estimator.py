@@ -192,14 +192,14 @@ def test_equivalence_class_members_share_mles(gaussian, gamma2, d):
 
 
 def test_residual_contract(gaussian, gamma2):
-    from mlechar.estimator import location_score_sum, scale_score_sum
+    from mlechar.score import score_sum
 
     sample = sample_from(gaussian.model, 7, seed=9)
     r = mle_location(gaussian.model, sample, tol=1e-10)
-    assert abs(location_score_sum(gaussian.model, sample, r.theta_hat)) < 1e-10
+    assert abs(score_sum(gaussian.model, LOCATION, sample, r.theta_hat)) < 1e-10
     sample = sample_from(gamma2.model, 7, seed=9)
     r = mle_scale(gamma2.model, sample, tol=1e-10)
-    assert abs(scale_score_sum(gamma2.model, sample, r.theta_hat)) < 1e-10
+    assert abs(score_sum(gamma2.model, SCALE, sample, r.theta_hat)) < 1e-10
 
 
 def test_scale_requires_positive_values_in_support(gamma2):

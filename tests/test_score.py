@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from mlechar import lookup, split_halflines
+from mlechar.density import SupportSet
 from mlechar.errors import NotMonotone, UnsupportedSupport
 from mlechar.score import (
+    LOCATION,
+    SCALE,
+    Group,
     ProbeConfig,
     analyze_image,
     bracketed_root,
     group_score,
-    group_score_fn,
     location_score,
-    location_score_fn,
     scale_score,
-    scale_score_fn,
 )
 
 
@@ -72,21 +73,21 @@ def test_group_score_reductions_pointwise(gaussian):
 
 
 def test_analyze_image_gaussian_location(gaussian):
-    prof = analyze_image(location_score_fn(gaussian.model))
+    prof = analyze_image(gaussian.model, LOCATION)
     assert prof.monotone_increasing and prof.crosses_zero
     assert math.isinf(prof.p_minus) and math.isinf(prof.p_plus)
     assert prof.bounds_provenance.method == "numeric"
 
 
 def test_analyze_image_gumbel_location(gumbel):
-    prof = analyze_image(location_score_fn(gumbel.model))
+    prof = analyze_image(gumbel.model, LOCATION)
     assert math.isinf(prof.p_minus)
     assert abs(prof.p_plus - 1.0) < 1e-3
 
 
 def test_analyze_image_student_scale_halfline():
     model = lookup("student", {"nu": 3.0}).model
-    prof = analyze_image(scale_score_fn(model, "pos"))
+    prof = analyze_image(model, SCALE, SupportSet.positive_half_line())
     assert not prof.monotone_increasing
     assert prof.crosses_zero
     assert abs(prof.p_minus - 3.0) < 3e-3
@@ -94,7 +95,7 @@ def test_analyze_image_student_scale_halfline():
 
 
 def test_analyze_image_analytic_bounds_passthrough(gumbel):
-    prof = analyze_image(location_score_fn(gumbel.model),
+    prof = analyze_image(gumbel.model, LOCATION,
                          analytic_bounds=(math.inf, 1.0))
     assert prof.bounds_provenance.method == "analytic"
     assert math.isinf(prof.p_minus) and prof.p_plus == 1.0
@@ -115,14 +116,14 @@ def test_split_halflines_images(gaussian):
 
 def test_not_monotone_families():
     with pytest.raises(NotMonotone):
-        analyze_image(location_score_fn(lookup("laplace").model))
+        analyze_image(lookup("laplace").model, LOCATION)
     with pytest.raises(NotMonotone):
-        analyze_image(location_score_fn(lookup("student", {"nu": 3.0}).model))
+        analyze_image(lookup("student", {"nu": 3.0}).model, LOCATION)
     # a visibly skewed member of the sinh-arcsinh family has a location
     # score with an interior dip (the base at theta=0 is just the normal)
     skewed = lookup("sinh_arcsinh_skew_normal").group_density(1.5)
     with pytest.raises(NotMonotone):
-        analyze_image(location_score_fn(skewed))
+        analyze_image(skewed, LOCATION)
 
 
 def test_probe_grid_minimum_size():
@@ -140,15 +141,15 @@ def test_probe_grid_minimum_size():
 def test_score_root_is_tiny_at_bracketed_zero(name, params, kind):
     entry = lookup(name, params)
     if kind == "location":
-        prof = analyze_image(location_score_fn(entry.model))
+        prof = analyze_image(entry.model, LOCATION)
     else:
-        prof = analyze_image(scale_score_fn(entry.model))
+        prof = analyze_image(entry.model, SCALE)
     root = bracketed_root(prof)
     assert abs(prof.evaluate(root)) < 1e-8
 
 
 def test_group_profile_symmetric_image(gaussian, sinh_arcsinh):
     tr = sinh_arcsinh.transform
-    prof = analyze_image(group_score_fn(gaussian.model, tr.u1, tr.u2))
+    prof = analyze_image(gaussian.model, Group(tr.u1, tr.u2))
     assert math.isinf(prof.p_minus) and math.isinf(prof.p_plus)
     assert prof.crosses_zero and not prof.monotone_increasing
