@@ -98,7 +98,11 @@ def _check_params(given: dict, allowed: dict) -> dict:
     unknown = set(given) - set(allowed)
     if unknown:
         raise InvalidParams(f"unknown parameters {sorted(unknown)}")
-    merged = {**allowed, **{k: float(v) for k, v in given.items()}}
+    values = {k: float(v) for k, v in given.items()}
+    nonfinite = sorted(k for k, v in values.items() if not math.isfinite(v))
+    if nonfinite:
+        raise InvalidParams(f"parameters {nonfinite} must be finite")
+    merged = {**allowed, **values}
     missing = [k for k, v in merged.items() if v is None]
     if missing:
         raise InvalidParams(f"missing required parameters {missing}")

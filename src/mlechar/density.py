@@ -290,22 +290,30 @@ def normalize(model: DensityModel, tol: float = QUAD_ABS_TOL):
 # ---------------------------------------------------------------------------
 
 
+def _clip(lo: float, hi: float, floor: float, cap: float) -> tuple[float, float]:
+    # the window cut to [floor, cap], or the window itself where nothing is left
+    a, b = max(lo, floor), min(hi, cap)
+    return (a, b) if a < b else (lo, hi)
+
+
 def probe_grid(support: SupportSet, window: tuple[float, float], points: int,
                radius: float, inner: float, pad: float) -> np.ndarray:
     """``points`` increasing probe points in ``window`` for the support's shape.
 
     Full line: uniform within ``+-radius``.  Half-line: geometric from
-    ``inner`` out to ``radius`` (mirrored on the negative one).  Bounded
-    interval: uniform, inset from both window ends by ``pad`` of its width.
+    ``inner`` out to ``radius`` (mirrored on the negative one).  A window
+    that lies wholly beyond these caps is probed between its own ends.
+    Bounded interval: uniform, inset from both window ends by ``pad`` of its
+    width.
     """
     lo, hi = window
     kind = support.kind
     if kind == FULL_LINE:
-        return np.linspace(max(lo, -radius), min(hi, radius), points)
+        return np.linspace(*_clip(lo, hi, -radius, radius), points)
     if kind == POSITIVE_HALF_LINE:
-        return np.geomspace(max(lo, inner), min(hi, radius), points)
+        return np.geomspace(*_clip(lo, hi, inner, radius), points)
     if kind == NEGATIVE_HALF_LINE:
-        return -np.geomspace(max(-hi, inner), min(-lo, radius), points)[::-1]
+        return -np.geomspace(*_clip(-hi, -lo, inner, radius), points)[::-1]
     inset = (hi - lo) * pad
     return np.linspace(lo + inset, hi - inset, points)
 

@@ -23,6 +23,8 @@ def test_lookup_unknown_family():
     ("student", {"nu": -2.0}),
     ("generalized_gaussian", {"gamma": 0.0}),
     ("gaussian", {"mu": 1.0}),
+    ("gamma", {"alpha": math.nan}),
+    ("student", {"nu": math.inf}),
 ])
 def test_lookup_invalid_params(name, params):
     with pytest.raises(InvalidParams):

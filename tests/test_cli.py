@@ -91,6 +91,12 @@ def test_cli_analyze_unknown_family(capsys):
     assert main(["analyze", "--family", "nonesuch", "--kind", "loc"]) == 2
 
 
+def test_cli_analyze_non_finite_params(capsys):
+    assert main(["analyze", "--family", "student", "--params", "nu=inf",
+                 "--kind", "scale"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_mle(tmp_path, capsys, gauss_spec, gamma_spec):
     data = tmp_path / "data.csv"
     data.write_text("1.0\n2.0\n3.0\n")

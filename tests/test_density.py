@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
@@ -246,15 +246,25 @@ def supports_and_windows(draw):
 @given(case=supports_and_windows(), constants=st.sampled_from(PROBE_CONSTANTS),
        points=st.sampled_from((41, 201, 401)))
 @settings(max_examples=300, deadline=None)
+# windows wholly beyond the radius: same_class on N(20, 1) and its d=2 tilt,
+# and a half-line window past the central range
+@example(case=(SupportSet.full_line(), (13.58, 26.69)), constants=(8.0, 0.05, 1e-3),
+         points=41)
+@example(case=(SupportSet.positive_half_line(), (30.0, 60.0)),
+         constants=(20.0, 1e-3, 1e-6), points=201)
 def test_probe_and_compact_grids_stay_inside(case, constants, points):
     support, (lo, hi) = case
     radius, inner, pad = constants
-    # the probe grid covers the part of the window within the central range
+    # the probe grid covers the part of the window within the central range,
+    # or the whole window where none of it lies within that range
     if support.kind == "full_line":
-        assume(min(hi, radius) - max(lo, -radius) > 1e-3)
+        covered = min(hi, radius) - max(lo, -radius)
+        assume(covered > 1e-3 or (covered <= 0.0 and hi - lo > 1e-3))
     elif support.kind != "open_interval":
         near, far = sorted((abs(lo), abs(hi)))
-        assume(max(near, inner) * (1.0 + 1e-3) < min(far, radius))
+        start, stop = max(near, inner), min(far, radius)
+        assume(start * (1.0 + 1e-3) < stop
+               or (start >= stop and near * (1.0 + 1e-3) < far))
 
     xs = probe_grid(support, (lo, hi), points, radius, inner, pad)
     assert xs.size == points
