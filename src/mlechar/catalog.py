@@ -98,7 +98,10 @@ def _check_params(given: dict, allowed: dict) -> dict:
     unknown = set(given) - set(allowed)
     if unknown:
         raise InvalidParams(f"unknown parameters {sorted(unknown)}")
-    values = {k: float(v) for k, v in given.items()}
+    try:
+        values = {k: float(v) for k, v in given.items()}
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"parameters must be numbers: {exc}") from exc
     nonfinite = sorted(k for k, v in values.items() if not math.isfinite(v))
     if nonfinite:
         raise InvalidParams(f"parameters {nonfinite} must be finite")

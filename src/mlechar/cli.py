@@ -70,7 +70,10 @@ def _parse_params(text: str) -> dict:
             if "=" not in piece:
                 raise InvalidConfig(f"parameter {piece!r} is not key=value")
             key, value = piece.split("=", 1)
-            params[key.strip()] = float(value)
+            try:
+                params[key.strip()] = float(value)
+            except ValueError as exc:
+                raise InvalidConfig(f"parameter {piece!r}: {exc}") from exc
     return params
 
 

@@ -291,7 +291,6 @@ def normalize(model: DensityModel, tol: float = QUAD_ABS_TOL):
 
 
 def _clip(lo: float, hi: float, floor: float, cap: float) -> tuple[float, float]:
-    # the window cut to [floor, cap], or the window itself where nothing is left
     a, b = max(lo, floor), min(hi, cap)
     return (a, b) if a < b else (lo, hi)
 

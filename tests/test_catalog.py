@@ -25,6 +25,7 @@ def test_lookup_unknown_family():
     ("gaussian", {"mu": 1.0}),
     ("gamma", {"alpha": math.nan}),
     ("student", {"nu": math.inf}),
+    ("gamma", {"alpha": "x"}),
 ])
 def test_lookup_invalid_params(name, params):
     with pytest.raises(InvalidParams):

@@ -91,8 +91,9 @@ def test_cli_analyze_unknown_family(capsys):
     assert main(["analyze", "--family", "nonesuch", "--kind", "loc"]) == 2
 
 
-def test_cli_analyze_non_finite_params(capsys):
-    assert main(["analyze", "--family", "student", "--params", "nu=inf",
+@pytest.mark.parametrize("params", ["nu=inf", "nu=nan", "nu=abc"])
+def test_cli_analyze_bad_params(capsys, params):
+    assert main(["analyze", "--family", "student", "--params", params,
                  "--kind", "scale"]) == 2
     assert "configuration error" in capsys.readouterr().err
 
