@@ -322,11 +322,11 @@ def _from_t(t: np.ndarray) -> np.ndarray:
 
 
 def _to_t(x: float) -> float:
-    if x == 0.0:
-        return 0.0
     if math.isinf(x):
         return math.copysign(1.0, x)
-    return (math.sqrt(1.0 + 4.0 * x * x) - 1.0) / (2.0 * x)
+    # the root of x t^2 + t - x in (-1, 1), in the form free of cancellation
+    # near 0 (and of overflow in 4 x^2 far out)
+    return 2.0 * x / (1.0 + math.hypot(1.0, 2.0 * x))
 
 
 def _dx_dt(t: np.ndarray) -> np.ndarray:

@@ -218,9 +218,9 @@ def test_tabulated_model_rejects_bad_grids():
 PROBE_CONSTANTS = ((20.0, 1e-3, 1e-6), (20.0, 1e-8, 1e-6), (8.0, 0.05, 1e-3),
                    (8.0, 1e-2, 1e-3))
 
-# window ends keep |x| within [1e-2, 1e2]: beyond that range x -> t -> x loses
-# relative precision (cancellation in sqrt(1 + 4x^2) - 1 near 0 and in
-# 1 - t^2 far out), so the round trip below would not hold to 1e-12
+# window ends keep |x| within [1e-2, 1e2]: far out x -> t -> x loses relative
+# precision (cancellation in 1 - t^2), so the round trip below would not hold
+# to 1e-12
 magnitudes = st.floats(min_value=1e-2, max_value=1e2)
 
 
@@ -241,6 +241,14 @@ def supports_and_windows(draw):
     if shape == "pos":
         return SupportSet.positive_half_line(), (lo, hi)
     return SupportSet.negative_half_line(), (-hi, -lo)
+
+
+def test_compact_grid_ends_round_trip():
+    # grid ends go x -> t -> x and come back to round-off near the origin
+    # too, where the effective-interval scan puts its inner ends (1e-7)
+    for x in np.geomspace(1e-12, 1e2, 301):
+        _, xs = compact_grid(SupportSet.full_line(), -x, x, 3)
+        assert abs(xs[0] + x) <= 1e-13 * x and abs(xs[-1] - x) <= 1e-13 * x, x
 
 
 @given(case=supports_and_windows(), constants=st.sampled_from(PROBE_CONSTANTS),
