@@ -11,7 +11,6 @@ from .catalog import CatalogEntry, expected_mnss, lookup
 from .coverage import (
     McssResult,
     MnssResult,
-    ZeroSumTuple,
     brute_force_projectable,
     is_projectable,
     mcss,
@@ -58,7 +57,6 @@ from .score import (
     SCALE,
     Group,
     GroupTransform,
-    ProbeConfig,
     ScoreProfile,
     analyze_image,
     group_score,
@@ -83,7 +81,6 @@ __all__ = [
     "MnssResult",
     "OddPower",
     "PlusEvenDerivative",
-    "ProbeConfig",
     "SCALE",
     "Sample",
     "ScaleIdentification",
@@ -92,7 +89,6 @@ __all__ = [
     "SuiteReport",
     "SupportSet",
     "TiltSpec",
-    "ZeroSumTuple",
     "analyze_image",
     "brute_force_projectable",
     "closed_form_mle",

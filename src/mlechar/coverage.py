@@ -77,29 +77,6 @@ class MnssResult:
         return "inf" if math.isinf(self.value) else str(int(self.value))
 
 
-@dataclass(frozen=True)
-class ZeroSumTuple:
-    """A zero-sum tuple of score values (a point of the covering hyperplane)."""
-
-    b: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.b)
-        if len(vals) < 1:
-            raise ValueError("zero-sum tuple needs at least one entry")
-        if abs(math.fsum(vals)) > 1e-12:
-            raise ValueError(f"entries sum to {math.fsum(vals):.3e}, not 0")
-        object.__setattr__(self, "b", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.b)
-
-    def in_image(self, p_minus: float, p_plus: float) -> bool:
-        """Membership of every entry in the open image interval."""
-        return all(-p_minus < v < p_plus for v in self.b)
-
-
 def mcss(p_minus: float, p_plus: float) -> McssResult:
     """Minimal covering sample size for image bounds ``(p_minus, p_plus)``."""
     pm = _validate_bound(p_minus, "p_minus")

@@ -48,6 +48,9 @@ QUAD_ABS_TOL = 1e-10
 #: log-density drop below the mode that delimits the effective support
 EFFECTIVE_DROP = 60.0
 
+#: Gauss-Legendre cells of the sampler's CDF and of cumulative integrals
+TABLE_CELLS = 2048
+
 
 # ---------------------------------------------------------------------------
 # supports
@@ -123,7 +126,7 @@ class DensityModel:
     """A density on a declared support, accessed through its log-density.
 
     ``log_pdf`` is wrapped so that it returns ``-inf`` outside the support
-    (the unwrapped function is kept for :meth:`with_log_shift`).
+    (the unwrapped function is kept for :func:`normalize`).
     ``dlog_pdf``, when present, is the analytic ``d/dx log f`` and must match
     central finite differences of ``log_pdf`` on the interior (this is
     checked by the test-suite for every catalog family, and can be checked
@@ -156,17 +159,6 @@ class DensityModel:
         lp = self.log_pdf(x)
         return math.exp(lp) if lp > -math.inf else 0.0
 
-    def with_log_shift(self, shift: float, normalized: bool = False) -> "DensityModel":
-        """New model whose log-density is shifted by the constant ``shift``."""
-        inner = self._raw_log_pdf
-        return DensityModel(
-            name=self.name,
-            support=self.support,
-            log_pdf=lambda x: inner(x) + shift,
-            dlog_pdf=self.dlog_pdf,
-            params=dict(self.params),
-            normalized=normalized,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +199,7 @@ def _fd_step(support: SupportSet, x: float) -> float:
     return step
 
 
-def eval_dlogf(model: DensityModel, x: float, step: Optional[float] = None) -> float:
+def eval_dlogf(model: DensityModel, x: float) -> float:
     """Evaluate ``d/dx log f`` at an interior point.
 
     Uses the analytic derivative when the model carries one, otherwise a
@@ -218,10 +210,7 @@ def eval_dlogf(model: DensityModel, x: float, step: Optional[float] = None) -> f
         raise OutsideSupport(f"x={x} is not interior to {model.support}")
     if model.dlog_pdf is not None:
         return float(model.dlog_pdf(x))
-    if step is None:
-        step = _fd_step(model.support, x)
-    if step <= 0.0:
-        raise ValueError("finite-difference step must be positive")
+    step = _fd_step(model.support, x)
     if not (model.support.contains(x - step) and model.support.contains(x + step)):
         raise OutsideSupport(f"x +- {step} leaves the support around x={x}")
     hi, lo = model.log_pdf(x + step), model.log_pdf(x - step)
@@ -272,17 +261,25 @@ def integrate(fn: Callable[[float], float], lo: float, hi: float,
     return value
 
 
-def normalize(model: DensityModel, tol: float = QUAD_ABS_TOL):
+def normalize(model: DensityModel):
     """Normalizing constant and normalized copy of ``model``.
 
     Returns ``(c, normalized_model)`` with ``c > 0`` such that adding
     ``log c`` to the log-density integrates to one over the support.
     """
-    total = integrate(model.pdf, model.support.lower, model.support.upper, abs_tol=tol)
+    total = integrate(model.pdf, model.support.lower, model.support.upper)
     if not math.isfinite(total) or total <= 0.0:
         raise DivergentIntegral(f"density mass {total} is not positive and finite")
     c = 1.0 / total
-    return c, model.with_log_shift(math.log(c), normalized=True)
+    inner, shift = model._raw_log_pdf, math.log(c)
+    return c, DensityModel(
+        name=model.name,
+        support=model.support,
+        log_pdf=lambda x: inner(x) + shift,
+        dlog_pdf=model.dlog_pdf,
+        params=dict(model.params),
+        normalized=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +350,23 @@ def compact_grid(support: SupportSet, lo: float, hi: float, points: int,
     return ts, (_from_t(ts) if mapped else ts)
 
 
-def effective_interval(model: DensityModel, drop: float = EFFECTIVE_DROP,
-                       scan: int = 4097) -> tuple[float, float]:
+def effective_interval(model: DensityModel,
+                       drop: float = EFFECTIVE_DROP) -> tuple[float, float]:
     """Finite interval outside which the density is negligible.
 
-    Scans the (compactified) support and keeps the hull of points whose
-    log-density lies within ``drop`` of the maximum, padded by one scan cell.
+    Scans 4097 points of the (compactified) support and keeps the hull of
+    points whose log-density lies within ``drop`` of the maximum, padded by
+    one scan cell.
     """
     support = model.support
-    _, xs = compact_grid(support, support.lower, support.upper, scan, inset=1e-7)
+    _, xs = compact_grid(support, support.lower, support.upper, 4097, inset=1e-7)
     vals = np.array([model.log_pdf(float(x)) for x in xs])
     finite = np.isfinite(vals)
     if not finite.any():
         raise NonFiniteLogDensity("log-density is -inf on the whole scan grid")
     peak = vals[finite].max()
     keep = np.where(finite & (vals >= peak - drop))[0]
-    i0, i1 = max(int(keep[0]) - 1, 0), min(int(keep[-1]) + 1, scan - 1)
+    i0, i1 = max(int(keep[0]) - 1, 0), min(int(keep[-1]) + 1, xs.size - 1)
     return float(xs[i0]), float(xs[i1])
 
 
@@ -392,9 +390,9 @@ def _cell_integrals(integrand: Callable[[float], float], edges: np.ndarray) -> n
 class _InverseCdfSampler:
     """Grid CDF (cumulative quadrature) plus vectorized bisection inversion."""
 
-    def __init__(self, model: DensityModel, cells: int = 2048):
+    def __init__(self, model: DensityModel):
         mapped = _mapped(model.support)
-        edges, _ = compact_grid(model.support, *effective_interval(model), cells + 1)
+        edges, _ = compact_grid(model.support, *effective_interval(model), TABLE_CELLS + 1)
 
         if mapped:
             def log_mass(t: float) -> float:
@@ -476,7 +474,7 @@ def numeric_cdf(model: DensityModel, x: float) -> float:
 class CumulativeIntegral:
     """Antiderivative of a scalar integrand, anchored at a point.
 
-    The antiderivative is tabulated once on ``cells`` Gauss-Legendre cells
+    The antiderivative is tabulated once on ``TABLE_CELLS`` Gauss-Legendre cells
     across ``(lo, hi)`` and interpolated with monotone cubic pieces; beyond
     the tabulated range it is extended linearly using the integrand value at
     the nearest end.  Cheap enough to sit inside MLE root-finding loops.
@@ -484,10 +482,10 @@ class CumulativeIntegral:
     """
 
     def __init__(self, integrand: Callable[[float], float], anchor: float,
-                 lo: float, hi: float, cells: int = 2048):
+                 lo: float, hi: float):
         if not lo < anchor < hi:
             raise ValueError("anchor must lie strictly inside (lo, hi)")
-        edges = np.linspace(lo, hi, cells + 1)
+        edges = np.linspace(lo, hi, TABLE_CELLS + 1)
         masses = _cell_integrals(integrand, edges)
         cum = np.concatenate([[0.0], np.cumsum(masses)])
         if not np.isfinite(cum).all():

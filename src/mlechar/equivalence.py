@@ -115,8 +115,8 @@ def tilt_with_spec(model: DensityModel, d: float,
 # ---------------------------------------------------------------------------
 
 
-def _default_grid(f: DensityModel, g: DensityModel, points: int = 41) -> np.ndarray:
-    """Probe grid inside the overlap of both models' effective regions.
+def _default_grid(f: DensityModel, g: DensityModel) -> np.ndarray:
+    """41 probe points inside the overlap of both models' effective regions.
 
     Tabulated or forged densities may be finite only on a bounded hull;
     confining the grid keeps both scores evaluable, as the comparison
@@ -127,11 +127,11 @@ def _default_grid(f: DensityModel, g: DensityModel, points: int = 41) -> np.ndar
     lo, hi = max(f_lo, g_lo), min(f_hi, g_hi)
     if not lo < hi:
         raise DegenerateScore("effective supports do not overlap")
-    return probe_grid(f.support, (lo, hi), points, 8.0, 0.05, 1e-3)
+    return probe_grid(f.support, (lo, hi), 41, 8.0, 0.05, 1e-3)
 
 
 def same_class(f: DensityModel, g: DensityModel, kind: Kind,
-               grid=None, tol: float = 1e-6) -> Optional[float]:
+               tol: float = 1e-6) -> Optional[float]:
     """Common score multiplier ``d`` if ``f`` and ``g`` share a class, else None.
 
     Evaluates the ratio ``score_g / score_f`` at grid points where the
@@ -141,7 +141,7 @@ def same_class(f: DensityModel, g: DensityModel, kind: Kind,
     """
     if f.support != g.support:
         raise UnsupportedSupport("class comparison requires a common support")
-    xs = _default_grid(f, g) if grid is None else np.asarray(grid, dtype=float)
+    xs = _default_grid(f, g)
     ratios = []
     any_usable = False
     for x in xs:
@@ -176,8 +176,7 @@ class ScaleIdentification:
     note: str = ""
 
 
-def _origin_ratio_limit(model: DensityModel, lam: float,
-                        ks=(3, 4, 5, 6)) -> tuple[float, bool]:
+def _origin_ratio_limit(model: DensityModel, lam: float) -> tuple[float, bool]:
     """Limit of f(lam*x)/f(x) as x tends to 0 along the half-line.
 
     Returns (limit, stable); stability requires the probe sequence at
@@ -185,7 +184,7 @@ def _origin_ratio_limit(model: DensityModel, lam: float,
     """
     sign = 1.0 if model.support.kind == POSITIVE_HALF_LINE else -1.0
     vals = []
-    for k in ks:
+    for k in (3, 4, 5, 6):
         x = sign * 10.0 ** (-k)
         num, den = model.log_pdf(lam * x), model.log_pdf(x)
         if not (math.isfinite(num) and math.isfinite(den)):

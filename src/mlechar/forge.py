@@ -59,14 +59,13 @@ class PlusEvenDerivative:
     """h(y) = y + w'(y) for an even differentiable w.
 
     ``w_prime`` may be supplied analytically; otherwise it is taken by
-    central differences of ``w``.  The amplitude guard rejects w whose
-    perturbation destroys strict monotonicity of h (min slope below the
-    guard threshold on a uniform grid over the target score's range).
+    central differences of ``w``.  :func:`forge_odd_h` rejects w whose
+    perturbation destroys strict monotonicity of h (min slope at most 1e-3
+    on a uniform grid over the target score's range).
     """
 
     w: Callable[[float], float]
     w_prime: Optional[Callable[[float], float]] = None
-    amplitude_guard: float = 1e-3
 
 
 HSpec = Union[OddPower, PlusEvenDerivative]
@@ -84,16 +83,15 @@ def h_function(spec: HSpec) -> Callable[[float], float]:
     return lambda y: y + w_prime(y)
 
 
-def _check_h_increasing(h: Callable[[float], float], y_lo: float, y_hi: float,
-                        guard: float) -> None:
+def _check_h_increasing(h: Callable[[float], float], y_lo: float, y_hi: float) -> None:
     # a uniform grid over the score's range: sorted score samples repeat
     # where the score saturates, and a slope between equal values is 0/0
     ys = np.linspace(y_lo, y_hi, 201)
     slopes = np.diff([h(float(y)) for y in ys]) / np.diff(ys)
-    if not np.all(slopes > guard):
+    if not np.all(slopes > 1e-3):
         raise NotMonotone(
             f"h is not strictly increasing on the probe grid "
-            f"(min slope {slopes.min():.3e} <= guard {guard:g})"
+            f"(min slope {slopes.min():.3e} <= guard 0.001)"
         )
 
 
@@ -110,7 +108,7 @@ def forge_odd_h(target: DensityModel, h_spec: HSpec) -> DensityModel:
     antider = anchored_antiderivative(target, profile, lambda y: h(phi(y)), 80.0)
     if isinstance(h_spec, PlusEvenDerivative):
         phis = [phi(float(x)) for x in np.linspace(antider.lo, antider.hi, 201)]
-        _check_h_increasing(h, min(phis), max(phis), h_spec.amplitude_guard)
+        _check_h_increasing(h, min(phis), max(phis))
 
     def log_pdf(x: float) -> float:
         return -antider(x)

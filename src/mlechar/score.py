@@ -14,8 +14,8 @@ parameter on the data, and optionally a closed form of ``int u2/u1``:
 
 ``analyze_image`` classifies a kind's score over a domain: strict
 monotonicity, zero crossing, and the image bounds ``(-p_minus, p_plus)`` with
-the two endpoint limits either taken from analytic catalog data or estimated
-along geometric sequences approaching the domain endpoints.
+the two endpoint limits estimated along geometric sequences approaching the
+domain endpoints.
 ``kind_profiles`` analyzes the score on each monotone piece of the support:
 the support itself, or the two half-lines when ``u1`` vanishes inside it.
 """
@@ -203,8 +203,7 @@ def group_score(model: DensityModel, u1: Callable[[float], float],
 
 @dataclass(frozen=True)
 class BoundsProvenance:
-    method: str  # "analytic" | "numeric"
-    grid_size: int = 0
+    method: str  # "numeric"
     note: str = ""
 
 
@@ -228,43 +227,30 @@ class ScoreProfile:
     bounds_provenance: BoundsProvenance
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Probe-grid configuration for image analysis."""
-
-    points: int = 201            # central grid size (>= 64 interior points)
-    central_radius: float = 20.0  # |x| cap of the central grid on infinite ends
-    inner_start: float = 1e-3     # first probe distance from a half-line origin
-    tail_ratio: float = 2.0       # geometric ratio of the endpoint sequences
-    tail_steps: int = 80
-    cauchy_tol: float = 1e-6      # convergence threshold for finite limits
-    infinite_threshold: float = 1e8
-
-    def __post_init__(self) -> None:
-        if self.points < 64:
-            raise ValueError("probe grid needs at least 64 interior points")
+#: endpoint sequences: geometric ratio, step budget, Cauchy tolerance of a
+#: finite limit and the magnitude that declares a limit infinite
+TAIL_RATIO = 2.0
+TAIL_STEPS = 80
+CAUCHY_TOL = 1e-6
+INFINITE_THRESHOLD = 1e8
 
 
-DEFAULT_PROBE = ProbeConfig()
+def _central_grid(domain: SupportSet) -> np.ndarray:
+    # 201 points within |x| <= 20, from 1e-3 off a half-line origin
+    return probe_grid(domain, (domain.lower, domain.upper), 201, 20.0, 1e-3, 1e-6)
 
 
-def _central_grid(domain: SupportSet, cfg: ProbeConfig) -> np.ndarray:
-    return probe_grid(domain, (domain.lower, domain.upper), cfg.points,
-                      cfg.central_radius, cfg.inner_start, 1e-6)
-
-
-def _tail_points(domain: SupportSet, side: str, start: float, cfg: ProbeConfig):
+def _tail_points(domain: SupportSet, side: str, start: float):
     """Geometric sequence from ``start`` toward the given domain endpoint."""
-    ratio = cfg.tail_ratio
     end = domain.lower if side == "lower" else domain.upper
     x = start
-    for _ in range(cfg.tail_steps):
+    for _ in range(TAIL_STEPS):
         if math.isinf(end):
             # starting points share the endpoint's sign (central grids end at
-            # +-central_radius or at +-inner_start on the matching side)
-            x = x * ratio
+            # +-20 or at +-1e-3 on the matching side)
+            x = x * TAIL_RATIO
         else:
-            x = end + (x - end) / ratio
+            x = end + (x - end) / TAIL_RATIO
         yield x
 
 
@@ -282,12 +268,11 @@ def _aitken(v0: float, v1: float, v2: float) -> float:
 
 
 def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
-                    v_start: float, expected: float,
-                    cfg: ProbeConfig) -> tuple[float, str]:
+                    v_start: float, expected: float) -> tuple[float, str]:
     """Endpoint limit of a monotone score: (value, 'finite'|'infinite').
 
     Walks a geometric sequence toward the endpoint; a limit is declared
-    infinite once |value| exceeds the configured threshold (or overflows),
+    infinite once |value| reaches ``INFINITE_THRESHOLD`` (or overflows),
     finite once successive values agree within the Cauchy tolerance.  Finite
     limits are sharpened by Aitken extrapolation of the last three values
     (the tails of all smooth scores converge geometrically along geometric
@@ -296,14 +281,14 @@ def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
     endpoint.
     """
     values = [v_start]
-    for x in _tail_points(domain, side, start, cfg):
+    for x in _tail_points(domain, side, start):
         try:
             v = evaluate(float(x))
         except (OverflowError, NonFiniteLogDensity):
             return math.copysign(math.inf, expected), "infinite"
         if math.isnan(v):
             return math.copysign(math.inf, expected), "infinite"
-        if math.isinf(v) or abs(v) >= cfg.infinite_threshold:
+        if math.isinf(v) or abs(v) >= INFINITE_THRESHOLD:
             return math.copysign(math.inf, v), "infinite"
         dv = v - values[-1]
         if dv * expected < -1e-9 * max(1.0, abs(v)):
@@ -312,23 +297,21 @@ def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
             )
         values.append(v)
         # gather three tail values so the acceleration step has material
-        if abs(dv) < cfg.cauchy_tol and len(values) >= 3:
+        if abs(dv) < CAUCHY_TOL and len(values) >= 3:
             return _aitken(values[-3], values[-2], values[-1]), "finite"
     # no convergence within budget: the values kept drifting, treat as infinite
     return math.copysign(math.inf, expected), "infinite"
 
 
-def analyze_image(model: DensityModel, kind: Kind, domain: Optional[SupportSet] = None,
-                  probe: ProbeConfig = DEFAULT_PROBE,
-                  analytic_bounds: Optional[tuple[float, float]] = None) -> ScoreProfile:
+def analyze_image(model: DensityModel, kind: Kind,
+                  domain: Optional[SupportSet] = None) -> ScoreProfile:
     """Build a :class:`ScoreProfile` for ``kind``'s score of ``model``.
 
     The score is analyzed on ``domain`` (default: the model's support).
     Strict monotonicity is required across the central probe grid (slack 0);
     violations raise :class:`NotMonotone`, which signals that the family is
     outside the scope of the characterization theory for this kind.  Image
-    bounds come from ``analytic_bounds`` when given, otherwise from endpoint
-    limit estimation.
+    bounds come from endpoint limit estimation.
     """
     kind.check(model.support)
     domain = model.support if domain is None else domain
@@ -337,7 +320,7 @@ def analyze_image(model: DensityModel, kind: Kind, domain: Optional[SupportSet] 
     def evaluate(x: float) -> float:
         return _score_at(model, u1, u2, x)
 
-    xs = _central_grid(domain, probe)
+    xs = _central_grid(domain)
     vs = np.empty(xs.size)
     for i, x in enumerate(xs):
         v = evaluate(float(x))
@@ -359,21 +342,15 @@ def analyze_image(model: DensityModel, kind: Kind, domain: Optional[SupportSet] 
     # decreasing; toward the upper endpoint it must keep increasing
     lo_limit, lo_class = _estimate_limit(evaluate, domain, "lower",
                                          float(xs[0]), float(vs[0]),
-                                         -1.0 if increasing else 1.0, probe)
+                                         -1.0 if increasing else 1.0)
     hi_limit, hi_class = _estimate_limit(evaluate, domain, "upper",
                                          float(xs[-1]), float(vs[-1]),
-                                         1.0 if increasing else -1.0, probe)
+                                         1.0 if increasing else -1.0)
     inf_limit, sup_limit = (lo_limit, hi_limit) if increasing else (hi_limit, lo_limit)
     crosses = inf_limit < 0.0 < sup_limit
 
-    if analytic_bounds is not None:
-        p_minus, p_plus = float(analytic_bounds[0]), float(analytic_bounds[1])
-        provenance = BoundsProvenance("analytic")
-    else:
-        p_minus, p_plus = -inf_limit, sup_limit
-        note = f"inf {lo_class if increasing else hi_class}, " \
-               f"sup {hi_class if increasing else lo_class}"
-        provenance = BoundsProvenance("numeric", grid_size=probe.points, note=note)
+    note = f"inf {lo_class if increasing else hi_class}, " \
+           f"sup {hi_class if increasing else lo_class}"
 
     return ScoreProfile(
         kind=kind,
@@ -381,19 +358,18 @@ def analyze_image(model: DensityModel, kind: Kind, domain: Optional[SupportSet] 
         evaluate=evaluate,
         monotone_increasing=increasing,
         crosses_zero=crosses,
-        p_minus=p_minus,
-        p_plus=p_plus,
-        bounds_provenance=provenance,
+        p_minus=-inf_limit,
+        p_plus=sup_limit,
+        bounds_provenance=BoundsProvenance("numeric", note=note),
     )
-
-
-#: u1 is probed closer to half-line origins than scores are
-_U1_PROBE = ProbeConfig(points=401, inner_start=1e-8)
 
 
 def u1_zero_structure(kind: Kind, support: SupportSet) -> str:
     """'interior', 'endpoint' or 'none' depending on where ``kind.u1`` vanishes."""
-    vals = np.array([float(kind.u1(float(x))) for x in _central_grid(support, _U1_PROBE)])
+    # u1 is probed on twice the points of a score, and closer to half-line
+    # origins
+    xs = probe_grid(support, (support.lower, support.upper), 401, 20.0, 1e-8, 1e-6)
+    vals = np.array([float(kind.u1(float(x))) for x in xs])
     if (np.abs(vals) < 1e-12).any() or (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0).any():
         return "interior"
     # vanishing limits at the ends count as endpoint zeros, not interior ones
@@ -427,11 +403,11 @@ def split_halflines(model: DensityModel) -> tuple[ScoreProfile, ScoreProfile]:
     return kind_profiles(model, SCALE)
 
 
-def bracketed_root(profile: ScoreProfile, probe: ProbeConfig = DEFAULT_PROBE) -> float:
+def bracketed_root(profile: ScoreProfile) -> float:
     """Zero crossing of a monotone score, located by bracketed root-finding."""
     if not profile.crosses_zero:
         raise NotMonotone("score does not cross zero; no root to bracket")
-    xs = _central_grid(profile.domain, probe)
+    xs = _central_grid(profile.domain)
     vs = np.array([profile.evaluate(float(x)) for x in xs])
     sign = np.sign(vs)
     flips = np.where(sign[:-1] * sign[1:] <= 0)[0]

@@ -85,14 +85,14 @@ def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
     raise InvalidConfig("family spec needs a 'catalog' or 'tabulated' key")
 
 
-def write_tabulated(model: DensityModel, path, points: int = 4001) -> None:
+def write_tabulated(model: DensityModel, path) -> None:
     """Emit a model as a tabulated family-spec file over its effective range.
 
-    Grid nodes are uniform in the compactified coordinate on unbounded
+    The 4001 grid nodes are uniform in the compactified coordinate on unbounded
     supports, which concentrates resolution in the bulk of the density (and
     around score zero crossings) rather than on far tails.
     """
-    _, xs = compact_grid(model.support, *effective_interval(model), points)
+    _, xs = compact_grid(model.support, *effective_interval(model), 4001)
     ys = [model.log_pdf(float(x)) for x in xs]
     if not all(math.isfinite(y) for y in ys):
         # clip to the finite part of the grid

@@ -484,19 +484,15 @@ def _section_projectability(config: SuiteConfig) -> list[dict]:
     return records
 
 
-def _configured(config: SuiteConfig, name: str, params: dict,
-                kind_label: Optional[str] = None) -> bool:
-    """Whether a (family, params[, kind]) case is part of the configuration."""
-    for fam_name, fam_params, fam_kinds in config.families:
-        if fam_name == name and fam_params == params:
-            if kind_label is None or kind_label in fam_kinds:
-                return True
-    return False
+def _configured(config: SuiteConfig, name: str, params: dict, kind_label: str) -> bool:
+    """Whether a (family, params, kind) case is part of the configuration."""
+    return any(fam_name == name and fam_params == params and kind_label in fam_kinds
+               for fam_name, fam_params, fam_kinds in config.families)
 
 
-def _section_closed_form(config: SuiteConfig, n_samples: int = 500) -> list[dict]:
+def _section_closed_form(config: SuiteConfig) -> list[dict]:
     records = []
-    sizes_cycle = [2 + (i % 11) for i in range(n_samples)]
+    sizes_cycle = [2 + (i % 11) for i in range(500)]
     for name, params, kind_label in CLOSED_FORM_CASES:
         if not _configured(config, name, params, kind_label):
             continue
@@ -516,7 +512,7 @@ def _section_closed_form(config: SuiteConfig, n_samples: int = 500) -> list[dict
             "family": name,
             "kind": kind_label,
             "formula": entry.closed_form[kind_label],
-            "samples": n_samples,
+            "samples": len(sizes_cycle),
             "max_deviation": enc(worst),
             "provenance": "numeric",
             "verdict": "pass" if ok else "fail",
@@ -524,9 +520,9 @@ def _section_closed_form(config: SuiteConfig, n_samples: int = 500) -> list[dict
     return records
 
 
-def _section_equivariance(config: SuiteConfig, n_samples: int = 200) -> list[dict]:
+def _section_equivariance(config: SuiteConfig) -> list[dict]:
     records = []
-    sizes_cycle = [3 + (i % 8) for i in range(n_samples)]
+    sizes_cycle = [3 + (i % 8) for i in range(200)]
     # (kind, cases, check, record key, group elements, seed label,
     #  action on the data, deviation of the moved estimate)
     plan = (
@@ -552,7 +548,7 @@ def _section_equivariance(config: SuiteConfig, n_samples: int = 200) -> list[dic
             records.append({
                 "check": check,
                 "family": name,
-                "samples": n_samples,
+                "samples": len(sizes_cycle),
                 key: "/".join(str(g) for g in elements),
                 "max_deviation": enc(worst),
                 "provenance": "numeric",

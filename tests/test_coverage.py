@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlechar import (
-    ZeroSumTuple,
     brute_force_projectable,
     is_projectable,
     mcss,
@@ -174,12 +173,3 @@ def test_mnss_requires_zero_crossing(gaussian):
     )
     with pytest.raises(NotCharacterizable):
         mnss((shifted,), LOCATION)
-
-
-def test_zero_sum_tuple():
-    t = ZeroSumTuple((0.5, -0.2, -0.3))
-    assert t.n == 3
-    assert t.in_image(1.0, 1.0)
-    assert not t.in_image(0.25, 1.0)
-    with pytest.raises(ValueError):
-        ZeroSumTuple((0.5, 0.5))

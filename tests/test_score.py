@@ -10,7 +10,6 @@ from mlechar.score import (
     LOCATION,
     SCALE,
     Group,
-    ProbeConfig,
     analyze_image,
     bracketed_root,
     group_score,
@@ -94,13 +93,6 @@ def test_analyze_image_student_scale_halfline():
     assert abs(prof.p_plus - 1.0) < 1e-3
 
 
-def test_analyze_image_analytic_bounds_passthrough(gumbel):
-    prof = analyze_image(gumbel.model, LOCATION,
-                         analytic_bounds=(math.inf, 1.0))
-    assert prof.bounds_provenance.method == "analytic"
-    assert math.isinf(prof.p_minus) and prof.p_plus == 1.0
-
-
 def test_split_halflines_images(gaussian):
     neg, pos = split_halflines(gaussian.model)
     for prof in (neg, pos):
@@ -124,11 +116,6 @@ def test_not_monotone_families():
     skewed = lookup("sinh_arcsinh_skew_normal").group_density(1.5)
     with pytest.raises(NotMonotone):
         analyze_image(skewed, LOCATION)
-
-
-def test_probe_grid_minimum_size():
-    with pytest.raises(ValueError):
-        ProbeConfig(points=10)
 
 
 @pytest.mark.parametrize("name,params,kind", [
