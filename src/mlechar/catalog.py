@@ -71,9 +71,13 @@ class CatalogEntry:
     expected: dict = field(default_factory=dict)          # kind label -> value
     closed_form: dict = field(default_factory=dict)       # kind label -> formula id
     needs_scale_identification: bool = False
-    characterizable_kinds: tuple = ()
     blocked: dict = field(default_factory=dict)           # kind label -> reason
     transform: Optional[GroupTransform] = None
+
+    @property
+    def characterizable_kinds(self) -> tuple:
+        """Kind labels with a recorded MNSS, the ones the results cover."""
+        return tuple(self.expected)
 
     def group_density(self, theta: float) -> DensityModel:
         """Density of the group-family member at parameter ``theta``."""
@@ -135,7 +139,6 @@ def _gaussian(params: dict) -> CatalogEntry:
         analytic_bounds={"location": (math.inf, math.inf), "scale": (math.inf, 1.0)},
         expected={"location": 3, "scale": math.inf},
         closed_form={"location": "gaussian_location", "scale": "gaussian_scale"},
-        characterizable_kinds=("location", "scale"),
     )
 
 
@@ -163,7 +166,6 @@ def _gamma(params: dict) -> CatalogEntry:
         expected={"scale": math.inf},
         closed_form={"scale": "gamma_scale"},
         needs_scale_identification=True,
-        characterizable_kinds=("scale",),
         blocked={"location": "support"},
     )
 
@@ -209,7 +211,6 @@ def _generalized_gaussian(params: dict) -> CatalogEntry:
         analytic_bounds={"location": loc_bounds, "scale": (math.inf, 1.0)},
         expected={"location": math.inf, "scale": math.inf},
         closed_form={"location": "ferguson_location"},
-        characterizable_kinds=("location", "scale"),
     )
 
 
@@ -232,7 +233,6 @@ def _laplace(params: dict) -> CatalogEntry:
         analytic_bounds={"scale": (math.inf, 1.0)},
         expected={"scale": math.inf},
         closed_form={"scale": "laplace_scale"},
-        characterizable_kinds=("scale",),
         blocked={"location": "not_monotone"},
     )
 
@@ -260,7 +260,6 @@ def _weibull(params: dict) -> CatalogEntry:
         expected={"scale": math.inf},
         closed_form={"scale": "weibull_scale"},
         needs_scale_identification=True,
-        characterizable_kinds=("scale",),
         blocked={"location": "support"},
     )
 
@@ -294,7 +293,6 @@ def _gumbel(params: dict) -> CatalogEntry:
         analytic_bounds={"location": (math.inf, 1.0), "scale": (math.inf, 1.0)},
         expected={"location": math.inf, "scale": math.inf},
         closed_form={"location": "gumbel_location"},
-        characterizable_kinds=("location", "scale"),
     )
 
 
@@ -327,7 +325,6 @@ def _student(params: dict) -> CatalogEntry:
         score_formulas={"scale": "psi(x) = 1 - (nu+1) x^2/(nu + x^2)"},
         analytic_bounds={"scale": (nu, 1.0)},
         expected={"scale": expected_scale},
-        characterizable_kinds=("scale",),
         blocked={"location": "not_monotone"},
     )
 
@@ -361,7 +358,6 @@ def _logistic(params: dict) -> CatalogEntry:
         },
         analytic_bounds={"location": (1.0, 1.0), "scale": (math.inf, 1.0)},
         expected={"location": 3, "scale": math.inf},
-        characterizable_kinds=("location", "scale"),
     )
 
 
@@ -389,7 +385,6 @@ def _sinh_arcsinh(params: dict) -> CatalogEntry:
         score_formulas={"group": "score(x) = -x^3 / sqrt(1 + x^2)"},
         analytic_bounds={"group": (math.inf, math.inf)},
         expected={"group": 3},
-        characterizable_kinds=("group",),
         blocked={"location": "not_monotone", "scale": "not_monotone"},
         transform=transform,
     )
@@ -410,7 +405,7 @@ _BUILDERS: dict[str, Callable[[dict], CatalogEntry]] = {
 
 def lookup(name: str, params: Optional[dict] = None) -> CatalogEntry:
     """Fully populated catalog entry for a family name and parameter dict."""
-    builder = _BUILDERS.get(name)
+    builder = _BUILDERS.get(name) if isinstance(name, str) else None
     if builder is None:
         raise UnknownFamily(
             f"unknown family {name!r}; known: {', '.join(sorted(_BUILDERS))}"

@@ -60,7 +60,10 @@ def _fmt(value) -> str:
 def _parse_bound(text: str) -> float:
     if text.strip().lower() in ("inf", "+inf", "infinity"):
         return math.inf
-    return float(text)
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise InvalidConfig(f"bound {text!r} is not a number") from exc
 
 
 def _parse_params(text: str) -> dict:
@@ -89,6 +92,8 @@ def _read_sample(path: str) -> Sample:
         values = [float(line) for line in Path(path).read_text().split()]
     except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot read sample file {path}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise IoFailure(f"sample file {path} holds a value that is not finite")
     return Sample(np.asarray(values))
 
 
@@ -203,7 +208,10 @@ def _parse_h_spec(text: str):
     head, _, body = text.partition(":")
     options = _parse_params(body)
     if head == "odd-power":
-        return OddPower(d=options.get("d", 1.0), p=int(options.get("p", 3)))
+        p = options.get("p", 3.0)
+        if not p.is_integer():
+            raise InvalidConfig(f"odd-power needs an integer p, got {p:g}")
+        return OddPower(d=options.get("d", 1.0), p=int(p))
     if head == "cos-perturbation":
         amp = options.get("amplitude", 0.1)
         return PlusEvenDerivative(
@@ -262,7 +270,6 @@ def _cmd_suite(args) -> int:
         config = SuiteConfig()
     if args.output:
         config = SuiteConfig(**{**config.__dict__, "output_path": args.output})
-    config.validate()
     report = run_suite(config)
     sys.stdout.write(emit_report(report, "text").decode())
     if config.output_path:

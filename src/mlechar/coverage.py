@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidBounds, NotCharacterizable
+from .errors import BudgetExceeded, InvalidBounds, InvalidParams, NotCharacterizable
 from .score import Kind, ScoreProfile
 
 #: relative fuzz applied before the ceiling so floating noise cannot
@@ -100,7 +100,7 @@ def projection_interval(p_minus: float, p_plus: float, n: int) -> tuple[float, f
     pm = _validate_bound(p_minus, "p_minus")
     pp = _validate_bound(p_plus, "p_plus")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParams("n must be >= 1")
     k = float(n - 1)
     lo = -min(pm, k * pp)
     hi = min(pp, k * pm)
@@ -171,7 +171,7 @@ def mnss(profiles: Sequence[ScoreProfile], kind: Kind) -> MnssResult:
     characterization results and raise :class:`NotCharacterizable`.
     """
     if len(profiles) not in (1, 2):
-        raise ValueError("mnss expects one profile or a half-line pair")
+        raise InvalidParams("mnss expects one profile or a half-line pair")
 
     results = []
     for prof in profiles:

@@ -32,6 +32,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DivergentIntegral,
+    InvalidParams,
     InversionFailure,
     NonFiniteLogDensity,
     OutsideSupport,
@@ -76,7 +77,7 @@ class SupportSet:
     def __post_init__(self) -> None:
         lo, hi = float(self.lower), float(self.upper)
         if math.isnan(lo) or math.isnan(hi) or not lo < hi:
-            raise ValueError(f"invalid support bounds ({self.lower}, {self.upper})")
+            raise InvalidParams(f"invalid support bounds ({self.lower}, {self.upper})")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -95,7 +96,7 @@ class SupportSet:
     @classmethod
     def open_interval(cls, a: float, b: float) -> "SupportSet":
         if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("open_interval requires finite endpoints")
+            raise InvalidParams("open_interval requires finite endpoints")
         return cls(a, b)
 
     @property
@@ -160,7 +161,6 @@ class DensityModel:
         return math.exp(lp) if lp > -math.inf else 0.0
 
 
-
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Ordered collection of observations (values are not mutated)."""
@@ -170,7 +170,7 @@ class Sample:
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("a sample holds at least one scalar observation")
+            raise InvalidParams("a sample holds at least one scalar observation")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -222,7 +222,7 @@ def eval_dlogf(model: DensityModel, x: float) -> float:
 def check_dlog_pdf(model: DensityModel, xs, tol: float = 1e-6) -> float:
     """Max |analytic - finite difference| of d/dx log f over probe points."""
     if model.dlog_pdf is None:
-        raise ValueError("model has no analytic dlog_pdf to check")
+        raise InvalidParams("model has no analytic dlog_pdf to check")
     worst = 0.0
     for x in xs:
         step = _fd_step(model.support, x)
@@ -245,10 +245,13 @@ def integrate(fn: Callable[[float], float], lo: float, hi: float,
     """Adaptive quadrature of ``fn`` over ``(lo, hi)``.
 
     Raises :class:`DivergentIntegral` when the integrator reports failure
-    beyond both the absolute tolerance and a relative fallback, or when the
-    value itself is not finite.
+    beyond both the absolute tolerance and a relative fallback, when the
+    value itself is not finite, or when the integrand overflows.
     """
-    out = quad(fn, lo, hi, epsabs=abs_tol, epsrel=1e-10, limit=400, full_output=1)
+    try:
+        out = quad(fn, lo, hi, epsabs=abs_tol, epsrel=1e-10, limit=400, full_output=1)
+    except OverflowError as exc:
+        raise DivergentIntegral(f"integrand overflows over ({lo}, {hi})") from exc
     value, abserr = float(out[0]), float(out[1])
     trouble = len(out) > 3
     if not math.isfinite(value):
@@ -444,9 +447,9 @@ def sample_from(model: DensityModel, n: int, seed: int) -> Sample:
     draw.  Identical ``(model, n, seed)`` triples yield identical samples.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParams("n must be >= 1")
     if not model.normalized:
-        raise ValueError("sample_from requires a normalized model")
+        raise InvalidParams("sample_from requires a normalized model")
     # memoized per model; a concurrent first call may build the grid twice,
     # both results are equivalent and the model stays semantically immutable
     sampler = model._sampler
@@ -484,7 +487,7 @@ class CumulativeIntegral:
     def __init__(self, integrand: Callable[[float], float], anchor: float,
                  lo: float, hi: float):
         if not lo < anchor < hi:
-            raise ValueError("anchor must lie strictly inside (lo, hi)")
+            raise InvalidParams("anchor must lie strictly inside (lo, hi)")
         edges = np.linspace(lo, hi, TABLE_CELLS + 1)
         masses = _cell_integrals(integrand, edges)
         cum = np.concatenate([[0.0], np.cumsum(masses)])
@@ -541,11 +544,13 @@ def tabulated_model(support: SupportSet, grid, log_pdf_values, name: str = "tabu
     xs = np.asarray(grid, dtype=float)
     ys = np.asarray(log_pdf_values, dtype=float)
     if xs.ndim != 1 or xs.size < 4 or xs.shape != ys.shape:
-        raise ValueError("tabulated density needs matching 1-d arrays (>= 4 points)")
+        raise InvalidParams("tabulated density needs matching 1-d arrays (>= 4 points)")
     if not (np.diff(xs) > 0).all():
-        raise ValueError("tabulated grid must be strictly increasing")
+        raise InvalidParams("tabulated grid must be strictly increasing")
+    if not np.isfinite(ys).all():
+        raise InvalidParams("tabulated log-density values must be finite")
     if not (support.contains(float(xs[0])) and support.contains(float(xs[-1]))):
-        raise ValueError("tabulated grid must lie inside the declared support")
+        raise InvalidParams("tabulated grid must lie inside the declared support")
     interp = PchipInterpolator(xs, ys, extrapolate=False)
     deriv = interp.derivative()
     x_min, x_max = float(xs[0]), float(xs[-1])

@@ -35,7 +35,7 @@ from .density import (
     normalize,
     probe_grid,
 )
-from .errors import DegenerateScore, SingletonClass, UnsupportedSupport
+from .errors import DegenerateScore, InvalidParams, SingletonClass, UnsupportedSupport
 from .score import Kind, analyze_image, kind_score, u1_zero_structure
 
 
@@ -50,7 +50,7 @@ class TiltSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.d) and self.d > 0.0):
-            raise ValueError(f"tilt exponent must be a positive real, got {self.d}")
+            raise InvalidParams(f"tilt exponent must be a positive real, got {self.d}")
 
 
 def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
@@ -139,6 +139,8 @@ def same_class(f: DensityModel, g: DensityModel, kind: Kind,
     when the ratio deviates from its median by less than ``tol`` and the
     median is positive.
     """
+    if not tol > 0.0:
+        raise InvalidParams(f"tolerance must be > 0, got {tol}")
     if f.support != g.support:
         raise UnsupportedSupport("class comparison requires a common support")
     xs = _default_grid(f, g)
@@ -209,7 +211,7 @@ def scale_identification(target: DensityModel, candidate: DensityModel,
     if candidate.support != target.support:
         raise UnsupportedSupport("scale identification requires a common support")
     if lam <= 0.0 or lam == 1.0:
-        raise ValueError("lam must be positive and different from 1")
+        raise InvalidParams("lam must be positive and different from 1")
 
     lt, stable_t = _origin_ratio_limit(target, lam)
     lc, stable_c = _origin_ratio_limit(candidate, lam)

@@ -87,8 +87,9 @@ class UnknownFamily(MlecharError):
     """Family name not present in the catalog."""
 
 
-class InvalidParams(MlecharError):
-    """Family parameters violate their domain constraints."""
+class InvalidParams(MlecharError, ValueError):
+    """Arguments violate their domain constraints: family parameters, sample
+    sizes, supports, tabulated grids, tilt exponents, tolerances."""
 
 
 # --- forge layer -------------------------------------------------------------

@@ -31,7 +31,7 @@ from .density import (
     normalize,
     sample_from,
 )
-from .errors import AlreadyCovered, InvalidBounds, NotMonotone
+from .errors import AlreadyCovered, InvalidBounds, InvalidParams, NotMonotone
 from .estimator import mle_location
 from .score import LOCATION, analyze_image
 
@@ -49,9 +49,9 @@ class OddPower:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.d) and self.d > 0.0):
-            raise ValueError(f"OddPower needs d > 0, got {self.d}")
+            raise InvalidParams(f"OddPower needs d > 0, got {self.d}")
         if self.p < 1 or self.p % 2 == 0:
-            raise ValueError(f"OddPower needs odd p >= 1, got {self.p}")
+            raise InvalidParams(f"OddPower needs odd p >= 1, got {self.p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +165,9 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
     report is reproducible and trials are independent.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParams("trials must be >= 1")
+    if not tol > 0.0:
+        raise InvalidParams(f"tolerance must be > 0, got {tol}")
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
     # the solver residual requirement stays subordinate to the agreement
     # tolerance under test: interpolated densities carry evaluation noise
@@ -210,7 +212,7 @@ def subcritical_witness(bounds: tuple[float, float], n: int) -> SubcriticalWitne
     """
     pm, pp = bounds
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParams("n must be >= 1")
     cov = mcss(pm, pp)
     if n >= cov.value:
         raise AlreadyCovered(f"n={n} already reaches MCSS={cov}")

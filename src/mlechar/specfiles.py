@@ -46,7 +46,11 @@ def _parse_support(spec) -> SupportSet:
             raise InvalidConfig(f"unknown support name {spec!r}")
         return named[spec]()
     if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        return SupportSet.open_interval(float(spec[0]), float(spec[1]))
+        try:
+            lower, upper = float(spec[0]), float(spec[1])
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"unparseable support {spec!r}") from exc
+        return SupportSet.open_interval(lower, upper)
     raise InvalidConfig(f"unparseable support {spec!r}")
 
 
@@ -63,19 +67,31 @@ def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"cannot read family spec {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"family spec {path} is not a JSON object")
 
     if "catalog" in doc:
-        entry = lookup(doc["catalog"], doc.get("params", {}))
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidConfig("catalog spec params must be a JSON object")
+        entry = lookup(doc["catalog"], params)
         return entry.model, entry
     if "tabulated" in doc:
         tab = doc["tabulated"]
+        if not isinstance(tab, dict):
+            raise InvalidConfig("tabulated spec is not a JSON object")
         for key in ("support", "grid", "log_pdf"):
             if key not in tab:
                 raise InvalidConfig(f"tabulated spec misses {key!r}")
+        try:
+            grid = np.asarray(tab["grid"], dtype=float)
+            log_pdf = np.asarray(tab["log_pdf"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"tabulated grid and log_pdf must be numbers: {exc}") from exc
         model = tabulated_model(
             _parse_support(tab["support"]),
-            np.asarray(tab["grid"], dtype=float),
-            np.asarray(tab["log_pdf"], dtype=float),
+            grid,
+            log_pdf,
             name=tab.get("name", "tabulated"),
             normalized=bool(tab.get("normalized", False)),
         )

@@ -35,7 +35,7 @@ from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
 from .estimator import closed_form_mle, mle, mle_location
 from .forge import OddPower, forge_odd_h, verify_counterexample
-from .score import LOCATION, SCALE, kind_profiles, kind_score
+from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_zero_structure
 
 SCHEMA_VERSION = "mlechar-report-1"
 
@@ -131,8 +131,10 @@ class SuiteConfig:
         for tol in (self.mle_tol, self.score_tol, self.agreement_tol):
             if not (tol > 0.0):
                 raise InvalidConfig(f"tolerances must be > 0, got {tol}")
-        if any(d <= 0.0 for d in self.tilt_exponents):
-            raise InvalidConfig("tilt exponents must be positive")
+        if not all(math.isfinite(d) and d > 0.0 for d in self.tilt_exponents):
+            raise InvalidConfig("tilt exponents must be positive reals")
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise InvalidConfig(f"output path must be a string, got {self.output_path!r}")
         for name, params, kinds in self.families:
             try:
                 entry = cat.lookup(name, params)
@@ -146,6 +148,19 @@ class SuiteConfig:
                         f"{name}/{kind} is not characterizable; "
                         f"reason: {entry.blocked.get(kind, 'unknown')}"
                     )
+        for name, params, kind_label in self.equivalence:
+            try:
+                entry = cat.lookup(name, params)
+                kind = cat.kind_for(entry, kind_label)
+                kind.check(entry.model.support)
+            except MlecharError as exc:
+                raise InvalidConfig(f"equivalence {name!r}/{kind_label}: {exc}") from exc
+            if (u1_zero_structure(kind, entry.model.support) == "interior"
+                    and any(d != 1.0 for d in self.tilt_exponents)):
+                raise InvalidConfig(
+                    f"equivalence {name!r}/{kind_label}: the class is a singleton, "
+                    "so every tilt exponent must be 1"
+                )
 
     def to_jsonable(self) -> dict:
         return {
@@ -174,6 +189,16 @@ def config_from_json(doc: dict) -> SuiteConfig:
     """Build a SuiteConfig from a parsed JSON document (missing keys default)."""
     if not isinstance(doc, dict):
         raise InvalidConfig("suite config must be a JSON object")
+    try:
+        kwargs = _config_kwargs(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"malformed suite config: {exc!r}") from exc
+    config = SuiteConfig(**kwargs)
+    config.validate()
+    return config
+
+
+def _config_kwargs(doc: dict) -> dict:
     kwargs: dict = {}
     if "families" in doc:
         kwargs["families"] = tuple(
@@ -198,9 +223,7 @@ def config_from_json(doc: dict) -> SuiteConfig:
             kwargs[key] = float(tols[key])
     if "output_path" in doc:
         kwargs["output_path"] = doc["output_path"]
-    config = SuiteConfig(**kwargs)
-    config.validate()
-    return config
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +332,6 @@ def build_profiles(entry, kind_label: str):
     return kind_profiles(entry.model, cat.kind_for(entry, kind_label))
 
 
-def _mnss_match(computed, expected_value) -> bool:
-    if math.isinf(expected_value):
-        return not computed.is_finite
-    return computed.is_finite and int(computed.value) == int(expected_value)
-
-
 # ---------------------------------------------------------------------------
 # sections
 # ---------------------------------------------------------------------------
@@ -328,7 +345,7 @@ def _section_catalog_mnss(config: SuiteConfig) -> list[dict]:
             profiles = build_profiles(entry, kind_label)
             computed = mnss(profiles, cat.kind_for(entry, kind_label))
             expected = entry.expected[kind_label]
-            match = _mnss_match(computed, expected)
+            match = computed.value == expected
             rec = {
                 "family": name,
                 "params": json.dumps(params, sort_keys=True),

@@ -177,3 +177,58 @@ def test_cli_suite_invalid_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"trials": 0}))
     assert main(["suite", "--config", str(cfg_path)]) == 2
+
+
+def _tabulated(support, grid):
+    return json.dumps({"tabulated": {"support": support, "grid": grid,
+                                     "log_pdf": [-0.5 * x * x for x in grid]}})
+
+
+@pytest.mark.parametrize("argv", [
+    "verify-counterexample --f g.json --g g.json --n 2 --trials 0",
+    "verify-counterexample --f g.json --g g.json --n 0",
+    "tilt --family g.json --d -1 --kind loc",
+    "tilt --family g.json --d nan --kind loc",
+    "forge --target g.json --h odd-power:p=2",
+    "forge --target g.json --h odd-power:d=-1",
+    "forge --target g.json --h odd-power:p=3.5",
+    "forge --target g.json --h odd-power:p=inf",
+    "mcss --pminus 1 --pplus 2 --n 0",
+    "mcss --pminus abc --pplus 2",
+    "same-class --f g.json --g g.json --kind loc --tol -1",
+    "verify-counterexample --f g.json --g g.json --n 2 --tol -1",
+    "mle --family g.json --kind loc --data empty.txt",
+    "mle --family g.json --kind loc --data nan.txt",
+    "mle --family decreasing.json --kind loc --data one.txt",
+    "mle --family reversed.json --kind loc --data one.txt",
+    "mle --family two_points.json --kind loc --data one.txt",
+])
+def test_cli_invalid_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps({"catalog": "gaussian"}))
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "one.txt").write_text("1.0\n")
+    (tmp_path / "nan.txt").write_text("1.0\nnan\n")
+    (tmp_path / "decreasing.json").write_text(
+        _tabulated("full_line", [2.0, 1.0, 0.0, -1.0, -2.0]))
+    (tmp_path / "reversed.json").write_text(_tabulated([2, 1], [1.2, 1.4, 1.6, 1.8]))
+    (tmp_path / "two_points.json").write_text(_tabulated("full_line", [0.0, 1.0]))
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("doc", [
+    5,
+    {"catalog": ["gaussian"]},
+    {"catalog": "gamma", "params": "alpha=2"},
+    {"tabulated": {"support": ["a", 1], "grid": [0, 1, 2, 3], "log_pdf": [0, 0, 0, 0]}},
+    {"tabulated": {"support": "full_line", "grid": ["a", 1, 2, 3], "log_pdf": [0, 0, 0, 0]}},
+    {"tabulated": {"support": "full_line", "grid": [0, 1, 2, 3],
+                   "log_pdf": [0, float("nan"), 0, 0]}},
+])
+def test_cli_malformed_spec_exit_2(tmp_path, capsys, doc):
+    spec, data = tmp_path / "spec.json", tmp_path / "data.txt"
+    spec.write_text(json.dumps(doc))
+    data.write_text("1.0\n")
+    assert main(["mle", "--family", str(spec), "--kind", "loc", "--data", str(data)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")

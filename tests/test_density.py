@@ -136,6 +136,14 @@ def test_normalize_divergent():
         normalize(improper)
 
 
+def test_normalize_overflowing_density():
+    # a tabulated log-density with a rising end slope grows past exp's range
+    rising = tabulated_model(SupportSet.full_line(), [0.0, 1.0, 2.0, 3.0],
+                             [0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(DivergentIntegral):
+        normalize(rising)
+
+
 def test_sampling_gaussian_mean(gaussian):
     s = sample_from(gaussian.model, 100_000, seed=42)
     assert s.n == 100_000

@@ -36,6 +36,19 @@ def test_config_validation():
         SuiteConfig(families=(("nonesuch", {}, ("location",)),)).validate()
     with pytest.raises(InvalidConfig):
         SuiteConfig(families=(("gaussian", {}, ("group",)),)).validate()
+    with pytest.raises(InvalidConfig):
+        config_from_json({"families": [{"params": {}}]})
+    with pytest.raises(InvalidConfig):
+        config_from_json({"trials": "abc"})
+    with pytest.raises(InvalidConfig):
+        SuiteConfig(equivalence=(("gamma", {"alpha": 2.0}, "location"),)).validate()
+    with pytest.raises(InvalidConfig):
+        SuiteConfig(equivalence=(("gaussian", {}, "scale"),),
+                    tilt_exponents=(2.0,)).validate()
+    with pytest.raises(InvalidConfig):
+        SuiteConfig(tilt_exponents=(float("nan"),)).validate()
+    with pytest.raises(InvalidConfig):
+        config_from_json({"output_path": 7})
     SuiteConfig().validate()
 
 
