@@ -25,6 +25,9 @@ sinh_arcsinh_skew_normal      (non-invertible)           (non-invertible)
 Student scale MNSS: ceil(1 + 1/nu) for nu < 1, 3 at nu = 1, ceil(1 + nu)
 for nu > 1.  The sinh-arcsinh family is characterizable in its skewness
 parameter (group kind) with MNSS 3.
+
+Every formula is a numpy expression that takes a float or an ndarray, and
+overflows to an infinity without a warning.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from .coverage import MnssResult
 from .density import DensityModel, SupportSet
@@ -53,9 +58,21 @@ FAMILY_NAMES = (
 )
 
 
-def _exp(u: float) -> float:
+def _exp(u):
     """exp with graceful overflow to +inf."""
-    return math.exp(u) if u < 709.0 else math.inf
+    with np.errstate(over="ignore"):
+        return np.exp(u)
+
+
+def _pow(x, k: float):
+    """x**k with graceful overflow to +inf."""
+    with np.errstate(over="ignore"):
+        return np.power(x, k)
+
+
+def _sqrt1p2(x):
+    """sqrt(1 + x^2) without overflow in x^2."""
+    return np.hypot(1.0, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +103,8 @@ class CatalogEntry:
         tr = self.transform
         base = self.model
 
-        def log_pdf(x: float) -> float:
-            return math.log(tr.dh_dx(theta, x)) + base.log_pdf(tr.h(theta, x))
+        def log_pdf(x):
+            return np.log(tr.dh_dx(theta, x)) + base.log_pdf(tr.h(theta, x))
 
         return DensityModel(
             name=f"{self.name}(theta={theta:g})",
@@ -151,7 +168,7 @@ def _gamma(params: dict) -> CatalogEntry:
     model = DensityModel(
         name=f"gamma(alpha={alpha:g})",
         support=SupportSet.positive_half_line(),
-        log_pdf=lambda x: (alpha - 1.0) * math.log(x) - x - lgam,
+        log_pdf=lambda x: (alpha - 1.0) * np.log(x) - x - lgam,
         dlog_pdf=lambda x: (alpha - 1.0) / x - 1.0,
         params={"alpha": alpha},
         normalized=True,
@@ -177,15 +194,11 @@ def _generalized_gaussian(params: dict) -> CatalogEntry:
         raise InvalidParams("generalized gaussian needs alpha > 0 and gamma != 0")
     const = math.log(abs(gam)) + alpha * math.log(alpha) - math.lgamma(alpha)
 
-    def log_pdf(x: float) -> float:
-        e = _exp(gam * x)
-        if math.isinf(e):
-            return -math.inf
-        return const + alpha * gam * x - alpha * e
+    def log_pdf(x):
+        return const + alpha * gam * x - alpha * _exp(gam * x)
 
-    def dlog(x: float) -> float:
-        e = _exp(gam * x)
-        return alpha * gam * (1.0 - e)
+    def dlog(x):
+        return alpha * gam * (1.0 - _exp(gam * x))
 
     model = DensityModel(
         name=f"generalized_gaussian(alpha={alpha:g},gamma={gam:g})",
@@ -219,15 +232,15 @@ def _laplace(params: dict) -> CatalogEntry:
     model = DensityModel(
         name="laplace",
         support=SupportSet.full_line(),
-        log_pdf=lambda x: -abs(x) - math.log(2.0),
-        dlog_pdf=lambda x: -math.copysign(1.0, x) if x != 0.0 else 0.0,
+        log_pdf=lambda x: -np.abs(x) - math.log(2.0),
+        dlog_pdf=lambda x: -np.sign(x),
         normalized=True,
     )
     return CatalogEntry(
         name="laplace",
         params={},
         model=model,
-        analytic_scores={"scale": lambda x: 1.0 - abs(x)},
+        analytic_scores={"scale": lambda x: 1.0 - np.abs(x)},
         score_formulas={"scale": "psi(x) = 1 - |x|",
                         "location": "phi(x) = sign(x) (piecewise constant)"},
         analytic_bounds={"scale": (math.inf, 1.0)},
@@ -245,8 +258,8 @@ def _weibull(params: dict) -> CatalogEntry:
     model = DensityModel(
         name=f"weibull(k={k:g})",
         support=SupportSet.positive_half_line(),
-        log_pdf=lambda x: math.log(k) + (k - 1.0) * math.log(x) - x ** k,
-        dlog_pdf=lambda x: (k - 1.0) / x - k * x ** (k - 1.0),
+        log_pdf=lambda x: math.log(k) + (k - 1.0) * np.log(x) - _pow(x, k),
+        dlog_pdf=lambda x: (k - 1.0) / x - k * _pow(x, k - 1.0),
         params={"k": k},
         normalized=True,
     )
@@ -254,7 +267,7 @@ def _weibull(params: dict) -> CatalogEntry:
         name="weibull",
         params={"k": k},
         model=model,
-        analytic_scores={"scale": lambda x: k * (1.0 - x ** k)},
+        analytic_scores={"scale": lambda x: k * (1.0 - _pow(x, k))},
         score_formulas={"scale": f"psi(x) = {k:g}*(1 - x^{k:g})"},
         analytic_bounds={"scale": (math.inf, k)},
         expected={"scale": math.inf},
@@ -267,9 +280,8 @@ def _weibull(params: dict) -> CatalogEntry:
 def _gumbel(params: dict) -> CatalogEntry:
     _check_params(params, {})
 
-    def log_pdf(x: float) -> float:
-        e = _exp(-x)
-        return -x - e if math.isfinite(e) else -math.inf
+    def log_pdf(x):
+        return -x - _exp(-x)
 
     model = DensityModel(
         name="gumbel",
@@ -306,7 +318,7 @@ def _student(params: dict) -> CatalogEntry:
     model = DensityModel(
         name=f"student(nu={nu:g})",
         support=SupportSet.full_line(),
-        log_pdf=lambda x: const - 0.5 * (nu + 1.0) * math.log1p(x * x / nu),
+        log_pdf=lambda x: const - 0.5 * (nu + 1.0) * np.log1p(x * x / nu),
         dlog_pdf=lambda x: -(nu + 1.0) * x / (nu + x * x),
         params={"nu": nu},
         normalized=True,
@@ -332,16 +344,15 @@ def _student(params: dict) -> CatalogEntry:
 def _logistic(params: dict) -> CatalogEntry:
     _check_params(params, {})
 
-    def log_pdf(x: float) -> float:
-        if x >= 0.0:
-            return -x - 2.0 * math.log1p(math.exp(-x))
-        return x - 2.0 * math.log1p(math.exp(x))
+    def log_pdf(x):
+        a = np.abs(x)
+        return -a - 2.0 * np.log1p(np.exp(-a))
 
     model = DensityModel(
         name="logistic",
         support=SupportSet.full_line(),
         log_pdf=log_pdf,
-        dlog_pdf=lambda x: -math.tanh(0.5 * x),
+        dlog_pdf=lambda x: -np.tanh(0.5 * x),
         normalized=True,
     )
     return CatalogEntry(
@@ -349,8 +360,8 @@ def _logistic(params: dict) -> CatalogEntry:
         params={},
         model=model,
         analytic_scores={
-            "location": lambda x: math.tanh(0.5 * x),
-            "scale": lambda x: 1.0 - x * math.tanh(0.5 * x),
+            "location": lambda x: np.tanh(0.5 * x),
+            "scale": lambda x: 1.0 - x * np.tanh(0.5 * x),
         },
         score_formulas={
             "location": "phi(x) = tanh(x/2)",
@@ -371,17 +382,17 @@ def _sinh_arcsinh(params: dict) -> CatalogEntry:
         normalized=True,
     )
     transform = GroupTransform(
-        u1=lambda x: math.sqrt(1.0 + x * x),
-        u2=lambda x: x / math.sqrt(1.0 + x * x),
-        h=lambda theta, x: math.sinh(math.asinh(x) + theta),
-        dh_dx=lambda theta, x: math.cosh(math.asinh(x) + theta) / math.sqrt(1.0 + x * x),
+        u1=_sqrt1p2,
+        u2=lambda x: x / _sqrt1p2(x),
+        h=lambda theta, x: np.sinh(np.arcsinh(x) + theta),
+        dh_dx=lambda theta, x: np.cosh(np.arcsinh(x) + theta) / _sqrt1p2(x),
         theta_window=(-16.0, 16.0),
     )
     return CatalogEntry(
         name="sinh_arcsinh_skew_normal",
         params={},
         model=base,
-        analytic_scores={"group": lambda x: -x ** 3 / math.sqrt(1.0 + x * x)},
+        analytic_scores={"group": lambda x: -x ** 3 / _sqrt1p2(x)},
         score_formulas={"group": "score(x) = -x^3 / sqrt(1 + x^2)"},
         analytic_bounds={"group": (math.inf, math.inf)},
         expected={"group": 3},

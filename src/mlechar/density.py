@@ -1,10 +1,11 @@
 """Densities on declared open supports.
 
-A :class:`DensityModel` couples a scalar log-density with an open support and
+A :class:`DensityModel` couples a log-density with an open support and
 (optionally) an analytic derivative of the log-density.  Everything downstream
 (scores, tilts, estimators, forged counterexamples) consumes densities through
 this interface, so the module also provides the shared numeric machinery:
 
+- one way to call any callable on arrays (``call_elementwise``),
 - central finite differences with a boundary-aware step (``eval_dlogf``),
 - adaptive quadrature over possibly infinite supports (``normalize``),
 - one discretization of a support: probe points per support shape
@@ -18,6 +19,15 @@ this interface, so the module also provides the shared numeric machinery:
 Supports are open sets; endpoints are never evaluated.  Infinite ranges are
 mapped through ``x = t / (1 - t**2)`` when a finite parameterization is
 needed (effective-range scans, sampling grids, tabulated files).
+
+Array contract: log-densities, their derivatives, score factors, actions and
+antiderivatives take a float or an ndarray and work elementwise.  Grids,
+sampler cells and whole samples are evaluated in one call each.  Callables
+written for Python floats only (``math.*``) still work: ``call_elementwise``
+calls them once per element when they reject an array.  A model's guarded
+log-density passes a scalar straight to the wrapped function, so the
+integrand of adaptive quadrature (``normalize``, ``numeric_cdf``) stays a
+scalar call.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from .errors import (
     OutsideSupport,
 )
 
-LogPdf = Callable[[float], float]
+LogPdf = Callable[[Any], Any]
 
 #: relative finite-difference step for d/dx log f
 FD_STEP_SCALE = 1e-6
@@ -51,6 +61,28 @@ EFFECTIVE_DROP = 60.0
 
 #: Gauss-Legendre cells of the sampler's CDF and of cumulative integrals
 TABLE_CELLS = 2048
+
+
+def call_elementwise(fn: Callable, *args) -> np.ndarray:
+    """``fn(*args)`` as a float array of the arguments' broadcast shape.
+
+    ``fn`` is called once, on the arrays.  A callable that rejects arrays is
+    called once per element, with Python floats, instead: numpy raises
+    ``TypeError`` when such a callable converts an array to a scalar and
+    ``ValueError`` when it asks for an array's truth value.  Errors of any
+    other type propagate.
+    """
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    shape = arrays[0].shape if len(arrays) == 1 else np.broadcast_shapes(
+        *(a.shape for a in arrays))
+    try:
+        out = np.asarray(fn(*arrays), dtype=float)
+    except (TypeError, ValueError):
+        columns = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
+        return np.array([fn(*point) for point in zip(*columns)],
+                        dtype=float).reshape(shape)
+    # constant callables return a scalar
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +159,8 @@ class DensityModel:
     """A density on a declared support, accessed through its log-density.
 
     ``log_pdf`` is wrapped so that it returns ``-inf`` outside the support
-    (the unwrapped function is kept for :func:`normalize`).
+    (the unwrapped function is kept for :func:`normalize`); on an array it
+    evaluates the unwrapped function once, on the interior points.
     ``dlog_pdf``, when present, is the analytic ``d/dx log f`` and must match
     central finite differences of ``log_pdf`` on the interior (this is
     checked by the test-suite for every catalog family, and can be checked
@@ -137,7 +170,7 @@ class DensityModel:
     name: str
     support: SupportSet
     log_pdf: LogPdf
-    dlog_pdf: Optional[Callable[[float], float]] = None
+    dlog_pdf: Optional[LogPdf] = None
     params: dict = field(default_factory=dict)
     normalized: bool = False
     _sampler: Any = field(default=None, init=False, repr=False, compare=False)
@@ -146,17 +179,23 @@ class DensityModel:
 
     def __post_init__(self) -> None:
         raw = self.log_pdf
-        support = self.support
+        lower, upper = self.support.lower, self.support.upper
 
-        def guarded(x: float) -> float:
-            if not support.contains(x):
-                return -math.inf
-            return raw(x)
+        def guarded(x):
+            if not isinstance(x, np.ndarray):
+                return raw(x) if lower < x < upper else -math.inf
+            inside = (x > lower) & (x < upper)
+            if inside.all():
+                return call_elementwise(raw, x)
+            out = np.full(x.shape, -math.inf)
+            out[inside] = call_elementwise(raw, x[inside])
+            return out
 
         object.__setattr__(self, "_raw_log_pdf", raw)
         object.__setattr__(self, "log_pdf", guarded)
 
     def pdf(self, x: float) -> float:
+        """Density at a scalar point (the quadrature integrand)."""
         lp = self.log_pdf(x)
         return math.exp(lp) if lp > -math.inf else 0.0
 
@@ -190,45 +229,54 @@ class Sample:
 # ---------------------------------------------------------------------------
 
 
-def _fd_step(support: SupportSet, x: float) -> float:
+def _fd_step(support: SupportSet, x: np.ndarray) -> np.ndarray:
     """``FD_STEP_SCALE * max(1, |x|)``, shrunk so ``x +- step`` stay inside."""
-    step = FD_STEP_SCALE * max(1.0, abs(x))
-    gap = min(x - support.lower, support.upper - x)
-    if math.isfinite(gap):
-        step = min(step, 0.5 * gap)
-    return step
+    step = FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
+    gap = np.minimum(x - support.lower, support.upper - x)
+    return np.where(np.isfinite(gap), np.minimum(step, 0.5 * gap), step)
 
 
-def eval_dlogf(model: DensityModel, x: float) -> float:
-    """Evaluate ``d/dx log f`` at an interior point.
+def _interior(support: SupportSet, x: np.ndarray) -> np.ndarray:
+    return (x > support.lower) & (x < support.upper)
+
+
+def eval_dlogf(model: DensityModel, x):
+    """Evaluate ``d/dx log f`` at interior points (a float or an ndarray).
 
     Uses the analytic derivative when the model carries one, otherwise a
     central finite difference with step ``FD_STEP_SCALE * max(1, |x|)``
     shrunk so both probe points stay inside the support.
     """
-    if not model.support.contains(x):
-        raise OutsideSupport(f"x={x} is not interior to {model.support}")
+    xs = np.asarray(x, dtype=float)
+    support = model.support
+    outside = ~_interior(support, xs)
+    if outside.any():
+        raise OutsideSupport(f"x={xs[outside][0]} is not interior to {support}")
     if model.dlog_pdf is not None:
-        return float(model.dlog_pdf(x))
-    step = _fd_step(model.support, x)
-    if not (model.support.contains(x - step) and model.support.contains(x + step)):
-        raise OutsideSupport(f"x +- {step} leaves the support around x={x}")
-    hi, lo = model.log_pdf(x + step), model.log_pdf(x - step)
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise NonFiniteLogDensity(f"log-density not finite near x={x}")
-    return (hi - lo) / (2.0 * step)
+        out = call_elementwise(model.dlog_pdf, xs)
+    else:
+        step = _fd_step(support, xs)
+        leaves = ~(_interior(support, xs - step) & _interior(support, xs + step))
+        if leaves.any():
+            raise OutsideSupport(f"x +- {step[leaves][0]} leaves the support "
+                                 f"around x={xs[leaves][0]}")
+        hi, lo = model.log_pdf(xs + step), model.log_pdf(xs - step)
+        bad = ~(np.isfinite(hi) & np.isfinite(lo))
+        if bad.any():
+            raise NonFiniteLogDensity(f"log-density not finite near x={xs[bad][0]}")
+        out = (hi - lo) / (2.0 * step)
+    return out if xs.ndim else float(out)
 
 
 def check_dlog_pdf(model: DensityModel, xs, tol: float = 1e-6) -> float:
     """Max |analytic - finite difference| of d/dx log f over probe points."""
     if model.dlog_pdf is None:
         raise InvalidParams("model has no analytic dlog_pdf to check")
-    worst = 0.0
-    for x in xs:
-        step = _fd_step(model.support, x)
-        fd = (model.log_pdf(x + step) - model.log_pdf(x - step)) / (2.0 * step)
-        worst = max(worst, abs(fd - float(model.dlog_pdf(x))))
-    if worst >= tol:
+    xs = np.asarray(xs, dtype=float)
+    step = _fd_step(model.support, xs)
+    fd = (model.log_pdf(xs + step) - model.log_pdf(xs - step)) / (2.0 * step)
+    worst = float(np.max(np.abs(fd - call_elementwise(model.dlog_pdf, xs))))
+    if not worst < tol:
         raise NonFiniteLogDensity(
             f"analytic dlog_pdf deviates from finite differences by {worst:.3e}"
         )
@@ -363,7 +411,7 @@ def effective_interval(model: DensityModel,
     """
     support = model.support
     _, xs = compact_grid(support, support.lower, support.upper, 4097, inset=1e-7)
-    vals = np.array([model.log_pdf(float(x)) for x in xs])
+    vals = model.log_pdf(xs)
     finite = np.isfinite(vals)
     if not finite.any():
         raise NonFiniteLogDensity("log-density is -inf on the whole scan grid")
@@ -376,12 +424,12 @@ def effective_interval(model: DensityModel,
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _cell_integrals(integrand: Callable[[float], float], edges: np.ndarray) -> np.ndarray:
+def _cell_integrals(integrand: Callable, edges: np.ndarray) -> np.ndarray:
     """Per-cell integrals of ``integrand`` with fixed-order Gauss-Legendre."""
     mids = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = mids[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.array([integrand(float(x)) for x in nodes.ravel()]).reshape(nodes.shape)
+    vals = call_elementwise(integrand, nodes)
     return (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
 
 
@@ -397,16 +445,9 @@ class _InverseCdfSampler:
         mapped = _mapped(model.support)
         edges, _ = compact_grid(model.support, *effective_interval(model), TABLE_CELLS + 1)
 
-        if mapped:
-            def log_mass(t: float) -> float:
-                lp = model.log_pdf(float(_from_t(np.asarray(t))))
-                return lp + math.log(float(_dx_dt(np.asarray(t))))
-        else:
-            log_mass = model.log_pdf
-
-        def mass(t: float) -> float:
-            lp = log_mass(t)
-            return math.exp(lp) if lp > -745.0 else 0.0
+        def mass(t: np.ndarray) -> np.ndarray:
+            lp = model.log_pdf(_from_t(t)) + np.log(_dx_dt(t)) if mapped else model.log_pdf(t)
+            return np.where(lp > -745.0, np.exp(lp), 0.0)
 
         masses = _cell_integrals(mass, edges)
         cdf = np.concatenate([[0.0], np.cumsum(masses)])
@@ -421,16 +462,27 @@ class _InverseCdfSampler:
         self._mapped = mapped
         self._interp = PchipInterpolator(edges, cdf, extrapolate=False)
 
-    def draw(self, n: int, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        u = rng.random(n)
-        idx = np.searchsorted(self._cdf, u, side="right") - 1
-        idx = np.clip(idx, 0, len(self._edges) - 2)
-        lo = self._edges[idx]
-        hi = self._edges[idx + 1]
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """Quantiles of the uniforms ``u`` (any shape), elementwise.
+
+        Bisects the interpolated CDF inside the cell that holds each
+        quantile.  The cell's cubic piece is evaluated as ``PPoly`` evaluates
+        it, in the powers of the offset from the cell's left edge; a point
+        on the right edge of a cell that is not the last one takes the next
+        cell's value there.
+        """
+        edges, coef = self._edges, self._interp.c
+        last = edges.size - 2
+        idx = np.clip(np.searchsorted(self._cdf, u, side="right") - 1, 0, last)
+        lo, hi = edges[idx], edges[idx + 1]
+        left, right = lo, hi
+        c0, c1, c2, c3 = coef[:, idx]
+        at_right = coef[3, np.minimum(idx + 1, last)]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            below = self._interp(mid) < u
+            s = mid - left
+            cdf = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+            below = np.where((mid == right) & (idx < last), at_right, cdf) < u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         t = 0.5 * (lo + hi)
@@ -439,13 +491,7 @@ class _InverseCdfSampler:
         return np.asarray(_from_t(t)) if self._mapped else t
 
 
-def sample_from(model: DensityModel, n: int, seed: int) -> Sample:
-    """Draw ``n`` i.i.d. observations from a normalized model.
-
-    The CDF is built once per model by cumulative quadrature on a
-    compactified grid and cached; inversion runs a bracketed bisection per
-    draw.  Identical ``(model, n, seed)`` triples yield identical samples.
-    """
+def _sampler_of(model: DensityModel, n: int) -> _InverseCdfSampler:
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if not model.normalized:
@@ -456,7 +502,28 @@ def sample_from(model: DensityModel, n: int, seed: int) -> Sample:
     if sampler is None:
         sampler = _InverseCdfSampler(model)
         object.__setattr__(model, "_sampler", sampler)
-    return Sample(sampler.draw(n, seed))
+    return sampler
+
+
+def sample_from(model: DensityModel, n: int, seed: int) -> Sample:
+    """Draw ``n`` i.i.d. observations from a normalized model.
+
+    The CDF is built once per model by cumulative quadrature on a
+    compactified grid and cached; inversion runs a bracketed bisection per
+    draw.  Identical ``(model, n, seed)`` triples yield identical samples.
+    """
+    sampler = _sampler_of(model, n)
+    return Sample(sampler.invert(np.random.default_rng(seed).random(n)))
+
+
+def sample_rows(model: DensityModel, n: int, seeds) -> np.ndarray:
+    """One size-``n`` sample per seed, as the rows of an array.
+
+    Row i equals ``sample_from(model, n, seeds[i]).values``: the seeded
+    uniforms of all rows are inverted in one call.
+    """
+    sampler = _sampler_of(model, n)
+    return sampler.invert(np.array([np.random.default_rng(int(s)).random(n) for s in seeds]))
 
 
 def numeric_cdf(model: DensityModel, x: float) -> float:
@@ -475,7 +542,7 @@ def numeric_cdf(model: DensityModel, x: float) -> float:
 
 
 class CumulativeIntegral:
-    """Antiderivative of a scalar integrand, anchored at a point.
+    """Antiderivative of an integrand, anchored at a point.
 
     The antiderivative is tabulated once on ``TABLE_CELLS`` Gauss-Legendre cells
     across ``(lo, hi)`` and interpolated with monotone cubic pieces; beyond
@@ -484,7 +551,7 @@ class CumulativeIntegral:
     ``lo`` and ``hi`` are the ends of the tabulated range.
     """
 
-    def __init__(self, integrand: Callable[[float], float], anchor: float,
+    def __init__(self, integrand: Callable, anchor: float,
                  lo: float, hi: float):
         if not lo < anchor < hi:
             raise InvalidParams("anchor must lie strictly inside (lo, hi)")
@@ -500,17 +567,21 @@ class CumulativeIntegral:
         self._slope_hi = float(integrand(hi))
         self._offset = float(self._interp(anchor))
 
-    def __call__(self, x: float) -> float:
-        if x < self.lo:
-            base = self._cum_lo + self._slope_lo * (x - self.lo)
-        elif x > self.hi:
-            base = self._cum_hi + self._slope_hi * (x - self.hi)
-        else:
-            base = float(self._interp(x))
+    def __call__(self, x):
+        if not isinstance(x, np.ndarray):
+            # one point, such as a quadrature node, skips the array bookkeeping
+            if x < self.lo:
+                return self._cum_lo + self._slope_lo * (x - self.lo) - self._offset
+            if x > self.hi:
+                return self._cum_hi + self._slope_hi * (x - self.hi) - self._offset
+            return float(self._interp(x)) - self._offset
+        base = np.where(x < self.lo, self._cum_lo + self._slope_lo * (x - self.lo),
+                        np.where(x > self.hi, self._cum_hi + self._slope_hi * (x - self.hi),
+                                 self._interp(np.clip(x, self.lo, self.hi))))
         return base - self._offset
 
 
-def anchored_antiderivative(model: DensityModel, profile, integrand: Callable[[float], float],
+def anchored_antiderivative(model: DensityModel, profile, integrand: Callable,
                             drop: float) -> CumulativeIntegral:
     """Antiderivative of ``integrand`` that vanishes at the zero of a score.
 
@@ -557,12 +628,11 @@ def tabulated_model(support: SupportSet, grid, log_pdf_values, name: str = "tabu
     y_min, y_max = float(ys[0]), float(ys[-1])
     slope_min, slope_max = float(deriv(x_min)), float(deriv(x_max))
 
-    def log_pdf(x: float) -> float:
-        if x < x_min:
-            return y_min + slope_min * (x - x_min)
-        if x > x_max:
-            return y_max + slope_max * (x - x_max)
-        return float(interp(x))
+    def log_pdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < x_min, y_min + slope_min * (x - x_min),
+                        np.where(x > x_max, y_max + slope_max * (x - x_max),
+                                 interp(np.clip(x, x_min, x_max))))
 
     return DensityModel(name=name, support=support, log_pdf=log_pdf,
                         normalized=normalized)

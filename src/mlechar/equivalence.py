@@ -31,6 +31,7 @@ from .density import (
     POSITIVE_HALF_LINE,
     DensityModel,
     anchored_antiderivative,
+    call_elementwise,
     effective_interval,
     normalize,
     probe_grid,
@@ -77,11 +78,12 @@ def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
             antider = anchored_antiderivative(model, analyze_image(model, kind),
                                               lambda y: u2(y) / u1(y), max(80.0, 80.0 / d))
 
-        def log_pdf(x: float) -> float:
+        def log_pdf(x):
             return (d - 1.0) * antider(x) + d * base_log(x)
 
         dlog = (
-            (lambda x: (d - 1.0) * u2(x) / u1(x) + d * base_dlog(x))
+            (lambda x: (d - 1.0) * call_elementwise(u2, x) / call_elementwise(u1, x)
+             + d * call_elementwise(base_dlog, x))
             if base_dlog
             else None
         )
@@ -144,18 +146,11 @@ def same_class(f: DensityModel, g: DensityModel, kind: Kind,
     if f.support != g.support:
         raise UnsupportedSupport("class comparison requires a common support")
     xs = _default_grid(f, g)
-    ratios = []
-    any_usable = False
-    for x in xs:
-        sf = kind_score(f, kind, float(x))
-        if abs(sf) <= tol:
-            continue
-        any_usable = True
-        sg = kind_score(g, kind, float(x))
-        ratios.append(sg / sf)
-    if not any_usable:
+    sf = kind_score(f, kind, xs)
+    usable = np.abs(sf) > tol
+    if not usable.any():
         raise DegenerateScore("reference score vanishes on the whole grid")
-    ratios = np.asarray(ratios)
+    ratios = kind_score(g, kind, xs[usable]) / sf[usable]
     d = float(np.median(ratios))
     if d > 0.0 and float(np.max(np.abs(ratios - d))) < tol:
         return d

@@ -11,11 +11,14 @@ action ``h``:
 - group:    ``sum_i [u2 + u1 f'/f](H_theta(x_i))``.
 
 Monotone scores that cross zero make each sum strictly monotone in theta
-with a unique root.  One solver serves every kind: it seeds a bracket from
-the sample, doubles its half-width (clipped to the kind's window) until the
-sum changes sign, and refines it with Brent's bisection/secant iteration.
-Catalog families with closed-form estimators get a direct fast path via
-:func:`closed_form_mle`.
+with a unique root.  One solver serves every kind and every batch:
+:func:`mle_block` solves an ``(m, n)`` block of m equal-size samples, one
+lane per row.  Each lane seeds a bracket from its sample, doubles its
+half-width (clipped to the kind's window) until the sum changes sign, and
+refines it with Brent's bisection/secant iteration (``score.brent_lanes``).
+A lane's result does not depend on the other rows of its block, so
+:func:`mle` is a block of one.  Catalog families with closed-form
+estimators get a direct fast path via :func:`closed_form_mle`.
 """
 
 from __future__ import annotations
@@ -25,11 +28,17 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .density import DensityModel, Sample
-from .errors import BracketFailure, NoClosedForm, NotCharacterizable
-from .score import LOCATION, SCALE, GroupTransform, Kind, score_sum
+from .errors import (
+    AllZeroSample,
+    BracketFailure,
+    InvalidParams,
+    NoClosedForm,
+    NotCharacterizable,
+    OutsideSupport,
+)
+from .score import LOCATION, SCALE, GroupTransform, Kind, brent_lanes, score_sum
 
 DEFAULT_TOL = 1e-10      # score-sum residual tolerance
 MAX_DOUBLINGS = 60
@@ -72,47 +81,78 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     window, until the score sum changes sign.  The root must bring the sum
     below ``tol`` in absolute value.
     """
+    return mle_block(model, kind, sample.values[None, :], tol)[0]
+
+
+def mle_block(model: DensityModel, kind: Kind, block,
+              tol: float = DEFAULT_TOL) -> list[MleResult]:
+    """MLEs of the m samples in the rows of an ``(m, n)`` block, as :func:`mle`.
+
+    Result i equals ``mle(model, kind, Sample(block[i]), tol)`` bit for bit.
+    Raises as soon as one row fails.
+    """
     if kind.h is None:
         raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
     kind.check(model.support)
-    sample.require_inside(model)
+    values = np.asarray(block, dtype=float)
+    if values.ndim != 2 or values.size < 1:
+        raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
+    support = model.support
+    if not ((values > support.lower) & (values < support.upper)).all():
+        raise OutsideSupport(f"sample contains values outside support {support}")
+    m = values.shape[0]
     w_lo, w_hi = kind.theta_window
     if kind.seed is None:
-        center, half = 0.0, min(0.5, (w_hi - w_lo) / 4.0)
+        center, half = np.zeros(m), np.full(m, min(0.5, (w_hi - w_lo) / 4.0))
     else:
-        center, half = kind.seed(sample.values)
-    center = min(max(center, w_lo), w_hi)
+        center, half = (np.array(v, dtype=float) for v in kind.seed(values))
+    center = np.minimum(np.maximum(center, w_lo), w_hi)
     to_theta = kind.to_theta
 
-    def s(t: float) -> float:
-        return score_sum(model, kind, sample, to_theta(t))
+    def s(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return score_sum(model, kind, values[lanes], to_theta(t))
 
+    lo, hi, s_lo, s_hi = (np.empty(m) for _ in range(4))
     doublings = 0
-    while True:
-        lo, hi = max(w_lo, center - half), min(w_hi, center + half)
-        s_lo, s_hi = s(lo), s(hi)
-        if s_lo == 0.0 or s_hi == 0.0 or (s_lo > 0.0) != (s_hi > 0.0):
-            break
-        if doublings == MAX_DOUBLINGS or (lo, hi) == (w_lo, w_hi):
+    pending = np.arange(m)
+    while pending.size:
+        lo_p = np.maximum(w_lo, center[pending] - half[pending])
+        hi_p = np.minimum(w_hi, center[pending] + half[pending])
+        slo_p, shi_p = s(lo_p, pending), s(hi_p, pending)
+        found = (slo_p == 0.0) | (shi_p == 0.0) | ((slo_p > 0.0) != (shi_p > 0.0))
+        for dest, src in ((lo, lo_p), (hi, hi_p), (s_lo, slo_p), (s_hi, shi_p)):
+            dest[pending[found]] = src[found]
+        stuck = ~found & ((doublings == MAX_DOUBLINGS) | ((lo_p == w_lo) & (hi_p == w_hi)))
+        if stuck.any():
+            i = int(np.flatnonzero(stuck)[0])
             raise BracketFailure(
                 f"no sign change within {doublings} doublings (last bracket "
-                f"[{lo:.6g}, {hi:.6g}] with sums [{s_lo:.3g}, {s_hi:.3g}])"
+                f"[{lo_p[i]:.6g}, {hi_p[i]:.6g}] with sums [{slo_p[i]:.3g}, {shi_p[i]:.3g}])"
             )
+        pending = pending[~found]
+        half[pending] *= 2.0
         doublings += 1
-        half *= 2.0
 
     # refine far below a 1e-12 interval so the residual contract holds even
     # for interpolated (slightly jittery) scores
-    root, info = brentq(s, lo, hi, xtol=1e-15, rtol=8.9e-16,
-                        maxiter=300, full_output=True)
-    residual = s(float(root))
-    if abs(residual) >= tol:
+    roots, iterations, converged = brent_lanes(s, lo, hi, s_lo, s_hi, xtol=1e-15,
+                                               rtol=8.9e-16, maxiter=300)
+    if not converged.all():
+        raise BracketFailure(f"Brent iteration did not converge within 300 steps "
+                             f"(theta={float(roots[~converged][0])!r})")
+    residuals = s(roots, np.arange(m))
+    bad = ~(np.abs(residuals) < tol)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise BracketFailure(
-            f"residual {residual:.3e} at theta={root!r} exceeds tol={tol:g}"
+            f"residual {residuals[i]:.3e} at theta={float(roots[i])!r} exceeds tol={tol:g}"
         )
-    return MleResult(to_theta(float(root)), float(residual),
-                     BracketedRoot(int(info.iterations), (to_theta(lo), to_theta(hi))),
-                     kind)
+    thetas, theta_lo, theta_hi = (to_theta(v) for v in (roots, lo, hi))
+    return [MleResult(float(thetas[i]), float(residuals[i]),
+                      BracketedRoot(int(iterations[i]),
+                                    (float(theta_lo[i]), float(theta_hi[i]))),
+                      kind)
+            for i in range(m)]
 
 
 def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> MleResult:
@@ -139,16 +179,29 @@ def mle_group(model: DensityModel, transform: GroupTransform, sample: Sample,
     return mle(model, transform, sample, tol)
 
 
+def _log_mean_exp(u: np.ndarray) -> float:
+    # log(mean(exp(u))), shifted by the maximum so exp cannot overflow
+    top = float(np.max(u))
+    return top + math.log(float(np.mean(np.exp(u - top))))
+
+
+def _power_mean_rate(x: np.ndarray, power: float) -> float:
+    # mean(|x|^power)^(-1/power), with x divided by max|x| so neither the
+    # power nor the sum can overflow
+    top = float(np.max(np.abs(x)))
+    if top == 0.0:
+        raise AllZeroSample("scale estimation needs a nonzero observation")
+    return float(np.mean(np.abs(x / top) ** power)) ** (-1.0 / power) / top
+
+
 _CLOSED_FORMS: dict[str, Callable[[np.ndarray, dict], float]] = {
     "gaussian_location": lambda x, p: float(np.mean(x)),
-    "gaussian_scale": lambda x, p: float(1.0 / math.sqrt(np.mean(x * x))),
-    "gamma_scale": lambda x, p: float(p["alpha"] / np.mean(x)),
-    "laplace_scale": lambda x, p: float(1.0 / np.mean(np.abs(x))),
-    "weibull_scale": lambda x, p: float(np.mean(x ** p["k"]) ** (-1.0 / p["k"])),
-    "gumbel_location": lambda x, p: float(-math.log(np.mean(np.exp(-x)))),
-    "ferguson_location": lambda x, p: float(
-        math.log(np.mean(np.exp(p["gamma"] * x))) / p["gamma"]
-    ),
+    "gaussian_scale": lambda x, p: _power_mean_rate(x, 2.0),
+    "gamma_scale": lambda x, p: p["alpha"] * _power_mean_rate(x, 1.0),
+    "laplace_scale": lambda x, p: _power_mean_rate(x, 1.0),
+    "weibull_scale": lambda x, p: _power_mean_rate(x, p["k"]),
+    "gumbel_location": lambda x, p: -_log_mean_exp(-x),
+    "ferguson_location": lambda x, p: _log_mean_exp(p["gamma"] * x) / p["gamma"],
 }
 
 
@@ -156,11 +209,14 @@ def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
     """Evaluate a catalog entry's closed-form estimator for the given kind.
 
     ``entry`` must expose ``closed_form`` (kind label to formula id),
-    ``params`` and ``model``; raises :class:`NoClosedForm` otherwise.
+    ``params`` and ``model``; raises :class:`NoClosedForm` otherwise.  The
+    sample must lie inside the model's support, as for :func:`mle`.
     """
     formula = entry.closed_form.get(kind.label)
     if formula is None:
         raise NoClosedForm(f"{entry.name} has no closed-form {kind.label} MLE")
-    theta = _CLOSED_FORMS[formula](np.asarray(sample.values, dtype=float), entry.params)
+    kind.check(entry.model.support)
+    sample.require_inside(entry.model)
+    theta = _CLOSED_FORMS[formula](sample.values, entry.params)
     residual = score_sum(entry.model, kind, sample, theta)
     return MleResult(float(theta), float(residual), ClosedForm(formula), kind)

@@ -26,13 +26,13 @@ import numpy as np
 from .coverage import mcss, projection_interval
 from .density import (
     DensityModel,
-    Sample,
     anchored_antiderivative,
+    call_elementwise,
     normalize,
-    sample_from,
+    sample_rows,
 )
 from .errors import AlreadyCovered, InvalidBounds, InvalidParams, NotMonotone
-from .estimator import mle_location
+from .estimator import mle_block
 from .score import LOCATION, analyze_image
 
 
@@ -71,8 +71,12 @@ class PlusEvenDerivative:
 HSpec = Union[OddPower, PlusEvenDerivative]
 
 
-def h_function(spec: HSpec) -> Callable[[float], float]:
-    """The scalar map h described by an :class:`HSpec`."""
+def h_function(spec: HSpec) -> Callable:
+    """The map h described by an :class:`HSpec`.
+
+    Odd powers take floats or ndarrays; an even-derivative perturbation
+    takes whatever its ``w`` or ``w_prime`` takes.
+    """
     if isinstance(spec, OddPower):
         d, p = spec.d, spec.p
         return lambda y: d * y ** p
@@ -83,11 +87,11 @@ def h_function(spec: HSpec) -> Callable[[float], float]:
     return lambda y: y + w_prime(y)
 
 
-def _check_h_increasing(h: Callable[[float], float], y_lo: float, y_hi: float) -> None:
+def _check_h_increasing(h: Callable, y_lo: float, y_hi: float) -> None:
     # a uniform grid over the score's range: sorted score samples repeat
     # where the score saturates, and a slope between equal values is 0/0
     ys = np.linspace(y_lo, y_hi, 201)
-    slopes = np.diff([h(float(y)) for y in ys]) / np.diff(ys)
+    slopes = np.diff(call_elementwise(h, ys)) / np.diff(ys)
     if not np.all(slopes > 1e-3):
         raise NotMonotone(
             f"h is not strictly increasing on the probe grid "
@@ -105,16 +109,22 @@ def forge_odd_h(target: DensityModel, h_spec: HSpec) -> DensityModel:
     profile = analyze_image(target, LOCATION)
     phi = profile.evaluate
     h = h_function(h_spec)
-    antider = anchored_antiderivative(target, profile, lambda y: h(phi(y)), 80.0)
-    if isinstance(h_spec, PlusEvenDerivative):
-        phis = [phi(float(x)) for x in np.linspace(antider.lo, antider.hi, 201)]
-        _check_h_increasing(h, min(phis), max(phis))
 
-    def log_pdf(x: float) -> float:
+    def h_phi(y):
+        # phi once on the whole array; h per element if it needs to be
+        out = call_elementwise(h, phi(y))
+        return out if np.ndim(y) else float(out)
+
+    antider = anchored_antiderivative(target, profile, h_phi, 80.0)
+    if isinstance(h_spec, PlusEvenDerivative):
+        phis = phi(np.linspace(antider.lo, antider.hi, 201))
+        _check_h_increasing(h, float(phis.min()), float(phis.max()))
+
+    def log_pdf(x):
         return -antider(x)
 
-    def dlog(x: float) -> float:
-        return -h(phi(x))
+    def dlog(x):
+        return -h_phi(x)
 
     raw = DensityModel(
         name=f"forged({target.name})",
@@ -162,29 +172,27 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
     MLEs agree within ``tol``, plus the worst disagreeing witness.
 
     Per-trial seeds are split from the master seed in counter mode, so the
-    report is reproducible and trials are independent.
+    report is reproducible and trials are independent.  All trials are drawn
+    in one call and solved as one block per density.
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     if not tol > 0.0:
         raise InvalidParams(f"tolerance must be > 0, got {tol}")
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
+    block = sample_rows(f, n, np.random.SeedSequence(seed).generate_state(trials))
     # the solver residual requirement stays subordinate to the agreement
     # tolerance under test: interpolated densities carry evaluation noise
     # that a 1e-10 residual demand cannot beat
     solver_tol = max(1e-10, 1e-3 * tol)
     agree = 0
     worst: Optional[Witness] = None
-    for ts in trial_seeds:
-        sample = sample_from(f, n, int(ts))
-        rf = mle_location(f, sample, solver_tol)
-        rg = mle_location(g, sample, solver_tol)
+    for values, rf, rg in zip(block, mle_block(f, LOCATION, block, solver_tol),
+                              mle_block(g, LOCATION, block, solver_tol)):
         gap = abs(rf.theta_hat - rg.theta_hat)
         if gap < tol:
             agree += 1
         elif worst is None or gap > worst.gap:
-            worst = Witness(tuple(float(v) for v in sample.values),
-                            rf.theta_hat, rg.theta_hat)
+            worst = Witness(tuple(float(v) for v in values), rf.theta_hat, rg.theta_hat)
     return CounterexampleReport(n, trials, tol, agree, worst)
 
 

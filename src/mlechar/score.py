@@ -18,6 +18,13 @@ the two endpoint limits estimated along geometric sequences approaching the
 domain endpoints.
 ``kind_profiles`` analyzes the score on each monotone piece of the support:
 the support itself, or the two half-lines when ``u1`` vanishes inside it.
+
+Scores follow the array contract of :mod:`mlechar.density`: a kind's
+``u1``, ``u2``, ``h``, ``to_theta`` and ``antiderivative`` take floats or
+ndarrays, ``score_sum`` scores a whole sample, or an ``(m, n)`` block of m
+samples, in one call, and probe grids are scored in one call each.
+:func:`brent_lanes` is the one root finder: Brent's method run lane by
+lane over a batch of brackets, step for step as scipy's Brent solver runs it.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .density import (
     FULL_LINE,
@@ -37,18 +43,29 @@ from .density import (
     DensityModel,
     Sample,
     SupportSet,
+    call_elementwise,
     eval_dlogf,
     probe_grid,
 )
-from .errors import AllZeroSample, NonFiniteLogDensity, NotMonotone, UnsupportedSupport
+from .errors import (
+    AllZeroSample,
+    BracketFailure,
+    NonFiniteLogDensity,
+    NotMonotone,
+    UnsupportedSupport,
+)
 
 # ---------------------------------------------------------------------------
 # parameter kinds
 # ---------------------------------------------------------------------------
 
 
-def _same(t: float) -> float:
+def _same(t):
     return t
+
+
+def _constant(c: float) -> Callable:
+    return lambda x: np.full(np.shape(x), c)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -60,7 +77,8 @@ class Kind:
     x-derivative, needed to assemble member densities); the MLE is the root
     of ``sum_i score(h(theta, x_i))``.  The solver searches a coordinate ``t``
     with ``theta = to_theta(t)``, inside ``theta_window`` (in t), starting
-    from ``seed(values) -> (centre, half-width)`` (default: centre 0).  Any
+    from ``seed(block) -> (centres, half-widths)``, one pair per row of an
+    ``(m, n)`` block of samples (default: centre 0).  Any
     common factor T(theta) of the score is dropped, so the window must keep
     it of constant nonzero sign.  ``antiderivative`` is a closed form of
     ``int u2/u1`` (tilts integrate the ratio numerically without one), and
@@ -72,16 +90,16 @@ class Kind:
     a singleton.
     """
 
-    u1: Callable[[float], float]
-    u2: Callable[[float], float]
-    h: Optional[Callable[[float, float], float]] = None
-    dh_dx: Optional[Callable[[float, float], float]] = None
+    u1: Callable
+    u2: Callable
+    h: Optional[Callable] = None
+    dh_dx: Optional[Callable] = None
     theta_window: tuple[float, float] = (-16.0, 16.0)
     label: str = "group"
-    antiderivative: Optional[Callable[[float], float]] = None
+    antiderivative: Optional[Callable] = None
     supports: Optional[tuple[str, ...]] = None
-    seed: Optional[Callable[[np.ndarray], tuple[float, float]]] = None
-    to_theta: Callable[[float], float] = _same
+    seed: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+    to_theta: Callable = _same
 
     def __repr__(self) -> str:
         return self.label
@@ -99,39 +117,38 @@ class Kind:
 GroupTransform = Kind
 
 
-def Group(u1: Callable[[float], float], u2: Callable[[float], float]) -> Kind:
+def Group(u1: Callable, u2: Callable) -> Kind:
     """Action-less kind with the factor functions ``u1``, ``u2``."""
     return Kind(u1, u2)
 
 
-def _median(values: np.ndarray) -> float:
-    # the value np.median returns, without its call overhead (which rivals a
-    # whole small-sample solve)
-    v = np.sort(values)
-    mid = v.size // 2
-    return float(v[mid]) if v.size % 2 else float((v[mid - 1] + v[mid]) / 2.0)
-
-
-def _location_seed(values: np.ndarray) -> tuple[float, float]:
+def _location_seed(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the sample median, with half-width one plus the sample range
-    return _median(values), float(values.max() - values.min()) + 1.0
+    return np.median(block, axis=1), block.max(axis=1) - block.min(axis=1) + 1.0
 
 
-def _rate_seed(values: np.ndarray) -> tuple[float, float]:
-    # log-rate that maps the median nonzero magnitude to one
-    nonzero = np.abs(values[values != 0.0])
-    if nonzero.size == 0:
+def _rate_seed(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # log-rate that maps the median nonzero magnitude to one; zeros sort last
+    nonzero = block != 0.0
+    counts = nonzero.sum(axis=1)
+    if (counts == 0).any():
         raise AllZeroSample("scale estimation needs a nonzero observation")
-    return -math.log(_median(nonzero)), math.log(2.0)
+    mags = np.sort(np.where(nonzero, np.abs(block), np.inf), axis=1)
+    rows = np.arange(block.shape[0])
+    median = mags[rows, counts // 2]
+    even = counts % 2 == 0
+    # half of each middle value: their sum can overflow, their halves cannot
+    median[even] = mags[rows[even], counts[even] // 2 - 1] / 2.0 + median[even] / 2.0
+    return -np.log(median), np.full(rows.size, math.log(2.0))
 
 
 LOCATION = Kind(
-    u1=lambda x: -1.0,
-    u2=lambda x: 0.0,
+    u1=_constant(-1.0),
+    u2=_constant(0.0),
     h=lambda theta, x: x - theta,
     theta_window=(-math.inf, math.inf),
     label="location",
-    antiderivative=lambda x: 0.0,
+    antiderivative=_constant(0.0),
     supports=(FULL_LINE,),
     seed=_location_seed,
 )
@@ -140,14 +157,14 @@ LOCATION = Kind(
 #: inside the range where ``e^t`` is a normal double
 SCALE = Kind(
     u1=lambda x: x,
-    u2=lambda x: 1.0,
+    u2=_constant(1.0),
     h=lambda theta, x: theta * x,
     theta_window=(math.log(sys.float_info.min), math.log(sys.float_info.max)),
     label="scale",
-    antiderivative=lambda x: math.log(abs(x)),
+    antiderivative=lambda x: np.log(np.abs(x)),
     supports=(FULL_LINE, POSITIVE_HALF_LINE, NEGATIVE_HALF_LINE),
     seed=_rate_seed,
-    to_theta=math.exp,
+    to_theta=np.exp,
 )
 
 
@@ -156,44 +173,64 @@ SCALE = Kind(
 # ---------------------------------------------------------------------------
 
 
-def _score_at(model: DensityModel, u1, u2, x: float) -> float:
+def _scores(model: DensityModel, u1: Callable, u2: Callable, x: np.ndarray) -> np.ndarray:
     # support admission is the caller's job (once per profile, solve or tilt)
-    a = u1(x)
-    if a == 0.0:
-        # where u1 vanishes (the origin, for scale) the score is u2 wherever
-        # log f is finite, whether or not f is differentiable there
-        if not math.isfinite(model.log_pdf(x)):
-            raise NonFiniteLogDensity(f"log-density not finite at x={x}")
-        return u2(x)
-    return u2(x) + a * eval_dlogf(model, x)
+    a = call_elementwise(u1, x)
+    b = call_elementwise(u2, x)
+    zero = a == 0.0
+    if not zero.any():
+        return b + a * eval_dlogf(model, x)
+    # where u1 vanishes (the origin, for scale) the score is u2 wherever log f
+    # is finite, whether or not f is differentiable there
+    if not np.isfinite(model.log_pdf(x[zero])).all():
+        raise NonFiniteLogDensity(f"log-density not finite at x={x[zero][0]}")
+    rest = ~zero
+    out = b.copy()
+    out[rest] = b[rest] + a[rest] * eval_dlogf(model, x[rest])
+    return out
 
 
-def kind_score(model: DensityModel, kind: Kind, x: float) -> float:
-    """Score ``u2(x) + u1(x) f'(x)/f(x)`` of ``kind`` at ``x``."""
+def _score_like(model: DensityModel, u1: Callable, u2: Callable, x):
+    # a float for a float, an array for an array
+    out = _scores(model, u1, u2, np.asarray(x, dtype=float))
+    return out if np.ndim(x) else float(out)
+
+
+def kind_score(model: DensityModel, kind: Kind, x):
+    """Score ``u2(x) + u1(x) f'(x)/f(x)`` of ``kind`` at ``x`` (float or ndarray)."""
     kind.check(model.support)
-    return _score_at(model, kind.u1, kind.u2, x)
+    return _score_like(model, kind.u1, kind.u2, x)
 
 
-def score_sum(model: DensityModel, kind: Kind, sample: Sample, theta: float) -> float:
-    """``math.fsum`` of the kind's score at ``h(theta, x_i)`` over the sample."""
-    h, u1, u2 = kind.h, kind.u1, kind.u2
-    return math.fsum(_score_at(model, u1, u2, h(theta, x)) for x in sample.values)
+def score_sum(model: DensityModel, kind: Kind, sample, theta):
+    """``math.fsum`` of the kind's score at ``h(theta, x_i)`` over a sample.
+
+    ``sample`` is a :class:`Sample` and ``theta`` a float, which gives a
+    float; or ``sample`` is an ``(m, n)`` block of m samples, one per row,
+    and ``theta`` holds m values, which gives the m row sums.
+    """
+    values = sample.values if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    moved = call_elementwise(kind.h, theta[..., None], values)
+    scores = _scores(model, kind.u1, kind.u2, moved).tolist()
+    if moved.ndim == 1:
+        return math.fsum(scores)
+    return np.array([math.fsum(row) for row in scores])
 
 
-def location_score(model: DensityModel, x: float) -> float:
+def location_score(model: DensityModel, x):
     """Location score ``-f'(x)/f(x)`` (full-line supports only)."""
     return kind_score(model, LOCATION, x)
 
 
-def scale_score(model: DensityModel, x: float) -> float:
+def scale_score(model: DensityModel, x):
     """Scale score ``1 + x f'(x)/f(x)``."""
     return kind_score(model, SCALE, x)
 
 
-def group_score(model: DensityModel, u1: Callable[[float], float],
-                u2: Callable[[float], float], x: float) -> float:
+def group_score(model: DensityModel, u1: Callable, u2: Callable, x):
     """Group-family score ``u2(x) + u1(x) f'(x)/f(x)``."""
-    return _score_at(model, u1, u2, x)
+    return _score_like(model, u1, u2, x)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +256,7 @@ class ScoreProfile:
 
     kind: Kind
     domain: SupportSet
-    evaluate: Callable[[float], float]
+    evaluate: Callable
     monotone_increasing: bool
     crosses_zero: bool
     p_minus: float
@@ -317,16 +354,14 @@ def analyze_image(model: DensityModel, kind: Kind,
     domain = model.support if domain is None else domain
     u1, u2 = kind.u1, kind.u2
 
-    def evaluate(x: float) -> float:
-        return _score_at(model, u1, u2, x)
+    def evaluate(x):
+        return _score_like(model, u1, u2, x)
 
     xs = _central_grid(domain)
-    vs = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        v = evaluate(float(x))
-        if not math.isfinite(v):
-            raise NonFiniteLogDensity(f"score is not finite at probe x={x:g}")
-        vs[i] = v
+    vs = evaluate(xs)
+    bad = ~np.isfinite(vs)
+    if bad.any():
+        raise NonFiniteLogDensity(f"score is not finite at probe x={xs[bad][0]:g}")
     diffs = np.diff(vs)
     if (diffs > 0).all():
         increasing = True
@@ -369,7 +404,7 @@ def u1_zero_structure(kind: Kind, support: SupportSet) -> str:
     # u1 is probed on twice the points of a score, and closer to half-line
     # origins
     xs = probe_grid(support, (support.lower, support.upper), 401, 20.0, 1e-8, 1e-6)
-    vals = np.array([float(kind.u1(float(x))) for x in xs])
+    vals = call_elementwise(kind.u1, xs)
     if (np.abs(vals) < 1e-12).any() or (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0).any():
         return "interior"
     # vanishing limits at the ends count as endpoint zeros, not interior ones
@@ -408,13 +443,81 @@ def bracketed_root(profile: ScoreProfile) -> float:
     if not profile.crosses_zero:
         raise NotMonotone("score does not cross zero; no root to bracket")
     xs = _central_grid(profile.domain)
-    vs = np.array([profile.evaluate(float(x)) for x in xs])
+    vs = profile.evaluate(xs)
     sign = np.sign(vs)
     flips = np.where(sign[:-1] * sign[1:] <= 0)[0]
     if flips.size == 0:
         raise NotMonotone("no sign change on the probe grid")
     i = int(flips[0])
-    if vs[i] == 0.0:
-        return float(xs[i])
-    return float(brentq(profile.evaluate, float(xs[i]), float(xs[i + 1]),
-                        xtol=1e-13, rtol=8.9e-16))
+    roots, _, converged = brent_lanes(lambda x, lanes: profile.evaluate(x),
+                                      xs[i:i + 1], xs[i + 1:i + 2], vs[i:i + 1],
+                                      vs[i + 1:i + 2], xtol=1e-13, rtol=8.9e-16,
+                                      maxiter=100)
+    if not converged[0]:
+        raise BracketFailure("Brent iteration did not converge within 100 steps")
+    return float(roots[0])
+
+
+def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
+                b: np.ndarray, fa: np.ndarray, fb: np.ndarray, xtol: float, rtol: float,
+                maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of m functions by Brent's method, one lane per function.
+
+    A lane-wise port of the iteration of scipy's Brent solver
+    (``scipy.optimize``, ``zeros.c``).  Lane i starts from the bracket
+    ``[a[i], b[i]]`` with function values ``fa[i]`` and ``fb[i]`` of
+    opposite signs (or one of them zero).  It takes the same steps, and
+    stops at the same iterate, as that solver with these ``xtol``, ``rtol``
+    and ``maxiter``.  ``f(x, lanes)`` evaluates the functions of the listed
+    lanes at their points ``x``.  Returns the roots, the iteration counts
+    and whether each lane converged.
+    """
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
+    roots, iterations = np.where(fpre == 0.0, xpre, xcur), np.zeros(xcur.size, dtype=int)
+    # a zero at an end returns that end before any iteration
+    converged = (fpre == 0.0) | (fcur == 0.0)
+    active = ~converged
+    xblk, fblk, spre, scur = (np.zeros(xcur.size) for _ in range(4))
+    # every lane steps in lockstep, but only active lanes are evaluated and
+    # recorded; the step candidates are computed also where their
+    # denominators vanish, and only well-defined ones are taken
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(maxiter):
+            if not active.any():
+                break
+            iterations += active
+            flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = active & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            roots = np.where(done, xcur, roots)
+            converged |= done
+            active &= ~done
+            if not active.any():
+                break
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            inverse_quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, secant, inverse_quadratic)
+            # C's MIN(a, b) is b unless a < b
+            limit, cap = np.abs(spre), 3 * np.abs(sbis) - delta
+            take = ((limit > delta) & (np.abs(fcur) < np.abs(fpre))
+                    & (2 * np.abs(stry) < np.where(limit < cap, limit, cap)))
+            spre, scur = np.where(take, scur, sbis), np.where(take, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                            xcur + np.where(sbis > 0, delta, -delta))
+            lanes = np.flatnonzero(active)
+            fcur = fcur.copy()
+            fcur[lanes] = f(xcur[lanes], lanes)
+    roots = np.where(active, xcur, roots)
+    return roots, iterations, converged

@@ -17,7 +17,6 @@ document says they already are.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Optional
 
@@ -109,18 +108,16 @@ def write_tabulated(model: DensityModel, path) -> None:
     around score zero crossings) rather than on far tails.
     """
     _, xs = compact_grid(model.support, *effective_interval(model), 4001)
-    ys = [model.log_pdf(float(x)) for x in xs]
-    if not all(math.isfinite(y) for y in ys):
-        # clip to the finite part of the grid
-        finite = [i for i, y in enumerate(ys) if math.isfinite(y)]
-        xs = xs[finite[0]:finite[-1] + 1]
-        ys = ys[finite[0]:finite[-1] + 1]
+    ys = model.log_pdf(xs)
+    finite = np.flatnonzero(np.isfinite(ys))
+    # clip to the finite part of the grid
+    xs, ys = xs[finite[0]:finite[-1] + 1], ys[finite[0]:finite[-1] + 1]
     doc = {
         "tabulated": {
             "name": model.name,
             "support": _support_to_json(model.support),
-            "grid": [float(x) for x in xs],
-            "log_pdf": [float(y) for y in ys],
+            "grid": xs.tolist(),
+            "log_pdf": ys.tolist(),
             "normalized": bool(model.normalized),
         }
     }

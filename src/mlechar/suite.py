@@ -30,10 +30,18 @@ import numpy as np
 
 from . import catalog as cat
 from .coverage import brute_force_projectable, is_projectable, mcss, mnss
-from .density import FULL_LINE, DensityModel, Sample, effective_interval, probe_grid, sample_from
+from .density import (
+    FULL_LINE,
+    DensityModel,
+    Sample,
+    call_elementwise,
+    effective_interval,
+    probe_grid,
+    sample_from,
+)
 from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
-from .estimator import closed_form_mle, mle, mle_location
+from .estimator import closed_form_mle, mle_block, mle_location
 from .forge import OddPower, forge_odd_h, verify_counterexample
 from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_zero_structure
 
@@ -314,15 +322,23 @@ def _derive_seed(base: int, *labels) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-def _draw_blocks(model, sizes, seed) -> list[Sample]:
-    """One sample per requested size, cut from a single seeded draw."""
-    total = int(sum(sizes))
-    block = sample_from(model, total, seed).values
-    out, pos = [], 0
+def _draw_blocks(model, sizes, seed) -> dict[int, np.ndarray]:
+    """One sample per requested size, cut from a single seeded draw.
+
+    Samples of equal size are stacked as the rows of one block:
+    ``{n: (count, n) array}``.
+    """
+    draw = sample_from(model, int(sum(sizes)), seed).values
+    rows: dict[int, list] = {}
+    pos = 0
     for n in sizes:
-        out.append(Sample(block[pos:pos + n]))
+        rows.setdefault(n, []).append(draw[pos:pos + n])
         pos += n
-    return out
+    return {n: np.stack(r) for n, r in rows.items()}
+
+
+def _thetas(model, kind, block, tol) -> np.ndarray:
+    return np.array([r.theta_hat for r in mle_block(model, kind, block, tol)])
 
 
 def build_profiles(entry, kind_label: str):
@@ -379,11 +395,10 @@ def _section_equivalence(config: SuiteConfig, forged) -> list[dict]:
             for size_i, n in enumerate(config.sample_sizes):
                 seed = _derive_seed(config.seed, "equivalence", name, kind_label,
                                     int(d * 1000), size_i)
-                sizes = [n] * config.trials
-                for sample in _draw_blocks(model, sizes, seed):
-                    tf = mle(model, kind, sample, config.mle_tol).theta_hat
-                    tg = mle(tilted, kind, sample, config.mle_tol).theta_hat
-                    max_gap = max(max_gap, abs(tf - tg))
+                block = _draw_blocks(model, [n] * config.trials, seed)[n]
+                gaps = np.abs(_thetas(model, kind, block, config.mle_tol)
+                              - _thetas(tilted, kind, block, config.mle_tol))
+                max_gap = max(max_gap, float(gaps.max()))
             ok = d_ok and max_gap < config.agreement_tol
             records.append({
                 "check": "shared_mle",
@@ -517,12 +532,13 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
         kind = cat.kind_for(entry, kind_label)
         seed = _derive_seed(config.seed, "closed_form", name, kind_label)
         worst = 0.0
-        for sample in _draw_blocks(entry.model, sizes_cycle, seed):
-            closed = closed_form_mle(entry, kind, sample).theta_hat
-            numeric = mle(entry.model, kind, sample, config.mle_tol).theta_hat
+        for block in _draw_blocks(entry.model, sizes_cycle, seed).values():
+            closed = np.array([closed_form_mle(entry, kind, Sample(row)).theta_hat
+                               for row in block])
+            numeric = _thetas(entry.model, kind, block, config.mle_tol)
             # rates compare relatively, locations absolutely
-            dev = abs(closed - numeric) / (abs(numeric) if kind is SCALE else 1.0)
-            worst = max(worst, dev)
+            dev = np.abs(closed - numeric) / (np.abs(numeric) if kind is SCALE else 1.0)
+            worst = max(worst, float(dev.max()))
         ok = worst < 1e-8
         records.append({
             "check": "closed_vs_numeric",
@@ -544,10 +560,10 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
     #  action on the data, deviation of the moved estimate)
     plan = (
         (LOCATION, EQUIVARIANCE_LOCATION, "location_shift", "shifts", LOCATION_SHIFTS,
-         "equivariance_loc", lambda v, s: v + s, lambda got, base, s: abs(got - base - s)),
+         "equivariance_loc", lambda v, s: v + s, lambda got, base, s: np.abs(got - base - s)),
         (SCALE, EQUIVARIANCE_SCALE, "scale_rescale", "factors", SCALE_FACTORS,
          "equivariance_scale", lambda v, lam: v * lam,
-         lambda got, base, lam: abs(got * lam - base) / abs(base)),
+         lambda got, base, lam: np.abs(got * lam - base) / np.abs(base)),
     )
     for kind, cases, check, key, elements, seed_label, act, deviation in plan:
         for name, params in cases:
@@ -555,13 +571,13 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
                 continue
             model = cat.lookup(name, params).model
             worst = 0.0
-            for sample in _draw_blocks(model, sizes_cycle,
-                                       _derive_seed(config.seed, seed_label, name)):
-                base = mle(model, kind, sample, config.mle_tol).theta_hat
+            blocks = _draw_blocks(model, sizes_cycle,
+                                  _derive_seed(config.seed, seed_label, name))
+            for block in blocks.values():
+                base = _thetas(model, kind, block, config.mle_tol)
                 for g in elements:
-                    got = mle(model, kind, Sample(act(sample.values, g)),
-                              config.mle_tol).theta_hat
-                    worst = max(worst, deviation(got, base, g))
+                    got = _thetas(model, kind, act(block, g), config.mle_tol)
+                    worst = max(worst, float(deviation(got, base, g).max()))
             records.append({
                 "check": check,
                 "family": name,
@@ -602,10 +618,8 @@ def _section_score_crosscheck(config: SuiteConfig) -> list[dict]:
                 continue
             kind = cat.kind_for(entry, kind_label)
             xs = _crosscheck_grid(entry)
-            worst = 0.0
-            for x in xs:
-                x = float(x)
-                worst = max(worst, abs(kind_score(fd_model, kind, x) - float(analytic(x))))
+            worst = float(np.max(np.abs(kind_score(fd_model, kind, xs)
+                                        - call_elementwise(analytic, xs))))
             score_ok = worst < config.score_tol
             records.append({
                 "check": "fd_vs_analytic_score",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -17,10 +17,18 @@ from mlechar import (
     sample_from,
     tilt,
 )
-from mlechar.density import Sample
-from mlechar.errors import AllZeroSample, BracketFailure, NoClosedForm, OutsideSupport
-from mlechar.estimator import BracketedRoot, ClosedForm, mle
-from mlechar.score import GroupTransform, Kind
+from mlechar.catalog import kind_for
+from mlechar.density import Sample, sample_rows
+from mlechar.errors import (
+    AllZeroSample,
+    BracketFailure,
+    MlecharError,
+    NoClosedForm,
+    OutsideSupport,
+)
+from mlechar.estimator import BracketedRoot, ClosedForm, mle, mle_block
+from mlechar.score import GroupTransform, Kind, brent_lanes, score_sum
+from mlechar.suite import DEFAULT_FAMILIES
 
 
 def s(*values):
@@ -275,3 +283,91 @@ def test_group_equivariance_property(sinh_arcsinh, seed, skew):
     moved = Sample(np.array([math.sinh(math.asinh(x) - skew) for x in sample.values]))
     got = mle(sinh_arcsinh.model, kind, moved).theta_hat
     assert abs(got - base - skew) < 1e-8
+
+
+@pytest.mark.parametrize("name,params,kind,values", [
+    ("gumbel", {}, LOCATION, (-800.0, 0.0)),
+    ("generalized_gaussian", {"alpha": 1.0, "gamma": 1.0}, LOCATION, (0.0, 800.0)),
+    ("gaussian", {}, SCALE, (1e200, 3e200)),
+    ("weibull", {"k": 2.0}, SCALE, (1e200, 3e200)),
+    ("gaussian", {}, SCALE, (1e-300, 3e-300)),
+    ("laplace", {}, SCALE, (3e307, 3.5e307, 4e307, 4.5e307, 5e307)),
+    ("gamma", {"alpha": 2.0}, SCALE, (3e307, 3.5e307, 4e307, 4.5e307, 5e307)),
+])
+def test_closed_form_matches_mle_where_the_formula_would_overflow(name, params, kind, values):
+    # exp(800), (1e200)^2 and a sum of 2e308 overflow a double: the formulas
+    # shift by, or divide by, the sample maximum instead
+    entry = lookup(name, params)
+    sample = s(*values)
+    closed = closed_form_mle(entry, kind, sample)
+    numeric = mle(entry.model, kind, sample)
+    scale = abs(numeric.theta_hat) if kind is SCALE else 1.0
+    assert abs(closed.theta_hat - numeric.theta_hat) / scale < 1e-8
+    assert abs(closed.residual) < 1e-10
+
+
+def test_closed_form_rejects_data_outside_the_support(gamma2):
+    with pytest.raises(OutsideSupport):
+        closed_form_mle(gamma2, SCALE, s(-1.0, -2.0))
+
+
+# every (family, kind) of the default suite, the skew group included
+CATALOG_KINDS = [(name, params, label) for name, params, labels in DEFAULT_FAMILIES
+                 for label in labels]
+
+
+def _block(entry, n, m, seed):
+    return sample_rows(entry.model, n, range(seed, seed + m))
+
+
+@given(case=st.sampled_from(CATALOG_KINDS), n=st.integers(min_value=1, max_value=12),
+       m=st.integers(min_value=1, max_value=5), seed=st.integers(min_value=0, max_value=10_000),
+       widths=st.tuples(st.floats(min_value=0.05, max_value=3.0),
+                        st.floats(min_value=0.05, max_value=3.0)))
+@settings(max_examples=80, deadline=None)
+def test_brent_lanes_reproduces_scipy_brentq(case, n, m, seed, widths):
+    # scipy's brentq is the oracle: on each lane's score sum, in the solver
+    # coordinate t, the port must end at brentq's root after as many steps
+    name, params, label = case
+    entry = lookup(name, params)
+    kind = kind_for(entry, label)
+    block = _block(entry, n, m, seed)
+    to_t = np.log if kind is SCALE else (lambda theta: theta)
+    t_hat = to_t(np.array([r.theta_hat for r in mle_block(entry.model, kind, block)]))
+    lo, hi = t_hat - widths[0], t_hat + widths[1]
+
+    def lanes_fn(t, lanes):
+        return score_sum(entry.model, kind, block[lanes], kind.to_theta(t))
+
+    f_lo, f_hi = lanes_fn(lo, np.arange(m)), lanes_fn(hi, np.arange(m))
+    assume(np.all(np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo * f_hi < 0.0)))
+    roots, iterations, converged = brent_lanes(lanes_fn, lo, hi, f_lo, f_hi, xtol=1e-15,
+                                               rtol=8.9e-16, maxiter=300)
+    assert converged.all()
+    for i in range(m):
+        lane = np.array([i])
+        root, info = brentq(lambda t: float(lanes_fn(np.array([t]), lane)[0]),
+                            float(lo[i]), float(hi[i]), xtol=1e-15, rtol=8.9e-16,
+                            maxiter=300, full_output=True)
+        assert roots[i] == root
+        assert iterations[i] == info.iterations
+
+
+@given(case=st.sampled_from(CATALOG_KINDS), n=st.integers(min_value=1, max_value=12),
+       m=st.integers(min_value=1, max_value=6), seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_block_mle_equals_single_sample_mles(case, n, m, seed):
+    name, params, label = case
+    entry = lookup(name, params)
+    kind = kind_for(entry, label)
+    block = _block(entry, n, m, seed)
+    try:
+        batch = mle_block(entry.model, kind, block)
+    except MlecharError as exc:
+        # a block fails exactly when one of its rows fails alone
+        with pytest.raises(type(exc)):
+            for row in block:
+                mle(entry.model, kind, Sample(row))
+        return
+    for row, result in zip(block, batch):
+        assert mle(entry.model, kind, Sample(row)) == result
