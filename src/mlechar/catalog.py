@@ -195,10 +195,14 @@ def _generalized_gaussian(params: dict) -> CatalogEntry:
     const = math.log(abs(gam)) + alpha * math.log(alpha) - math.lgamma(alpha)
 
     def log_pdf(x):
-        return const + alpha * gam * x - alpha * _exp(gam * x)
+        # gam * x itself may overflow; the density is 0 wherever exp does
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(gam * x)
+            return np.where(np.isinf(e), -np.inf, const + alpha * gam * x - alpha * e)[()]
 
     def dlog(x):
-        return alpha * gam * (1.0 - _exp(gam * x))
+        with np.errstate(over="ignore"):
+            return alpha * gam * (1.0 - np.exp(gam * x))
 
     model = DensityModel(
         name=f"generalized_gaussian(alpha={alpha:g},gamma={gam:g})",

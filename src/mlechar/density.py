@@ -469,7 +469,8 @@ class _InverseCdfSampler:
         quantile.  The cell's cubic piece is evaluated as ``PPoly`` evaluates
         it, in the powers of the offset from the cell's left edge; a point
         on the right edge of a cell that is not the last one takes the next
-        cell's value there.
+        cell's value there.  The values are the interpolant's, bit for bit,
+        without its cell search on every bisection step.
         """
         edges, coef = self._edges, self._interp.c
         last = edges.size - 2

@@ -29,7 +29,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .density import DensityModel, Sample
+from .density import DensityModel, Sample, call_elementwise
 from .errors import (
     AllZeroSample,
     BracketFailure,
@@ -107,7 +107,9 @@ def mle_block(model: DensityModel, kind: Kind, block,
     else:
         center, half = (np.array(v, dtype=float) for v in kind.seed(values))
     center = np.minimum(np.maximum(center, w_lo), w_hi)
-    to_theta = kind.to_theta
+
+    def to_theta(t: np.ndarray) -> np.ndarray:
+        return call_elementwise(kind.to_theta, t)
 
     def s(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         return score_sum(model, kind, values[lanes], to_theta(t))
@@ -136,7 +138,7 @@ def mle_block(model: DensityModel, kind: Kind, block,
     # refine far below a 1e-12 interval so the residual contract holds even
     # for interpolated (slightly jittery) scores
     roots, iterations, converged = brent_lanes(s, lo, hi, s_lo, s_hi, xtol=1e-15,
-                                               rtol=8.9e-16, maxiter=300)
+                                               maxiter=300)
     if not converged.all():
         raise BracketFailure(f"Brent iteration did not converge within 300 steps "
                              f"(theta={float(roots[~converged][0])!r})")

@@ -64,10 +64,6 @@ def _same(t):
     return t
 
 
-def _constant(c: float) -> Callable:
-    return lambda x: np.full(np.shape(x), c)
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class Kind:
     """A parameter kind: the score ``u2 + u1 f'/f`` and the action of theta.
@@ -77,8 +73,10 @@ class Kind:
     x-derivative, needed to assemble member densities); the MLE is the root
     of ``sum_i score(h(theta, x_i))``.  The solver searches a coordinate ``t``
     with ``theta = to_theta(t)``, inside ``theta_window`` (in t), starting
-    from ``seed(block) -> (centres, half-widths)``, one pair per row of an
-    ``(m, n)`` block of samples (default: centre 0).  Any
+    from ``seed(block) -> (centres, half-widths)`` (default: centre 0).
+    ``seed`` receives the whole ``(m, n)`` block of samples, one per row,
+    and returns two arrays of m values; it is the one field that is never
+    called per element.  Any
     common factor T(theta) of the score is dropped, so the window must keep
     it of constant nonzero sign.  ``antiderivative`` is a closed form of
     ``int u2/u1`` (tilts integrate the ratio numerically without one), and
@@ -143,12 +141,12 @@ def _rate_seed(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 LOCATION = Kind(
-    u1=_constant(-1.0),
-    u2=_constant(0.0),
+    u1=lambda x: -1.0,
+    u2=lambda x: 0.0,
     h=lambda theta, x: x - theta,
     theta_window=(-math.inf, math.inf),
     label="location",
-    antiderivative=_constant(0.0),
+    antiderivative=lambda x: 0.0,
     supports=(FULL_LINE,),
     seed=_location_seed,
 )
@@ -157,7 +155,7 @@ LOCATION = Kind(
 #: inside the range where ``e^t`` is a normal double
 SCALE = Kind(
     u1=lambda x: x,
-    u2=_constant(1.0),
+    u2=lambda x: 1.0,
     h=lambda theta, x: theta * x,
     theta_window=(math.log(sys.float_info.min), math.log(sys.float_info.max)),
     label="scale",
@@ -451,15 +449,19 @@ def bracketed_root(profile: ScoreProfile) -> float:
     i = int(flips[0])
     roots, _, converged = brent_lanes(lambda x, lanes: profile.evaluate(x),
                                       xs[i:i + 1], xs[i + 1:i + 2], vs[i:i + 1],
-                                      vs[i + 1:i + 2], xtol=1e-13, rtol=8.9e-16,
-                                      maxiter=100)
+                                      vs[i + 1:i + 2], xtol=1e-13, maxiter=100)
     if not converged[0]:
         raise BracketFailure("Brent iteration did not converge within 100 steps")
     return float(roots[0])
 
 
+#: relative tolerance of every Brent solve, just above the 4 eps floor that
+#: scipy's Brent solver admits
+BRENT_RTOL = 8.9e-16
+
+
 def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
-                b: np.ndarray, fa: np.ndarray, fb: np.ndarray, xtol: float, rtol: float,
+                b: np.ndarray, fa: np.ndarray, fb: np.ndarray, xtol: float,
                 maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of m functions by Brent's method, one lane per function.
 
@@ -467,10 +469,10 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
     (``scipy.optimize``, ``zeros.c``).  Lane i starts from the bracket
     ``[a[i], b[i]]`` with function values ``fa[i]`` and ``fb[i]`` of
     opposite signs (or one of them zero).  It takes the same steps, and
-    stops at the same iterate, as that solver with these ``xtol``, ``rtol``
-    and ``maxiter``.  ``f(x, lanes)`` evaluates the functions of the listed
-    lanes at their points ``x``.  Returns the roots, the iteration counts
-    and whether each lane converged.
+    stops at the same iterate, as that solver with this ``xtol`` and
+    ``maxiter`` and ``rtol=BRENT_RTOL``.  ``f(x, lanes)`` evaluates the
+    functions of the listed lanes at their points ``x``.  Returns the roots,
+    the iteration counts and whether each lane converged.
     """
     xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
     fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
@@ -495,7 +497,7 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
                                 np.where(swap, xcur, xblk))
             fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
                                 np.where(swap, fcur, fblk))
-            delta = (xtol + rtol * np.abs(xcur)) / 2
+            delta = (xtol + BRENT_RTOL * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
             done = active & ((fcur == 0.0) | (np.abs(sbis) < delta))
             roots = np.where(done, xcur, roots)

@@ -15,7 +15,8 @@ import pytest
 
 from mlechar import LOCATION, SCALE, OddPower, PlusEvenDerivative, forge_odd_h, lookup, tilt
 from mlechar.catalog import kind_for
-from mlechar.density import DensityModel, Sample, SupportSet, eval_dlogf
+from mlechar.density import (DensityModel, Sample, SupportSet, _from_t, _sampler_of,
+                             eval_dlogf)
 from mlechar.estimator import mle
 from mlechar.score import Kind, kind_score
 from mlechar.specfiles import load_family_spec, write_tabulated
@@ -147,6 +148,26 @@ def test_tilts_on_arrays_match_scalar_calls(name, params, label, d):
     assert_ulps(tilted.dlog_pdf(xs), scalar_values(tilted.dlog_pdf, xs))
 
 
+@pytest.mark.parametrize("name,params", FAMILIES)
+def test_sampler_inversion_matches_its_interpolant(name, params):
+    # the reference bisects on the interpolant itself; the uniforms include
+    # the CDF at cell edges and the doubles just below it, where a bisection
+    # point can land on an edge
+    sampler = _sampler_of(lookup(name, params).model, 1)
+    edges = sampler._cdf[1:-1:97]
+    u = np.concatenate([np.random.default_rng(7).random(2000), edges,
+                        np.nextafter(edges, 0.0)])
+    idx = np.clip(np.searchsorted(sampler._cdf, u, side="right") - 1, 0,
+                  sampler._edges.size - 2)
+    lo, hi = sampler._edges[idx], sampler._edges[idx + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = sampler._interp(mid) < u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    t = 0.5 * (lo + hi)
+    assert np.array_equal(sampler.invert(u), _from_t(t) if sampler._mapped else t)
+
+
 @pytest.fixture(scope="module")
 def forged_pair(gaussian, logistic):
     return (forge_odd_h(gaussian.model, OddPower(1.0, 3)),
@@ -181,6 +202,7 @@ def test_log_pdf_is_minus_inf_outside_the_support(gamma2):
 @pytest.mark.parametrize("name,params,x", [
     ("gumbel", {}, -800.0),
     ("generalized_gaussian", {"alpha": 1.0, "gamma": 1.0}, 800.0),
+    ("generalized_gaussian", {"alpha": 1.0, "gamma": 2.0}, 1e308),
     ("weibull", {"k": 2.0}, 1e200),
     ("weibull", {"k": 3.0}, 1e200),
 ])
@@ -201,6 +223,12 @@ def test_scalar_only_callables_give_the_same_results(gaussian, logistic, sinh_ar
                                 dlog_pdf=scalar_only(model.dlog_pdf), normalized=True)
     sample = Sample(np.array([-1.3, 0.2, 0.9, 2.4, 3.0]))
     assert mle(scalar_model, LOCATION, sample) == mle(model, LOCATION, sample)
+    # the solver coordinate map may be scalar-only too; the seed takes the block
+    scalar_scale = Kind(u1=scalar_only(SCALE.u1), u2=SCALE.u2, h=scalar_only(SCALE.h),
+                        theta_window=SCALE.theta_window, seed=SCALE.seed,
+                        to_theta=scalar_only(SCALE.to_theta))
+    assert mle(gaussian.model, scalar_scale, sample).theta_hat == \
+        mle(gaussian.model, SCALE, sample).theta_hat
 
     tr = sinh_arcsinh.transform
     scalar_tr = Kind(u1=scalar_only(tr.u1), u2=scalar_only(tr.u2), h=scalar_only(tr.h),

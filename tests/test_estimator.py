@@ -27,7 +27,7 @@ from mlechar.errors import (
     OutsideSupport,
 )
 from mlechar.estimator import BracketedRoot, ClosedForm, mle, mle_block
-from mlechar.score import GroupTransform, Kind, brent_lanes, score_sum
+from mlechar.score import BRENT_RTOL, GroupTransform, Kind, brent_lanes, score_sum
 from mlechar.suite import DEFAULT_FAMILIES
 
 
@@ -342,12 +342,12 @@ def test_brent_lanes_reproduces_scipy_brentq(case, n, m, seed, widths):
     f_lo, f_hi = lanes_fn(lo, np.arange(m)), lanes_fn(hi, np.arange(m))
     assume(np.all(np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo * f_hi < 0.0)))
     roots, iterations, converged = brent_lanes(lanes_fn, lo, hi, f_lo, f_hi, xtol=1e-15,
-                                               rtol=8.9e-16, maxiter=300)
+                                               maxiter=300)
     assert converged.all()
     for i in range(m):
         lane = np.array([i])
         root, info = brentq(lambda t: float(lanes_fn(np.array([t]), lane)[0]),
-                            float(lo[i]), float(hi[i]), xtol=1e-15, rtol=8.9e-16,
+                            float(lo[i]), float(hi[i]), xtol=1e-15, rtol=BRENT_RTOL,
                             maxiter=300, full_output=True)
         assert roots[i] == root
         assert iterations[i] == info.iterations
