@@ -26,8 +26,9 @@ Student scale MNSS: ceil(1 + 1/nu) for nu < 1, 3 at nu = 1, ceil(1 + nu)
 for nu > 1.  The sinh-arcsinh family is characterizable in its skewness
 parameter (group kind) with MNSS 3.
 
-Every formula is a numpy expression that takes a float or an ndarray, and
-overflows to an infinity without a warning.
+Every formula is a numpy expression that takes a float or an ndarray.
+Exponentials, powers and squares of x in the densities overflow to an
+infinity without a warning (``_exp``, ``_pow``, ``quiet_overflow``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coverage import MnssResult
-from .density import DensityModel, SupportSet
+from .density import DensityModel, SupportSet, quiet_overflow
 from .errors import InvalidConfig, InvalidParams, NotCharacterizable, UnknownFamily
 from .score import LOCATION, SCALE, GroupTransform, Kind
 
@@ -143,7 +144,7 @@ def _gaussian(params: dict) -> CatalogEntry:
     model = DensityModel(
         name="gaussian",
         support=SupportSet.full_line(),
-        log_pdf=lambda x: -0.5 * x * x - 0.5 * LOG_2PI,
+        log_pdf=quiet_overflow(lambda x: -0.5 * x * x - 0.5 * LOG_2PI),
         dlog_pdf=lambda x: -x,
         normalized=True,
     )
@@ -322,8 +323,8 @@ def _student(params: dict) -> CatalogEntry:
     model = DensityModel(
         name=f"student(nu={nu:g})",
         support=SupportSet.full_line(),
-        log_pdf=lambda x: const - 0.5 * (nu + 1.0) * np.log1p(x * x / nu),
-        dlog_pdf=lambda x: -(nu + 1.0) * x / (nu + x * x),
+        log_pdf=quiet_overflow(lambda x: const - 0.5 * (nu + 1.0) * np.log1p(x * x / nu)),
+        dlog_pdf=quiet_overflow(lambda x: -(nu + 1.0) * x / (nu + x * x)),
         params={"nu": nu},
         normalized=True,
     )
@@ -381,7 +382,7 @@ def _sinh_arcsinh(params: dict) -> CatalogEntry:
     base = DensityModel(
         name="sinh_arcsinh_base",
         support=SupportSet.full_line(),
-        log_pdf=lambda x: -0.5 * x * x - 0.5 * LOG_2PI,
+        log_pdf=quiet_overflow(lambda x: -0.5 * x * x - 0.5 * LOG_2PI),
         dlog_pdf=lambda x: -x,
         normalized=True,
     )

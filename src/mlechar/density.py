@@ -11,10 +11,14 @@ this interface, so the module also provides the shared numeric machinery:
 - one discretization of a support: probe points per support shape
   (``probe_grid``), grids uniform in a compactified coordinate
   (``compact_grid``) and fixed-order Gauss-Legendre cell integrals,
-- seeded inverse-CDF sampling from an arbitrary log-density (``sample_from``),
-- tabulated densities interpolated with monotone cubic pieces,
-- cached cumulative integrals anchored at a score's zero, used by tilt and
-  forge constructions (``anchored_antiderivative``).
+- one interpolation table (``_Table``): monotone cubic (PCHIP) pieces through
+  nodes, continued linearly past the end nodes.  Tabulated densities, the
+  cumulative integrals of tilt and forge constructions
+  (``CumulativeIntegral``) and the sampler's CDF are such tables,
+- seeded inverse-CDF sampling from an arbitrary log-density
+  (``InverseCdfSampler``, ``sample_rows``, ``sample_from``).  A sampler is
+  built on each call of ``sample_rows`` or ``sample_from``; callers that draw
+  from one model many times hold one sampler.
 
 Supports are open sets; endpoints are never evaluated.  Infinite ranges are
 mapped through ``x = t / (1 - t**2)`` when a finite parameterization is
@@ -85,6 +89,21 @@ def call_elementwise(fn: Callable, *args) -> np.ndarray:
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
+def quiet_overflow(fn: Callable) -> Callable:
+    """``fn`` whose array calls overflow to an infinity without a warning.
+
+    Arithmetic on Python floats overflows silently; numpy arrays warn.  Only
+    array calls pay for the error-state switch.
+    """
+    def call(x):
+        if isinstance(x, np.ndarray):
+            with np.errstate(over="ignore"):
+                return fn(x)
+        return fn(x)
+
+    return call
+
+
 # ---------------------------------------------------------------------------
 # supports
 # ---------------------------------------------------------------------------
@@ -141,9 +160,9 @@ class SupportSet:
             return NEGATIVE_HALF_LINE
         return OPEN_INTERVAL
 
-    def contains(self, x: float) -> bool:
-        """Strict interior membership test."""
-        return self.lower < x < self.upper
+    def contains(self, x):
+        """Strict interior membership of a float, or of each element of an ndarray."""
+        return (self.lower < x) & (x < self.upper)
 
     def __str__(self) -> str:
         return f"({self.lower}, {self.upper})"
@@ -173,18 +192,17 @@ class DensityModel:
     dlog_pdf: Optional[LogPdf] = None
     params: dict = field(default_factory=dict)
     normalized: bool = False
-    _sampler: Any = field(default=None, init=False, repr=False, compare=False)
     _raw_log_pdf: Optional[LogPdf] = field(default=None, init=False, repr=False,
                                            compare=False)
 
     def __post_init__(self) -> None:
         raw = self.log_pdf
-        lower, upper = self.support.lower, self.support.upper
+        contains = self.support.contains
 
         def guarded(x):
             if not isinstance(x, np.ndarray):
-                return raw(x) if lower < x < upper else -math.inf
-            inside = (x > lower) & (x < upper)
+                return raw(x) if contains(x) else -math.inf
+            inside = contains(x)
             if inside.all():
                 return call_elementwise(raw, x)
             out = np.full(x.shape, -math.inf)
@@ -217,11 +235,8 @@ class Sample:
         return int(self.values.size)
 
     def require_inside(self, model: DensityModel) -> None:
-        lo, hi = model.support.lower, model.support.upper
-        if not ((self.values > lo) & (self.values < hi)).all():
-            raise OutsideSupport(
-                f"sample contains values outside support {model.support}"
-            )
+        if not model.support.contains(self.values).all():
+            raise OutsideSupport(f"sample contains values outside support {model.support}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +244,23 @@ class Sample:
 # ---------------------------------------------------------------------------
 
 
-def _fd_step(support: SupportSet, x: np.ndarray) -> np.ndarray:
-    """``FD_STEP_SCALE * max(1, |x|)``, shrunk so ``x +- step`` stay inside."""
-    step = FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
-    gap = np.minimum(x - support.lower, support.upper - x)
-    return np.where(np.isfinite(gap), np.minimum(step, 0.5 * gap), step)
-
-
-def _interior(support: SupportSet, x: np.ndarray) -> np.ndarray:
-    return (x > support.lower) & (x < support.upper)
+def _central_difference(model: DensityModel, xs: np.ndarray) -> np.ndarray:
+    """``(log f(x + step) - log f(x - step)) / (2 step)`` at interior points,
+    with step ``FD_STEP_SCALE * max(1, |x|)`` shrunk so ``x +- step`` stay
+    inside the support."""
+    support = model.support
+    gap = np.minimum(xs - support.lower, support.upper - xs)
+    step = FD_STEP_SCALE * np.maximum(1.0, np.abs(xs))
+    step = np.where(np.isfinite(gap), np.minimum(step, 0.5 * gap), step)
+    leaves = ~(support.contains(xs - step) & support.contains(xs + step))
+    if leaves.any():
+        raise OutsideSupport(f"x +- {step[leaves][0]} leaves the support "
+                             f"around x={xs[leaves][0]}")
+    hi, lo = model.log_pdf(xs + step), model.log_pdf(xs - step)
+    bad = ~(np.isfinite(hi) & np.isfinite(lo))
+    if bad.any():
+        raise NonFiniteLogDensity(f"log-density not finite near x={xs[bad][0]}")
+    return (hi - lo) / (2.0 * step)
 
 
 def eval_dlogf(model: DensityModel, x):
@@ -248,23 +271,11 @@ def eval_dlogf(model: DensityModel, x):
     shrunk so both probe points stay inside the support.
     """
     xs = np.asarray(x, dtype=float)
-    support = model.support
-    outside = ~_interior(support, xs)
+    outside = ~model.support.contains(xs)
     if outside.any():
-        raise OutsideSupport(f"x={xs[outside][0]} is not interior to {support}")
-    if model.dlog_pdf is not None:
-        out = call_elementwise(model.dlog_pdf, xs)
-    else:
-        step = _fd_step(support, xs)
-        leaves = ~(_interior(support, xs - step) & _interior(support, xs + step))
-        if leaves.any():
-            raise OutsideSupport(f"x +- {step[leaves][0]} leaves the support "
-                                 f"around x={xs[leaves][0]}")
-        hi, lo = model.log_pdf(xs + step), model.log_pdf(xs - step)
-        bad = ~(np.isfinite(hi) & np.isfinite(lo))
-        if bad.any():
-            raise NonFiniteLogDensity(f"log-density not finite near x={xs[bad][0]}")
-        out = (hi - lo) / (2.0 * step)
+        raise OutsideSupport(f"x={xs[outside][0]} is not interior to {model.support}")
+    out = (_central_difference(model, xs) if model.dlog_pdf is None
+           else call_elementwise(model.dlog_pdf, xs))
     return out if xs.ndim else float(out)
 
 
@@ -273,8 +284,7 @@ def check_dlog_pdf(model: DensityModel, xs, tol: float = 1e-6) -> float:
     if model.dlog_pdf is None:
         raise InvalidParams("model has no analytic dlog_pdf to check")
     xs = np.asarray(xs, dtype=float)
-    step = _fd_step(model.support, xs)
-    fd = (model.log_pdf(xs + step) - model.log_pdf(xs - step)) / (2.0 * step)
+    fd = _central_difference(model, xs)
     worst = float(np.max(np.abs(fd - call_elementwise(model.dlog_pdf, xs))))
     if not worst < tol:
         raise NonFiniteLogDensity(
@@ -434,14 +444,105 @@ def _cell_integrals(integrand: Callable, edges: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# interpolation tables
+# ---------------------------------------------------------------------------
+
+
+class _Table:
+    """Monotone cubic (PCHIP) interpolant through nodes ``(x, y)``, continued
+    linearly past its end nodes; a float or an ndarray in, the same out.
+
+    ``ends`` holds the slopes of the continuation below ``x[0]`` and above
+    ``x[-1]``; by default they are the interpolant's own end derivatives.
+    ``offset`` is subtracted from every value.  This class is the only code
+    that builds a scipy interpolant or reads its ``PPoly`` coefficients.
+    """
+
+    offset = 0.0
+
+    def __init__(self, x, y, ends=None):
+        self._interp = PchipInterpolator(x, y, extrapolate=False)
+        self.lo, self.hi = float(x[0]), float(x[-1])
+        self._y_lo, self._y_hi = float(y[0]), float(y[-1])
+        if ends is None:
+            slope = self._interp.derivative()
+            ends = (slope(self.lo), slope(self.hi))
+        self._slope_lo, self._slope_hi = float(ends[0]), float(ends[1])
+
+    def __call__(self, x):
+        if not isinstance(x, np.ndarray):
+            # one point, such as a quadrature node, skips the array bookkeeping
+            if x < self.lo:
+                return self._y_lo + self._slope_lo * (x - self.lo) - self.offset
+            if x > self.hi:
+                return self._y_hi + self._slope_hi * (x - self.hi) - self.offset
+            return float(self._interp(x)) - self.offset
+        inside = self._interp(np.clip(x, self.lo, self.hi))
+        return np.where(x < self.lo, self._y_lo + self._slope_lo * (x - self.lo),
+                        np.where(x > self.hi, self._y_hi + self._slope_hi * (x - self.hi),
+                                 inside)) - self.offset
+
+    def cubic(self, cells: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The interpolant (without ``offset``) on the given cells, as a
+        function of one point inside each cell.
+
+        The cubic is evaluated as ``PPoly`` evaluates it, in the powers of the
+        offset from the cell's left node; a point on the right node of a cell
+        that is not the last one takes the next cell's value there.  The
+        values are the interpolant's, bit for bit, without its cell search.
+        """
+        x, coef = self._interp.x, self._interp.c
+        last = x.size - 2
+        left, right = x[cells], x[cells + 1]
+        a3, a2, a1, a0 = coef[:, cells]
+        at_right = coef[3, np.minimum(cells + 1, last)]
+        inner = cells < last
+
+        def value(t: np.ndarray) -> np.ndarray:
+            s = t - left
+            return np.where((t == right) & inner, at_right,
+                            a0 + a1 * s + a2 * (s * s) + a3 * (s * s * s))
+
+        return value
+
+
+class CumulativeIntegral(_Table):
+    """Antiderivative of an integrand, anchored at a point.
+
+    The antiderivative is tabulated once on ``TABLE_CELLS`` Gauss-Legendre cells
+    across ``(lo, hi)``; beyond the tabulated range it is extended linearly
+    using the integrand value at the nearest end.  Cheap enough to sit inside
+    MLE root-finding loops.  ``lo`` and ``hi`` are the ends of the tabulated
+    range.
+    """
+
+    def __init__(self, integrand: Callable, anchor: float,
+                 lo: float, hi: float):
+        if not lo < anchor < hi:
+            raise InvalidParams("anchor must lie strictly inside (lo, hi)")
+        edges = np.linspace(lo, hi, TABLE_CELLS + 1)
+        cum = np.concatenate([[0.0], np.cumsum(_cell_integrals(integrand, edges))])
+        if not np.isfinite(cum).all():
+            raise DivergentIntegral("cumulative integrand is not finite on the grid")
+        super().__init__(edges, cum, ends=(integrand(lo), integrand(hi)))
+        self.offset = float(self._interp(anchor))
+
+
+# ---------------------------------------------------------------------------
 # inverse-CDF sampling
 # ---------------------------------------------------------------------------
 
 
-class _InverseCdfSampler:
-    """Grid CDF (cumulative quadrature) plus vectorized bisection inversion."""
+class InverseCdfSampler:
+    """Seeded draws from a normalized model.
+
+    The CDF is tabulated once, by cumulative quadrature on a compactified
+    grid, and each draw inverts it by bisection.
+    """
 
     def __init__(self, model: DensityModel):
+        if not model.normalized:
+            raise InvalidParams("sampling requires a normalized model")
         mapped = _mapped(model.support)
         edges, _ = compact_grid(model.support, *effective_interval(model), TABLE_CELLS + 1)
 
@@ -449,41 +550,28 @@ class _InverseCdfSampler:
             lp = model.log_pdf(_from_t(t)) + np.log(_dx_dt(t)) if mapped else model.log_pdf(t)
             return np.where(lp > -745.0, np.exp(lp), 0.0)
 
-        masses = _cell_integrals(mass, edges)
-        cdf = np.concatenate([[0.0], np.cumsum(masses)])
+        cdf = np.concatenate([[0.0], np.cumsum(_cell_integrals(mass, edges))])
         total = float(cdf[-1])
         if not math.isfinite(total) or total <= 0.0:
             raise DivergentIntegral("sampling grid carries no finite mass")
         cdf /= total
         cdf[-1] = 1.0
-        self.total = total
-        self._edges = edges
-        self._cdf = cdf
-        self._mapped = mapped
-        self._interp = PchipInterpolator(edges, cdf, extrapolate=False)
+        self._edges, self._cdf, self._mapped = edges, cdf, mapped
+        # the CDF is flat beyond the grid
+        self._table = _Table(edges, cdf, ends=(0.0, 0.0))
 
     def invert(self, u: np.ndarray) -> np.ndarray:
         """Quantiles of the uniforms ``u`` (any shape), elementwise.
 
-        Bisects the interpolated CDF inside the cell that holds each
-        quantile.  The cell's cubic piece is evaluated as ``PPoly`` evaluates
-        it, in the powers of the offset from the cell's left edge; a point
-        on the right edge of a cell that is not the last one takes the next
-        cell's value there.  The values are the interpolant's, bit for bit,
-        without its cell search on every bisection step.
+        Bisects the interpolated CDF inside the cell that holds each quantile.
         """
-        edges, coef = self._edges, self._interp.c
-        last = edges.size - 2
-        idx = np.clip(np.searchsorted(self._cdf, u, side="right") - 1, 0, last)
-        lo, hi = edges[idx], edges[idx + 1]
-        left, right = lo, hi
-        c0, c1, c2, c3 = coef[:, idx]
-        at_right = coef[3, np.minimum(idx + 1, last)]
+        idx = np.clip(np.searchsorted(self._cdf, u, side="right") - 1, 0,
+                      self._edges.size - 2)
+        lo, hi = self._edges[idx], self._edges[idx + 1]
+        cdf = self._table.cubic(idx)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            s = mid - left
-            cdf = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
-            below = np.where((mid == right) & (idx < last), at_right, cdf) < u
+            below = cdf(mid) < u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         t = 0.5 * (lo + hi)
@@ -491,40 +579,33 @@ class _InverseCdfSampler:
             raise InversionFailure("CDF inversion produced non-finite quantiles")
         return np.asarray(_from_t(t)) if self._mapped else t
 
+    def rows(self, n: int, seeds) -> np.ndarray:
+        """One size-``n`` sample per seed, as the rows of an array.
 
-def _sampler_of(model: DensityModel, n: int) -> _InverseCdfSampler:
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    if not model.normalized:
-        raise InvalidParams("sample_from requires a normalized model")
-    # memoized per model; a concurrent first call may build the grid twice,
-    # both results are equivalent and the model stays semantically immutable
-    sampler = model._sampler
-    if sampler is None:
-        sampler = _InverseCdfSampler(model)
-        object.__setattr__(model, "_sampler", sampler)
-    return sampler
+        Row i inverts the ``n`` uniforms of ``numpy.random.default_rng(seeds[i])``.
+        """
+        if n < 1:
+            raise InvalidParams("n must be >= 1")
+        return self.invert(np.array([np.random.default_rng(int(s)).random(n) for s in seeds]))
+
+
+def sample_rows(model: DensityModel, n: int, seeds) -> np.ndarray:
+    """One size-``n`` sample per seed from a normalized model, as array rows.
+
+    Builds the model's sampler, then inverts the seeded uniforms of all rows
+    in one call.  Identical ``(model, n, seed)`` triples yield identical rows.
+    """
+    return InverseCdfSampler(model).rows(n, seeds)
 
 
 def sample_from(model: DensityModel, n: int, seed: int) -> Sample:
     """Draw ``n`` i.i.d. observations from a normalized model.
 
-    The CDF is built once per model by cumulative quadrature on a
-    compactified grid and cached; inversion runs a bracketed bisection per
-    draw.  Identical ``(model, n, seed)`` triples yield identical samples.
+    Row 0 of ``sample_rows(model, n, [seed])``.  Each call builds the CDF
+    anew; repeated draws from one model go through :func:`sample_rows` or
+    one :class:`InverseCdfSampler`.
     """
-    sampler = _sampler_of(model, n)
-    return Sample(sampler.invert(np.random.default_rng(seed).random(n)))
-
-
-def sample_rows(model: DensityModel, n: int, seeds) -> np.ndarray:
-    """One size-``n`` sample per seed, as the rows of an array.
-
-    Row i equals ``sample_from(model, n, seeds[i]).values``: the seeded
-    uniforms of all rows are inverted in one call.
-    """
-    sampler = _sampler_of(model, n)
-    return sampler.invert(np.array([np.random.default_rng(int(s)).random(n) for s in seeds]))
+    return Sample(sample_rows(model, n, [seed])[0])
 
 
 def numeric_cdf(model: DensityModel, x: float) -> float:
@@ -535,66 +616,6 @@ def numeric_cdf(model: DensityModel, x: float) -> float:
     if x >= model.support.upper:
         return 1.0
     return integrate(model.pdf, lo, x, abs_tol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# cached cumulative integrals (tilt and forge constructions)
-# ---------------------------------------------------------------------------
-
-
-class CumulativeIntegral:
-    """Antiderivative of an integrand, anchored at a point.
-
-    The antiderivative is tabulated once on ``TABLE_CELLS`` Gauss-Legendre cells
-    across ``(lo, hi)`` and interpolated with monotone cubic pieces; beyond
-    the tabulated range it is extended linearly using the integrand value at
-    the nearest end.  Cheap enough to sit inside MLE root-finding loops.
-    ``lo`` and ``hi`` are the ends of the tabulated range.
-    """
-
-    def __init__(self, integrand: Callable, anchor: float,
-                 lo: float, hi: float):
-        if not lo < anchor < hi:
-            raise InvalidParams("anchor must lie strictly inside (lo, hi)")
-        edges = np.linspace(lo, hi, TABLE_CELLS + 1)
-        masses = _cell_integrals(integrand, edges)
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        if not np.isfinite(cum).all():
-            raise DivergentIntegral("cumulative integrand is not finite on the grid")
-        self._interp = PchipInterpolator(edges, cum, extrapolate=False)
-        self.lo, self.hi = float(lo), float(hi)
-        self._cum_lo, self._cum_hi = float(cum[0]), float(cum[-1])
-        self._slope_lo = float(integrand(lo))
-        self._slope_hi = float(integrand(hi))
-        self._offset = float(self._interp(anchor))
-
-    def __call__(self, x):
-        if not isinstance(x, np.ndarray):
-            # one point, such as a quadrature node, skips the array bookkeeping
-            if x < self.lo:
-                return self._cum_lo + self._slope_lo * (x - self.lo) - self._offset
-            if x > self.hi:
-                return self._cum_hi + self._slope_hi * (x - self.hi) - self._offset
-            return float(self._interp(x)) - self._offset
-        base = np.where(x < self.lo, self._cum_lo + self._slope_lo * (x - self.lo),
-                        np.where(x > self.hi, self._cum_hi + self._slope_hi * (x - self.hi),
-                                 self._interp(np.clip(x, self.lo, self.hi))))
-        return base - self._offset
-
-
-def anchored_antiderivative(model: DensityModel, profile, integrand: Callable,
-                            drop: float) -> CumulativeIntegral:
-    """Antiderivative of ``integrand`` that vanishes at the zero of a score.
-
-    ``profile`` is a zero-crossing score profile of ``model``; the anchor is
-    its root.  The table spans the model's effective interval at ``drop``,
-    widened to reach at least one unit beyond the anchor on either side.
-    """
-    from .score import bracketed_root  # score builds on this module
-
-    anchor = bracketed_root(profile)
-    lo, hi = effective_interval(model, drop=drop)
-    return CumulativeIntegral(integrand, anchor, min(lo, anchor - 1.0), max(hi, anchor + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -621,19 +642,7 @@ def tabulated_model(support: SupportSet, grid, log_pdf_values, name: str = "tabu
         raise InvalidParams("tabulated grid must be strictly increasing")
     if not np.isfinite(ys).all():
         raise InvalidParams("tabulated log-density values must be finite")
-    if not (support.contains(float(xs[0])) and support.contains(float(xs[-1]))):
+    if not support.contains(xs[[0, -1]]).all():
         raise InvalidParams("tabulated grid must lie inside the declared support")
-    interp = PchipInterpolator(xs, ys, extrapolate=False)
-    deriv = interp.derivative()
-    x_min, x_max = float(xs[0]), float(xs[-1])
-    y_min, y_max = float(ys[0]), float(ys[-1])
-    slope_min, slope_max = float(deriv(x_min)), float(deriv(x_max))
-
-    def log_pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < x_min, y_min + slope_min * (x - x_min),
-                        np.where(x > x_max, y_max + slope_max * (x - x_max),
-                                 interp(np.clip(x, x_min, x_max))))
-
-    return DensityModel(name=name, support=support, log_pdf=log_pdf,
+    return DensityModel(name=name, support=support, log_pdf=_Table(xs, ys),
                         normalized=normalized)

@@ -30,14 +30,13 @@ from .density import (
     NEGATIVE_HALF_LINE,
     POSITIVE_HALF_LINE,
     DensityModel,
-    anchored_antiderivative,
     call_elementwise,
     effective_interval,
     normalize,
     probe_grid,
 )
 from .errors import DegenerateScore, InvalidParams, SingletonClass, UnsupportedSupport
-from .score import Kind, analyze_image, kind_score, u1_zero_structure
+from .score import Kind, analyze_image, anchored_antiderivative, kind_score, u1_zero_structure
 
 
 @dataclass

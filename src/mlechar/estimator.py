@@ -97,9 +97,7 @@ def mle_block(model: DensityModel, kind: Kind, block,
     values = np.asarray(block, dtype=float)
     if values.ndim != 2 or values.size < 1:
         raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
-    support = model.support
-    if not ((values > support.lower) & (values < support.upper)).all():
-        raise OutsideSupport(f"sample contains values outside support {support}")
+    Sample(values.ravel()).require_inside(model)
     m = values.shape[0]
     w_lo, w_hi = kind.theta_window
     if kind.seed is None:
@@ -120,7 +118,13 @@ def mle_block(model: DensityModel, kind: Kind, block,
     while pending.size:
         lo_p = np.maximum(w_lo, center[pending] - half[pending])
         hi_p = np.minimum(w_hi, center[pending] + half[pending])
-        slo_p, shi_p = s(lo_p, pending), s(hi_p, pending)
+        try:
+            # an action that overflows gives an infinity, outside every support
+            with np.errstate(over="ignore"):
+                slo_p, shi_p = s(lo_p, pending), s(hi_p, pending)
+        except OutsideSupport as exc:
+            raise BracketFailure(f"no sign change before the action leaves the support "
+                                 f"within [{lo_p.min():.6g}, {hi_p.max():.6g}]") from exc
         found = (slo_p == 0.0) | (shi_p == 0.0) | ((slo_p > 0.0) != (shi_p > 0.0))
         for dest, src in ((lo, lo_p), (hi, hi_p), (s_lo, slo_p), (s_hi, shi_p)):
             dest[pending[found]] = src[found]

@@ -26,14 +26,14 @@ import numpy as np
 from .coverage import mcss, projection_interval
 from .density import (
     DensityModel,
-    anchored_antiderivative,
     call_elementwise,
     normalize,
+    quiet_overflow,
     sample_rows,
 )
 from .errors import AlreadyCovered, InvalidBounds, InvalidParams, NotMonotone
 from .estimator import mle_block
-from .score import LOCATION, analyze_image
+from .score import LOCATION, analyze_image, anchored_antiderivative
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def h_function(spec: HSpec) -> Callable:
     """
     if isinstance(spec, OddPower):
         d, p = spec.d, spec.p
-        return lambda y: d * y ** p
+        return quiet_overflow(lambda y: d * y ** p)
     w_prime = spec.w_prime
     if w_prime is None:
         w = spec.w

@@ -40,10 +40,12 @@ from .density import (
     FULL_LINE,
     NEGATIVE_HALF_LINE,
     POSITIVE_HALF_LINE,
+    CumulativeIntegral,
     DensityModel,
     Sample,
     SupportSet,
     call_elementwise,
+    effective_interval,
     eval_dlogf,
     probe_grid,
 )
@@ -453,6 +455,19 @@ def bracketed_root(profile: ScoreProfile) -> float:
     if not converged[0]:
         raise BracketFailure("Brent iteration did not converge within 100 steps")
     return float(roots[0])
+
+
+def anchored_antiderivative(model: DensityModel, profile: ScoreProfile, integrand: Callable,
+                            drop: float) -> CumulativeIntegral:
+    """Antiderivative of ``integrand`` that vanishes at the zero of a score.
+
+    ``profile`` is a zero-crossing score profile of ``model``; the anchor is
+    its root.  The table spans the model's effective interval at ``drop``,
+    widened to reach at least one unit beyond the anchor on either side.
+    """
+    anchor = bracketed_root(profile)
+    lo, hi = effective_interval(model, drop=drop)
+    return CumulativeIntegral(integrand, anchor, min(lo, anchor - 1.0), max(hi, anchor + 1.0))
 
 
 #: relative tolerance of every Brent solve, just above the 4 eps floor that

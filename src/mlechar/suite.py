@@ -33,11 +33,11 @@ from .coverage import brute_force_projectable, is_projectable, mcss, mnss
 from .density import (
     FULL_LINE,
     DensityModel,
+    InverseCdfSampler,
     Sample,
     call_elementwise,
     effective_interval,
     probe_grid,
-    sample_from,
 )
 from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
@@ -322,13 +322,13 @@ def _derive_seed(base: int, *labels) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-def _draw_blocks(model, sizes, seed) -> dict[int, np.ndarray]:
+def _draw_blocks(sampler: InverseCdfSampler, sizes, seed) -> dict[int, np.ndarray]:
     """One sample per requested size, cut from a single seeded draw.
 
     Samples of equal size are stacked as the rows of one block:
     ``{n: (count, n) array}``.
     """
-    draw = sample_from(model, int(sum(sizes)), seed).values
+    draw = sampler.rows(int(sum(sizes)), [seed])[0]
     rows: dict[int, list] = {}
     pos = 0
     for n in sizes:
@@ -387,6 +387,7 @@ def _section_equivalence(config: SuiteConfig, forged) -> list[dict]:
         entry = cat.lookup(name, params)
         kind = cat.kind_for(entry, kind_label)
         model = entry.model
+        sampler = InverseCdfSampler(model)
         for d in config.tilt_exponents:
             tilted = tilt(model, d, kind)
             d_hat = same_class(model, tilted, kind, tol=config.score_tol)
@@ -395,7 +396,7 @@ def _section_equivalence(config: SuiteConfig, forged) -> list[dict]:
             for size_i, n in enumerate(config.sample_sizes):
                 seed = _derive_seed(config.seed, "equivalence", name, kind_label,
                                     int(d * 1000), size_i)
-                block = _draw_blocks(model, [n] * config.trials, seed)[n]
+                block = _draw_blocks(sampler, [n] * config.trials, seed)[n]
                 gaps = np.abs(_thetas(model, kind, block, config.mle_tol)
                               - _thetas(tilted, kind, block, config.mle_tol))
                 max_gap = max(max_gap, float(gaps.max()))
@@ -532,7 +533,7 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
         kind = cat.kind_for(entry, kind_label)
         seed = _derive_seed(config.seed, "closed_form", name, kind_label)
         worst = 0.0
-        for block in _draw_blocks(entry.model, sizes_cycle, seed).values():
+        for block in _draw_blocks(InverseCdfSampler(entry.model), sizes_cycle, seed).values():
             closed = np.array([closed_form_mle(entry, kind, Sample(row)).theta_hat
                                for row in block])
             numeric = _thetas(entry.model, kind, block, config.mle_tol)
@@ -571,7 +572,7 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
                 continue
             model = cat.lookup(name, params).model
             worst = 0.0
-            blocks = _draw_blocks(model, sizes_cycle,
+            blocks = _draw_blocks(InverseCdfSampler(model), sizes_cycle,
                                   _derive_seed(config.seed, seed_label, name))
             for block in blocks.values():
                 base = _thetas(model, kind, block, config.mle_tol)

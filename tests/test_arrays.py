@@ -12,11 +12,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from mlechar import LOCATION, SCALE, OddPower, PlusEvenDerivative, forge_odd_h, lookup, tilt
 from mlechar.catalog import kind_for
-from mlechar.density import (DensityModel, Sample, SupportSet, _from_t, _sampler_of,
+from mlechar.density import (DensityModel, InverseCdfSampler, Sample, SupportSet, _from_t,
                              eval_dlogf)
+from mlechar.forge import h_function
 from mlechar.estimator import mle
 from mlechar.score import Kind, kind_score
 from mlechar.specfiles import load_family_spec, write_tabulated
@@ -150,10 +152,11 @@ def test_tilts_on_arrays_match_scalar_calls(name, params, label, d):
 
 @pytest.mark.parametrize("name,params", FAMILIES)
 def test_sampler_inversion_matches_its_interpolant(name, params):
-    # the reference bisects on the interpolant itself; the uniforms include
-    # the CDF at cell edges and the doubles just below it, where a bisection
-    # point can land on an edge
-    sampler = _sampler_of(lookup(name, params).model, 1)
+    # the reference bisects on an interpolant of the sampler's CDF nodes; the
+    # uniforms include the CDF at cell edges and the doubles just below it,
+    # where a bisection point can land on an edge
+    sampler = InverseCdfSampler(lookup(name, params).model)
+    interp = PchipInterpolator(sampler._edges, sampler._cdf, extrapolate=False)
     edges = sampler._cdf[1:-1:97]
     u = np.concatenate([np.random.default_rng(7).random(2000), edges,
                         np.nextafter(edges, 0.0)])
@@ -162,7 +165,7 @@ def test_sampler_inversion_matches_its_interpolant(name, params):
     lo, hi = sampler._edges[idx], sampler._edges[idx + 1]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        below = sampler._interp(mid) < u
+        below = interp(mid) < u
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     t = 0.5 * (lo + hi)
     assert np.array_equal(sampler.invert(u), _from_t(t) if sampler._mapped else t)
@@ -205,6 +208,9 @@ def test_log_pdf_is_minus_inf_outside_the_support(gamma2):
     ("generalized_gaussian", {"alpha": 1.0, "gamma": 2.0}, 1e308),
     ("weibull", {"k": 2.0}, 1e200),
     ("weibull", {"k": 3.0}, 1e200),
+    ("gaussian", {}, 1e200),
+    ("student", {"nu": 3.0}, 1e200),
+    ("sinh_arcsinh_skew_normal", {}, -1e200),
 ])
 def test_overflow_gives_infinities_without_warnings(name, params, x):
     model = lookup(name, params).model
@@ -213,6 +219,13 @@ def test_overflow_gives_infinities_without_warnings(name, params, x):
         for point in (x, np.array([x, 1.0])):
             assert np.isneginf(np.asarray(model.log_pdf(point)).ravel()[0])
             assert not np.isnan(model.dlog_pdf(point)).any()
+
+
+def test_odd_power_overflows_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = h_function(OddPower(1.0, 3))(np.array([-1e200, 1e200, 2.0]))
+    assert np.array_equal(got, [-math.inf, math.inf, 8.0])
 
 
 def test_scalar_only_callables_give_the_same_results(gaussian, logistic, sinh_arcsinh):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as gamma_fn
 
 from mlechar import lookup, normalize, sample_from
 from mlechar.density import (
     DensityModel,
+    InverseCdfSampler,
     Sample,
     SupportSet,
     check_dlog_pdf,
@@ -17,7 +19,9 @@ from mlechar.density import (
     eval_dlogf,
     numeric_cdf,
     probe_grid,
+    sample_rows,
     tabulated_model,
+    _Table,
 )
 from mlechar.errors import DivergentIntegral, OutsideSupport
 
@@ -33,6 +37,12 @@ def test_support_membership():
     assert pos.contains(1e-12) and not pos.contains(0.0) and not pos.contains(-1.0)
     iv = SupportSet.open_interval(-1.0, 2.0)
     assert iv.contains(0.0) and not iv.contains(-1.0) and not iv.contains(2.0)
+
+
+def test_support_membership_on_arrays():
+    pos = SupportSet.positive_half_line()
+    xs = np.array([[-1.0, 0.0, 1e-12], [np.inf, np.nan, 3.0]])
+    assert pos.contains(xs).tolist() == [[False, False, True], [False, False, True]]
     with pytest.raises(ValueError):
         SupportSet.open_interval(2.0, 2.0)
 
@@ -182,6 +192,17 @@ def test_sampling_kolmogorov_distance(name, params):
     assert worst < 0.02
 
 
+def test_one_sampler_or_one_per_call_draws_the_same_rows(gaussian):
+    model = gaussian.model
+    sampler = InverseCdfSampler(model)
+    once = sample_from(model, 50, seed=5).values
+    assert np.array_equal(once, sample_rows(model, 50, [5])[0])
+    assert np.array_equal(once, sampler.rows(50, [5])[0])
+    assert np.array_equal(once, sampler.rows(50, [4, 5])[1])
+    # drawing leaves the model as it was: no sampler is kept on it
+    assert not any(isinstance(v, InverseCdfSampler) for v in vars(model).values())
+
+
 def test_sample_requires_normalized(quartic_unnormalized):
     with pytest.raises(ValueError):
         sample_from(quartic_unnormalized, 10, seed=1)
@@ -210,6 +231,46 @@ def test_tabulated_model_interpolates():
     # beyond the grid hull the log-density continues linearly
     inside_slope = eval_dlogf(model, 5.95)
     assert abs(eval_dlogf(model, 8.0) - inside_slope) < 0.2
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    start = draw(st.floats(min_value=-50.0, max_value=50.0))
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=n - 1,
+                          max_size=n - 1))
+    x = start + np.concatenate([[0.0], np.cumsum(steps)])
+    assume((np.diff(x) > 0).all())
+    y = np.array(draw(st.lists(st.floats(min_value=-50.0, max_value=50.0),
+                               min_size=n, max_size=n)))
+    # scipy's PCHIP warns where a secant slope is subnormal: its harmonic
+    # mean of slopes overflows
+    slopes = np.abs(np.diff(y) / np.diff(x))
+    assume(((slopes == 0.0) | (slopes >= np.finfo(float).tiny)).all())
+    ends = draw(st.none() | st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+    return x, y, ends
+
+
+@given(table=tables(), points=st.lists(st.floats(min_value=-200.0, max_value=200.0),
+                                       min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_table_is_pchip_inside_and_linear_outside(table, points):
+    x, y, ends = table
+    t = _Table(x, y, ends)
+    interp = PchipInterpolator(x, y, extrapolate=False)
+    if ends is None:
+        ends = tuple(float(v) for v in interp.derivative()((x[0], x[-1])))
+    p = np.array(points)
+    got = t(p)
+    below, above = p < x[0], p > x[-1]
+    inside = ~(below | above)
+    assert np.array_equal(got[inside], interp(p[inside]))
+    assert np.array_equal(got[below], y[0] + ends[0] * (p[below] - x[0]))
+    assert np.array_equal(got[above], y[-1] + ends[1] * (p[above] - x[-1]))
+    assert [t(float(v)) for v in p] == got.tolist()
+    # the cubic of each point's cell, without a cell search
+    cells = np.clip(np.searchsorted(x, p[inside], side="right") - 1, 0, x.size - 2)
+    assert np.array_equal(t.cubic(cells)(p[inside]), interp(p[inside]))
 
 
 def test_tabulated_model_rejects_bad_grids():

@@ -232,6 +232,16 @@ def test_bracket_failure_outside_window(gaussian, sinh_arcsinh):
         mle_group(gaussian.model, narrow, s(5.0, 6.0, 7.0))
 
 
+def test_rate_below_the_scale_window_is_a_bracket_failure():
+    # the closed-form rate, 8e-309, is subnormal: below the window, where the
+    # bracket grows until theta * x overflows
+    laplace = lookup("laplace")
+    sample = s(1e308, 1.5e308)
+    assert closed_form_mle(laplace, SCALE, sample).theta_hat == 8e-309
+    with pytest.raises(BracketFailure):
+        mle(laplace.model, SCALE, sample)
+
+
 @pytest.mark.parametrize("values", [(1e-300, 2e-300), (1e200, 3e200)])
 def test_scale_mle_at_extreme_magnitudes(gamma2, values):
     # the bracket is seeded at the sample's own magnitude, so rates near the

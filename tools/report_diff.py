@@ -5,7 +5,7 @@ its absolute and relative change.  Exits 1 when the reports differ in
 anything but numbers: the schema, the seed or the configuration, the
 sections and their record keys, the verdicts, any string or bool field, or
 any value of the ``catalog_mnss`` section.  Exits 0 otherwise, also when
-numbers moved.
+numbers moved.  Prints nothing when the reports are identical.
 
     python tools/report_diff.py A.json B.json
 """
@@ -72,7 +72,8 @@ def main(argv=None) -> int:
         print(f"moved {line}")
     for line in mismatches:
         print(f"DIFFERS {line}")
-    print(f"{len(moved)} numeric fields moved, {len(mismatches)} other differences")
+    if moved or mismatches:
+        print(f"{len(moved)} numeric fields moved, {len(mismatches)} other differences")
     return 1 if mismatches else 0
 
 
