@@ -328,12 +328,7 @@ def _student(params: dict) -> CatalogEntry:
         params={"nu": nu},
         normalized=True,
     )
-    if nu < 1.0:
-        expected_scale = max(math.ceil(1.0 + 1.0 / nu - 1e-9), 3)
-    elif nu == 1.0:
-        expected_scale = 3
-    else:
-        expected_scale = max(math.ceil(1.0 + nu - 1e-9), 3)
+    expected_scale = max(math.ceil(1.0 + max(nu, 1.0 / nu) - 1e-9), 3)
     return CatalogEntry(
         name="student",
         params={"nu": nu},

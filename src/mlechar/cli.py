@@ -39,6 +39,7 @@ from .suite import (
     build_profiles,
     config_from_json,
     emit_report,
+    enc,
     run_suite,
 )
 
@@ -49,12 +50,6 @@ KIND_ALIASES = {"loc": "location", "location": "location",
 
 def _kv(key, value) -> None:
     print(f"{key}={value}")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value}"
 
 
 def _parse_bound(text: str) -> float:
@@ -85,6 +80,19 @@ def _parse_kind(text: str) -> str:
     if kind is None:
         raise InvalidConfig(f"unknown kind {text!r} (use loc, scale or group)")
     return kind
+
+
+def _tol(given, f_model, g_model, analytic: float, interpolated: float) -> float:
+    """``given``, or the default for the pair: ``analytic`` when both
+    densities have an analytic ``dlog_pdf``, ``interpolated`` otherwise."""
+    if given is not None:
+        return given
+    # interpolated (tabulated) densities carry derivative noise from the
+    # monotone-cubic pieces; the same-class ratio test needs tol well above
+    # the square root of that noise (the floor |score_f| > tol admits points
+    # where the noise is amplified by 1/tol)
+    both = f_model.dlog_pdf is not None and g_model.dlog_pdf is not None
+    return analytic if both else interpolated
 
 
 def _read_sample(path: str) -> Sample:
@@ -123,13 +131,13 @@ def _cmd_analyze(args) -> int:
         return 0
     for prof in profiles:
         tag = f"bounds{prof.domain}"
-        _kv(tag, f"(-{_fmt(prof.p_minus)}, {_fmt(prof.p_plus)})")
+        _kv(tag, f"(-{enc(prof.p_minus)}, {enc(prof.p_plus)})")
         _kv(f"provenance{prof.domain}", prof.bounds_provenance.method)
-        _kv(f"mcss{prof.domain}", _fmt(mcss(prof.p_minus, prof.p_plus).value))
+        _kv(f"mcss{prof.domain}", enc(mcss(prof.p_minus, prof.p_plus).value))
     computed = mnss(profiles, cat.kind_for(entry, kind))
     expected = cat.expected_mnss(entry, kind)
-    _kv("mnss", _fmt(computed.value))
-    _kv("expected_mnss", _fmt(expected.value))
+    _kv("mnss", enc(computed.value))
+    _kv("expected_mnss", enc(expected.value))
     _kv("characterizable", "true")
     _kv("match", str(computed.value == expected.value).lower())
     return 0
@@ -138,13 +146,13 @@ def _cmd_analyze(args) -> int:
 def _cmd_mcss(args) -> int:
     pm, pp = _parse_bound(args.pminus), _parse_bound(args.pplus)
     result = mcss(pm, pp)
-    _kv("p_minus", _fmt(result.p_minus))
-    _kv("p_plus", _fmt(result.p_plus))
-    _kv("mcss", _fmt(result.value))
+    _kv("p_minus", enc(result.p_minus))
+    _kv("p_plus", enc(result.p_plus))
+    _kv("mcss", enc(result.value))
     if args.n is not None:
         lo, hi = projection_interval(pm, pp, args.n)
         _kv("n", args.n)
-        _kv("projection_interval", f"({_fmt(lo)}, {_fmt(hi)})")
+        _kv("projection_interval", f"({enc(lo)}, {enc(hi)})")
         _kv("projectable", str(is_projectable(pm, pp, args.n)).lower())
     return 0
 
@@ -184,15 +192,7 @@ def _cmd_same_class(args) -> int:
     g_model, _ = load_family_spec(args.g)
     kind_label = _parse_kind(args.kind)
     kind = cat.kind_for(f_entry, kind_label)
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        # interpolated (tabulated) densities carry derivative noise from the
-        # monotone-cubic pieces; the ratio test needs tol well above the
-        # square root of that noise (the floor |score_f| > tol admits points
-        # where the noise is amplified by 1/tol)
-        analytic = f_model.dlog_pdf is not None and g_model.dlog_pdf is not None
-        tol = 1e-6 if analytic else 1e-2
+    tol = _tol(args.tol, f_model, g_model, analytic=1e-6, interpolated=1e-2)
     d = same_class(f_model, g_model, kind, tol=tol)
     _kv("tol", tol)
     if d is None:
@@ -240,11 +240,7 @@ def _cmd_forge(args) -> int:
 def _cmd_verify_counterexample(args) -> int:
     f_model, _ = load_family_spec(args.f)
     g_model, _ = load_family_spec(args.g)
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        analytic = f_model.dlog_pdf is not None and g_model.dlog_pdf is not None
-        tol = 1e-7 if analytic else 1e-4
+    tol = _tol(args.tol, f_model, g_model, analytic=1e-7, interpolated=1e-4)
     report = verify_counterexample(f_model, g_model, n=args.n, trials=args.trials,
                                    seed=args.seed, tol=tol)
     _kv("n", report.n)

@@ -478,9 +478,12 @@ class _Table:
                 return self._y_hi + self._slope_hi * (x - self.hi) - self.offset
             return float(self._interp(x)) - self.offset
         inside = self._interp(np.clip(x, self.lo, self.hi))
-        return np.where(x < self.lo, self._y_lo + self._slope_lo * (x - self.lo),
-                        np.where(x > self.hi, self._y_hi + self._slope_hi * (x - self.hi),
-                                 inside)) - self.offset
+        # both tails are evaluated at every point; far ones overflow to an
+        # infinity, as they do on one float
+        with np.errstate(over="ignore"):
+            return np.where(x < self.lo, self._y_lo + self._slope_lo * (x - self.lo),
+                            np.where(x > self.hi, self._y_hi + self._slope_hi * (x - self.hi),
+                                     inside)) - self.offset
 
     def cubic(self, cells: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The interpolant (without ``offset``) on the given cells, as a

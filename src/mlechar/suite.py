@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -341,6 +342,23 @@ def _thetas(model, kind, block, tol) -> np.ndarray:
     return np.array([r.theta_hat for r in mle_block(model, kind, block, tol)])
 
 
+def _worst(sampler: InverseCdfSampler, sizes, seed, deviation) -> float:
+    """Largest ``deviation(block)`` over the size blocks of one
+    ``_draw_blocks`` draw; a NaN deviation makes the result NaN."""
+    blocks = _draw_blocks(sampler, sizes, seed).values()
+    return float(np.max([np.max(deviation(block)) for block in blocks]))
+
+
+_RULES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
+
+
+def _verdict(*checks) -> str:
+    """``"pass"`` when every ``(value, rule, threshold)`` check holds, where
+    ``rule`` is ``<``, ``<=``, ``>`` or ``==``; a NaN value fails every rule."""
+    return "pass" if all(_RULES[rule](value, threshold)
+                         for value, rule, threshold in checks) else "fail"
+
+
 def build_profiles(entry, kind_label: str):
     """Score profiles for a catalog entry and kind (see ``kind_profiles``):
     one profile, or the (negative, positive) half-line pair for scale
@@ -361,7 +379,6 @@ def _section_catalog_mnss(config: SuiteConfig) -> list[dict]:
             profiles = build_profiles(entry, kind_label)
             computed = mnss(profiles, cat.kind_for(entry, kind_label))
             expected = entry.expected[kind_label]
-            match = computed.value == expected
             rec = {
                 "family": name,
                 "params": json.dumps(params, sort_keys=True),
@@ -374,14 +391,14 @@ def _section_catalog_mnss(config: SuiteConfig) -> list[dict]:
                 "mnss": enc(computed.value),
                 "expected_mnss": enc(expected),
                 "needs_scale_identification": entry.needs_scale_identification,
-                "match": match,
-                "verdict": "pass" if match else "fail",
+                "match": computed.value == expected,
+                "verdict": _verdict((computed.value, "==", expected)),
             }
             records.append(rec)
     return records
 
 
-def _section_equivalence(config: SuiteConfig, forged) -> list[dict]:
+def _section_equivalence(config: SuiteConfig, gaussian, forged) -> list[dict]:
     records = []
     for name, params, kind_label in config.equivalence:
         entry = cat.lookup(name, params)
@@ -391,16 +408,16 @@ def _section_equivalence(config: SuiteConfig, forged) -> list[dict]:
         for d in config.tilt_exponents:
             tilted = tilt(model, d, kind)
             d_hat = same_class(model, tilted, kind, tol=config.score_tol)
-            d_ok = d_hat is not None and abs(d_hat - d) < 1e-6
-            max_gap = 0.0
-            for size_i, n in enumerate(config.sample_sizes):
-                seed = _derive_seed(config.seed, "equivalence", name, kind_label,
-                                    int(d * 1000), size_i)
-                block = _draw_blocks(sampler, [n] * config.trials, seed)[n]
-                gaps = np.abs(_thetas(model, kind, block, config.mle_tol)
+
+            def gap(block):
+                return np.abs(_thetas(model, kind, block, config.mle_tol)
                               - _thetas(tilted, kind, block, config.mle_tol))
-                max_gap = max(max_gap, float(gaps.max()))
-            ok = d_ok and max_gap < config.agreement_tol
+
+            max_gap = float(np.max([
+                _worst(sampler, [n] * config.trials,
+                       _derive_seed(config.seed, "equivalence", name, kind_label,
+                                    int(d * 1000), size_i), gap)
+                for size_i, n in enumerate(config.sample_sizes)]))
             records.append({
                 "check": "shared_mle",
                 "family": name,
@@ -411,10 +428,10 @@ def _section_equivalence(config: SuiteConfig, forged) -> list[dict]:
                 "max_gap": enc(max_gap),
                 "d_recovered": enc(d_hat) if d_hat is not None else "none",
                 "provenance": "numeric",
-                "verdict": "pass" if ok else "fail",
+                "verdict": _verdict((math.inf if d_hat is None else abs(d_hat - d), "<", 1e-6),
+                                    (max_gap, "<", config.agreement_tol)),
             })
 
-    gaussian = cat.lookup("gaussian").model
     logistic = cat.lookup("logistic").model
     for label, other in (("gaussian_vs_logistic", logistic),
                          ("gaussian_vs_quartic_forge", forged)):
@@ -425,13 +442,12 @@ def _section_equivalence(config: SuiteConfig, forged) -> list[dict]:
             "kind": "location",
             "d_recovered": enc(verdict_d) if verdict_d is not None else "distinct",
             "provenance": "numeric",
-            "verdict": "pass" if verdict_d is None else "fail",
+            "verdict": _verdict((verdict_d, "==", None)),
         })
     return records
 
 
-def _section_counterexample(config: SuiteConfig, forged) -> list[dict]:
-    gaussian = cat.lookup("gaussian").model
+def _section_counterexample(config: SuiteConfig, gaussian, forged) -> list[dict]:
     records = []
 
     rep2 = verify_counterexample(gaussian, forged, n=2, trials=config.trials,
@@ -443,14 +459,13 @@ def _section_counterexample(config: SuiteConfig, forged) -> list[dict]:
         "agreement_fraction": rep2.agreement_fraction,
         "worst_gap": enc(rep2.worst.gap) if rep2.worst else "none",
         "provenance": "numeric",
-        "verdict": "pass" if rep2.agreement_fraction == 1.0 else "fail",
+        "verdict": _verdict((rep2.agreement_fraction, "==", 1.0)),
     })
 
     witness = Sample(np.array([0.0, 0.0, 3.0]))
     tf = mle_location(gaussian, witness, config.mle_tol).theta_hat
     tg = mle_location(forged, witness, config.mle_tol).theta_hat
     expected_tg = 3.0 / (1.0 + 2.0 ** (1.0 / 3.0))
-    gap_ok = abs(tf - tg) > 0.3 and abs(tg - expected_tg) < 1e-6 and abs(tf - 1.0) < 1e-9
     records.append({
         "check": "witness_n3",
         "sample": "0,0,3",
@@ -459,13 +474,13 @@ def _section_counterexample(config: SuiteConfig, forged) -> list[dict]:
         "expected_forged": enc(expected_tg),
         "gap": enc(abs(tf - tg)),
         "provenance": "analytic",
-        "verdict": "pass" if gap_ok else "fail",
+        "verdict": _verdict((abs(tf - tg), ">", 0.3), (abs(tg - expected_tg), "<", 1e-6),
+                            (abs(tf - 1.0), "<", 1e-9)),
     })
 
     rep3 = verify_counterexample(gaussian, forged, n=3, trials=config.trials,
                                  seed=_derive_seed(config.seed, "forge", 3),
                                  tol=1e-4)
-    simultaneous = rep2.agreement_fraction == 1.0 and rep3.agreement_fraction == 1.0
     records.append({
         "check": "agreement_n3_random",
         "trials": rep3.trials,
@@ -473,35 +488,26 @@ def _section_counterexample(config: SuiteConfig, forged) -> list[dict]:
         "worst_sample": ",".join(f"{v:.6g}" for v in rep3.worst.sample)
         if rep3.worst else "none",
         "worst_gap": enc(rep3.worst.gap) if rep3.worst else "none",
-        "no_simultaneous_agreement": not simultaneous,
+        "no_simultaneous_agreement": not (rep2.agreement_fraction == 1.0
+                                          and rep3.agreement_fraction == 1.0),
         "provenance": "numeric",
-        "verdict": "pass" if rep3.agreement_fraction < 0.05 and not simultaneous else "fail",
+        # a fraction below 0.05 also rules out simultaneous agreement
+        "verdict": _verdict((rep3.agreement_fraction, "<", 0.05)),
     })
     return records
 
 
 def _section_projectability(config: SuiteConfig) -> list[dict]:
-    agree = 0
-    total = 0
-    mismatches = []
-    for pm in LATTICE:
-        for pp in LATTICE:
-            for n in range(2, 9):
-                total += 1
-                formula = is_projectable(pm, pp, n)
-                oracle = brute_force_projectable(pm, pp, n, grid=41)
-                if formula == oracle:
-                    agree += 1
-                else:
-                    mismatches.append(f"({pm},{pp},n={n})")
-    lattice_ok = agree == total
+    cases = [(pm, pp, n) for pm in LATTICE for pp in LATTICE for n in range(2, 9)]
+    mismatches = [f"({pm},{pp},n={n})" for pm, pp, n in cases
+                  if is_projectable(pm, pp, n) != brute_force_projectable(pm, pp, n, grid=41)]
     records = [{
         "check": "lattice_oracle",
-        "cases": total,
-        "agreements": agree,
+        "cases": len(cases),
+        "agreements": len(cases) - len(mismatches),
         "mismatches": ";".join(mismatches) or "none",
         "provenance": "numeric",
-        "verdict": "pass" if lattice_ok else "fail",
+        "verdict": _verdict((len(mismatches), "==", 0)),
     }]
     for (pm, pp), expected in (((1.0, 3.0), 4), ((1.0, 1.0), 2)):
         value = mcss(pm, pp).value
@@ -512,7 +518,7 @@ def _section_projectability(config: SuiteConfig) -> list[dict]:
             "mcss": enc(value),
             "expected": expected,
             "provenance": "analytic",
-            "verdict": "pass" if value == expected else "fail",
+            "verdict": _verdict((value, "==", expected)),
         })
     return records
 
@@ -531,16 +537,16 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
             continue
         entry = cat.lookup(name, params)
         kind = cat.kind_for(entry, kind_label)
-        seed = _derive_seed(config.seed, "closed_form", name, kind_label)
-        worst = 0.0
-        for block in _draw_blocks(InverseCdfSampler(entry.model), sizes_cycle, seed).values():
+
+        def deviation(block):
             closed = np.array([closed_form_mle(entry, kind, Sample(row)).theta_hat
                                for row in block])
             numeric = _thetas(entry.model, kind, block, config.mle_tol)
             # rates compare relatively, locations absolutely
-            dev = np.abs(closed - numeric) / (np.abs(numeric) if kind is SCALE else 1.0)
-            worst = max(worst, float(dev.max()))
-        ok = worst < 1e-8
+            return np.abs(closed - numeric) / (np.abs(numeric) if kind is SCALE else 1.0)
+
+        worst = _worst(InverseCdfSampler(entry.model), sizes_cycle,
+                       _derive_seed(config.seed, "closed_form", name, kind_label), deviation)
         records.append({
             "check": "closed_vs_numeric",
             "family": name,
@@ -549,7 +555,7 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
             "samples": len(sizes_cycle),
             "max_deviation": enc(worst),
             "provenance": "numeric",
-            "verdict": "pass" if ok else "fail",
+            "verdict": _verdict((worst, "<", 1e-8)),
         })
     return records
 
@@ -571,14 +577,14 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
             if not _configured(config, name, params, kind.label):
                 continue
             model = cat.lookup(name, params).model
-            worst = 0.0
-            blocks = _draw_blocks(InverseCdfSampler(model), sizes_cycle,
-                                  _derive_seed(config.seed, seed_label, name))
-            for block in blocks.values():
+
+            def moved(block):
                 base = _thetas(model, kind, block, config.mle_tol)
-                for g in elements:
-                    got = _thetas(model, kind, act(block, g), config.mle_tol)
-                    worst = max(worst, float(deviation(got, base, g).max()))
+                return [deviation(_thetas(model, kind, act(block, g), config.mle_tol), base, g)
+                        for g in elements]
+
+            worst = _worst(InverseCdfSampler(model), sizes_cycle,
+                           _derive_seed(config.seed, seed_label, name), moved)
             records.append({
                 "check": check,
                 "family": name,
@@ -586,7 +592,7 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
                 key: "/".join(str(g) for g in elements),
                 "max_deviation": enc(worst),
                 "provenance": "numeric",
-                "verdict": "pass" if worst < 1e-8 else "fail",
+                "verdict": _verdict((worst, "<", 1e-8)),
             })
     return records
 
@@ -621,7 +627,6 @@ def _section_score_crosscheck(config: SuiteConfig) -> list[dict]:
             xs = _crosscheck_grid(entry)
             worst = float(np.max(np.abs(kind_score(fd_model, kind, xs)
                                         - call_elementwise(analytic, xs))))
-            score_ok = worst < config.score_tol
             records.append({
                 "check": "fd_vs_analytic_score",
                 "family": name,
@@ -629,21 +634,20 @@ def _section_score_crosscheck(config: SuiteConfig) -> list[dict]:
                 "grid": len(xs),
                 "max_deviation": enc(worst),
                 "provenance": "numeric",
-                "verdict": "pass" if score_ok else "fail",
+                "verdict": _verdict((worst, "<", config.score_tol)),
             })
 
         for kind_label in kinds:
             bounds = entry.analytic_bounds.get(kind_label)
             if bounds is None:
                 continue
-            ok = True
+            checks = []
             details = []
             for prof in build_profiles(entry, kind_label):
-                for est, ref in ((prof.p_minus, bounds[0]), (prof.p_plus, bounds[1])):
-                    if math.isinf(ref):
-                        ok = ok and math.isinf(est)
-                    else:
-                        ok = ok and math.isfinite(est) and abs(est - ref) <= 1e-3 * abs(ref)
+                # an infinite bound is matched exactly, a finite one to 1e-3 relative
+                checks += [(est, "==", ref) if math.isinf(ref)
+                           else (abs(est - ref), "<=", 1e-3 * abs(ref))
+                           for est, ref in ((prof.p_minus, bounds[0]), (prof.p_plus, bounds[1]))]
                 details.append(f"({enc(prof.p_minus)},{enc(prof.p_plus)})")
             records.append({
                 "check": "numeric_vs_analytic_bounds",
@@ -652,7 +656,7 @@ def _section_score_crosscheck(config: SuiteConfig) -> list[dict]:
                 "numeric": " ".join(details),
                 "analytic": f"({enc(bounds[0])},{enc(bounds[1])})",
                 "provenance": "numeric",
-                "verdict": "pass" if ok else "fail",
+                "verdict": _verdict(*checks),
             })
     return records
 
@@ -672,8 +676,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     sections = {
         "catalog_mnss": _section_catalog_mnss(config),
-        "equivalence": _section_equivalence(config, forged),
-        "counterexample": _section_counterexample(config, forged),
+        "equivalence": _section_equivalence(config, gaussian, forged),
+        "counterexample": _section_counterexample(config, gaussian, forged),
         "projectability": _section_projectability(config),
         "closed_form": _section_closed_form(config),
         "equivariance": _section_equivariance(config),

@@ -228,6 +228,17 @@ def test_odd_power_overflows_without_warnings():
     assert np.array_equal(got, [-math.inf, math.inf, 8.0])
 
 
+def test_table_tails_overflow_without_warnings(forged_pair, gaussian, tmp_path):
+    path = tmp_path / "tilted.json"
+    write_tabulated(tilt(gaussian.model, 2.0, LOCATION), path)
+    tabulated, _ = load_family_spec(path)
+    xs = np.array([-1e307, 1e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (forged_pair[0], tabulated):
+            assert np.array_equal(model.log_pdf(xs), scalar_values(model.log_pdf, xs))
+
+
 def test_scalar_only_callables_give_the_same_results(gaussian, logistic, sinh_arcsinh):
     # each pair differs only in whether its callables accept arrays
     model = logistic.model

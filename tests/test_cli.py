@@ -155,6 +155,23 @@ def test_cli_forge_and_verify(tmp_path, capsys, gauss_spec):
     assert "worst_gap" in out
 
 
+@pytest.mark.parametrize("command,tabulated,tol", [
+    ("same-class", False, "1e-06"),
+    ("same-class", True, "0.01"),
+    ("verify-counterexample", False, "1e-07"),
+    ("verify-counterexample", True, "0.0001"),
+])
+def test_cli_default_tolerances(tmp_path, capsys, gaussian, gauss_spec, command, tabulated, tol):
+    other = tmp_path / "other.json"
+    if tabulated:
+        write_tabulated(tilt(gaussian.model, 2.0, LOCATION), other)
+    else:
+        other.write_text(json.dumps({"catalog": "logistic"}))
+    extra = ["--kind", "loc"] if command == "same-class" else ["--n", "2", "--trials", "2"]
+    assert main([command, "--f", gauss_spec, "--g", str(other), *extra]) == 0
+    assert kv(capsys)["tol"] == tol
+
+
 def test_cli_suite_restricted_config(tmp_path, capsys):
     config = {
         "families": [{"name": "gaussian", "params": {}, "kinds": ["location"]}],

@@ -104,6 +104,17 @@ def test_failing_verdict_marks_report(tmp_path):
     assert main(["suite", "--config", str(cfg_path)]) == 1
 
 
+def test_score_tolerance_flips_the_crosscheck_verdict():
+    # no finite-difference score matches the analytic one to 1e-300
+    config = SuiteConfig(families=(("gaussian", {}, ("location", "scale")),),
+                         equivalence=(), trials=5, sample_sizes=(3,), seed=3,
+                         score_tol=1e-300)
+    report = run_suite(config)
+    assert report.verdicts["score_crosscheck"] == "fail"
+    assert report.verdicts["projectability"] == "pass"
+    assert not report.passed
+
+
 def test_empty_family_config_yields_empty_records():
     config = SuiteConfig(families=(), equivalence=(), trials=2,
                          sample_sizes=(2,), seed=1)
