@@ -134,6 +134,18 @@ def _check_params(given: dict, allowed: dict) -> dict:
     return merged
 
 
+def _finite(value: Callable[[], float], what: str) -> float:
+    """``value()``, a constant of a family; parameters at which it overflows,
+    leaves the domain of ``math`` or is not finite are invalid."""
+    try:
+        out = value()
+    except (OverflowError, ValueError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise InvalidParams(f"{what} is not a finite float")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # family builders
 # ---------------------------------------------------------------------------
@@ -165,7 +177,7 @@ def _gamma(params: dict) -> CatalogEntry:
     alpha = p["alpha"]
     if alpha <= 0.0:
         raise InvalidParams(f"gamma needs alpha > 0, got {alpha}")
-    lgam = math.lgamma(alpha)
+    lgam = _finite(lambda: math.lgamma(alpha), f"lgamma(alpha) at alpha={alpha:g}")
     model = DensityModel(
         name=f"gamma(alpha={alpha:g})",
         support=SupportSet.positive_half_line(),
@@ -193,7 +205,8 @@ def _generalized_gaussian(params: dict) -> CatalogEntry:
     alpha, gam = p["alpha"], p["gamma"]
     if alpha <= 0.0 or gam == 0.0:
         raise InvalidParams("generalized gaussian needs alpha > 0 and gamma != 0")
-    const = math.log(abs(gam)) + alpha * math.log(alpha) - math.lgamma(alpha)
+    const = _finite(lambda: math.log(abs(gam)) + alpha * math.log(alpha) - math.lgamma(alpha),
+                    f"the log-normalizer at alpha={alpha:g}, gamma={gam:g}")
 
     def log_pdf(x):
         # gam * x itself may overflow; the density is 0 wherever exp does
@@ -313,13 +326,22 @@ def _gumbel(params: dict) -> CatalogEntry:
     )
 
 
+def _lgamma_half_step(z: float) -> float:
+    """``lgamma(z + 1/2) - lgamma(z)``.  Beyond z = 1000 the two terms cancel
+    (all digits are lost by z = 1e16), so there its asymptotic series
+    ``log(z)/2 - 1/(8z) + 1/(192z^3)`` stands in, good to a few ulps."""
+    if z <= 1e3:
+        return math.lgamma(z + 0.5) - math.lgamma(z)
+    return 0.5 * math.log(z) - 1.0 / (8.0 * z) + 1.0 / (192.0 * z * z * z)
+
+
 def _student(params: dict) -> CatalogEntry:
     p = _check_params(params, {"nu": None})
     nu = p["nu"]
     if nu <= 0.0:
         raise InvalidParams(f"student needs nu > 0, got {nu}")
-    const = math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu) \
-        - 0.5 * math.log(nu * math.pi)
+    const = _finite(lambda: _lgamma_half_step(0.5 * nu) - 0.5 * math.log(nu * math.pi),
+                    f"the log-normalizer at nu={nu:g}")
     model = DensityModel(
         name=f"student(nu={nu:g})",
         support=SupportSet.full_line(),
@@ -328,7 +350,8 @@ def _student(params: dict) -> CatalogEntry:
         params={"nu": nu},
         normalized=True,
     )
-    expected_scale = max(math.ceil(1.0 + max(nu, 1.0 / nu) - 1e-9), 3)
+    expected_scale = max(math.ceil(_finite(lambda: 1.0 + max(nu, 1.0 / nu) - 1e-9,
+                                           f"the scale MNSS at nu={nu:g}")), 3)
     return CatalogEntry(
         name="student",
         params={"nu": nu},

@@ -7,12 +7,15 @@ this interface, so the module also provides the shared numeric machinery:
 
 - one way to call any callable on arrays (``call_elementwise``),
 - central finite differences with a boundary-aware step (``eval_dlogf``),
-- adaptive quadrature over possibly infinite supports (``normalize``),
+- adaptive quadrature over possibly infinite supports (``normalize``,
+  ``numeric_cdf``): SciPy's QUADPACK ``quad``, imported on first use, so
+  that importing this module loads no SciPy,
 - one discretization of a support: probe points per support shape
   (``probe_grid``), grids uniform in a compactified coordinate
   (``compact_grid``) and fixed-order Gauss-Legendre cell integrals,
 - one interpolation table (``_Table``): monotone cubic (PCHIP) pieces through
-  nodes, continued linearly past the end nodes.  Tabulated densities, the
+  nodes, continued linearly past the end nodes, a numpy port of SciPy's
+  ``PchipInterpolator`` that gives its values bit for bit.  Tabulated densities, the
   cumulative integrals of tilt and forge constructions
   (``CumulativeIntegral``) and the sampler's CDF are such tables,
 - seeded inverse-CDF sampling from an arbitrary log-density
@@ -36,13 +39,13 @@ scalar call.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DivergentIntegral,
@@ -306,6 +309,10 @@ def integrate(fn: Callable[[float], float], lo: float, hi: float,
     beyond both the absolute tolerance and a relative fallback, when the
     value itself is not finite, or when the integrand overflows.
     """
+    # imported here, not with the module: SciPy's integrate package takes
+    # about half a second to import, and only normalization needs it
+    from scipy.integrate import quad
+
     try:
         out = quad(fn, lo, hi, epsabs=abs_tol, epsrel=1e-10, limit=400, full_output=1)
     except OverflowError as exc:
@@ -448,26 +455,78 @@ def _cell_integrals(integrand: Callable, edges: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _cubic(a, s):
+    """``a[0] + a[1] s + a[2] s^2 + a[3] s^3``, summed as SciPy's ``PPoly``
+    sums it; ``a`` holds the coefficients in rising powers."""
+    s2 = s * s
+    return a[0] + a[1] * s + a[2] * s2 + a[3] * (s2 * s)
+
+
+def _end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point node slope at an end of a PCHIP table
+    (``h0``, ``m0``: the end cell's width and secant slope)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 class _Table:
     """Monotone cubic (PCHIP) interpolant through nodes ``(x, y)``, continued
     linearly past its end nodes; a float or an ndarray in, the same out.
 
+    A numpy port of SciPy's ``PchipInterpolator`` that gives its values bit
+    for bit: the node slopes are Fritsch-Butland weighted harmonic means of
+    the secant slopes with Moler's one-sided end rule (two nodes give a
+    line), and each cell holds the cubic Hermite coefficients in the powers
+    of the offset from its left node.  A point's cell is the last one whose
+    left node it reaches; the last cell also holds its right node.  Secant
+    slopes that are subnormal make the harmonic mean overflow; its node slope
+    is then 0, without a warning.
+
     ``ends`` holds the slopes of the continuation below ``x[0]`` and above
     ``x[-1]``; by default they are the interpolant's own end derivatives.
-    ``offset`` is subtracted from every value.  This class is the only code
-    that builds a scipy interpolant or reads its ``PPoly`` coefficients.
+    ``offset`` is subtracted from every value.  One float, such as a
+    quadrature node, finds its cell by ``bisect`` on Python lists.
     """
 
     offset = 0.0
 
     def __init__(self, x, y, ends=None):
-        self._interp = PchipInterpolator(x, y, extrapolate=False)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        if x.size == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            # 0 where the secant slopes change sign or one of them is 0
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d = np.zeros_like(y)
+            d[1:-1][~flat] = 1.0 / mean[~flat]
+            d[0] = _end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._x = x
+        self._coef = np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
+        self._last = x.size - 2
         self.lo, self.hi = float(x[0]), float(x[-1])
         self._y_lo, self._y_hi = float(y[0]), float(y[-1])
         if ends is None:
-            slope = self._interp.derivative()
-            ends = (slope(self.lo), slope(self.hi))
+            # the derivative cubic, as ``PPoly.derivative()`` evaluates it
+            a = self._coef[:, [0, -1]]
+            s = np.array([0.0, h[-1]])
+            ends = a[1] + (2.0 * a[2]) * s + (3.0 * a[3]) * (s * s)
         self._slope_lo, self._slope_hi = float(ends[0]), float(ends[1])
+
+    @functools.cached_property
+    def _lists(self) -> tuple[list, list]:
+        """Nodes and per-cell coefficient rows as Python lists."""
+        return self._x.tolist(), self._coef.T.tolist()
 
     def __call__(self, x):
         if not isinstance(x, np.ndarray):
@@ -476,35 +535,36 @@ class _Table:
                 return self._y_lo + self._slope_lo * (x - self.lo) - self.offset
             if x > self.hi:
                 return self._y_hi + self._slope_hi * (x - self.hi) - self.offset
-            return float(self._interp(x)) - self.offset
-        inside = self._interp(np.clip(x, self.lo, self.hi))
-        # both tails are evaluated at every point; far ones overflow to an
-        # infinity, as they do on one float
+            nodes, rows = self._lists
+            i = min(bisect.bisect_right(nodes, x) - 1, self._last)
+            return _cubic(rows[i], x - nodes[i]) - self.offset
+        clipped = np.clip(x, self.lo, self.hi)
+        cells = np.minimum(np.searchsorted(self._x, clipped, side="right") - 1, self._last)
+        out = _cubic(np.take(self._coef, cells, axis=1), clipped - np.take(self._x, cells))
+        below, above = x < self.lo, x > self.hi
+        # far tail points overflow to an infinity, as they do on one float
         with np.errstate(over="ignore"):
-            return np.where(x < self.lo, self._y_lo + self._slope_lo * (x - self.lo),
-                            np.where(x > self.hi, self._y_hi + self._slope_hi * (x - self.hi),
-                                     inside)) - self.offset
+            if below.any():
+                out = np.where(below, self._y_lo + self._slope_lo * (x - self.lo), out)
+            if above.any():
+                out = np.where(above, self._y_hi + self._slope_hi * (x - self.hi), out)
+        return out - self.offset
 
     def cubic(self, cells: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The interpolant (without ``offset``) on the given cells, as a
         function of one point inside each cell.
 
-        The cubic is evaluated as ``PPoly`` evaluates it, in the powers of the
-        offset from the cell's left node; a point on the right node of a cell
-        that is not the last one takes the next cell's value there.  The
-        values are the interpolant's, bit for bit, without its cell search.
+        A point on the right node of a cell that is not the last one takes
+        the next cell's value there.  The values are the interpolant's, bit
+        for bit, without its cell search.
         """
-        x, coef = self._interp.x, self._interp.c
-        last = x.size - 2
-        left, right = x[cells], x[cells + 1]
-        a3, a2, a1, a0 = coef[:, cells]
-        at_right = coef[3, np.minimum(cells + 1, last)]
-        inner = cells < last
+        left, right = self._x[cells], self._x[cells + 1]
+        a = np.take(self._coef, cells, axis=1)
+        at_right = self._coef[0, np.minimum(cells + 1, self._last)]
+        inner = cells < self._last
 
         def value(t: np.ndarray) -> np.ndarray:
-            s = t - left
-            return np.where((t == right) & inner, at_right,
-                            a0 + a1 * s + a2 * (s * s) + a3 * (s * s * s))
+            return np.where((t == right) & inner, at_right, _cubic(a, t - left))
 
         return value
 
@@ -528,7 +588,7 @@ class CumulativeIntegral(_Table):
         if not np.isfinite(cum).all():
             raise DivergentIntegral("cumulative integrand is not finite on the grid")
         super().__init__(edges, cum, ends=(integrand(lo), integrand(hi)))
-        self.offset = float(self._interp(anchor))
+        self.offset = float(self(anchor))
 
 
 # ---------------------------------------------------------------------------

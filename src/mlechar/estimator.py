@@ -211,6 +211,20 @@ _CLOSED_FORMS: dict[str, Callable[[np.ndarray, dict], float]] = {
 }
 
 
+def closed_form_estimator(entry, kind: Kind) -> Callable[[np.ndarray], float]:
+    """A catalog entry's closed-form estimator for the given kind, as a
+    function of the observations alone: no support check and no residual.
+
+    ``entry`` must expose ``closed_form`` (kind label to formula id) and
+    ``params``; raises :class:`NoClosedForm` otherwise.
+    """
+    formula = entry.closed_form.get(kind.label)
+    if formula is None:
+        raise NoClosedForm(f"{entry.name} has no closed-form {kind.label} MLE")
+    estimate, params = _CLOSED_FORMS[formula], entry.params
+    return lambda values: estimate(values, params)
+
+
 def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
     """Evaluate a catalog entry's closed-form estimator for the given kind.
 
@@ -218,11 +232,10 @@ def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
     ``params`` and ``model``; raises :class:`NoClosedForm` otherwise.  The
     sample must lie inside the model's support, as for :func:`mle`.
     """
-    formula = entry.closed_form.get(kind.label)
-    if formula is None:
-        raise NoClosedForm(f"{entry.name} has no closed-form {kind.label} MLE")
+    estimate = closed_form_estimator(entry, kind)
     kind.check(entry.model.support)
     sample.require_inside(entry.model)
-    theta = _CLOSED_FORMS[formula](sample.values, entry.params)
+    theta = estimate(sample.values)
     residual = score_sum(entry.model, kind, sample, theta)
-    return MleResult(float(theta), float(residual), ClosedForm(formula), kind)
+    return MleResult(float(theta), float(residual), ClosedForm(entry.closed_form[kind.label]),
+                     kind)

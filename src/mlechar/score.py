@@ -24,7 +24,7 @@ Scores follow the array contract of :mod:`mlechar.density`: a kind's
 ndarrays, ``score_sum`` scores a whole sample, or an ``(m, n)`` block of m
 samples, in one call, and probe grids are scored in one call each.
 :func:`brent_lanes` is the one root finder: Brent's method run lane by
-lane over a batch of brackets, step for step as scipy's Brent solver runs it.
+lane over a batch of brackets, step for step as SciPy's Brent solver runs it.
 """
 
 from __future__ import annotations
@@ -471,7 +471,7 @@ def anchored_antiderivative(model: DensityModel, profile: ScoreProfile, integran
 
 
 #: relative tolerance of every Brent solve, just above the 4 eps floor that
-#: scipy's Brent solver admits
+#: SciPy's Brent solver admits
 BRENT_RTOL = 8.9e-16
 
 
@@ -480,8 +480,8 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
                 maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of m functions by Brent's method, one lane per function.
 
-    A lane-wise port of the iteration of scipy's Brent solver
-    (``scipy.optimize``, ``zeros.c``).  Lane i starts from the bracket
+    A lane-wise port of the iteration of SciPy's Brent solver
+    (its ``optimize`` package, ``zeros.c``).  Lane i starts from the bracket
     ``[a[i], b[i]]`` with function values ``fa[i]`` and ``fb[i]`` of
     opposite signs (or one of them zero).  It takes the same steps, and
     stops at the same iterate, as that solver with this ``xtol`` and

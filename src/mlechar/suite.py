@@ -42,7 +42,7 @@ from .density import (
 )
 from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
-from .estimator import closed_form_mle, mle_block, mle_location
+from .estimator import closed_form_estimator, mle_block, mle_location
 from .forge import OddPower, forge_odd_h, verify_counterexample
 from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_zero_structure
 
@@ -538,9 +538,10 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
         entry = cat.lookup(name, params)
         kind = cat.kind_for(entry, kind_label)
 
+        estimate = closed_form_estimator(entry, kind)
+
         def deviation(block):
-            closed = np.array([closed_form_mle(entry, kind, Sample(row)).theta_hat
-                               for row in block])
+            closed = np.array([estimate(row) for row in block])
             numeric = _thetas(entry.model, kind, block, config.mle_tol)
             # rates compare relatively, locations absolutely
             return np.abs(closed - numeric) / (np.abs(numeric) if kind is SCALE else 1.0)

@@ -26,10 +26,50 @@ def test_lookup_unknown_family():
     ("gamma", {"alpha": math.nan}),
     ("student", {"nu": math.inf}),
     ("gamma", {"alpha": "x"}),
+    # constants beyond the float range: lgamma overflows, 1/nu overflows,
+    # nu/2 underflows to 0
+    ("student", {"nu": 1e308}),
+    ("student", {"nu": 1e-320}),
+    ("student", {"nu": 5e-324}),
+    ("gamma", {"alpha": 1e308}),
+    ("generalized_gaussian", {"alpha": 1e308, "gamma": 1.0}),
 ])
 def test_lookup_invalid_params(name, params):
     with pytest.raises(InvalidParams):
         lookup(name, params)
+
+
+# each shape parameter from the smallest subnormal to the largest decades
+EXTREMES = [5e-324, 1e-320, 1e-310] + [10.0 ** e for e in range(-300, 301, 25)] + [
+    1e305, 1e306, 1e307, 1e308]
+
+
+@pytest.mark.parametrize("name,key,sign,rest", [
+    ("student", "nu", 1.0, {}),
+    ("gamma", "alpha", 1.0, {}),
+    ("weibull", "k", 1.0, {}),
+    ("generalized_gaussian", "alpha", 1.0, {"gamma": 1.0}),
+    ("generalized_gaussian", "gamma", 1.0, {"alpha": 1.0}),
+    ("generalized_gaussian", "gamma", -1.0, {"alpha": 1.0}),
+])
+def test_extreme_shape_parameters_give_an_entry_or_invalid_params(name, key, sign, rest):
+    xs = np.array([0.5, 1.0, 2.0])
+    for value in EXTREMES:
+        params = {**rest, key: sign * value}
+        try:
+            entry = lookup(name, params)
+        except InvalidParams:
+            continue
+        assert not np.isnan(entry.model.log_pdf(xs)).any(), params
+        assert not any(math.isnan(v) for v in entry.expected.values()), params
+
+
+@pytest.mark.parametrize("nu", [1e4, 1e16, 1e100, 1e307])
+def test_student_density_tends_to_the_gaussian(nu):
+    # lgamma((nu + 1)/2) - lgamma(nu/2) loses every digit by nu = 1e16
+    log_pdf = lookup("student", {"nu": nu}).model.log_pdf
+    assert log_pdf(0.0) == pytest.approx(-0.5 * math.log(2.0 * math.pi), abs=1e-4)
+    assert log_pdf(1.0) == pytest.approx(-0.5 - 0.5 * math.log(2.0 * math.pi), abs=1e-4)
 
 
 def test_lookup_headline_facts(gaussian, logistic):

@@ -91,7 +91,7 @@ def test_cli_analyze_unknown_family(capsys):
     assert main(["analyze", "--family", "nonesuch", "--kind", "loc"]) == 2
 
 
-@pytest.mark.parametrize("params", ["nu=inf", "nu=nan", "nu=abc"])
+@pytest.mark.parametrize("params", ["nu=inf", "nu=nan", "nu=abc", "nu=1e308"])
 def test_cli_analyze_bad_params(capsys, params):
     assert main(["analyze", "--family", "student", "--params", params,
                  "--kind", "scale"]) == 2
