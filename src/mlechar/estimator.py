@@ -12,20 +12,22 @@ action ``h``:
 
 Monotone scores that cross zero make each sum strictly monotone in theta
 with a unique root.  One solver serves every kind and every batch:
-:func:`mle_block` solves an ``(m, n)`` block of m equal-size samples, one
-lane per row.  Each lane seeds a bracket from its sample, doubles its
-half-width (clipped to the kind's window) until the sum changes sign, and
-refines it with Brent's bisection/secant iteration (``score.brent_lanes``).
-A lane's result does not depend on the other rows of its block, so
-:func:`mle` is a block of one.  Catalog families with closed-form
-estimators get a direct fast path via :func:`closed_form_mle`.
+:func:`mle_block` solves m samples, one lane per row, given as an ``(m, n)``
+block or as rows of different lengths, and returns arrays (θ, residual,
+iterations, bracket).  Each lane seeds a bracket from its sample, doubles
+its half-width (clipped to the kind's window) until the sum changes sign,
+and refines it with Brent's bisection/secant iteration
+(``score.brent_lanes``).  A lane's result does not depend on the other rows,
+so :func:`mle`, the one place that builds an :class:`MleResult` from a
+solve, is a block of one.  Catalog families with closed-form estimators get
+a direct fast path via :func:`closed_form_mle`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -38,7 +40,15 @@ from .errors import (
     NotCharacterizable,
     OutsideSupport,
 )
-from .score import LOCATION, SCALE, GroupTransform, Kind, brent_lanes, score_sum
+from .score import (
+    LOCATION,
+    SCALE,
+    GroupTransform,
+    Kind,
+    brent_lanes,
+    row_score_sums,
+    score_sum,
+)
 
 DEFAULT_TOL = 1e-10      # score-sum residual tolerance
 MAX_DOUBLINGS = 60
@@ -81,36 +91,63 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     window, until the score sum changes sign.  The root must bring the sum
     below ``tol`` in absolute value.
     """
-    return mle_block(model, kind, sample.values[None, :], tol)[0]
+    roots = mle_block(model, kind, [sample.values], tol)
+    lo, hi = roots.bracket[0].tolist()
+    return MleResult(float(roots.theta[0]), float(roots.residual[0]),
+                     BracketedRoot(int(roots.iterations[0]), (lo, hi)), kind)
 
 
-def mle_block(model: DensityModel, kind: Kind, block,
-              tol: float = DEFAULT_TOL) -> list[MleResult]:
-    """MLEs of the m samples in the rows of an ``(m, n)`` block, as :func:`mle`.
+class BlockRoots(NamedTuple):
+    """The MLEs of m rows, as arrays of m: ``bracket`` is ``(m, 2)``, in theta."""
 
-    Result i equals ``mle(model, kind, Sample(block[i]), tol)`` bit for bit.
-    Raises as soon as one row fails.
+    theta: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    bracket: np.ndarray
+
+
+def mle_block(model: DensityModel, kind: Kind, rows,
+              tol: float = DEFAULT_TOL) -> BlockRoots:
+    """MLEs of m samples, one lane per row, as :func:`mle`.
+
+    ``rows`` is an ``(m, n)`` block or a sequence of m 1-D rows of any
+    lengths.  Lane i equals ``mle(model, kind, Sample(rows[i]), tol)`` bit
+    for bit.  Raises as soon as one row fails.
     """
     if kind.h is None:
         raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
     kind.check(model.support)
-    values = np.asarray(block, dtype=float)
-    if values.ndim != 2 or values.size < 1:
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    if not rows or any(row.ndim != 1 or row.size < 1 for row in rows):
         raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
-    Sample(values.ravel()).require_inside(model)
-    m = values.shape[0]
+    # the rows back to back, with their lengths and start offsets
+    flat = np.concatenate(rows)
+    Sample(flat).require_inside(model)
+    m = len(rows)
+    lengths = np.array([row.size for row in rows])
+    starts = np.cumsum(lengths) - lengths
     w_lo, w_hi = kind.theta_window
     if kind.seed is None:
         center, half = np.zeros(m), np.full(m, min(0.5, (w_hi - w_lo) / 4.0))
     else:
-        center, half = (np.array(v, dtype=float) for v in kind.seed(values))
+        # the seed sees one (count, n) block per row length
+        center, half = np.empty(m), np.empty(m)
+        for n in np.unique(lengths):
+            group = np.flatnonzero(lengths == n)
+            center[group], half[group] = kind.seed(np.stack([rows[i] for i in group]))
     center = np.minimum(np.maximum(center, w_lo), w_hi)
 
     def to_theta(t: np.ndarray) -> np.ndarray:
         return call_elementwise(kind.to_theta, t)
 
     def s(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return score_sum(model, kind, values[lanes], to_theta(t))
+        if lanes.size == m:
+            return row_score_sums(model, kind, flat, lengths, to_theta(t))
+        counts = lengths[lanes]
+        # positions in flat of the listed rows, row after row
+        gather = np.repeat(starts[lanes] - (np.cumsum(counts) - counts), counts) \
+            + np.arange(counts.sum())
+        return row_score_sums(model, kind, flat[gather], counts, to_theta(t))
 
     lo, hi, s_lo, s_hi = (np.empty(m) for _ in range(4))
     doublings = 0
@@ -153,12 +190,8 @@ def mle_block(model: DensityModel, kind: Kind, block,
         raise BracketFailure(
             f"residual {residuals[i]:.3e} at theta={float(roots[i])!r} exceeds tol={tol:g}"
         )
-    thetas, theta_lo, theta_hi = (to_theta(v) for v in (roots, lo, hi))
-    return [MleResult(float(thetas[i]), float(residuals[i]),
-                      BracketedRoot(int(iterations[i]),
-                                    (float(theta_lo[i]), float(theta_hi[i]))),
-                      kind)
-            for i in range(m)]
+    return BlockRoots(to_theta(roots), residuals, iterations,
+                      np.stack([to_theta(lo), to_theta(hi)], axis=1))
 
 
 def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> MleResult:

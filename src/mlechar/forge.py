@@ -186,13 +186,13 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
     solver_tol = max(1e-10, 1e-3 * tol)
     agree = 0
     worst: Optional[Witness] = None
-    for values, rf, rg in zip(block, mle_block(f, LOCATION, block, solver_tol),
-                              mle_block(g, LOCATION, block, solver_tol)):
-        gap = abs(rf.theta_hat - rg.theta_hat)
+    for values, tf, tg in zip(block, mle_block(f, LOCATION, block, solver_tol).theta.tolist(),
+                              mle_block(g, LOCATION, block, solver_tol).theta.tolist()):
+        gap = abs(tf - tg)
         if gap < tol:
             agree += 1
         elif worst is None or gap > worst.gap:
-            worst = Witness(tuple(float(v) for v in values), rf.theta_hat, rg.theta_hat)
+            worst = Witness(tuple(float(v) for v in values), tf, tg)
     return CounterexampleReport(n, trials, tol, agree, worst)
 
 

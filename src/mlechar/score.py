@@ -21,8 +21,9 @@ the support itself, or the two half-lines when ``u1`` vanishes inside it.
 
 Scores follow the array contract of :mod:`mlechar.density`: a kind's
 ``u1``, ``u2``, ``h``, ``to_theta`` and ``antiderivative`` take floats or
-ndarrays, ``score_sum`` scores a whole sample, or an ``(m, n)`` block of m
-samples, in one call, and probe grids are scored in one call each.
+ndarrays, ``score_sum`` scores a whole sample, or m samples as rows of
+equal or different lengths, in one call, with one ``math.fsum`` per row, and
+probe grids are scored in one call each.
 :func:`brent_lanes` is the one root finder: Brent's method run lane by
 lane over a batch of brackets, step for step as SciPy's Brent solver runs it.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,9 +78,9 @@ class Kind:
     of ``sum_i score(h(theta, x_i))``.  The solver searches a coordinate ``t``
     with ``theta = to_theta(t)``, inside ``theta_window`` (in t), starting
     from ``seed(block) -> (centres, half-widths)`` (default: centre 0).
-    ``seed`` receives the whole ``(m, n)`` block of samples, one per row,
-    and returns two arrays of m values; it is the one field that is never
-    called per element.  Any
+    ``seed`` receives an ``(m, n)`` block of samples, one per row (the
+    solver calls it once per row length), and returns two arrays of m
+    values; it is the one field that is never called per element.  Any
     common factor T(theta) of the score is dropped, so the window must keep
     it of constant nonzero sign.  ``antiderivative`` is a closed form of
     ``int u2/u1`` (tilts integrate the ratio numerically without one), and
@@ -206,16 +208,38 @@ def score_sum(model: DensityModel, kind: Kind, sample, theta):
     """``math.fsum`` of the kind's score at ``h(theta, x_i)`` over a sample.
 
     ``sample`` is a :class:`Sample` and ``theta`` a float, which gives a
-    float; or ``sample`` is an ``(m, n)`` block of m samples, one per row,
-    and ``theta`` holds m values, which gives the m row sums.
+    float; or ``sample`` holds m samples as rows, an ``(m, n)`` block or m
+    1-D rows of any lengths, and ``theta`` holds m values, which gives the
+    m row sums (see :func:`row_score_sums`).
     """
-    values = sample.values if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
+    if isinstance(sample, Sample):
+        return float(row_score_sums(model, kind, sample.values, [sample.n], [theta])[0])
+    rows = [np.asarray(row, dtype=float) for row in sample]
+    return row_score_sums(model, kind, np.concatenate(rows), [row.size for row in rows], theta)
+
+
+def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
+                   theta) -> np.ndarray:
+    """m row sums of the kind's score, row i at ``h(theta[i], x)``.
+
+    ``flat`` holds the m rows back to back and ``lengths`` their sizes.
+    Each row sum is one ``math.fsum`` over that row's own scores, so it does
+    not depend on the other rows.  A sum that ``math.fsum`` cannot form, such
+    as scores of both infinite signs, raises :class:`BracketFailure`.
+    """
     theta = np.asarray(theta, dtype=float)
-    moved = call_elementwise(kind.h, theta[..., None], values)
+    moved = call_elementwise(kind.h, np.repeat(theta, lengths), flat)
     scores = _scores(model, kind.u1, kind.u2, moved).tolist()
-    if moved.ndim == 1:
-        return math.fsum(scores)
-    return np.array([math.fsum(row) for row in scores])
+    rows = iter(scores)
+    parts = [scores] if len(lengths) == 1 else [islice(rows, n) for n in lengths]
+    sums: list[float] = []
+    try:
+        for part in parts:
+            sums.append(math.fsum(part))
+    except (ValueError, OverflowError) as exc:
+        raise BracketFailure(f"the score sum at theta={float(theta[len(sums)])!r} "
+                             f"has no value: {exc}") from exc
+    return np.array(sums)
 
 
 def location_score(model: DensityModel, x):

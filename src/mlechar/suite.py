@@ -323,30 +323,16 @@ def _derive_seed(base: int, *labels) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-def _draw_blocks(sampler: InverseCdfSampler, sizes, seed) -> dict[int, np.ndarray]:
-    """One sample per requested size, cut from a single seeded draw.
-
-    Samples of equal size are stacked as the rows of one block:
-    ``{n: (count, n) array}``.
-    """
+def _draw_rows(sampler: InverseCdfSampler, sizes, seed) -> list[np.ndarray]:
+    """One sample per requested size, cut in order from a single seeded draw."""
     draw = sampler.rows(int(sum(sizes)), [seed])[0]
-    rows: dict[int, list] = {}
-    pos = 0
-    for n in sizes:
-        rows.setdefault(n, []).append(draw[pos:pos + n])
-        pos += n
-    return {n: np.stack(r) for n, r in rows.items()}
-
-
-def _thetas(model, kind, block, tol) -> np.ndarray:
-    return np.array([r.theta_hat for r in mle_block(model, kind, block, tol)])
+    return np.split(draw, np.cumsum(sizes)[:-1])
 
 
 def _worst(sampler: InverseCdfSampler, sizes, seed, deviation) -> float:
-    """Largest ``deviation(block)`` over the size blocks of one
-    ``_draw_blocks`` draw; a NaN deviation makes the result NaN."""
-    blocks = _draw_blocks(sampler, sizes, seed).values()
-    return float(np.max([np.max(deviation(block)) for block in blocks]))
+    """Largest ``deviation(rows)`` over the rows of one ``_draw_rows`` draw;
+    a NaN deviation makes the result NaN."""
+    return float(np.max(deviation(_draw_rows(sampler, sizes, seed))))
 
 
 _RULES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
@@ -409,15 +395,13 @@ def _section_equivalence(config: SuiteConfig, gaussian, forged) -> list[dict]:
             tilted = tilt(model, d, kind)
             d_hat = same_class(model, tilted, kind, tol=config.score_tol)
 
-            def gap(block):
-                return np.abs(_thetas(model, kind, block, config.mle_tol)
-                              - _thetas(tilted, kind, block, config.mle_tol))
-
-            max_gap = float(np.max([
-                _worst(sampler, [n] * config.trials,
-                       _derive_seed(config.seed, "equivalence", name, kind_label,
-                                    int(d * 1000), size_i), gap)
-                for size_i, n in enumerate(config.sample_sizes)]))
+            # the trials of every size, drawn per size, solved as one set of rows
+            rows = [row for size_i, n in enumerate(config.sample_sizes)
+                    for row in _draw_rows(sampler, [n] * config.trials,
+                                          _derive_seed(config.seed, "equivalence", name,
+                                                       kind_label, int(d * 1000), size_i))]
+            max_gap = float(np.max(np.abs(mle_block(model, kind, rows, config.mle_tol).theta
+                                          - mle_block(tilted, kind, rows, config.mle_tol).theta)))
             records.append({
                 "check": "shared_mle",
                 "family": name,
@@ -540,9 +524,9 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
 
         estimate = closed_form_estimator(entry, kind)
 
-        def deviation(block):
-            closed = np.array([estimate(row) for row in block])
-            numeric = _thetas(entry.model, kind, block, config.mle_tol)
+        def deviation(rows):
+            closed = np.array([estimate(row) for row in rows])
+            numeric = mle_block(entry.model, kind, rows, config.mle_tol).theta
             # rates compare relatively, locations absolutely
             return np.abs(closed - numeric) / (np.abs(numeric) if kind is SCALE else 1.0)
 
@@ -579,10 +563,12 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
                 continue
             model = cat.lookup(name, params).model
 
-            def moved(block):
-                base = _thetas(model, kind, block, config.mle_tol)
-                return [deviation(_thetas(model, kind, act(block, g), config.mle_tol), base, g)
-                        for g in elements]
+            def moved(rows):
+                # the base rows and each moved copy of them, solved as one set
+                moves = [act(row, g) for g in elements for row in rows]
+                thetas = mle_block(model, kind, rows + moves, config.mle_tol).theta
+                base, *got = thetas.reshape(len(elements) + 1, len(rows))
+                return [deviation(theta, base, g) for theta, g in zip(got, elements)]
 
             worst = _worst(InverseCdfSampler(model), sizes_cycle,
                            _derive_seed(config.seed, seed_label, name), moved)

@@ -113,6 +113,18 @@ def test_cli_mle(tmp_path, capsys, gauss_spec, gamma_spec):
     assert abs(float(out["sigma_hat"]) - 1.0) < 1e-9
 
 
+def test_cli_mle_without_a_score_sum_exits_3(tmp_path, capsys):
+    # the scale bracket meets scores of -inf and +inf together
+    spec = tmp_path / "weibull.json"
+    spec.write_text(json.dumps({"catalog": "weibull", "params": {"k": 2}}))
+    data = tmp_path / "data.csv"
+    data.write_text("1e-300\n1.0\n1e300\n")
+    assert main(["mle", "--family", str(spec), "--kind", "scale", "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: the score sum at theta=")
+    assert "Traceback" not in err
+
+
 def test_cli_tilt_same_class_cycle(tmp_path, capsys, gauss_spec):
     emitted = tmp_path / "tilted.json"
     assert main(["tilt", "--family", gauss_spec, "--d", "2", "--kind", "loc",

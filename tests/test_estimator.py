@@ -232,6 +232,18 @@ def test_bracket_failure_outside_window(gaussian, sinh_arcsinh):
         mle_group(gaussian.model, narrow, s(5.0, 6.0, 7.0))
 
 
+@pytest.mark.parametrize("name,label,values", [
+    ("weibull", "scale", (1e-300, 1.0, 1e300)),
+    ("sinh_arcsinh_skew_normal", "group", (-1e300, 0.0, 1e300)),
+])
+def test_a_score_sum_of_both_infinities_is_a_bracket_failure(name, label, values):
+    # the bracket reaches a theta where the sample's scores overflow to -inf
+    # and +inf together: math.fsum has no sum to give
+    entry = lookup(name, {"k": 2.0} if name == "weibull" else {})
+    with pytest.raises(BracketFailure, match="score sum at theta="):
+        mle(entry.model, kind_for(entry, label), s(*values))
+
+
 def test_rate_below_the_scale_window_is_a_bracket_failure():
     # the closed-form rate, 8e-309, is subnormal: below the window, where the
     # bracket grows until theta * x overflows
@@ -343,7 +355,7 @@ def test_brent_lanes_reproduces_scipy_brentq(case, n, m, seed, widths):
     kind = kind_for(entry, label)
     block = _block(entry, n, m, seed)
     to_t = np.log if kind is SCALE else (lambda theta: theta)
-    t_hat = to_t(np.array([r.theta_hat for r in mle_block(entry.model, kind, block)]))
+    t_hat = to_t(mle_block(entry.model, kind, block).theta)
     lo, hi = t_hat - widths[0], t_hat + widths[1]
 
     def lanes_fn(t, lanes):
@@ -363,21 +375,44 @@ def test_brent_lanes_reproduces_scipy_brentq(case, n, m, seed, widths):
         assert iterations[i] == info.iterations
 
 
+def assert_lanes_equal_single_sample_mles(entry, kind, rows):
+    """``mle_block`` on the rows equals ``mle`` on each row alone, field for
+    field and bit for bit; a failing block fails as its first failing row."""
+    try:
+        roots = mle_block(entry.model, kind, rows)
+    except MlecharError as exc:
+        # a block fails exactly when one of its rows fails alone
+        with pytest.raises(type(exc)):
+            for row in rows:
+                mle(entry.model, kind, Sample(row))
+        return
+    for i, row in enumerate(rows):
+        alone = mle(entry.model, kind, Sample(row))
+        assert alone.theta_hat == roots.theta[i]
+        assert alone.residual == roots.residual[i]
+        assert alone.method == BracketedRoot(int(roots.iterations[i]),
+                                             tuple(roots.bracket[i].tolist()))
+        assert alone.kind is kind
+
+
 @given(case=st.sampled_from(CATALOG_KINDS), n=st.integers(min_value=1, max_value=12),
        m=st.integers(min_value=1, max_value=6), seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_block_mle_equals_single_sample_mles(case, n, m, seed):
     name, params, label = case
     entry = lookup(name, params)
-    kind = kind_for(entry, label)
-    block = _block(entry, n, m, seed)
-    try:
-        batch = mle_block(entry.model, kind, block)
-    except MlecharError as exc:
-        # a block fails exactly when one of its rows fails alone
-        with pytest.raises(type(exc)):
-            for row in block:
-                mle(entry.model, kind, Sample(row))
-        return
-    for row, result in zip(block, batch):
-        assert mle(entry.model, kind, Sample(row)) == result
+    assert_lanes_equal_single_sample_mles(entry, kind_for(entry, label),
+                                          _block(entry, n, m, seed))
+
+
+@given(case=st.sampled_from(CATALOG_KINDS),
+       lengths=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_ragged_block_mle_equals_single_sample_mles(case, lengths, seed):
+    # rows of different lengths, cut from one draw, solved in one call
+    name, params, label = case
+    entry = lookup(name, params)
+    draw = sample_rows(entry.model, sum(lengths), [seed])[0]
+    rows = np.split(draw, np.cumsum(lengths)[:-1])
+    assert_lanes_equal_single_sample_mles(entry, kind_for(entry, label), rows)

@@ -1,4 +1,5 @@
-"""The repository tools: the machine-report diff and the code-line counter."""
+"""The repository tools: the machine-report diff, the code-line counter and
+the BENCH file writer."""
 
 import copy
 import importlib.util
@@ -98,3 +99,46 @@ def test_count_loc_counts_only_code_lines(tmp_path, capsys):
     path.write_text(SNIPPET)
     assert count_loc.main([str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["6", "total"]
+
+
+def bench_record(seed, op_s, rev="abc123", trace=0, python="3.11.7"):
+    metadata = {"git_rev": rev, "python": python, "numpy": "2.4.0", "scipy": "1.17.0",
+                "nproc": 2}
+    return {"workload": "suite_default", "seed": seed, "trace": trace, "metadata": metadata,
+            "metrics": {"op_s": {"value": op_s, "unit": "s"},
+                        "setup_s": {"value": 0.5, "unit": "s"},
+                        "peak_rss_mb": {"value": 100.0 + seed, "unit": "MB"}}}
+
+
+def test_bench_json_summarizes_the_runs_of_one_revision(tmp_path):
+    bench_json = load("bench_json")
+    results = tmp_path / "results.jsonl"
+    records = [bench_record(1, 2.0), bench_record(2, 1.0), bench_record(3, 3.0),
+               # another revision and a traced run are left out
+               bench_record(4, 9.0, rev="def456"), bench_record(5, 9.0, trace=1)]
+    results.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    out = tmp_path / "BENCH_0.json"
+    assert bench_json.main([str(results), "--rev", "abc", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["git_rev"] == "abc123"
+    suite = doc["workloads"]["suite_default"]
+    assert (suite["python"], suite["numpy"], suite["scipy"], suite["nproc"]) == \
+        ("3.11.7", "2.4.0", "1.17.0", 2)
+    assert suite["runs"] == 3 and suite["seeds"] == [1, 2, 3]
+    # the exclusive quartiles of three values are the smallest and the largest
+    assert suite["metrics"]["op_s"] == {"unit": "s", "median": 2.0, "q1": 1.0, "q3": 3.0}
+    assert suite["metrics"]["setup_s"]["median"] == 0.5
+    assert suite["metrics"]["peak_rss_mb"] == {"unit": "MB", "median": 102.0,
+                                               "q1": 101.0, "q3": 103.0}
+
+
+def test_bench_json_refuses_mixed_machines_and_unknown_revisions(tmp_path, capsys):
+    bench_json = load("bench_json")
+    results = tmp_path / "results.jsonl"
+    records = [bench_record(1, 2.0), bench_record(2, 1.0, python="3.12.0")]
+    results.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    out = str(tmp_path / "BENCH_0.json")
+    assert bench_json.main([str(results), "--rev", "abc123", "-o", out]) == 1
+    assert "disagree" in capsys.readouterr().err
+    assert bench_json.main([str(results), "--rev", "fff", "-o", out]) == 1
+    assert "0 revisions match" in capsys.readouterr().err
