@@ -117,7 +117,7 @@ def mle_block(model: DensityModel, kind: Kind, rows,
     if kind.h is None:
         raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
     kind.check(model.support)
-    rows = [np.asarray(row, dtype=float) for row in rows]
+    rows = [np.asarray(row, dtype=float) for row in rows] if np.iterable(rows) else []
     if not rows or any(row.ndim != 1 or row.size < 1 for row in rows):
         raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
     # the rows back to back, with their lengths and start offsets

@@ -228,10 +228,12 @@ def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
     as scores of both infinite signs, raises :class:`BracketFailure`.
     """
     theta = np.asarray(theta, dtype=float)
-    moved = call_elementwise(kind.h, np.repeat(theta, lengths), flat)
+    one = len(lengths) == 1
+    # a single row needs neither theta repeated nor its scores cut apart
+    moved = call_elementwise(kind.h, theta if one else np.repeat(theta, lengths), flat)
     scores = _scores(model, kind.u1, kind.u2, moved).tolist()
     rows = iter(scores)
-    parts = [scores] if len(lengths) == 1 else [islice(rows, n) for n in lengths]
+    parts = [scores] if one else [islice(rows, n) for n in lengths]
     sums: list[float] = []
     try:
         for part in parts:

@@ -22,6 +22,7 @@ from mlechar.density import Sample, sample_rows
 from mlechar.errors import (
     AllZeroSample,
     BracketFailure,
+    InvalidParams,
     MlecharError,
     NoClosedForm,
     OutsideSupport,
@@ -242,6 +243,13 @@ def test_a_score_sum_of_both_infinities_is_a_bracket_failure(name, label, values
     entry = lookup(name, {"k": 2.0} if name == "weibull" else {})
     with pytest.raises(BracketFailure, match="score sum at theta="):
         mle(entry.model, kind_for(entry, label), s(*values))
+
+
+@pytest.mark.parametrize("rows", [2.0, [], np.ones(3), np.ones((2, 0)), np.ones((1, 2, 2)),
+                                  [np.ones(2), np.ones(0)]])
+def test_block_needs_rows_of_observations(gaussian, rows):
+    with pytest.raises(InvalidParams):
+        mle_block(gaussian.model, LOCATION, rows)
 
 
 def test_rate_below_the_scale_window_is_a_bracket_failure():
