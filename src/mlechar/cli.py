@@ -82,16 +82,16 @@ def _parse_kind(text: str) -> str:
     return kind
 
 
-def _tol(given, f_model, g_model, analytic: float, interpolated: float) -> float:
-    """``given``, or the default for the pair: ``analytic`` when both
-    densities have an analytic ``dlog_pdf``, ``interpolated`` otherwise."""
+def _tol(given, f_entry, g_entry, analytic: float, interpolated: float) -> float:
+    """``given``, or the default for the pair: ``analytic`` when both spec
+    files name catalog families, ``interpolated`` when one is tabulated."""
     if given is not None:
         return given
     # interpolated (tabulated) densities carry derivative noise from the
     # monotone-cubic pieces; the same-class ratio test needs tol well above
     # the square root of that noise (the floor |score_f| > tol admits points
     # where the noise is amplified by 1/tol)
-    both = f_model.dlog_pdf is not None and g_model.dlog_pdf is not None
+    both = f_entry is not None and g_entry is not None
     return analytic if both else interpolated
 
 
@@ -189,10 +189,10 @@ def _cmd_tilt(args) -> int:
 
 def _cmd_same_class(args) -> int:
     f_model, f_entry = load_family_spec(args.f)
-    g_model, _ = load_family_spec(args.g)
+    g_model, g_entry = load_family_spec(args.g)
     kind_label = _parse_kind(args.kind)
     kind = cat.kind_for(f_entry, kind_label)
-    tol = _tol(args.tol, f_model, g_model, analytic=1e-6, interpolated=1e-2)
+    tol = _tol(args.tol, f_entry, g_entry, analytic=1e-6, interpolated=1e-2)
     d = same_class(f_model, g_model, kind, tol=tol)
     _kv("tol", tol)
     if d is None:
@@ -238,9 +238,9 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_verify_counterexample(args) -> int:
-    f_model, _ = load_family_spec(args.f)
-    g_model, _ = load_family_spec(args.g)
-    tol = _tol(args.tol, f_model, g_model, analytic=1e-7, interpolated=1e-4)
+    f_model, f_entry = load_family_spec(args.f)
+    g_model, g_entry = load_family_spec(args.g)
+    tol = _tol(args.tol, f_entry, g_entry, analytic=1e-7, interpolated=1e-4)
     report = verify_counterexample(f_model, g_model, n=args.n, trials=args.trials,
                                    seed=args.seed, tol=tol)
     _kv("n", report.n)

@@ -7,17 +7,19 @@ this interface, so the module also provides the shared numeric machinery:
 
 - one way to call any callable on arrays (``call_elementwise``),
 - central finite differences with a boundary-aware step (``eval_dlogf``),
-- adaptive quadrature over possibly infinite supports (``normalize``,
-  ``numeric_cdf``): SciPy's QUADPACK ``quad``, imported on first use, so
-  that importing this module loads no SciPy,
+- the log of a density's mass over its support (``log_mass``, ``normalize``),
+  summed in log space on arrays: fixed-order Gauss-Legendre cells between
+  the model's breaks and double-exponential rules (Takahasi & Mori, Publ.
+  RIMS 9, 1974) on the two outer pieces,
 - one discretization of a support: probe points per support shape
   (``probe_grid``), grids uniform in a compactified coordinate
   (``compact_grid``) and fixed-order Gauss-Legendre cell integrals,
 - one interpolation table (``_Table``): monotone cubic (PCHIP) pieces through
-  nodes, continued linearly past the end nodes, a numpy port of SciPy's
-  ``PchipInterpolator`` that gives its values bit for bit.  Tabulated densities, the
-  cumulative integrals of tilt and forge constructions
-  (``CumulativeIntegral``) and the sampler's CDF are such tables,
+  nodes, continued linearly past the end nodes, with its derivative; a numpy
+  port of SciPy's ``PchipInterpolator`` that gives its values bit for bit.
+  Tabulated densities, the cumulative integrals of tilt and forge
+  constructions (``CumulativeIntegral``) and the sampler's CDF are such
+  tables,
 - seeded inverse-CDF sampling from an arbitrary log-density
   (``InverseCdfSampler``, ``sample_rows``, ``sample_from``).  A sampler is
   built on each call of ``sample_rows`` or ``sample_from``; callers that draw
@@ -32,15 +34,11 @@ antiderivatives take a float or an ndarray and work elementwise.  Grids,
 sampler cells and whole samples are evaluated in one call each.  Callables
 written for Python floats only (``math.*``) still work: ``call_elementwise``
 calls them once per element when they reject an array.  A model's guarded
-log-density passes a scalar straight to the wrapped function, so the
-integrand of adaptive quadrature (``normalize``, ``numeric_cdf``) stays a
-scalar call.
+log-density passes a scalar straight to the wrapped function.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -60,8 +58,15 @@ LogPdf = Callable[[Any], Any]
 #: relative finite-difference step for d/dx log f
 FD_STEP_SCALE = 1e-6
 
-#: absolute quadrature tolerance (relative fallback applied on top)
-QUAD_ABS_TOL = 1e-10
+#: relative change of the mass between two step halvings at which the
+#: double-exponential rules stop, and the bound on their end terms
+MASS_TOL = 1e-13
+
+#: step halvings of the double-exponential rules before a mass counts as divergent
+DE_LEVELS = 10
+
+#: the double-exponential rules sum over u in [-DE_SPAN, DE_SPAN]
+DE_SPAN = 5.0
 
 #: log-density drop below the mode that delimits the effective support
 EFFECTIVE_DROP = 60.0
@@ -186,7 +191,10 @@ class DensityModel:
     ``dlog_pdf``, when present, is the analytic ``d/dx log f`` and must match
     central finite differences of ``log_pdf`` on the interior (this is
     checked by the test-suite for every catalog family, and can be checked
-    for any model with :func:`check_dlog_pdf`).
+    for any model with :func:`check_dlog_pdf`).  ``breaks`` are the nodes of
+    the tables the log-density is built on, where it is only once
+    continuously differentiable; they are kept sorted, once each and only
+    inside the support, and :func:`log_mass` cuts the support there.
     """
 
     name: str
@@ -195,6 +203,7 @@ class DensityModel:
     dlog_pdf: Optional[LogPdf] = None
     params: dict = field(default_factory=dict)
     normalized: bool = False
+    breaks: np.ndarray = ()
     _raw_log_pdf: Optional[LogPdf] = field(default=None, init=False, repr=False,
                                            compare=False)
 
@@ -212,13 +221,13 @@ class DensityModel:
             out[inside] = call_elementwise(raw, x[inside])
             return out
 
+        # sorted and deduplicated without np.unique, whose first call imports
+        # numpy.ma (about 20 ms of start-up)
+        breaks = np.sort(np.asarray(self.breaks, dtype=float))
+        breaks = breaks[contains(breaks)]
+        object.__setattr__(self, "breaks", breaks[np.diff(breaks, prepend=-math.inf) > 0])
         object.__setattr__(self, "_raw_log_pdf", raw)
         object.__setattr__(self, "log_pdf", guarded)
-
-    def pdf(self, x: float) -> float:
-        """Density at a scalar point (the quadrature integrand)."""
-        lp = self.log_pdf(x)
-        return math.exp(lp) if lp > -math.inf else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,60 +306,6 @@ def check_dlog_pdf(model: DensityModel, xs, tol: float = 1e-6) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-
-def integrate(fn: Callable[[float], float], lo: float, hi: float,
-              abs_tol: float = QUAD_ABS_TOL) -> float:
-    """Adaptive quadrature of ``fn`` over ``(lo, hi)``.
-
-    Raises :class:`DivergentIntegral` when the integrator reports failure
-    beyond both the absolute tolerance and a relative fallback, when the
-    value itself is not finite, or when the integrand overflows.
-    """
-    # imported here, not with the module: SciPy's integrate package takes
-    # about half a second to import, and only normalization needs it
-    from scipy.integrate import quad
-
-    try:
-        out = quad(fn, lo, hi, epsabs=abs_tol, epsrel=1e-10, limit=400, full_output=1)
-    except OverflowError as exc:
-        raise DivergentIntegral(f"integrand overflows over ({lo}, {hi})") from exc
-    value, abserr = float(out[0]), float(out[1])
-    trouble = len(out) > 3
-    if not math.isfinite(value):
-        raise DivergentIntegral(f"integral over ({lo}, {hi}) is not finite")
-    if trouble and abserr > max(1e-8, 1e-6 * abs(value)):
-        raise DivergentIntegral(
-            f"quadrature did not converge over ({lo}, {hi}): "
-            f"value={value:.6g}, abserr={abserr:.3g}"
-        )
-    return value
-
-
-def normalize(model: DensityModel):
-    """Normalizing constant and normalized copy of ``model``.
-
-    Returns ``(c, normalized_model)`` with ``c > 0`` such that adding
-    ``log c`` to the log-density integrates to one over the support.
-    """
-    total = integrate(model.pdf, model.support.lower, model.support.upper)
-    if not math.isfinite(total) or total <= 0.0:
-        raise DivergentIntegral(f"density mass {total} is not positive and finite")
-    c = 1.0 / total
-    inner, shift = model._raw_log_pdf, math.log(c)
-    return c, DensityModel(
-        name=model.name,
-        support=model.support,
-        log_pdf=lambda x: inner(x) + shift,
-        dlog_pdf=model.dlog_pdf,
-        params=dict(model.params),
-        normalized=True,
-    )
-
-
-# ---------------------------------------------------------------------------
 # discretizing a support
 # ---------------------------------------------------------------------------
 
@@ -418,6 +373,18 @@ def compact_grid(support: SupportSet, lo: float, hi: float, points: int,
     return ts, (_from_t(ts) if mapped else ts)
 
 
+def _scan(model: DensityModel) -> tuple[np.ndarray, np.ndarray]:
+    """4097 points of the (compactified) support and the log-density there,
+    with ``-inf`` where it is not finite."""
+    support = model.support
+    _, xs = compact_grid(support, support.lower, support.upper, 4097, inset=1e-7)
+    vals = model.log_pdf(xs)
+    finite = np.isfinite(vals)
+    if not finite.any():
+        raise NonFiniteLogDensity("log-density is -inf on the whole scan grid")
+    return xs, np.where(finite, vals, -math.inf)
+
+
 def effective_interval(model: DensityModel,
                        drop: float = EFFECTIVE_DROP) -> tuple[float, float]:
     """Finite interval outside which the density is negligible.
@@ -426,14 +393,8 @@ def effective_interval(model: DensityModel,
     points whose log-density lies within ``drop`` of the maximum, padded by
     one scan cell.
     """
-    support = model.support
-    _, xs = compact_grid(support, support.lower, support.upper, 4097, inset=1e-7)
-    vals = model.log_pdf(xs)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise NonFiniteLogDensity("log-density is -inf on the whole scan grid")
-    peak = vals[finite].max()
-    keep = np.where(finite & (vals >= peak - drop))[0]
+    xs, vals = _scan(model)
+    keep = np.flatnonzero(vals >= vals.max() - drop)
     i0, i1 = max(int(keep[0]) - 1, 0), min(int(keep[-1]) + 1, xs.size - 1)
     return float(xs[i0]), float(xs[i1])
 
@@ -451,6 +412,101 @@ def _cell_integrals(integrand: Callable, edges: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# normalization
+# ---------------------------------------------------------------------------
+
+
+def _de_map(a: float, b: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``x(u)`` and log Jacobians ``log dx/du`` of the double-exponential
+    map of the u-line onto ``(a, b)``, of which at most one end is infinite.
+
+    With ``s = pi/2 sinh u``: exp-sinh ``x = a + e^s`` (or ``b - e^s``)
+    toward an infinite end, tanh-sinh onto a bounded interval, its nodes
+    measured from their nearer end so that they resolve it.
+    """
+    s = 0.5 * math.pi * np.sinh(u)
+    log_ds = np.log(0.5 * math.pi * np.cosh(u))
+    if math.isinf(a) or math.isinf(b):
+        return (a + np.exp(s) if b == math.inf else b - np.exp(s)), s + log_ds
+    x = np.where(s <= 0.0, a + (b - a) / (1.0 + np.exp(-2.0 * s)),
+                 b - (b - a) / (1.0 + np.exp(2.0 * s)))
+    return x, math.log(2.0 * (b - a)) + log_ds - 2.0 * np.logaddexp(s, -s)
+
+
+def log_mass(model: DensityModel) -> float:
+    """Log of the model's mass over its support, summed in log space.
+
+    The support is cut at the model's breaks, or without them at the
+    maximum of the scan behind :func:`effective_interval`.  Each cell
+    between two cuts takes the fixed-order Gauss-Legendre rule, on a
+    smooth piece of the model's tables.  Each of the two outer pieces takes
+    the double-exponential rule of :func:`_de_map` over ``|u| <= DE_SPAN``,
+    with the step halved until the mass changes by at most ``MASS_TOL``,
+    relative.  A level is one array call of the log-density per piece, and
+    densities whose values underflow still have a mass.
+
+    Raises :class:`DivergentIntegral` when ``DE_LEVELS`` halvings do not
+    settle the mass, when the terms at ``u = +-DE_SPAN`` exceed ``MASS_TOL``
+    of it, or when it is not finite and positive.
+    """
+    support, cuts = model.support, model.breaks
+    if not cuts.size:
+        xs, vals = _scan(model)
+        cuts = xs[[int(np.argmax(vals))]]
+    pieces = ((support.lower, float(cuts[0])), (float(cuts[-1]), support.upper))
+
+    def terms(u):
+        return np.concatenate([model.log_pdf(x) + log_dx
+                               for x, log_dx in (_de_map(*p, u) for p in pieces)])
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        found = terms(np.arange(-DE_SPAN, DE_SPAN + 1.0))
+        # exponents relative to the largest first term or break value keep
+        # the sums in range and the tolerances relative to the mass
+        ref = float(np.max(np.concatenate([found, model.log_pdf(cuts)])))
+        if not math.isfinite(ref):
+            raise DivergentIntegral(f"mass of {model.name} is not finite and positive")
+        cells = _cell_integrals(lambda x: np.exp(model.log_pdf(x) - ref), cuts).sum()
+        h, mass = 1.0, float(np.log(cells + np.exp(found - ref).sum()))
+        for _ in range(DE_LEVELS):
+            h /= 2.0
+            found = np.concatenate([found, terms(np.arange(h - DE_SPAN, DE_SPAN, 2.0 * h))])
+            settled, mass = mass, float(np.log(cells + h * np.exp(found - ref).sum()))
+            if abs(mass - settled) <= MASS_TOL:
+                break
+        else:
+            raise DivergentIntegral(f"mass of {model.name} did not settle in "
+                                    f"{DE_LEVELS} step halvings")
+        ends = float(np.max(terms(np.array([-DE_SPAN, DE_SPAN])))) - ref
+    if ends + math.log(h) > mass + math.log(MASS_TOL):
+        raise DivergentIntegral(f"mass of {model.name} does not decay toward "
+                                f"the ends of {support}")
+    return ref + mass
+
+
+def normalize(model: DensityModel):
+    """Normalizing constant and normalized copy of ``model``.
+
+    Returns ``(c, normalized_model)``: adding ``log c = -log_mass(model)``
+    to the log-density makes it integrate to one over the support.  ``c``
+    itself overflows to ``inf`` when ``log c`` lies beyond exp's range.
+    """
+    shift = -log_mass(model)
+    with np.errstate(over="ignore"):
+        c = float(np.exp(shift))
+    inner = model._raw_log_pdf
+    return c, DensityModel(
+        name=model.name,
+        support=model.support,
+        log_pdf=lambda x: inner(x) + shift,
+        dlog_pdf=model.dlog_pdf,
+        params=dict(model.params),
+        normalized=True,
+        breaks=model.breaks,
+    )
+
+
+# ---------------------------------------------------------------------------
 # interpolation tables
 # ---------------------------------------------------------------------------
 
@@ -460,6 +516,11 @@ def _cubic(a, s):
     sums it; ``a`` holds the coefficients in rising powers."""
     s2 = s * s
     return a[0] + a[1] * s + a[2] * s2 + a[3] * (s2 * s)
+
+
+def _cubic_slope(a, s):
+    """The derivative of :func:`_cubic`, as ``PPoly.derivative()`` evaluates it."""
+    return a[1] + (2.0 * a[2]) * s + (3.0 * a[3]) * (s * s)
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -488,8 +549,8 @@ class _Table:
 
     ``ends`` holds the slopes of the continuation below ``x[0]`` and above
     ``x[-1]``; by default they are the interpolant's own end derivatives.
-    ``offset`` is subtracted from every value.  One float, such as a
-    quadrature node, finds its cell by ``bisect`` on Python lists.
+    ``offset`` is subtracted from every value.  :meth:`derivative` is the
+    derivative of the same pieces.  A float is evaluated as a 0-d array.
     """
 
     offset = 0.0
@@ -511,44 +572,43 @@ class _Table:
             d[0] = _end_slope(h[0], h[1], m[0], m[1])
             d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
         t = (d[:-1] + d[1:] - 2 * m) / h
-        self._x = x
+        self.nodes = x
         self._coef = np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
         self._last = x.size - 2
         self.lo, self.hi = float(x[0]), float(x[-1])
         self._y_lo, self._y_hi = float(y[0]), float(y[-1])
         if ends is None:
-            # the derivative cubic, as ``PPoly.derivative()`` evaluates it
-            a = self._coef[:, [0, -1]]
-            s = np.array([0.0, h[-1]])
-            ends = a[1] + (2.0 * a[2]) * s + (3.0 * a[3]) * (s * s)
+            ends = _cubic_slope(self._coef[:, [0, -1]], np.array([0.0, h[-1]]))
         self._slope_lo, self._slope_hi = float(ends[0]), float(ends[1])
 
-    @functools.cached_property
-    def _lists(self) -> tuple[list, list]:
-        """Nodes and per-cell coefficient rows as Python lists."""
-        return self._x.tolist(), self._coef.T.tolist()
+    def _cells(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's cell coefficients and its offset from the cell's left
+        node, for the point clipped to the tabulated range."""
+        clipped = np.clip(x, self.lo, self.hi)
+        cells = np.minimum(np.searchsorted(self.nodes, clipped, side="right") - 1,
+                           self._last)
+        return np.take(self._coef, cells, axis=1), clipped - np.take(self.nodes, cells)
 
     def __call__(self, x):
         if not isinstance(x, np.ndarray):
-            # one point, such as a quadrature node, skips the array bookkeeping
-            if x < self.lo:
-                return self._y_lo + self._slope_lo * (x - self.lo) - self.offset
-            if x > self.hi:
-                return self._y_hi + self._slope_hi * (x - self.hi) - self.offset
-            nodes, rows = self._lists
-            i = min(bisect.bisect_right(nodes, x) - 1, self._last)
-            return _cubic(rows[i], x - nodes[i]) - self.offset
-        clipped = np.clip(x, self.lo, self.hi)
-        cells = np.minimum(np.searchsorted(self._x, clipped, side="right") - 1, self._last)
-        out = _cubic(np.take(self._coef, cells, axis=1), clipped - np.take(self._x, cells))
+            return float(self(np.asarray(x, dtype=float)))
+        out = _cubic(*self._cells(x))
         below, above = x < self.lo, x > self.hi
-        # far tail points overflow to an infinity, as they do on one float
+        # far tail points overflow to an infinity without a warning
         with np.errstate(over="ignore"):
             if below.any():
                 out = np.where(below, self._y_lo + self._slope_lo * (x - self.lo), out)
             if above.any():
                 out = np.where(above, self._y_hi + self._slope_hi * (x - self.hi), out)
         return out - self.offset
+
+    def derivative(self, x):
+        """Derivative of the interpolant: of its cubic inside the tabulated
+        range and the end slopes beyond it."""
+        if not isinstance(x, np.ndarray):
+            return float(self.derivative(np.asarray(x, dtype=float)))
+        out = _cubic_slope(*self._cells(x))
+        return np.where(x < self.lo, self._slope_lo, np.where(x > self.hi, self._slope_hi, out))
 
     def cubic(self, cells: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The interpolant (without ``offset``) on the given cells, as a
@@ -558,7 +618,7 @@ class _Table:
         the next cell's value there.  The values are the interpolant's, bit
         for bit, without its cell search.
         """
-        left, right = self._x[cells], self._x[cells + 1]
+        left, right = self.nodes[cells], self.nodes[cells + 1]
         a = np.take(self._coef, cells, axis=1)
         at_right = self._coef[0, np.minimum(cells + 1, self._last)]
         inner = cells < self._last
@@ -671,16 +731,6 @@ def sample_from(model: DensityModel, n: int, seed: int) -> Sample:
     return Sample(sample_rows(model, n, [seed])[0])
 
 
-def numeric_cdf(model: DensityModel, x: float) -> float:
-    """CDF value by direct quadrature (independent of the sampling grid)."""
-    lo = model.support.lower
-    if x <= lo:
-        return 0.0
-    if x >= model.support.upper:
-        return 1.0
-    return integrate(model.pdf, lo, x, abs_tol=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # tabulated densities
 # ---------------------------------------------------------------------------
@@ -691,11 +741,12 @@ def tabulated_model(support: SupportSet, grid, log_pdf_values, name: str = "tabu
     """Density interpolated from ``(grid, log_pdf)`` pairs.
 
     The grid must be strictly increasing and lie inside the support; the
-    log-density is joined with monotone cubic pieces.  Inside the support
-    but beyond the tabulated hull the log-density continues linearly with
-    the end slopes (exponential tails), so scores stay evaluable wherever
-    solvers probe; a rising end slope simply makes ``normalize`` fail with
-    :class:`DivergentIntegral`, as it should.
+    log-density is joined with monotone cubic pieces, whose derivative is
+    the model's ``dlog_pdf`` and whose nodes are its breaks.  Inside the
+    support but beyond the tabulated hull the log-density continues linearly
+    with the end slopes (exponential tails), so scores stay evaluable
+    wherever solvers probe; a rising end slope simply makes ``normalize``
+    fail with :class:`DivergentIntegral`, as it should.
     """
     xs = np.asarray(grid, dtype=float)
     ys = np.asarray(log_pdf_values, dtype=float)
@@ -707,5 +758,6 @@ def tabulated_model(support: SupportSet, grid, log_pdf_values, name: str = "tabu
         raise InvalidParams("tabulated log-density values must be finite")
     if not support.contains(xs[[0, -1]]).all():
         raise InvalidParams("tabulated grid must lie inside the declared support")
-    return DensityModel(name=name, support=support, log_pdf=_Table(xs, ys),
-                        normalized=normalized)
+    table = _Table(xs, ys)
+    return DensityModel(name=name, support=support, log_pdf=table,
+                        dlog_pdf=table.derivative, normalized=normalized, breaks=xs)

@@ -61,6 +61,7 @@ def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
     base_log = model.log_pdf
     base_dlog = model.dlog_pdf
     structure = u1_zero_structure(kind, model.support)
+    breaks = model.breaks
 
     if structure == "interior":
         if d != 1.0:
@@ -76,6 +77,7 @@ def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
                 spec.notes = "u1 vanishes at a support endpoint; d left free"
             antider = anchored_antiderivative(model, analyze_image(model, kind),
                                               lambda y: u2(y) / u1(y), max(80.0, 80.0 / d))
+            breaks = np.concatenate([breaks, antider.nodes])
 
         def log_pdf(x):
             return (d - 1.0) * antider(x) + d * base_log(x)
@@ -93,6 +95,7 @@ def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
         log_pdf=log_pdf,
         dlog_pdf=dlog,
         params={**model.params, "tilt_d": d},
+        breaks=breaks,
     )
     c, tilted = normalize(raw)
     spec.normalizer = c

@@ -132,6 +132,7 @@ def forge_odd_h(target: DensityModel, h_spec: HSpec) -> DensityModel:
         log_pdf=log_pdf,
         dlog_pdf=dlog,
         params=dict(target.params),
+        breaks=np.concatenate([target.breaks, antider.nodes]),
     )
     _, forged = normalize(raw)
     return forged

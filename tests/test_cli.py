@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mlechar import tilt
 from mlechar.cli import main
+from mlechar.density import check_dlog_pdf
+from mlechar.estimator import DEFAULT_TOL, mle_block
 from mlechar.score import LOCATION
 from mlechar.specfiles import load_family_spec, write_tabulated
 
@@ -41,6 +44,25 @@ def test_spec_roundtrip_tabulated(tmp_path, gaussian):
     assert loaded.normalized
     for x in (-1.5, 0.0, 2.0):
         assert abs(loaded.log_pdf(x) - tilted.log_pdf(x)) < 1e-6
+
+
+@pytest.mark.parametrize("d", [0.5, 2.0, 5.0])
+def test_mle_on_a_loaded_tilt_meets_the_residual_contract(tmp_path, gaussian, d):
+    # the tabulated score is the derivative of the table's own cubic pieces,
+    # not a finite difference of them; the tilt of a gaussian is a gaussian,
+    # so its location MLE is the sample mean
+    path = tmp_path / "tilted.json"
+    write_tabulated(tilt(gaussian.model, d, LOCATION), path)
+    loaded, _ = load_family_spec(path)
+    xs = np.linspace(-4.0, 4.0, 401) + 0.0137
+    assert check_dlog_pdf(loaded, xs, tol=1e-6) < 1e-6
+    rows = []
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        rows.append(rng.normal(rng.uniform(-1.0, 1.0), 1.0, 50))
+    roots = mle_block(loaded, LOCATION, np.array(rows), DEFAULT_TOL)
+    assert (np.abs(roots.residual) < DEFAULT_TOL).all()
+    assert np.abs(roots.theta - np.mean(rows, axis=1)).max() < 1e-5
 
 
 def test_spec_loader_catalog(gamma_spec):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as gamma_fn
 
-from mlechar import lookup, normalize, sample_from
+from mlechar import OddPower, PlusEvenDerivative, forge_odd_h, lookup, normalize, sample_from
+from mlechar.catalog import kind_for
 from mlechar.density import (
     DensityModel,
     InverseCdfSampler,
@@ -17,13 +19,16 @@ from mlechar.density import (
     check_dlog_pdf,
     compact_grid,
     eval_dlogf,
-    numeric_cdf,
+    log_mass,
     probe_grid,
     sample_rows,
     tabulated_model,
     _Table,
 )
+from mlechar.equivalence import tilt, tilt_with_spec
 from mlechar.errors import DivergentIntegral, OutsideSupport
+from mlechar.score import LOCATION, SCALE
+from mlechar.specfiles import load_family_spec
 
 # frozen with an independent quadrature oracle (see test_quartic_normalizer):
 # integral of exp(-x^4/4) over R equals 2**(-1/2) * Gamma(1/4)
@@ -154,6 +159,123 @@ def test_normalize_overflowing_density():
         normalize(rising)
 
 
+def _lbeta(a, b):
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+# log of the mass of the unnormalized tilt (d log f, plus (d - 1) log x on a
+# half-line) of each family, in closed form
+TILT_LOG_MASS = {
+    ("gaussian", LOCATION): lambda d: 0.5 * (1.0 - d) * math.log(2.0 * math.pi)
+    - 0.5 * math.log(d),
+    ("logistic", LOCATION): lambda d: _lbeta(d, d),
+    ("gumbel", LOCATION): lambda d: math.lgamma(d) - d * math.log(d),
+    ("gamma", SCALE): lambda d: math.lgamma(2.0 * d) - 2.0 * d * math.log(d),
+    ("weibull", SCALE): lambda d: (d - 1.0) * math.log(2.0) + math.lgamma(d) - d * math.log(d),
+}
+TILT_PARAMS = {"gamma": {"alpha": 2.0}, "weibull": {"k": 2.0}}
+
+
+@pytest.mark.parametrize("family,kind", list(TILT_LOG_MASS), ids=lambda v: getattr(v, "label", v))
+@pytest.mark.parametrize("d", [0.25, 0.5, 2.0, 5.0, 8.0])
+def test_tilt_normalizers_match_closed_forms(family, kind, d):
+    _, spec = tilt_with_spec(lookup(family, TILT_PARAMS.get(family, {})).model, d, kind)
+    exact = TILT_LOG_MASS[family, kind](d)
+    assert abs(-math.log(spec.normalizer) - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("d", [1e-3, 0.25, 1000.0, 1e4])
+def test_gaussian_location_tilts_normalize_at_extreme_exponents(gaussian, d):
+    # the tilt is N(0, 1/d); at d >= 1000 its unnormalized values underflow
+    tilted = tilt(gaussian.model, d, LOCATION)
+    unnormalized = d * float(gaussian.model.log_pdf(0.0))
+    assert abs(tilted.log_pdf(0.0) - 0.5 * math.log(d / (2.0 * math.pi))) \
+        <= 1e-15 * max(1.0, abs(unnormalized))
+
+
+def gauss_legendre_log_mass(model: DensityModel) -> float:
+    """Oracle: 24-point Gauss-Legendre on each cell between the model's
+    breaks, and QUADPACK on the two pieces beyond them."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    b = model.breaks
+    mid, half = 0.5 * (b[1:] + b[:-1]), 0.5 * (b[1:] - b[:-1])
+    values = model.log_pdf(mid[:, None] + half[:, None] * nodes)
+    peak = values.max()
+    cells = float(((np.exp(values - peak) * weights).sum(axis=1) * half).sum())
+    f = lambda x: math.exp(model.log_pdf(x) - peak)
+    tails = (quad(f, model.support.lower, b[0], epsabs=0.0, epsrel=1e-13, limit=400)[0]
+             + quad(f, b[-1], model.support.upper, epsabs=0.0, epsrel=1e-13, limit=400)[0])
+    return peak + math.log(cells + tails)
+
+
+def _forged(name, h_spec):
+    return lambda: forge_odd_h(lookup(name).model, h_spec)
+
+
+def _group_tilt(d):
+    entry = lookup("sinh_arcsinh_skew_normal")
+    return lambda: tilt(entry.model, d, kind_for(entry, "group"))
+
+
+# 17 nodes of 3 - x^2/2, continued linearly beyond +-2
+COARSE_X = np.linspace(-2.0, 2.0, 17)
+COARSE_LOG_PDF = 3.0 - 0.5 * COARSE_X ** 2
+
+
+def _coarse_table():
+    return tabulated_model(SupportSet.full_line(), COARSE_X, COARSE_LOG_PDF)
+
+
+@pytest.mark.parametrize("build", [
+    _forged("gaussian", OddPower(1.0, 3)),
+    _forged("logistic", PlusEvenDerivative(w=lambda y: 0.1 * math.cos(y),
+                                           w_prime=lambda y: -0.1 * math.sin(y))),
+    _group_tilt(0.25),
+    _group_tilt(5.0),
+    _coarse_table,
+], ids=["forged gaussian p=3", "forged logistic cos", "group tilt d=0.25",
+        "group tilt d=5", "coarse table"])
+def test_table_backed_masses_match_a_gauss_legendre_oracle(build):
+    # QUADPACK reports convergence on these models but is off by up to 3e-8:
+    # the tables are only once differentiable at their nodes
+    model = build()
+    assert model.breaks.size >= 17
+    assert abs(log_mass(model) - gauss_legendre_log_mass(model)) <= 1e-11
+
+
+def test_tabulated_load_normalizes_with_its_exponential_tails(tmp_path):
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps({"tabulated": {
+        "support": "full_line", "grid": COARSE_X.tolist(), "log_pdf": COARSE_LOG_PDF.tolist()}}))
+    model, _ = load_family_spec(path)
+    # each linear continuation carries exp(log f(+-2)) / |slope| of the mass
+    assert 2.0 * math.exp(model.log_pdf(2.0)) / abs(model.dlog_pdf(2.0)) > 1e-2
+    assert abs(gauss_legendre_log_mass(model)) <= 1e-11
+    assert abs(log_mass(model)) <= 1e-13
+
+
+@pytest.mark.parametrize("family,params,d", [
+    ("student", {"nu": 1.0}, 0.4),
+    ("student", {"nu": 3.0}, 0.25),
+])
+def test_heavy_tailed_tilts_without_mass_raise(family, params, d):
+    # tails of order |x|^-0.8 and |x|^-1 carry infinite mass
+    with pytest.raises(DivergentIntegral):
+        tilt(lookup(family, params).model, d, LOCATION)
+
+
+@given(k=st.floats(min_value=-300.0, max_value=300.0),
+       base=st.sampled_from(["gaussian", "gumbel", "coarse table"]))
+@settings(max_examples=60, deadline=None)
+def test_a_constant_added_to_the_log_density_moves_log_c_by_minus_it(k, base):
+    model = _coarse_table() if base == "coarse table" else lookup(base).model
+    shifted = DensityModel("shifted", model.support, lambda x: model.log_pdf(x) + k,
+                           breaks=model.breaks)
+    c, _ = normalize(model)
+    c_shifted, _ = normalize(shifted)
+    assert abs((math.log(c_shifted) - math.log(c)) + k) <= 1e-13
+
+
 def test_sampling_gaussian_mean(gaussian):
     s = sample_from(gaussian.model, 100_000, seed=42)
     assert s.n == 100_000
@@ -174,6 +296,17 @@ def test_sampling_exponential_mean():
     s = sample_from(expo, 100_000, seed=3)
     assert abs(float(s.values.mean()) - target) < 0.02
     assert (s.values > 0).all()
+
+
+def numeric_cdf(model: DensityModel, x: float) -> float:
+    """CDF value by QUADPACK quadrature, independent of the sampling grid."""
+    lo = model.support.lower
+    if x <= lo:
+        return 0.0
+    if x >= model.support.upper:
+        return 1.0
+    return quad(lambda y: math.exp(model.log_pdf(y)), lo, x, epsabs=1e-9,
+                epsrel=1e-10, limit=400)[0]
 
 
 @pytest.mark.parametrize("name,params", [
@@ -269,9 +402,25 @@ def test_table_is_pchip_inside_and_linear_outside(table, points):
     assert np.array_equal(got[below], y[0] + ends[0] * (p[below] - x[0]))
     assert np.array_equal(got[above], y[-1] + ends[1] * (p[above] - x[-1]))
     assert [t(float(v)) for v in p] == got.tolist()
+    slope = t.derivative(p)
+    assert np.array_equal(slope[inside], interp.derivative()(p[inside]))
+    assert (slope[below] == ends[0]).all() and (slope[above] == ends[1]).all()
     # the cubic of each point's cell, without a cell search
     cells = np.clip(np.searchsorted(x, p[inside], side="right") - 1, 0, x.size - 2)
     assert np.array_equal(t.cubic(cells)(p[inside]), interp(p[inside]))
+
+
+def test_table_gives_a_float_the_values_of_the_array_path_bit_for_bit():
+    x = np.array([-3.0, -1.0, 0.5, 2.0, 2.5, 7.0])
+    t = _Table(x, np.array([0.3, -1.2, 4.0, 2.2, 2.1, -5.0]))
+    below, above = [-1e6, -3.5, np.nextafter(-3.0, -4.0)], [np.nextafter(7.0, 8.0), 9.0, 1e300]
+    inside = (x[:-1] + np.diff(x) * np.array([[1e-9], [0.3], [0.5], [0.999]])).ravel()
+    points = np.concatenate([below, x, inside, above])
+    for fn in (t, t.derivative):
+        values = fn(points)
+        scalars = [fn(float(v)) for v in points]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(np.array(scalars), values)
 
 
 def test_table_with_a_subnormal_secant_slope_builds_without_warnings():

@@ -1,4 +1,5 @@
-"""scipy stays off the start-up path: only adaptive quadrature imports it.
+"""No CLI subcommand loads scipy: the library's own numerics (tables,
+normalization, solvers) are numpy code, and scipy serves the tests only.
 
 Each check runs in a fresh interpreter, because the test process itself has
 scipy loaded.
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from mlechar import tilt
+from mlechar import OddPower, forge_odd_h, tilt
 from mlechar.score import LOCATION
 from mlechar.specfiles import write_tabulated
 
@@ -24,12 +25,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def scipy_modules(code: str, cwd: Path) -> list:
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+def run_fresh(code: str, cwd: Path) -> subprocess.CompletedProcess:
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", code + REPORT],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def scipy_modules(code: str, cwd: Path) -> list:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    proc = run_fresh(code + REPORT, cwd)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -43,8 +48,20 @@ def files(tmp_path_factory, gaussian):
     root = tmp_path_factory.mktemp("startup")
     (root / "gaussian.json").write_text(json.dumps({"catalog": "gaussian"}))
     (root / "data.txt").write_text("0.3\n-1.2\n0.8\n2.1\n")
+    (root / "suite.json").write_text(json.dumps({
+        "families": [{"name": "logistic", "params": {}, "kinds": ["location"]}],
+        "equivalence": [{"name": "gaussian", "params": {}, "kind": "location"}],
+        "tilt_exponents": [2.0], "trials": 20, "sample_sizes": [3], "seed": 5}))
     write_tabulated(tilt(gaussian.model, 2.0, LOCATION), root / "tilted.json")
+    write_tabulated(forge_odd_h(gaussian.model, OddPower(1.0, 3)), root / "forged.json")
     return root
+
+
+TILT = ["tilt", "--family", "gaussian.json", "--d", "2", "--kind", "loc",
+        "--emit", "emitted-tilt.json"]
+FORGE = ["forge", "--target", "gaussian.json", "--h", "odd-power:d=1,p=3",
+         "--emit", "emitted-forge.json"]
+SUITE = ["suite", "--config", "suite.json"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -54,7 +71,24 @@ def files(tmp_path_factory, gaussian):
     ["mle", "--family", "gaussian.json", "--kind", "loc", "--data", "data.txt"],
     # tabulated files load as normalized, so they never reach quadrature
     ["mle", "--family", "tilted.json", "--kind", "loc", "--data", "data.txt"],
+    ["same-class", "--f", "gaussian.json", "--g", "tilted.json", "--kind", "loc"],
+    ["verify-counterexample", "--f", "gaussian.json", "--g", "forged.json", "--n", "2",
+     "--trials", "20"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_cli_commands_without_quadrature_load_no_scipy(files, argv):
     code = f"from mlechar.cli import main\nassert main({argv!r}) == 0"
     assert scipy_modules(code, files) == []
+
+
+@pytest.mark.parametrize("argv", [TILT, FORGE, SUITE], ids=lambda argv: " ".join(argv[:3]))
+def test_cli_commands_that_normalize_load_no_scipy(files, argv):
+    code = f"from mlechar.cli import main\nassert main({argv!r}) == 0"
+    assert scipy_modules(code, files) == []
+
+
+def test_cli_commands_run_where_scipy_cannot_be_imported(files):
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    code = ("import sys\nsys.modules['scipy'] = None\nfrom mlechar.cli import main\n"
+            + "".join(f"assert main({argv!r}) == 0\n" for argv in (TILT, FORGE, SUITE)))
+    proc = run_fresh(code, files)
+    assert proc.returncode == 0, proc.stderr
