@@ -20,6 +20,8 @@ this interface, so the module also provides the shared numeric machinery:
   Tabulated densities, the cumulative integrals of tilt and forge
   constructions (``CumulativeIntegral``) and the sampler's CDF are such
   tables,
+- sort-based twins of ``np.unique`` and ``np.median`` (``distinct``,
+  ``median``), whose first calls would import ``numpy.ma``,
 - seeded inverse-CDF sampling from an arbitrary log-density
   (``InverseCdfSampler``, ``sample_rows``, ``sample_from``).  A sampler is
   built on each call of ``sample_rows`` or ``sample_from``; callers that draw
@@ -95,6 +97,26 @@ def call_elementwise(fn: Callable, *args) -> np.ndarray:
                         dtype=float).reshape(shape)
     # constant callables return a scalar
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+
+
+# np.unique and np.median import numpy.ma on their first call (15-20 ms of
+# start-up); these two give their values without it
+
+
+def distinct(values) -> np.ndarray:
+    """The distinct values of a 1-D array, sorted, as ``np.unique`` gives them."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-math.inf) > 0]
+
+
+def median(a: np.ndarray) -> np.ndarray:
+    """Medians along the last axis, as ``np.median(a, axis=-1)`` gives them;
+    a NaN makes its median NaN."""
+    a = np.sort(a, axis=-1)
+    n = a.shape[-1]
+    mid = a[..., n // 2] if n % 2 else (a[..., n // 2 - 1] + a[..., n // 2]) / 2.0
+    # NaNs sort last
+    return np.where(np.isnan(a[..., -1]), math.nan, mid)
 
 
 def quiet_overflow(fn: Callable) -> Callable:
@@ -221,11 +243,8 @@ class DensityModel:
             out[inside] = call_elementwise(raw, x[inside])
             return out
 
-        # sorted and deduplicated without np.unique, whose first call imports
-        # numpy.ma (about 20 ms of start-up)
-        breaks = np.sort(np.asarray(self.breaks, dtype=float))
-        breaks = breaks[contains(breaks)]
-        object.__setattr__(self, "breaks", breaks[np.diff(breaks, prepend=-math.inf) > 0])
+        breaks = distinct(np.asarray(self.breaks, dtype=float))
+        object.__setattr__(self, "breaks", breaks[contains(breaks)])
         object.__setattr__(self, "_raw_log_pdf", raw)
         object.__setattr__(self, "log_pdf", guarded)
 
@@ -633,10 +652,10 @@ class CumulativeIntegral(_Table):
     """Antiderivative of an integrand, anchored at a point.
 
     The antiderivative is tabulated once on ``TABLE_CELLS`` Gauss-Legendre cells
-    across ``(lo, hi)``; beyond the tabulated range it is extended linearly
-    using the integrand value at the nearest end.  Cheap enough to sit inside
-    MLE root-finding loops.  ``lo`` and ``hi`` are the ends of the tabulated
-    range.
+    across ``(lo, hi)``, summed outward from the cell that holds the anchor;
+    beyond the tabulated range it is extended linearly using the integrand
+    value at the nearest end.  Cheap enough to sit inside MLE root-finding
+    loops.  ``lo`` and ``hi`` are the ends of the tabulated range.
     """
 
     def __init__(self, integrand: Callable, anchor: float,
@@ -644,7 +663,11 @@ class CumulativeIntegral(_Table):
         if not lo < anchor < hi:
             raise InvalidParams("anchor must lie strictly inside (lo, hi)")
         edges = np.linspace(lo, hi, TABLE_CELLS + 1)
-        cum = np.concatenate([[0.0], np.cumsum(_cell_integrals(integrand, edges))])
+        cells = _cell_integrals(integrand, edges)
+        # summed outward from the left node of the anchor's cell, so that no
+        # value near the anchor is a difference of two large sums
+        k = int(np.searchsorted(edges, anchor, side="right")) - 1
+        cum = np.concatenate([-np.cumsum(cells[:k][::-1])[::-1], [0.0], np.cumsum(cells[k:])])
         if not np.isfinite(cum).all():
             raise DivergentIntegral("cumulative integrand is not finite on the grid")
         super().__init__(edges, cum, ends=(integrand(lo), integrand(hi)))

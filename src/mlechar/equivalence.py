@@ -32,6 +32,7 @@ from .density import (
     DensityModel,
     call_elementwise,
     effective_interval,
+    median,
     normalize,
     probe_grid,
 )
@@ -153,7 +154,7 @@ def same_class(f: DensityModel, g: DensityModel, kind: Kind,
     if not usable.any():
         raise DegenerateScore("reference score vanishes on the whole grid")
     ratios = kind_score(g, kind, xs[usable]) / sf[usable]
-    d = float(np.median(ratios))
+    d = float(median(ratios))
     if d > 0.0 and float(np.max(np.abs(ratios - d))) < tol:
         return d
     return None

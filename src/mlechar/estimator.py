@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .density import DensityModel, Sample, call_elementwise
+from .density import DensityModel, Sample, call_elementwise, distinct
 from .errors import (
     AllZeroSample,
     BracketFailure,
@@ -132,7 +132,7 @@ def mle_block(model: DensityModel, kind: Kind, rows,
     else:
         # the seed sees one (count, n) block per row length
         center, half = np.empty(m), np.empty(m)
-        for n in np.unique(lengths):
+        for n in distinct(lengths):
             group = np.flatnonzero(lengths == n)
             center[group], half[group] = kind.seed(np.stack([rows[i] for i in group]))
     center = np.minimum(np.maximum(center, w_lo), w_hi)
@@ -178,12 +178,11 @@ def mle_block(model: DensityModel, kind: Kind, rows,
 
     # refine far below a 1e-12 interval so the residual contract holds even
     # for interpolated (slightly jittery) scores
-    roots, iterations, converged = brent_lanes(s, lo, hi, s_lo, s_hi, xtol=1e-15,
-                                               maxiter=300)
+    roots, residuals, iterations, converged = brent_lanes(s, lo, hi, s_lo, s_hi, xtol=1e-15,
+                                                          maxiter=300)
     if not converged.all():
         raise BracketFailure(f"Brent iteration did not converge within 300 steps "
                              f"(theta={float(roots[~converged][0])!r})")
-    residuals = s(roots, np.arange(m))
     bad = ~(np.abs(residuals) < tol)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])

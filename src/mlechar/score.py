@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,6 +49,7 @@ from .density import (
     call_elementwise,
     effective_interval,
     eval_dlogf,
+    median,
     probe_grid,
 )
 from .errors import (
@@ -126,7 +127,7 @@ def Group(u1: Callable, u2: Callable) -> Kind:
 
 def _location_seed(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the sample median, with half-width one plus the sample range
-    return np.median(block, axis=1), block.max(axis=1) - block.min(axis=1) + 1.0
+    return median(block), block.max(axis=1) - block.min(axis=1) + 1.0
 
 
 def _rate_seed(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,18 +231,22 @@ def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
     theta = np.asarray(theta, dtype=float)
     one = len(lengths) == 1
     # a single row needs neither theta repeated nor its scores cut apart
+    # (math.fsum runs faster over a list than over an islice of it)
     moved = call_elementwise(kind.h, theta if one else np.repeat(theta, lengths), flat)
     scores = _scores(model, kind.u1, kind.u2, moved).tolist()
-    rows = iter(scores)
-    parts = [scores] if one else [islice(rows, n) for n in lengths]
-    sums: list[float] = []
+    rows = [scores] if one else map(islice, repeat(iter(scores)), lengths)
     try:
-        for part in parts:
-            sums.append(math.fsum(part))
-    except (ValueError, OverflowError) as exc:
-        raise BracketFailure(f"the score sum at theta={float(theta[len(sums)])!r} "
-                             f"has no value: {exc}") from exc
-    return np.array(sums)
+        return np.array(list(map(math.fsum, rows)))
+    except (ValueError, OverflowError):
+        # sum again row by row, only to name the row that failed
+        rows = iter(scores)
+        for row_theta, n in zip(theta.tolist(), lengths):
+            try:
+                math.fsum(islice(rows, n))
+            except (ValueError, OverflowError) as exc:
+                raise BracketFailure(f"the score sum at theta={row_theta!r} "
+                                     f"has no value: {exc}") from exc
+        raise
 
 
 def location_score(model: DensityModel, x):
@@ -475,7 +480,7 @@ def bracketed_root(profile: ScoreProfile) -> float:
     if flips.size == 0:
         raise NotMonotone("no sign change on the probe grid")
     i = int(flips[0])
-    roots, _, converged = brent_lanes(lambda x, lanes: profile.evaluate(x),
+    roots, _, _, converged = brent_lanes(lambda x, lanes: profile.evaluate(x),
                                       xs[i:i + 1], xs[i + 1:i + 2], vs[i:i + 1],
                                       vs[i + 1:i + 2], xtol=1e-13, maxiter=100)
     if not converged[0]:
@@ -503,7 +508,7 @@ BRENT_RTOL = 8.9e-16
 
 def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
                 b: np.ndarray, fa: np.ndarray, fb: np.ndarray, xtol: float,
-                maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Roots of m functions by Brent's method, one lane per function.
 
     A lane-wise port of the iteration of SciPy's Brent solver
@@ -513,11 +518,13 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
     stops at the same iterate, as that solver with this ``xtol`` and
     ``maxiter`` and ``rtol=BRENT_RTOL``.  ``f(x, lanes)`` evaluates the
     functions of the listed lanes at their points ``x``.  Returns the roots,
-    the iteration counts and whether each lane converged.
+    the function values there (the last ones evaluated, or the zero at a
+    bracket end), the iteration counts and whether each lane converged.
     """
     xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
     fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
     roots, iterations = np.where(fpre == 0.0, xpre, xcur), np.zeros(xcur.size, dtype=int)
+    values = np.where(fpre == 0.0, fpre, fcur)
     # a zero at an end returns that end before any iteration
     converged = (fpre == 0.0) | (fcur == 0.0)
     active = ~converged
@@ -541,7 +548,7 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
             delta = (xtol + BRENT_RTOL * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
             done = active & ((fcur == 0.0) | (np.abs(sbis) < delta))
-            roots = np.where(done, xcur, roots)
+            roots, values = np.where(done, xcur, roots), np.where(done, fcur, values)
             converged |= done
             active &= ~done
             if not active.any():
@@ -562,5 +569,5 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
             lanes = np.flatnonzero(active)
             fcur = fcur.copy()
             fcur[lanes] = f(xcur[lanes], lanes)
-    roots = np.where(active, xcur, roots)
-    return roots, iterations, converged
+    roots, values = np.where(active, xcur, roots), np.where(active, fcur, values)
+    return roots, values, iterations, converged

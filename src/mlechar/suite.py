@@ -25,6 +25,7 @@ import operator
 import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -326,7 +327,7 @@ def _derive_seed(base: int, *labels) -> int:
 def _draw_rows(sampler: InverseCdfSampler, sizes, seed) -> list[np.ndarray]:
     """One sample per requested size, cut in order from a single seeded draw."""
     draw = sampler.rows(int(sum(sizes)), [seed])[0]
-    return np.split(draw, np.cumsum(sizes)[:-1])
+    return [draw[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
 
 
 def _worst(sampler: InverseCdfSampler, sizes, seed, deviation) -> float:

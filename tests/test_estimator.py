@@ -371,8 +371,8 @@ def test_brent_lanes_reproduces_scipy_brentq(case, n, m, seed, widths):
 
     f_lo, f_hi = lanes_fn(lo, np.arange(m)), lanes_fn(hi, np.arange(m))
     assume(np.all(np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo * f_hi < 0.0)))
-    roots, iterations, converged = brent_lanes(lanes_fn, lo, hi, f_lo, f_hi, xtol=1e-15,
-                                               maxiter=300)
+    roots, _, iterations, converged = brent_lanes(lanes_fn, lo, hi, f_lo, f_hi, xtol=1e-15,
+                                                  maxiter=300)
     assert converged.all()
     for i in range(m):
         lane = np.array([i])
@@ -381,6 +381,44 @@ def test_brent_lanes_reproduces_scipy_brentq(case, n, m, seed, widths):
                             maxiter=300, full_output=True)
         assert roots[i] == root
         assert iterations[i] == info.iterations
+
+
+@given(c=st.lists(st.floats(min_value=-50.0, max_value=50.0), max_size=6),
+       maxiter=st.integers(min_value=1, max_value=60))
+@settings(max_examples=60, deadline=None)
+def test_brent_lanes_returns_the_function_values_at_its_roots(c, maxiter):
+    # the last two lanes have an exact zero at a bracket end; a small maxiter
+    # leaves lanes unconverged at their last iterate
+    c = np.array(c + [64.0, -64.0])
+    a, b, lanes = np.full(c.size, -4.0), np.full(c.size, 4.0), np.arange(c.size)
+
+    def f(x, lanes):
+        return x ** 3 - c[lanes]
+
+    roots, values, _, _ = brent_lanes(f, a, b, f(a, lanes), f(b, lanes), xtol=1e-15,
+                                      maxiter=maxiter)
+    assert np.array_equal(values, f(roots, lanes))
+    assert values[-2:].tolist() == [0.0, 0.0]
+
+
+@given(case=st.sampled_from(CATALOG_KINDS),
+       lengths=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_block_residuals_are_the_score_sums_at_the_roots(case, lengths, seed):
+    # the residuals are the solver's own last evaluations, not a second sum
+    name, params, label = case
+    entry = lookup(name, params)
+    kind = kind_for(entry, label)
+    draw = sample_rows(entry.model, sum(lengths), [seed])[0]
+    rows = np.split(draw, np.cumsum(lengths)[:-1])
+    try:
+        roots = mle_block(entry.model, kind, rows)
+    except MlecharError:
+        return
+    for i, row in enumerate(rows):
+        alone = score_sum(entry.model, kind, Sample(row), roots.theta[i])
+        assert float(roots.residual[i]).hex() == alone.hex()
 
 
 def assert_lanes_equal_single_sample_mles(entry, kind, rows):

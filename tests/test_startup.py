@@ -1,5 +1,7 @@
 """No CLI subcommand loads scipy: the library's own numerics (tables,
 normalization, solvers) are numpy code, and scipy serves the tests only.
+Nor does any load ``numpy.ma``, which ``np.unique`` and ``np.median`` import
+on their first call (15-20 ms).
 
 Each check runs in a fresh interpreter, because the test process itself has
 scipy loaded.
@@ -21,7 +23,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])))
 """
 
 
@@ -33,7 +36,8 @@ def run_fresh(code: str, cwd: Path) -> subprocess.CompletedProcess:
 
 
 def scipy_modules(code: str, cwd: Path) -> list:
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+    """The scipy and ``numpy.ma`` modules a fresh interpreter holds after
+    running ``code``."""
     proc = run_fresh(code + REPORT, cwd)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
