@@ -76,6 +76,10 @@ EFFECTIVE_DROP = 60.0
 #: Gauss-Legendre cells of the sampler's CDF and of cumulative integrals
 TABLE_CELLS = 2048
 
+#: steps of the sampler's search for a quantile inside its CDF cell at most;
+#: the Newton steps end in 3 to 6
+INVERT_STEPS = 60
+
 
 def call_elementwise(fn: Callable, *args) -> np.ndarray:
     """``fn(*args)`` as a float array of the arguments' broadcast shape.
@@ -629,24 +633,6 @@ class _Table:
         out = _cubic_slope(*self._cells(x))
         return np.where(x < self.lo, self._slope_lo, np.where(x > self.hi, self._slope_hi, out))
 
-    def cubic(self, cells: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The interpolant (without ``offset``) on the given cells, as a
-        function of one point inside each cell.
-
-        A point on the right node of a cell that is not the last one takes
-        the next cell's value there.  The values are the interpolant's, bit
-        for bit, without its cell search.
-        """
-        left, right = self.nodes[cells], self.nodes[cells + 1]
-        a = np.take(self._coef, cells, axis=1)
-        at_right = self._coef[0, np.minimum(cells + 1, self._last)]
-        inner = cells < self._last
-
-        def value(t: np.ndarray) -> np.ndarray:
-            return np.where((t == right) & inner, at_right, _cubic(a, t - left))
-
-        return value
-
 
 class CumulativeIntegral(_Table):
     """Antiderivative of an integrand, anchored at a point.
@@ -683,7 +669,10 @@ class InverseCdfSampler:
     """Seeded draws from a normalized model.
 
     The CDF is tabulated once, by cumulative quadrature on a compactified
-    grid, and each draw inverts it by bisection.
+    grid, as a monotone cubic table.  Each draw inverts that table inside the
+    cell that holds its uniform, by Newton steps on the cell's cubic kept
+    inside a shrinking bracket (the safeguarded Newton-Raphson of Press et
+    al., Numerical Recipes, section 9.4).
     """
 
     def __init__(self, model: DensityModel):
@@ -703,27 +692,49 @@ class InverseCdfSampler:
         cdf /= total
         cdf[-1] = 1.0
         self._edges, self._cdf, self._mapped = edges, cdf, mapped
-        # the CDF is flat beyond the grid
-        self._table = _Table(edges, cdf, ends=(0.0, 0.0))
+        self._coef = _Table(edges, cdf)._coef
 
     def invert(self, u: np.ndarray) -> np.ndarray:
-        """Quantiles of the uniforms ``u`` (any shape), elementwise.
+        """Quantiles of the uniforms ``u`` (any shape), elementwise."""
+        t = self._grid_quantiles(u)
+        return np.asarray(_from_t(t)) if self._mapped else t
 
-        Bisects the interpolated CDF inside the cell that holds each quantile.
+    def _grid_quantiles(self, u: np.ndarray) -> np.ndarray:
+        """The points of the grid coordinate where the tabulated CDF is ``u``.
+
+        Each search runs on the offset ``s`` from the left edge of the cell
+        that holds ``u``.  It starts from the cell's secant and takes Newton
+        steps on the cell cubic minus ``u`` (whose constant term is exact
+        inside the cell); a step that would leave the bracket of the root
+        bisects it instead.  A search stops when its step moves ``s`` by at
+        most ``4`` ulps of the cell width, after ``INVERT_STEPS`` steps at
+        most.  A cell without mass gives its left edge.
         """
         idx = np.clip(np.searchsorted(self._cdf, u, side="right") - 1, 0,
                       self._edges.size - 2)
-        lo, hi = self._edges[idx], self._edges[idx + 1]
-        cdf = self._table.cubic(idx)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        t = 0.5 * (lo + hi)
+        left, right = self._edges[idx], self._edges[idx + 1]
+        width, mass = right - left, self._cdf[idx + 1] - self._cdf[idx]
+        a = np.take(self._coef, idx, axis=1)
+        a[0] -= u
+        active = mass > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.clip(np.where(active, -a[0] / mass * width, 0.0), 0.0, width)
+            lo, hi, tol = np.zeros_like(s), width, 4.0 * np.spacing(width)
+            for _ in range(INVERT_STEPS):
+                if not active.any():
+                    break
+                r = _cubic(a, s)
+                lo, hi = np.where(r < 0.0, s, lo), np.where(r > 0.0, s, hi)
+                new = s - r / _cubic_slope(a, s)
+                # a NaN fails both tests and bisects
+                new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+                moved = np.abs(new - s)
+                s = np.where(active, new, s)
+                active &= moved > tol
+        t = np.minimum(left + s, right)
         if not np.isfinite(t).all():
             raise InversionFailure("CDF inversion produced non-finite quantiles")
-        return np.asarray(_from_t(t)) if self._mapped else t
+        return t
 
     def rows(self, n: int, seeds) -> np.ndarray:
         """One size-``n`` sample per seed, as the rows of an array.

@@ -154,7 +154,9 @@ def test_tilts_on_arrays_match_scalar_calls(name, params, label, d):
 def test_sampler_inversion_matches_its_interpolant(name, params):
     # the reference bisects on an interpolant of the sampler's CDF nodes; the
     # uniforms include the CDF at cell edges and the doubles just below it,
-    # where a bisection point can land on an edge
+    # where a bisection point can land on an edge.  The sampler's Newton
+    # search must end in the same cell, at a point whose interpolated CDF is
+    # as close to u as the bisection's, within 4 ulps of u
     sampler = InverseCdfSampler(lookup(name, params).model)
     interp = PchipInterpolator(sampler._edges, sampler._cdf, extrapolate=False)
     edges = sampler._cdf[1:-1:97]
@@ -167,7 +169,10 @@ def test_sampler_inversion_matches_its_interpolant(name, params):
         mid = 0.5 * (lo + hi)
         below = interp(mid) < u
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    t = 0.5 * (lo + hi)
+    t_bisect = 0.5 * (lo + hi)
+    t = sampler._grid_quantiles(u)
+    assert ((sampler._edges[idx] <= t) & (t <= sampler._edges[idx + 1])).all()
+    assert (np.abs(interp(t) - u) <= np.abs(interp(t_bisect) - u) + 4 * np.spacing(u)).all()
     assert np.array_equal(sampler.invert(u), _from_t(t) if sampler._mapped else t)
 
 

@@ -430,9 +430,6 @@ def test_table_is_pchip_inside_and_linear_outside(table, points):
     slope = t.derivative(p)
     assert np.array_equal(slope[inside], interp.derivative()(p[inside]))
     assert (slope[below] == ends[0]).all() and (slope[above] == ends[1]).all()
-    # the cubic of each point's cell, without a cell search
-    cells = np.clip(np.searchsorted(x, p[inside], side="right") - 1, 0, x.size - 2)
-    assert np.array_equal(t.cubic(cells)(p[inside]), interp(p[inside]))
 
 
 def test_table_gives_a_float_the_values_of_the_array_path_bit_for_bit():
