@@ -35,7 +35,6 @@ from .density import DensityModel, Sample, call_elementwise, distinct
 from .errors import (
     AllZeroSample,
     BracketFailure,
-    InvalidParams,
     NoClosedForm,
     NotCharacterizable,
     OutsideSupport,
@@ -46,6 +45,7 @@ from .score import (
     GroupTransform,
     Kind,
     brent_lanes,
+    flatten_rows,
     row_score_sums,
     score_sum,
 )
@@ -117,14 +117,9 @@ def mle_block(model: DensityModel, kind: Kind, rows,
     if kind.h is None:
         raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
     kind.check(model.support)
-    rows = [np.asarray(row, dtype=float) for row in rows] if np.iterable(rows) else []
-    if not rows or any(row.ndim != 1 or row.size < 1 for row in rows):
-        raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
-    # the rows back to back, with their lengths and start offsets
-    flat = np.concatenate(rows)
+    flat, lengths = flatten_rows(rows)
     Sample(flat).require_inside(model)
-    m = len(rows)
-    lengths = np.array([row.size for row in rows])
+    m = lengths.size
     starts = np.cumsum(lengths) - lengths
     w_lo, w_hi = kind.theta_window
     if kind.seed is None:
@@ -134,7 +129,7 @@ def mle_block(model: DensityModel, kind: Kind, rows,
         center, half = np.empty(m), np.empty(m)
         for n in distinct(lengths):
             group = np.flatnonzero(lengths == n)
-            center[group], half[group] = kind.seed(np.stack([rows[i] for i in group]))
+            center[group], half[group] = kind.seed(flat[starts[group, None] + np.arange(n)])
     center = np.minimum(np.maximum(center, w_lo), w_hi)
 
     def to_theta(t: np.ndarray) -> np.ndarray:

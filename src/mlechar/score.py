@@ -22,8 +22,11 @@ the support itself, or the two half-lines when ``u1`` vanishes inside it.
 Scores follow the array contract of :mod:`mlechar.density`: a kind's
 ``u1``, ``u2``, ``h``, ``to_theta`` and ``antiderivative`` take floats or
 ndarrays, ``score_sum`` scores a whole sample, or m samples as rows of
-equal or different lengths, in one call, with one ``math.fsum`` per row, and
-probe grids are scored in one call each.
+equal or different lengths, in one call, and probe grids are scored in one
+call each.  Each row sum is the correctly rounded exact sum of the row's
+scores, the value ``math.fsum`` gives: rows shorter than ``EXTRACT_MIN_ROW``
+(1024) go through ``math.fsum`` over a list, longer rows through error-free
+extraction on the score array (:func:`row_fsum`), which is faster there.
 :func:`brent_lanes` is the one root finder: Brent's method run lane by
 lane over a batch of brackets, step for step as SciPy's Brent solver runs it.
 """
@@ -55,6 +58,7 @@ from .density import (
 from .errors import (
     AllZeroSample,
     BracketFailure,
+    InvalidParams,
     NonFiniteLogDensity,
     NotMonotone,
     UnsupportedSupport,
@@ -206,17 +210,82 @@ def kind_score(model: DensityModel, kind: Kind, x):
 
 
 def score_sum(model: DensityModel, kind: Kind, sample, theta):
-    """``math.fsum`` of the kind's score at ``h(theta, x_i)`` over a sample.
+    """Correctly rounded exact sum of the kind's score at ``h(theta, x_i)``
+    over a sample, the value ``math.fsum`` gives.
 
     ``sample`` is a :class:`Sample` and ``theta`` a float, which gives a
     float; or ``sample`` holds m samples as rows, an ``(m, n)`` block or m
     1-D rows of any lengths, and ``theta`` holds m values, which gives the
-    m row sums (see :func:`row_score_sums`).
+    m row sums.  :func:`row_score_sums` says how a row is summed.
     """
     if isinstance(sample, Sample):
         return float(row_score_sums(model, kind, sample.values, [sample.n], [theta])[0])
-    rows = [np.asarray(row, dtype=float) for row in sample]
-    return row_score_sums(model, kind, np.concatenate(rows), [row.size for row in rows], theta)
+    return row_score_sums(model, kind, *flatten_rows(sample), theta)
+
+
+def flatten_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an ``(m, n)`` block, or m 1-D rows of any lengths, back to
+    back as one float array, with the m row lengths.
+
+    Makes no numpy call per row.  Raises :class:`InvalidParams` unless there
+    are m >= 1 rows of n >= 1 observations.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.ndim == 2 and rows.size:
+            return np.asarray(rows, dtype=float).ravel(), np.full(rows.shape[0], rows.shape[1])
+    elif np.iterable(rows):
+        rows = list(rows)
+        try:
+            # len rejects scalars, concatenate no rows or rows of mixed
+            # dimensions
+            lengths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+            flat = np.concatenate(rows)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if flat.ndim == 1 and lengths.min() >= 1:
+                return flat.astype(float, copy=False), lengths
+    raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
+
+
+#: rows of at least this many observations are summed by extraction
+#: (:func:`row_fsum`); below about a thousand floats ``math.fsum`` over a
+#: list costs less
+EXTRACT_MIN_ROW = 1024
+
+
+def row_fsum(row: np.ndarray) -> float:
+    """``math.fsum(row.tolist())`` bit for bit, for a 1-D float array.
+
+    A row of at least ``EXTRACT_MIN_ROW`` floats is summed by error-free
+    extraction (``ExtractVector`` of Rump, Ogita and Oishi, "Accurate
+    floating-point summation, part I", SIAM J. Sci. Comput. 31(1), 2008).
+    With ``2^M >= n + 2`` and ``sigma = 2^M 2^e`` for ``max|p| < 2^e``, the
+    parts ``q = (sigma + p) - sigma`` are multiples of ``2^-53 sigma`` whose
+    sum is exact in any order, and ``p - q`` is exact.  Each round takes its
+    ``sigma`` from the largest remainder, until no remainder is left; one
+    ``math.fsum`` of the exact part sums rounds the total correctly.  A row
+    with an infinite or NaN score, or whose ``sigma`` would pass ``2^1022``,
+    goes through ``math.fsum`` itself, which then raises or overflows as it
+    would on the scores.
+    """
+    if row.size < EXTRACT_MIN_ROW:
+        return math.fsum(row.tolist())
+    hi, lo = float(row.max()), float(row.min())
+    top = max(hi, -lo)
+    spread = (row.size + 1).bit_length()  # M = ceil(log2(n + 2))
+    if not (math.isfinite(hi) and math.isfinite(lo)) or spread + math.frexp(top)[1] > 1022:
+        return math.fsum(row.tolist())
+    parts = []
+    rest, part = row.copy(), np.empty_like(row)
+    while top != 0.0:
+        sigma = math.ldexp(1.0, spread + math.frexp(top)[1])
+        np.add(rest, sigma, out=part)
+        part -= sigma
+        parts.append(float(part.sum()))
+        rest -= part
+        top = max(float(rest.max()), -float(rest.min()))
+    return math.fsum(parts)
 
 
 def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
@@ -224,22 +293,30 @@ def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
     """m row sums of the kind's score, row i at ``h(theta[i], x)``.
 
     ``flat`` holds the m rows back to back and ``lengths`` their sizes.
-    Each row sum is one ``math.fsum`` over that row's own scores, so it does
-    not depend on the other rows.  A sum that ``math.fsum`` cannot form, such
-    as scores of both infinite signs, raises :class:`BracketFailure`.
+    Each row sum is the correctly rounded exact sum of that row's own
+    scores, ``math.fsum`` of them, so it does not depend on the other rows.
+    Rows shorter than ``EXTRACT_MIN_ROW`` go through ``math.fsum`` over a
+    list of their scores; longer ones are summed from the score array by
+    error-free extraction (:func:`row_fsum`), which gives the same
+    value bit for bit.  A sum that ``math.fsum`` cannot form, such as scores
+    of both infinite signs, raises :class:`BracketFailure`.
     """
     theta = np.asarray(theta, dtype=float)
     one = len(lengths) == 1
     # a single row needs neither theta repeated nor its scores cut apart
     # (math.fsum runs faster over a list than over an islice of it)
     moved = call_elementwise(kind.h, theta if one else np.repeat(theta, lengths), flat)
-    scores = _scores(model, kind.u1, kind.u2, moved).tolist()
-    rows = [scores] if one else map(islice, repeat(iter(scores)), lengths)
+    scores = _scores(model, kind.u1, kind.u2, moved)
+    if flat.size >= EXTRACT_MIN_ROW and np.max(lengths) >= EXTRACT_MIN_ROW:
+        sums = map(row_fsum, np.split(scores, np.cumsum(lengths)[:-1]))
+    else:
+        values = scores.tolist()
+        sums = map(math.fsum, [values] if one else map(islice, repeat(iter(values)), lengths))
     try:
-        return np.array(list(map(math.fsum, rows)))
+        return np.array(list(sums))
     except (ValueError, OverflowError):
         # sum again row by row, only to name the row that failed
-        rows = iter(scores)
+        rows = iter(scores.tolist())
         for row_theta, n in zip(theta.tolist(), lengths):
             try:
                 math.fsum(islice(rows, n))

@@ -236,6 +236,8 @@ def test_bracket_failure_outside_window(gaussian, sinh_arcsinh):
 @pytest.mark.parametrize("name,label,values", [
     ("weibull", "scale", (1e-300, 1.0, 1e300)),
     ("sinh_arcsinh_skew_normal", "group", (-1e300, 0.0, 1e300)),
+    # a row long enough to be summed by extraction
+    ("weibull", "scale", (1e-300, 1e300) + (1.0,) * 2000),
 ])
 def test_a_score_sum_of_both_infinities_is_a_bracket_failure(name, label, values):
     # the bracket reaches a theta where the sample's scores overflow to -inf

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mlechar import lookup, split_halflines
 from mlechar.density import SupportSet
@@ -13,7 +16,9 @@ from mlechar.score import (
     analyze_image,
     bracketed_root,
     group_score,
+    kind_score,
     location_score,
+    row_score_sums,
     scale_score,
 )
 
@@ -140,3 +145,51 @@ def test_group_profile_symmetric_image(gaussian, sinh_arcsinh):
     prof = analyze_image(gaussian.model, Group(tr.u1, tr.u2))
     assert math.isinf(prof.p_minus) and math.isinf(prof.p_plus)
     assert prof.crosses_zero and not prof.monotone_increasing
+
+
+#: the gaussian location score is x itself; with u2 = -0.0 it keeps the sign
+#: of a zero, so the scores are exactly the data
+SIGNED_LOCATION = dataclasses.replace(LOCATION, u2=lambda x: -0.0)
+#: values whose sums tie or sit at the edge of the double range
+SPECIAL = np.array([1.0, 2.0 ** -53, 2.0 ** -106, 0.0, -0.0, 5e-324, -2.0 ** -1022])
+
+
+def _long_row(style: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if style == "spread":
+        # mantissas at random exponents between 2^-1074 and 2^1000, both signs
+        lo, hi = sorted(rng.integers(-1074, 1001, 2))
+        x = rng.uniform(0.5, 1.0, n) * 2.0 ** rng.integers(lo, hi + 1, n) * rng.choice([-1, 1], n)
+    elif style == "dense":
+        # one sign, one exponent, mantissas just below a power of two: the
+        # parts of the first round sum to nearly n times 2^e
+        x = rng.choice([-1.0, 1.0]) * rng.uniform(1 - 2.0 ** -20, 1.0, n) \
+            * 2.0 ** int(rng.integers(-1060, 1000))
+    elif style == "ties":
+        x = rng.choice(SPECIAL, n) * rng.choice([-1.0, 1.0], n)
+    else:
+        # pairs x, -x: the exact sum is zero
+        half = rng.standard_normal(n // 2) * 2.0 ** rng.integers(-1000, 1000, n // 2)
+        x = np.concatenate([half, -half, np.zeros(n % 2)])
+        rng.shuffle(x)
+        return x
+    at = rng.integers(0, n, n // 50)
+    x[at] = rng.choice(SPECIAL, at.size) * rng.choice([-1.0, 1.0], at.size)
+    return x
+
+
+@given(style=st.sampled_from(["spread", "dense", "ties", "cancel"]),
+       n=st.sampled_from([1023, 1024, 1025, 10000]), seed=st.integers(0, 2 ** 32 - 1))
+@example(style="dense", n=10000, seed=6)  # wrong with sigma half as large
+@settings(max_examples=150, deadline=None)
+def test_long_row_sums_are_math_fsum_bit_for_bit(gaussian, style, n, seed):
+    x = _long_row(style, n, seed)
+    model, kind = gaussian.model, SIGNED_LOCATION
+    want = math.fsum(kind_score(model, kind, x).tolist())
+    assert row_score_sums(model, kind, x, [n], [0.0])[0].hex() == want.hex()
+    if style == "cancel":
+        assert want.hex() == "0x0.0p+0"
+    # next to a short row, in one call
+    short = x[:3]
+    both = row_score_sums(model, kind, np.concatenate([short, x]), [3, n], [0.0, 0.0])
+    assert [s.hex() for s in both.tolist()] == [math.fsum(short.tolist()).hex(), want.hex()]
