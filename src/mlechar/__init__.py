@@ -5,118 +5,79 @@ general transformation group) is characterizable by the form of its
 maximum-likelihood estimator, computes minimal covering/necessary sample
 sizes, constructs equivalence-class and counterexample densities, and
 verifies every claim numerically.
+
+The public names live in the submodules; ``import mlechar`` loads none of
+them, and each name loads its submodule on first access (PEP 562).
 """
 
-from .catalog import CatalogEntry, expected_mnss, lookup
-from .coverage import (
-    McssResult,
-    MnssResult,
-    brute_force_projectable,
-    is_projectable,
-    mcss,
-    mnss,
-    projection_interval,
-)
-from .density import (
-    DensityModel,
-    Sample,
-    SupportSet,
-    eval_dlogf,
-    normalize,
-    sample_from,
-    tabulated_model,
-)
-from .equivalence import (
-    ScaleIdentification,
-    TiltSpec,
-    same_class,
-    scale_identification,
-    tilt,
-    tilt_with_spec,
-)
-from .errors import MlecharError
-from .estimator import (
-    BracketedRoot,
-    ClosedForm,
-    MleResult,
-    closed_form_mle,
-    mle_group,
-    mle_location,
-    mle_scale,
-)
-from .forge import (
-    CounterexampleReport,
-    OddPower,
-    PlusEvenDerivative,
-    forge_odd_h,
-    subcritical_witness,
-    verify_counterexample,
-)
-from .score import (
-    LOCATION,
-    SCALE,
-    Group,
-    GroupTransform,
-    ScoreProfile,
-    analyze_image,
-    group_score,
-    location_score,
-    scale_score,
-    split_halflines,
-)
-from .suite import SuiteConfig, SuiteReport, emit_report, parse_report, run_suite
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalogEntry",
-    "CounterexampleReport",
-    "DensityModel",
-    "Group",
-    "GroupTransform",
-    "LOCATION",
-    "McssResult",
-    "MleResult",
-    "MlecharError",
-    "MnssResult",
-    "OddPower",
-    "PlusEvenDerivative",
-    "SCALE",
-    "Sample",
-    "ScaleIdentification",
-    "ScoreProfile",
-    "SuiteConfig",
-    "SuiteReport",
-    "SupportSet",
-    "TiltSpec",
-    "analyze_image",
-    "brute_force_projectable",
-    "closed_form_mle",
-    "emit_report",
-    "eval_dlogf",
-    "expected_mnss",
-    "forge_odd_h",
-    "group_score",
-    "is_projectable",
-    "location_score",
-    "lookup",
-    "mcss",
-    "mle_group",
-    "mle_location",
-    "mle_scale",
-    "mnss",
-    "normalize",
-    "parse_report",
-    "projection_interval",
-    "run_suite",
-    "same_class",
-    "sample_from",
-    "scale_identification",
-    "scale_score",
-    "split_halflines",
-    "subcritical_witness",
-    "tabulated_model",
-    "tilt",
-    "tilt_with_spec",
-    "verify_counterexample",
-]
+#: each public name and the submodule that defines it
+_HOME = {
+    "CatalogEntry": "catalog",
+    "expected_mnss": "catalog",
+    "lookup": "catalog",
+    "McssResult": "coverage",
+    "MnssResult": "coverage",
+    "brute_force_projectable": "coverage",
+    "is_projectable": "coverage",
+    "mcss": "coverage",
+    "mnss": "coverage",
+    "projection_interval": "coverage",
+    "DensityModel": "density",
+    "Sample": "density",
+    "SupportSet": "density",
+    "eval_dlogf": "density",
+    "normalize": "density",
+    "sample_from": "density",
+    "tabulated_model": "density",
+    "ScaleIdentification": "equivalence",
+    "TiltSpec": "equivalence",
+    "same_class": "equivalence",
+    "scale_identification": "equivalence",
+    "tilt": "equivalence",
+    "tilt_with_spec": "equivalence",
+    "MlecharError": "errors",
+    "BracketedRoot": "estimator",
+    "ClosedForm": "estimator",
+    "MleResult": "estimator",
+    "closed_form_mle": "estimator",
+    "mle": "estimator",
+    "mle_group": "estimator",
+    "mle_location": "estimator",
+    "mle_scale": "estimator",
+    "CounterexampleReport": "forge",
+    "OddPower": "forge",
+    "PlusEvenDerivative": "forge",
+    "forge_odd_h": "forge",
+    "subcritical_witness": "forge",
+    "verify_counterexample": "forge",
+    "LOCATION": "score",
+    "SCALE": "score",
+    "Group": "score",
+    "ScoreProfile": "score",
+    "analyze_image": "score",
+    "kind_profiles": "score",
+    "kind_score": "score",
+    "SuiteConfig": "suite",
+    "SuiteReport": "suite",
+    "emit_report": "suite",
+    "parse_report": "suite",
+    "run_suite": "suite",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    # looked up on every access and never stored here, so a name always
+    # shows the submodule's current binding, patched or not
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -42,21 +42,9 @@ import numpy as np
 from .coverage import MnssResult
 from .density import DensityModel, SupportSet, quiet_overflow
 from .errors import InvalidConfig, InvalidParams, NotCharacterizable, UnknownFamily
-from .score import LOCATION, SCALE, GroupTransform, Kind
+from .score import LOCATION, SCALE, Kind
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-FAMILY_NAMES = (
-    "gaussian",
-    "gamma",
-    "generalized_gaussian",
-    "laplace",
-    "weibull",
-    "gumbel",
-    "student",
-    "logistic",
-    "sinh_arcsinh_skew_normal",
-)
 
 
 def _exp(u):
@@ -90,7 +78,7 @@ class CatalogEntry:
     closed_form: dict = field(default_factory=dict)       # kind label -> formula id
     needs_scale_identification: bool = False
     blocked: dict = field(default_factory=dict)           # kind label -> reason
-    transform: Optional[GroupTransform] = None
+    transform: Optional[Kind] = None
 
     @property
     def characterizable_kinds(self) -> tuple:
@@ -404,7 +392,7 @@ def _sinh_arcsinh(params: dict) -> CatalogEntry:
         dlog_pdf=lambda x: -x,
         normalized=True,
     )
-    transform = GroupTransform(
+    transform = Kind(
         u1=_sqrt1p2,
         u2=lambda x: x / _sqrt1p2(x),
         h=lambda theta, x: np.sinh(np.arcsinh(x) + theta),

@@ -11,6 +11,7 @@ error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -33,15 +34,8 @@ from .errors import (
 )
 from .estimator import mle
 from .forge import OddPower, PlusEvenDerivative, forge_odd_h, verify_counterexample
+from .score import kind_profiles
 from .specfiles import load_family_spec, write_tabulated
-from .suite import (
-    SuiteConfig,
-    build_profiles,
-    config_from_json,
-    emit_report,
-    enc,
-    run_suite,
-)
 
 KIND_ALIASES = {"loc": "location", "location": "location",
                 "scale": "scale", "sca": "scale",
@@ -124,20 +118,20 @@ def _cmd_analyze(args) -> int:
         _kv("reason", entry.blocked.get(kind, "outside scope"))
         return 0
     try:
-        profiles = build_profiles(entry, kind)
+        profiles = kind_profiles(entry.model, cat.kind_for(entry, kind))
     except (NotMonotone, UnsupportedSupport) as exc:
         _kv("characterizable", "false")
         _kv("reason", str(exc))
         return 0
     for prof in profiles:
         tag = f"bounds{prof.domain}"
-        _kv(tag, f"(-{enc(prof.p_minus)}, {enc(prof.p_plus)})")
+        _kv(tag, f"(-{prof.p_minus}, {prof.p_plus})")
         _kv(f"provenance{prof.domain}", prof.bounds_provenance.method)
-        _kv(f"mcss{prof.domain}", enc(mcss(prof.p_minus, prof.p_plus).value))
+        _kv(f"mcss{prof.domain}", mcss(prof.p_minus, prof.p_plus).value)
     computed = mnss(profiles, cat.kind_for(entry, kind))
     expected = cat.expected_mnss(entry, kind)
-    _kv("mnss", enc(computed.value))
-    _kv("expected_mnss", enc(expected.value))
+    _kv("mnss", computed.value)
+    _kv("expected_mnss", expected.value)
     _kv("characterizable", "true")
     _kv("match", str(computed.value == expected.value).lower())
     return 0
@@ -146,13 +140,13 @@ def _cmd_analyze(args) -> int:
 def _cmd_mcss(args) -> int:
     pm, pp = _parse_bound(args.pminus), _parse_bound(args.pplus)
     result = mcss(pm, pp)
-    _kv("p_minus", enc(result.p_minus))
-    _kv("p_plus", enc(result.p_plus))
-    _kv("mcss", enc(result.value))
+    _kv("p_minus", result.p_minus)
+    _kv("p_plus", result.p_plus)
+    _kv("mcss", result.value)
     if args.n is not None:
         lo, hi = projection_interval(pm, pp, args.n)
         _kv("n", args.n)
-        _kv("projection_interval", f"({enc(lo)}, {enc(hi)})")
+        _kv("projection_interval", f"({lo}, {hi})")
         _kv("projectable", str(is_projectable(pm, pp, args.n)).lower())
     return 0
 
@@ -256,6 +250,9 @@ def _cmd_verify_counterexample(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    # the one subcommand that needs the suite module
+    from .suite import SuiteConfig, config_from_json, emit_report, run_suite
+
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
@@ -265,7 +262,7 @@ def _cmd_suite(args) -> int:
     else:
         config = SuiteConfig()
     if args.output:
-        config = SuiteConfig(**{**config.__dict__, "output_path": args.output})
+        config = dataclasses.replace(config, output_path=args.output)
     report = run_suite(config)
     sys.stdout.write(emit_report(report, "text").decode())
     if config.output_path:

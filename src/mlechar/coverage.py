@@ -86,6 +86,9 @@ def mcss(p_minus: float, p_plus: float) -> McssResult:
     if math.isinf(pm) or math.isinf(pp):
         return McssResult(math.inf, pm, pp)
     ratio = max(pm, pp) / min(pm, pp)
+    if math.isinf(ratio):
+        raise InvalidBounds(f"the bound ratio {max(pm, pp):g}/{min(pm, pp):g} "
+                            "overflows a double")
     value = ratio + 1.0
     n = int(math.ceil(value - CEIL_FUZZ * value))
     return McssResult(max(n, 2), pm, pp)

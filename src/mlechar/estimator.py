@@ -42,7 +42,6 @@ from .errors import (
 from .score import (
     LOCATION,
     SCALE,
-    GroupTransform,
     Kind,
     brent_lanes,
     flatten_rows,
@@ -206,7 +205,7 @@ def mle_scale(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> 
     return mle(model, SCALE, sample, tol)
 
 
-def mle_group(model: DensityModel, transform: GroupTransform, sample: Sample,
+def mle_group(model: DensityModel, transform: Kind, sample: Sample,
               tol: float = DEFAULT_TOL) -> MleResult:
     """Group-parameter MLE: root of the transformed score sum."""
     return mle(model, transform, sample, tol)

@@ -178,6 +178,8 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed}")
     if not tol > 0.0:
         raise InvalidParams(f"tolerance must be > 0, got {tol}")
     block = sample_rows(f, n, np.random.SeedSequence(seed).generate_state(trials))

@@ -120,10 +120,6 @@ class Kind:
             )
 
 
-#: a transformation family H_theta acting on the data is a kind with an action
-GroupTransform = Kind
-
-
 def Group(u1: Callable, u2: Callable) -> Kind:
     """Action-less kind with the factor functions ``u1``, ``u2``."""
     return Kind(u1, u2)
@@ -326,21 +322,6 @@ def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
         raise
 
 
-def location_score(model: DensityModel, x):
-    """Location score ``-f'(x)/f(x)`` (full-line supports only)."""
-    return kind_score(model, LOCATION, x)
-
-
-def scale_score(model: DensityModel, x):
-    """Scale score ``1 + x f'(x)/f(x)``."""
-    return kind_score(model, SCALE, x)
-
-
-def group_score(model: DensityModel, u1: Callable, u2: Callable, x):
-    """Group-family score ``u2(x) + u1(x) f'(x)/f(x)``."""
-    return _score_like(model, u1, u2, x)
-
-
 # ---------------------------------------------------------------------------
 # image analysis
 # ---------------------------------------------------------------------------
@@ -534,16 +515,6 @@ def kind_profiles(model: DensityModel, kind: Kind) -> tuple[ScoreProfile, ...]:
     if u1_zero_structure(kind, model.support) != "interior":
         return (analyze_image(model, kind),)
     return tuple(analyze_image(model, kind, half) for half in _HALF_LINES)
-
-
-def split_halflines(model: DensityModel) -> tuple[ScoreProfile, ScoreProfile]:
-    """Scale-score profiles on the two open half-lines of a full-line model.
-
-    Returns ``(negative half-line profile, positive half-line profile)``.
-    """
-    if model.support.kind != FULL_LINE:
-        raise UnsupportedSupport("split_halflines needs a full-line support")
-    return kind_profiles(model, SCALE)
 
 
 def bracketed_root(profile: ScoreProfile) -> float:

@@ -24,7 +24,7 @@ import math
 import operator
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import Optional
 
@@ -173,67 +173,69 @@ class SuiteConfig:
                 )
 
     def to_jsonable(self) -> dict:
-        return {
-            "families": [
-                {"name": n, "params": dict(p), "kinds": list(k)}
-                for n, p, k in self.families
-            ],
-            "equivalence": [
-                {"name": n, "params": dict(p), "kind": k}
-                for n, p, k in self.equivalence
-            ],
-            "tilt_exponents": list(self.tilt_exponents),
-            "trials": self.trials,
-            "sample_sizes": list(self.sample_sizes),
-            "seed": self.seed,
-            "tolerances": {
-                "mle_tol": self.mle_tol,
-                "score_tol": self.score_tol,
-                "agreement_tol": self.agreement_tol,
-            },
-            "output_path": self.output_path,
-        }
+        doc: dict = {}
+        for name, (group, _, write) in _FIELDS.items():
+            (doc.setdefault(group, {}) if group else doc)[name] = write(getattr(self, name))
+        return doc
+
+
+def _same(value):
+    return value
+
+
+#: each SuiteConfig field: its JSON group (None: the top level), the reader
+#: of its JSON value and the writer of it
+_FIELDS = {
+    "families": (
+        None,
+        lambda v: tuple((f["name"], dict(f.get("params", {})), tuple(f.get("kinds", ())))
+                        for f in v),
+        lambda v: [{"name": n, "params": dict(p), "kinds": list(k)} for n, p, k in v],
+    ),
+    "equivalence": (
+        None,
+        lambda v: tuple((f["name"], dict(f.get("params", {})), f["kind"]) for f in v),
+        lambda v: [{"name": n, "params": dict(p), "kind": k} for n, p, k in v],
+    ),
+    "tilt_exponents": (None, lambda v: tuple(float(d) for d in v), list),
+    "trials": (None, int, _same),
+    "sample_sizes": (None, lambda v: tuple(int(n) for n in v), list),
+    "seed": (None, int, _same),
+    "mle_tol": ("tolerances", float, _same),
+    "score_tol": ("tolerances", float, _same),
+    "agreement_tol": ("tolerances", float, _same),
+    "output_path": (None, _same, _same),
+}
+
+
+def _json_keys(group) -> set:
+    """The keys the JSON object of ``group`` may hold (None: the top level,
+    where a group is one key)."""
+    return {name if g == group else g for name, (g, _, _) in _FIELDS.items()
+            if group is None or g == group}
 
 
 def config_from_json(doc: dict) -> SuiteConfig:
-    """Build a SuiteConfig from a parsed JSON document (missing keys default)."""
+    """Build a SuiteConfig from a parsed JSON document: missing keys default,
+    unknown keys raise InvalidConfig."""
     if not isinstance(doc, dict):
         raise InvalidConfig("suite config must be a JSON object")
+    objects = {None: doc, "tolerances": doc.get("tolerances", {})}
+    if not isinstance(objects["tolerances"], dict):
+        raise InvalidConfig("suite config tolerances must be a JSON object")
+    for group, obj in objects.items():
+        unknown = sorted(set(obj) - _json_keys(group))
+        if unknown:
+            where = f" under {group!r}" if group else ""
+            raise InvalidConfig(f"unknown suite config key{where}: {', '.join(unknown)}")
     try:
-        kwargs = _config_kwargs(doc)
+        config = SuiteConfig(**{name: read(objects[group][name])
+                                for name, (group, read, _) in _FIELDS.items()
+                                if name in objects[group]})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"malformed suite config: {exc!r}") from exc
-    config = SuiteConfig(**kwargs)
     config.validate()
     return config
-
-
-def _config_kwargs(doc: dict) -> dict:
-    kwargs: dict = {}
-    if "families" in doc:
-        kwargs["families"] = tuple(
-            (f["name"], dict(f.get("params", {})), tuple(f.get("kinds", ())))
-            for f in doc["families"]
-        )
-    if "equivalence" in doc:
-        kwargs["equivalence"] = tuple(
-            (f["name"], dict(f.get("params", {})), f["kind"])
-            for f in doc["equivalence"]
-        )
-    if "tilt_exponents" in doc:
-        kwargs["tilt_exponents"] = tuple(float(d) for d in doc["tilt_exponents"])
-    for key in ("trials", "seed"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    if "sample_sizes" in doc:
-        kwargs["sample_sizes"] = tuple(int(n) for n in doc["sample_sizes"])
-    tols = doc.get("tolerances", {})
-    for key in ("mle_tol", "score_tol", "agreement_tol"):
-        if key in tols:
-            kwargs[key] = float(tols[key])
-    if "output_path" in doc:
-        kwargs["output_path"] = doc["output_path"]
-    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +264,8 @@ class SuiteReport:
     wall_clock_s: float = field(default=0.0, compare=False)
 
     def payload(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "seed": self.seed,
-            "config": self.config,
-            "sections": self.sections,
-            "verdicts": self.verdicts,
-            "passed": self.passed,
-        }
+        """Every field but the volatile wall-clock time."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 def emit_report(report: SuiteReport, format: str = "machine") -> bytes:
@@ -301,17 +297,9 @@ def emit_report(report: SuiteReport, format: str = "machine") -> bytes:
 def parse_report(data: bytes) -> SuiteReport:
     """Parse a machine report back into a SuiteReport (round-trip inverse)."""
     try:
-        doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return SuiteReport(**json.loads(data.decode()))
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
         raise IoFailure(f"unparseable report: {exc}") from exc
-    return SuiteReport(
-        schema_version=doc["schema_version"],
-        seed=doc["seed"],
-        config=doc["config"],
-        sections=doc["sections"],
-        verdicts=doc["verdicts"],
-        passed=doc["passed"],
-    )
 
 
 def _derive_seed(base: int, *labels) -> int:

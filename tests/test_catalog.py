@@ -156,13 +156,13 @@ def test_group_density_member_integrates_and_samples(sinh_arcsinh):
 
 
 def test_analytic_scores_match_construction(gaussian, gamma2):
-    from mlechar.score import location_score, scale_score
+    from mlechar.score import LOCATION, SCALE, kind_score
 
     for x in np.linspace(-6.0, 6.0, 31):
-        assert abs(location_score(gaussian.model, float(x))
+        assert abs(kind_score(gaussian.model, LOCATION, float(x))
                    - gaussian.analytic_scores["location"](float(x))) < 1e-10
     for x in np.geomspace(0.05, 8.0, 31):
-        assert abs(scale_score(gamma2.model, float(x))
+        assert abs(kind_score(gamma2.model, SCALE, float(x))
                    - gamma2.analytic_scores["scale"](float(x))) < 1e-10
 
 

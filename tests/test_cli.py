@@ -92,6 +92,8 @@ def test_cli_mcss_near_integer_ratio(capsys):
 def test_cli_mcss_rejects_bad_bounds(capsys):
     assert main(["mcss", "--pminus", "-1", "--pplus", "2"]) == 3
     assert "numeric error" in capsys.readouterr().err
+    assert main(["mcss", "--pminus", "1e-320", "--pplus", "1e308"]) == 3
+    assert capsys.readouterr().err.startswith("numeric error:")
 
 
 def test_cli_analyze(capsys):
@@ -248,6 +250,7 @@ def _tabulated(support, grid):
     "mcss --pminus abc --pplus 2",
     "same-class --f g.json --g g.json --kind loc --tol -1",
     "verify-counterexample --f g.json --g g.json --n 2 --tol -1",
+    "verify-counterexample --f g.json --g g.json --n 2 --trials 5 --seed -1",
     "mle --family g.json --kind loc --data empty.txt",
     "mle --family g.json --kind loc --data nan.txt",
     "mle --family decreasing.json --kind loc --data one.txt",

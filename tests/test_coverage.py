@@ -12,8 +12,8 @@ from mlechar import (
     projection_interval,
 )
 from mlechar.errors import BudgetExceeded, InvalidBounds, NotCharacterizable
-from mlechar.score import LOCATION, SCALE, analyze_image
-from mlechar import lookup, split_halflines
+from mlechar.score import LOCATION, SCALE, analyze_image, kind_profiles
+from mlechar import lookup
 
 INF = math.inf
 
@@ -36,6 +36,10 @@ def test_mcss_rejects_bad_bounds():
         mcss(1.0, -2.0)
     with pytest.raises(InvalidBounds):
         mcss(float("nan"), 1.0)
+    # a ratio beyond the doubles: max/min overflows, and inf - fuzz * inf is NaN
+    for p_minus, p_plus in ((5e-324, 1.0), (1e-320, 1e308), (1e308, 1e-300)):
+        with pytest.raises(InvalidBounds, match="overflows"):
+            mcss(p_minus, p_plus)
 
 
 def test_mcss_exact_integer_ratio_not_inflated():
@@ -147,13 +151,13 @@ def test_mnss_from_profiles(gaussian):
     prof = analyze_image(gaussian.model, LOCATION)
     assert mnss((prof,), LOCATION).value == 3
 
-    pair = split_halflines(gaussian.model)
+    pair = kind_profiles(gaussian.model, SCALE)
     result = mnss(pair, SCALE)
     assert math.isinf(result.value)
     assert result.per_halfline is not None
 
     student3 = lookup("student", {"nu": 3.0}).model
-    assert mnss(split_halflines(student3), SCALE).value == 4
+    assert mnss(kind_profiles(student3, SCALE), SCALE).value == 4
 
 
 def test_mnss_is_at_least_three():

@@ -212,7 +212,7 @@ def test_gaussian_location_tilts_normalize_at_extreme_exponents(gaussian, d):
     tilted = tilt(gaussian.model, d, LOCATION)
     unnormalized = d * float(gaussian.model.log_pdf(0.0))
     assert abs(tilted.log_pdf(0.0) - 0.5 * math.log(d / (2.0 * math.pi))) \
-        <= 1e-14 * max(1.0, abs(unnormalized))
+        <= 1e-15 * max(1.0, abs(unnormalized))
 
 
 def gauss_legendre_log_mass(model: DensityModel) -> float:

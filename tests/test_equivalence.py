@@ -14,7 +14,7 @@ from mlechar import (
 from mlechar.density import DensityModel, SupportSet, eval_dlogf
 from mlechar.equivalence import TiltSpec
 from mlechar.errors import DegenerateScore, DivergentIntegral, SingletonClass
-from mlechar.score import LOCATION, SCALE, scale_score
+from mlechar.score import LOCATION, SCALE, kind_score
 
 
 def test_tilt_spec_validation():
@@ -51,7 +51,7 @@ def test_scale_tilt_of_exponential_doubles_score():
     for x in (0.3, 0.7, 1.5, 3.0):
         psi = 1.0 + x * eval_dlogf(fd_only, x)
         assert abs(psi - 2.0 * (1.0 - x)) < 1e-5
-        assert abs(scale_score(tilted, x) - 2.0 * (1.0 - x)) < 1e-10
+        assert abs(kind_score(tilted, SCALE, x) - 2.0 * (1.0 - x)) < 1e-10
 
 
 @pytest.mark.parametrize("kind_label,family,params", [
@@ -140,7 +140,7 @@ def test_group_tilt_matches_scale_tilt_on_halfline(gamma2):
     by_scale = tilt(gamma2.model, 2.0, SCALE)
     for x in np.geomspace(0.2, 6.0, 15):
         x = float(x)
-        assert abs(scale_score(by_group, x) - scale_score(by_scale, x)) < 1e-10
+        assert abs(kind_score(by_group, SCALE, x) - kind_score(by_scale, SCALE, x)) < 1e-10
         assert abs(by_group.log_pdf(x) - by_scale.log_pdf(x)) < 1e-3
 
 

@@ -28,7 +28,7 @@ from mlechar.errors import (
     OutsideSupport,
 )
 from mlechar.estimator import BracketedRoot, ClosedForm, mle, mle_block
-from mlechar.score import BRENT_RTOL, GroupTransform, Kind, brent_lanes, score_sum
+from mlechar.score import BRENT_RTOL, Kind, brent_lanes, score_sum
 from mlechar.suite import DEFAULT_FAMILIES
 
 
@@ -110,7 +110,7 @@ def test_group_mle_matches_grid_scan_oracle(gaussian, sinh_arcsinh):
 
 
 def test_group_mle_reduces_to_location(gaussian):
-    shift_group = GroupTransform(
+    shift_group = Kind(
         u1=lambda x: 1.0,
         u2=lambda x: 0.0,
         h=lambda theta, x: x - theta,
@@ -222,7 +222,7 @@ def test_all_zero_sample(gaussian):
 
 
 def test_bracket_failure_outside_window(gaussian, sinh_arcsinh):
-    narrow = GroupTransform(
+    narrow = Kind(
         u1=sinh_arcsinh.transform.u1,
         u2=sinh_arcsinh.transform.u2,
         h=sinh_arcsinh.transform.h,

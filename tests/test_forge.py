@@ -17,7 +17,7 @@ from mlechar import (
     verify_counterexample,
 )
 from mlechar.density import Sample
-from mlechar.errors import AlreadyCovered, InvalidBounds, NotMonotone
+from mlechar.errors import AlreadyCovered, InvalidBounds, InvalidParams, NotMonotone
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,11 @@ def test_verify_counterexample_reports(gaussian, quartic_forge):
     assert rep3.worst.gap > 1e-4
     # two-point agreement and three-point agreement never hold together
     assert not (rep2.agreement_fraction == 1.0 and rep3.agreement_fraction == 1.0)
+
+
+def test_verify_counterexample_rejects_a_negative_seed(gaussian, quartic_forge):
+    with pytest.raises(InvalidParams, match="seed"):
+        verify_counterexample(gaussian.model, quartic_forge, 2, 5, -1, 1e-7)
 
 
 def test_verify_counterexample_on_shared_class(gaussian):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlechar import lookup, split_halflines
+from mlechar import lookup
 from mlechar.density import SupportSet
 from mlechar.errors import NotMonotone, UnsupportedSupport
 from mlechar.score import (
@@ -15,44 +15,42 @@ from mlechar.score import (
     Group,
     analyze_image,
     bracketed_root,
-    group_score,
+    kind_profiles,
     kind_score,
-    location_score,
     row_score_sums,
-    scale_score,
 )
 
 
 def test_location_score_values(gaussian, logistic, gumbel):
-    assert location_score(gaussian.model, 2.0) == 2.0
-    assert abs(location_score(logistic.model, 0.0)) < 1e-15
-    assert abs(location_score(gumbel.model, 0.0)) < 1e-15
+    assert kind_score(gaussian.model, LOCATION, 2.0) == 2.0
+    assert abs(kind_score(logistic.model, LOCATION, 0.0)) < 1e-15
+    assert abs(kind_score(gumbel.model, LOCATION, 0.0)) < 1e-15
     # tanh(x/2) shape
-    assert abs(location_score(logistic.model, 1.0) - math.tanh(0.5)) < 1e-12
+    assert abs(kind_score(logistic.model, LOCATION, 1.0) - math.tanh(0.5)) < 1e-12
 
 
 def test_location_score_needs_full_line(gamma2):
     with pytest.raises(UnsupportedSupport):
-        location_score(gamma2.model, 1.0)
+        kind_score(gamma2.model, LOCATION, 1.0)
 
 
 def test_scale_score_values(gaussian, gamma2):
-    assert abs(scale_score(gaussian.model, 1.0)) < 1e-15
-    assert abs(scale_score(gamma2.model, 2.0)) < 1e-15
+    assert abs(kind_score(gaussian.model, SCALE, 1.0)) < 1e-15
+    assert abs(kind_score(gamma2.model, SCALE, 2.0)) < 1e-15
     weibull = lookup("weibull", {"k": 2.0})
-    assert abs(scale_score(weibull.model, 1.0)) < 1e-15
+    assert abs(kind_score(weibull.model, SCALE, 1.0)) < 1e-15
     # the formula value at the origin of a full-line support is 1
-    assert scale_score(gaussian.model, 0.0) == 1.0
+    assert kind_score(gaussian.model, SCALE, 0.0) == 1.0
 
 
 def test_group_score_values(gaussian, sinh_arcsinh):
     tr = sinh_arcsinh.transform
-    got = group_score(gaussian.model, tr.u1, tr.u2, 1.0)
+    got = kind_score(gaussian.model, Group(tr.u1, tr.u2), 1.0)
     assert abs(got - (-1.0 / math.sqrt(2.0))) < 1e-12
     # (u1, u2) = (x, 1) reduces to the scale score
-    assert abs(group_score(gaussian.model, lambda x: x, lambda x: 1.0, 1.0)) < 1e-15
+    assert abs(kind_score(gaussian.model, Group(lambda x: x, lambda x: 1.0), 1.0)) < 1e-15
     # (u1, u2) = (1, 0) is the raw log-derivative
-    assert abs(group_score(gaussian.model, lambda x: 1.0, lambda x: 0.0, 2.0)
+    assert abs(kind_score(gaussian.model, Group(lambda x: 1.0, lambda x: 0.0), 2.0)
                - (-2.0)) < 1e-15
 
 
@@ -70,10 +68,10 @@ def test_group_score_reductions_pointwise(gaussian):
     xs = np.linspace(-6.0, 6.0, 25) + 0.01
     for x in xs:
         x = float(x)
-        raw = group_score(gaussian.model, lambda y: 1.0, lambda y: 0.0, x)
-        assert abs(raw - (-location_score(gaussian.model, x))) < 1e-12
-        as_scale = group_score(gaussian.model, lambda y: y, lambda y: 1.0, x)
-        assert abs(as_scale - scale_score(gaussian.model, x)) < 1e-12
+        raw = kind_score(gaussian.model, Group(lambda y: 1.0, lambda y: 0.0), x)
+        assert abs(raw - (-kind_score(gaussian.model, LOCATION, x))) < 1e-12
+        as_scale = kind_score(gaussian.model, Group(lambda y: y, lambda y: 1.0), x)
+        assert abs(as_scale - kind_score(gaussian.model, SCALE, x)) < 1e-12
 
 
 def test_analyze_image_gaussian_location(gaussian):
@@ -99,15 +97,15 @@ def test_analyze_image_student_scale_halfline():
 
 
 def test_split_halflines_images(gaussian):
-    neg, pos = split_halflines(gaussian.model)
+    neg, pos = kind_profiles(gaussian.model, SCALE)
     for prof in (neg, pos):
         assert math.isinf(prof.p_minus)
         assert abs(prof.p_plus - 1.0) < 1e-3
     laplace = lookup("laplace").model
-    for prof in split_halflines(laplace):
+    for prof in kind_profiles(laplace, SCALE):
         assert math.isinf(prof.p_minus) and abs(prof.p_plus - 1.0) < 1e-3
     cauchy = lookup("student", {"nu": 1.0}).model
-    for prof in split_halflines(cauchy):
+    for prof in kind_profiles(cauchy, SCALE):
         assert abs(prof.p_minus - 1.0) < 1e-3 and abs(prof.p_plus - 1.0) < 1e-3
 
 

@@ -1,10 +1,11 @@
 """No CLI subcommand loads scipy: the library's own numerics (tables,
 normalization, solvers) are numpy code, and scipy serves the tests only.
 Nor does any load ``numpy.ma``, which ``np.unique`` and ``np.median`` import
-on their first call (15-20 ms).
+on their first call (15-20 ms).  ``import mlechar`` loads no submodule, and
+only the ``suite`` subcommand loads ``mlechar.suite``.
 
 Each check runs in a fresh interpreter, because the test process itself has
-scipy loaded.
+scipy and every mlechar module loaded.
 """
 
 import json
@@ -94,5 +95,45 @@ def test_cli_commands_run_where_scipy_cannot_be_imported(files):
     # a None entry in sys.modules makes every import of scipy raise ImportError
     code = ("import sys\nsys.modules['scipy'] = None\nfrom mlechar.cli import main\n"
             + "".join(f"assert main({argv!r}) == 0\n" for argv in (TILT, FORGE, SUITE)))
+    proc = run_fresh(code, files)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    proc = run_fresh("import sys, mlechar\n"
+                     "print(sorted(m for m in sys.modules if m.startswith('mlechar.')))",
+                     tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_every_public_name_resolves_is_listed_and_stays_unbound(tmp_path):
+    # a name bound in the package would hide a later rebinding in its submodule
+    code = ("import mlechar\n"
+            "missing = [n for n in mlechar.__all__ if n not in dir(mlechar)]\n"
+            "assert not missing, missing\n"
+            "for name in mlechar.__all__:\n"
+            "    getattr(mlechar, name)\n"
+            "bound = [n for n in mlechar.__all__ if n in vars(mlechar)]\n"
+            "assert not bound, bound\n")
+    proc = run_fresh(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_suite_subcommand_loads_the_suite_module(files):
+    commands = [
+        ["mcss", "--pminus", "1", "--pplus", "3", "--n", "3"],
+        ["analyze", "--family", "student", "--params", "nu=3", "--kind", "scale"],
+        ["mle", "--family", "gaussian.json", "--kind", "loc", "--data", "data.txt"],
+        TILT,
+        ["same-class", "--f", "gaussian.json", "--g", "tilted.json", "--kind", "loc"],
+        FORGE,
+        ["verify-counterexample", "--f", "gaussian.json", "--g", "forged.json", "--n", "2",
+         "--trials", "20"],
+    ]
+    code = ("import sys\nfrom mlechar.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "    assert 'mlechar.suite' not in sys.modules, argv[0]\n")
     proc = run_fresh(code, files)
     assert proc.returncode == 0, proc.stderr

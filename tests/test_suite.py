@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mlechar.errors import InvalidConfig
+from mlechar.errors import InvalidConfig, IoFailure
 from mlechar.suite import (
     SuiteConfig,
     config_from_json,
@@ -49,6 +49,10 @@ def test_config_validation():
         SuiteConfig(tilt_exponents=(float("nan"),)).validate()
     with pytest.raises(InvalidConfig):
         config_from_json({"output_path": 7})
+    with pytest.raises(InvalidConfig, match="trails"):
+        config_from_json({"trails": 20})
+    with pytest.raises(InvalidConfig, match="mle_tolerance"):
+        config_from_json({"tolerances": {"mle_tolerance": 1e-3}})
     SuiteConfig().validate()
 
 
@@ -72,6 +76,12 @@ def test_machine_report_roundtrip(small_report):
     parsed = parse_report(data)
     assert parsed == small_report
     assert emit_report(parsed, "machine") == data
+
+
+@pytest.mark.parametrize("data", [b"[]", b'{"seed": 1}', b"{", b"\xff"])
+def test_parse_report_rejects_a_malformed_document(data):
+    with pytest.raises(IoFailure):
+        parse_report(data)
 
 
 def test_reports_are_deterministic(small_report):

@@ -1,14 +1,16 @@
 """The repository tools: the machine-report diff, the code-line counter and
-the BENCH file writer."""
+the BENCH file writer; and the python examples of the README."""
 
 import copy
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+README = TOOLS.parent / "README.md"
 
 
 def load(name):
@@ -142,3 +144,10 @@ def test_bench_json_refuses_mixed_machines_and_unknown_revisions(tmp_path, capsy
     assert "disagree" in capsys.readouterr().err
     assert bench_json.main([str(results), "--rev", "fff", "-o", out]) == 1
     assert "0 revisions match" in capsys.readouterr().err
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
