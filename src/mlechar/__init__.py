@@ -19,8 +19,7 @@ _HOME = {
     "CatalogEntry": "catalog",
     "expected_mnss": "catalog",
     "lookup": "catalog",
-    "McssResult": "coverage",
-    "MnssResult": "coverage",
+    "SampleSize": "coverage",
     "brute_force_projectable": "coverage",
     "is_projectable": "coverage",
     "mcss": "coverage",
@@ -34,7 +33,6 @@ _HOME = {
     "sample_from": "density",
     "tabulated_model": "density",
     "ScaleIdentification": "equivalence",
-    "TiltSpec": "equivalence",
     "same_class": "equivalence",
     "scale_identification": "equivalence",
     "tilt": "equivalence",

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coverage import MnssResult
+from .coverage import SampleSize
 from .density import DensityModel, SupportSet, quiet_overflow
 from .errors import InvalidConfig, InvalidParams, NotCharacterizable, UnknownFamily
 from .score import LOCATION, SCALE, Kind
@@ -139,19 +139,27 @@ def _finite(value: Callable[[], float], what: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _entry(name: str, params: dict, support: SupportSet, log_pdf, dlog_pdf,
+           model_name: Optional[str] = None, **facts) -> CatalogEntry:
+    """The entry of family ``name`` at ``params``, with its normalized model.
+
+    The model is named ``name(k=v,...)`` in the order of ``params`` (the
+    family name alone when there are none) unless ``model_name`` is given,
+    and holds a copy of ``params``; ``facts`` are the other entry fields.
+    """
+    if model_name is None:
+        values = ",".join(f"{k}={v:g}" for k, v in params.items())
+        model_name = f"{name}({values})" if values else name
+    model = DensityModel(name=model_name, support=support, log_pdf=log_pdf,
+                         dlog_pdf=dlog_pdf, params=dict(params), normalized=True)
+    return CatalogEntry(name=name, params=params, model=model, **facts)
+
+
 def _gaussian(params: dict) -> CatalogEntry:
-    _check_params(params, {})
-    model = DensityModel(
-        name="gaussian",
-        support=SupportSet.full_line(),
-        log_pdf=quiet_overflow(lambda x: -0.5 * x * x - 0.5 * LOG_2PI),
-        dlog_pdf=lambda x: -x,
-        normalized=True,
-    )
-    return CatalogEntry(
-        name="gaussian",
-        params={},
-        model=model,
+    return _entry(
+        "gaussian", _check_params(params, {}), SupportSet.full_line(),
+        quiet_overflow(lambda x: -0.5 * x * x - 0.5 * LOG_2PI),
+        lambda x: -x,
         analytic_scores={"location": lambda x: x, "scale": lambda x: 1.0 - x * x},
         score_formulas={"location": "phi(x) = x", "scale": "psi(x) = 1 - x^2"},
         analytic_bounds={"location": (math.inf, math.inf), "scale": (math.inf, 1.0)},
@@ -166,18 +174,10 @@ def _gamma(params: dict) -> CatalogEntry:
     if alpha <= 0.0:
         raise InvalidParams(f"gamma needs alpha > 0, got {alpha}")
     lgam = _finite(lambda: math.lgamma(alpha), f"lgamma(alpha) at alpha={alpha:g}")
-    model = DensityModel(
-        name=f"gamma(alpha={alpha:g})",
-        support=SupportSet.positive_half_line(),
-        log_pdf=lambda x: (alpha - 1.0) * np.log(x) - x - lgam,
-        dlog_pdf=lambda x: (alpha - 1.0) / x - 1.0,
-        params={"alpha": alpha},
-        normalized=True,
-    )
-    return CatalogEntry(
-        name="gamma",
-        params={"alpha": alpha},
-        model=model,
+    return _entry(
+        "gamma", p, SupportSet.positive_half_line(),
+        lambda x: (alpha - 1.0) * np.log(x) - x - lgam,
+        lambda x: (alpha - 1.0) / x - 1.0,
         analytic_scores={"scale": lambda x: alpha - x},
         score_formulas={"scale": f"psi(x) = {alpha:g} - x"},
         analytic_bounds={"scale": (math.inf, alpha)},
@@ -206,19 +206,11 @@ def _generalized_gaussian(params: dict) -> CatalogEntry:
         with np.errstate(over="ignore"):
             return alpha * gam * (1.0 - np.exp(gam * x))
 
-    model = DensityModel(
-        name=f"generalized_gaussian(alpha={alpha:g},gamma={gam:g})",
-        support=SupportSet.full_line(),
-        log_pdf=log_pdf,
-        dlog_pdf=dlog,
-        params={"alpha": alpha, "gamma": gam},
-        normalized=True,
-    )
     loc_bounds = (alpha * abs(gam), math.inf) if gam > 0 else (math.inf, alpha * abs(gam))
-    return CatalogEntry(
-        name="generalized_gaussian",
-        params={"alpha": alpha, "gamma": gam},
-        model=model,
+    return _entry(
+        "generalized_gaussian", p, SupportSet.full_line(),
+        log_pdf,
+        dlog,
         analytic_scores={
             "location": lambda x: alpha * gam * (_exp(gam * x) - 1.0),
             "scale": lambda x: 1.0 + alpha * gam * x * (1.0 - _exp(gam * x)),
@@ -234,18 +226,10 @@ def _generalized_gaussian(params: dict) -> CatalogEntry:
 
 
 def _laplace(params: dict) -> CatalogEntry:
-    _check_params(params, {})
-    model = DensityModel(
-        name="laplace",
-        support=SupportSet.full_line(),
-        log_pdf=lambda x: -np.abs(x) - math.log(2.0),
-        dlog_pdf=lambda x: -np.sign(x),
-        normalized=True,
-    )
-    return CatalogEntry(
-        name="laplace",
-        params={},
-        model=model,
+    return _entry(
+        "laplace", _check_params(params, {}), SupportSet.full_line(),
+        lambda x: -np.abs(x) - math.log(2.0),
+        lambda x: -np.sign(x),
         analytic_scores={"scale": lambda x: 1.0 - np.abs(x)},
         score_formulas={"scale": "psi(x) = 1 - |x|",
                         "location": "phi(x) = sign(x) (piecewise constant)"},
@@ -261,18 +245,10 @@ def _weibull(params: dict) -> CatalogEntry:
     k = p["k"]
     if k <= 0.0:
         raise InvalidParams(f"weibull needs k > 0, got {k}")
-    model = DensityModel(
-        name=f"weibull(k={k:g})",
-        support=SupportSet.positive_half_line(),
-        log_pdf=lambda x: math.log(k) + (k - 1.0) * np.log(x) - _pow(x, k),
-        dlog_pdf=lambda x: (k - 1.0) / x - k * _pow(x, k - 1.0),
-        params={"k": k},
-        normalized=True,
-    )
-    return CatalogEntry(
-        name="weibull",
-        params={"k": k},
-        model=model,
+    return _entry(
+        "weibull", p, SupportSet.positive_half_line(),
+        lambda x: math.log(k) + (k - 1.0) * np.log(x) - _pow(x, k),
+        lambda x: (k - 1.0) / x - k * _pow(x, k - 1.0),
         analytic_scores={"scale": lambda x: k * (1.0 - _pow(x, k))},
         score_formulas={"scale": f"psi(x) = {k:g}*(1 - x^{k:g})"},
         analytic_bounds={"scale": (math.inf, k)},
@@ -284,22 +260,10 @@ def _weibull(params: dict) -> CatalogEntry:
 
 
 def _gumbel(params: dict) -> CatalogEntry:
-    _check_params(params, {})
-
-    def log_pdf(x):
-        return -x - _exp(-x)
-
-    model = DensityModel(
-        name="gumbel",
-        support=SupportSet.full_line(),
-        log_pdf=log_pdf,
-        dlog_pdf=lambda x: -1.0 + _exp(-x),
-        normalized=True,
-    )
-    return CatalogEntry(
-        name="gumbel",
-        params={},
-        model=model,
+    return _entry(
+        "gumbel", _check_params(params, {}), SupportSet.full_line(),
+        lambda x: -x - _exp(-x),
+        lambda x: -1.0 + _exp(-x),
         analytic_scores={
             "location": lambda x: 1.0 - _exp(-x),
             "scale": lambda x: 1.0 + x * (-1.0 + _exp(-x)),
@@ -330,20 +294,12 @@ def _student(params: dict) -> CatalogEntry:
         raise InvalidParams(f"student needs nu > 0, got {nu}")
     const = _finite(lambda: _lgamma_half_step(0.5 * nu) - 0.5 * math.log(nu * math.pi),
                     f"the log-normalizer at nu={nu:g}")
-    model = DensityModel(
-        name=f"student(nu={nu:g})",
-        support=SupportSet.full_line(),
-        log_pdf=quiet_overflow(lambda x: const - 0.5 * (nu + 1.0) * np.log1p(x * x / nu)),
-        dlog_pdf=quiet_overflow(lambda x: -(nu + 1.0) * x / (nu + x * x)),
-        params={"nu": nu},
-        normalized=True,
-    )
     expected_scale = max(math.ceil(_finite(lambda: 1.0 + max(nu, 1.0 / nu) - 1e-9,
                                            f"the scale MNSS at nu={nu:g}")), 3)
-    return CatalogEntry(
-        name="student",
-        params={"nu": nu},
-        model=model,
+    return _entry(
+        "student", p, SupportSet.full_line(),
+        quiet_overflow(lambda x: const - 0.5 * (nu + 1.0) * np.log1p(x * x / nu)),
+        quiet_overflow(lambda x: -(nu + 1.0) * x / (nu + x * x)),
         analytic_scores={"scale": lambda x: 1.0 - (nu + 1.0) * x * x / (nu + x * x)},
         score_formulas={"scale": "psi(x) = 1 - (nu+1) x^2/(nu + x^2)"},
         analytic_bounds={"scale": (nu, 1.0)},
@@ -353,23 +309,14 @@ def _student(params: dict) -> CatalogEntry:
 
 
 def _logistic(params: dict) -> CatalogEntry:
-    _check_params(params, {})
-
     def log_pdf(x):
         a = np.abs(x)
         return -a - 2.0 * np.log1p(np.exp(-a))
 
-    model = DensityModel(
-        name="logistic",
-        support=SupportSet.full_line(),
-        log_pdf=log_pdf,
-        dlog_pdf=lambda x: -np.tanh(0.5 * x),
-        normalized=True,
-    )
-    return CatalogEntry(
-        name="logistic",
-        params={},
-        model=model,
+    return _entry(
+        "logistic", _check_params(params, {}), SupportSet.full_line(),
+        log_pdf,
+        lambda x: -np.tanh(0.5 * x),
         analytic_scores={
             "location": lambda x: np.tanh(0.5 * x),
             "scale": lambda x: 1.0 - x * np.tanh(0.5 * x),
@@ -384,31 +331,22 @@ def _logistic(params: dict) -> CatalogEntry:
 
 
 def _sinh_arcsinh(params: dict) -> CatalogEntry:
-    _check_params(params, {})
-    base = DensityModel(
-        name="sinh_arcsinh_base",
-        support=SupportSet.full_line(),
-        log_pdf=quiet_overflow(lambda x: -0.5 * x * x - 0.5 * LOG_2PI),
-        dlog_pdf=lambda x: -x,
-        normalized=True,
-    )
-    transform = Kind(
-        u1=_sqrt1p2,
-        u2=lambda x: x / _sqrt1p2(x),
-        h=lambda theta, x: np.sinh(np.arcsinh(x) + theta),
-        dh_dx=lambda theta, x: np.cosh(np.arcsinh(x) + theta) / _sqrt1p2(x),
-        theta_window=(-16.0, 16.0),
-    )
-    return CatalogEntry(
-        name="sinh_arcsinh_skew_normal",
-        params={},
-        model=base,
+    return _entry(
+        "sinh_arcsinh_skew_normal", _check_params(params, {}), SupportSet.full_line(),
+        quiet_overflow(lambda x: -0.5 * x * x - 0.5 * LOG_2PI),
+        lambda x: -x,
+        model_name="sinh_arcsinh_base",
         analytic_scores={"group": lambda x: -x ** 3 / _sqrt1p2(x)},
         score_formulas={"group": "score(x) = -x^3 / sqrt(1 + x^2)"},
         analytic_bounds={"group": (math.inf, math.inf)},
         expected={"group": 3},
         blocked={"location": "not_monotone", "scale": "not_monotone"},
-        transform=transform,
+        transform=Kind(
+            u1=_sqrt1p2,
+            u2=lambda x: x / _sqrt1p2(x),
+            h=lambda theta, x: np.sinh(np.arcsinh(x) + theta),
+            dh_dx=lambda theta, x: np.cosh(np.arcsinh(x) + theta) / _sqrt1p2(x),
+        ),
     )
 
 
@@ -435,12 +373,12 @@ def lookup(name: str, params: Optional[dict] = None) -> CatalogEntry:
     return builder(dict(params or {}))
 
 
-def expected_mnss(entry: CatalogEntry, kind_label: str) -> MnssResult:
+def expected_mnss(entry: CatalogEntry, kind_label: str) -> SampleSize:
     """The recorded minimal necessary sample size for a characterizable kind."""
     if kind_label not in entry.characterizable_kinds:
         reason = entry.blocked.get(kind_label, "outside the characterization scope")
         raise NotCharacterizable(f"{entry.name} / {kind_label}: {reason}")
-    return MnssResult(entry.expected[kind_label])
+    return SampleSize(entry.expected[kind_label])
 
 
 def kind_for(entry: Optional[CatalogEntry], label: str) -> Kind:

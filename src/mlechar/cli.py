@@ -140,11 +140,13 @@ def _cmd_analyze(args) -> int:
 def _cmd_mcss(args) -> int:
     pm, pp = _parse_bound(args.pminus), _parse_bound(args.pplus)
     result = mcss(pm, pp)
-    _kv("p_minus", result.p_minus)
-    _kv("p_plus", result.p_plus)
+    if args.n is not None:
+        # checks n, so that a bad n fails before anything is printed
+        lo, hi = projection_interval(pm, pp, args.n)
+    _kv("p_minus", pm)
+    _kv("p_plus", pp)
     _kv("mcss", result.value)
     if args.n is not None:
-        lo, hi = projection_interval(pm, pp, args.n)
         _kv("n", args.n)
         _kv("projection_interval", f"({lo}, {hi})")
         _kv("projectable", str(is_projectable(pm, pp, args.n)).lower())
@@ -168,13 +170,13 @@ def _cmd_mle(args) -> int:
 def _cmd_tilt(args) -> int:
     model, entry = load_family_spec(args.family)
     kind_label = _parse_kind(args.kind)
-    tilted, spec = tilt_with_spec(model, args.d, cat.kind_for(entry, kind_label))
+    tilted, normalizer, notes = tilt_with_spec(model, args.d, cat.kind_for(entry, kind_label))
     _kv("base", model.name)
     _kv("kind", kind_label)
     _kv("d", args.d)
-    _kv("normalizer", repr(spec.normalizer))
-    if spec.notes:
-        _kv("notes", spec.notes)
+    _kv("normalizer", repr(normalizer))
+    if notes:
+        _kv("notes", notes)
     if args.emit:
         write_tabulated(tilted, args.emit)
         _kv("emitted", args.emit)

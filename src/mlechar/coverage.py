@@ -47,27 +47,15 @@ def _bounds_equal(a: float, b: float) -> bool:
 
 
 @dataclass(frozen=True)
-class McssResult:
-    """Minimal covering sample size together with the image bounds."""
+class SampleSize:
+    """A minimal covering or necessary sample size: an int, or ``math.inf``.
 
-    value: Union[int, float]  # int >= 2, or math.inf
-    p_minus: float
-    p_plus: float
-
-    @property
-    def is_finite(self) -> bool:
-        return not math.isinf(self.value)
-
-    def __str__(self) -> str:
-        return "inf" if math.isinf(self.value) else str(int(self.value))
-
-
-@dataclass(frozen=True)
-class MnssResult:
-    """Minimal necessary sample size; finite values are always >= 3."""
+    An MNSS of a scale parameter on the full line keeps the sizes of its two
+    half-lines in ``per_halfline``.
+    """
 
     value: Union[int, float]
-    per_halfline: Optional[tuple["MnssResult", "MnssResult"]] = None
+    per_halfline: Optional[tuple["SampleSize", "SampleSize"]] = None
 
     @property
     def is_finite(self) -> bool:
@@ -77,21 +65,21 @@ class MnssResult:
         return "inf" if math.isinf(self.value) else str(int(self.value))
 
 
-def mcss(p_minus: float, p_plus: float) -> McssResult:
+def mcss(p_minus: float, p_plus: float) -> SampleSize:
     """Minimal covering sample size for image bounds ``(p_minus, p_plus)``."""
     pm = _validate_bound(p_minus, "p_minus")
     pp = _validate_bound(p_plus, "p_plus")
     if _bounds_equal(pm, pp):
-        return McssResult(2, pm, pp)
+        return SampleSize(2)
     if math.isinf(pm) or math.isinf(pp):
-        return McssResult(math.inf, pm, pp)
+        return SampleSize(math.inf)
     ratio = max(pm, pp) / min(pm, pp)
     if math.isinf(ratio):
         raise InvalidBounds(f"the bound ratio {max(pm, pp):g}/{min(pm, pp):g} "
                             "overflows a double")
     value = ratio + 1.0
     n = int(math.ceil(value - CEIL_FUZZ * value))
-    return McssResult(max(n, 2), pm, pp)
+    return SampleSize(max(n, 2))
 
 
 def projection_interval(p_minus: float, p_plus: float, n: int) -> tuple[float, float]:
@@ -164,7 +152,7 @@ def brute_force_projectable(p_minus: float, p_plus: float, n: int,
     return True
 
 
-def mnss(profiles: Sequence[ScoreProfile], kind: Kind) -> MnssResult:
+def mnss(profiles: Sequence[ScoreProfile], kind: Kind) -> SampleSize:
     """Minimal necessary sample size from the profiles of a score's pieces.
 
     ``profiles`` is what :func:`~mlechar.score.kind_profiles` returns: one
@@ -184,9 +172,9 @@ def mnss(profiles: Sequence[ScoreProfile], kind: Kind) -> MnssResult:
             )
         cov = mcss(prof.p_minus, prof.p_plus)
         value = max(cov.value, 3) if cov.is_finite else math.inf
-        results.append(MnssResult(value))
+        results.append(SampleSize(value))
 
     if len(results) == 1:
         return results[0]
     combined = max(results[0].value, results[1].value)
-    return MnssResult(combined, per_halfline=(results[0], results[1]))
+    return SampleSize(combined, per_halfline=(results[0], results[1]))

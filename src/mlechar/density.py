@@ -42,7 +42,7 @@ log-density passes a scalar straight to the wrapped function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -518,15 +518,8 @@ def normalize(model: DensityModel):
     with np.errstate(over="ignore"):
         c = float(np.exp(shift))
     inner = model._raw_log_pdf
-    return c, DensityModel(
-        name=model.name,
-        support=model.support,
-        log_pdf=lambda x: inner(x) + shift,
-        dlog_pdf=model.dlog_pdf,
-        params=dict(model.params),
-        normalized=True,
-        breaks=model.breaks,
-    )
+    return c, replace(model, log_pdf=lambda x: inner(x) + shift,
+                      params=dict(model.params), normalized=True)
 
 
 # ---------------------------------------------------------------------------

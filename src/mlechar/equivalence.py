@@ -40,29 +40,22 @@ from .errors import DegenerateScore, InvalidParams, SingletonClass, UnsupportedS
 from .score import Kind, analyze_image, anchored_antiderivative, kind_score, u1_zero_structure
 
 
-@dataclass
-class TiltSpec:
-    """A validated tilt request; ``normalizer`` is filled by :func:`tilt`."""
+def tilt_with_spec(model: DensityModel, d: float,
+                   kind: Kind) -> tuple[DensityModel, float, str]:
+    """Like :func:`tilt` but also returns the normalizer and a note.
 
-    d: float
-    kind: Kind
-    normalizer: Optional[float] = None
-    notes: str = ""
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.d) and self.d > 0.0):
-            raise InvalidParams(f"tilt exponent must be a positive real, got {self.d}")
-
-
-def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
-    d = spec.d
-    kind = spec.kind
+    The note says why ``d`` was left free when ``u1`` vanishes at a support
+    endpoint; it is empty otherwise.
+    """
+    if not (math.isfinite(d) and d > 0.0):
+        raise InvalidParams(f"tilt exponent must be a positive real, got {d}")
     kind.check(model.support)
     u1, u2 = kind.u1, kind.u2
     base_log = model.log_pdf
     base_dlog = model.dlog_pdf
     structure = u1_zero_structure(kind, model.support)
     breaks = model.breaks
+    notes = ""
 
     if structure == "interior":
         if d != 1.0:
@@ -75,7 +68,7 @@ def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
         antider = kind.antiderivative
         if antider is None:
             if structure == "endpoint":
-                spec.notes = "u1 vanishes at a support endpoint; d left free"
+                notes = "u1 vanishes at a support endpoint; d left free"
             antider = anchored_antiderivative(model, analyze_image(model, kind),
                                               lambda y: u2(y) / u1(y), max(80.0, 80.0 / d))
             breaks = np.concatenate([breaks, antider.nodes])
@@ -99,20 +92,12 @@ def _tilt_build(model: DensityModel, spec: TiltSpec) -> DensityModel:
         breaks=breaks,
     )
     c, tilted = normalize(raw)
-    spec.normalizer = c
-    return tilted
+    return tilted, c, notes
 
 
 def tilt(model: DensityModel, d: float, kind: Kind) -> DensityModel:
     """Equivalence-class member of ``model`` with exponent ``d`` (normalized)."""
-    return _tilt_build(model, TiltSpec(d=d, kind=kind))
-
-
-def tilt_with_spec(model: DensityModel, d: float,
-                   kind: Kind) -> tuple[DensityModel, TiltSpec]:
-    """Like :func:`tilt` but also returns the filled :class:`TiltSpec`."""
-    spec = TiltSpec(d=d, kind=kind)
-    return _tilt_build(model, spec), spec
+    return tilt_with_spec(model, d, kind)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import math
 import operator
 import time
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from typing import Optional
 
@@ -34,7 +34,6 @@ from . import catalog as cat
 from .coverage import brute_force_projectable, is_projectable, mcss, mnss
 from .density import (
     FULL_LINE,
-    DensityModel,
     InverseCdfSampler,
     Sample,
     call_elementwise,
@@ -183,24 +182,47 @@ def _same(value):
     return value
 
 
+def _count(value) -> int:
+    """A JSON number with an integral value, as an int: 3 and 3.0 pass;
+    2.9, "3" and true do not."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise InvalidConfig(f"trials, sample_sizes and seed take integers, got {value!r}")
+    return int(value)
+
+
+def _entries(value, kind_key: str):
+    """The objects of a ``families`` or ``equivalence`` list, each holding
+    no key but ``name``, ``params`` and ``kind_key``."""
+    for entry in value:
+        if not isinstance(entry, dict):
+            raise InvalidConfig(f"a suite config entry must be a JSON object, got {entry!r}")
+        unknown = sorted(set(entry) - {"name", "params", kind_key})
+        if unknown:
+            raise InvalidConfig(f"unknown key in suite config entry {entry.get('name')!r}: "
+                                f"{', '.join(unknown)}")
+    return value
+
+
 #: each SuiteConfig field: its JSON group (None: the top level), the reader
 #: of its JSON value and the writer of it
 _FIELDS = {
     "families": (
         None,
         lambda v: tuple((f["name"], dict(f.get("params", {})), tuple(f.get("kinds", ())))
-                        for f in v),
+                        for f in _entries(v, "kinds")),
         lambda v: [{"name": n, "params": dict(p), "kinds": list(k)} for n, p, k in v],
     ),
     "equivalence": (
         None,
-        lambda v: tuple((f["name"], dict(f.get("params", {})), f["kind"]) for f in v),
+        lambda v: tuple((f["name"], dict(f.get("params", {})), f["kind"])
+                        for f in _entries(v, "kind")),
         lambda v: [{"name": n, "params": dict(p), "kind": k} for n, p, k in v],
     ),
     "tilt_exponents": (None, lambda v: tuple(float(d) for d in v), list),
-    "trials": (None, int, _same),
-    "sample_sizes": (None, lambda v: tuple(int(n) for n in v), list),
-    "seed": (None, int, _same),
+    "trials": (None, _count, _same),
+    "sample_sizes": (None, lambda v: tuple(_count(n) for n in v), list),
+    "seed": (None, _count, _same),
     "mle_tol": ("tolerances", float, _same),
     "score_tol": ("tolerances", float, _same),
     "agreement_tol": ("tolerances", float, _same),
@@ -588,13 +610,8 @@ def _section_score_crosscheck(config: SuiteConfig) -> list[dict]:
         entry = cat.lookup(name, params)
         model = entry.model
         # finite-difference-only clone: same log-density, no analytic derivative
-        fd_model = DensityModel(
-            name=model.name + "~fd",
-            support=model.support,
-            log_pdf=model.log_pdf,
-            dlog_pdf=None,
-            params=dict(model.params),
-        )
+        fd_model = replace(model, name=model.name + "~fd", dlog_pdf=None,
+                           params=dict(model.params))
         for kind_label in kinds:
             analytic = entry.analytic_scores.get(kind_label)
             if analytic is None:

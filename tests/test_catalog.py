@@ -72,6 +72,54 @@ def test_student_density_tends_to_the_gaussian(nu):
     assert log_pdf(1.0) == pytest.approx(-0.5 - 0.5 * math.log(2.0 * math.pi), abs=1e-4)
 
 
+#: each default suite family and its model name; the CLI prints these names
+#: and emitted spec files carry them
+MODEL_NAMES = [
+    ("gaussian", {}, "gaussian"),
+    ("gamma", {"alpha": 0.5}, "gamma(alpha=0.5)"),
+    ("gamma", {"alpha": 1.0}, "gamma(alpha=1)"),
+    ("gamma", {"alpha": 2.0}, "gamma(alpha=2)"),
+    ("gamma", {"alpha": 5.0}, "gamma(alpha=5)"),
+    ("generalized_gaussian", {"alpha": 1.0, "gamma": 1.0},
+     "generalized_gaussian(alpha=1,gamma=1)"),
+    ("laplace", {}, "laplace"),
+    ("weibull", {"k": 0.5}, "weibull(k=0.5)"),
+    ("weibull", {"k": 1.0}, "weibull(k=1)"),
+    ("weibull", {"k": 2.0}, "weibull(k=2)"),
+    ("weibull", {"k": 3.0}, "weibull(k=3)"),
+    ("gumbel", {}, "gumbel"),
+    ("student", {"nu": 0.5}, "student(nu=0.5)"),
+    ("student", {"nu": 1.0}, "student(nu=1)"),
+    ("student", {"nu": 2.0}, "student(nu=2)"),
+    ("student", {"nu": 3.0}, "student(nu=3)"),
+    ("student", {"nu": 5.0}, "student(nu=5)"),
+    ("logistic", {}, "logistic"),
+    ("sinh_arcsinh_skew_normal", {}, "sinh_arcsinh_base"),
+]
+
+
+def test_model_names_cover_the_default_families():
+    assert [(name, params) for name, params, _ in MODEL_NAMES] == \
+        [(name, params) for name, params, _ in DEFAULT_FAMILIES]
+
+
+@pytest.mark.parametrize("name,params,model_name", MODEL_NAMES,
+                         ids=[model_name for _, _, model_name in MODEL_NAMES])
+def test_catalog_models_are_named_normalized_and_own_their_params(name, params, model_name):
+    entry = lookup(name, params)
+    assert entry.model.name == model_name
+    assert entry.model.params == entry.params
+    assert entry.model.params is not entry.params
+    assert entry.model.normalized
+
+
+def test_model_names_follow_the_parameter_order_of_the_family():
+    entry = lookup("generalized_gaussian", {"gamma": -2.5, "alpha": 3.0})
+    assert entry.model.name == "generalized_gaussian(alpha=3,gamma=-2.5)"
+    assert list(entry.params) == list(entry.model.params) == ["alpha", "gamma"]
+    assert lookup("generalized_gaussian").model.name == "generalized_gaussian(alpha=1,gamma=1)"
+
+
 def test_lookup_headline_facts(gaussian, logistic):
     assert gaussian.expected["location"] == 3
     assert math.isinf(gaussian.expected["scale"])

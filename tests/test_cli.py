@@ -232,6 +232,22 @@ def test_cli_suite_invalid_config(tmp_path, capsys):
     assert main(["suite", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"families": [{"name": "gaussian", "kind": ["location"]}]},
+    {"equivalence": [{"name": "gaussian", "parms": {}, "kind": "location"}]},
+    {"families": ["gaussian"]},
+    {"trials": 2.9},
+    {"sample_sizes": [2.7]},
+])
+def test_cli_suite_rejects_entry_keys_and_counts_it_would_drop(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["suite", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+
+
 def _tabulated(support, grid):
     return json.dumps({"tabulated": {"support": support, "grid": grid,
                                      "log_pdf": [-0.5 * x * x for x in grid]}})
@@ -247,6 +263,7 @@ def _tabulated(support, grid):
     "forge --target g.json --h odd-power:p=3.5",
     "forge --target g.json --h odd-power:p=inf",
     "mcss --pminus 1 --pplus 2 --n 0",
+    "mcss --pminus 1 --pplus 3 --n -3",
     "mcss --pminus abc --pplus 2",
     "same-class --f g.json --g g.json --kind loc --tol -1",
     "verify-counterexample --f g.json --g g.json --n 2 --tol -1",
@@ -268,7 +285,9 @@ def test_cli_invalid_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "reversed.json").write_text(_tabulated([2, 1], [1.2, 1.4, 1.6, 1.8]))
     (tmp_path / "two_points.json").write_text(_tabulated("full_line", [0.0, 1.0]))
     assert main(argv.split()) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
 
 
 @pytest.mark.parametrize("doc", [

@@ -53,7 +53,32 @@ def test_config_validation():
         config_from_json({"trails": 20})
     with pytest.raises(InvalidConfig, match="mle_tolerance"):
         config_from_json({"tolerances": {"mle_tolerance": 1e-3}})
+    with pytest.raises(InvalidConfig, match="'gaussian': kind$"):
+        config_from_json({"families": [{"name": "gaussian", "kind": ["location"]}]})
+    with pytest.raises(InvalidConfig, match="parms"):
+        config_from_json({"equivalence": [{"name": "gaussian", "parms": {},
+                                           "kind": "location"}]})
+    with pytest.raises(InvalidConfig, match="must be a JSON object"):
+        config_from_json({"families": ["gaussian"]})
+    with pytest.raises(InvalidConfig, match="must be a JSON object"):
+        config_from_json({"equivalence": [["gaussian", {}, "location"]]})
     SuiteConfig().validate()
+
+
+@pytest.mark.parametrize("doc", [
+    {"trials": 2.9}, {"trials": "3"}, {"trials": True}, {"trials": None},
+    {"sample_sizes": [2.7]}, {"sample_sizes": [3, "5"]}, {"sample_sizes": [False]},
+    {"seed": 1.5}, {"seed": "42"}, {"seed": float("inf")},
+])
+def test_config_counts_must_be_integers(doc):
+    with pytest.raises(InvalidConfig, match="integers"):
+        config_from_json(doc)
+
+
+def test_config_counts_accept_integral_floats():
+    config = config_from_json({"trials": 3.0, "sample_sizes": [3.0, 5], "seed": 7.0})
+    assert (config.trials, config.sample_sizes, config.seed) == (3, (3, 5), 7)
+    assert all(type(v) is int for v in (config.trials, *config.sample_sizes, config.seed))
 
 
 def test_config_from_json_roundtrip():

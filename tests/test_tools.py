@@ -1,7 +1,8 @@
-"""The repository tools: the machine-report diff, the code-line counter and
-the BENCH file writer; and the python examples of the README."""
+"""The repository tools: the machine-report diff, the code-line counter, the
+BENCH file writer and the CLI battery; and the python examples of the README."""
 
 import copy
+import hashlib
 import importlib.util
 import json
 import re
@@ -151,3 +152,23 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_cli_battery_runs_its_commands_in_fresh_interpreters(tmp_path):
+    battery = load("cli_battery")
+    subcommands = {command.split()[0] for command in battery.COMMANDS if command}
+    assert len(battery.COMMANDS) >= 70
+    assert {"analyze", "mcss", "mle", "tilt", "same-class", "forge",
+            "verify-counterexample", "suite"} <= subcommands
+    battery.write_inputs(tmp_path)
+    src = TOOLS.parent / "src"
+    out = battery.run(src, "mcss --pminus 1 --pplus 3 --n 3", tmp_path)
+    assert out.splitlines()[:5] == ["$ mlechar mcss --pminus 1 --pplus 3 --n 3", "exit=0",
+                                    "  p_minus=1.0", "  p_plus=3.0", "  mcss=4"]
+    out = battery.run(src, "mcss --pminus 1 --pplus 3 --n 0", tmp_path)
+    assert out == ("$ mlechar mcss --pminus 1 --pplus 3 --n 0\nexit=2\n"
+                   "stderr: configuration error: n must be >= 1\n")
+    out = battery.run(src, "tilt --family gauss.json --d 2 --kind loc --emit t.json", tmp_path)
+    digest = hashlib.sha256((tmp_path / "t.json").read_bytes()).hexdigest()
+    assert out.splitlines()[1] == "exit=0"
+    assert out.splitlines()[-1] == f"file t.json sha256={digest}"
