@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,10 +109,13 @@ def _check_params(given: dict, allowed: dict) -> dict:
     unknown = set(given) - set(allowed)
     if unknown:
         raise InvalidParams(f"unknown parameters {sorted(unknown)}")
+    # real numbers only: neither JSON true nor a numeric string is one
+    if any(isinstance(v, bool) or not isinstance(v, Real) for v in given.values()):
+        raise InvalidParams(f"parameters must be numbers, got {given}")
     try:
         values = {k: float(v) for k, v in given.items()}
-    except (TypeError, ValueError) as exc:
-        raise InvalidParams(f"parameters must be numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise InvalidParams(f"parameters must be finite: {exc}") from exc
     nonfinite = sorted(k for k, v in values.items() if not math.isfinite(v))
     if nonfinite:
         raise InvalidParams(f"parameters {nonfinite} must be finite")

@@ -47,8 +47,7 @@ def _kv(key, value) -> None:
 
 
 def _parse_bound(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
+    # float() reads inf, +inf and infinity in any case, spaces around included
     try:
         return float(text)
     except ValueError as exc:
@@ -171,6 +170,9 @@ def _cmd_tilt(args) -> int:
     model, entry = load_family_spec(args.family)
     kind_label = _parse_kind(args.kind)
     tilted, normalizer, notes = tilt_with_spec(model, args.d, cat.kind_for(entry, kind_label))
+    # an emit path that cannot be written fails before anything is printed
+    if args.emit:
+        write_tabulated(tilted, args.emit)
     _kv("base", model.name)
     _kv("kind", kind_label)
     _kv("d", args.d)
@@ -178,7 +180,6 @@ def _cmd_tilt(args) -> int:
     if notes:
         _kv("notes", notes)
     if args.emit:
-        write_tabulated(tilted, args.emit)
         _kv("emitted", args.emit)
     return 0
 
@@ -224,11 +225,12 @@ def _cmd_forge(args) -> int:
     target, _ = load_family_spec(args.target)
     h_spec = _parse_h_spec(args.h)
     forged = forge_odd_h(target, h_spec)
+    if args.emit:
+        write_tabulated(forged, args.emit)
     _kv("target", target.name)
     _kv("h", args.h)
     _kv("forged", forged.name)
     if args.emit:
-        write_tabulated(forged, args.emit)
         _kv("emitted", args.emit)
     return 0
 

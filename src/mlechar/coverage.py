@@ -170,11 +170,9 @@ def mnss(profiles: Sequence[ScoreProfile], kind: Kind) -> SampleSize:
             raise NotCharacterizable(
                 f"{kind!r} score on {prof.domain} does not cross zero"
             )
-        cov = mcss(prof.p_minus, prof.p_plus)
-        value = max(cov.value, 3) if cov.is_finite else math.inf
-        results.append(SampleSize(value))
+        # an infinite MCSS stays infinite
+        results.append(SampleSize(max(mcss(prof.p_minus, prof.p_plus).value, 3)))
 
     if len(results) == 1:
         return results[0]
-    combined = max(results[0].value, results[1].value)
-    return SampleSize(combined, per_halfline=(results[0], results[1]))
+    return SampleSize(max(r.value for r in results), per_halfline=tuple(results))

@@ -23,9 +23,9 @@ this interface, so the module also provides the shared numeric machinery:
 - sort-based twins of ``np.unique`` and ``np.median`` (``distinct``,
   ``median``), whose first calls would import ``numpy.ma``,
 - seeded inverse-CDF sampling from an arbitrary log-density
-  (``InverseCdfSampler``, ``sample_rows``, ``sample_from``).  A sampler is
-  built on each call of ``sample_rows`` or ``sample_from``; callers that draw
-  from one model many times hold one sampler.
+  (``InverseCdfSampler``, ``sample_from``).  A sampler is built on each
+  call of ``sample_from``; callers that draw from one model many times hold
+  one sampler and call its ``rows``.
 
 Supports are open sets; endpoints are never evaluated.  Infinite ranges are
 mapped through ``x = t / (1 - t**2)`` when a finite parameterization is
@@ -146,6 +146,9 @@ FULL_LINE = "full_line"
 POSITIVE_HALF_LINE = "positive_half_line"
 NEGATIVE_HALF_LINE = "negative_half_line"
 OPEN_INTERVAL = "open_interval"
+#: the shapes spelled by name, each also the name of its ``SupportSet``
+#: constructor
+NAMED_SUPPORTS = (FULL_LINE, POSITIVE_HALF_LINE, NEGATIVE_HALF_LINE)
 
 
 @dataclass(frozen=True)
@@ -739,23 +742,14 @@ class InverseCdfSampler:
         return self.invert(np.array([np.random.default_rng(int(s)).random(n) for s in seeds]))
 
 
-def sample_rows(model: DensityModel, n: int, seeds) -> np.ndarray:
-    """One size-``n`` sample per seed from a normalized model, as array rows.
-
-    Builds the model's sampler, then inverts the seeded uniforms of all rows
-    in one call.  Identical ``(model, n, seed)`` triples yield identical rows.
-    """
-    return InverseCdfSampler(model).rows(n, seeds)
-
-
 def sample_from(model: DensityModel, n: int, seed: int) -> Sample:
     """Draw ``n`` i.i.d. observations from a normalized model.
 
-    Row 0 of ``sample_rows(model, n, [seed])``.  Each call builds the CDF
-    anew; repeated draws from one model go through :func:`sample_rows` or
-    one :class:`InverseCdfSampler`.
+    Row 0 of ``InverseCdfSampler(model).rows(n, [seed])``.  Each call builds
+    the CDF anew; repeated draws from one model go through one
+    :class:`InverseCdfSampler`.
     """
-    return Sample(sample_rows(model, n, [seed])[0])
+    return Sample(InverseCdfSampler(model).rows(n, [seed])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) 
     """Location MLE: root of ``sum_i phi(x_i - theta)``.
 
     The score sum is strictly decreasing in theta for monotone increasing
-    ``phi``.
+    ``phi``.  Kept for callers outside the package.
     """
     return mle(model, LOCATION, sample, tol)
 
@@ -200,14 +200,15 @@ def mle_scale(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> 
     """Scale MLE under the rate convention: root of ``sum_i psi(theta x_i)``.
 
     The returned ``theta_hat`` is the rate; use ``sigma_hat`` for the
-    conventional scale.
+    conventional scale.  Kept for callers outside the package.
     """
     return mle(model, SCALE, sample, tol)
 
 
 def mle_group(model: DensityModel, transform: Kind, sample: Sample,
               tol: float = DEFAULT_TOL) -> MleResult:
-    """Group-parameter MLE: root of the transformed score sum."""
+    """Group-parameter MLE: root of the transformed score sum.  Kept for
+    callers outside the package."""
     return mle(model, transform, sample, tol)
 
 

@@ -26,10 +26,10 @@ import numpy as np
 from .coverage import mcss, projection_interval
 from .density import (
     DensityModel,
+    InverseCdfSampler,
     call_elementwise,
     normalize,
     quiet_overflow,
-    sample_rows,
 )
 from .errors import AlreadyCovered, InvalidBounds, InvalidParams, NotMonotone
 from .estimator import mle_block
@@ -182,7 +182,7 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
         raise InvalidParams(f"seed must be >= 0, got {seed}")
     if not tol > 0.0:
         raise InvalidParams(f"tolerance must be > 0, got {tol}")
-    block = sample_rows(f, n, np.random.SeedSequence(seed).generate_state(trials))
+    block = InverseCdfSampler(f).rows(n, np.random.SeedSequence(seed).generate_state(trials))
     # the solver residual requirement stays subordinate to the agreement
     # tolerance under test: interpolated densities carry evaluation noise
     # that a 1e-10 residual demand cannot beat

@@ -24,6 +24,7 @@ import numpy as np
 
 from .catalog import CatalogEntry, lookup
 from .density import (
+    NAMED_SUPPORTS,
     DensityModel,
     SupportSet,
     compact_grid,
@@ -36,27 +37,21 @@ from .errors import InvalidConfig, IoFailure
 
 def _parse_support(spec) -> SupportSet:
     if isinstance(spec, str):
-        named = {
-            "full_line": SupportSet.full_line,
-            "positive_half_line": SupportSet.positive_half_line,
-            "negative_half_line": SupportSet.negative_half_line,
-        }
-        if spec not in named:
+        if spec not in NAMED_SUPPORTS:
             raise InvalidConfig(f"unknown support name {spec!r}")
-        return named[spec]()
+        return getattr(SupportSet, spec)()
     if isinstance(spec, (list, tuple)) and len(spec) == 2:
         try:
             lower, upper = float(spec[0]), float(spec[1])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"unparseable support {spec!r}") from exc
         return SupportSet.open_interval(lower, upper)
     raise InvalidConfig(f"unparseable support {spec!r}")
 
 
 def _support_to_json(support: SupportSet):
-    kind = support.kind
-    if kind in ("full_line", "positive_half_line", "negative_half_line"):
-        return kind
+    if support.kind in NAMED_SUPPORTS:
+        return support.kind
     return [support.lower, support.upper]
 
 
@@ -85,7 +80,7 @@ def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
         try:
             grid = np.asarray(tab["grid"], dtype=float)
             log_pdf = np.asarray(tab["log_pdf"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"tabulated grid and log_pdf must be numbers: {exc}") from exc
         model = tabulated_model(
             _parse_support(tab["support"]),

@@ -12,6 +12,9 @@ e. closed-form vs bracketed-root MLE agreement,
 f. location/scale equivariance of the estimators,
 g. analytic vs finite-difference score cross-checks and image-bound agreement.
 
+Sections a and g come from one pass over the configured families, which
+profiles the score image of each (family, kind) once.
+
 Reports carry one record per check with a pass/fail verdict.  The machine
 format is deterministic: an identical configuration (seed included) emits
 byte-identical JSON.
@@ -42,7 +45,7 @@ from .density import (
 )
 from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
-from .estimator import closed_form_estimator, mle_block, mle_location
+from .estimator import closed_form_estimator, mle, mle_block
 from .forge import OddPower, forge_odd_h, verify_counterexample
 from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_zero_structure
 
@@ -254,7 +257,7 @@ def config_from_json(doc: dict) -> SuiteConfig:
         config = SuiteConfig(**{name: read(objects[group][name])
                                 for name, (group, read, _) in _FIELDS.items()
                                 if name in objects[group]})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"malformed suite config: {exc!r}") from exc
     config.validate()
     return config
@@ -359,40 +362,13 @@ def _verdict(*checks) -> str:
 def build_profiles(entry, kind_label: str):
     """Score profiles for a catalog entry and kind (see ``kind_profiles``):
     one profile, or the (negative, positive) half-line pair for scale
-    parameters of full-line families."""
+    parameters of full-line families.  Kept for callers outside the package."""
     return kind_profiles(entry.model, cat.kind_for(entry, kind_label))
 
 
 # ---------------------------------------------------------------------------
 # sections
 # ---------------------------------------------------------------------------
-
-
-def _section_catalog_mnss(config: SuiteConfig) -> list[dict]:
-    records = []
-    for name, params, kinds in config.families:
-        entry = cat.lookup(name, params)
-        for kind_label in kinds:
-            profiles = build_profiles(entry, kind_label)
-            computed = mnss(profiles, cat.kind_for(entry, kind_label))
-            expected = entry.expected[kind_label]
-            rec = {
-                "family": name,
-                "params": json.dumps(params, sort_keys=True),
-                "kind": kind_label,
-                "bounds": " ".join(
-                    f"({enc(p.p_minus)},{enc(p.p_plus)})@{p.domain}" for p in profiles
-                ),
-                "provenance": profiles[0].bounds_provenance.method,
-                "mcss": enc(max(mcss(p.p_minus, p.p_plus).value for p in profiles)),
-                "mnss": enc(computed.value),
-                "expected_mnss": enc(expected),
-                "needs_scale_identification": entry.needs_scale_identification,
-                "match": computed.value == expected,
-                "verdict": _verdict((computed.value, "==", expected)),
-            }
-            records.append(rec)
-    return records
 
 
 def _section_equivalence(config: SuiteConfig, gaussian, forged) -> list[dict]:
@@ -458,8 +434,8 @@ def _section_counterexample(config: SuiteConfig, gaussian, forged) -> list[dict]
     })
 
     witness = Sample(np.array([0.0, 0.0, 3.0]))
-    tf = mle_location(gaussian, witness, config.mle_tol).theta_hat
-    tg = mle_location(forged, witness, config.mle_tol).theta_hat
+    tf = mle(gaussian, LOCATION, witness, config.mle_tol).theta_hat
+    tg = mle(forged, LOCATION, witness, config.mle_tol).theta_hat
     expected_tg = 3.0 / (1.0 + 2.0 ** (1.0 / 3.0))
     records.append({
         "check": "witness_n3",
@@ -604,54 +580,73 @@ def _crosscheck_grid(entry) -> np.ndarray:
     return xs + 0.0137 if support.kind == FULL_LINE else xs
 
 
-def _section_score_crosscheck(config: SuiteConfig) -> list[dict]:
-    records = []
+def _section_families(config: SuiteConfig) -> tuple[list[dict], list[dict]]:
+    """The ``catalog_mnss`` and ``score_crosscheck`` records, from one score
+    image per configured (family, kind): its MNSS and its image bounds are
+    read off the same profiles."""
+    mnss_records, score_records = [], []
     for name, params, kinds in config.families:
         entry = cat.lookup(name, params)
         model = entry.model
         # finite-difference-only clone: same log-density, no analytic derivative
         fd_model = replace(model, name=model.name + "~fd", dlog_pdf=None,
                            params=dict(model.params))
+        bound_records = []
         for kind_label in kinds:
-            analytic = entry.analytic_scores.get(kind_label)
-            if analytic is None:
-                continue
             kind = cat.kind_for(entry, kind_label)
-            xs = _crosscheck_grid(entry)
-            worst = float(np.max(np.abs(kind_score(fd_model, kind, xs)
-                                        - call_elementwise(analytic, xs))))
-            records.append({
-                "check": "fd_vs_analytic_score",
+            profiles = kind_profiles(model, kind)
+            computed = mnss(profiles, kind)
+            expected = entry.expected[kind_label]
+            mnss_records.append({
                 "family": name,
+                "params": json.dumps(params, sort_keys=True),
                 "kind": kind_label,
-                "grid": len(xs),
-                "max_deviation": enc(worst),
-                "provenance": "numeric",
-                "verdict": _verdict((worst, "<", config.score_tol)),
+                "bounds": " ".join(
+                    f"({enc(p.p_minus)},{enc(p.p_plus)})@{p.domain}" for p in profiles
+                ),
+                "provenance": profiles[0].bounds_provenance.method,
+                "mcss": enc(max(mcss(p.p_minus, p.p_plus).value for p in profiles)),
+                "mnss": enc(computed.value),
+                "expected_mnss": enc(expected),
+                "needs_scale_identification": entry.needs_scale_identification,
+                "match": computed.value == expected,
+                "verdict": _verdict((computed.value, "==", expected)),
             })
 
-        for kind_label in kinds:
+            analytic = entry.analytic_scores.get(kind_label)
+            if analytic is not None:
+                xs = _crosscheck_grid(entry)
+                worst = float(np.max(np.abs(kind_score(fd_model, kind, xs)
+                                            - call_elementwise(analytic, xs))))
+                score_records.append({
+                    "check": "fd_vs_analytic_score",
+                    "family": name,
+                    "kind": kind_label,
+                    "grid": len(xs),
+                    "max_deviation": enc(worst),
+                    "provenance": "numeric",
+                    "verdict": _verdict((worst, "<", config.score_tol)),
+                })
+
             bounds = entry.analytic_bounds.get(kind_label)
-            if bounds is None:
-                continue
-            checks = []
-            details = []
-            for prof in build_profiles(entry, kind_label):
+            if bounds is not None:
                 # an infinite bound is matched exactly, a finite one to 1e-3 relative
-                checks += [(est, "==", ref) if math.isinf(ref)
-                           else (abs(est - ref), "<=", 1e-3 * abs(ref))
-                           for est, ref in ((prof.p_minus, bounds[0]), (prof.p_plus, bounds[1]))]
-                details.append(f"({enc(prof.p_minus)},{enc(prof.p_plus)})")
-            records.append({
-                "check": "numeric_vs_analytic_bounds",
-                "family": name,
-                "kind": kind_label,
-                "numeric": " ".join(details),
-                "analytic": f"({enc(bounds[0])},{enc(bounds[1])})",
-                "provenance": "numeric",
-                "verdict": _verdict(*checks),
-            })
-    return records
+                checks = [(est, "==", ref) if math.isinf(ref)
+                          else (abs(est - ref), "<=", 1e-3 * abs(ref))
+                          for p in profiles
+                          for est, ref in ((p.p_minus, bounds[0]), (p.p_plus, bounds[1]))]
+                bound_records.append({
+                    "check": "numeric_vs_analytic_bounds",
+                    "family": name,
+                    "kind": kind_label,
+                    "numeric": " ".join(f"({enc(p.p_minus)},{enc(p.p_plus)})" for p in profiles),
+                    "analytic": f"({enc(bounds[0])},{enc(bounds[1])})",
+                    "provenance": "numeric",
+                    "verdict": _verdict(*checks),
+                })
+        # a family's bound checks follow its score checks
+        score_records += bound_records
+    return mnss_records, score_records
 
 
 # ---------------------------------------------------------------------------
@@ -667,14 +662,15 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     gaussian = cat.lookup("gaussian").model
     forged = forge_odd_h(gaussian, OddPower(1.0, 3))
 
+    catalog_mnss, score_crosscheck = _section_families(config)
     sections = {
-        "catalog_mnss": _section_catalog_mnss(config),
+        "catalog_mnss": catalog_mnss,
         "equivalence": _section_equivalence(config, gaussian, forged),
         "counterexample": _section_counterexample(config, gaussian, forged),
         "projectability": _section_projectability(config),
         "closed_form": _section_closed_form(config),
         "equivariance": _section_equivariance(config),
-        "score_crosscheck": _section_score_crosscheck(config),
+        "score_crosscheck": score_crosscheck,
     }
     verdicts = {
         name: "pass" if all(r["verdict"] == "pass" for r in records) else "fail"

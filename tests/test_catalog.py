@@ -33,10 +33,24 @@ def test_lookup_unknown_family():
     ("student", {"nu": 5e-324}),
     ("gamma", {"alpha": 1e308}),
     ("generalized_gaussian", {"alpha": 1e308, "gamma": 1.0}),
+    # only real numbers: no JSON true or numeric string stands for one
+    ("gamma", {"alpha": True}),
+    ("gamma", {"alpha": "2"}),
+    ("weibull", {"k": False}),
+    ("generalized_gaussian", {"alpha": "1", "gamma": 1.0}),
+    ("student", {"nu": None}),
+    ("student", {"nu": [3.0]}),
+    ("student", {"nu": 10 ** 400}),
 ])
 def test_lookup_invalid_params(name, params):
     with pytest.raises(InvalidParams):
         lookup(name, params)
+
+
+@pytest.mark.parametrize("alpha", [2, 2.0, np.float64(2.0), np.int64(2), np.float32(2.0)])
+def test_lookup_accepts_python_and_numpy_reals(alpha):
+    entry = lookup("gamma", {"alpha": alpha})
+    assert entry.params == {"alpha": 2.0} and type(entry.params["alpha"]) is float
 
 
 # each shape parameter from the smallest subnormal to the largest decades

@@ -6,7 +6,8 @@ import pytest
 
 from mlechar import tilt
 from mlechar.cli import main
-from mlechar.density import check_dlog_pdf
+from mlechar.density import SupportSet, check_dlog_pdf, normalize, tabulated_model
+from mlechar.errors import InvalidConfig
 from mlechar.estimator import DEFAULT_TOL, mle_block
 from mlechar.score import LOCATION
 from mlechar.specfiles import load_family_spec, write_tabulated
@@ -69,6 +70,66 @@ def test_spec_loader_catalog(gamma_spec):
     model, entry = load_family_spec(gamma_spec)
     assert entry is not None and entry.name == "gamma"
     assert model.support.kind == "positive_half_line"
+
+
+#: a support spelling, a grid inside that support and the support it names
+SUPPORT_SPECS = [
+    ("full_line", [-3.0, -1.0, 0.0, 1.0, 3.0], SupportSet.full_line()),
+    ("positive_half_line", [0.5, 1.0, 2.0, 3.0, 5.0], SupportSet.positive_half_line()),
+    ("negative_half_line", [-5.0, -3.0, -2.0, -1.0, -0.5], SupportSet.negative_half_line()),
+    ([0, 4], [0.5, 1.0, 2.0, 3.0, 3.5], SupportSet.open_interval(0.0, 4.0)),
+    ([-2.5, 1e3], [-2.0, 0.0, 1.0, 2.0, 5.0], SupportSet.open_interval(-2.5, 1e3)),
+]
+
+
+@pytest.mark.parametrize("support,grid,expected", SUPPORT_SPECS)
+def test_spec_loader_reads_each_support(tmp_path, support, grid, expected):
+    path = tmp_path / "spec.json"
+    # a log-density falling away from the middle node, so every tail decays
+    path.write_text(json.dumps({"tabulated": {
+        "support": support, "grid": grid, "log_pdf": [-abs(x - grid[2]) for x in grid]}}))
+    model, entry = load_family_spec(path)
+    assert entry is None and model.normalized
+    assert model.support == expected
+
+
+@pytest.mark.parametrize("support,message", [
+    ("half_line", "unknown support name 'half_line'"),
+    ("open_interval", "unknown support name 'open_interval'"),
+    ([0.0], "unparseable support [0.0]"),
+    ([0.0, 1.0, 2.0], "unparseable support [0.0, 1.0, 2.0]"),
+    (["a", 1], "unparseable support ['a', 1]"),
+    (7, "unparseable support 7"),
+])
+def test_spec_loader_rejects_unknown_and_malformed_supports(tmp_path, support, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"tabulated": {
+        "support": support, "grid": [0.2, 0.4, 0.6, 0.8], "log_pdf": [0, 0, 0, 0]}}))
+    with pytest.raises(InvalidConfig) as info:
+        load_family_spec(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("support,grid,expected", SUPPORT_SPECS)
+def test_write_tabulated_keeps_the_support(tmp_path, support, grid, expected):
+    # a model on each support shape, written and read back
+    model = tabulated_model(expected, grid, [-abs(x - grid[2]) for x in grid])
+    _, model = normalize(model)
+    path = tmp_path / "spec.json"
+    write_tabulated(model, path)
+    loaded, _ = load_family_spec(path)
+    assert loaded.support == expected
+    assert json.loads(path.read_text())["tabulated"]["support"] == (
+        support if isinstance(support, str) else [float(v) for v in support])
+
+
+def test_cli_mcss_reads_each_spelling_of_infinity(capsys):
+    outputs = []
+    for text in ("inf", "+inf", "Infinity", "INF", " inf ", "infinity"):
+        assert main(["mcss", "--pminus", text, "--pplus", "2", "--n", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].splitlines()[:3] == ["p_minus=inf", "p_plus=2.0", "mcss=inf"]
+    assert all(out == outputs[0] for out in outputs)
 
 
 def test_cli_mcss(capsys):
@@ -191,6 +252,18 @@ def test_cli_forge_and_verify(tmp_path, capsys, gauss_spec):
     assert "worst_gap" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["tilt", "--d", "2", "--kind", "loc", "--family"],
+    ["forge", "--h", "odd-power:d=1,p=3", "--target"],
+])
+def test_cli_emit_to_an_unwritable_path_prints_nothing(tmp_path, capsys, gauss_spec, argv):
+    emit = tmp_path / "no_such_dir" / "out.json"
+    assert main(argv + [gauss_spec, "--emit", str(emit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: cannot write family spec")
+
+
 @pytest.mark.parametrize("command,tabulated,tol", [
     ("same-class", False, "1e-06"),
     ("same-class", True, "0.01"),
@@ -238,6 +311,9 @@ def test_cli_suite_invalid_config(tmp_path, capsys):
     {"families": ["gaussian"]},
     {"trials": 2.9},
     {"sample_sizes": [2.7]},
+    {"tilt_exponents": [10 ** 400]},
+    {"tolerances": {"mle_tol": 10 ** 400}},
+    {"families": [{"name": "gamma", "params": {"alpha": True}, "kinds": ["scale"]}]},
 ])
 def test_cli_suite_rejects_entry_keys_and_counts_it_would_drop(tmp_path, capsys, doc):
     cfg_path = tmp_path / "bad.json"
@@ -298,6 +374,11 @@ def test_cli_invalid_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     {"tabulated": {"support": "full_line", "grid": ["a", 1, 2, 3], "log_pdf": [0, 0, 0, 0]}},
     {"tabulated": {"support": "full_line", "grid": [0, 1, 2, 3],
                    "log_pdf": [0, float("nan"), 0, 0]}},
+    # JSON integers beyond the float range
+    {"catalog": "gamma", "params": {"alpha": 10 ** 400}},
+    {"tabulated": {"support": [0, 10 ** 400], "grid": [1, 2, 3, 4], "log_pdf": [0, 0, 0, 0]}},
+    {"tabulated": {"support": "full_line", "grid": [0, 1, 2, 10 ** 400],
+                   "log_pdf": [0, 0, 0, 0]}},
 ])
 def test_cli_malformed_spec_exit_2(tmp_path, capsys, doc):
     spec, data = tmp_path / "spec.json", tmp_path / "data.txt"

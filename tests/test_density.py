@@ -23,7 +23,6 @@ from mlechar.density import (
     log_mass,
     median,
     probe_grid,
-    sample_rows,
     tabulated_model,
     _Table,
 )
@@ -355,7 +354,7 @@ def test_one_sampler_or_one_per_call_draws_the_same_rows(gaussian):
     model = gaussian.model
     sampler = InverseCdfSampler(model)
     once = sample_from(model, 50, seed=5).values
-    assert np.array_equal(once, sample_rows(model, 50, [5])[0])
+    assert np.array_equal(once, InverseCdfSampler(model).rows(50, [5])[0])
     assert np.array_equal(once, sampler.rows(50, [5])[0])
     assert np.array_equal(once, sampler.rows(50, [4, 5])[1])
     # drawing leaves the model as it was: no sampler is kept on it

@@ -18,7 +18,7 @@ from mlechar import (
     tilt,
 )
 from mlechar.catalog import kind_for
-from mlechar.density import Sample, sample_rows
+from mlechar.density import InverseCdfSampler, Sample
 from mlechar.errors import (
     AllZeroSample,
     BracketFailure,
@@ -349,7 +349,7 @@ CATALOG_KINDS = [(name, params, label) for name, params, labels in DEFAULT_FAMIL
 
 
 def _block(entry, n, m, seed):
-    return sample_rows(entry.model, n, range(seed, seed + m))
+    return InverseCdfSampler(entry.model).rows(n, range(seed, seed + m))
 
 
 @given(case=st.sampled_from(CATALOG_KINDS), n=st.integers(min_value=1, max_value=12),
@@ -412,7 +412,7 @@ def test_block_residuals_are_the_score_sums_at_the_roots(case, lengths, seed):
     name, params, label = case
     entry = lookup(name, params)
     kind = kind_for(entry, label)
-    draw = sample_rows(entry.model, sum(lengths), [seed])[0]
+    draw = InverseCdfSampler(entry.model).rows(sum(lengths), [seed])[0]
     rows = np.split(draw, np.cumsum(lengths)[:-1])
     try:
         roots = mle_block(entry.model, kind, rows)
@@ -461,6 +461,6 @@ def test_ragged_block_mle_equals_single_sample_mles(case, lengths, seed):
     # rows of different lengths, cut from one draw, solved in one call
     name, params, label = case
     entry = lookup(name, params)
-    draw = sample_rows(entry.model, sum(lengths), [seed])[0]
+    draw = InverseCdfSampler(entry.model).rows(sum(lengths), [seed])[0]
     rows = np.split(draw, np.cumsum(lengths)[:-1])
     assert_lanes_equal_single_sample_mles(entry, kind_for(entry, label), rows)

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from mlechar import suite
 from mlechar.errors import InvalidConfig, IoFailure
+from mlechar.score import kind_profiles
 from mlechar.suite import (
+    DEFAULT_FAMILIES,
     SuiteConfig,
     config_from_json,
     emit_report,
@@ -148,6 +151,32 @@ def test_score_tolerance_flips_the_crosscheck_verdict():
     assert report.verdicts["score_crosscheck"] == "fail"
     assert report.verdicts["projectability"] == "pass"
     assert not report.passed
+
+
+def test_each_configured_family_kind_is_profiled_once(monkeypatch):
+    # the MNSS record and the image-bound check of a (family, kind) share
+    # one score image
+    calls = []
+
+    def counted(model, kind):
+        calls.append((model.name, kind.label))
+        return kind_profiles(model, kind)
+
+    monkeypatch.setattr(suite, "kind_profiles", counted)
+    run_suite(SuiteConfig(trials=2, sample_sizes=(3,), seed=9))
+    assert len(calls) == 23 == sum(len(kinds) for _, _, kinds in DEFAULT_FAMILIES)
+    assert len(set(calls)) == 23
+
+
+@pytest.mark.parametrize("entry", [
+    {"families": [{"name": "gamma", "params": {"alpha": True}, "kinds": ["scale"]}]},
+    {"families": [{"name": "gamma", "params": {"alpha": "2"}, "kinds": ["scale"]}]},
+    {"equivalence": [{"name": "weibull", "params": {"k": True}, "kind": "scale"}]},
+    {"equivalence": [{"name": "weibull", "params": {"k": "2"}, "kind": "scale"}]},
+])
+def test_config_params_must_be_numbers(entry):
+    with pytest.raises(InvalidConfig, match="parameters must be numbers"):
+        config_from_json(entry)
 
 
 def test_empty_family_config_yields_empty_records():

@@ -51,6 +51,8 @@ INPUTS = {
     "tab_gauss.json": _tabulated_gaussian(),
     "five.json": 5,
     "no_kind.json": {"catalog": "cauchy"},
+    "gamma_true.json": {"catalog": "gamma", "params": {"alpha": True}},
+    "gamma_string.json": {"catalog": "gamma", "params": {"alpha": "2"}},
     "broken.json": "{",
     "loc.txt": "-0.7\n0.2\n1.9\n0.4\n-1.1\n2.3\n0.05\n",
     "scale.txt": "0.8\n2.5\n1.1\n3.9\n0.35\n1.6\n",
@@ -67,6 +69,10 @@ INPUTS = {
     "suite_string_seed.json": _suite(seed="5"),
     "suite_zero_trials.json": _suite(trials=0),
     "suite_unknown_key.json": _suite(trails=20),
+    "suite_true_param.json": _suite(
+        families=[{"name": "gamma", "params": {"alpha": True}, "kinds": ["scale"]}]),
+    "suite_string_param.json": _suite(
+        equivalence=[{"name": "weibull", "params": {"k": "2"}, "kind": "scale"}]),
 }
 
 #: the commands, as the arguments after ``mlechar``
@@ -132,6 +138,8 @@ COMMANDS = [
     "mle --family five.json --kind loc --data loc.txt",
     "mle --family broken.json --kind loc --data loc.txt",
     "mle --family no_kind.json --kind loc --data loc.txt",
+    "mle --family gamma_true.json --kind scale --data scale.txt",
+    "mle --family gamma_string.json --kind scale --data scale.txt",
     # tilt
     "tilt --family gauss.json --d 2 --kind loc --emit t_gauss.json",
     "tilt --family gamma2.json --d 0.5 --kind scale --emit t_gamma.json",
@@ -145,6 +153,7 @@ COMMANDS = [
     "tilt --family gauss.json --d -1 --kind loc",
     "tilt --family gauss.json --d nan --kind loc",
     "tilt --family tab_gauss.json --d 2 --kind loc",
+    "tilt --family gauss.json --d 2 --kind loc --emit no_dir/t.json",
     # same-class
     "same-class --f gauss.json --g t_gauss.json --kind loc",
     "same-class --f gamma2.json --g t_gamma.json --kind scale",
@@ -160,6 +169,7 @@ COMMANDS = [
     "forge --target gauss.json --h odd-power:p=3.5",
     "forge --target gauss.json --h odd-power:d=-1",
     "forge --target gauss.json --h wiggle",
+    "forge --target gauss.json --h odd-power:d=1,p=3 --emit no_dir/f.json",
     # verify-counterexample
     "verify-counterexample --f gauss.json --g f3.json --n 2 --trials 20 --seed 3",
     "verify-counterexample --f gauss.json --g f3.json --n 3 --trials 20 --seed 3",
@@ -178,6 +188,8 @@ COMMANDS = [
     "suite --config suite_string_seed.json",
     "suite --config suite_zero_trials.json",
     "suite --config suite_unknown_key.json",
+    "suite --config suite_true_param.json",
+    "suite --config suite_string_param.json",
     "suite --config missing.json",
     "suite --config broken.json",
 ]
