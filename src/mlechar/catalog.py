@@ -210,7 +210,8 @@ def _generalized_gaussian(params: dict) -> CatalogEntry:
         with np.errstate(over="ignore"):
             return alpha * gam * (1.0 - np.exp(gam * x))
 
-    loc_bounds = (alpha * abs(gam), math.inf) if gam > 0 else (math.inf, alpha * abs(gam))
+    bound = _finite(lambda: alpha * abs(gam), "the location bound alpha*|gamma|")
+    loc_bounds = (bound, math.inf) if gam > 0 else (math.inf, bound)
     return _entry(
         "generalized_gaussian", p, SupportSet.full_line(),
         log_pdf,

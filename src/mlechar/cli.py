@@ -125,7 +125,7 @@ def _cmd_analyze(args) -> int:
     for prof in profiles:
         tag = f"bounds{prof.domain}"
         _kv(tag, f"(-{prof.p_minus}, {prof.p_plus})")
-        _kv(f"provenance{prof.domain}", prof.bounds_provenance.method)
+        _kv(f"provenance{prof.domain}", prof.provenance)
         _kv(f"mcss{prof.domain}", mcss(prof.p_minus, prof.p_plus).value)
     computed = mnss(profiles, cat.kind_for(entry, kind))
     expected = cat.expected_mnss(entry, kind)

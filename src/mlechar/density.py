@@ -114,11 +114,17 @@ def distinct(values) -> np.ndarray:
 
 
 def median(a: np.ndarray) -> np.ndarray:
-    """Medians along the last axis, as ``np.median(a, axis=-1)`` gives them;
-    a NaN makes its median NaN."""
+    """Medians along the last axis, as ``np.median(a, axis=-1)`` gives them,
+    except where the sum of the two middle values overflows: their mean is
+    still finite there.  A NaN makes its median NaN."""
     a = np.sort(a, axis=-1)
     n = a.shape[-1]
-    mid = a[..., n // 2] if n % 2 else (a[..., n // 2 - 1] + a[..., n // 2]) / 2.0
+    lo, hi = a[..., (n - 1) // 2], a[..., n // 2]
+    # the mean of the two middle values (one value twice for odd n), formed
+    # as np.median forms it; beyond magnitude 1 their halves are added
+    # instead, whose sum cannot overflow (halving a subnormal can round)
+    half = np.where(np.maximum(-lo, hi) > 1.0, 0.5, 1.0)
+    mid = (lo * half + hi * half) / (2.0 * half)
     # NaNs sort last
     return np.where(np.isnan(a[..., -1]), math.nan, mid)
 
@@ -156,7 +162,8 @@ class SupportSet:
     """Open subset of the real line on which a density lives.
 
     The four admissible shapes are the full line, the two open half-lines
-    and a bounded open interval ``(lower, upper)``.
+    ``(0, inf)`` and ``(-inf, 0)``, and a bounded open interval
+    ``(lower, upper)``; any other infinite end is invalid.
     """
 
     lower: float
@@ -166,6 +173,8 @@ class SupportSet:
         lo, hi = float(self.lower), float(self.upper)
         if math.isnan(lo) or math.isnan(hi) or not lo < hi:
             raise InvalidParams(f"invalid support bounds ({self.lower}, {self.upper})")
+        if math.isinf(lo) != math.isinf(hi) and 0.0 not in (lo, hi):
+            raise InvalidParams(f"a half-line support must end at 0, got ({lo}, {hi})")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

@@ -46,7 +46,6 @@ from .score import (
     brent_lanes,
     flatten_rows,
     row_score_sums,
-    score_sum,
 )
 
 DEFAULT_TOL = 1e-10      # score-sum residual tolerance
@@ -263,6 +262,6 @@ def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
     kind.check(entry.model.support)
     sample.require_inside(entry.model)
     theta = estimate(sample.values)
-    residual = score_sum(entry.model, kind, sample, theta)
+    residual = row_score_sums(entry.model, kind, sample.values, [sample.n], [theta])[0]
     return MleResult(float(theta), float(residual), ClosedForm(entry.closed_form[kind.label]),
                      kind)

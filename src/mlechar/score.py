@@ -21,18 +21,20 @@ the support itself, or the two half-lines when ``u1`` vanishes inside it.
 
 Scores follow the array contract of :mod:`mlechar.density`: a kind's
 ``u1``, ``u2``, ``h``, ``to_theta`` and ``antiderivative`` take floats or
-ndarrays, ``score_sum`` scores a whole sample, or m samples as rows of
-equal or different lengths, in one call, and probe grids are scored in one
-call each.  Each row sum is the correctly rounded exact sum of the row's
-scores, the value ``math.fsum`` gives: rows shorter than ``EXTRACT_MIN_ROW``
-(1024) go through ``math.fsum`` over a list, longer rows through error-free
-extraction on the score array (:func:`row_fsum`), which is faster there.
+ndarrays, :func:`kind_score` scores a point or a whole probe grid in one
+call, and :func:`row_score_sums` scores m samples, as rows of equal or
+different lengths back to back, in one call.  Each row sum is the correctly
+rounded exact sum of the row's scores, the value ``math.fsum`` gives: rows
+shorter than ``EXTRACT_MIN_ROW`` (1024) go through ``math.fsum`` over a
+list, longer rows through error-free extraction on the score array
+(:func:`row_fsum`), which is faster there.
 :func:`brent_lanes` is the one root finder: Brent's method run lane by
 lane over a batch of brackets, step for step as SciPy's Brent solver runs it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -47,7 +49,6 @@ from .density import (
     POSITIVE_HALF_LINE,
     CumulativeIntegral,
     DensityModel,
-    Sample,
     SupportSet,
     call_elementwise,
     effective_interval,
@@ -176,10 +177,10 @@ SCALE = Kind(
 # ---------------------------------------------------------------------------
 
 
-def _scores(model: DensityModel, u1: Callable, u2: Callable, x: np.ndarray) -> np.ndarray:
+def _scores(model: DensityModel, kind: Kind, x: np.ndarray) -> np.ndarray:
     # support admission is the caller's job (once per profile, solve or tilt)
-    a = call_elementwise(u1, x)
-    b = call_elementwise(u2, x)
+    a = call_elementwise(kind.u1, x)
+    b = call_elementwise(kind.u2, x)
     zero = a == 0.0
     if not zero.any():
         return b + a * eval_dlogf(model, x)
@@ -193,30 +194,12 @@ def _scores(model: DensityModel, u1: Callable, u2: Callable, x: np.ndarray) -> n
     return out
 
 
-def _score_like(model: DensityModel, u1: Callable, u2: Callable, x):
-    # a float for a float, an array for an array
-    out = _scores(model, u1, u2, np.asarray(x, dtype=float))
-    return out if np.ndim(x) else float(out)
-
-
 def kind_score(model: DensityModel, kind: Kind, x):
-    """Score ``u2(x) + u1(x) f'(x)/f(x)`` of ``kind`` at ``x`` (float or ndarray)."""
+    """Score ``u2(x) + u1(x) f'(x)/f(x)`` of ``kind`` at ``x``: a float for a
+    float, an ndarray for an ndarray."""
     kind.check(model.support)
-    return _score_like(model, kind.u1, kind.u2, x)
-
-
-def score_sum(model: DensityModel, kind: Kind, sample, theta):
-    """Correctly rounded exact sum of the kind's score at ``h(theta, x_i)``
-    over a sample, the value ``math.fsum`` gives.
-
-    ``sample`` is a :class:`Sample` and ``theta`` a float, which gives a
-    float; or ``sample`` holds m samples as rows, an ``(m, n)`` block or m
-    1-D rows of any lengths, and ``theta`` holds m values, which gives the
-    m row sums.  :func:`row_score_sums` says how a row is summed.
-    """
-    if isinstance(sample, Sample):
-        return float(row_score_sums(model, kind, sample.values, [sample.n], [theta])[0])
-    return row_score_sums(model, kind, *flatten_rows(sample), theta)
+    out = _scores(model, kind, np.asarray(x, dtype=float))
+    return out if np.ndim(x) else float(out)
 
 
 def flatten_rows(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +285,7 @@ def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
     # a single row needs neither theta repeated nor its scores cut apart
     # (math.fsum runs faster over a list than over an islice of it)
     moved = call_elementwise(kind.h, theta if one else np.repeat(theta, lengths), flat)
-    scores = _scores(model, kind.u1, kind.u2, moved)
+    scores = _scores(model, kind, moved)
     if flat.size >= EXTRACT_MIN_ROW and np.max(lengths) >= EXTRACT_MIN_ROW:
         sums = map(row_fsum, np.split(scores, np.cumsum(lengths)[:-1]))
     else:
@@ -327,12 +310,6 @@ def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsProvenance:
-    method: str  # "numeric"
-    note: str = ""
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreProfile:
     """Monotonicity, zero crossing and image bounds of a score function.
@@ -340,17 +317,17 @@ class ScoreProfile:
     A profile is only ever produced for strictly monotone scores;
     ``monotone_increasing`` records the direction.  When the score crosses
     zero its image is the open interval ``(-p_minus, p_plus)`` with both
-    bounds positive (possibly infinite).
+    bounds positive (possibly infinite).  ``provenance`` says how the bounds
+    were found: ``"numeric"``, by endpoint limit estimation.
     """
 
-    kind: Kind
     domain: SupportSet
     evaluate: Callable
     monotone_increasing: bool
     crosses_zero: bool
     p_minus: float
     p_plus: float
-    bounds_provenance: BoundsProvenance
+    provenance: str
 
 
 #: endpoint sequences: geometric ratio, step budget, Cauchy tolerance of a
@@ -394,8 +371,8 @@ def _aitken(v0: float, v1: float, v2: float) -> float:
 
 
 def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
-                    v_start: float, expected: float) -> tuple[float, str]:
-    """Endpoint limit of a monotone score: (value, 'finite'|'infinite').
+                    v_start: float, expected: float) -> float:
+    """Endpoint limit of a monotone score.
 
     Walks a geometric sequence toward the endpoint; a limit is declared
     infinite once |value| reaches ``INFINITE_THRESHOLD`` (or overflows),
@@ -411,11 +388,11 @@ def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
         try:
             v = evaluate(float(x))
         except (OverflowError, NonFiniteLogDensity):
-            return math.copysign(math.inf, expected), "infinite"
+            return math.copysign(math.inf, expected)
         if math.isnan(v):
-            return math.copysign(math.inf, expected), "infinite"
+            return math.copysign(math.inf, expected)
         if math.isinf(v) or abs(v) >= INFINITE_THRESHOLD:
-            return math.copysign(math.inf, v), "infinite"
+            return math.copysign(math.inf, v)
         dv = v - values[-1]
         if dv * expected < -1e-9 * max(1.0, abs(v)):
             raise NotMonotone(
@@ -424,9 +401,9 @@ def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
         values.append(v)
         # gather three tail values so the acceleration step has material
         if abs(dv) < CAUCHY_TOL and len(values) >= 3:
-            return _aitken(values[-3], values[-2], values[-1]), "finite"
+            return _aitken(values[-3], values[-2], values[-1])
     # no convergence within budget: the values kept drifting, treat as infinite
-    return math.copysign(math.inf, expected), "infinite"
+    return math.copysign(math.inf, expected)
 
 
 def analyze_image(model: DensityModel, kind: Kind,
@@ -439,13 +416,9 @@ def analyze_image(model: DensityModel, kind: Kind,
     outside the scope of the characterization theory for this kind.  Image
     bounds come from endpoint limit estimation.
     """
-    kind.check(model.support)
     domain = model.support if domain is None else domain
-    u1, u2 = kind.u1, kind.u2
-
-    def evaluate(x):
-        return _score_like(model, u1, u2, x)
-
+    # kind_score admits the model's support on each call
+    evaluate = functools.partial(kind_score, model, kind)
     xs = _central_grid(domain)
     vs = evaluate(xs)
     bad = ~np.isfinite(vs)
@@ -464,27 +437,21 @@ def analyze_image(model: DensityModel, kind: Kind,
 
     # walking toward the lower endpoint, an increasing score must keep
     # decreasing; toward the upper endpoint it must keep increasing
-    lo_limit, lo_class = _estimate_limit(evaluate, domain, "lower",
-                                         float(xs[0]), float(vs[0]),
-                                         -1.0 if increasing else 1.0)
-    hi_limit, hi_class = _estimate_limit(evaluate, domain, "upper",
-                                         float(xs[-1]), float(vs[-1]),
-                                         1.0 if increasing else -1.0)
+    lo_limit = _estimate_limit(evaluate, domain, "lower", float(xs[0]), float(vs[0]),
+                               -1.0 if increasing else 1.0)
+    hi_limit = _estimate_limit(evaluate, domain, "upper", float(xs[-1]), float(vs[-1]),
+                               1.0 if increasing else -1.0)
     inf_limit, sup_limit = (lo_limit, hi_limit) if increasing else (hi_limit, lo_limit)
     crosses = inf_limit < 0.0 < sup_limit
 
-    note = f"inf {lo_class if increasing else hi_class}, " \
-           f"sup {hi_class if increasing else lo_class}"
-
     return ScoreProfile(
-        kind=kind,
         domain=domain,
         evaluate=evaluate,
         monotone_increasing=increasing,
         crosses_zero=crosses,
         p_minus=-inf_limit,
         p_plus=sup_limit,
-        bounds_provenance=BoundsProvenance("numeric", note=note),
+        provenance="numeric",
     )
 
 

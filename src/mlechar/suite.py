@@ -604,7 +604,7 @@ def _section_families(config: SuiteConfig) -> tuple[list[dict], list[dict]]:
                 "bounds": " ".join(
                     f"({enc(p.p_minus)},{enc(p.p_plus)})@{p.domain}" for p in profiles
                 ),
-                "provenance": profiles[0].bounds_provenance.method,
+                "provenance": profiles[0].provenance,
                 "mcss": enc(max(mcss(p.p_minus, p.p_plus).value for p in profiles)),
                 "mnss": enc(computed.value),
                 "expected_mnss": enc(expected),

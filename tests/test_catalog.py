@@ -41,6 +41,8 @@ def test_lookup_unknown_family():
     ("student", {"nu": None}),
     ("student", {"nu": [3.0]}),
     ("student", {"nu": 10 ** 400}),
+    # the location bound alpha*|gamma| overflows
+    ("generalized_gaussian", {"alpha": 1e300, "gamma": 1e300}),
 ])
 def test_lookup_invalid_params(name, params):
     with pytest.raises(InvalidParams):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,22 @@ def test_cli_analyze_bad_params(capsys, params):
     assert main(["analyze", "--family", "student", "--params", params,
                  "--kind", "scale"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_analyze_overflowing_bound_exits_2(capsys):
+    assert main(["analyze", "--family", "generalized_gaussian", "--params",
+                 "alpha=1e300,gamma=1e300", "--kind", "loc"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_mle_on_values_near_the_float_limit(tmp_path, capsys):
+    spec, data = tmp_path / "logistic.json", tmp_path / "huge.txt"
+    spec.write_text(json.dumps({"catalog": "logistic"}))
+    data.write_text("1e308\n1.5e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["mle", "--family", str(spec), "--kind", "loc", "--data", str(data)]) == 0
+    assert "theta_hat=1.25e+308" in capsys.readouterr().out
 
 
 def test_cli_mle(tmp_path, capsys, gauss_spec, gamma_spec):

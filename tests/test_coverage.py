@@ -169,11 +169,11 @@ def test_mnss_is_at_least_three():
 def test_mnss_requires_zero_crossing(gaussian):
     prof = analyze_image(gaussian.model, LOCATION)
     shifted = type(prof)(
-        kind=prof.kind, domain=prof.domain,
+        domain=prof.domain,
         evaluate=lambda x: prof.evaluate(x) ** 2 + 1.0,
         monotone_increasing=True, crosses_zero=False,
         p_minus=1.0, p_plus=math.inf,
-        bounds_provenance=prof.bounds_provenance,
+        provenance=prof.provenance,
     )
     with pytest.raises(NotCharacterizable):
         mnss((shifted,), LOCATION)

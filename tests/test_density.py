@@ -27,7 +27,7 @@ from mlechar.density import (
     _Table,
 )
 from mlechar.equivalence import tilt, tilt_with_spec
-from mlechar.errors import DivergentIntegral, OutsideSupport
+from mlechar.errors import DivergentIntegral, InvalidParams, OutsideSupport
 from mlechar.score import LOCATION, SCALE
 from mlechar.specfiles import load_family_spec
 
@@ -46,8 +46,25 @@ def test_median_gives_the_values_of_numpy_median(rows):
     a = np.array(rows)
     with np.errstate(invalid="ignore", over="ignore"):
         want = np.median(a, axis=-1)
+        # where np.median overflows adding two finite middle values, the
+        # median is the mean of their halves
+        halved = 2.0 * np.median(a / 2.0, axis=-1)
+        want = np.where(np.isinf(want) & np.isfinite(halved), halved, want)
         assert np.array_equal(median(a), want, equal_nan=True)
         assert np.array_equal(median(a[0]), want[0], equal_nan=True)
+
+
+def test_median_of_two_middle_values_whose_sum_overflows():
+    with np.errstate(over="raise"):
+        assert median(np.array([[1e308, 1.5e308]])).tolist() == [1.25e308]
+        assert median(np.array([-1.7e308, -1.5e308, -1.2e308, -1.6e308])) == -1.55e308
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 1000])
+def test_median_gives_numpy_medians_across_the_float_range(n):
+    rng = np.random.default_rng(n)
+    rows = rng.choice([-1.0, 1.0], (50, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (50, n))
+    assert np.array_equal(median(rows), np.median(rows, axis=-1))
 
 
 @given(values=st.lists(st.integers(min_value=-3, max_value=3) | st.sampled_from([0.5, -0.0]),
@@ -63,6 +80,20 @@ def test_support_membership():
     assert pos.contains(1e-12) and not pos.contains(0.0) and not pos.contains(-1.0)
     iv = SupportSet.open_interval(-1.0, 2.0)
     assert iv.contains(0.0) and not iv.contains(-1.0) and not iv.contains(2.0)
+
+
+def test_support_shapes():
+    for lower, upper, kind in [(-math.inf, math.inf, "full_line"),
+                               (0.0, math.inf, "positive_half_line"),
+                               (-math.inf, 0.0, "negative_half_line"),
+                               (-1.0, 2.0, "open_interval")]:
+        assert SupportSet(lower, upper).kind == kind
+    # a half-line off the origin has no grid that treats it as unbounded
+    for lower, upper in [(1.0, math.inf), (-math.inf, 3.0)]:
+        with pytest.raises(InvalidParams, match="half-line"):
+            SupportSet(lower, upper)
+    with pytest.raises(InvalidParams):
+        SupportSet.open_interval(0.0, math.inf)
 
 
 def test_support_membership_on_arrays():
@@ -170,6 +201,13 @@ def test_normalize_divergent():
     improper = DensityModel("flat", SupportSet.full_line(), lambda x: 0.0)
     with pytest.raises(DivergentIntegral):
         normalize(improper)
+
+
+def test_normalize_infinite_log_density():
+    spike = DensityModel("spike", SupportSet.full_line(),
+                         lambda x: np.where(np.abs(x) < 1.0, np.inf, -x * x)[()])
+    with pytest.raises(DivergentIntegral, match="not finite and positive"):
+        normalize(spike)
 
 
 def test_normalize_overflowing_density():

@@ -28,7 +28,7 @@ from mlechar.errors import (
     OutsideSupport,
 )
 from mlechar.estimator import BracketedRoot, ClosedForm, mle, mle_block
-from mlechar.score import BRENT_RTOL, Kind, brent_lanes, score_sum
+from mlechar.score import BRENT_RTOL, Kind, brent_lanes, flatten_rows, row_score_sums
 from mlechar.suite import DEFAULT_FAMILIES
 
 
@@ -201,7 +201,8 @@ def test_equivalence_class_members_share_mles(gaussian, gamma2, d):
 
 
 def test_residual_contract(gaussian, gamma2):
-    from mlechar.score import score_sum
+    def score_sum(model, kind, sample, theta):
+        return row_score_sums(model, kind, sample.values, [sample.n], [theta])[0]
 
     sample = sample_from(gaussian.model, 7, seed=9)
     r = mle_location(gaussian.model, sample, tol=1e-10)
@@ -219,6 +220,16 @@ def test_scale_requires_positive_values_in_support(gamma2):
 def test_all_zero_sample(gaussian):
     with pytest.raises(AllZeroSample):
         mle_scale(gaussian.model, s(0.0, 0.0))
+
+
+def test_all_zero_sample_closed_form(gaussian):
+    with pytest.raises(AllZeroSample):
+        closed_form_mle(gaussian, SCALE, s(0.0, 0.0))
+
+
+def test_residual_above_tol_is_a_bracket_failure(logistic):
+    with pytest.raises(BracketFailure, match="exceeds tol"):
+        mle(logistic.model, LOCATION, s(0.3, -1.2, 2.5, 0.7), tol=1e-300)
 
 
 def test_bracket_failure_outside_window(gaussian, sinh_arcsinh):
@@ -369,7 +380,8 @@ def test_brent_lanes_reproduces_scipy_brentq(case, n, m, seed, widths):
     lo, hi = t_hat - widths[0], t_hat + widths[1]
 
     def lanes_fn(t, lanes):
-        return score_sum(entry.model, kind, block[lanes], kind.to_theta(t))
+        return row_score_sums(entry.model, kind, *flatten_rows(block[lanes]),
+                              kind.to_theta(t))
 
     f_lo, f_hi = lanes_fn(lo, np.arange(m)), lanes_fn(hi, np.arange(m))
     assume(np.all(np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo * f_hi < 0.0)))
@@ -419,7 +431,7 @@ def test_block_residuals_are_the_score_sums_at_the_roots(case, lengths, seed):
     except MlecharError:
         return
     for i, row in enumerate(rows):
-        alone = score_sum(entry.model, kind, Sample(row), roots.theta[i])
+        alone = float(row_score_sums(entry.model, kind, row, [row.size], [roots.theta[i]])[0])
         assert float(roots.residual[i]).hex() == alone.hex()
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlechar import lookup
-from mlechar.density import SupportSet
+from mlechar.density import DensityModel, SupportSet
 from mlechar.errors import NotMonotone, UnsupportedSupport
 from mlechar.score import (
     LOCATION,
@@ -78,7 +78,7 @@ def test_analyze_image_gaussian_location(gaussian):
     prof = analyze_image(gaussian.model, LOCATION)
     assert prof.monotone_increasing and prof.crosses_zero
     assert math.isinf(prof.p_minus) and math.isinf(prof.p_plus)
-    assert prof.bounds_provenance.method == "numeric"
+    assert prof.provenance == "numeric"
 
 
 def test_analyze_image_gumbel_location(gumbel):
@@ -119,6 +119,16 @@ def test_not_monotone_families():
     skewed = lookup("sinh_arcsinh_skew_normal").group_density(1.5)
     with pytest.raises(NotMonotone):
         analyze_image(skewed, LOCATION)
+
+
+def test_score_turning_back_beyond_the_probe_grid_is_not_monotone():
+    # log f = 400 exp(-x^2/800): the location score x exp(-x^2/800) rises on
+    # |x| < 20, the probe grid, and falls beyond it
+    bump = DensityModel("bump", SupportSet.full_line(),
+                        lambda x: 400.0 * np.exp(-x * x / 800.0),
+                        lambda x: -x * np.exp(-x * x / 800.0))
+    with pytest.raises(NotMonotone, match="reverses direction"):
+        analyze_image(bump, LOCATION)
 
 
 @pytest.mark.parametrize("name,params,kind", [

@@ -57,6 +57,7 @@ INPUTS = {
     "loc.txt": "-0.7\n0.2\n1.9\n0.4\n-1.1\n2.3\n0.05\n",
     "scale.txt": "0.8\n2.5\n1.1\n3.9\n0.35\n1.6\n",
     "one.txt": "1.0\n",
+    "huge.txt": "1e308\n1.5e308\n",
     "empty.txt": "",
     "nan.txt": "1.0\nnan\n",
     "words.txt": "1.0\nabc\n",
@@ -104,6 +105,7 @@ COMMANDS = [
     "analyze --family gamma --params alpha=2 --kind loc",
     "analyze --family generalized_gaussian --params alpha=2,gamma=-0.5 --kind location",
     "analyze --family generalized_gaussian --kind sca",
+    "analyze --family generalized_gaussian --params alpha=1e300,gamma=1e300 --kind loc",
     "analyze --family laplace --kind scale",
     "analyze --family laplace --kind loc",
     "analyze --family weibull --params k=2 --kind scale",
@@ -129,6 +131,7 @@ COMMANDS = [
     "mle --family sinh.json --kind group --data loc.txt",
     "mle --family tab_gauss.json --kind loc --data loc.txt",
     "mle --family gauss.json --kind loc --data one.txt",
+    "mle --family logistic.json --kind loc --data huge.txt",
     "mle --family gamma2.json --kind loc --data scale.txt",
     "mle --family gauss.json --kind loc --data empty.txt",
     "mle --family gauss.json --kind loc --data nan.txt",
