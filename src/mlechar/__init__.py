@@ -50,7 +50,6 @@ _HOME = {
     "OddPower": "forge",
     "PlusEvenDerivative": "forge",
     "forge_odd_h": "forge",
-    "subcritical_witness": "forge",
     "verify_counterexample": "forge",
     "LOCATION": "score",
     "SCALE": "score",

@@ -94,7 +94,9 @@ class CatalogEntry:
         base = self.model
 
         def log_pdf(x):
-            return np.log(tr.dh_dx(theta, x)) + base.log_pdf(tr.h(theta, x))
+            # h(theta, .) is the flow of u1, so its x-derivative is u1(h) / u1
+            y = tr.h(theta, x)
+            return np.log(np.abs(tr.u1(y) / tr.u1(x))) + base.log_pdf(y)
 
         return DensityModel(
             name=f"{self.name}(theta={theta:g})",
@@ -350,7 +352,6 @@ def _sinh_arcsinh(params: dict) -> CatalogEntry:
             u1=_sqrt1p2,
             u2=lambda x: x / _sqrt1p2(x),
             h=lambda theta, x: np.sinh(np.arcsinh(x) + theta),
-            dh_dx=lambda theta, x: np.cosh(np.arcsinh(x) + theta) / _sqrt1p2(x),
         ),
     )
 

@@ -169,7 +169,7 @@ def _cmd_mle(args) -> int:
 def _cmd_tilt(args) -> int:
     model, entry = load_family_spec(args.family)
     kind_label = _parse_kind(args.kind)
-    tilted, normalizer, notes = tilt_with_spec(model, args.d, cat.kind_for(entry, kind_label))
+    tilted, normalizer = tilt_with_spec(model, args.d, cat.kind_for(entry, kind_label))
     # an emit path that cannot be written fails before anything is printed
     if args.emit:
         write_tabulated(tilted, args.emit)
@@ -177,8 +177,6 @@ def _cmd_tilt(args) -> int:
     _kv("kind", kind_label)
     _kv("d", args.d)
     _kv("normalizer", repr(normalizer))
-    if notes:
-        _kv("notes", notes)
     if args.emit:
         _kv("emitted", args.emit)
     return 0

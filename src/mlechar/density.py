@@ -17,9 +17,8 @@ this interface, so the module also provides the shared numeric machinery:
 - one interpolation table (``_Table``): monotone cubic (PCHIP) pieces through
   nodes, continued linearly past the end nodes, with its derivative; a numpy
   port of SciPy's ``PchipInterpolator`` that gives its values bit for bit.
-  Tabulated densities, the cumulative integrals of tilt and forge
-  constructions (``CumulativeIntegral``) and the sampler's CDF are such
-  tables,
+  Tabulated densities, the cumulative integrals of forged densities
+  (``CumulativeIntegral``) and the sampler's CDF are such tables,
 - sort-based twins of ``np.unique`` and ``np.median`` (``distinct``,
   ``median``), whose first calls would import ``numpy.ma``,
 - seeded inverse-CDF sampling from an arbitrary log-density
@@ -642,7 +641,7 @@ class _Table:
 class CumulativeIntegral(_Table):
     """Antiderivative of an integrand, anchored at a point.
 
-    The antiderivative is tabulated once on ``TABLE_CELLS`` Gauss-Legendre cells
+    The integral is tabulated once on ``TABLE_CELLS`` Gauss-Legendre cells
     across ``(lo, hi)``, summed outward from the cell that holds the anchor;
     beyond the tabulated range it is extended linearly using the integrand
     value at the nearest end.  Cheap enough to sit inside MLE root-finding

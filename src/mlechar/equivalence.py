@@ -4,14 +4,14 @@ Two densities whose scores (of a given parameter kind) are positive multiples
 of each other share every MLE of that parameter.  The constructive direction
 is the *tilt* with exponent ``d > 0``:
 
-    log g = (d-1) * int u2/u1 + d log f + log c,
+    log g = (d-1) * log|u1| + d log f + log c,
 
-with the kind's closed-form ``int u2/u1`` where it has one (``0`` for
-location, ``log|x|`` for scale on a half-line) and a numeric antiderivative
-otherwise.  Classes whose ``u1`` vanishes at an interior point, scale over
-the full line among them, are singletons: only ``d = 1`` is admissible.  The
-reverse direction, :func:`same_class`, recovers ``d`` from the pointwise
-score ratio when that ratio is constant on a probe grid.
+where ``log|u1| = int u2/u1`` because a group kind has ``u2 = u1'``: ``0``
+for location, ``log|x|`` for scale on a half-line, ``log sqrt(1 + x^2)`` for
+the sinh-arcsinh transform.  Classes whose ``u1`` vanishes at an interior
+point, scale over the full line among them, are singletons: only ``d = 1``
+is admissible.  The reverse direction, :func:`same_class`, recovers ``d``
+from the pointwise score ratio when that ratio is constant on a probe grid.
 
 Half-line scale families additionally admit a scale-identification filter, a
 limit comparison of ``g(lambda x)/g(x)`` against the target at the origin,
@@ -37,15 +37,16 @@ from .density import (
     probe_grid,
 )
 from .errors import DegenerateScore, InvalidParams, SingletonClass, UnsupportedSupport
-from .score import Kind, analyze_image, anchored_antiderivative, kind_score, u1_zero_structure
+from .score import Kind, kind_score, u1_vanishes_inside
 
 
 def tilt_with_spec(model: DensityModel, d: float,
-                   kind: Kind) -> tuple[DensityModel, float, str]:
-    """Like :func:`tilt` but also returns the normalizer and a note.
+                   kind: Kind) -> tuple[DensityModel, float]:
+    """Like :func:`tilt` but also returns the normalizer.
 
-    The note says why ``d`` was left free when ``u1`` vanishes at a support
-    endpoint; it is empty otherwise.
+    Raises :class:`InvalidParams` when ``u2`` is not the derivative of
+    ``u1`` (central differences on 41 probe points of the support, within
+    1e-6 relative plus absolute): such a pair belongs to no group.
     """
     if not (math.isfinite(d) and d > 0.0):
         raise InvalidParams(f"tilt exponent must be a positive real, got {d}")
@@ -53,11 +54,8 @@ def tilt_with_spec(model: DensityModel, d: float,
     u1, u2 = kind.u1, kind.u2
     base_log = model.log_pdf
     base_dlog = model.dlog_pdf
-    structure = u1_zero_structure(kind, model.support)
-    breaks = model.breaks
-    notes = ""
 
-    if structure == "interior":
+    if u1_vanishes_inside(kind, model.support):
         if d != 1.0:
             raise SingletonClass(
                 f"u1 of the {kind!r} kind vanishes inside {model.support}; "
@@ -65,16 +63,17 @@ def tilt_with_spec(model: DensityModel, d: float,
             )
         log_pdf, dlog = base_log, base_dlog
     else:
-        antider = kind.antiderivative
-        if antider is None:
-            if structure == "endpoint":
-                notes = "u1 vanishes at a support endpoint; d left free"
-            antider = anchored_antiderivative(model, analyze_image(model, kind),
-                                              lambda y: u2(y) / u1(y), max(80.0, 80.0 / d))
-            breaks = np.concatenate([breaks, antider.nodes])
+        xs = probe_grid(model.support, (model.support.lower, model.support.upper),
+                        41, 20.0, 1e-3, 1e-3)
+        step = 1e-6 * (1.0 + np.abs(xs))
+        slope = (call_elementwise(u1, xs + step) - call_elementwise(u1, xs - step)) / (2.0 * step)
+        derivative = call_elementwise(u2, xs)
+        if not (np.abs(derivative - slope) <= 1e-6 * (1.0 + np.abs(derivative))).all():
+            raise InvalidParams(f"u2 of the {kind!r} kind is not the derivative of u1, "
+                                "so the kind is not a group's")
 
         def log_pdf(x):
-            return (d - 1.0) * antider(x) + d * base_log(x)
+            return (d - 1.0) * np.log(np.abs(call_elementwise(u1, x))) + d * base_log(x)
 
         dlog = (
             (lambda x: (d - 1.0) * call_elementwise(u2, x) / call_elementwise(u1, x)
@@ -89,10 +88,10 @@ def tilt_with_spec(model: DensityModel, d: float,
         log_pdf=log_pdf,
         dlog_pdf=dlog,
         params={**model.params, "tilt_d": d},
-        breaks=breaks,
+        breaks=model.breaks,
     )
     c, tilted = normalize(raw)
-    return tilted, c, notes
+    return tilted, c
 
 
 def tilt(model: DensityModel, d: float, kind: Kind) -> DensityModel:
@@ -193,8 +192,8 @@ def scale_identification(target: DensityModel, candidate: DensityModel,
         raise UnsupportedSupport("scale identification applies to half-line supports")
     if candidate.support != target.support:
         raise UnsupportedSupport("scale identification requires a common support")
-    if lam <= 0.0 or lam == 1.0:
-        raise InvalidParams("lam must be positive and different from 1")
+    if not (math.isfinite(lam) and lam > 0.0 and lam != 1.0):
+        raise InvalidParams(f"lam must be finite, positive and different from 1, got {lam}")
 
     lt, stable_t = _origin_ratio_limit(target, lam)
     lc, stable_c = _origin_ratio_limit(candidate, lam)

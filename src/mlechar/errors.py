@@ -92,14 +92,6 @@ class InvalidParams(MlecharError, ValueError):
     sizes, supports, tabulated grids, tilt exponents, tolerances."""
 
 
-# --- forge layer -------------------------------------------------------------
-
-
-class AlreadyCovered(MlecharError):
-    """The sample size already reaches the minimal covering sample size;
-    no subcritical witness exists."""
-
-
 # --- harness -----------------------------------------------------------------
 
 

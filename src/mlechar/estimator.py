@@ -123,11 +123,13 @@ def mle_block(model: DensityModel, kind: Kind, rows,
     if kind.seed is None:
         center, half = np.zeros(m), np.full(m, min(0.5, (w_hi - w_lo) / 4.0))
     else:
-        # the seed sees one (count, n) block per row length
+        # the seed sees one (count, n) block per row length; a sample range
+        # near the float limit overflows to an infinite half-width
         center, half = np.empty(m), np.empty(m)
-        for n in distinct(lengths):
-            group = np.flatnonzero(lengths == n)
-            center[group], half[group] = kind.seed(flat[starts[group, None] + np.arange(n)])
+        with np.errstate(over="ignore"):
+            for n in distinct(lengths):
+                group = np.flatnonzero(lengths == n)
+                center[group], half[group] = kind.seed(flat[starts[group, None] + np.arange(n)])
     center = np.minimum(np.maximum(center, w_lo), w_hi)
 
     def to_theta(t: np.ndarray) -> np.ndarray:
@@ -146,11 +148,12 @@ def mle_block(model: DensityModel, kind: Kind, rows,
     doublings = 0
     pending = np.arange(m)
     while pending.size:
-        lo_p = np.maximum(w_lo, center[pending] - half[pending])
-        hi_p = np.minimum(w_hi, center[pending] + half[pending])
         try:
-            # an action that overflows gives an infinity, outside every support
+            # a bracket end or an action that overflows gives an infinity,
+            # outside every support
             with np.errstate(over="ignore"):
+                lo_p = np.maximum(w_lo, center[pending] - half[pending])
+                hi_p = np.minimum(w_hi, center[pending] + half[pending])
                 slo_p, shi_p = s(lo_p, pending), s(hi_p, pending)
         except OutsideSupport as exc:
             raise BracketFailure(f"no sign change before the action leaves the support "

@@ -23,7 +23,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .coverage import mcss, projection_interval
 from .density import (
     DensityModel,
     InverseCdfSampler,
@@ -31,7 +30,7 @@ from .density import (
     normalize,
     quiet_overflow,
 )
-from .errors import AlreadyCovered, InvalidBounds, InvalidParams, NotMonotone
+from .errors import InvalidParams, NotMonotone
 from .estimator import mle_block
 from .score import LOCATION, analyze_image, anchored_antiderivative
 
@@ -197,45 +196,3 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
         elif worst is None or gap > worst.gap:
             worst = Witness(tuple(float(v) for v in values), tf, tg)
     return CounterexampleReport(n, trials, tol, agree, worst)
-
-
-# ---------------------------------------------------------------------------
-# subcritical identifiability window
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubcriticalWitness:
-    """Identified part of a score image at a sample size below the MCSS."""
-
-    n: int
-    identified: tuple[float, float]
-    unidentified: tuple[tuple[float, float], ...]
-
-
-def subcritical_witness(bounds: tuple[float, float], n: int) -> SubcriticalWitness:
-    """Identifiable sub-interval of the image ``bounds = (p_minus, p_plus)``
-    at sample size ``n < MCSS``.
-
-    The coordinate projections only reach ``projection_interval`` at size n;
-    the remainder of the image is structurally unidentified at that size.
-    Raises :class:`AlreadyCovered` once n reaches the MCSS.
-    """
-    pm, pp = bounds
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    cov = mcss(pm, pp)
-    if n >= cov.value:
-        raise AlreadyCovered(f"n={n} already reaches MCSS={cov}")
-    if not (math.isfinite(pm) and math.isfinite(pp)):
-        raise InvalidBounds(
-            "subcritical witnesses require finite bounds (infinite-bound "
-            "images are never covered and identify nothing new per n)"
-        )
-    lo, hi = projection_interval(pm, pp, n)
-    gaps = []
-    if lo > -pm:
-        gaps.append((-pm, lo))
-    if hi < pp:
-        gaps.append((hi, pp))
-    return SubcriticalWitness(n, (lo, hi), tuple(gaps))

@@ -1,16 +1,19 @@
 """Parameter kinds, score functions and image analysis.
 
 Every parameter kind is a :class:`Kind`: factor functions ``(u1, u2)`` of the
-score ``u2(x) + u1(x) f'(x)/f(x)``, the action ``h(theta, x)`` of the
-parameter on the data, and optionally a closed form of ``int u2/u1``:
+score ``u2(x) + u1(x) f'(x)/f(x)`` with ``u2 = u1'``, and the action
+``h(theta, x)`` of the parameter on the data, the flow of ``u1``:
 
 - location: ``(u1, u2) = (-1, 0)``, ``h = x - theta``, so the score is
   ``phi(x) = -f'(x)/f(x)`` on the full line (stored with this sign so that
-  well-behaved targets have *increasing* scores), ``int u2/u1 = 0``,
+  well-behaved targets have *increasing* scores),
 - scale:    ``(u1, u2) = (x, 1)``, ``h = theta x`` with ``theta = e^t``, so
   the score is ``psi(x) = 1 + x f'(x)/f(x)`` on the full line or a
-  half-line, ``int u2/u1 = log|x|``,
+  half-line,
 - group:    any transformation pair (u1, u2) with its own ``H_theta``.
+
+Since ``u2/u1 = (log|u1|)'``, ``log|u1|`` is the one log-Jacobian of a kind:
+tilts weigh by ``|u1|^(d-1)`` and family members by ``u1(h)/u1``.
 
 ``analyze_image`` classifies a kind's score over a domain: strict
 monotonicity, zero crossing, and the image bounds ``(-p_minus, p_plus)`` with
@@ -20,8 +23,8 @@ domain endpoints.
 the support itself, or the two half-lines when ``u1`` vanishes inside it.
 
 Scores follow the array contract of :mod:`mlechar.density`: a kind's
-``u1``, ``u2``, ``h``, ``to_theta`` and ``antiderivative`` take floats or
-ndarrays, :func:`kind_score` scores a point or a whole probe grid in one
+``u1``, ``u2``, ``h`` and ``to_theta`` take floats or ndarrays,
+:func:`kind_score` scores a point or a whole probe grid in one
 call, and :func:`row_score_sums` scores m samples, as rows of equal or
 different lengths back to back, in one call.  Each row sum is the correctly
 rounded exact sum of the row's scores, the value ``math.fsum`` gives: rows
@@ -78,19 +81,20 @@ def _same(t):
 class Kind:
     """A parameter kind: the score ``u2 + u1 f'/f`` and the action of theta.
 
-    ``h(theta, x)`` maps an observation of the family member at ``theta``
-    into the coordinates of the base density f (``dh_dx`` is its
-    x-derivative, needed to assemble member densities); the MLE is the root
-    of ``sum_i score(h(theta, x_i))``.  The solver searches a coordinate ``t``
+    ``u2`` is the derivative of ``u1``, so ``log|u1|`` is the kind's
+    log-Jacobian: tilts weigh by ``|u1|^(d-1)``.  ``h(theta, x)``, the flow
+    of ``u1``, maps an observation of the family member at ``theta`` into the
+    coordinates of the base density f, with x-derivative
+    ``u1(h(theta, x)) / u1(x)``; the MLE is the root of
+    ``sum_i score(h(theta, x_i))``.  The solver searches a coordinate ``t``
     with ``theta = to_theta(t)``, inside ``theta_window`` (in t), starting
     from ``seed(block) -> (centres, half-widths)`` (default: centre 0).
     ``seed`` receives an ``(m, n)`` block of samples, one per row (the
     solver calls it once per row length), and returns two arrays of m
     values; it is the one field that is never called per element.  Any
     common factor T(theta) of the score is dropped, so the window must keep
-    it of constant nonzero sign.  ``antiderivative`` is a closed form of
-    ``int u2/u1`` (tilts integrate the ratio numerically without one), and
-    ``supports`` lists the admitted support shapes (``None``: any).
+    it of constant nonzero sign.  ``supports`` lists the admitted support
+    shapes (``None``: any).
 
     A kind without an action still has scores, image profiles and tilts,
     but no estimator.  ``u1`` must be nonzero on the support except possibly
@@ -101,10 +105,8 @@ class Kind:
     u1: Callable
     u2: Callable
     h: Optional[Callable] = None
-    dh_dx: Optional[Callable] = None
     theta_window: tuple[float, float] = (-16.0, 16.0)
     label: str = "group"
-    antiderivative: Optional[Callable] = None
     supports: Optional[tuple[str, ...]] = None
     seed: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     to_theta: Callable = _same
@@ -122,7 +124,7 @@ class Kind:
 
 
 def Group(u1: Callable, u2: Callable) -> Kind:
-    """Action-less kind with the factor functions ``u1``, ``u2``."""
+    """Action-less kind with the factor functions ``u1`` and ``u2 = u1'``."""
     return Kind(u1, u2)
 
 
@@ -152,7 +154,6 @@ LOCATION = Kind(
     h=lambda theta, x: x - theta,
     theta_window=(-math.inf, math.inf),
     label="location",
-    antiderivative=lambda x: 0.0,
     supports=(FULL_LINE,),
     seed=_location_seed,
 )
@@ -165,7 +166,6 @@ SCALE = Kind(
     h=lambda theta, x: theta * x,
     theta_window=(math.log(sys.float_info.min), math.log(sys.float_info.max)),
     label="scale",
-    antiderivative=lambda x: np.log(np.abs(x)),
     supports=(FULL_LINE, POSITIVE_HALF_LINE, NEGATIVE_HALF_LINE),
     seed=_rate_seed,
     to_theta=np.exp,
@@ -455,18 +455,17 @@ def analyze_image(model: DensityModel, kind: Kind,
     )
 
 
-def u1_zero_structure(kind: Kind, support: SupportSet) -> str:
-    """'interior', 'endpoint' or 'none' depending on where ``kind.u1`` vanishes."""
+def u1_vanishes_inside(kind: Kind, support: SupportSet) -> bool:
+    """Whether ``kind.u1`` vanishes or changes sign inside ``support``.
+
+    Vanishing limits at the support's ends do not count.
+    """
     # u1 is probed on twice the points of a score, and closer to half-line
     # origins
     xs = probe_grid(support, (support.lower, support.upper), 401, 20.0, 1e-8, 1e-6)
     vals = call_elementwise(kind.u1, xs)
-    if (np.abs(vals) < 1e-12).any() or (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0).any():
-        return "interior"
-    # vanishing limits at the ends count as endpoint zeros, not interior ones
-    if abs(vals[0]) < 1e-6 or abs(vals[-1]) < 1e-6:
-        return "endpoint"
-    return "none"
+    return bool((np.abs(vals) < 1e-12).any()
+                or (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0).any())
 
 
 #: the two sides of an interior zero of u1, taken to be the origin
@@ -479,7 +478,7 @@ def kind_profiles(model: DensityModel, kind: Kind) -> tuple[ScoreProfile, ...]:
     One piece, the support itself; or, when ``u1`` vanishes inside the
     support (scale on the full line), the ``(negative, positive)`` half-lines.
     """
-    if u1_zero_structure(kind, model.support) != "interior":
+    if not u1_vanishes_inside(kind, model.support):
         return (analyze_image(model, kind),)
     return tuple(analyze_image(model, kind, half) for half in _HALF_LINES)
 

@@ -47,7 +47,7 @@ from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
 from .estimator import closed_form_estimator, mle, mle_block
 from .forge import OddPower, forge_odd_h, verify_counterexample
-from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_zero_structure
+from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_vanishes_inside
 
 SCHEMA_VERSION = "mlechar-report-1"
 
@@ -167,7 +167,7 @@ class SuiteConfig:
                 kind.check(entry.model.support)
             except MlecharError as exc:
                 raise InvalidConfig(f"equivalence {name!r}/{kind_label}: {exc}") from exc
-            if (u1_zero_structure(kind, entry.model.support) == "interior"
+            if (u1_vanishes_inside(kind, entry.model.support)
                     and any(d != 1.0 for d in self.tilt_exponents)):
                 raise InvalidConfig(
                     f"equivalence {name!r}/{kind_label}: the class is a singleton, "

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from mlechar import expected_mnss, lookup, mnss, sample_from
 from mlechar.errors import InvalidParams, NotCharacterizable, UnknownFamily
 from mlechar.catalog import kind_for
-from mlechar.score import u1_zero_structure
+from mlechar.score import u1_vanishes_inside
 from mlechar.suite import DEFAULT_FAMILIES, build_profiles
 
 
@@ -249,7 +249,7 @@ def test_numeric_pipeline_reproduces_expected_mnss(name, params, kind):
     entry = lookup(name, params)
     profiles = build_profiles(entry, kind)
     # one profile per monotone piece: two exactly when u1 vanishes inside
-    interior = u1_zero_structure(kind_for(entry, kind), entry.model.support) == "interior"
+    interior = u1_vanishes_inside(kind_for(entry, kind), entry.model.support)
     assert isinstance(profiles, tuple)
     assert len(profiles) == (2 if interior else 1)
     computed = mnss(profiles, kind_for(entry, kind))

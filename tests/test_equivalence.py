@@ -12,7 +12,7 @@ from mlechar import (
     tilt_with_spec,
 )
 from mlechar.density import DensityModel, SupportSet, eval_dlogf
-from mlechar.errors import DegenerateScore, DivergentIntegral, SingletonClass
+from mlechar.errors import DegenerateScore, DivergentIntegral, InvalidParams, SingletonClass
 from mlechar.score import LOCATION, SCALE, kind_score
 
 
@@ -36,7 +36,7 @@ def test_location_tilt_of_gaussian_halves_variance(gaussian):
 
 def test_identity_tilt_returns_same_density(gaussian, gamma2):
     for model, kind in ((gaussian.model, LOCATION), (gamma2.model, SCALE)):
-        tilted, normalizer, _ = tilt_with_spec(model, 1.0, kind)
+        tilted, normalizer = tilt_with_spec(model, 1.0, kind)
         assert abs(normalizer - 1.0) < 1e-9
         for x in (0.5, 1.0, 2.5):
             assert abs(tilted.log_pdf(x) - model.log_pdf(x)) < 1e-9
@@ -126,21 +126,27 @@ def test_singleton_classes(gaussian):
 
 def test_group_tilt_endpoint_zero_is_noted(gamma2):
     kind = Group(lambda x: x, lambda x: 1.0)
-    tilted, _, notes = tilt_with_spec(gamma2.model, 2.0, kind)
-    assert "endpoint" in notes
+    tilted, _ = tilt_with_spec(gamma2.model, 2.0, kind)
     got = same_class(gamma2.model, tilted, kind)
     assert abs(got - 2.0) < 1e-6
 
 
 def test_group_tilt_matches_scale_tilt_on_halfline(gamma2):
     # with u1 = x, u2 = 1 the transformation class coincides with scale;
-    # scores agree exactly, densities to the anchored-integral grid accuracy
+    # scores and densities agree to round-off
     by_group = tilt(gamma2.model, 2.0, Group(lambda x: x, lambda x: 1.0))
     by_scale = tilt(gamma2.model, 2.0, SCALE)
     for x in np.geomspace(0.2, 6.0, 15):
         x = float(x)
         assert abs(kind_score(by_group, SCALE, x) - kind_score(by_scale, SCALE, x)) < 1e-10
-        assert abs(by_group.log_pdf(x) - by_scale.log_pdf(x)) < 1e-3
+        assert abs(by_group.log_pdf(x) - by_scale.log_pdf(x)) < 1e-12
+
+
+def test_tilt_rejects_a_pair_whose_u2_is_not_the_derivative_of_u1(gaussian):
+    # u2 = 0.3 is not (1)' = 0, so no group has this pair and |u1|^(d-1) is
+    # not the class's weight
+    with pytest.raises(InvalidParams, match="not the derivative"):
+        tilt(gaussian.model, 2.0, Group(lambda x: 1.0, lambda x: 0.3))
 
 
 def test_tilt_divergent_for_heavy_tail():
@@ -173,3 +179,9 @@ def test_scale_identification_pathological_limit():
     verdict = scale_identification(nearly_reciprocal, nearly_reciprocal, lam=2.0)
     assert verdict.verdict == "inconclusive"
     assert "pathological" in verdict.note
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -2.0, 1.0])
+def test_scale_identification_rejects_lam_outside_its_domain(gamma2, lam):
+    with pytest.raises(InvalidParams):
+        scale_identification(gamma2.model, gamma2.model, lam=lam)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,7 +115,6 @@ def test_group_mle_reduces_to_location(gaussian):
         u1=lambda x: 1.0,
         u2=lambda x: 0.0,
         h=lambda theta, x: x - theta,
-        dh_dx=lambda theta, x: 1.0,
         theta_window=(-64.0, 64.0),
     )
     r = mle_group(gaussian.model, shift_group, s(1.0, 2.0, 3.0))
@@ -237,7 +237,6 @@ def test_bracket_failure_outside_window(gaussian, sinh_arcsinh):
         u1=sinh_arcsinh.transform.u1,
         u2=sinh_arcsinh.transform.u2,
         h=sinh_arcsinh.transform.h,
-        dh_dx=sinh_arcsinh.transform.dh_dx,
         theta_window=(-0.01, 0.01),
     )
     with pytest.raises(BracketFailure):
@@ -273,6 +272,20 @@ def test_rate_below_the_scale_window_is_a_bracket_failure():
     assert closed_form_mle(laplace, SCALE, sample).theta_hat == 8e-309
     with pytest.raises(BracketFailure):
         mle(laplace.model, SCALE, sample)
+
+
+@pytest.mark.parametrize("name,values", [
+    ("logistic", (1e308, 1.5e308, 1.7e308, 1.2e308)),
+    ("logistic", (-1e308, 1e308)),
+    ("gaussian", (-1e308, 0.0, 1e308)),
+])
+def test_location_rows_near_the_float_limit_fail_without_a_warning(name, values):
+    # the sample range and the bracket ends overflow to infinities, which the
+    # support excludes; the solve fails cleanly instead of warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BracketFailure):
+            mle(lookup(name).model, LOCATION, s(*values))
 
 
 @pytest.mark.parametrize("values", [(1e-300, 2e-300), (1e200, 3e200)])

@@ -12,12 +12,11 @@ from mlechar import (
     lookup,
     mle_location,
     same_class,
-    subcritical_witness,
     tilt,
     verify_counterexample,
 )
 from mlechar.density import Sample
-from mlechar.errors import AlreadyCovered, InvalidBounds, InvalidParams, NotMonotone
+from mlechar.errors import InvalidParams, NotMonotone
 
 
 @pytest.fixture(scope="module")
@@ -142,26 +141,3 @@ def test_verify_counterexample_on_shared_class(gaussian):
     rep = verify_counterexample(gaussian.model, tilted, n=4, trials=40,
                                 seed=5, tol=1e-7)
     assert rep.agreement_fraction == 1.0
-
-
-def test_subcritical_witness_intervals():
-    w = subcritical_witness((1.0, 3.0), 3)
-    assert w.identified == (-1.0, 2.0)
-    assert w.unidentified == ((2.0, 3.0),)
-
-    w = subcritical_witness((1.0, 3.0), 2)
-    assert w.identified == (-1.0, 1.0)
-    assert w.unidentified == ((1.0, 3.0),)
-
-    with pytest.raises(AlreadyCovered):
-        subcritical_witness((1.0, 1.0), 2)
-    with pytest.raises(AlreadyCovered):
-        subcritical_witness((1.0, 3.0), 4)
-    with pytest.raises(InvalidBounds):
-        subcritical_witness((math.inf, 1.0), 3)
-
-
-def test_subcritical_witness_from_profile_bounds():
-    w = subcritical_witness((3.0, 1.0), 2)
-    assert w.identified == (-1.0, 1.0)
-    assert w.unidentified == ((-3.0, -1.0),)

@@ -201,3 +201,22 @@ def test_long_row_sums_are_math_fsum_bit_for_bit(gaussian, style, n, seed):
     short = x[:3]
     both = row_score_sums(model, kind, np.concatenate([short, x]), [3, n], [0.0, 0.0])
     assert [s.hex() for s in both.tolist()] == [math.fsum(short.tolist()).hex(), want.hex()]
+
+
+GROUP_KINDS = [LOCATION, SCALE, lookup("sinh_arcsinh_skew_normal").transform]
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+
+@given(kind=st.sampled_from(GROUP_KINDS), x=st.floats(-20.0, 20.0), t=st.floats(-3.0, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_group_kinds_have_u2_as_the_derivative_of_u1_and_h_as_its_flow(kind, x, t):
+    # u2 = u1', which makes log|u1| the tilt weight, and d/dt h(theta(t), x)
+    # = u1(h), which makes u1(h)/u1 the Jacobian of a family member
+    step = 1e-5 * (1.0 + abs(x))
+    assert _close((float(kind.u1(x + step)) - float(kind.u1(x - step))) / (2.0 * step),
+                  float(kind.u2(x)))
+    flow = lambda t: float(kind.h(float(kind.to_theta(t)), x))
+    assert _close((flow(t + 1e-5) - flow(t - 1e-5)) / 2e-5, float(kind.u1(flow(t))))

@@ -58,6 +58,7 @@ INPUTS = {
     "scale.txt": "0.8\n2.5\n1.1\n3.9\n0.35\n1.6\n",
     "one.txt": "1.0\n",
     "huge.txt": "1e308\n1.5e308\n",
+    "huge4.txt": "1e308\n1.5e308\n1.7e308\n1.2e308\n",
     "empty.txt": "",
     "nan.txt": "1.0\nnan\n",
     "words.txt": "1.0\nabc\n",
@@ -132,6 +133,7 @@ COMMANDS = [
     "mle --family tab_gauss.json --kind loc --data loc.txt",
     "mle --family gauss.json --kind loc --data one.txt",
     "mle --family logistic.json --kind loc --data huge.txt",
+    "mle --family logistic.json --kind loc --data huge4.txt",
     "mle --family gamma2.json --kind loc --data scale.txt",
     "mle --family gauss.json --kind loc --data empty.txt",
     "mle --family gauss.json --kind loc --data nan.txt",
@@ -149,6 +151,7 @@ COMMANDS = [
     "tilt --family logistic.json --d 5 --kind loc",
     "tilt --family weibull2.json --d 3 --kind scale",
     "tilt --family sinh.json --d 2 --kind group --emit t_sinh.json",
+    "tilt --family sinh.json --d 0.5 --kind group",
     "tilt --family gauss.json --d 1 --kind scale",
     "tilt --family gauss.json --d 2 --kind scale",
     "tilt --family gamma2.json --d 2 --kind loc",
@@ -160,6 +163,7 @@ COMMANDS = [
     # same-class
     "same-class --f gauss.json --g t_gauss.json --kind loc",
     "same-class --f gamma2.json --g t_gamma.json --kind scale",
+    "same-class --f sinh.json --g t_sinh.json --kind group",
     "same-class --f gauss.json --g logistic.json --kind loc",
     "same-class --f gauss.json --g gauss.json --kind loc --tol 1e-3",
     "same-class --f gauss.json --g gamma2.json --kind scale",
