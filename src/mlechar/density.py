@@ -5,7 +5,8 @@ A :class:`DensityModel` couples a log-density with an open support and
 (scores, tilts, estimators, forged counterexamples) consumes densities through
 this interface, so the module also provides the shared numeric machinery:
 
-- one way to call any callable on arrays (``call_elementwise``),
+- one way to call any callable on arrays (``call_array``, which keeps a
+  constant 0-d, and ``call_elementwise``, which broadcasts it),
 - central finite differences with a boundary-aware step (``eval_dlogf``),
 - the log of a density's mass over its support (``log_mass``, ``normalize``),
   summed in log space on arrays: fixed-order Gauss-Legendre cells between
@@ -33,7 +34,7 @@ needed (effective-range scans, sampling grids, tabulated files).
 Array contract: log-densities, their derivatives, score factors, actions and
 antiderivatives take a float or an ndarray and work elementwise.  Grids,
 sampler cells and whole samples are evaluated in one call each.  Callables
-written for Python floats only (``math.*``) still work: ``call_elementwise``
+written for Python floats only (``math.*``) still work: ``call_array``
 calls them once per element when they reject an array.  A model's guarded
 log-density passes a scalar straight to the wrapped function.
 """
@@ -80,8 +81,8 @@ TABLE_CELLS = 2048
 INVERT_STEPS = 60
 
 
-def call_elementwise(fn: Callable, *args) -> np.ndarray:
-    """``fn(*args)`` as a float array of the arguments' broadcast shape.
+def call_array(fn: Callable, *args) -> np.ndarray:
+    """``fn(*args)`` as a float array, 0-d where ``fn`` returns a constant.
 
     ``fn`` is called once, on the arrays.  A callable that rejects arrays is
     called once per element, with Python floats, instead: numpy raises
@@ -90,15 +91,20 @@ def call_elementwise(fn: Callable, *args) -> np.ndarray:
     other type propagate.
     """
     arrays = [np.asarray(a, dtype=float) for a in args]
-    shape = arrays[0].shape if len(arrays) == 1 else np.broadcast_shapes(
-        *(a.shape for a in arrays))
     try:
-        out = np.asarray(fn(*arrays), dtype=float)
+        return np.asarray(fn(*arrays), dtype=float)
     except (TypeError, ValueError):
+        shape = np.broadcast(*arrays).shape
         columns = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
         return np.array([fn(*point) for point in zip(*columns)],
                         dtype=float).reshape(shape)
-    # constant callables return a scalar
+
+
+def call_elementwise(fn: Callable, *args) -> np.ndarray:
+    """``fn(*args)`` as a float array of the arguments' broadcast shape: the
+    value of :func:`call_array`, a constant broadcast to that shape."""
+    out = call_array(fn, *args)
+    shape = np.broadcast(*args).shape
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 

@@ -30,6 +30,7 @@ from .density import (
     NEGATIVE_HALF_LINE,
     POSITIVE_HALF_LINE,
     DensityModel,
+    call_array,
     call_elementwise,
     effective_interval,
     median,
@@ -66,17 +67,18 @@ def tilt_with_spec(model: DensityModel, d: float,
         xs = probe_grid(model.support, (model.support.lower, model.support.upper),
                         41, 20.0, 1e-3, 1e-3)
         step = 1e-6 * (1.0 + np.abs(xs))
-        slope = (call_elementwise(u1, xs + step) - call_elementwise(u1, xs - step)) / (2.0 * step)
-        derivative = call_elementwise(u2, xs)
+        slope = (call_array(u1, xs + step) - call_array(u1, xs - step)) / (2.0 * step)
+        derivative = call_array(u2, xs)
         if not (np.abs(derivative - slope) <= 1e-6 * (1.0 + np.abs(derivative))).all():
             raise InvalidParams(f"u2 of the {kind!r} kind is not the derivative of u1, "
                                 "so the kind is not a group's")
 
+        # constant factors (location) stay 0-d; the base terms give the shape
         def log_pdf(x):
-            return (d - 1.0) * np.log(np.abs(call_elementwise(u1, x))) + d * base_log(x)
+            return (d - 1.0) * np.log(np.abs(call_array(u1, x))) + d * base_log(x)
 
         dlog = (
-            (lambda x: (d - 1.0) * call_elementwise(u2, x) / call_elementwise(u1, x)
+            (lambda x: (d - 1.0) * call_array(u2, x) / call_array(u1, x)
              + d * call_elementwise(base_dlog, x))
             if base_dlog
             else None

@@ -23,7 +23,9 @@ domain endpoints.
 the support itself, or the two half-lines when ``u1`` vanishes inside it.
 
 Scores follow the array contract of :mod:`mlechar.density`: a kind's
-``u1``, ``u2``, ``h`` and ``to_theta`` take floats or ndarrays,
+``u1``, ``u2``, ``h`` and ``to_theta`` take floats or ndarrays, and
+``u1`` and ``u2`` may return a constant, which the score keeps scalar (a
+location score is ``0 + (-1) f'/f`` without arrays of -1 and 0).
 :func:`kind_score` scores a point or a whole probe grid in one
 call, and :func:`row_score_sums` scores m samples, as rows of equal or
 different lengths back to back, in one call.  Each row sum is the correctly
@@ -32,7 +34,8 @@ shorter than ``EXTRACT_MIN_ROW`` (1024) go through ``math.fsum`` over a
 list, longer rows through error-free extraction on the score array
 (:func:`row_fsum`), which is faster there.
 :func:`brent_lanes` is the one root finder: Brent's method run lane by
-lane over a batch of brackets, step for step as SciPy's Brent solver runs it.
+lane over a batch of brackets, step for step as SciPy's Brent solver runs it,
+in numpy lockstep for several lanes and in Python floats for one.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .density import (
     CumulativeIntegral,
     DensityModel,
     SupportSet,
+    call_array,
     call_elementwise,
     effective_interval,
     eval_dlogf,
@@ -82,10 +86,11 @@ class Kind:
     """A parameter kind: the score ``u2 + u1 f'/f`` and the action of theta.
 
     ``u2`` is the derivative of ``u1``, so ``log|u1|`` is the kind's
-    log-Jacobian: tilts weigh by ``|u1|^(d-1)``.  ``h(theta, x)``, the flow
-    of ``u1``, maps an observation of the family member at ``theta`` into the
-    coordinates of the base density f, with x-derivative
-    ``u1(h(theta, x)) / u1(x)``; the MLE is the root of
+    log-Jacobian: tilts weigh by ``|u1|^(d-1)``.  Either factor may return
+    a constant (location's -1 and 0, scale's 1); scores and tilts keep it
+    scalar.  ``h(theta, x)``, the flow of ``u1``, maps an observation of the
+    family member at ``theta`` into the coordinates of the base density f,
+    with x-derivative ``u1(h(theta, x)) / u1(x)``; the MLE is the root of
     ``sum_i score(h(theta, x_i))``.  The solver searches a coordinate ``t``
     with ``theta = to_theta(t)``, inside ``theta_window`` (in t), starting
     from ``seed(block) -> (centres, half-widths)`` (default: centre 0).
@@ -179,18 +184,23 @@ SCALE = Kind(
 
 def _scores(model: DensityModel, kind: Kind, x: np.ndarray) -> np.ndarray:
     # support admission is the caller's job (once per profile, solve or tilt)
-    a = call_elementwise(kind.u1, x)
-    b = call_elementwise(kind.u2, x)
+    # constant factors stay 0-d: location scores without copies of -1 and 0
+    a = call_array(kind.u1, x)
+    b = call_array(kind.u2, x)
     zero = a == 0.0
-    if not zero.any():
-        return b + a * eval_dlogf(model, x)
+    # a constant gives one numpy bool, tested without any()'s reduction call
+    if not (zero.any() if a.ndim else zero):
+        scores = a * eval_dlogf(model, x)
+        scores += b
+        return scores
     # where u1 vanishes (the origin, for scale) the score is u2 wherever log f
     # is finite, whether or not f is differentiable there
+    a, zero = np.broadcast_to(a, x.shape), np.broadcast_to(zero, x.shape)
     if not np.isfinite(model.log_pdf(x[zero])).all():
         raise NonFiniteLogDensity(f"log-density not finite at x={x[zero][0]}")
     rest = ~zero
-    out = b.copy()
-    out[rest] = b[rest] + a[rest] * eval_dlogf(model, x[rest])
+    out = np.broadcast_to(b, x.shape).copy()
+    out[rest] += a[rest] * eval_dlogf(model, x[rest])
     return out
 
 
@@ -287,7 +297,7 @@ def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
     moved = call_elementwise(kind.h, theta if one else np.repeat(theta, lengths), flat)
     scores = _scores(model, kind, moved)
     if flat.size >= EXTRACT_MIN_ROW and np.max(lengths) >= EXTRACT_MIN_ROW:
-        sums = map(row_fsum, np.split(scores, np.cumsum(lengths)[:-1]))
+        sums = map(row_fsum, [scores] if one else np.split(scores, np.cumsum(lengths)[:-1]))
     else:
         values = scores.tolist()
         sums = map(math.fsum, [values] if one else map(islice, repeat(iter(values)), lengths))
@@ -520,6 +530,51 @@ def anchored_antiderivative(model: DensityModel, profile: ScoreProfile, integran
 BRENT_RTOL = 8.9e-16
 
 
+def _brent_one(f: Callable, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float,
+               maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`brent_lanes` on one lane: the loop of SciPy's Brent solver as
+    written, in Python floats."""
+    def lane(*values):
+        return tuple(np.array([value]) for value in values)
+
+    if fpre == 0.0:
+        return lane(xpre, fpre, 0, True)
+    if fcur == 0.0:
+        return lane(xcur, fcur, 0, True)
+    lanes = np.zeros(1, dtype=int)
+    xblk = fblk = spre = scur = 0.0
+    for steps in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return lane(xcur, fcur, steps, True)
+        take = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # in C an infinite or NaN step fails the test below
+            else:
+                limit, cap = abs(spre), 3 * abs(sbis) - delta
+                take = 2 * abs(stry) < (limit if limit < cap else cap)
+        spre, scur = (scur, stry) if take else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(np.array([xcur]), lanes)[0])
+    return lane(xcur, fcur, maxiter, False)
+
+
 def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
                 b: np.ndarray, fa: np.ndarray, fb: np.ndarray, xtol: float,
                 maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -533,10 +588,19 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
     ``maxiter`` and ``rtol=BRENT_RTOL``.  ``f(x, lanes)`` evaluates the
     functions of the listed lanes at their points ``x``.  Returns the roots,
     the function values there (the last ones evaluated, or the zero at a
-    bracket end), the iteration counts and whether each lane converged.
+    bracket end), the iteration counts (0 for a zero at a bracket end) and
+    whether each lane converged.
+
+    Several lanes step in numpy lockstep, at about the same cost per step
+    for 25 lanes as for 800.  One lane steps in Python floats, where a
+    numpy step would cost far more than the arithmetic; a secant or
+    inverse-quadratic step whose denominator is zero is not taken, as an
+    infinite or NaN step is not in C.  Both give the same bits.
     """
     xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
     fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
+    if xcur.size == 1:
+        return _brent_one(f, xpre.item(), xcur.item(), fpre.item(), fcur.item(), xtol, maxiter)
     roots, iterations = np.where(fpre == 0.0, xpre, xcur), np.zeros(xcur.size, dtype=int)
     values = np.where(fpre == 0.0, fpre, fcur)
     # a zero at an end returns that end before any iteration

@@ -422,10 +422,49 @@ def test_brent_lanes_returns_the_function_values_at_its_roots(c, maxiter):
     def f(x, lanes):
         return x ** 3 - c[lanes]
 
-    roots, values, _, _ = brent_lanes(f, a, b, f(a, lanes), f(b, lanes), xtol=1e-15,
-                                      maxiter=maxiter)
+    together = brent_lanes(f, a, b, f(a, lanes), f(b, lanes), xtol=1e-15, maxiter=maxiter)
+    roots, values, _, _ = together
     assert np.array_equal(values, f(roots, lanes))
     assert values[-2:].tolist() == [0.0, 0.0]
+    # each lane alone runs in Python floats and ends as it ended in lockstep
+    for i in lanes:
+        lane = lanes[i:i + 1]
+        alone = brent_lanes(lambda x, _: f(x, lane), a[lane], b[lane], f(a[lane], lane),
+                            f(b[lane], lane), xtol=1e-15, maxiter=maxiter)
+        assert np.array_equal(alone[1], f(alone[0], lane))
+        assert [v.tolist() for v in alone] == [v[lane].tolist() for v in together]
+
+
+def _flat_ramp(root, rise, cap, tiny):
+    # flat beyond +-cap, and a staircase of half-integers for a finite rise:
+    # no zero, so the solve ends at a jump; tiny values make the slopes'
+    # products underflow, so the inverse-quadratic denominator vanishes
+    if rise is None:
+        return lambda x: tiny * np.clip(x - root, -cap, cap)
+    return lambda x: tiny * (np.floor(np.clip(x - root, -cap, cap) * rise) + 0.5)
+
+
+@given(root=st.floats(min_value=-2.0, max_value=2.0),
+       rise=st.sampled_from([None, 0.5, 1.0, 4.0, 1e3]),
+       cap=st.floats(min_value=0.1, max_value=5.0),
+       tiny=st.sampled_from([1.0, 1e-160, 1e-300]),
+       ends=st.tuples(st.floats(min_value=2.5, max_value=8.0), st.floats(min_value=2.5, max_value=8.0)),
+       maxiter=st.integers(min_value=1, max_value=100))
+@settings(max_examples=150, deadline=None)
+def test_one_lane_brent_matches_brentq_on_flat_functions(root, rise, cap, tiny, ends, maxiter):
+    g = _flat_ramp(root, rise, cap, tiny)
+    a, b = np.array([-ends[0]]), np.array([ends[1]])
+    alone = brent_lanes(lambda x, _: g(x), a, b, g(a), g(b), xtol=1e-15, maxiter=maxiter)
+    root_, info = brentq(lambda t: float(g(np.array([t]))[0]), float(a[0]), float(b[0]),
+                         xtol=1e-15, rtol=BRENT_RTOL, maxiter=maxiter, full_output=True,
+                         disp=False)
+    assert (alone[0][0], alone[2][0], alone[3][0]) == (root_, info.iterations, info.converged)
+    # as lane 0 of two, beside a lane that needs other steps
+    h = _flat_ramp(-root, rise and rise * 2.0, cap, tiny)
+    pair = brent_lanes(lambda x, lanes: np.where(lanes == 0, g(x), h(x)), np.append(a, a),
+                       np.append(b, b), np.append(g(a), h(a)), np.append(g(b), h(b)),
+                       xtol=1e-15, maxiter=maxiter)
+    assert [v.tolist() for v in alone] == [v[:1].tolist() for v in pair]
 
 
 @given(case=st.sampled_from(CATALOG_KINDS),
@@ -466,6 +505,27 @@ def assert_lanes_equal_single_sample_mles(entry, kind, rows):
         assert alone.method == BracketedRoot(int(roots.iterations[i]),
                                              tuple(roots.bracket[i].tolist()))
         assert alone.kind is kind
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+@pytest.mark.parametrize("name,params,label", [
+    ("gaussian", {}, "location"), ("gaussian", {}, "scale"), ("logistic", {}, "location"),
+    ("gumbel", {}, "location"), ("gamma", {"alpha": 2.0}, "scale"),
+    ("weibull", {"k": 2.0}, "scale"), ("student", {"nu": 3.0}, "scale"),
+    ("sinh_arcsinh_skew_normal", {}, "group"),
+])
+def test_one_lane_equals_a_lockstep_lane_at_large_n(name, params, label, n):
+    # one row solves in Python floats, two rows in the numpy lockstep; rows
+    # of n >= EXTRACT_MIN_ROW are summed by extraction
+    entry = lookup(name, params)
+    kind = kind_for(entry, label)
+    row = _block(entry, n, 1, 2024)[0]
+    alone = mle(entry.model, kind, Sample(row))
+    pair = mle_block(entry.model, kind, [row, row])
+    assert (alone.theta_hat.hex(), alone.residual.hex()) == (float(pair.theta[0]).hex(),
+                                                             float(pair.residual[0]).hex())
+    assert alone.method == BracketedRoot(int(pair.iterations[0]),
+                                         tuple(pair.bracket[0].tolist()))
 
 
 @given(case=st.sampled_from(CATALOG_KINDS), n=st.integers(min_value=1, max_value=12),
