@@ -214,23 +214,32 @@ def mle_group(model: DensityModel, transform: Kind, sample: Sample,
     return mle(model, transform, sample, tol)
 
 
-def _log_mean_exp(u: np.ndarray) -> float:
-    # log(mean(exp(u))), shifted by the maximum so exp cannot overflow
-    top = float(np.max(u))
-    return top + math.log(float(np.mean(np.exp(u - top))))
+def _per_row(fn: Callable, *columns: np.ndarray):
+    # fn on Python floats, once per row: math.log and ** give the bits they
+    # give on a single row
+    return np.frompyfunc(fn, len(columns), 1)(*columns)
 
 
-def _power_mean_rate(x: np.ndarray, power: float) -> float:
-    # mean(|x|^power)^(-1/power), with x divided by max|x| so neither the
-    # power nor the sum can overflow
-    top = float(np.max(np.abs(x)))
-    if top == 0.0:
+def _log_mean_exp(u: np.ndarray):
+    # log(mean(exp(u))) along the last axis, shifted by the maximum so exp
+    # cannot overflow
+    top = np.max(u, axis=-1, keepdims=True)
+    means = np.mean(np.exp(u - top), axis=-1)
+    return _per_row(lambda top, mean: top + math.log(mean), top[..., 0], means)
+
+
+def _power_mean_rate(x: np.ndarray, power: float):
+    # mean(|x|^power)^(-1/power) along the last axis, with x divided by
+    # max|x| so neither the power nor the sum can overflow
+    top = np.max(np.abs(x), axis=-1, keepdims=True)
+    if not top.all():
         raise AllZeroSample("scale estimation needs a nonzero observation")
-    return float(np.mean(np.abs(x / top) ** power)) ** (-1.0 / power) / top
+    means = np.mean(np.abs(x / top) ** power, axis=-1)
+    return _per_row(lambda mean, top: mean ** (-1.0 / power) / top, means, top[..., 0])
 
 
-_CLOSED_FORMS: dict[str, Callable[[np.ndarray, dict], float]] = {
-    "gaussian_location": lambda x, p: float(np.mean(x)),
+_CLOSED_FORMS: dict[str, Callable[[np.ndarray, dict], np.ndarray]] = {
+    "gaussian_location": lambda x, p: np.mean(x, axis=-1),
     "gaussian_scale": lambda x, p: _power_mean_rate(x, 2.0),
     "gamma_scale": lambda x, p: p["alpha"] * _power_mean_rate(x, 1.0),
     "laplace_scale": lambda x, p: _power_mean_rate(x, 1.0),
@@ -240,10 +249,13 @@ _CLOSED_FORMS: dict[str, Callable[[np.ndarray, dict], float]] = {
 }
 
 
-def closed_form_estimator(entry, kind: Kind) -> Callable[[np.ndarray], float]:
+def closed_form_estimator(entry, kind: Kind) -> Callable[[np.ndarray], np.ndarray]:
     """A catalog entry's closed-form estimator for the given kind, as a
     function of the observations alone: no support check and no residual.
 
+    The function takes one sample, or a block of equal-length samples as
+    rows, and returns one estimate per row, as floats: an ``(m, n)`` block
+    gives m of them, each equal bit for bit to the row's own estimate.
     ``entry`` must expose ``closed_form`` (kind label to formula id) and
     ``params``; raises :class:`NoClosedForm` otherwise.
     """
@@ -251,7 +263,7 @@ def closed_form_estimator(entry, kind: Kind) -> Callable[[np.ndarray], float]:
     if formula is None:
         raise NoClosedForm(f"{entry.name} has no closed-form {kind.label} MLE")
     estimate, params = _CLOSED_FORMS[formula], entry.params
-    return lambda values: estimate(values, params)
+    return lambda values: np.asarray(estimate(values, params), dtype=float)
 
 
 def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:

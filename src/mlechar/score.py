@@ -29,13 +29,14 @@ location score is ``0 + (-1) f'/f`` without arrays of -1 and 0).
 :func:`kind_score` scores a point or a whole probe grid in one
 call, and :func:`row_score_sums` scores m samples, as rows of equal or
 different lengths back to back, in one call.  Each row sum is the correctly
-rounded exact sum of the row's scores, the value ``math.fsum`` gives: rows
-shorter than ``EXTRACT_MIN_ROW`` (1024) go through ``math.fsum`` over a
-list, longer rows through error-free extraction on the score array
-(:func:`row_fsum`), which is faster there.
+rounded exact sum of the row's scores, the value ``math.fsum`` gives: a call
+of fewer than ``EXTRACT_MIN_SCORES`` (1024) scores sums each row with
+``math.fsum`` over a list, a larger one sums all its rows at once by
+error-free extraction on the score array (:func:`row_fsums`).
 :func:`brent_lanes` is the one root finder: Brent's method run lane by
 lane over a batch of brackets, step for step as SciPy's Brent solver runs it,
-in numpy lockstep for several lanes and in Python floats for one.
+in numpy lockstep over the lanes not yet converged, and in Python floats for
+one lane.
 """
 
 from __future__ import annotations
@@ -237,44 +238,75 @@ def flatten_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
 
 
-#: rows of at least this many observations are summed by extraction
-#: (:func:`row_fsum`); below about a thousand floats ``math.fsum`` over a
+#: calls of at least this many scores are summed by extraction
+#: (:func:`row_fsums`); below about a thousand floats ``math.fsum`` over a
 #: list costs less
-EXTRACT_MIN_ROW = 1024
+EXTRACT_MIN_SCORES = 1024
 
 
-def row_fsum(row: np.ndarray) -> float:
-    """``math.fsum(row.tolist())`` bit for bit, for a 1-D float array.
+def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
+    """``math.fsum`` of each row, bit for bit: m rows of the given lengths
+    back to back in the 1-D float array ``scores``.
 
-    A row of at least ``EXTRACT_MIN_ROW`` floats is summed by error-free
-    extraction (``ExtractVector`` of Rump, Ogita and Oishi, "Accurate
-    floating-point summation, part I", SIAM J. Sci. Comput. 31(1), 2008).
-    With ``2^M >= n + 2`` and ``sigma = 2^M 2^e`` for ``max|p| < 2^e``, the
-    parts ``q = (sigma + p) - sigma`` are multiples of ``2^-53 sigma`` whose
-    sum is exact in any order, and ``p - q`` is exact.  Each round takes its
-    ``sigma`` from the largest remainder, until no remainder is left; one
-    ``math.fsum`` of the exact part sums rounds the total correctly.  A row
-    with an infinite or NaN score, or whose ``sigma`` would pass ``2^1022``,
+    Fewer than ``EXTRACT_MIN_SCORES`` scores go through ``math.fsum`` over a
+    list.  More are summed all at once by error-free extraction
+    (``ExtractVector`` of Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31(1), 2008).  With
+    ``2^M >= n + 2`` for a row of n and ``sigma = 2^M 2^e`` for its
+    ``max|p| < 2^e``, the parts ``q = (sigma + p) - sigma`` are multiples of
+    ``2^-53 sigma`` whose sum is exact in any order, and ``p - q`` is exact.
+    Two rounds, each with its ``sigma`` from the row's largest remainder,
+    leave no remainder in nearly every row; the one IEEE addition of its two
+    exact part sums then rounds the row's exact sum correctly.  A row with a
+    remainder left, an infinite or NaN score, or a ``sigma`` past ``2^1022``
     goes through ``math.fsum`` itself, which then raises or overflows as it
-    would on the scores.
+    would on the scores.  One row takes its ``sigma`` as a scalar, several
+    rows per row from ``np.maximum.reduceat``.
     """
-    if row.size < EXTRACT_MIN_ROW:
-        return math.fsum(row.tolist())
-    hi, lo = float(row.max()), float(row.min())
-    top = max(hi, -lo)
-    spread = (row.size + 1).bit_length()  # M = ceil(log2(n + 2))
-    if not (math.isfinite(hi) and math.isfinite(lo)) or spread + math.frexp(top)[1] > 1022:
-        return math.fsum(row.tolist())
-    parts = []
-    rest, part = row.copy(), np.empty_like(row)
-    while top != 0.0:
-        sigma = math.ldexp(1.0, spread + math.frexp(top)[1])
-        np.add(rest, sigma, out=part)
-        part -= sigma
-        parts.append(float(part.sum()))
-        rest -= part
-        top = max(float(rest.max()), -float(rest.min()))
-    return math.fsum(parts)
+    lengths = np.asarray(lengths)
+    if scores.size < EXTRACT_MIN_SCORES:
+        values = scores.tolist()
+        rows = [values] if lengths.size == 1 else map(islice, repeat(iter(values)), lengths)
+        return np.array(list(map(math.fsum, rows)))
+    starts = np.cumsum(lengths) - lengths
+    if lengths.size == 1:
+        def top(a):
+            return np.abs(a).max(keepdims=True)
+
+        def total(a):
+            return a.sum(keepdims=True)
+
+        def spread_out(sigma):
+            return sigma
+    else:
+        def top(a):
+            return np.maximum.reduceat(np.abs(a), starts)
+
+        def total(a):
+            return np.add.reduceat(a, starts)
+
+        def spread_out(sigma):
+            return np.repeat(sigma, lengths)
+    # M = ceil(log2(n + 2)), the bit length of n + 1
+    spread = np.frexp(lengths + 1)[1]
+    rest, sums = scores, []
+    # rows left to math.fsum compute garbage here, overwritten below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            largest = top(rest)
+            power = spread + np.frexp(largest)[1]
+            if not sums:
+                left = ~np.isfinite(largest) | (power > 1022)
+            sigma = spread_out(np.ldexp(1.0, power))
+            part = rest + sigma
+            part -= sigma
+            sums.append(total(part))
+            rest = rest - part
+        out = sums[0] + sums[1]
+    left[np.searchsorted(starts, np.flatnonzero(rest), side="right") - 1] = True
+    for i in np.flatnonzero(left).tolist():
+        out[i] = math.fsum(scores[starts[i]:starts[i] + lengths[i]].tolist())
+    return out
 
 
 def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
@@ -283,26 +315,17 @@ def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
 
     ``flat`` holds the m rows back to back and ``lengths`` their sizes.
     Each row sum is the correctly rounded exact sum of that row's own
-    scores, ``math.fsum`` of them, so it does not depend on the other rows.
-    Rows shorter than ``EXTRACT_MIN_ROW`` go through ``math.fsum`` over a
-    list of their scores; longer ones are summed from the score array by
-    error-free extraction (:func:`row_fsum`), which gives the same
-    value bit for bit.  A sum that ``math.fsum`` cannot form, such as scores
+    scores, ``math.fsum`` of them (:func:`row_fsums`), so it does not depend
+    on the other rows.  A sum that ``math.fsum`` cannot form, such as scores
     of both infinite signs, raises :class:`BracketFailure`.
     """
     theta = np.asarray(theta, dtype=float)
+    # a single row needs no theta repeated
     one = len(lengths) == 1
-    # a single row needs neither theta repeated nor its scores cut apart
-    # (math.fsum runs faster over a list than over an islice of it)
     moved = call_elementwise(kind.h, theta if one else np.repeat(theta, lengths), flat)
     scores = _scores(model, kind, moved)
-    if flat.size >= EXTRACT_MIN_ROW and np.max(lengths) >= EXTRACT_MIN_ROW:
-        sums = map(row_fsum, [scores] if one else np.split(scores, np.cumsum(lengths)[:-1]))
-    else:
-        values = scores.tolist()
-        sums = map(math.fsum, [values] if one else map(islice, repeat(iter(values)), lengths))
     try:
-        return np.array(list(sums))
+        return row_fsums(scores, lengths)
     except (ValueError, OverflowError):
         # sum again row by row, only to name the row that failed
         rows = iter(scores.tolist())
@@ -591,8 +614,10 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
     bracket end), the iteration counts (0 for a zero at a bracket end) and
     whether each lane converged.
 
-    Several lanes step in numpy lockstep, at about the same cost per step
-    for 25 lanes as for 800.  One lane steps in Python floats, where a
+    Several lanes step in numpy lockstep, which keeps the state of the live
+    lanes only and drops each lane from it as it converges, so a step costs
+    about as much for 25 lanes as for 800 and the slow last lanes step
+    alone.  One lane steps in Python floats, where a
     numpy step would cost far more than the arithmetic; a secant or
     inverse-quadratic step whose denominator is zero is not taken, as an
     infinite or NaN step is not in C.  Both give the same bits.
@@ -601,20 +626,20 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
     fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
     if xcur.size == 1:
         return _brent_one(f, xpre.item(), xcur.item(), fpre.item(), fcur.item(), xtol, maxiter)
-    roots, iterations = np.where(fpre == 0.0, xpre, xcur), np.zeros(xcur.size, dtype=int)
-    values = np.where(fpre == 0.0, fpre, fcur)
+    roots, values = np.where(fpre == 0.0, xpre, xcur), np.where(fpre == 0.0, fpre, fcur)
     # a zero at an end returns that end before any iteration
     converged = (fpre == 0.0) | (fcur == 0.0)
-    active = ~converged
-    xblk, fblk, spre, scur = (np.zeros(xcur.size) for _ in range(4))
-    # every lane steps in lockstep, but only active lanes are evaluated and
-    # recorded; the step candidates are computed also where their
-    # denominators vanish, and only well-defined ones are taken
+    iterations = np.zeros(xcur.size, dtype=int)
+    # the state of the live lanes only, in the order of their lane numbers;
+    # the step candidates are computed also where their denominators vanish,
+    # and only well-defined ones are taken
+    live = np.flatnonzero(~converged)
+    xpre, xcur, fpre, fcur = xpre[live], xcur[live], fpre[live], fcur[live]
+    xblk, fblk, spre, scur = (np.zeros(live.size) for _ in range(4))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(maxiter):
-            if not active.any():
+        for step in range(1, maxiter + 1):
+            if not live.size:
                 break
-            iterations += active
             flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
             xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
             spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
@@ -625,12 +650,19 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
                                 np.where(swap, fcur, fblk))
             delta = (xtol + BRENT_RTOL * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
-            done = active & ((fcur == 0.0) | (np.abs(sbis) < delta))
-            roots, values = np.where(done, xcur, roots), np.where(done, fcur, values)
-            converged |= done
-            active &= ~done
-            if not active.any():
-                break
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if done.any():
+                # record the converged lanes and drop them from the state
+                ends = live[done]
+                roots[ends], values[ends], iterations[ends] = xcur[done], fcur[done], step
+                converged[ends] = True
+                keep = ~done
+                live = live[keep]
+                xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    v[keep] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+                                      sbis))
+                if not live.size:
+                    break
             secant = -fcur * (xcur - xpre) / (fcur - fpre)
             dpre = (fpre - fcur) / (xpre - xcur)
             dblk = (fblk - fcur) / (xblk - xcur)
@@ -644,8 +676,7 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
             xpre, fpre = xcur, fcur
             xcur = np.where(np.abs(scur) > delta, xcur + scur,
                             xcur + np.where(sbis > 0, delta, -delta))
-            lanes = np.flatnonzero(active)
-            fcur = fcur.copy()
-            fcur[lanes] = f(xcur[lanes], lanes)
-    roots, values = np.where(active, xcur, roots), np.where(active, fcur, values)
+            fcur = np.asarray(f(xcur, live), dtype=float)
+    # lanes still live after maxiter steps end at their last iterate
+    roots[live], values[live], iterations[live] = xcur, fcur, maxiter
     return roots, values, iterations, converged

@@ -40,6 +40,7 @@ from .density import (
     InverseCdfSampler,
     Sample,
     call_elementwise,
+    distinct,
     effective_interval,
     probe_grid,
 )
@@ -512,7 +513,12 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
         estimate = closed_form_estimator(entry, kind)
 
         def deviation(rows):
-            closed = np.array([estimate(row) for row in rows])
+            # one closed-form call per row length, on the block of those rows
+            lengths = np.array([row.size for row in rows])
+            closed = np.empty(lengths.size)
+            for n in distinct(lengths):
+                group = np.flatnonzero(lengths == n)
+                closed[group] = estimate(np.array([rows[i] for i in group]))
             numeric = mle_block(entry.model, kind, rows, config.mle_tol).theta
             # rates compare relatively, locations absolutely
             return np.abs(closed - numeric) / (np.abs(numeric) if kind is SCALE else 1.0)

@@ -515,8 +515,8 @@ def assert_lanes_equal_single_sample_mles(entry, kind, rows):
     ("sinh_arcsinh_skew_normal", {}, "group"),
 ])
 def test_one_lane_equals_a_lockstep_lane_at_large_n(name, params, label, n):
-    # one row solves in Python floats, two rows in the numpy lockstep; rows
-    # of n >= EXTRACT_MIN_ROW are summed by extraction
+    # one row solves in Python floats, two rows in the numpy lockstep; calls
+    # of at least EXTRACT_MIN_SCORES scores are summed by extraction
     entry = lookup(name, params)
     kind = kind_for(entry, label)
     row = _block(entry, n, 1, 2024)[0]
