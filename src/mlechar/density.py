@@ -215,6 +215,11 @@ class SupportSet:
         """Strict interior membership of a float, or of each element of an ndarray."""
         return (self.lower < x) & (x < self.upper)
 
+    def holds(self, xs: np.ndarray) -> bool:
+        """Whether every element of a non-empty array is interior: two
+        reductions and no boolean arrays.  A NaN fails."""
+        return bool(self.lower < xs.min() and xs.max() < self.upper)
+
     def __str__(self) -> str:
         return f"({self.lower}, {self.upper})"
 
@@ -287,7 +292,7 @@ class Sample:
         return int(self.values.size)
 
     def require_inside(self, model: DensityModel) -> None:
-        if not model.support.contains(self.values).all():
+        if not model.support.holds(self.values):
             raise OutsideSupport(f"sample contains values outside support {model.support}")
 
 
@@ -323,8 +328,8 @@ def eval_dlogf(model: DensityModel, x):
     shrunk so both probe points stay inside the support.
     """
     xs = np.asarray(x, dtype=float)
-    outside = ~model.support.contains(xs)
-    if outside.any():
+    if xs.size and not model.support.holds(xs):
+        outside = ~model.support.contains(xs)
         raise OutsideSupport(f"x={xs[outside][0]} is not interior to {model.support}")
     out = (_central_difference(model, xs) if model.dlog_pdf is None
            else call_elementwise(model.dlog_pdf, xs))

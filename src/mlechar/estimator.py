@@ -45,6 +45,7 @@ from .score import (
     Kind,
     brent_lanes,
     flatten_rows,
+    identity,
     row_score_sums,
 )
 
@@ -133,7 +134,7 @@ def mle_block(model: DensityModel, kind: Kind, rows,
     center = np.minimum(np.maximum(center, w_lo), w_hi)
 
     def to_theta(t: np.ndarray) -> np.ndarray:
-        return call_elementwise(kind.to_theta, t)
+        return t if kind.to_theta is identity else call_elementwise(kind.to_theta, t)
 
     def s(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         if lanes.size == m:

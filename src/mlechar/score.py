@@ -78,7 +78,8 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
-def _same(t):
+def identity(t):
+    """The default ``Kind.to_theta``: the solver coordinate is theta itself."""
     return t
 
 
@@ -115,7 +116,7 @@ class Kind:
     label: str = "group"
     supports: Optional[tuple[str, ...]] = None
     seed: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
-    to_theta: Callable = _same
+    to_theta: Callable = identity
 
     def __repr__(self) -> str:
         return self.label
