@@ -61,8 +61,12 @@ def _pow(x, k: float):
 
 
 def _sqrt1p2(x):
-    """sqrt(1 + x^2) without overflow in x^2."""
-    return np.hypot(1.0, x)
+    """sqrt(1 + x^2) of a float or an ndarray, |x| where x^2 overflows
+    (from |x| > 2^27 on, sqrt(1 + x^2) rounds to |x| anyway)."""
+    with np.errstate(over="ignore"):
+        root = np.sqrt(1.0 + x * x)
+    big = np.isinf(root)
+    return np.where(big, np.abs(x), root)[()] if big.any() else root
 
 
 @dataclass(frozen=True, eq=False)
