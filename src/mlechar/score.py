@@ -73,6 +73,17 @@ from .errors import (
     UnsupportedSupport,
 )
 
+# glibc serves the ~80 KB temporaries of a score evaluation at n = 10,000
+# from the top of its heap; under its default 128 KiB trim threshold it
+# hands them back to the system and faults them in again on every
+# evaluation (3,500-4,900 minor page faults and a third more time per pass
+# of 16 solves at n = 1,000 and 10,000), or not, depending on what the
+# process happened to free before.  Freeing one block of its own mapping
+# raises the mmap threshold to that block's size and the trim threshold to
+# twice that (mallopt(3), dynamic mmap threshold), so every process runs
+# the way the lucky ones do.
+np.empty(1 << 17)
+
 # ---------------------------------------------------------------------------
 # parameter kinds
 # ---------------------------------------------------------------------------
@@ -258,11 +269,13 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     ``2^-53 sigma`` whose sum is exact in any order, and ``p - q`` is exact.
     Two rounds, each with its ``sigma`` from the row's largest remainder,
     leave no remainder in nearly every row; the one IEEE addition of its two
-    exact part sums then rounds the row's exact sum correctly.  A row with a
-    remainder left, an infinite or NaN score, or a ``sigma`` past ``2^1022``
-    goes through ``math.fsum`` itself, which then raises or overflows as it
-    would on the scores.  One row takes its ``sigma`` as a scalar, several
-    rows per row from ``np.maximum.reduceat``.
+    exact part sums then rounds the row's exact sum correctly (for
+    ``sigma <= 2^1023`` nothing overflows).  A row with a remainder left goes
+    through ``math.fsum`` itself, which then raises or overflows as it would
+    on the scores: so does a row with an infinite or NaN score, or whose
+    ``sigma`` overflows, as these leave NaN behind.  Each row's ``sigma``
+    comes from ``np.maximum.reduceat`` and its part sums from
+    ``np.add.reduceat``.
     """
     lengths = np.asarray(lengths)
     if scores.size < EXTRACT_MIN_SCORES:
@@ -270,40 +283,24 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
         rows = [values] if lengths.size == 1 else map(islice, repeat(iter(values)), lengths)
         return np.array(list(map(math.fsum, rows)))
     starts = np.cumsum(lengths) - lengths
-    if lengths.size == 1:
-        def top(a):
-            return np.abs(a).max(keepdims=True)
-
-        def total(a):
-            return a.sum(keepdims=True)
-
-        def spread_out(sigma):
-            return sigma
-    else:
-        def top(a):
-            return np.maximum.reduceat(np.abs(a), starts)
-
-        def total(a):
-            return np.add.reduceat(a, starts)
-
-        def spread_out(sigma):
-            return np.repeat(sigma, lengths)
     # M = ceil(log2(n + 2)), the bit length of n + 1
     spread = np.frexp(lengths + 1)[1]
-    rest, sums = scores, []
-    # rows left to math.fsum compute garbage here, overwritten below
+    rest, part, sums = scores.copy(), np.empty_like(scores), []
+    # an infinite or NaN score, or a sigma that overflows, leaves NaN in its
+    # row's remainder
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2):
-            largest = top(rest)
-            power = spread + np.frexp(largest)[1]
-            if not sums:
-                left = ~np.isfinite(largest) | (power > 1022)
-            sigma = spread_out(np.ldexp(1.0, power))
-            part = rest + sigma
+            top = np.maximum(np.maximum.reduceat(rest, starts), -np.minimum.reduceat(rest, starts))
+            sigma = np.ldexp(1.0, spread + np.frexp(top)[1])
+            # one row's sigma broadcasts as a scalar
+            if lengths.size > 1:
+                sigma = np.repeat(sigma, lengths)
+            np.add(rest, sigma, out=part)
             part -= sigma
-            sums.append(total(part))
-            rest = rest - part
+            sums.append(np.add.reduceat(part, starts))
+            rest -= part
         out = sums[0] + sums[1]
+    left = np.zeros(lengths.size, dtype=bool)
     left[np.searchsorted(starts, np.flatnonzero(rest), side="right") - 1] = True
     for i in np.flatnonzero(left).tolist():
         out[i] = math.fsum(scores[starts[i]:starts[i] + lengths[i]].tolist())
