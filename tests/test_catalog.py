@@ -273,3 +273,18 @@ def test_student_scale_numeric_bounds(nu):
     for prof in (neg, pos):
         assert abs(prof.p_minus - nu) / nu < 1e-3
         assert abs(prof.p_plus - 1.0) < 1e-3
+
+
+def test_sinh_arcsinh_factor_is_sqrt_1_plus_x_squared_without_overflow():
+    from mlechar.catalog import _sqrt1p2
+    x = np.concatenate([np.linspace(-30.0, 30.0, 601), [1e154, -1e155, 1e300, -1.7e308],
+                        [math.inf, -math.inf]])
+    got = _sqrt1p2(x)
+    # within one rounding of np.hypot on finite values, and |x| where x^2
+    # overflows
+    want = np.hypot(1.0, x[:-2])
+    assert np.all(np.abs(got[:-2] - want) <= np.spacing(want))
+    assert got[-6:].tolist() == np.abs(x[-6:]).tolist()
+    for value in (0.0, -3.0, 1e300, -math.inf):
+        scalar = _sqrt1p2(value)
+        assert np.ndim(scalar) == 0 and float(scalar) == float(got[np.flatnonzero(x == value)[0]])

@@ -578,3 +578,17 @@ def test_probe_and_compact_grids_stay_inside(case, constants, points):
     _, xs = compact_grid(support, support.lower, support.upper, points, inset=1e-7)
     assert np.isfinite(xs).all() and (np.diff(xs) > 0).all()
     assert all(support.contains(float(x)) for x in xs)
+
+
+@pytest.mark.parametrize("values,bad", [
+    ([1.0, -2.0, 3.0], "-2.0"), ([1.0, math.nan], "nan"), ([0.0, 1.0], "0.0"),
+    ([2.0, math.inf], "inf"),
+])
+def test_interior_checks_name_the_first_offending_value(gamma2, values, bad):
+    # one min and one max decide interiority; a NaN fails both
+    x = np.array(values)
+    with pytest.raises(OutsideSupport, match=f"^x={bad} is not interior"):
+        eval_dlogf(gamma2.model, x)
+    with pytest.raises(OutsideSupport):
+        Sample(x).require_inside(gamma2.model)
+    assert eval_dlogf(gamma2.model, np.empty(0)).shape == (0,)

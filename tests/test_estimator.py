@@ -19,7 +19,13 @@ from mlechar import (
     tilt,
 )
 from mlechar.catalog import kind_for
-from mlechar.density import InverseCdfSampler, Sample
+from mlechar.density import (
+    DensityModel,
+    InverseCdfSampler,
+    Sample,
+    SupportSet,
+    quiet_overflow,
+)
 from mlechar.errors import (
     AllZeroSample,
     BracketFailure,
@@ -28,9 +34,15 @@ from mlechar.errors import (
     NoClosedForm,
     OutsideSupport,
 )
-from mlechar.estimator import BracketedRoot, ClosedForm, mle, mle_block
+from mlechar.estimator import (
+    BracketedRoot,
+    ClosedForm,
+    closed_form_estimator,
+    mle,
+    mle_block,
+)
 from mlechar.score import BRENT_RTOL, Kind, brent_lanes, flatten_rows, row_score_sums
-from mlechar.suite import DEFAULT_FAMILIES
+from mlechar.suite import CLOSED_FORM_CASES, DEFAULT_FAMILIES
 
 
 def s(*values):
@@ -549,3 +561,97 @@ def test_ragged_block_mle_equals_single_sample_mles(case, lengths, seed):
     draw = InverseCdfSampler(entry.model).rows(sum(lengths), [seed])[0]
     rows = np.split(draw, np.cumsum(lengths)[:-1])
     assert_lanes_equal_single_sample_mles(entry, kind_for(entry, label), rows)
+
+
+def _lane_function(shape: str, c: float):
+    # functions on [-4, 4] with a sign change: a cubic, a clipped ramp and a
+    # staircase (flat stretches; see _flat_ramp), or a zero at an end
+    if shape == "cubic":
+        return lambda x: x ** 3 - c ** 3
+    if shape == "zero at a":
+        return lambda x: x + 4.0
+    if shape == "zero at b":
+        return lambda x: x - 4.0
+    return _flat_ramp(c, 4.0 if shape == "stairs" else None, 0.5, 1.0)
+
+
+@given(specs=st.lists(st.tuples(st.sampled_from(["cubic", "ramp", "stairs", "cubic", "zero at a",
+                                                 "zero at b"]),
+                                st.floats(min_value=-3.0, max_value=3.0)),
+                      min_size=2, max_size=10),
+       maxiter=st.integers(min_value=1, max_value=60), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_lockstep_lanes_are_invariant_under_permutation_and_equal_one_lane_solves(specs, maxiter,
+                                                                                  data):
+    # lanes converge at different steps, some not within maxiter and some
+    # at a zero end before any step, so the live lanes are dropped unevenly
+    functions = [_lane_function(shape, c) for shape, c in specs]
+    m = len(functions)
+    a, b = np.full(m, -4.0), np.full(m, 4.0)
+
+    def solve(fns, lanes):
+        def f(x, live):
+            return np.array([float(fns[lane](xi)) for xi, lane in zip(x.tolist(), live.tolist())])
+        return [v.tolist() for v in brent_lanes(f, a[lanes], b[lanes], f(a[lanes], lanes),
+                                                f(b[lanes], lanes), xtol=1e-15, maxiter=maxiter)]
+
+    together = solve(functions, np.arange(m))
+    order = data.draw(st.permutations(range(m)))
+    permuted = solve([functions[i] for i in order], np.arange(m))
+    assert permuted == [[v[i] for i in order] for v in together]
+    for i in range(m):
+        assert solve(functions[i:i + 1], np.arange(1)) == [[v[i]] for v in together]
+
+
+def test_a_block_names_the_row_whose_scores_overflow_to_both_infinities():
+    # the location score x^3 of exp(-x^4/4) overflows to -inf and +inf on
+    # the middle row once theta sits between its ends; the block holds more
+    # than 1,024 observations, so it is summed by extraction
+    model = DensityModel("quartic", SupportSet.full_line(), lambda x: -x ** 4 / 4.0,
+                         quiet_overflow(lambda x: -x ** 3))
+    bad = np.array([-1e200, 0.5, 1e200])
+    rows = [np.linspace(-1.0, 2.0, 9), bad, np.linspace(3.0, 4.0, 1100)]
+    with pytest.raises(BracketFailure) as alone:
+        mle(model, LOCATION, Sample(bad))
+    with pytest.raises(BracketFailure) as block:
+        mle_block(model, LOCATION, rows)
+    assert str(block.value) == str(alone.value)
+    assert str(block.value).startswith("the score sum at theta=0.0 has no value")
+
+
+def _log_mean_exp_of_a_row(u):
+    top = float(np.max(u))
+    return top + math.log(float(np.mean(np.exp(u - top))))
+
+
+def _power_mean_rate_of_a_row(x, power):
+    top = float(np.max(np.abs(x)))
+    return float(np.mean(np.abs(x / top) ** power)) ** (-1.0 / power) / top
+
+
+#: the closed forms written for one row at a time, as the reference
+ROW_CLOSED_FORMS = {
+    "gaussian_location": lambda x, p: float(np.mean(x)),
+    "gaussian_scale": lambda x, p: _power_mean_rate_of_a_row(x, 2.0),
+    "gamma_scale": lambda x, p: p["alpha"] * _power_mean_rate_of_a_row(x, 1.0),
+    "laplace_scale": lambda x, p: _power_mean_rate_of_a_row(x, 1.0),
+    "weibull_scale": lambda x, p: _power_mean_rate_of_a_row(x, p["k"]),
+    "gumbel_location": lambda x, p: -_log_mean_exp_of_a_row(-x),
+    "ferguson_location": lambda x, p: _log_mean_exp_of_a_row(p["gamma"] * x) / p["gamma"],
+}
+
+
+@given(case=st.sampled_from(CLOSED_FORM_CASES), n=st.integers(min_value=1, max_value=40),
+       m=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=10_000),
+       factor=st.sampled_from([1.0, 1e-150, 1e150]))
+@settings(max_examples=100, deadline=None)
+def test_closed_form_estimator_on_a_block_equals_each_row_bit_for_bit(case, n, m, seed, factor):
+    name, params, label = case
+    entry = lookup(name, params)
+    estimate = closed_form_estimator(entry, kind_for(entry, label))
+    block = _block(entry, n, m, seed) * factor
+    got = estimate(block)
+    want = [ROW_CLOSED_FORMS[entry.closed_form[label]](row, entry.params) for row in block]
+    assert got.shape == (m,)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    assert float(estimate(block[0])).hex() == want[0].hex()

@@ -17,6 +17,7 @@ from mlechar.score import (
     bracketed_root,
     kind_profiles,
     kind_score,
+    row_fsums,
     row_score_sums,
 )
 
@@ -220,3 +221,69 @@ def test_group_kinds_have_u2_as_the_derivative_of_u1_and_h_as_its_flow(kind, x, 
                   float(kind.u2(x)))
     flow = lambda t: float(kind.h(float(kind.to_theta(t)), x))
     assert _close((flow(t + 1e-5) - flow(t - 1e-5)) / 2e-5, float(kind.u1(flow(t))))
+
+
+def _block_row(style: str, n: int, rng) -> np.ndarray:
+    signs = rng.choice([-1.0, 1.0], n)
+    if style == "normal":
+        return rng.standard_normal(n)
+    if style == "spread":
+        return rng.uniform(0.5, 1.0, n) * 2.0 ** rng.integers(-1074, 1001, n) * signs
+    if style == "ties":
+        return rng.choice(SPECIAL, n) * signs
+    if style == "cancel":
+        # x and -x: the exact sum is zero, which fsum gives as +0.0
+        half = rng.standard_normal(n // 2) * 2.0 ** rng.integers(-1000, 1000, n // 2)
+        return rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+    if style == "three rounds":
+        # a unit and values 50 to 900 binades below it, with low mantissa
+        # bits: two rounds of extraction leave a remainder
+        x = (1.0 + rng.integers(1, 2 ** 20, n) * 2.0 ** -52) * 2.0 ** -rng.integers(50, 900, n)
+        x[0] = 1.0
+        return x * signs
+    if style == "near 2^1022":
+        # sigma passes 2^1022; some of these sums overflow
+        return rng.uniform(0.5, 1.0, n) * 2.0 ** rng.integers(1010, 1024, n) * signs
+    x = rng.standard_normal(n)
+    x[rng.integers(0, n)] = rng.choice([math.nan, math.inf, -math.inf])
+    if n > 1 and rng.random() < 0.5:
+        x[rng.integers(0, n)] = -math.inf  # maybe beside +inf: no value
+    return x
+
+
+def _fsums_or_error(rows):
+    try:
+        return [math.fsum(row.tolist()).hex() for row in rows]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@given(rows=st.lists(st.tuples(
+           st.sampled_from(["normal", "spread", "ties", "cancel", "three rounds", "normal",
+                            "spread", "cancel", "near 2^1022", "non-finite"]),
+           st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(1024, 3000))),
+           min_size=1, max_size=30),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=[("three rounds", 12), ("normal", 1100)], seed=0)
+@example(rows=[("cancel", 12), ("cancel", 1024)], seed=1)
+@settings(max_examples=200, deadline=None)
+def test_block_row_sums_are_math_fsum_per_row_bit_for_bit(rows, seed):
+    # short and long rows in one call, summed at once by extraction from
+    # 1,024 scores on: each row sum is math.fsum of that row alone, or the
+    # block raises as math.fsum raises on the first row that has no sum
+    rng = np.random.default_rng(seed)
+    block = [_block_row(style, n, rng) for style, n in rows]
+    lengths = [n for _, n in rows]
+    want = _fsums_or_error(block)
+    try:
+        got = [s.hex() for s in row_fsums(np.concatenate(block), lengths).tolist()]
+    except (ValueError, OverflowError) as exc:
+        got = type(exc), str(exc)
+    assert got == want
+    # the scores of SIGNED_LOCATION on the gaussian are the data, which must
+    # be finite
+    flat = np.concatenate(block)
+    if np.isfinite(flat).all() and isinstance(want, list):
+        sums = row_score_sums(lookup("gaussian").model, SIGNED_LOCATION, flat, lengths,
+                              np.zeros(len(rows)))
+        assert [s.hex() for s in sums.tolist()] == want

@@ -1,5 +1,6 @@
 """The repository tools: the machine-report diff, the code-line counter, the
-BENCH file writer and the CLI battery; and the python examples of the README."""
+BENCH file writer, the benchmark pair runner and the CLI battery; and the
+python examples of the README."""
 
 import copy
 import hashlib
@@ -145,6 +146,60 @@ def test_bench_json_refuses_mixed_machines_and_unknown_revisions(tmp_path, capsy
     assert "disagree" in capsys.readouterr().err
     assert bench_json.main([str(results), "--rev", "fff", "-o", out]) == 1
     assert "0 revisions match" in capsys.readouterr().err
+
+
+def test_bench_pairs_judges_a_metric_by_the_pair_rule():
+    judge = load("bench_pairs").judge
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change = [0.80, 0.82, 0.79, 0.81, 0.80, 1.05, 0.78, 0.80, 0.83, 0.79]
+    won = judge(parent, change, "lower", 0.24)
+    # 9 of 10 pairs won and a median gap far beyond the parent's quartiles
+    assert (won["wins"], won["pairs"], won["gain"]) == (9, 10, True)
+    assert won["versus_bound"] == "within bound"
+    assert won["parent"][0] == 1.0 and round(won["change_vs_parent"], 6) == -0.2
+    # 8 of 10 is not enough, and a worse median beyond the bound is named
+    assert not judge(parent, change[:8] + [1.5, 1.5], "lower", 0.24)["gain"]
+    assert judge(change, parent, "lower", 0.1)["versus_bound"] == "worse beyond bound"
+    # wide runs that do not all beat the parent's leave the bound unresolved
+    assert judge(parent, [0.5, 1.5] * 5, "lower", 0.24)["versus_bound"] == "unresolved"
+    # higher is better: the same numbers read the other way
+    assert judge(change, parent, "higher", 0.24)["gain"]
+    assert load("bench_pairs").parse_seeds("1-3,7") == [1, 2, 3, 7]
+
+
+FAKE_RUN = """
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+op_s = (2.0 if Path.cwd().name == "parent" else 1.0) + seed / 100
+with open(args["--out"], "a") as fh:
+    fh.write(json.dumps({"seed": seed, "op_s": op_s}) + "\\n")
+print("== a run")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"op_s": {"value": op_s, "unit": "s"}}}))
+"""
+
+
+def test_bench_pairs_alternates_the_sides_and_prints_every_run(tmp_path, capsys):
+    bench_pairs = load("bench_pairs")
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "op_s", "unit": "s", "better": "lower", "bound": 0.24}]}))
+    out = tmp_path / "out"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                             "suite_default", "--seeds", "1-2,9", "--seconds", "1",
+                             "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sides = [line.split()[5] for line in lines[:6]]
+    assert sides == ["parent", "change", "change", "parent", "parent", "change"]
+    assert all(" minflt=" in line and " failed=0/3" in line for line in lines[:6])
+    assert lines[6].startswith("suite_default op_s: parent 2.02 ")
+    assert " wins 3/3 gain; within bound 0.24" in lines[6]
+    assert [json.loads(line)["seed"] for line in (out / "change.jsonl").read_text().splitlines()] \
+        == [1, 2, 9]
 
 
 def test_readme_python_blocks_run():
