@@ -74,14 +74,13 @@ from .errors import (
 )
 
 # glibc serves the ~80 KB temporaries of a score evaluation at n = 10,000
-# from the top of its heap; under its default 128 KiB trim threshold it
-# hands them back to the system and faults them in again on every
-# evaluation (3,500-4,900 minor page faults and a third more time per pass
-# of 16 solves at n = 1,000 and 10,000), or not, depending on what the
-# process happened to free before.  Freeing one block of its own mapping
-# raises the mmap threshold to that block's size and the trim threshold to
-# twice that (mallopt(3), dynamic mmap threshold), so every process runs
-# the way the lucky ones do.
+# from the top of its heap.  Under its default 128 KiB trim threshold it
+# may return them to the system after each evaluation and fault them in
+# again (3,500-4,900 minor page faults, and a third more time, per 16
+# solves at n = 1,000 and 10,000), depending on what the process freed
+# before.  A freed 1 MiB block, which glibc maps on its own, raises the
+# mmap threshold to 1 MiB and the trim threshold to 2 MiB (mallopt(3),
+# dynamic mmap threshold), so every process keeps its heap.
 np.empty(1 << 17)
 
 # ---------------------------------------------------------------------------
@@ -270,12 +269,13 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     Two rounds, each with its ``sigma`` from the row's largest remainder,
     leave no remainder in nearly every row; the one IEEE addition of its two
     exact part sums then rounds the row's exact sum correctly (for
-    ``sigma <= 2^1023`` nothing overflows).  A row with a remainder left goes
-    through ``math.fsum`` itself, which then raises or overflows as it would
-    on the scores: so does a row with an infinite or NaN score, or whose
-    ``sigma`` overflows, as these leave NaN behind.  Each row's ``sigma``
-    comes from ``np.maximum.reduceat`` and its part sums from
-    ``np.add.reduceat``.
+    ``sigma <= 2^1023`` nothing overflows).  Each row's ``sigma`` comes from
+    ``np.maximum.reduceat`` and its part sums from ``np.add.reduceat``.  A
+    row with a remainder left takes more rounds alone, and ``math.fsum`` of
+    its part sums rounds the total; a row with an infinite or NaN score, or
+    whose ``sigma`` overflows, leaves NaN behind and goes through
+    ``math.fsum`` itself, which then raises or overflows as it would on the
+    scores.
     """
     lengths = np.asarray(lengths)
     if scores.size < EXTRACT_MIN_SCORES:
@@ -303,8 +303,27 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     left = np.zeros(lengths.size, dtype=bool)
     left[np.searchsorted(starts, np.flatnonzero(rest), side="right") - 1] = True
     for i in np.flatnonzero(left).tolist():
-        out[i] = math.fsum(scores[starts[i]:starts[i] + lengths[i]].tolist())
+        row = slice(starts[i], starts[i] + lengths[i])
+        out[i] = _fsum_rest(scores[row], rest[row], int(spread[i]), [sums[0][i], sums[1][i]])
     return out
+
+
+def _fsum_rest(row: np.ndarray, rest: np.ndarray, spread: int, parts: list) -> float:
+    """``math.fsum`` of a row from the exact part sums extracted so far and
+    the remainder ``rest``, which it overwrites: more rounds of the row alone
+    while the remainder is finite, ``math.fsum`` of the row otherwise."""
+    top = float(np.abs(rest).max())
+    if not math.isfinite(top):
+        return math.fsum(row.tolist())
+    part = np.empty_like(rest)
+    while top != 0.0:
+        sigma = math.ldexp(1.0, spread + math.frexp(top)[1])
+        np.add(rest, sigma, out=part)
+        part -= sigma
+        parts.append(float(part.sum()))
+        rest -= part
+        top = float(np.abs(rest).max())
+    return math.fsum(parts)
 
 
 def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,

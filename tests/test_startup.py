@@ -2,7 +2,9 @@
 normalization, solvers) are numpy code, and scipy serves the tests only.
 Nor does any load ``numpy.ma``, which ``np.unique`` and ``np.median`` import
 on their first call (15-20 ms).  ``import mlechar`` loads no submodule, and
-only the ``suite`` subcommand loads ``mlechar.suite``.
+only the ``suite`` subcommand loads ``mlechar.suite``.  Importing
+``mlechar.score`` keeps glibc from trimming the heap under score
+temporaries.
 
 Each check runs in a fresh interpreter, because the test process itself has
 scipy and every mlechar module loaded.
@@ -10,6 +12,7 @@ scipy and every mlechar module loaded.
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -137,3 +140,32 @@ def test_only_the_suite_subcommand_loads_the_suite_module(files):
             "    assert 'mlechar.suite' not in sys.modules, argv[0]\n")
     proc = run_fresh(code, files)
     assert proc.returncode == 0, proc.stderr
+
+
+CHURN = """
+import resource
+import numpy as np
+{imports}
+def churn():
+    # six 80 KB arrays, as a score evaluation at n = 10,000 makes, freed
+    # together at the top of the heap
+    arrays = [np.ones(10_000) for _ in range(6)]
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the trim threshold is glibc's")
+def test_importing_score_keeps_glibc_from_trimming_the_heap_under_temporaries(tmp_path):
+    # under glibc's default 128 KiB trim threshold each round hands the
+    # arrays back and faults them in again; after mlechar.score is imported
+    # the heap keeps them
+    faults = {}
+    for imports in ("", "import mlechar.score"):
+        proc = run_fresh(CHURN.format(imports=imports), tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        faults[imports] = int(proc.stdout)
+    assert faults["import mlechar.score"] < 100 < faults[""]
