@@ -73,15 +73,17 @@ from .errors import (
     UnsupportedSupport,
 )
 
-# glibc serves the ~80 KB temporaries of a score evaluation at n = 10,000
-# from the top of its heap.  Under its default 128 KiB trim threshold it
-# may return them to the system after each evaluation and fault them in
-# again (3,500-4,900 minor page faults, and a third more time, per 16
-# solves at n = 1,000 and 10,000), depending on what the process freed
-# before.  A freed 1 MiB block, which glibc maps on its own, raises the
-# mmap threshold to 1 MiB and the trim threshold to 2 MiB (mallopt(3),
-# dynamic mmap threshold), so every process keeps its heap.
-np.empty(1 << 17)
+# glibc serves the 80-800 KB temporaries of a score evaluation at
+# n = 10,000-100,000 from the top of its heap.  Under its default 128 KiB
+# trim threshold it may return them to the system after each evaluation and
+# fault them in again (3,500-4,900 minor page faults, and a third more time,
+# per 16 solves at n = 1,000 and 10,000; about 10,000 faults per solve at
+# n = 100,000), depending on what the process freed before.  A freed
+# 16 MiB block, which glibc maps on its own, raises the mmap threshold to
+# 16 MiB and the trim threshold to 32 MiB (mallopt(3), dynamic mmap
+# threshold, capped at 32 MiB on 64-bit hosts, so a larger block does
+# nothing), and every process keeps its heap.
+np.empty(1 << 21)
 
 # ---------------------------------------------------------------------------
 # parameter kinds

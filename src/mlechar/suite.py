@@ -13,7 +13,10 @@ f. location/scale equivariance of the estimators,
 g. analytic vs finite-difference score cross-checks and image-bound agreement.
 
 Sections a and g come from one pass over the configured families, which
-profiles the score image of each (family, kind) once.
+profiles the score image of each (family, kind) once.  Section b, the
+longest, runs in a forked child beside the others where ``os.fork`` exists;
+the sections share no state and each is seeded on its own, so the report
+does not depend on it.
 
 Reports carry one record per check with a pass/fail verdict.  The machine
 format is deterministic: an identical configuration (seed included) emits
@@ -25,8 +28,12 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
+import pickle
+import signal
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from typing import Optional
@@ -660,24 +667,97 @@ def _section_families(config: SuiteConfig) -> tuple[list[dict], list[dict]]:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _beside(fn, *args):
+    """Run ``fn(*args)`` in a forked child while the ``with`` block runs.
+
+    Yields ``result()``, which waits for the child and returns what ``fn``
+    returned or raises what it raised (same type and message).  The child
+    sends its outcome through a pipe as one pickle and ends with
+    ``os._exit(0)``.  Leaving the block reaps the child, killing it first if
+    ``result`` was not called, and closes the pipe.  Where ``os.fork`` does
+    not exist, ``fn`` runs here on entry and ``result`` hands back its outcome.
+    """
+    def unpack(outcome):
+        ok, value = outcome
+        if not ok:
+            raise value
+        return value
+
+    if not hasattr(os, "fork"):
+        try:
+            outcome = (True, fn(*args))
+        except Exception as exc:
+            outcome = (False, exc)
+        yield lambda: unpack(outcome)
+        return
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, fn(*args))
+            except BaseException as exc:
+                outcome = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    waiting = True
+
+    def result():
+        nonlocal waiting
+        with os.fdopen(read_fd, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        waiting = False
+        if not data:
+            raise ChildProcessError(f"{fn.__name__} ended without a result "
+                                    f"(wait status {status})")
+        return unpack(pickle.loads(data))
+
+    try:
+        yield result
+    finally:
+        if waiting:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(read_fd)
+
+
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Execute all verification sections and assemble the report."""
+    """Execute all verification sections and assemble the report.
+
+    An error raised by a section is the one of the first failing section in
+    report order, as if the sections ran one after another.
+    """
     config.validate()
     start = time.perf_counter()
 
     gaussian = cat.lookup("gaussian").model
     forged = forge_odd_h(gaussian, OddPower(1.0, 3))
 
-    catalog_mnss, score_crosscheck = _section_families(config)
-    sections = {
-        "catalog_mnss": catalog_mnss,
-        "equivalence": _section_equivalence(config, gaussian, forged),
-        "counterexample": _section_counterexample(config, gaussian, forged),
-        "projectability": _section_projectability(config),
-        "closed_form": _section_closed_form(config),
-        "equivariance": _section_equivariance(config),
-        "score_crosscheck": score_crosscheck,
-    }
+    with _beside(_section_equivalence, config, gaussian, forged) as equivalence:
+        catalog_mnss, score_crosscheck = _section_families(config)
+        try:
+            later = {
+                "counterexample": _section_counterexample(config, gaussian, forged),
+                "projectability": _section_projectability(config),
+                "closed_form": _section_closed_form(config),
+                "equivariance": _section_equivariance(config),
+            }
+        except Exception:
+            equivalence()  # an error of the earlier section comes first
+            raise
+        sections = {
+            "catalog_mnss": catalog_mnss,
+            "equivalence": equivalence(),
+            **later,
+            "score_crosscheck": score_crosscheck,
+        }
     verdicts = {
         name: "pass" if all(r["verdict"] == "pass" for r in records) else "fail"
         for name, records in sections.items()

@@ -147,9 +147,9 @@ import resource
 import numpy as np
 {imports}
 def churn():
-    # six 80 KB arrays, as a score evaluation at n = 10,000 makes, freed
+    # six arrays of n floats, as a score evaluation at n makes, freed
     # together at the top of the heap
-    arrays = [np.ones(10_000) for _ in range(6)]
+    arrays = [np.ones({n}) for _ in range(6)]
 churn()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(50):
@@ -162,10 +162,12 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_importing_score_keeps_glibc_from_trimming_the_heap_under_temporaries(tmp_path):
     # under glibc's default 128 KiB trim threshold each round hands the
     # arrays back and faults them in again; after mlechar.score is imported
-    # the heap keeps them
-    faults = {}
-    for imports in ("", "import mlechar.score"):
-        proc = run_fresh(CHURN.format(imports=imports), tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        faults[imports] = int(proc.stdout)
-    assert faults["import mlechar.score"] < 100 < faults[""]
+    # the heap keeps them, 80 KB ones (n = 10,000) and 800 KB ones
+    # (n = 100,000) alike
+    for n in (10_000, 100_000):
+        faults = {}
+        for imports in ("", "import mlechar.score"):
+            proc = run_fresh(CHURN.format(imports=imports, n=n), tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            faults[imports] = int(proc.stdout)
+        assert faults["import mlechar.score"] < 100 < faults[""], (n, faults)

@@ -1,9 +1,11 @@
 import json
+import os
+import time
 
 import pytest
 
 from mlechar import suite
-from mlechar.errors import InvalidConfig, IoFailure
+from mlechar.errors import BracketFailure, InvalidConfig, IoFailure, NotMonotone
 from mlechar.score import kind_profiles
 from mlechar.suite import (
     DEFAULT_FAMILIES,
@@ -206,3 +208,86 @@ def test_report_json_is_plain(small_report):
         for rec in records:
             for value in rec.values():
                 assert isinstance(value, (str, int, float, bool)) or value is None
+
+
+# --- the equivalence section in a forked child -------------------------------
+
+TINY = SuiteConfig(families=(("gaussian", {}, ("location",)),),
+                   equivalence=(("gaussian", {}, "location"),),
+                   tilt_exponents=(2.0,), trials=2, sample_sizes=(3,), seed=1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def raising(error):
+    def section(*args):
+        raise error
+    return section
+
+
+@pytest.fixture(params=["fork", "no_fork"])
+def forking(request, monkeypatch):
+    if request.param == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    return request.param
+
+
+def test_a_passing_suite_leaves_no_child():
+    assert run_suite(TINY).passed
+    assert_no_child_left()
+
+
+def test_the_report_does_not_depend_on_forking(monkeypatch, small_report):
+    monkeypatch.delattr(os, "fork")
+    assert emit_report(run_suite(SMALL), "machine") == emit_report(small_report, "machine")
+
+
+def test_an_error_of_the_equivalence_section_reaches_the_caller(monkeypatch, forking):
+    monkeypatch.setattr(suite, "_section_equivalence",
+                        raising(BracketFailure("no sign change within [-1, 1]")))
+    with pytest.raises(BracketFailure, match=r"^no sign change within \[-1, 1\]$"):
+        run_suite(TINY)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing, expected", [
+    # (sections that raise, the error the caller sees): the earliest section
+    # in report order wins, as when the sections run one after another
+    ({"_section_equivalence": BracketFailure("equivalence"),
+      "_section_counterexample": NotMonotone("counterexample")}, BracketFailure),
+    ({"_section_equivalence": BracketFailure("equivalence"),
+      "_section_equivariance": NotMonotone("equivariance")}, BracketFailure),
+    ({"_section_families": NotMonotone("families"),
+      "_section_equivalence": BracketFailure("equivalence")}, NotMonotone),
+    ({"_section_closed_form": NotMonotone("closed form")}, NotMonotone),
+    ({"_section_families": NotMonotone("families")}, NotMonotone),
+])
+def test_the_earliest_failing_section_gives_the_error(monkeypatch, forking, failing, expected):
+    for name, error in failing.items():
+        monkeypatch.setattr(suite, name, raising(error))
+    with pytest.raises(expected):
+        run_suite(TINY)
+    assert_no_child_left()
+
+
+def test_an_interrupt_kills_and_reaps_the_child(monkeypatch):
+    monkeypatch.setattr(suite, "_section_equivalence", lambda *args: time.sleep(60))
+    monkeypatch.setattr(suite, "_section_counterexample", raising(KeyboardInterrupt()))
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(TINY)
+    assert time.perf_counter() - start < 30.0
+    assert_no_child_left()
+
+
+def test_a_numeric_error_of_the_forked_section_exits_3(monkeypatch, tmp_path, capsys):
+    from mlechar.cli import main
+    monkeypatch.setattr(suite, "_section_equivalence", raising(BracketFailure("no root")))
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(TINY.to_jsonable()))
+    assert main(["suite", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == "numeric error: no root\n"
+    assert_no_child_left()

@@ -75,6 +75,11 @@ INPUTS = {
         families=[{"name": "gamma", "params": {"alpha": True}, "kinds": ["scale"]}]),
     "suite_string_param.json": _suite(
         equivalence=[{"name": "weibull", "params": {"k": "2"}, "kind": "scale"}]),
+    # an agreement tolerance below solver resolution fails a shared-MLE verdict
+    "suite_equivalence_fails.json": _suite(
+        families=[{"name": "gaussian", "params": {}, "kinds": ["location"]}],
+        tilt_exponents=[0.5, 2.0, 5.0], trials=20, sample_sizes=[5], seed=7,
+        tolerances={"agreement_tol": 1e-300}),
 }
 
 #: the commands, as the arguments after ``mlechar``
@@ -197,6 +202,7 @@ COMMANDS = [
     "suite --config suite_unknown_key.json",
     "suite --config suite_true_param.json",
     "suite --config suite_string_param.json",
+    "suite --config suite_equivalence_fails.json",
     "suite --config missing.json",
     "suite --config broken.json",
 ]
