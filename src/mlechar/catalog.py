@@ -106,17 +106,21 @@ class CatalogEntry:
             name=f"{self.name}(theta={theta:g})",
             support=base.support,
             log_pdf=log_pdf,
-            params={**self.params, "theta": theta},
             normalized=base.normalized,
         )
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number: neither JSON true nor a numeric
+    string such as "2" is one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _check_params(given: dict, allowed: dict) -> dict:
     unknown = set(given) - set(allowed)
     if unknown:
         raise InvalidParams(f"unknown parameters {sorted(unknown)}")
-    # real numbers only: neither JSON true nor a numeric string is one
-    if any(isinstance(v, bool) or not isinstance(v, Real) for v in given.values()):
+    if not all(is_number(v) for v in given.values()):
         raise InvalidParams(f"parameters must be numbers, got {given}")
     try:
         values = {k: float(v) for k, v in given.items()}
@@ -154,14 +158,14 @@ def _entry(name: str, params: dict, support: SupportSet, log_pdf, dlog_pdf,
     """The entry of family ``name`` at ``params``, with its normalized model.
 
     The model is named ``name(k=v,...)`` in the order of ``params`` (the
-    family name alone when there are none) unless ``model_name`` is given,
-    and holds a copy of ``params``; ``facts`` are the other entry fields.
+    family name alone when there are none) unless ``model_name`` is given;
+    ``facts`` are the other entry fields.
     """
     if model_name is None:
         values = ",".join(f"{k}={v:g}" for k, v in params.items())
         model_name = f"{name}({values})" if values else name
     model = DensityModel(name=model_name, support=support, log_pdf=log_pdf,
-                         dlog_pdf=dlog_pdf, params=dict(params), normalized=True)
+                         dlog_pdf=dlog_pdf, normalized=True)
     return CatalogEntry(name=name, params=params, model=model, **facts)
 
 

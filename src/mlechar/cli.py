@@ -11,7 +11,6 @@ error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -263,12 +262,15 @@ def _cmd_suite(args) -> int:
         config = config_from_json(doc)
     else:
         config = SuiteConfig()
-    if args.output:
-        config = dataclasses.replace(config, output_path=args.output)
     report = run_suite(config)
+    if args.output:
+        try:
+            Path(args.output).write_bytes(emit_report(report, "machine"))
+        except OSError as exc:
+            raise IoFailure(f"cannot write report to {args.output}: {exc}") from exc
     sys.stdout.write(emit_report(report, "text").decode())
-    if config.output_path:
-        _kv("report_written", config.output_path)
+    if args.output:
+        _kv("report_written", args.output)
     return 0 if report.passed else 1
 
 

@@ -57,6 +57,9 @@ from .errors import (
 
 LogPdf = Callable[[Any], Any]
 
+#: the most float64 values one array can address
+MAX_COUNT = int(np.iinfo(np.intp).max) // 8
+
 #: relative finite-difference step for d/dx log f
 FD_STEP_SCALE = 1e-6
 
@@ -249,7 +252,6 @@ class DensityModel:
     support: SupportSet
     log_pdf: LogPdf
     dlog_pdf: Optional[LogPdf] = None
-    params: dict = field(default_factory=dict)
     normalized: bool = False
     breaks: np.ndarray = ()
     _raw_log_pdf: Optional[LogPdf] = field(default=None, init=False, repr=False,
@@ -540,8 +542,7 @@ def normalize(model: DensityModel):
     with np.errstate(over="ignore"):
         c = float(np.exp(shift))
     inner = model._raw_log_pdf
-    return c, replace(model, log_pdf=lambda x: inner(x) + shift,
-                      params=dict(model.params), normalized=True)
+    return c, replace(model, log_pdf=lambda x: inner(x) + shift, normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +759,8 @@ class InverseCdfSampler:
         """
         if n < 1:
             raise InvalidParams("n must be >= 1")
+        if n * len(seeds) > MAX_COUNT:
+            raise InvalidParams(f"{n} x {len(seeds)} values exceed the {MAX_COUNT} an array holds")
         return self.invert(np.array([np.random.default_rng(int(s)).random(n) for s in seeds]))
 
 

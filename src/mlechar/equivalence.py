@@ -89,7 +89,6 @@ def tilt_with_spec(model: DensityModel, d: float,
         support=model.support,
         log_pdf=log_pdf,
         dlog_pdf=dlog,
-        params={**model.params, "tilt_d": d},
         breaks=model.breaks,
     )
     c, tilted = normalize(raw)

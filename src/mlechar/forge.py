@@ -24,6 +24,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .density import (
+    MAX_COUNT,
     DensityModel,
     InverseCdfSampler,
     call_elementwise,
@@ -130,7 +131,6 @@ def forge_odd_h(target: DensityModel, h_spec: HSpec) -> DensityModel:
         support=target.support,
         log_pdf=log_pdf,
         dlog_pdf=dlog,
-        params=dict(target.params),
         breaks=np.concatenate([target.breaks, antider.nodes]),
     )
     _, forged = normalize(raw)
@@ -177,6 +177,8 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
+    if trials > MAX_COUNT:
+        raise InvalidParams(f"trials must be <= {MAX_COUNT}, got {trials}")
     if seed < 0:
         raise InvalidParams(f"seed must be >= 0, got {seed}")
     if not tol > 0.0:

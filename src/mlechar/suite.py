@@ -36,7 +36,6 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
-from typing import Optional
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from . import catalog as cat
 from .coverage import brute_force_projectable, is_projectable, mcss, mnss
 from .density import (
     FULL_LINE,
+    MAX_COUNT,
     InverseCdfSampler,
     Sample,
     call_elementwise,
@@ -141,46 +141,11 @@ class SuiteConfig:
     mle_tol: float = 1e-10
     score_tol: float = 1e-6
     agreement_tol: float = 1e-7
-    output_path: Optional[str] = None
 
-    def validate(self) -> None:
-        if self.trials < 1:
-            raise InvalidConfig(f"trials must be >= 1, got {self.trials}")
-        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
-            raise InvalidConfig(f"sample sizes must be >= 1, got {self.sample_sizes}")
-        for tol in (self.mle_tol, self.score_tol, self.agreement_tol):
-            if not (tol > 0.0):
-                raise InvalidConfig(f"tolerances must be > 0, got {tol}")
-        if not all(math.isfinite(d) and d > 0.0 for d in self.tilt_exponents):
-            raise InvalidConfig("tilt exponents must be positive reals")
-        if not (self.output_path is None or isinstance(self.output_path, str)):
-            raise InvalidConfig(f"output path must be a string, got {self.output_path!r}")
-        for name, params, kinds in self.families:
-            try:
-                entry = cat.lookup(name, params)
-            except MlecharError as exc:
-                raise InvalidConfig(f"family {name!r}: {exc}") from exc
-            for kind in kinds:
-                if kind not in ("location", "scale", "group"):
-                    raise InvalidConfig(f"unknown kind {kind!r} for {name}")
-                if kind not in entry.characterizable_kinds:
-                    raise InvalidConfig(
-                        f"{name}/{kind} is not characterizable; "
-                        f"reason: {entry.blocked.get(kind, 'unknown')}"
-                    )
-        for name, params, kind_label in self.equivalence:
-            try:
-                entry = cat.lookup(name, params)
-                kind = cat.kind_for(entry, kind_label)
-                kind.check(entry.model.support)
-            except MlecharError as exc:
-                raise InvalidConfig(f"equivalence {name!r}/{kind_label}: {exc}") from exc
-            if (u1_vanishes_inside(kind, entry.model.support)
-                    and any(d != 1.0 for d in self.tilt_exponents)):
-                raise InvalidConfig(
-                    f"equivalence {name!r}/{kind_label}: the class is a singleton, "
-                    "so every tilt exponent must be 1"
-                )
+    def validate(self) -> SuiteConfig:
+        """This configuration read back from its JSON form (see
+        ``config_from_json``), as ``run_suite`` runs it."""
+        return config_from_json(self.to_jsonable())
 
     def to_jsonable(self) -> dict:
         doc: dict = {}
@@ -189,22 +154,49 @@ class SuiteConfig:
         return doc
 
 
+class _Case(tuple):
+    """An ``equivalence`` case ``(name, params, kind)`` that knows whether its
+    class is a singleton, the fact the tilt-exponent rule needs."""
+
+    def __new__(cls, case: tuple, singleton: bool = False):
+        self = super().__new__(cls, case)
+        self.singleton = singleton
+        return self
+
+
 def _same(value):
     return value
 
 
-def _count(value) -> int:
-    """A JSON number with an integral value, as an int: 3 and 3.0 pass;
-    2.9, "3" and true do not."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+def _count(value, what: str = "") -> int:
+    """A JSON number with an integral value, as an int: 3 and 3.0 pass; 2.9,
+    "3" and true do not, nor a value above MAX_COUNT, the most values an
+    array holds.  A count named by ``what`` must also be at least 1."""
+    if not (cat.is_number(value) and float(value).is_integer()):
         raise InvalidConfig(f"trials, sample_sizes and seed take integers, got {value!r}")
+    if value > MAX_COUNT:
+        raise InvalidConfig(f"trials, sample_sizes and seed must be <= {MAX_COUNT}, got {value}")
+    if what and value < 1:
+        raise InvalidConfig(f"{what} must be >= 1, got {int(value)}")
     return int(value)
 
 
-def _entries(value, kind_key: str):
-    """The objects of a ``families`` or ``equivalence`` list, each holding
-    no key but ``name``, ``params`` and ``kind_key``."""
+def _tolerance(value) -> float:
+    if not (cat.is_number(value) and value > 0.0):
+        raise InvalidConfig(f"tolerances must be JSON numbers > 0, got {value!r}")
+    return float(value)
+
+
+def _tilt_exponents(value) -> tuple:
+    if not all(cat.is_number(d) and math.isfinite(d) and d > 0.0 for d in value):
+        raise InvalidConfig("tilt exponents must be positive reals")
+    return tuple(float(d) for d in value)
+
+
+def _entries(value, kind_key: str, default):
+    """``(name, params, kind)`` of each object of a ``families`` or
+    ``equivalence`` list, which holds no key but ``name``, ``params`` and
+    ``kind_key`` (``default`` when it is missing)."""
     for entry in value:
         if not isinstance(entry, dict):
             raise InvalidConfig(f"a suite config entry must be a JSON object, got {entry!r}")
@@ -212,32 +204,57 @@ def _entries(value, kind_key: str):
         if unknown:
             raise InvalidConfig(f"unknown key in suite config entry {entry.get('name')!r}: "
                                 f"{', '.join(unknown)}")
-    return value
+        yield entry["name"], dict(entry.get("params", {})), entry.get(kind_key, default)
+
+
+def _families(value):
+    """The ``families`` cases: catalog families with kinds the results
+    characterize."""
+    for name, params, kinds in _entries(value, "kinds", []):
+        try:
+            entry = cat.lookup(name, params)
+        except MlecharError as exc:
+            raise InvalidConfig(f"family {name!r}: {exc}") from exc
+        if not isinstance(kinds, list):
+            raise InvalidConfig(f"kinds of family {name!r} must be a JSON list, got {kinds!r}")
+        for kind in kinds:
+            if kind not in ("location", "scale", "group"):
+                raise InvalidConfig(f"unknown kind {kind!r} for {name}")
+            if kind not in entry.characterizable_kinds:
+                raise InvalidConfig(f"{name}/{kind} is not characterizable; "
+                                    f"reason: {entry.blocked.get(kind, 'unknown')}")
+        yield name, params, tuple(kinds)
+
+
+def _equivalence(value):
+    """The ``equivalence`` cases: catalog families with kinds that admit
+    their support."""
+    for name, params, label in _entries(value, "kind", None):
+        try:
+            entry = cat.lookup(name, params)
+            kind = cat.kind_for(entry, label)
+            kind.check(entry.model.support)
+        except MlecharError as exc:
+            raise InvalidConfig(f"equivalence {name!r}/{label}: {exc}") from exc
+        yield _Case((name, params, label), u1_vanishes_inside(kind, entry.model.support))
 
 
 #: each SuiteConfig field: its JSON group (None: the top level), the reader
-#: of its JSON value and the writer of it
+#: of its JSON value, which checks all the field's rules, and the writer of it
 _FIELDS = {
-    "families": (
-        None,
-        lambda v: tuple((f["name"], dict(f.get("params", {})), tuple(f.get("kinds", ())))
-                        for f in _entries(v, "kinds")),
-        lambda v: [{"name": n, "params": dict(p), "kinds": list(k)} for n, p, k in v],
-    ),
-    "equivalence": (
-        None,
-        lambda v: tuple((f["name"], dict(f.get("params", {})), f["kind"])
-                        for f in _entries(v, "kind")),
-        lambda v: [{"name": n, "params": dict(p), "kind": k} for n, p, k in v],
-    ),
-    "tilt_exponents": (None, lambda v: tuple(float(d) for d in v), list),
-    "trials": (None, _count, _same),
-    "sample_sizes": (None, lambda v: tuple(_count(n) for n in v), list),
+    "families": (None, lambda v: tuple(_families(v)), lambda v: [
+        {"name": n, "params": dict(p), "kinds": list(k) if isinstance(k, tuple) else k}
+        for n, p, k in v]),
+    "equivalence": (None, lambda v: tuple(_equivalence(v)), lambda v: [
+        {"name": n, "params": dict(p), "kind": k} for n, p, k in v]),
+    "tilt_exponents": (None, _tilt_exponents, list),
+    "trials": (None, lambda v: _count(v, "trials"), _same),
+    # an empty list reads as [0], so it is refused
+    "sample_sizes": (None, lambda v: tuple(_count(n, "sample sizes") for n in v or [0]), list),
     "seed": (None, _count, _same),
-    "mle_tol": ("tolerances", float, _same),
-    "score_tol": ("tolerances", float, _same),
-    "agreement_tol": ("tolerances", float, _same),
-    "output_path": (None, _same, _same),
+    "mle_tol": ("tolerances", _tolerance, _same),
+    "score_tol": ("tolerances", _tolerance, _same),
+    "agreement_tol": ("tolerances", _tolerance, _same),
 }
 
 
@@ -249,8 +266,9 @@ def _json_keys(group) -> set:
 
 
 def config_from_json(doc: dict) -> SuiteConfig:
-    """Build a SuiteConfig from a parsed JSON document: missing keys default,
-    unknown keys raise InvalidConfig."""
+    """Build a SuiteConfig from a parsed JSON document: missing keys take the
+    default, unknown keys and values outside their field's contract raise
+    InvalidConfig."""
     if not isinstance(doc, dict):
         raise InvalidConfig("suite config must be a JSON object")
     objects = {None: doc, "tolerances": doc.get("tolerances", {})}
@@ -261,13 +279,19 @@ def config_from_json(doc: dict) -> SuiteConfig:
         if unknown:
             where = f" under {group!r}" if group else ""
             raise InvalidConfig(f"unknown suite config key{where}: {', '.join(unknown)}")
+    # every field is read, a missing one from its default's JSON value
+    default = SuiteConfig().to_jsonable()
+    values = {**default, **default["tolerances"], **doc, **objects["tolerances"]}
     try:
-        config = SuiteConfig(**{name: read(objects[group][name])
-                                for name, (group, read, _) in _FIELDS.items()
-                                if name in objects[group]})
+        config = SuiteConfig(**{name: read(values[name])
+                                for name, (_, read, _) in _FIELDS.items()})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"malformed suite config: {exc!r}") from exc
-    config.validate()
+    # the one rule that spans two fields
+    singleton = next((case for case in config.equivalence if case.singleton), None)
+    if singleton and any(d != 1.0 for d in config.tilt_exponents):
+        raise InvalidConfig(f"equivalence {singleton[0]!r}/{singleton[2]}: the class is a "
+                            "singleton, so every tilt exponent must be 1")
     return config
 
 
@@ -602,8 +626,7 @@ def _section_families(config: SuiteConfig) -> tuple[list[dict], list[dict]]:
         entry = cat.lookup(name, params)
         model = entry.model
         # finite-difference-only clone: same log-density, no analytic derivative
-        fd_model = replace(model, name=model.name + "~fd", dlog_pdf=None,
-                           params=dict(model.params))
+        fd_model = replace(model, name=model.name + "~fd", dlog_pdf=None)
         bound_records = []
         for kind_label in kinds:
             kind = cat.kind_for(entry, kind_label)
@@ -734,7 +757,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     An error raised by a section is the one of the first failing section in
     report order, as if the sections ran one after another.
     """
-    config.validate()
+    config = config.validate()
     start = time.perf_counter()
 
     gaussian = cat.lookup("gaussian").model
@@ -763,7 +786,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         for name, records in sections.items()
     }
     passed = all(v == "pass" for v in verdicts.values())
-    report = SuiteReport(
+    return SuiteReport(
         schema_version=SCHEMA_VERSION,
         seed=config.seed,
         config=config.to_jsonable(),
@@ -772,10 +795,3 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         passed=passed,
         wall_clock_s=time.perf_counter() - start,
     )
-    if config.output_path:
-        try:
-            with open(config.output_path, "wb") as fh:
-                fh.write(emit_report(report, "machine"))
-        except OSError as exc:
-            raise IoFailure(f"cannot write report to {config.output_path}: {exc}") from exc
-    return report

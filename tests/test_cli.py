@@ -12,6 +12,7 @@ from mlechar.errors import InvalidConfig
 from mlechar.estimator import DEFAULT_TOL, mle_block
 from mlechar.score import LOCATION
 from mlechar.specfiles import load_family_spec, write_tabulated
+from mlechar.suite import config_from_json, emit_report, run_suite
 
 
 def kv(capsys):
@@ -305,15 +306,61 @@ def test_cli_suite_restricted_config(tmp_path, capsys):
         "trials": 10,
         "sample_sizes": [3],
         "seed": 11,
-        "output_path": str(tmp_path / "report.json"),
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
-    assert main(["suite", "--config", str(cfg_path)]) == 0
+    assert main(["suite", "--config", str(cfg_path), "--output", str(tmp_path / "report.json")]) == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["passed"] is True
     gauss_loc = doc["sections"]["catalog_mnss"][0]
     assert gauss_loc["mnss"] == 3 and gauss_loc["match"] is True
+
+
+RESTRICTED = {
+    "families": [{"name": "gaussian", "params": {}, "kinds": ["location"]}],
+    "equivalence": [{"name": "gaussian", "params": {}, "kind": "location"}],
+    "trials": 10,
+    "sample_sizes": [3],
+    "seed": 11,
+}
+
+
+def test_cli_suite_report_bytes_do_not_depend_on_the_output_path(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(RESTRICTED))
+    for name in ("a.json", "b.json"):
+        assert main(["suite", "--config", str(cfg_path), "--output", str(tmp_path / name)]) == 0
+        assert kv(capsys)["report_written"] == str(tmp_path / name)
+    written = (tmp_path / "a.json").read_bytes()
+    assert written == (tmp_path / "b.json").read_bytes()
+    assert written == emit_report(run_suite(config_from_json(RESTRICTED)), "machine")
+
+
+def test_cli_suite_output_to_an_unwritable_path_prints_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(RESTRICTED))
+    out = tmp_path / "no_such_dir" / "report.json"
+    assert main(["suite", "--config", str(cfg_path), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: cannot write report to")
+
+
+@pytest.mark.parametrize("argv,doc", [
+    ("suite --config c.json", {"output_path": "report.json"}),
+    ("suite --config c.json", {"trials": 1e30}),
+    ("verify-counterexample --f g.json --g g.json --n 3 --trials 100000000000000000000", None),
+    ("verify-counterexample --f g.json --g g.json --n 100000000000000000000 --trials 2", None),
+])
+def test_cli_refuses_output_path_keys_and_counts_no_array_can_hold(tmp_path, monkeypatch,
+                                                                   capsys, argv, doc):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps({"catalog": "gaussian"}))
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
 
 
 def test_cli_suite_invalid_config(tmp_path, capsys):

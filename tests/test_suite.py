@@ -1,6 +1,8 @@
 import json
 import os
+import pickle
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -91,6 +93,63 @@ def test_config_from_json_roundtrip():
     assert config == SuiteConfig()
     with pytest.raises(InvalidConfig):
         config_from_json({"trials": 0})
+
+
+@pytest.mark.parametrize("doc", [
+    {"tolerances": {"mle_tol": True}}, {"tolerances": {"score_tol": "1e-6"}},
+    {"tilt_exponents": [True]}, {"tilt_exponents": ["2"]}, {"tilt_exponents": [True, "2"]},
+])
+def test_config_tolerances_and_tilt_exponents_take_json_numbers(doc):
+    with pytest.raises(InvalidConfig):
+        config_from_json(doc)
+
+
+@pytest.mark.parametrize("config", [
+    SuiteConfig(trials=2.5), SuiteConfig(seed=1.5), SuiteConfig(trials=10 ** 20),
+    SuiteConfig(mle_tol=True), SuiteConfig(score_tol="1e-6"),
+    SuiteConfig(tilt_exponents=(True,)), SuiteConfig(tilt_exponents=("2",)),
+])
+def test_validate_checks_each_field_as_config_from_json_does(config):
+    with pytest.raises(InvalidConfig):
+        config.validate()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: config_from_json({"families": [{"name": "gaussian", "kinds": "location"}]}),
+    lambda: SuiteConfig(families=(("gaussian", {}, "location"),)).validate(),
+])
+def test_config_kinds_must_be_a_list(build):
+    with pytest.raises(InvalidConfig, match="kinds of family 'gaussian' must be a JSON list"):
+        build()
+
+
+@pytest.mark.parametrize("doc", [
+    {"trials": 1e30}, {"sample_sizes": [3, 10 ** 20]}, {"seed": 1e30},
+])
+def test_config_counts_no_array_can_hold_are_refused(doc):
+    with pytest.raises(InvalidConfig, match="must be <= "):
+        config_from_json(doc)
+
+
+def test_config_sample_sizes_must_not_be_empty():
+    with pytest.raises(InvalidConfig, match="sample sizes must be >= 1"):
+        config_from_json({"sample_sizes": []})
+    with pytest.raises(InvalidConfig, match="sample sizes must be >= 1"):
+        SuiteConfig(sample_sizes=()).validate()
+
+
+def test_a_validated_config_pickles():
+    config = SuiteConfig(equivalence=(("gaussian", {}, "scale"),), tilt_exponents=(1.0,))
+    again = pickle.loads(pickle.dumps(config.validate()))
+    assert again == config and again.equivalence[0].singleton
+
+
+def test_run_suite_runs_the_validated_config():
+    config = replace(SMALL, trials=3.0)
+    assert config.validate() == replace(SMALL, trials=3)
+    report = run_suite(config)
+    assert report.config["trials"] == 3 and type(report.config["trials"]) is int
+    assert b'"trials": 3\n' in emit_report(report, "machine")
 
 
 def test_small_report_passes(small_report):

@@ -75,6 +75,12 @@ INPUTS = {
         families=[{"name": "gamma", "params": {"alpha": True}, "kinds": ["scale"]}]),
     "suite_string_param.json": _suite(
         equivalence=[{"name": "weibull", "params": {"k": "2"}, "kind": "scale"}]),
+    "suite_true_tolerance.json": _suite(tolerances={"mle_tol": True}),
+    "suite_string_tilt.json": _suite(tilt_exponents=["2"]),
+    "suite_string_kinds.json": _suite(
+        families=[{"name": "gaussian", "params": {}, "kinds": "location"}]),
+    "suite_output_path.json": _suite(output_path="report.json"),
+    "suite_huge_trials.json": _suite(trials=1e30),
     # an agreement tolerance below solver resolution fails a shared-MLE verdict
     "suite_equivalence_fails.json": _suite(
         families=[{"name": "gaussian", "params": {}, "kinds": ["location"]}],
@@ -190,6 +196,8 @@ COMMANDS = [
     "verify-counterexample --f gauss.json --g gauss.json --n 0",
     "verify-counterexample --f gauss.json --g gauss.json --n 2 --trials 5 --seed -1",
     "verify-counterexample --f gauss.json --g gauss.json --n 2 --tol -1",
+    "verify-counterexample --f gauss.json --g gauss.json --n 3 --trials 100000000000000000000",
+    "verify-counterexample --f gauss.json --g gauss.json --n 100000000000000000000 --trials 2",
     # suite
     "suite --config suite.json",
     "suite --config suite.json --output report.json",
@@ -202,6 +210,11 @@ COMMANDS = [
     "suite --config suite_unknown_key.json",
     "suite --config suite_true_param.json",
     "suite --config suite_string_param.json",
+    "suite --config suite_true_tolerance.json",
+    "suite --config suite_string_tilt.json",
+    "suite --config suite_string_kinds.json",
+    "suite --config suite_output_path.json",
+    "suite --config suite_huge_trials.json",
     "suite --config suite_equivalence_fails.json",
     "suite --config missing.json",
     "suite --config broken.json",
