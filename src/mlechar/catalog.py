@@ -26,9 +26,13 @@ Student scale MNSS: ceil(1 + 1/nu) for nu < 1, 3 at nu = 1, ceil(1 + nu)
 for nu > 1.  The sinh-arcsinh family is characterizable in its skewness
 parameter (group kind) with MNSS 3.
 
-Every formula is a numpy expression that takes a float or an ndarray.
-Exponentials, powers and squares of x in the densities overflow to an
-infinity without a warning (``_exp``, ``_pow``, ``quiet_overflow``).
+Every formula is a numpy expression that takes a float or an ndarray, and is
+written once, in its family's builder.  Formulas whose exponentials, powers
+or squares of x can overflow are wrapped in ``density.quiet_overflow``, so
+they give an infinity without a warning.  A closed-form MLE is a ``(name,
+estimate)`` pair in ``CatalogEntry.closed_form`` whose estimate closes over
+the builder's own parameters and maps one sample, or an ``(m, n)`` block of
+rows, to one estimate per row.
 """
 
 from __future__ import annotations
@@ -42,29 +46,23 @@ import numpy as np
 
 from .coverage import SampleSize
 from .density import DensityModel, SupportSet, quiet_overflow
-from .errors import InvalidConfig, InvalidParams, NotCharacterizable, UnknownFamily
+from .errors import (
+    AllZeroSample,
+    InvalidConfig,
+    InvalidParams,
+    NotCharacterizable,
+    UnknownFamily,
+)
 from .score import LOCATION, SCALE, Kind
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _exp(u):
-    """exp with graceful overflow to +inf."""
-    with np.errstate(over="ignore"):
-        return np.exp(u)
-
-
-def _pow(x, k: float):
-    """x**k with graceful overflow to +inf."""
-    with np.errstate(over="ignore"):
-        return np.power(x, k)
-
-
+@quiet_overflow
 def _sqrt1p2(x):
     """sqrt(1 + x^2) of a float or an ndarray, |x| where x^2 overflows
     (from |x| > 2^27 on, sqrt(1 + x^2) rounds to |x| anyway)."""
-    with np.errstate(over="ignore"):
-        root = np.sqrt(1.0 + x * x)
+    root = np.sqrt(1.0 + x * x)
     big = np.isinf(root)
     return np.where(big, np.abs(x), root)[()] if big.any() else root
 
@@ -80,7 +78,7 @@ class CatalogEntry:
     score_formulas: dict = field(default_factory=dict)    # kind label -> text
     analytic_bounds: dict = field(default_factory=dict)   # kind label -> (p-, p+)
     expected: dict = field(default_factory=dict)          # kind label -> value
-    closed_form: dict = field(default_factory=dict)       # kind label -> formula id
+    closed_form: dict = field(default_factory=dict)       # kind label -> (name, estimate)
     needs_scale_identification: bool = False
     blocked: dict = field(default_factory=dict)           # kind label -> reason
     transform: Optional[Kind] = None
@@ -149,6 +147,36 @@ def _finite(value: Callable[[], float], what: str) -> float:
 
 
 # ---------------------------------------------------------------------------
+# closed-form estimators: each takes one sample or an (m, n) block of rows
+# and gives one estimate per row, the row's own bits
+# ---------------------------------------------------------------------------
+
+
+def _per_row(fn: Callable, *columns: np.ndarray):
+    # fn on Python floats, once per row: math.log and ** give the bits they
+    # give on a single row
+    return np.frompyfunc(fn, len(columns), 1)(*columns)
+
+
+def _log_mean_exp(u: np.ndarray):
+    # log(mean(exp(u))) along the last axis, shifted by the maximum so exp
+    # cannot overflow
+    top = np.max(u, axis=-1, keepdims=True)
+    means = np.mean(np.exp(u - top), axis=-1)
+    return _per_row(lambda top, mean: top + math.log(mean), top[..., 0], means)
+
+
+def _power_mean_rate(x: np.ndarray, power: float):
+    # mean(|x|^power)^(-1/power) along the last axis, with x divided by
+    # max|x| so neither the power nor the sum can overflow
+    top = np.max(np.abs(x), axis=-1, keepdims=True)
+    if not top.all():
+        raise AllZeroSample("scale estimation needs a nonzero observation")
+    means = np.mean(np.abs(x / top) ** power, axis=-1)
+    return _per_row(lambda mean, top: mean ** (-1.0 / power) / top, means, top[..., 0])
+
+
+# ---------------------------------------------------------------------------
 # family builders
 # ---------------------------------------------------------------------------
 
@@ -174,11 +202,15 @@ def _gaussian(params: dict) -> CatalogEntry:
         "gaussian", _check_params(params, {}), SupportSet.full_line(),
         quiet_overflow(lambda x: -0.5 * x * x - 0.5 * LOG_2PI),
         lambda x: -x,
-        analytic_scores={"location": lambda x: x, "scale": lambda x: 1.0 - x * x},
+        analytic_scores={"location": lambda x: x,
+                         "scale": quiet_overflow(lambda x: 1.0 - x * x)},
         score_formulas={"location": "phi(x) = x", "scale": "psi(x) = 1 - x^2"},
         analytic_bounds={"location": (math.inf, math.inf), "scale": (math.inf, 1.0)},
         expected={"location": 3, "scale": math.inf},
-        closed_form={"location": "gaussian_location", "scale": "gaussian_scale"},
+        closed_form={
+            "location": ("gaussian_location", lambda x: np.mean(x, axis=-1)),
+            "scale": ("gaussian_scale", lambda x: _power_mean_rate(x, 2.0)),
+        },
     )
 
 
@@ -196,7 +228,7 @@ def _gamma(params: dict) -> CatalogEntry:
         score_formulas={"scale": f"psi(x) = {alpha:g} - x"},
         analytic_bounds={"scale": (math.inf, alpha)},
         expected={"scale": math.inf},
-        closed_form={"scale": "gamma_scale"},
+        closed_form={"scale": ("gamma_scale", lambda x: alpha * _power_mean_rate(x, 1.0))},
         needs_scale_identification=True,
         blocked={"location": "support"},
     )
@@ -216,19 +248,15 @@ def _generalized_gaussian(params: dict) -> CatalogEntry:
             e = np.exp(gam * x)
             return np.where(np.isinf(e), -np.inf, const + alpha * gam * x - alpha * e)[()]
 
-    def dlog(x):
-        with np.errstate(over="ignore"):
-            return alpha * gam * (1.0 - np.exp(gam * x))
-
     bound = _finite(lambda: alpha * abs(gam), "the location bound alpha*|gamma|")
     loc_bounds = (bound, math.inf) if gam > 0 else (math.inf, bound)
     return _entry(
         "generalized_gaussian", p, SupportSet.full_line(),
         log_pdf,
-        dlog,
+        quiet_overflow(lambda x: alpha * gam * (1.0 - np.exp(gam * x))),
         analytic_scores={
-            "location": lambda x: alpha * gam * (_exp(gam * x) - 1.0),
-            "scale": lambda x: 1.0 + alpha * gam * x * (1.0 - _exp(gam * x)),
+            "location": quiet_overflow(lambda x: alpha * gam * (np.exp(gam * x) - 1.0)),
+            "scale": quiet_overflow(lambda x: 1.0 + alpha * gam * x * (1.0 - np.exp(gam * x))),
         },
         score_formulas={
             "location": "phi(x) = alpha*gamma*(exp(gamma x) - 1)",
@@ -236,7 +264,8 @@ def _generalized_gaussian(params: dict) -> CatalogEntry:
         },
         analytic_bounds={"location": loc_bounds, "scale": (math.inf, 1.0)},
         expected={"location": math.inf, "scale": math.inf},
-        closed_form={"location": "ferguson_location"},
+        closed_form={"location": ("ferguson_location",
+                                  lambda x: _log_mean_exp(gam * x) / gam)},
     )
 
 
@@ -250,7 +279,7 @@ def _laplace(params: dict) -> CatalogEntry:
                         "location": "phi(x) = sign(x) (piecewise constant)"},
         analytic_bounds={"scale": (math.inf, 1.0)},
         expected={"scale": math.inf},
-        closed_form={"scale": "laplace_scale"},
+        closed_form={"scale": ("laplace_scale", lambda x: _power_mean_rate(x, 1.0))},
         blocked={"location": "not_monotone"},
     )
 
@@ -262,13 +291,13 @@ def _weibull(params: dict) -> CatalogEntry:
         raise InvalidParams(f"weibull needs k > 0, got {k}")
     return _entry(
         "weibull", p, SupportSet.positive_half_line(),
-        lambda x: math.log(k) + (k - 1.0) * np.log(x) - _pow(x, k),
-        lambda x: (k - 1.0) / x - k * _pow(x, k - 1.0),
-        analytic_scores={"scale": lambda x: k * (1.0 - _pow(x, k))},
+        quiet_overflow(lambda x: math.log(k) + (k - 1.0) * np.log(x) - np.power(x, k)),
+        quiet_overflow(lambda x: (k - 1.0) / x - k * np.power(x, k - 1.0)),
+        analytic_scores={"scale": quiet_overflow(lambda x: k * (1.0 - np.power(x, k)))},
         score_formulas={"scale": f"psi(x) = {k:g}*(1 - x^{k:g})"},
         analytic_bounds={"scale": (math.inf, k)},
         expected={"scale": math.inf},
-        closed_form={"scale": "weibull_scale"},
+        closed_form={"scale": ("weibull_scale", lambda x: _power_mean_rate(x, k))},
         needs_scale_identification=True,
         blocked={"location": "support"},
     )
@@ -277,11 +306,11 @@ def _weibull(params: dict) -> CatalogEntry:
 def _gumbel(params: dict) -> CatalogEntry:
     return _entry(
         "gumbel", _check_params(params, {}), SupportSet.full_line(),
-        lambda x: -x - _exp(-x),
-        lambda x: -1.0 + _exp(-x),
+        quiet_overflow(lambda x: -x - np.exp(-x)),
+        quiet_overflow(lambda x: -1.0 + np.exp(-x)),
         analytic_scores={
-            "location": lambda x: 1.0 - _exp(-x),
-            "scale": lambda x: 1.0 + x * (-1.0 + _exp(-x)),
+            "location": quiet_overflow(lambda x: 1.0 - np.exp(-x)),
+            "scale": quiet_overflow(lambda x: 1.0 + x * (-1.0 + np.exp(-x))),
         },
         score_formulas={
             "location": "phi(x) = 1 - exp(-x)",
@@ -289,7 +318,7 @@ def _gumbel(params: dict) -> CatalogEntry:
         },
         analytic_bounds={"location": (math.inf, 1.0), "scale": (math.inf, 1.0)},
         expected={"location": math.inf, "scale": math.inf},
-        closed_form={"location": "gumbel_location"},
+        closed_form={"location": ("gumbel_location", lambda x: -_log_mean_exp(-x))},
     )
 
 
@@ -311,11 +340,18 @@ def _student(params: dict) -> CatalogEntry:
                     f"the log-normalizer at nu={nu:g}")
     expected_scale = max(math.ceil(_finite(lambda: 1.0 + max(nu, 1.0 / nu) - 1e-9,
                                            f"the scale MNSS at nu={nu:g}")), 3)
+
+    def scale_score(x):
+        # (nu + 1) x^2 overflows for large |x|, and inf/inf is NaN; past
+        # |x| = 1e100 the score is -nu within nu(nu + 1)/x^2, so x is clipped there
+        x = np.clip(x, -1e100, 1e100)
+        return 1.0 - (nu + 1.0) * x * x / (nu + x * x)
+
     return _entry(
         "student", p, SupportSet.full_line(),
         quiet_overflow(lambda x: const - 0.5 * (nu + 1.0) * np.log1p(x * x / nu)),
         quiet_overflow(lambda x: -(nu + 1.0) * x / (nu + x * x)),
-        analytic_scores={"scale": lambda x: 1.0 - (nu + 1.0) * x * x / (nu + x * x)},
+        analytic_scores={"scale": scale_score},
         score_formulas={"scale": "psi(x) = 1 - (nu+1) x^2/(nu + x^2)"},
         analytic_bounds={"scale": (nu, 1.0)},
         expected={"scale": expected_scale},
@@ -351,7 +387,7 @@ def _sinh_arcsinh(params: dict) -> CatalogEntry:
         quiet_overflow(lambda x: -0.5 * x * x - 0.5 * LOG_2PI),
         lambda x: -x,
         model_name="sinh_arcsinh_base",
-        analytic_scores={"group": lambda x: -x ** 3 / _sqrt1p2(x)},
+        analytic_scores={"group": quiet_overflow(lambda x: -np.power(x, 3) / _sqrt1p2(x))},
         score_formulas={"group": "score(x) = -x^3 / sqrt(1 + x^2)"},
         analytic_bounds={"group": (math.inf, math.inf)},
         expected={"group": 3},

@@ -352,6 +352,11 @@ def main(argv=None) -> int:
     except (InvalidConfig, UnknownFamily, InvalidParams, IoFailure) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # counts an array can address that this machine cannot hold
+        detail = f": {exc}" if str(exc) else ""
+        print(f"configuration error: out of memory{detail}", file=sys.stderr)
+        return 2
     except MlecharError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

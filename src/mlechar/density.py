@@ -138,16 +138,15 @@ def median(a: np.ndarray) -> np.ndarray:
 
 
 def quiet_overflow(fn: Callable) -> Callable:
-    """``fn`` whose array calls overflow to an infinity without a warning.
+    """``fn`` whose floating-point overflow gives an infinity without a
+    warning: the one overflow rule of the catalog's and the forge's formulas.
 
-    Arithmetic on Python floats overflows silently; numpy arrays warn.  Only
-    array calls pay for the error-state switch.
+    Each call, whatever its arguments, runs under ``np.errstate(over=
+    "ignore")``; other floating-point errors keep the caller's setting.
     """
-    def call(x):
-        if isinstance(x, np.ndarray):
-            with np.errstate(over="ignore"):
-                return fn(x)
-        return fn(x)
+    def call(*args):
+        with np.errstate(over="ignore"):
+            return fn(*args)
 
     return call
 

@@ -19,13 +19,14 @@ its half-width (clipped to the kind's window) until the sum changes sign,
 and refines it with Brent's bisection/secant iteration
 (``score.brent_lanes``).  A lane's result does not depend on the other rows,
 so :func:`mle`, the one place that builds an :class:`MleResult` from a
-solve, is a block of one.  Catalog families with closed-form estimators get
-a direct fast path via :func:`closed_form_mle`.
+solve, is a block of one.  A catalog family that writes a closed-form
+estimator for a kind gets a direct fast path via :func:`closed_form_mle`; the
+formulas live in the catalog's family builders, so this module names no
+family.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -33,7 +34,6 @@ import numpy as np
 
 from .density import DensityModel, Sample, call_elementwise, distinct
 from .errors import (
-    AllZeroSample,
     BracketFailure,
     NoClosedForm,
     NotCharacterizable,
@@ -215,41 +215,6 @@ def mle_group(model: DensityModel, transform: Kind, sample: Sample,
     return mle(model, transform, sample, tol)
 
 
-def _per_row(fn: Callable, *columns: np.ndarray):
-    # fn on Python floats, once per row: math.log and ** give the bits they
-    # give on a single row
-    return np.frompyfunc(fn, len(columns), 1)(*columns)
-
-
-def _log_mean_exp(u: np.ndarray):
-    # log(mean(exp(u))) along the last axis, shifted by the maximum so exp
-    # cannot overflow
-    top = np.max(u, axis=-1, keepdims=True)
-    means = np.mean(np.exp(u - top), axis=-1)
-    return _per_row(lambda top, mean: top + math.log(mean), top[..., 0], means)
-
-
-def _power_mean_rate(x: np.ndarray, power: float):
-    # mean(|x|^power)^(-1/power) along the last axis, with x divided by
-    # max|x| so neither the power nor the sum can overflow
-    top = np.max(np.abs(x), axis=-1, keepdims=True)
-    if not top.all():
-        raise AllZeroSample("scale estimation needs a nonzero observation")
-    means = np.mean(np.abs(x / top) ** power, axis=-1)
-    return _per_row(lambda mean, top: mean ** (-1.0 / power) / top, means, top[..., 0])
-
-
-_CLOSED_FORMS: dict[str, Callable[[np.ndarray, dict], np.ndarray]] = {
-    "gaussian_location": lambda x, p: np.mean(x, axis=-1),
-    "gaussian_scale": lambda x, p: _power_mean_rate(x, 2.0),
-    "gamma_scale": lambda x, p: p["alpha"] * _power_mean_rate(x, 1.0),
-    "laplace_scale": lambda x, p: _power_mean_rate(x, 1.0),
-    "weibull_scale": lambda x, p: _power_mean_rate(x, p["k"]),
-    "gumbel_location": lambda x, p: -_log_mean_exp(-x),
-    "ferguson_location": lambda x, p: _log_mean_exp(p["gamma"] * x) / p["gamma"],
-}
-
-
 def closed_form_estimator(entry, kind: Kind) -> Callable[[np.ndarray], np.ndarray]:
     """A catalog entry's closed-form estimator for the given kind, as a
     function of the observations alone: no support check and no residual.
@@ -257,27 +222,26 @@ def closed_form_estimator(entry, kind: Kind) -> Callable[[np.ndarray], np.ndarra
     The function takes one sample, or a block of equal-length samples as
     rows, and returns one estimate per row, as floats: an ``(m, n)`` block
     gives m of them, each equal bit for bit to the row's own estimate.
-    ``entry`` must expose ``closed_form`` (kind label to formula id) and
-    ``params``; raises :class:`NoClosedForm` otherwise.
+    ``entry`` must expose ``closed_form`` (kind label to a ``(name,
+    estimate)`` pair); raises :class:`NoClosedForm` otherwise.
     """
-    formula = entry.closed_form.get(kind.label)
-    if formula is None:
+    if kind.label not in entry.closed_form:
         raise NoClosedForm(f"{entry.name} has no closed-form {kind.label} MLE")
-    estimate, params = _CLOSED_FORMS[formula], entry.params
-    return lambda values: np.asarray(estimate(values, params), dtype=float)
+    _, estimate = entry.closed_form[kind.label]
+    return lambda values: np.asarray(estimate(values), dtype=float)
 
 
 def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
     """Evaluate a catalog entry's closed-form estimator for the given kind.
 
-    ``entry`` must expose ``closed_form`` (kind label to formula id),
-    ``params`` and ``model``; raises :class:`NoClosedForm` otherwise.  The
-    sample must lie inside the model's support, as for :func:`mle`.
+    ``entry`` must expose ``closed_form`` (kind label to a ``(name,
+    estimate)`` pair) and ``model``; raises :class:`NoClosedForm` otherwise.
+    The sample must lie inside the model's support, as for :func:`mle`.
     """
     estimate = closed_form_estimator(entry, kind)
     kind.check(entry.model.support)
     sample.require_inside(entry.model)
     theta = estimate(sample.values)
     residual = row_score_sums(entry.model, kind, sample.values, [sample.n], [theta])[0]
-    return MleResult(float(theta), float(residual), ClosedForm(entry.closed_form[kind.label]),
-                     kind)
+    name, _ = entry.closed_form[kind.label]
+    return MleResult(float(theta), float(residual), ClosedForm(name), kind)

@@ -144,8 +144,13 @@ class SuiteConfig:
 
     def validate(self) -> SuiteConfig:
         """This configuration read back from its JSON form (see
-        ``config_from_json``), as ``run_suite`` runs it."""
-        return config_from_json(self.to_jsonable())
+        ``config_from_json``), as ``run_suite`` runs it.  A field whose
+        Python shape has no JSON form raises InvalidConfig as well."""
+        try:
+            doc = self.to_jsonable()
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"malformed suite config: {exc!r}") from exc
+        return config_from_json(doc)
 
     def to_jsonable(self) -> dict:
         doc: dict = {}
@@ -560,7 +565,7 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
             "check": "closed_vs_numeric",
             "family": name,
             "kind": kind_label,
-            "formula": entry.closed_form[kind_label],
+            "formula": entry.closed_form[kind_label][0],
             "samples": len(sizes_cycle),
             "max_deviation": enc(worst),
             "provenance": "numeric",

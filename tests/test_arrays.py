@@ -216,12 +216,15 @@ def test_log_pdf_is_minus_inf_outside_the_support(gamma2):
     ("sinh_arcsinh_skew_normal", {}, -1e200),
 ])
 def test_overflow_gives_infinities_without_warnings(name, params, x):
-    model = lookup(name, params).model
+    entry = lookup(name, params)
+    model = entry.model
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for point in (x, np.array([x, 1.0])):
             assert np.isneginf(np.asarray(model.log_pdf(point)).ravel()[0])
             assert not np.isnan(model.dlog_pdf(point)).any()
+            for score in entry.analytic_scores.values():
+                assert not np.isnan(score(point)).any()
 
 
 def test_odd_power_overflows_without_warnings():

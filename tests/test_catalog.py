@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mlechar import expected_mnss, lookup, mnss, sample_from
+from mlechar import closed_form_mle, expected_mnss, lookup, mnss, sample_from
 from mlechar.errors import InvalidParams, NotCharacterizable, UnknownFamily
 from mlechar.catalog import kind_for
+from mlechar.density import InverseCdfSampler, Sample
+from mlechar.estimator import ClosedForm
 from mlechar.score import u1_vanishes_inside
 from mlechar.suite import DEFAULT_FAMILIES, build_profiles
 
@@ -286,3 +288,30 @@ def test_sinh_arcsinh_factor_is_sqrt_1_plus_x_squared_without_overflow():
     for value in (0.0, -3.0, 1e300, -math.inf):
         scalar = _sqrt1p2(value)
         assert np.ndim(scalar) == 0 and float(scalar) == float(got[np.flatnonzero(x == value)[0]])
+
+
+#: each closed-form estimator of the default families: (name, params, kind)
+CLOSED_FORMS = [(name, params, label) for name, params, _ in DEFAULT_FAMILIES
+                for label in lookup(name, params).closed_form]
+
+
+def test_closed_form_names_are_distinct():
+    owners = {}
+    for name, params, label in CLOSED_FORMS:
+        formula, _ = lookup(name, params).closed_form[label]
+        owners.setdefault(formula, set()).add((name, label))
+    assert sorted(owners) == ["ferguson_location", "gamma_scale", "gaussian_location",
+                              "gaussian_scale", "gumbel_location", "laplace_scale",
+                              "weibull_scale"]
+    assert all(len(cases) == 1 for cases in owners.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("name,params,label", CLOSED_FORMS)
+def test_each_closed_form_is_the_root_of_its_score_sum(name, params, label, n):
+    entry = lookup(name, params)
+    formula, _ = entry.closed_form[label]
+    for row in InverseCdfSampler(entry.model).rows(n, list(range(5))):
+        result = closed_form_mle(entry, kind_for(entry, label), Sample(row))
+        assert result.method == ClosedForm(formula)
+        assert abs(result.residual) < 1e-10

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +365,34 @@ def test_cli_refuses_output_path_keys_and_counts_no_array_can_hold(tmp_path, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error:")
+
+
+#: the address space of a capped interpreter: start-up fits, a count of 10^12
+#: does not
+ADDRESS_SPACE = 2 * 1024 ** 3
+
+
+@pytest.mark.parametrize("argv,doc", [
+    ("verify-counterexample --f g.json --g g.json --n 3 --trials 1000000000000", None),
+    ("suite --config c.json", {"trials": 1000000000000}),
+])
+def test_cli_maps_running_out_of_memory_to_exit_2(tmp_path, argv, doc):
+    # counts an array can address but this machine cannot hold; each command
+    # runs in a fresh interpreter with its address space capped, never without
+    resource = pytest.importorskip("resource")
+    (tmp_path / "g.json").write_text(json.dumps({"catalog": "gaussian"}))
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlechar.cli", *argv.split()], cwd=tmp_path, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE,) * 2),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("configuration error: out of memory")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_suite_invalid_config(tmp_path, capsys):

@@ -114,6 +114,17 @@ def test_validate_checks_each_field_as_config_from_json_does(config):
         config.validate()
 
 
+@pytest.mark.parametrize("config", [
+    SuiteConfig(sample_sizes=5), SuiteConfig(families=5),
+    SuiteConfig(families=(("gaussian", {}),)),
+    SuiteConfig(equivalence=(("gaussian", None, "location"),)),
+    SuiteConfig(tilt_exponents=2.0),
+])
+def test_validate_refuses_fields_whose_python_shape_has_no_json_form(config):
+    with pytest.raises(InvalidConfig, match="^malformed suite config: "):
+        config.validate()
+
+
 @pytest.mark.parametrize("build", [
     lambda: config_from_json({"families": [{"name": "gaussian", "kinds": "location"}]}),
     lambda: SuiteConfig(families=(("gaussian", {}, "location"),)).validate(),
