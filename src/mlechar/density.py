@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -295,6 +295,22 @@ class Sample:
     def require_inside(self, model: DensityModel) -> None:
         if not model.support.holds(self.values):
             raise OutsideSupport(f"sample contains values outside support {model.support}")
+
+
+class Rows(NamedTuple):
+    """m samples back to back in one 1-D float array, with their m lengths."""
+
+    flat: np.ndarray
+    lengths: np.ndarray
+
+
+def length_blocks(rows: Rows):
+    """Per distinct row length n, the row numbers of that length and their
+    rows as one ``(count, n)`` block."""
+    starts = np.cumsum(rows.lengths) - rows.lengths
+    for n in distinct(rows.lengths):
+        group = np.flatnonzero(rows.lengths == n)
+        yield group, rows.flat[starts[group, None] + np.arange(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +776,18 @@ class InverseCdfSampler:
             raise InvalidParams("n must be >= 1")
         if n * len(seeds) > MAX_COUNT:
             raise InvalidParams(f"{n} x {len(seeds)} values exceed the {MAX_COUNT} an array holds")
-        return self.invert(np.array([np.random.default_rng(int(s)).random(n) for s in seeds]))
+        return self.draw([(seed, [n]) for seed in seeds]).flat.reshape(len(seeds), n)
+
+    def draw(self, runs) -> Rows:
+        """Rows of seeded draws, back to back, from one :meth:`invert` call:
+        ``runs`` lists ``(seed, sizes)``, and each seed gives one row per
+        size, in order, from the uniforms of ``numpy.random.default_rng(seed)``."""
+        counts = [sum(sizes) for _, sizes in runs]
+        if sum(counts) > MAX_COUNT:
+            raise InvalidParams(f"{sum(counts)} values exceed the {MAX_COUNT} an array holds")
+        return Rows(self.invert(np.concatenate([np.random.default_rng(int(seed)).random(n)
+                                                for (seed, _), n in zip(runs, counts)])),
+                    np.array([n for _, sizes in runs for n in sizes]))
 
 
 def sample_from(model: DensityModel, n: int, seed: int) -> Sample:

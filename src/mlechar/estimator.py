@@ -12,17 +12,21 @@ action ``h``:
 
 Monotone scores that cross zero make each sum strictly monotone in theta
 with a unique root.  One solver serves every kind and every batch:
-:func:`mle_block` solves m samples, one lane per row, given as an ``(m, n)``
-block or as rows of different lengths, and returns arrays (θ, residual,
-iterations, bracket).  Each lane seeds a bracket from its sample, doubles
-its half-width (clipped to the kind's window) until the sum changes sign,
-and refines it with Brent's bisection/secant iteration
-(``score.brent_lanes``).  A lane's result does not depend on the other rows,
-so :func:`mle`, the one place that builds an :class:`MleResult` from a
-solve, is a block of one.  A catalog family that writes a closed-form
-estimator for a kind gets a direct fast path via :func:`closed_form_mle`; the
-formulas live in the catalog's family builders, so this module names no
-family.
+:func:`mle_block` takes a kind and a list of problems, each a model with its
+samples (an ``(m, n)`` block, rows of different lengths, or a
+:class:`~mlechar.density.Rows`), and solves every sample of every problem
+as one lane of a single lockstep, returning per problem the arrays (θ,
+residual, iterations, bracket).  Each lane seeds a bracket from its sample,
+doubles its half-width (clipped to the kind's window) until the sum changes
+sign, and refines it with Brent's bisection/secant iteration
+(``score.brent_lanes``).  A step moves all live lanes with one action call,
+scores each problem's lanes with its own model and sums every row with one
+exact row summation.  A lane's result does not depend on the other rows or
+problems, so :func:`mle`, the one place that builds an :class:`MleResult`
+from a solve, is one problem of one row, solved in Python floats.  A
+catalog family that writes a closed-form estimator for a kind gets a direct
+fast path via :func:`closed_form_mle`; the formulas live in the catalog's
+family builders, so this module names no family.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .density import DensityModel, Sample, call_elementwise, distinct
+from .density import DensityModel, Rows, Sample, call_elementwise, length_blocks
 from .errors import (
     BracketFailure,
     NoClosedForm,
@@ -90,7 +94,7 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     window, until the score sum changes sign.  The root must bring the sum
     below ``tol`` in absolute value.
     """
-    roots = mle_block(model, kind, [sample.values], tol)
+    (roots,) = mle_block(kind, [(model, [sample.values])], tol)
     lo, hi = roots.bracket[0].tolist()
     return MleResult(float(roots.theta[0]), float(roots.residual[0]),
                      BracketedRoot(int(roots.iterations[0]), (lo, hi)), kind)
@@ -105,19 +109,29 @@ class BlockRoots(NamedTuple):
     bracket: np.ndarray
 
 
-def mle_block(model: DensityModel, kind: Kind, rows,
-              tol: float = DEFAULT_TOL) -> BlockRoots:
-    """MLEs of m samples, one lane per row, as :func:`mle`.
+def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots]:
+    """MLEs of the rows of several models in one solve, as :func:`mle`.
 
-    ``rows`` is an ``(m, n)`` block or a sequence of m 1-D rows of any
-    lengths.  Lane i equals ``mle(model, kind, Sample(rows[i]), tol)`` bit
-    for bit.  Raises as soon as one row fails.
+    ``problems`` lists ``(model, rows)`` pairs, where ``rows`` is an
+    ``(m, n)`` block, a sequence of m 1-D rows of any lengths or a
+    :class:`~mlechar.density.Rows`.  Returns one :class:`BlockRoots` per
+    problem, whose lane i equals ``mle(model, kind, Sample(rows[i]), tol)``
+    bit for bit.  One bracket search and one Brent lockstep serve the lanes
+    of all problems: each step moves every live lane with one ``kind.h``
+    call, scores each problem's lanes with its own model and sums all rows
+    with one ``row_fsums`` call.  Raises as soon as one row fails.
     """
     if kind.h is None:
         raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
-    kind.check(model.support)
-    flat, lengths = flatten_rows(rows)
-    Sample(flat).require_inside(model)
+    if not problems:
+        return []
+    models, blocks = zip(*((model, flatten_rows(rows)) for model, rows in problems))
+    for model, block in zip(models, blocks):
+        kind.check(model.support)
+        Sample(block.flat).require_inside(model)
+    flat, lengths = rows = Rows(*map(np.concatenate, zip(*blocks))) if blocks[1:] else blocks[0]
+    # the lane after each problem's last
+    ends = np.cumsum([block.lengths.size for block in blocks])
     m = lengths.size
     starts = np.cumsum(lengths) - lengths
     w_lo, w_hi = kind.theta_window
@@ -128,9 +142,8 @@ def mle_block(model: DensityModel, kind: Kind, rows,
         # near the float limit overflows to an infinite half-width
         center, half = np.empty(m), np.empty(m)
         with np.errstate(over="ignore"):
-            for n in distinct(lengths):
-                group = np.flatnonzero(lengths == n)
-                center[group], half[group] = kind.seed(flat[starts[group, None] + np.arange(n)])
+            for group, block in length_blocks(rows):
+                center[group], half[group] = kind.seed(block)
     center = np.minimum(np.maximum(center, w_lo), w_hi)
 
     def to_theta(t: np.ndarray) -> np.ndarray:
@@ -138,12 +151,13 @@ def mle_block(model: DensityModel, kind: Kind, rows,
 
     def s(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         if lanes.size == m:
-            return row_score_sums(model, kind, flat, lengths, to_theta(t))
+            return row_score_sums(models, kind, flat, lengths, to_theta(t), ends)
         counts = lengths[lanes]
         # positions in flat of the listed rows, row after row
         gather = np.repeat(starts[lanes] - (np.cumsum(counts) - counts), counts) \
             + np.arange(counts.sum())
-        return row_score_sums(model, kind, flat[gather], counts, to_theta(t))
+        return row_score_sums(models, kind, flat[gather], counts, to_theta(t),
+                              np.searchsorted(lanes, ends))
 
     lo, hi, s_lo, s_hi = (np.empty(m) for _ in range(4))
     doublings = 0
@@ -186,8 +200,9 @@ def mle_block(model: DensityModel, kind: Kind, rows,
         raise BracketFailure(
             f"residual {residuals[i]:.3e} at theta={float(roots[i])!r} exceeds tol={tol:g}"
         )
-    return BlockRoots(to_theta(roots), residuals, iterations,
-                      np.stack([to_theta(lo), to_theta(hi)], axis=1))
+    fields = (to_theta(roots), residuals, iterations,
+              np.stack([to_theta(lo), to_theta(hi)], axis=1))
+    return [BlockRoots(*lanes) for lanes in zip(*(np.split(v, ends[:-1]) for v in fields))]
 
 
 def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> MleResult:

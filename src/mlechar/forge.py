@@ -79,7 +79,8 @@ def h_function(spec: HSpec) -> Callable:
     """
     if isinstance(spec, OddPower):
         d, p = spec.d, spec.p
-        return quiet_overflow(lambda y: d * y ** p)
+        # np.power overflows to an infinity where a float's ** would raise
+        return quiet_overflow(lambda y: d * np.power(y, p))
     w_prime = spec.w_prime
     if w_prime is None:
         w = spec.w
@@ -173,7 +174,7 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
 
     Per-trial seeds are split from the master seed in counter mode, so the
     report is reproducible and trials are independent.  All trials are drawn
-    in one call and solved as one block per density.
+    in one call and solved for both densities in one lockstep.
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
@@ -190,8 +191,8 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
     solver_tol = max(1e-10, 1e-3 * tol)
     agree = 0
     worst: Optional[Witness] = None
-    for values, tf, tg in zip(block, mle_block(f, LOCATION, block, solver_tol).theta.tolist(),
-                              mle_block(g, LOCATION, block, solver_tol).theta.tolist()):
+    roots_f, roots_g = mle_block(LOCATION, [(f, block), (g, block)], solver_tol)
+    for values, tf, tg in zip(block, roots_f.theta.tolist(), roots_g.theta.tolist()):
         gap = abs(tf - tg)
         if gap < tol:
             agree += 1

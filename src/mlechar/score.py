@@ -28,7 +28,8 @@ Scores follow the array contract of :mod:`mlechar.density`: a kind's
 location score is ``0 + (-1) f'/f`` without arrays of -1 and 0).
 :func:`kind_score` scores a point or a whole probe grid in one
 call, and :func:`row_score_sums` scores m samples, as rows of equal or
-different lengths back to back, in one call.  Each row sum is the correctly
+different lengths back to back, in one call, with one model or with
+consecutive runs of rows each scored by its own model.  Each row sum is the correctly
 rounded exact sum of the row's scores, the value ``math.fsum`` gives: a call
 of fewer than ``EXTRACT_MIN_SCORES`` (1024) scores sums each row with
 ``math.fsum`` over a list, a larger one sums all its rows at once by
@@ -56,6 +57,7 @@ from .density import (
     POSITIVE_HALF_LINE,
     CumulativeIntegral,
     DensityModel,
+    Rows,
     SupportSet,
     call_array,
     call_elementwise,
@@ -226,28 +228,26 @@ def kind_score(model: DensityModel, kind: Kind, x):
     return out if np.ndim(x) else float(out)
 
 
-def flatten_rows(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of an ``(m, n)`` block, or m 1-D rows of any lengths, back to
-    back as one float array, with the m row lengths.
+def flatten_rows(rows) -> Rows:
+    """The rows of an ``(m, n)`` block, m 1-D rows of any lengths or a
+    :class:`Rows`, back to back as one float array, with the m row lengths.
 
     Makes no numpy call per row.  Raises :class:`InvalidParams` unless there
     are m >= 1 rows of n >= 1 observations.
     """
-    if isinstance(rows, np.ndarray):
-        if rows.ndim == 2 and rows.size:
-            return np.asarray(rows, dtype=float).ravel(), np.full(rows.shape[0], rows.shape[1])
-    elif np.iterable(rows):
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        rows = Rows(rows.ravel(), np.full(rows.shape[0], rows.shape[1]))
+    elif not isinstance(rows, Rows) and np.iterable(rows):
         rows = list(rows)
         try:
-            # len rejects scalars, concatenate no rows or rows of mixed
-            # dimensions
-            lengths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
-            flat = np.concatenate(rows)
+            # concatenate rejects scalars, no rows or rows of mixed dimensions
+            rows = Rows(np.concatenate(rows), np.array(list(map(len, rows))))
         except (TypeError, ValueError):
             pass
-        else:
-            if flat.ndim == 1 and lengths.min() >= 1:
-                return flat.astype(float, copy=False), lengths
+    if isinstance(rows, Rows):
+        flat, lengths = np.asarray(rows.flat, dtype=float), np.asarray(rows.lengths)
+        if flat.ndim == 1 and lengths.size and lengths.min() >= 1 and lengths.sum() == flat.size:
+            return Rows(flat, lengths)
     raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
 
 
@@ -292,7 +292,7 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     # row's remainder
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2):
-            top = np.maximum(np.maximum.reduceat(rest, starts), -np.minimum.reduceat(rest, starts))
+            top = np.maximum.reduceat(np.abs(rest, out=part), starts)
             sigma = np.ldexp(1.0, spread + np.frexp(top)[1])
             # one row's sigma broadcasts as a scalar
             if lengths.size > 1:
@@ -328,21 +328,30 @@ def _fsum_rest(row: np.ndarray, rest: np.ndarray, spread: int, parts: list) -> f
     return math.fsum(parts)
 
 
-def row_score_sums(model: DensityModel, kind: Kind, flat: np.ndarray, lengths,
-                   theta) -> np.ndarray:
+def row_score_sums(model, kind: Kind, flat: np.ndarray, lengths, theta,
+                   ends=None) -> np.ndarray:
     """m row sums of the kind's score, row i at ``h(theta[i], x)``.
 
-    ``flat`` holds the m rows back to back and ``lengths`` their sizes.
-    Each row sum is the correctly rounded exact sum of that row's own
-    scores, ``math.fsum`` of them (:func:`row_fsums`), so it does not depend
-    on the other rows.  A sum that ``math.fsum`` cannot form, such as scores
-    of both infinite signs, raises :class:`BracketFailure`.
+    ``flat`` holds the m rows back to back and ``lengths`` their sizes.  The
+    one :class:`DensityModel` ``model`` scores every row; with ``ends``,
+    ``model`` is a sequence of models and model j scores the rows from
+    ``ends[j-1]`` (0 for the first) up to ``ends[j]``, all moved by one
+    ``kind.h`` call.  Each row sum is the correctly rounded exact sum of
+    that row's own scores, ``math.fsum`` of them (:func:`row_fsums`), so it
+    does not depend on the other rows.  A sum that ``math.fsum`` cannot
+    form, such as scores of both infinite signs, raises
+    :class:`BracketFailure`.
     """
     theta = np.asarray(theta, dtype=float)
     # a single row needs no theta repeated
-    one = len(lengths) == 1
-    moved = call_elementwise(kind.h, theta if one else np.repeat(theta, lengths), flat)
-    scores = _scores(model, kind, moved)
+    moved = call_elementwise(kind.h, theta if theta.size == 1 else np.repeat(theta, lengths), flat)
+    if ends is None or len(ends) == 1:
+        scores = _scores(model if ends is None else model[0], kind, moved)
+    else:
+        # each model scores the contiguous slice of its rows' points
+        stops = np.concatenate([[0], np.cumsum(lengths)])[ends].tolist()
+        scores = np.concatenate([_scores(part, kind, moved[start:stop]) for part, start, stop
+                                 in zip(model, [0] + stops, stops) if start < stop])
     try:
         return row_fsums(scores, lengths)
     except (ValueError, OverflowError):

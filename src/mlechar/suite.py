@@ -35,7 +35,6 @@ import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -45,15 +44,15 @@ from .density import (
     FULL_LINE,
     MAX_COUNT,
     InverseCdfSampler,
-    Sample,
+    Rows,
     call_elementwise,
-    distinct,
     effective_interval,
+    length_blocks,
     probe_grid,
 )
 from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
-from .estimator import closed_form_estimator, mle, mle_block
+from .estimator import closed_form_estimator, mle_block
 from .forge import OddPower, forge_odd_h, verify_counterexample
 from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_vanishes_inside
 
@@ -374,16 +373,13 @@ def _derive_seed(base: int, *labels) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-def _draw_rows(sampler: InverseCdfSampler, sizes, seed) -> list[np.ndarray]:
-    """One sample per requested size, cut in order from a single seeded draw."""
-    draw = sampler.rows(int(sum(sizes)), [seed])[0]
-    return [draw[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
-
-
-def _worst(sampler: InverseCdfSampler, sizes, seed, deviation) -> float:
-    """Largest ``deviation(rows)`` over the rows of one ``_draw_rows`` draw;
-    a NaN deviation makes the result NaN."""
-    return float(np.max(deviation(_draw_rows(sampler, sizes, seed))))
+def _solve(problems, tol: float) -> list:
+    """The ``mle_block`` roots of ``(kind, model, rows)`` problems, in their
+    order, from one lockstep per kind."""
+    solved = {kind: iter(mle_block(kind, [(model, rows) for k, model, rows in problems
+                                          if k is kind], tol))
+              for kind in dict.fromkeys(kind for kind, _, _ in problems)}
+    return [next(solved[kind]) for kind, _, _ in problems]
 
 
 _RULES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
@@ -409,36 +405,41 @@ def build_profiles(entry, kind_label: str):
 
 
 def _section_equivalence(config: SuiteConfig, gaussian, forged) -> list[dict]:
-    records = []
+    cases, problems = [], []
     for name, params, kind_label in config.equivalence:
         entry = cat.lookup(name, params)
         kind = cat.kind_for(entry, kind_label)
         model = entry.model
-        sampler = InverseCdfSampler(model)
-        for d in config.tilt_exponents:
+        # the trials of every exponent and size, drawn per exponent and size
+        draws = InverseCdfSampler(model).draw([
+            (_derive_seed(config.seed, "equivalence", name, kind_label, int(d * 1000), size_i),
+             [n] * config.trials)
+            for d in config.tilt_exponents for size_i, n in enumerate(config.sample_sizes)])
+        # each exponent's rows, the same sizes from its own seeds
+        for d, flat, lengths in zip(config.tilt_exponents,
+                                    *(np.split(v, len(config.tilt_exponents)) for v in draws)):
             tilted = tilt(model, d, kind)
-            d_hat = same_class(model, tilted, kind, tol=config.score_tol)
+            cases.append((name, kind_label, d, same_class(model, tilted, kind,
+                                                          tol=config.score_tol)))
+            problems += [(kind, model, Rows(flat, lengths)), (kind, tilted, Rows(flat, lengths))]
 
-            # the trials of every size, drawn per size, solved as one set of rows
-            rows = [row for size_i, n in enumerate(config.sample_sizes)
-                    for row in _draw_rows(sampler, [n] * config.trials,
-                                          _derive_seed(config.seed, "equivalence", name,
-                                                       kind_label, int(d * 1000), size_i))]
-            max_gap = float(np.max(np.abs(mle_block(model, kind, rows, config.mle_tol).theta
-                                          - mle_block(tilted, kind, rows, config.mle_tol).theta)))
-            records.append({
-                "check": "shared_mle",
-                "family": name,
-                "kind": kind_label,
-                "d": d,
-                "trials_per_size": config.trials,
-                "sizes": "/".join(str(n) for n in config.sample_sizes),
-                "max_gap": enc(max_gap),
-                "d_recovered": enc(d_hat) if d_hat is not None else "none",
-                "provenance": "numeric",
-                "verdict": _verdict((math.inf if d_hat is None else abs(d_hat - d), "<", 1e-6),
-                                    (max_gap, "<", config.agreement_tol)),
-            })
+    records = []
+    roots = _solve(problems, config.mle_tol)
+    for (name, kind_label, d, d_hat), base, tilted in zip(cases, roots[::2], roots[1::2]):
+        max_gap = float(np.max(np.abs(base.theta - tilted.theta)))
+        records.append({
+            "check": "shared_mle",
+            "family": name,
+            "kind": kind_label,
+            "d": d,
+            "trials_per_size": config.trials,
+            "sizes": "/".join(str(n) for n in config.sample_sizes),
+            "max_gap": enc(max_gap),
+            "d_recovered": enc(d_hat) if d_hat is not None else "none",
+            "provenance": "numeric",
+            "verdict": _verdict((math.inf if d_hat is None else abs(d_hat - d), "<", 1e-6),
+                                (max_gap, "<", config.agreement_tol)),
+        })
 
     logistic = cat.lookup("logistic").model
     for label, other in (("gaussian_vs_logistic", logistic),
@@ -470,9 +471,9 @@ def _section_counterexample(config: SuiteConfig, gaussian, forged) -> list[dict]
         "verdict": _verdict((rep2.agreement_fraction, "==", 1.0)),
     })
 
-    witness = Sample(np.array([0.0, 0.0, 3.0]))
-    tf = mle(gaussian, LOCATION, witness, config.mle_tol).theta_hat
-    tg = mle(forged, LOCATION, witness, config.mle_tol).theta_hat
+    witness = [np.array([0.0, 0.0, 3.0])]
+    tf, tg = (float(roots.theta[0]) for roots in mle_block(
+        LOCATION, [(gaussian, witness), (forged, witness)], config.mle_tol))
     expected_tg = 3.0 / (1.0 + 2.0 ** (1.0 / 3.0))
     records.append({
         "check": "witness_n3",
@@ -540,27 +541,24 @@ def _configured(config: SuiteConfig, name: str, params: dict, kind_label: str) -
 def _section_closed_form(config: SuiteConfig) -> list[dict]:
     records = []
     sizes_cycle = [2 + (i % 11) for i in range(500)]
-    for name, params, kind_label in CLOSED_FORM_CASES:
-        if not _configured(config, name, params, kind_label):
-            continue
-        entry = cat.lookup(name, params)
+    cases = [case for case in CLOSED_FORM_CASES if _configured(config, *case)]
+    entries = [cat.lookup(name, params) for name, params, _ in cases]
+    draws = [InverseCdfSampler(entry.model).draw(
+        [(_derive_seed(config.seed, "closed_form", name, kind_label), sizes_cycle)])
+             for entry, (name, _, kind_label) in zip(entries, cases)]
+    roots = _solve([(cat.kind_for(entry, kind_label), entry.model, rows)
+                    for entry, (_, _, kind_label), rows in zip(entries, cases, draws)],
+                   config.mle_tol)
+    for (name, _, kind_label), entry, rows, numeric in zip(cases, entries, draws, roots):
         kind = cat.kind_for(entry, kind_label)
-
         estimate = closed_form_estimator(entry, kind)
-
-        def deviation(rows):
-            # one closed-form call per row length, on the block of those rows
-            lengths = np.array([row.size for row in rows])
-            closed = np.empty(lengths.size)
-            for n in distinct(lengths):
-                group = np.flatnonzero(lengths == n)
-                closed[group] = estimate(np.array([rows[i] for i in group]))
-            numeric = mle_block(entry.model, kind, rows, config.mle_tol).theta
-            # rates compare relatively, locations absolutely
-            return np.abs(closed - numeric) / (np.abs(numeric) if kind is SCALE else 1.0)
-
-        worst = _worst(InverseCdfSampler(entry.model), sizes_cycle,
-                       _derive_seed(config.seed, "closed_form", name, kind_label), deviation)
+        # one closed-form call per row length, on the block of those rows
+        closed = np.empty(rows.lengths.size)
+        for group, block in length_blocks(rows):
+            closed[group] = estimate(block)
+        # rates compare relatively, locations absolutely
+        worst = float(np.max(np.abs(closed - numeric.theta)
+                             / (np.abs(numeric.theta) if kind is SCALE else 1.0)))
         records.append({
             "check": "closed_vs_numeric",
             "family": name,
@@ -587,20 +585,21 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
          lambda got, base, lam: np.abs(got * lam - base) / np.abs(base)),
     )
     for kind, cases, check, key, elements, seed_label, act, deviation in plan:
+        names, problems = [], []
         for name, params in cases:
             if not _configured(config, name, params, kind.label):
                 continue
             model = cat.lookup(name, params).model
-
-            def moved(rows):
-                # the base rows and each moved copy of them, solved as one set
-                moves = [act(row, g) for g in elements for row in rows]
-                thetas = mle_block(model, kind, rows + moves, config.mle_tol).theta
-                base, *got = thetas.reshape(len(elements) + 1, len(rows))
-                return [deviation(theta, base, g) for theta, g in zip(got, elements)]
-
-            worst = _worst(InverseCdfSampler(model), sizes_cycle,
-                           _derive_seed(config.seed, seed_label, name), moved)
+            base = InverseCdfSampler(model).draw([(_derive_seed(config.seed, seed_label, name),
+                                                   sizes_cycle)])
+            # the base rows and each moved copy of them, one problem per family
+            names.append(name)
+            problems.append((model, Rows(np.concatenate([base.flat] + [act(base.flat, g)
+                                                                       for g in elements]),
+                                         np.tile(base.lengths, len(elements) + 1))))
+        for name, roots in zip(names, mle_block(kind, problems, config.mle_tol)):
+            base, *got = roots.theta.reshape(len(elements) + 1, len(sizes_cycle))
+            worst = float(np.max([deviation(theta, base, g) for theta, g in zip(got, elements)]))
             records.append({
                 "check": check,
                 "family": name,

@@ -228,10 +228,15 @@ def test_overflow_gives_infinities_without_warnings(name, params, x):
 
 
 def test_odd_power_overflows_without_warnings():
+    h = h_function(OddPower(1.0, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = h_function(OddPower(1.0, 3))(np.array([-1e200, 1e200, 2.0]))
+        got = h(np.array([-1e200, 1e200, 2.0]))
+        # a float overflows to an infinity as an array does, without OverflowError
+        floats = [h(-1e200), h(1e200), h(2.0)]
     assert np.array_equal(got, [-math.inf, math.inf, 8.0])
+    assert floats == [-math.inf, math.inf, 8.0]
+    assert all(isinstance(value, float) for value in floats)
 
 
 def test_table_tails_overflow_without_warnings(forged_pair, gaussian, tmp_path):

@@ -67,7 +67,7 @@ def test_mle_on_a_loaded_tilt_meets_the_residual_contract(tmp_path, gaussian, d)
     for seed in range(60):
         rng = np.random.default_rng(seed)
         rows.append(rng.normal(rng.uniform(-1.0, 1.0), 1.0, 50))
-    roots = mle_block(loaded, LOCATION, np.array(rows), DEFAULT_TOL)
+    (roots,) = mle_block(LOCATION, [(loaded, np.array(rows))], DEFAULT_TOL)
     assert (np.abs(roots.residual) < DEFAULT_TOL).all()
     assert np.abs(roots.theta - np.mean(rows, axis=1)).max() < 1e-5
 

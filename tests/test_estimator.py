@@ -1,9 +1,10 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -42,7 +43,7 @@ from mlechar.estimator import (
     mle_block,
 )
 from mlechar.score import BRENT_RTOL, Kind, brent_lanes, flatten_rows, row_score_sums
-from mlechar.suite import CLOSED_FORM_CASES, DEFAULT_FAMILIES
+from mlechar.suite import CLOSED_FORM_CASES, DEFAULT_EQUIVALENCE, DEFAULT_FAMILIES
 
 
 def s(*values):
@@ -273,7 +274,7 @@ def test_a_score_sum_of_both_infinities_is_a_bracket_failure(name, label, values
                                   [np.ones(2), np.ones(0)]])
 def test_block_needs_rows_of_observations(gaussian, rows):
     with pytest.raises(InvalidParams):
-        mle_block(gaussian.model, LOCATION, rows)
+        mle_block(LOCATION, [(gaussian.model, rows)])
 
 
 def test_rate_below_the_scale_window_is_a_bracket_failure():
@@ -401,7 +402,7 @@ def test_brent_lanes_reproduces_scipy_brentq(case, n, m, seed, widths):
     kind = kind_for(entry, label)
     block = _block(entry, n, m, seed)
     to_t = np.log if kind is SCALE else (lambda theta: theta)
-    t_hat = to_t(mle_block(entry.model, kind, block).theta)
+    t_hat = to_t(mle_block(kind, [(entry.model, block)])[0].theta)
     lo, hi = t_hat - widths[0], t_hat + widths[1]
 
     def lanes_fn(t, lanes):
@@ -491,7 +492,7 @@ def test_block_residuals_are_the_score_sums_at_the_roots(case, lengths, seed):
     draw = InverseCdfSampler(entry.model).rows(sum(lengths), [seed])[0]
     rows = np.split(draw, np.cumsum(lengths)[:-1])
     try:
-        roots = mle_block(entry.model, kind, rows)
+        (roots,) = mle_block(kind, [(entry.model, rows)])
     except MlecharError:
         return
     for i, row in enumerate(rows):
@@ -503,7 +504,7 @@ def assert_lanes_equal_single_sample_mles(entry, kind, rows):
     """``mle_block`` on the rows equals ``mle`` on each row alone, field for
     field and bit for bit; a failing block fails as its first failing row."""
     try:
-        roots = mle_block(entry.model, kind, rows)
+        (roots,) = mle_block(kind, [(entry.model, rows)])
     except MlecharError as exc:
         # a block fails exactly when one of its rows fails alone
         with pytest.raises(type(exc)):
@@ -533,7 +534,7 @@ def test_one_lane_equals_a_lockstep_lane_at_large_n(name, params, label, n):
     kind = kind_for(entry, label)
     row = _block(entry, n, 1, 2024)[0]
     alone = mle(entry.model, kind, Sample(row))
-    pair = mle_block(entry.model, kind, [row, row])
+    (pair,) = mle_block(kind, [(entry.model, [row, row])])
     assert (alone.theta_hat.hex(), alone.residual.hex()) == (float(pair.theta[0]).hex(),
                                                              float(pair.residual[0]).hex())
     assert alone.method == BracketedRoot(int(pair.iterations[0]),
@@ -603,6 +604,79 @@ def test_lockstep_lanes_are_invariant_under_permutation_and_equal_one_lane_solve
         assert solve(functions[i:i + 1], np.arange(1)) == [[v[i]] for v in together]
 
 
+@functools.lru_cache(maxsize=None)
+def _models_of_kind(label):
+    """One kind and its models: the catalog's, and the tilts of its
+    equivalence cases at d = 0.5 and 2, each with a sampler of its base."""
+    entries = {(name, repr(params)): lookup(name, params)
+               for name, params, labels in DEFAULT_FAMILIES if label in labels}
+    kind = kind_for(next(iter(entries.values())), label)
+    models = [(entry.model, InverseCdfSampler(entry.model)) for entry in entries.values()]
+    for name, params, case_label in DEFAULT_EQUIVALENCE:
+        if case_label == label:
+            base = entries[name, repr(params)].model
+            models += [(tilt(base, d, kind), InverseCdfSampler(base)) for d in (0.5, 2.0)]
+    return kind, models
+
+
+@given(label=st.sampled_from(["location", "scale", "group"]),
+       problems=st.lists(st.tuples(st.integers(0, 1000),
+                                   st.lists(st.integers(1, 12), min_size=1, max_size=6),
+                                   st.integers(0, 10_000), st.booleans()),
+                         min_size=1, max_size=4),
+       copies=st.sampled_from([1, 1, 1, 30]))
+@example(label="location", problems=[(0, [12, 11], 1, True), (3, [1, 5], 2, False)], copies=50)
+@example(label="scale", problems=[(1, [3], 3, True), (5, [12, 12, 9], 4, True)], copies=40)
+@settings(max_examples=40, deadline=None)
+def test_one_lockstep_over_several_models_equals_one_sample_mles(label, problems, copies):
+    # problems of one kind, each a catalog model or a tilt with its own rows,
+    # given as one flat draw with lengths or as a list of rows; with 30 or
+    # more copies of the lengths a call holds over 1,024 scores, which are
+    # summed by extraction
+    kind, models = _models_of_kind(label)
+    chosen, split = [], []
+    for pick, lengths, seed, flat in problems:
+        model, sampler = models[pick % len(models)]
+        rows = sampler.draw([(seed, lengths * copies)])
+        split.append(np.split(rows.flat, np.cumsum(rows.lengths)[:-1]))
+        chosen.append((model, rows if flat else split[-1]))
+    try:
+        solved = mle_block(kind, chosen)
+    except MlecharError as exc:
+        # the solve fails exactly when one of its rows fails alone
+        with pytest.raises(type(exc)):
+            for (model, _), rows in zip(chosen, split):
+                for row in rows:
+                    mle(model, kind, Sample(row))
+        return
+    assert len(solved) == len(chosen)
+    for (model, _), rows, roots in zip(chosen, split, solved):
+        for i, row in enumerate(rows):
+            alone = mle(model, kind, Sample(row))
+            assert (alone.theta_hat.hex(), alone.residual.hex()) == (
+                float(roots.theta[i]).hex(), float(roots.residual[i]).hex())
+            assert alone.method == BracketedRoot(int(roots.iterations[i]),
+                                                 tuple(roots.bracket[i].tolist()))
+
+
+def test_a_failing_row_of_the_second_problem_fails_the_solve(gaussian):
+    # the second problem's middle row has scores of both infinite signs once
+    # theta sits between its ends, as in the test below
+    quartic = DensityModel("quartic", SupportSet.full_line(), lambda x: -x ** 4 / 4.0,
+                           quiet_overflow(lambda x: -x ** 3))
+    bad = np.array([-1e200, 0.5, 1e200])
+    with pytest.raises(BracketFailure) as alone:
+        mle(quartic, LOCATION, Sample(bad))
+    with pytest.raises(BracketFailure) as together:
+        mle_block(LOCATION, [(gaussian.model, [np.linspace(-1.0, 2.0, 9)]),
+                             (quartic, [np.linspace(-1.0, 1.0, 5), bad])])
+    assert str(together.value) == str(alone.value)
+
+
+def test_no_problems_have_no_roots():
+    assert mle_block(LOCATION, []) == []
+
+
 def test_a_block_names_the_row_whose_scores_overflow_to_both_infinities():
     # the location score x^3 of exp(-x^4/4) overflows to -inf and +inf on
     # the middle row once theta sits between its ends; the block holds more
@@ -614,7 +688,7 @@ def test_a_block_names_the_row_whose_scores_overflow_to_both_infinities():
     with pytest.raises(BracketFailure) as alone:
         mle(model, LOCATION, Sample(bad))
     with pytest.raises(BracketFailure) as block:
-        mle_block(model, LOCATION, rows)
+        mle_block(LOCATION, [(model, rows)])
     assert str(block.value) == str(alone.value)
     assert str(block.value).startswith("the score sum at theta=0.0 has no value")
 

@@ -10,6 +10,7 @@ from mlechar import lookup
 from mlechar.density import DensityModel, SupportSet
 from mlechar.errors import NotMonotone, UnsupportedSupport
 from mlechar.score import (
+    EXTRACT_MIN_SCORES,
     LOCATION,
     SCALE,
     Group,
@@ -202,6 +203,39 @@ def test_long_row_sums_are_math_fsum_bit_for_bit(gaussian, style, n, seed):
     short = x[:3]
     both = row_score_sums(model, kind, np.concatenate([short, x]), [3, n], [0.0, 0.0])
     assert [s.hex() for s in both.tolist()] == [math.fsum(short.tolist()).hex(), want.hex()]
+
+
+@given(m=st.integers(100, 300), cancelling=st.floats(0.0, 1.0),
+       special=st.sampled_from([None, None, math.inf, -math.inf, math.nan, "both infinities"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_many_short_rows_sum_as_math_fsum_bit_for_bit(m, cancelling, special, seed):
+    # rows of 1 to 16 scores, at least 1,024 in all so that they are summed by
+    # extraction, with magnitudes from 1e-300 to 1e300; a cancelling row
+    # pairs all its values but one or two with their negations
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 17, m)
+    while lengths.sum() < EXTRACT_MIN_SCORES:
+        lengths = np.append(lengths, 16)
+    rows = []
+    for n in lengths.tolist():
+        x = 10.0 ** rng.uniform(-300.0, 300.0, n) * rng.choice([-1.0, 1.0], n)
+        if n > 2 and rng.random() < cancelling:
+            k = (n - 1) // 2
+            x = np.concatenate([x[:k], -x[:k], x[2 * k:]])
+            rng.shuffle(x)
+        rows.append(x)
+    if special is not None:
+        row = rows[rng.integers(0, len(rows))]
+        row[rng.integers(0, row.size)] = math.inf if special == "both infinities" else special
+        if special == "both infinities":
+            row[rng.integers(0, row.size)] = -math.inf
+    want = _fsums_or_error(rows)
+    try:
+        got = [s.hex() for s in row_fsums(np.concatenate(rows), lengths).tolist()]
+    except (ValueError, OverflowError) as exc:
+        got = type(exc), str(exc)
+    assert got == want
 
 
 GROUP_KINDS = [LOCATION, SCALE, lookup("sinh_arcsinh_skew_normal").transform]
