@@ -153,11 +153,12 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
         if lanes.size == m:
             return row_score_sums(models, kind, flat, lengths, to_theta(t), ends)
         counts = lengths[lanes]
-        # positions in flat of the listed rows, row after row
-        gather = np.repeat(starts[lanes] - (np.cumsum(counts) - counts), counts) \
-            + np.arange(counts.sum())
-        return row_score_sums(models, kind, flat[gather], counts, to_theta(t),
-                              np.searchsorted(lanes, ends))
+        # positions in flat of the listed rows, row after row, summed in place
+        # and dropped once the points are taken, to hold one index array
+        x = np.repeat(starts[lanes] - (np.cumsum(counts) - counts), counts)
+        x += np.arange(counts.sum())
+        x = flat[x]
+        return row_score_sums(models, kind, x, counts, to_theta(t), np.searchsorted(lanes, ends))
 
     lo, hi, s_lo, s_hi = (np.empty(m) for _ in range(4))
     doublings = 0

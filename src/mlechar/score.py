@@ -29,11 +29,11 @@ location score is ``0 + (-1) f'/f`` without arrays of -1 and 0).
 :func:`kind_score` scores a point or a whole probe grid in one
 call, and :func:`row_score_sums` scores m samples, as rows of equal or
 different lengths back to back, in one call, with one model or with
-consecutive runs of rows each scored by its own model.  Each row sum is the correctly
-rounded exact sum of the row's scores, the value ``math.fsum`` gives: a call
-of fewer than ``EXTRACT_MIN_SCORES`` (1024) scores sums each row with
-``math.fsum`` over a list, a larger one sums all its rows at once by
-error-free extraction on the score array (:func:`row_fsums`).
+consecutive runs of rows each scored by its own model.  Each row sum is the
+correctly rounded exact sum of the row's scores, the value ``math.fsum``
+gives: a call of fewer than ``EXTRACT_MIN_SCORES`` (1024) scores sums each
+row with ``math.fsum`` over a list, a larger one sums all its rows at once
+by error-free extraction on the score array (:func:`row_fsums`).
 :func:`brent_lanes` is the one root finder: Brent's method run lane by
 lane over a batch of brackets, step for step as SciPy's Brent solver runs it,
 in numpy lockstep over the lanes not yet converged, and in Python floats for
@@ -272,12 +272,12 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     leave no remainder in nearly every row; the one IEEE addition of its two
     exact part sums then rounds the row's exact sum correctly (for
     ``sigma <= 2^1023`` nothing overflows).  Each row's ``sigma`` comes from
-    ``np.maximum.reduceat`` and its part sums from ``np.add.reduceat``.  A
-    row with a remainder left takes more rounds alone, and ``math.fsum`` of
-    its part sums rounds the total; a row with an infinite or NaN score, or
-    whose ``sigma`` overflows, leaves NaN behind and goes through
-    ``math.fsum`` itself, which then raises or overflows as it would on the
-    scores.
+    one ``np.maximum.reduceat`` of the remainders' magnitudes and its part
+    sums from ``np.add.reduceat``.  A row with a remainder left takes more
+    rounds alone, and ``math.fsum`` of its part sums rounds the total; a row
+    with an infinite or NaN score, or whose ``sigma`` overflows, leaves NaN
+    behind and goes through ``math.fsum`` itself, which then raises or
+    overflows as it would on the scores.
     """
     lengths = np.asarray(lengths)
     if scores.size < EXTRACT_MIN_SCORES:
@@ -350,8 +350,12 @@ def row_score_sums(model, kind: Kind, flat: np.ndarray, lengths, theta,
     else:
         # each model scores the contiguous slice of its rows' points
         stops = np.concatenate([[0], np.cumsum(lengths)])[ends].tolist()
-        scores = np.concatenate([_scores(part, kind, moved[start:stop]) for part, start, stop
-                                 in zip(model, [0] + stops, stops) if start < stop])
+        scores = np.empty_like(moved)
+        for part, start, stop in zip(model, [0] + stops, stops):
+            if start < stop:
+                scores[start:stop] = _scores(part, kind, moved[start:stop])
+    # the moved points go before the row sums take two arrays of their size
+    del moved
     try:
         return row_fsums(scores, lengths)
     except (ValueError, OverflowError):

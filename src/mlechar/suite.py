@@ -546,11 +546,9 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
     draws = [InverseCdfSampler(entry.model).draw(
         [(_derive_seed(config.seed, "closed_form", name, kind_label), sizes_cycle)])
              for entry, (name, _, kind_label) in zip(entries, cases)]
-    roots = _solve([(cat.kind_for(entry, kind_label), entry.model, rows)
-                    for entry, (_, _, kind_label), rows in zip(entries, cases, draws)],
-                   config.mle_tol)
-    for (name, _, kind_label), entry, rows, numeric in zip(cases, entries, draws, roots):
-        kind = cat.kind_for(entry, kind_label)
+    kinds = [cat.kind_for(entry, kind_label) for entry, (_, _, kind_label) in zip(entries, cases)]
+    roots = _solve(list(zip(kinds, [entry.model for entry in entries], draws)), config.mle_tol)
+    for (name, _, _), entry, kind, rows, numeric in zip(cases, entries, kinds, draws, roots):
         estimate = closed_form_estimator(entry, kind)
         # one closed-form call per row length, on the block of those rows
         closed = np.empty(rows.lengths.size)
@@ -562,8 +560,8 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
         records.append({
             "check": "closed_vs_numeric",
             "family": name,
-            "kind": kind_label,
-            "formula": entry.closed_form[kind_label][0],
+            "kind": kind.label,
+            "formula": entry.closed_form[kind.label][0],
             "samples": len(sizes_cycle),
             "max_deviation": enc(worst),
             "provenance": "numeric",
@@ -594,9 +592,8 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
                                                    sizes_cycle)])
             # the base rows and each moved copy of them, one problem per family
             names.append(name)
-            problems.append((model, Rows(np.concatenate([base.flat] + [act(base.flat, g)
-                                                                       for g in elements]),
-                                         np.tile(base.lengths, len(elements) + 1))))
+            flat = np.concatenate([base.flat] + [act(base.flat, g) for g in elements])
+            problems.append((model, Rows(flat, np.tile(base.lengths, len(elements) + 1))))
         for name, roots in zip(names, mle_block(kind, problems, config.mle_tol)):
             base, *got = roots.theta.reshape(len(elements) + 1, len(sizes_cycle))
             worst = float(np.max([deviation(theta, base, g) for theta, g in zip(got, elements)]))
