@@ -785,8 +785,10 @@ class InverseCdfSampler:
         counts = [sum(sizes) for _, sizes in runs]
         if sum(counts) > MAX_COUNT:
             raise InvalidParams(f"{sum(counts)} values exceed the {MAX_COUNT} an array holds")
+        # no runs draw no rows
         return Rows(self.invert(np.concatenate([np.random.default_rng(int(seed)).random(n)
-                                                for (seed, _), n in zip(runs, counts)])),
+                                                for (seed, _), n in zip(runs, counts)]
+                                               or [np.empty(0)])),
                     np.array([n for _, sizes in runs for n in sizes]))
 
 

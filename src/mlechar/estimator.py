@@ -131,7 +131,7 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
         Sample(block.flat).require_inside(model)
     flat, lengths = rows = Rows(*map(np.concatenate, zip(*blocks))) if blocks[1:] else blocks[0]
     # the lane after each problem's last
-    ends = np.cumsum([block.lengths.size for block in blocks])
+    ends = np.cumsum([block.lengths.size for block in blocks]).tolist()
     m = lengths.size
     starts = np.cumsum(lengths) - lengths
     w_lo, w_hi = kind.theta_window
@@ -203,7 +203,7 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
         )
     fields = (to_theta(roots), residuals, iterations,
               np.stack([to_theta(lo), to_theta(hi)], axis=1))
-    return [BlockRoots(*lanes) for lanes in zip(*(np.split(v, ends[:-1]) for v in fields))]
+    return [BlockRoots(*(v[a:b] for v in fields)) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> MleResult:

@@ -583,18 +583,17 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
          lambda got, base, lam: np.abs(got * lam - base) / np.abs(base)),
     )
     for kind, cases, check, key, elements, seed_label, act, deviation in plan:
-        names, problems = [], []
+        cases = [(name, params) for name, params in cases
+                 if _configured(config, name, params, kind.label)]
+        problems = []
         for name, params in cases:
-            if not _configured(config, name, params, kind.label):
-                continue
             model = cat.lookup(name, params).model
             base = InverseCdfSampler(model).draw([(_derive_seed(config.seed, seed_label, name),
                                                    sizes_cycle)])
             # the base rows and each moved copy of them, one problem per family
-            names.append(name)
             flat = np.concatenate([base.flat] + [act(base.flat, g) for g in elements])
             problems.append((model, Rows(flat, np.tile(base.lengths, len(elements) + 1))))
-        for name, roots in zip(names, mle_block(kind, problems, config.mle_tol)):
+        for (name, _), roots in zip(cases, mle_block(kind, problems, config.mle_tol)):
             base, *got = roots.theta.reshape(len(elements) + 1, len(sizes_cycle))
             worst = float(np.max([deviation(theta, base, g) for theta, g in zip(got, elements)]))
             records.append({

@@ -397,6 +397,11 @@ def test_one_sampler_or_one_per_call_draws_the_same_rows(gaussian):
     assert np.array_equal(once, InverseCdfSampler(model).rows(50, [5])[0])
     assert np.array_equal(once, sampler.rows(50, [5])[0])
     assert np.array_equal(once, sampler.rows(50, [4, 5])[1])
+    # runs of several rows and seeds, inverted in one call, cut the same rows
+    flat, lengths = sampler.draw([(4, [20, 30]), (5, [10, 40])])
+    assert lengths.tolist() == [20, 30, 10, 40]
+    assert np.array_equal(flat[50:], once) and np.array_equal(flat[:50], sampler.rows(50, [4])[0])
+    assert sampler.rows(50, []).shape == (0, 50) and sampler.draw([]).flat.size == 0
     # drawing leaves the model as it was: no sampler is kept on it
     assert not any(isinstance(v, InverseCdfSampler) for v in vars(model).values())
 
