@@ -23,7 +23,9 @@ sign, and refines it with Brent's bisection/secant iteration
 scores each problem's lanes with its own model and sums every row with one
 exact row summation.  A lane's result does not depend on the other rows or
 problems, so :func:`mle`, the one place that builds an :class:`MleResult`
-from a solve, is one problem of one row, solved in Python floats.  A
+from a solve, is one problem of one row, bracketed and refined in Python
+floats and summed by extraction from ``score.EXTRACT_MIN_ONE_ROW``
+observations on.  A
 catalog family that writes a closed-form estimator for a kind gets a direct
 fast path via :func:`closed_form_mle`; the formulas live in the catalog's
 family builders, so this module names no family.
@@ -92,59 +94,61 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     coordinate t (``theta = kind.to_theta(t)``): the bracket starts at the
     kind's sample seed and its half-width doubles, clipped to the kind's
     window, until the score sum changes sign.  The root must bring the sum
-    below ``tol`` in absolute value.
+    below ``tol`` in absolute value.  This is :func:`mle_block` on one
+    problem of the one row ``sample``, which it brackets and refines in
+    Python floats and sums by extraction from ``EXTRACT_MIN_ONE_ROW``
+    observations on.
     """
-    (roots,) = mle_block(kind, [(model, [sample.values])], tol)
-    lo, hi = roots.bracket[0].tolist()
-    return MleResult(float(roots.theta[0]), float(roots.residual[0]),
-                     BracketedRoot(int(roots.iterations[0]), (lo, hi)), kind)
+    (roots,) = mle_block(kind, [(model, sample)], tol)
+    (theta,), (residual,), (iterations,), ((lo, hi),) = (
+        v.tolist() for v in (roots.theta, roots.residual, roots.iterations, roots.bracket))
+    return MleResult(theta, residual, BracketedRoot(iterations, (lo, hi)), kind)
 
 
 class BlockRoots(NamedTuple):
-    """The MLEs of m rows, as arrays of m: ``bracket`` is ``(m, 2)``, in theta."""
+    """The MLEs of m rows, as arrays of m: ``bracket`` is ``(m, 2)``, in
+    theta.  A lane doubled its bracket's half-width ``doublings`` times and
+    took ``iterations`` Brent steps, so it evaluated its score sum
+    ``2 (doublings + 1) + max(iterations - 1, 0)`` times: at both ends of
+    each bracket tried and once per Brent step but the last."""
 
     theta: np.ndarray
     residual: np.ndarray
     iterations: np.ndarray
     bracket: np.ndarray
+    doublings: np.ndarray
 
 
 def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots]:
     """MLEs of the rows of several models in one solve, as :func:`mle`.
 
     ``problems`` lists ``(model, rows)`` pairs, where ``rows`` is an
-    ``(m, n)`` block, a sequence of m 1-D rows of any lengths or a
-    :class:`~mlechar.density.Rows`.  Returns one :class:`BlockRoots` per
-    problem, whose lane i equals ``mle(model, kind, Sample(rows[i]), tol)``
-    bit for bit.  One bracket search and one Brent lockstep serve the lanes
-    of all problems: each step moves every live lane with one ``kind.h``
-    call, scores each problem's lanes with its own model and sums all rows
-    with one ``row_fsums`` call.  Raises as soon as one row fails.
+    ``(m, n)`` block, a sequence of m 1-D rows of any lengths, a
+    :class:`~mlechar.density.Rows` or a :class:`~mlechar.density.Sample`
+    (one row).  Returns one :class:`BlockRoots` per problem, whose lane i
+    equals ``mle(model, kind, Sample(rows[i]), tol)`` bit for bit.  One
+    bracket search and one Brent lockstep serve the lanes of all problems:
+    each step moves every live lane with one ``kind.h`` call, scores each
+    problem's lanes with its own model and sums all rows with one
+    ``row_fsums`` call.  One problem of one row seeds its row as a
+    ``(1, n)`` view and brackets and refines it in Python floats, where
+    numpy steps on arrays of one would cost more than the arithmetic.
+    Raises as soon as one row fails.
     """
     if kind.h is None:
         raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
     if not problems:
         return []
     models, blocks = zip(*((model, flatten_rows(rows)) for model, rows in problems))
-    for model, block in zip(models, blocks):
+    for (model, given), block in zip(problems, blocks):
         kind.check(model.support)
-        Sample(block.flat).require_inside(model)
+        # a Sample was checked as one row when it was made
+        (given if isinstance(given, Sample) else Sample(block.flat)).require_inside(model)
     flat, lengths = rows = Rows(*map(np.concatenate, zip(*blocks))) if blocks[1:] else blocks[0]
     # the lane after each problem's last
     ends = np.cumsum([block.lengths.size for block in blocks]).tolist()
     m = lengths.size
     starts = np.cumsum(lengths) - lengths
-    w_lo, w_hi = kind.theta_window
-    if kind.seed is None:
-        center, half = np.zeros(m), np.full(m, min(0.5, (w_hi - w_lo) / 4.0))
-    else:
-        # the seed sees one (count, n) block per row length; a sample range
-        # near the float limit overflows to an infinite half-width
-        center, half = np.empty(m), np.empty(m)
-        with np.errstate(over="ignore"):
-            for group, block in length_blocks(rows):
-                center[group], half[group] = kind.seed(block)
-    center = np.minimum(np.maximum(center, w_lo), w_hi)
 
     def to_theta(t: np.ndarray) -> np.ndarray:
         return t if kind.to_theta is identity else call_elementwise(kind.to_theta, t)
@@ -160,7 +164,42 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
         x = flat[x]
         return row_score_sums(models, kind, x, counts, to_theta(t), np.searchsorted(lanes, ends))
 
+    lo, hi, s_lo, s_hi, doublings = (_bracket_one if m == 1 else _bracket_lanes)(kind, rows, s)
+    # refine far below a 1e-12 interval so the residual contract holds even
+    # for interpolated (slightly jittery) scores
+    roots, residuals, iterations, converged = brent_lanes(s, lo, hi, s_lo, s_hi, xtol=1e-15,
+                                                          maxiter=300)
+    if not converged.all():
+        raise BracketFailure(f"Brent iteration did not converge within 300 steps "
+                             f"(theta={float(roots[~converged][0])!r})")
+    bad = ~(np.abs(residuals) < tol)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise BracketFailure(
+            f"residual {residuals[i]:.3e} at theta={float(roots[i])!r} exceeds tol={tol:g}"
+        )
+    fields = (to_theta(roots), residuals, iterations,
+              np.stack([to_theta(lo), to_theta(hi)], axis=1), doublings)
+    return [BlockRoots(*(v[a:b] for v in fields)) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _bracket_lanes(kind: Kind, rows: Rows, s: Callable):
+    """Each lane's bracket in t, from its seed, with the score sums ``s`` at
+    its ends and its doublings, as arrays of m."""
+    m = rows.lengths.size
+    w_lo, w_hi = kind.theta_window
+    if kind.seed is None:
+        center, half = np.zeros(m), np.full(m, min(0.5, (w_hi - w_lo) / 4.0))
+    else:
+        # the seed sees one (count, n) block per row length; a sample range
+        # near the float limit overflows to an infinite half-width
+        center, half = np.empty(m), np.empty(m)
+        with np.errstate(over="ignore"):
+            for group, block in length_blocks(rows):
+                center[group], half[group] = kind.seed(block)
+    center = np.minimum(np.maximum(center, w_lo), w_hi)
     lo, hi, s_lo, s_hi = (np.empty(m) for _ in range(4))
+    doubled = np.empty(m, dtype=int)
     doublings = 0
     pending = np.arange(m)
     while pending.size:
@@ -177,6 +216,7 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
         found = (slo_p == 0.0) | (shi_p == 0.0) | ((slo_p > 0.0) != (shi_p > 0.0))
         for dest, src in ((lo, lo_p), (hi, hi_p), (s_lo, slo_p), (s_hi, shi_p)):
             dest[pending[found]] = src[found]
+        doubled[pending[found]] = doublings
         stuck = ~found & ((doublings == MAX_DOUBLINGS) | ((lo_p == w_lo) & (hi_p == w_hi)))
         if stuck.any():
             i = int(np.flatnonzero(stuck)[0])
@@ -187,23 +227,37 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
         pending = pending[~found]
         half[pending] *= 2.0
         doublings += 1
+    return lo, hi, s_lo, s_hi, doubled
 
-    # refine far below a 1e-12 interval so the residual contract holds even
-    # for interpolated (slightly jittery) scores
-    roots, residuals, iterations, converged = brent_lanes(s, lo, hi, s_lo, s_hi, xtol=1e-15,
-                                                          maxiter=300)
-    if not converged.all():
-        raise BracketFailure(f"Brent iteration did not converge within 300 steps "
-                             f"(theta={float(roots[~converged][0])!r})")
-    bad = ~(np.abs(residuals) < tol)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise BracketFailure(
-            f"residual {residuals[i]:.3e} at theta={float(roots[i])!r} exceeds tol={tol:g}"
-        )
-    fields = (to_theta(roots), residuals, iterations,
-              np.stack([to_theta(lo), to_theta(hi)], axis=1))
-    return [BlockRoots(*(v[a:b] for v in fields)) for a, b in zip([0] + ends[:-1], ends)]
+
+def _bracket_one(kind: Kind, rows: Rows, s: Callable):
+    """:func:`_bracket_lanes` on one lane, step for step in Python floats,
+    from the seed of the row's ``(1, n)`` view."""
+    w_lo, w_hi = kind.theta_window
+    if kind.seed is None:
+        center, half = 0.0, min(0.5, (w_hi - w_lo) / 4.0)
+    else:
+        with np.errstate(over="ignore"):
+            center, half = (np.asarray(v, dtype=float).item() for v in kind.seed(rows.flat[None]))
+    # max and min with the candidate first keep a NaN, as numpy does
+    center = min(max(center, w_lo), w_hi)
+    lane = np.zeros(1, dtype=int)
+    for doublings in range(MAX_DOUBLINGS + 1):
+        lo, hi = max(center - half, w_lo), min(center + half, w_hi)
+        try:
+            with np.errstate(over="ignore"):
+                s_lo, s_hi = s(np.array([lo]), lane).item(), s(np.array([hi]), lane).item()
+        except OutsideSupport as exc:
+            raise BracketFailure(f"no sign change before the action leaves the support "
+                                 f"within [{lo:.6g}, {hi:.6g}]") from exc
+        if s_lo == 0.0 or s_hi == 0.0 or (s_lo > 0.0) != (s_hi > 0.0):
+            return tuple(np.array([v]) for v in (lo, hi, s_lo, s_hi, doublings))
+        if doublings == MAX_DOUBLINGS or (lo == w_lo and hi == w_hi):
+            raise BracketFailure(
+                f"no sign change within {doublings} doublings (last bracket "
+                f"[{lo:.6g}, {hi:.6g}] with sums [{s_lo:.3g}, {s_hi:.3g}])"
+            )
+        half *= 2.0
 
 
 def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> MleResult:

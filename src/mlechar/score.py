@@ -31,9 +31,11 @@ call, and :func:`row_score_sums` scores m samples, as rows of equal or
 different lengths back to back, in one call, with one model or with
 consecutive runs of rows each scored by its own model.  Each row sum is the
 correctly rounded exact sum of the row's scores, the value ``math.fsum``
-gives: a call of fewer than ``EXTRACT_MIN_SCORES`` (1024) scores sums each
-row with ``math.fsum`` over a list, a larger one sums all its rows at once
-by error-free extraction on the score array (:func:`row_fsums`).
+gives (:func:`row_fsums`): a call of one row of at least
+``EXTRACT_MIN_ONE_ROW`` (700) scores sums it by error-free extraction on
+its score array alone; otherwise a call of fewer than
+``EXTRACT_MIN_SCORES`` (1024) scores sums each row with ``math.fsum`` over
+a list, and a larger one sums all its rows at once by error-free extraction.
 :func:`brent_lanes` is the one root finder: Brent's method run lane by
 lane over a batch of brackets, step for step as SciPy's Brent solver runs it,
 in numpy lockstep over the lanes not yet converged, and in Python floats for
@@ -58,6 +60,7 @@ from .density import (
     CumulativeIntegral,
     DensityModel,
     Rows,
+    Sample,
     SupportSet,
     call_array,
     call_elementwise,
@@ -230,11 +233,14 @@ def kind_score(model: DensityModel, kind: Kind, x):
 
 def flatten_rows(rows) -> Rows:
     """The rows of an ``(m, n)`` block, m 1-D rows of any lengths or a
-    :class:`Rows`, back to back as one float array, with the m row lengths.
+    :class:`Rows`, back to back as one float array, with the m row lengths;
+    a :class:`Sample` is one row.
 
     Makes no numpy call per row.  Raises :class:`InvalidParams` unless there
     are m >= 1 rows of n >= 1 observations.
     """
+    if isinstance(rows, Sample):
+        return Rows(rows.values, np.array([rows.n]))
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         rows = Rows(rows.ravel(), np.full(rows.shape[0], rows.shape[1]))
     elif not isinstance(rows, Rows) and np.iterable(rows):
@@ -255,14 +261,21 @@ def flatten_rows(rows) -> Rows:
 #: (:func:`row_fsums`); below about a thousand floats ``math.fsum`` over a
 #: list costs less
 EXTRACT_MIN_SCORES = 1024
+#: a call of one row is summed by extraction from this many scores on, where
+#: its rounds, with no ``reduceat``, cost less than ``math.fsum`` over a list
+#: (the two tie between 450 and 700 scores on a 2-vCPU x86-64 host, Python
+#: 3.11, numpy 2.4)
+EXTRACT_MIN_ONE_ROW = 700
 
 
 def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     """``math.fsum`` of each row, bit for bit: m rows of the given lengths
     back to back in the 1-D float array ``scores``.
 
-    Fewer than ``EXTRACT_MIN_SCORES`` scores go through ``math.fsum`` over a
-    list.  More are summed all at once by error-free extraction
+    One row of at least ``EXTRACT_MIN_ONE_ROW`` scores is summed alone by
+    the rounds of :func:`_fsum_rest`, from its whole row.  Otherwise fewer
+    than ``EXTRACT_MIN_SCORES`` scores go through ``math.fsum`` over a
+    list, and more are summed all at once by error-free extraction
     (``ExtractVector`` of Rump, Ogita and Oishi, "Accurate floating-point
     summation, part I", SIAM J. Sci. Comput. 31(1), 2008).  With
     ``2^M >= n + 2`` for a row of n and ``sigma = 2^M 2^e`` for its
@@ -280,6 +293,8 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     overflows as it would on the scores.
     """
     lengths = np.asarray(lengths)
+    if lengths.size == 1 and scores.size >= EXTRACT_MIN_ONE_ROW:
+        return np.array([_fsum_rest(scores, scores, (scores.size + 1).bit_length(), [])])
     if scores.size < EXTRACT_MIN_SCORES:
         values = scores.tolist()
         rows = [values] if lengths.size == 1 else map(islice, repeat(iter(values)), lengths)
@@ -293,10 +308,7 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2):
             top = np.maximum.reduceat(np.abs(rest, out=part), starts)
-            sigma = np.ldexp(1.0, spread + np.frexp(top)[1])
-            # one row's sigma broadcasts as a scalar
-            if lengths.size > 1:
-                sigma = np.repeat(sigma, lengths)
+            sigma = np.repeat(np.ldexp(1.0, spread + np.frexp(top)[1]), lengths)
             np.add(rest, sigma, out=part)
             part -= sigma
             sums.append(np.add.reduceat(part, starts))
@@ -312,19 +324,21 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
 
 def _fsum_rest(row: np.ndarray, rest: np.ndarray, spread: int, parts: list) -> float:
     """``math.fsum`` of a row from the exact part sums extracted so far and
-    the remainder ``rest``, which it overwrites: more rounds of the row alone
-    while the remainder is finite, ``math.fsum`` of the row otherwise."""
-    top = float(np.abs(rest).max())
-    if not math.isfinite(top):
-        return math.fsum(row.tolist())
+    the remainder ``rest`` (the row itself before any round), which it
+    leaves as it is: more rounds of the row alone while the remainder is
+    finite and its ``sigma`` stays below the float limit, ``math.fsum`` of
+    the row otherwise."""
     part = np.empty_like(rest)
+    top = float(np.abs(rest, out=part).max())
+    if not math.isfinite(top) or spread + math.frexp(top)[1] > 1023:
+        return math.fsum(row.tolist())
     while top != 0.0:
         sigma = math.ldexp(1.0, spread + math.frexp(top)[1])
         np.add(rest, sigma, out=part)
         part -= sigma
         parts.append(float(part.sum()))
-        rest -= part
-        top = float(np.abs(rest).max())
+        rest = rest - part
+        top = float(np.abs(rest, out=part).max())
     return math.fsum(parts)
 
 

@@ -42,7 +42,15 @@ from mlechar.estimator import (
     mle,
     mle_block,
 )
-from mlechar.score import BRENT_RTOL, Kind, brent_lanes, flatten_rows, row_score_sums
+from mlechar import estimator
+from mlechar.score import (
+    BRENT_RTOL,
+    EXTRACT_MIN_ONE_ROW,
+    Kind,
+    brent_lanes,
+    flatten_rows,
+    row_score_sums,
+)
 from mlechar.suite import CLOSED_FORM_CASES, DEFAULT_EQUIVALENCE, DEFAULT_FAMILIES
 
 
@@ -520,25 +528,81 @@ def assert_lanes_equal_single_sample_mles(entry, kind, rows):
         assert alone.kind is kind
 
 
-@pytest.mark.parametrize("n", [1000, 10_000])
-@pytest.mark.parametrize("name,params,label", [
-    ("gaussian", {}, "location"), ("gaussian", {}, "scale"), ("logistic", {}, "location"),
-    ("gumbel", {}, "location"), ("gamma", {"alpha": 2.0}, "scale"),
-    ("weibull", {"k": 2.0}, "scale"), ("student", {"nu": 3.0}, "scale"),
-    ("sinh_arcsinh_skew_normal", {}, "group"),
-])
-def test_one_lane_equals_a_lockstep_lane_at_large_n(name, params, label, n):
-    # one row solves in Python floats, two rows in the numpy lockstep; calls
-    # of at least EXTRACT_MIN_SCORES scores are summed by extraction
+@pytest.mark.parametrize("n", [EXTRACT_MIN_ONE_ROW - 1, EXTRACT_MIN_ONE_ROW, 1024, 10_000])
+@pytest.mark.parametrize("case", CATALOG_KINDS)
+def test_one_lane_equals_a_lockstep_lane_at_large_n(case, n):
+    # one row brackets and solves in Python floats and is summed by
+    # extraction from EXTRACT_MIN_ONE_ROW scores on; two rows step in the
+    # numpy lockstep, whose calls of 1,024 scores or more are summed at once
+    name, params, label = case
     entry = lookup(name, params)
     kind = kind_for(entry, label)
     row = _block(entry, n, 1, 2024)[0]
-    alone = mle(entry.model, kind, Sample(row))
+    try:
+        alone = mle(entry.model, kind, Sample(row))
+    except MlecharError as exc:
+        with pytest.raises(type(exc)) as lanes:
+            mle_block(kind, [(entry.model, [row, row])])
+        assert str(lanes.value) == str(exc)
+        return
+    (one,) = mle_block(kind, [(entry.model, Sample(row))])
     (pair,) = mle_block(kind, [(entry.model, [row, row])])
     assert (alone.theta_hat.hex(), alone.residual.hex()) == (float(pair.theta[0]).hex(),
                                                              float(pair.residual[0]).hex())
     assert alone.method == BracketedRoot(int(pair.iterations[0]),
                                          tuple(pair.bracket[0].tolist()))
+    assert one.doublings.tolist() == pair.doublings[:1].tolist()
+
+
+def _narrow(transform):
+    return Kind(u1=transform.u1, u2=transform.u2, h=transform.h, theta_window=(-0.01, 0.01))
+
+
+@pytest.mark.parametrize("name,label,values", [
+    # out of the window, after some doublings
+    ("sinh_arcsinh_skew_normal", "narrow", (5.0, 6.0, 7.0)),
+    # out of the support: the action overflows, or the bracket ends do
+    ("laplace", "scale", (1e308, 1.5e308)),
+    ("logistic", "location", (1e308, 1.5e308, 1.7e308, 1.2e308)),
+    ("gaussian", "location", (-1e308, 0.0, 1e308)),
+    # scores of both infinite signs
+    ("weibull", "scale", (1e-300, 1.0, 1e300)),
+])
+def test_a_one_row_bracket_fails_as_a_lockstep_lane(name, label, values):
+    # the Python-float bracket of one row raises the lockstep's text, and
+    # neither warns on the way
+    entry = lookup(name, {"k": 2.0} if name == "weibull" else {})
+    kind = _narrow(entry.transform) if label == "narrow" else kind_for(entry, label)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BracketFailure) as alone:
+            mle(entry.model, kind, s(*values))
+        with pytest.raises(BracketFailure) as lanes:
+            mle_block(kind, [(entry.model, [np.array(values)] * 2)])
+    assert str(alone.value) == str(lanes.value)
+
+
+@pytest.mark.parametrize("name,params,label,values", [
+    ("gaussian", {}, "location", (0.3, -1.2, 2.5, 0.7)),
+    ("gamma", {"alpha": 2.0}, "scale", (1.0, 1.0, 1.0, 1e6)),
+    ("gumbel", {}, "location", tuple(np.linspace(-3.0, 40.0, 800))),
+    ("sinh_arcsinh_skew_normal", {}, "group", (0.5, 9.0, 11.0)),
+])
+def test_a_solve_counts_its_score_sums(monkeypatch, name, params, label, values):
+    # two score sums per bracket tried and one per Brent step after the
+    # first: the step that converges evaluates nothing
+    entry = lookup(name, params)
+    kind = kind_for(entry, label)
+    calls = []
+    monkeypatch.setattr(estimator, "row_score_sums",
+                        lambda *args: calls.append(1) or row_score_sums(*args))
+    for rows in (Sample(np.array(values)), [np.array(values)] * 3):
+        calls.clear()
+        (roots,) = mle_block(kind, [(entry.model, rows)])
+        doublings, iterations = int(roots.doublings[0]), int(roots.iterations[0])
+        assert len(calls) == 2 * (doublings + 1) + max(iterations - 1, 0)
+    if label == "scale":
+        assert doublings > 0
 
 
 @given(case=st.sampled_from(CATALOG_KINDS), n=st.integers(min_value=1, max_value=12),

@@ -10,6 +10,7 @@ from mlechar import lookup
 from mlechar.density import DensityModel, SupportSet
 from mlechar.errors import NotMonotone, UnsupportedSupport
 from mlechar.score import (
+    EXTRACT_MIN_ONE_ROW,
     EXTRACT_MIN_SCORES,
     LOCATION,
     SCALE,
@@ -321,3 +322,39 @@ def test_block_row_sums_are_math_fsum_per_row_bit_for_bit(rows, seed):
         sums = row_score_sums(lookup("gaussian").model, SIGNED_LOCATION, flat, lengths,
                               np.zeros(len(rows)))
         assert [s.hex() for s in sums.tolist()] == want
+
+
+#: values a one-row sum meets at its edges: signed zeros, subnormals, values
+#: near the float limit, where sigma overflows, and non-finite scores
+ONE_ROW_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 1.7e308, -1.8e308, 1.79e308,
+                 math.inf, -math.inf, math.nan]
+
+
+@given(style=st.sampled_from(["normal", "spread", "ties", "cancel", "three rounds",
+                              "near 2^1022", "non-finite", "zeros"]),
+       n=st.integers(EXTRACT_MIN_ONE_ROW - 2, 4096),
+       edges=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.sampled_from(ONE_ROW_EDGES)), max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(style="normal", n=EXTRACT_MIN_ONE_ROW, edges=[(0.5, 1.79e308)], seed=0)
+@example(style="zeros", n=EXTRACT_MIN_ONE_ROW, edges=[], seed=0)
+@example(style="three rounds", n=4096, edges=[(0.0, 5e-324)], seed=2)
+@settings(max_examples=150, deadline=None)
+def test_one_row_sums_are_math_fsum_bit_for_bit(style, n, edges, seed):
+    # one row around and above the one-row crossover, summed alone: its sum
+    # is math.fsum's, or it raises as math.fsum raises, and the scores stay
+    # as they were
+    if style == "zeros":
+        x = np.full(n, -0.0)
+    else:
+        x = _block_row(style, n, np.random.default_rng(seed))
+    for at, value in edges:
+        x[int(at * n)] = value
+    before = x.tobytes()
+    want = _fsums_or_error([x])
+    try:
+        got = [s.hex() for s in row_fsums(x, [n]).tolist()]
+    except (ValueError, OverflowError) as exc:
+        got = type(exc), str(exc)
+    assert got == want
+    assert x.tobytes() == before

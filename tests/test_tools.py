@@ -167,6 +167,18 @@ def test_bench_pairs_judges_a_metric_by_the_pair_rule():
     assert load("bench_pairs").parse_seeds("1-3,7") == [1, 2, 3, 7]
 
 
+def test_bench_pairs_reports_the_per_pair_ratio_beside_the_verdicts():
+    judge = load("bench_pairs").judge
+    # a load that moves both runs of a pair leaves their ratio in place
+    parent = [1.0, 2.0, 1.5, 3.0, 1.2]
+    change = [0.75, 1.5, 1.2, 2.1, 0.9]
+    v = judge(parent, change, "lower", 0.24)
+    assert [round(r, 6) for r in v["ratio"]] == [0.75, 0.725, 0.775]
+    # the verdicts keep their own rules: 5 of 5 pairs won, but the medians
+    # (1.5 and 1.2) differ by less than the parent's quartile distance
+    assert (v["wins"], v["gain"], v["versus_bound"]) == (5, False, "unresolved")
+
+
 FAKE_RUN = """
 import json, sys
 from pathlib import Path
@@ -198,6 +210,8 @@ def test_bench_pairs_alternates_the_sides_and_prints_every_run(tmp_path, capsys)
     assert all(" minflt=" in line and " failed=0/3" in line for line in lines[:6])
     assert lines[6].startswith("suite_default op_s: parent 2.02 ")
     assert " wins 3/3 gain; within bound 0.24" in lines[6]
+    # each pair's change/parent ratio, 1.01/2.01, 1.02/2.02 and 1.09/2.09
+    assert " -49.5% pair ratio 0.505 [0.5025, 0.5215] wins" in lines[6]
     assert [json.loads(line)["seed"] for line in (out / "change.jsonl").read_text().splitlines()] \
         == [1, 2, 9]
 

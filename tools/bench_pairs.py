@@ -6,7 +6,9 @@ change first in odd ones, and prints every run: its end-to-end metrics and
 the minor page faults it took (``RUSAGE_CHILDREN``, so the run's own
 child interpreters count too).  Then, per workload and end-to-end metric of
 the change's ``BENCHMARK.json``, it prints each side's median and quartiles,
-the pairs the change won (ties count for neither side) and two verdicts:
+the median and quartiles of the per-pair ratios change/parent (runs of one
+pair share the host's load, so these spread less than either side), the
+pairs the change won (ties count for neither side) and two verdicts:
 
 - ``gain`` when the change wins at least nine tenths of the pairs and the
   medians differ, in its favour, by more than the parent's quartile
@@ -60,6 +62,7 @@ def judge(parent: list[float], change: list[float], better: str, bound: float) -
     sign = 1.0 if better == "lower" else -1.0
     mp, mc = statistics.median(parent), statistics.median(change)
     (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
+    ratios = [c / p for p, c in zip(parent, change)]
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     gain = wins >= 0.9 * len(parent) and sign * (mp - mc) > p3 - p1
     worse = sign * (mc - mp) / mp
@@ -71,6 +74,7 @@ def judge(parent: list[float], change: list[float], better: str, bound: float) -
     else:
         versus_bound = "within bound"
     return {"parent": (mp, p1, p3), "change": (mc, c1, c3), "change_vs_parent": (mc - mp) / mp,
+            "ratio": (statistics.median(ratios), *quartiles(ratios)),
             "wins": wins, "pairs": len(parent), "gain": gain, "versus_bound": versus_bound}
 
 
@@ -127,7 +131,8 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: parent {v['parent'][0]:.6g} "
                   f"[{v['parent'][1]:.6g}, {v['parent'][2]:.6g}] change {v['change'][0]:.6g} "
                   f"[{v['change'][1]:.6g}, {v['change'][2]:.6g}] "
-                  f"{v['change_vs_parent']:+.1%} wins {v['wins']}/{v['pairs']} "
+                  f"{v['change_vs_parent']:+.1%} pair ratio {v['ratio'][0]:.4g} "
+                  f"[{v['ratio'][1]:.4g}, {v['ratio'][2]:.4g}] wins {v['wins']}/{v['pairs']} "
                   f"{'gain' if v['gain'] else 'no gain'}; {v['versus_bound']} {metric['bound']}",
                   flush=True)
     return code

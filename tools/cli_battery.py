@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -59,6 +60,8 @@ INPUTS = {
     "one.txt": "1.0\n",
     "huge.txt": "1e308\n1.5e308\n",
     "huge4.txt": "1e308\n1.5e308\n1.7e308\n1.2e308\n",
+    # 2,000 gumbel quantiles: one row long enough to be summed by extraction
+    "big.txt": "".join(f"{-math.log(-math.log((i + 0.5) / 2000))!r}\n" for i in range(2000)),
     "empty.txt": "",
     "nan.txt": "1.0\nnan\n",
     "words.txt": "1.0\nabc\n",
@@ -138,6 +141,7 @@ COMMANDS = [
     "mle --family gamma2.json --kind scale --data scale.txt",
     "mle --family logistic.json --kind loc --data loc.txt",
     "mle --family gumbel.json --kind location --data loc.txt",
+    "mle --family gumbel.json --kind location --data big.txt",
     "mle --family weibull2.json --kind scale --data scale.txt",
     "mle --family student3.json --kind scale --data loc.txt",
     "mle --family sinh.json --kind group --data loc.txt",
