@@ -21,7 +21,7 @@ import numpy as np
 from . import catalog as cat
 from .coverage import is_projectable, mcss, mnss, projection_interval
 from .density import Sample
-from .equivalence import same_class, tilt_with_spec
+from .equivalence import CLASS_RATIO_TOL, same_class, tilt_with_spec
 from .errors import (
     InvalidConfig,
     InvalidParams,
@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedSupport,
 )
 from .estimator import mle
-from .forge import OddPower, PlusEvenDerivative, forge_odd_h, verify_counterexample
+from .forge import AGREEMENT_TOL, OddPower, PlusEvenDerivative, forge_odd_h, verify_counterexample
 from .score import kind_profiles
 from .specfiles import load_family_spec, write_tabulated
 
@@ -186,7 +186,7 @@ def _cmd_same_class(args) -> int:
     g_model, g_entry = load_family_spec(args.g)
     kind_label = _parse_kind(args.kind)
     kind = cat.kind_for(f_entry, kind_label)
-    tol = _tol(args.tol, f_entry, g_entry, analytic=1e-6, interpolated=1e-2)
+    tol = _tol(args.tol, f_entry, g_entry, analytic=CLASS_RATIO_TOL, interpolated=1e-2)
     d = same_class(f_model, g_model, kind, tol=tol)
     _kv("tol", tol)
     if d is None:
@@ -235,7 +235,7 @@ def _cmd_forge(args) -> int:
 def _cmd_verify_counterexample(args) -> int:
     f_model, f_entry = load_family_spec(args.f)
     g_model, g_entry = load_family_spec(args.g)
-    tol = _tol(args.tol, f_entry, g_entry, analytic=1e-7, interpolated=1e-4)
+    tol = _tol(args.tol, f_entry, g_entry, analytic=AGREEMENT_TOL, interpolated=1e-4)
     report = verify_counterexample(f_model, g_model, n=args.n, trials=args.trials,
                                    seed=args.seed, tol=tol)
     _kv("n", report.n)

@@ -680,11 +680,14 @@ class CumulativeIntegral(_Table):
         if not lo < anchor < hi:
             raise InvalidParams("anchor must lie strictly inside (lo, hi)")
         edges = np.linspace(lo, hi, TABLE_CELLS + 1)
-        cells = _cell_integrals(integrand, edges)
         # summed outward from the left node of the anchor's cell, so that no
-        # value near the anchor is a difference of two large sums
+        # value near the anchor is a difference of two large sums; a sum that
+        # overflows is refused below
         k = int(np.searchsorted(edges, anchor, side="right")) - 1
-        cum = np.concatenate([-np.cumsum(cells[:k][::-1])[::-1], [0.0], np.cumsum(cells[k:])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = _cell_integrals(integrand, edges)
+            cum = np.concatenate([-np.cumsum(cells[:k][::-1])[::-1], [0.0],
+                                  np.cumsum(cells[k:])])
         if not np.isfinite(cum).all():
             raise DivergentIntegral("cumulative integrand is not finite on the grid")
         super().__init__(edges, cum, ends=(integrand(lo), integrand(hi)))

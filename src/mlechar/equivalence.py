@@ -36,9 +36,14 @@ from .density import (
     median,
     normalize,
     probe_grid,
+    quiet_overflow,
 )
 from .errors import DegenerateScore, InvalidParams, SingletonClass, UnsupportedSupport
 from .score import Kind, kind_score, u1_vanishes_inside
+
+#: how far ``same_class``'s score ratios may stray from their median, and how
+#: small a reference score it leaves out, for analytic densities
+CLASS_RATIO_TOL = 1e-6
 
 
 def tilt_with_spec(model: DensityModel, d: float,
@@ -73,13 +78,13 @@ def tilt_with_spec(model: DensityModel, d: float,
             raise InvalidParams(f"u2 of the {kind!r} kind is not the derivative of u1, "
                                 "so the kind is not a group's")
 
-        # constant factors (location) stay 0-d; the base terms give the shape
-        def log_pdf(x):
-            return (d - 1.0) * np.log(np.abs(call_array(u1, x))) + d * base_log(x)
-
+        # constant factors (location) stay 0-d; the base terms give the shape;
+        # a large d overflows to an infinity, which normalize refuses
+        log_pdf = quiet_overflow(
+            lambda x: (d - 1.0) * np.log(np.abs(call_array(u1, x))) + d * base_log(x))
         dlog = (
-            (lambda x: (d - 1.0) * call_array(u2, x) / call_array(u1, x)
-             + d * call_elementwise(base_dlog, x))
+            quiet_overflow(lambda x: (d - 1.0) * call_array(u2, x) / call_array(u1, x)
+                           + d * call_elementwise(base_dlog, x))
             if base_dlog
             else None
         )
@@ -121,7 +126,7 @@ def _default_grid(f: DensityModel, g: DensityModel) -> np.ndarray:
 
 
 def same_class(f: DensityModel, g: DensityModel, kind: Kind,
-               tol: float = 1e-6) -> Optional[float]:
+               tol: float = CLASS_RATIO_TOL) -> Optional[float]:
     """Common score multiplier ``d`` if ``f`` and ``g`` share a class, else None.
 
     Evaluates the ratio ``score_g / score_f`` at grid points where the

@@ -35,6 +35,10 @@ from .errors import InvalidParams, NotMonotone
 from .estimator import mle_block
 from .score import LOCATION, analyze_image, anchored_antiderivative
 
+#: the gap below which two location MLEs of one sample agree, for analytic
+#: densities: the suite's shared-MLE checks and the command-line default
+AGREEMENT_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class OddPower:

@@ -53,7 +53,7 @@ from .density import (
 from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
 from .estimator import closed_form_estimator, mle_block
-from .forge import OddPower, forge_odd_h, verify_counterexample
+from .forge import AGREEMENT_TOL, OddPower, forge_odd_h, verify_counterexample
 from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_vanishes_inside
 
 SCHEMA_VERSION = "mlechar-report-1"
@@ -131,15 +131,19 @@ SCALE_FACTORS = (0.5, 2.0, 10.0)
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """The workload of a suite run: the families, the equivalence cases, the
+    tilt exponents, the trials, the sample sizes and the seed.
+
+    It chooses what the suite checks, not how a check is judged: each
+    check's threshold is fixed beside the check, and none is configurable.
+    """
+
     families: tuple = DEFAULT_FAMILIES
     equivalence: tuple = DEFAULT_EQUIVALENCE
     tilt_exponents: tuple = TILT_EXPONENTS
     trials: int = 200
     sample_sizes: tuple = (3, 5, 8)
     seed: int = 42
-    mle_tol: float = 1e-10
-    score_tol: float = 1e-6
-    agreement_tol: float = 1e-7
 
     def validate(self) -> SuiteConfig:
         """This configuration read back from its JSON form (see
@@ -152,10 +156,7 @@ class SuiteConfig:
         return config_from_json(doc)
 
     def to_jsonable(self) -> dict:
-        doc: dict = {}
-        for name, (group, _, write) in _FIELDS.items():
-            (doc.setdefault(group, {}) if group else doc)[name] = write(getattr(self, name))
-        return doc
+        return {name: write(getattr(self, name)) for name, (_, write) in _FIELDS.items()}
 
 
 class _Case(tuple):
@@ -183,12 +184,6 @@ def _count(value, what: str = "") -> int:
     if what and value < 1:
         raise InvalidConfig(f"{what} must be >= 1, got {int(value)}")
     return int(value)
-
-
-def _tolerance(value) -> float:
-    if not (cat.is_number(value) and value > 0.0):
-        raise InvalidConfig(f"tolerances must be JSON numbers > 0, got {value!r}")
-    return float(value)
 
 
 def _tilt_exponents(value) -> tuple:
@@ -243,30 +238,20 @@ def _equivalence(value):
         yield _Case((name, params, label), u1_vanishes_inside(kind, entry.model.support))
 
 
-#: each SuiteConfig field: its JSON group (None: the top level), the reader
-#: of its JSON value, which checks all the field's rules, and the writer of it
+#: each SuiteConfig field: the reader of its JSON value, which checks all
+#: the field's rules, and the writer of it
 _FIELDS = {
-    "families": (None, lambda v: tuple(_families(v)), lambda v: [
+    "families": (lambda v: tuple(_families(v)), lambda v: [
         {"name": n, "params": dict(p), "kinds": list(k) if isinstance(k, tuple) else k}
         for n, p, k in v]),
-    "equivalence": (None, lambda v: tuple(_equivalence(v)), lambda v: [
+    "equivalence": (lambda v: tuple(_equivalence(v)), lambda v: [
         {"name": n, "params": dict(p), "kind": k} for n, p, k in v]),
-    "tilt_exponents": (None, _tilt_exponents, list),
-    "trials": (None, lambda v: _count(v, "trials"), _same),
+    "tilt_exponents": (_tilt_exponents, list),
+    "trials": (lambda v: _count(v, "trials"), _same),
     # an empty list reads as [0], so it is refused
-    "sample_sizes": (None, lambda v: tuple(_count(n, "sample sizes") for n in v or [0]), list),
-    "seed": (None, _count, _same),
-    "mle_tol": ("tolerances", _tolerance, _same),
-    "score_tol": ("tolerances", _tolerance, _same),
-    "agreement_tol": ("tolerances", _tolerance, _same),
+    "sample_sizes": (lambda v: tuple(_count(n, "sample sizes") for n in v or [0]), list),
+    "seed": (_count, _same),
 }
-
-
-def _json_keys(group) -> set:
-    """The keys the JSON object of ``group`` may hold (None: the top level,
-    where a group is one key)."""
-    return {name if g == group else g for name, (g, _, _) in _FIELDS.items()
-            if group is None or g == group}
 
 
 def config_from_json(doc: dict) -> SuiteConfig:
@@ -275,20 +260,13 @@ def config_from_json(doc: dict) -> SuiteConfig:
     InvalidConfig."""
     if not isinstance(doc, dict):
         raise InvalidConfig("suite config must be a JSON object")
-    objects = {None: doc, "tolerances": doc.get("tolerances", {})}
-    if not isinstance(objects["tolerances"], dict):
-        raise InvalidConfig("suite config tolerances must be a JSON object")
-    for group, obj in objects.items():
-        unknown = sorted(set(obj) - _json_keys(group))
-        if unknown:
-            where = f" under {group!r}" if group else ""
-            raise InvalidConfig(f"unknown suite config key{where}: {', '.join(unknown)}")
+    unknown = sorted(set(doc) - set(_FIELDS))
+    if unknown:
+        raise InvalidConfig(f"unknown suite config key: {', '.join(unknown)}")
     # every field is read, a missing one from its default's JSON value
-    default = SuiteConfig().to_jsonable()
-    values = {**default, **default["tolerances"], **doc, **objects["tolerances"]}
+    values = {**SuiteConfig().to_jsonable(), **doc}
     try:
-        config = SuiteConfig(**{name: read(values[name])
-                                for name, (_, read, _) in _FIELDS.items()})
+        config = SuiteConfig(**{name: read(values[name]) for name, (read, _) in _FIELDS.items()})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"malformed suite config: {exc!r}") from exc
     # the one rule that spans two fields
@@ -373,11 +351,11 @@ def _derive_seed(base: int, *labels) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-def _solve(problems, tol: float) -> list:
+def _solve(problems) -> list:
     """The ``mle_block`` roots of ``(kind, model, rows)`` problems, in their
     order, from one lockstep per kind."""
     solved = {kind: iter(mle_block(kind, [(model, rows) for k, model, rows in problems
-                                          if k is kind], tol))
+                                          if k is kind]))
               for kind in dict.fromkeys(kind for kind, _, _ in problems)}
     return [next(solved[kind]) for kind, _, _ in problems]
 
@@ -419,12 +397,11 @@ def _section_equivalence(config: SuiteConfig, gaussian, forged) -> list[dict]:
         for d, flat, lengths in zip(config.tilt_exponents,
                                     *(np.split(v, len(config.tilt_exponents)) for v in draws)):
             tilted = tilt(model, d, kind)
-            cases.append((name, kind_label, d, same_class(model, tilted, kind,
-                                                          tol=config.score_tol)))
+            cases.append((name, kind_label, d, same_class(model, tilted, kind)))
             problems += [(kind, model, Rows(flat, lengths)), (kind, tilted, Rows(flat, lengths))]
 
     records = []
-    roots = _solve(problems, config.mle_tol)
+    roots = _solve(problems)
     for (name, kind_label, d, d_hat), base, tilted in zip(cases, roots[::2], roots[1::2]):
         max_gap = float(np.max(np.abs(base.theta - tilted.theta)))
         records.append({
@@ -438,13 +415,13 @@ def _section_equivalence(config: SuiteConfig, gaussian, forged) -> list[dict]:
             "d_recovered": enc(d_hat) if d_hat is not None else "none",
             "provenance": "numeric",
             "verdict": _verdict((math.inf if d_hat is None else abs(d_hat - d), "<", 1e-6),
-                                (max_gap, "<", config.agreement_tol)),
+                                (max_gap, "<", AGREEMENT_TOL)),
         })
 
     logistic = cat.lookup("logistic").model
     for label, other in (("gaussian_vs_logistic", logistic),
                          ("gaussian_vs_quartic_forge", forged)):
-        verdict_d = same_class(gaussian, other, LOCATION, tol=config.score_tol)
+        verdict_d = same_class(gaussian, other, LOCATION)
         records.append({
             "check": "class_discrimination",
             "pair": label,
@@ -461,7 +438,7 @@ def _section_counterexample(config: SuiteConfig, gaussian, forged) -> list[dict]
 
     rep2 = verify_counterexample(gaussian, forged, n=2, trials=config.trials,
                                  seed=_derive_seed(config.seed, "forge", 2),
-                                 tol=config.agreement_tol)
+                                 tol=AGREEMENT_TOL)
     records.append({
         "check": "agreement_n2",
         "trials": rep2.trials,
@@ -473,7 +450,7 @@ def _section_counterexample(config: SuiteConfig, gaussian, forged) -> list[dict]
 
     witness = [np.array([0.0, 0.0, 3.0])]
     tf, tg = (float(roots.theta[0]) for roots in mle_block(
-        LOCATION, [(gaussian, witness), (forged, witness)], config.mle_tol))
+        LOCATION, [(gaussian, witness), (forged, witness)]))
     expected_tg = 3.0 / (1.0 + 2.0 ** (1.0 / 3.0))
     records.append({
         "check": "witness_n3",
@@ -547,7 +524,7 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
         [(_derive_seed(config.seed, "closed_form", name, kind_label), sizes_cycle)])
              for entry, (name, _, kind_label) in zip(entries, cases)]
     kinds = [cat.kind_for(entry, kind_label) for entry, (_, _, kind_label) in zip(entries, cases)]
-    roots = _solve(list(zip(kinds, [entry.model for entry in entries], draws)), config.mle_tol)
+    roots = _solve(list(zip(kinds, [entry.model for entry in entries], draws)))
     for (name, _, _), entry, kind, rows, numeric in zip(cases, entries, kinds, draws, roots):
         estimate = closed_form_estimator(entry, kind)
         # one closed-form call per row length, on the block of those rows
@@ -593,7 +570,7 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
             # the base rows and each moved copy of them, one problem per family
             flat = np.concatenate([base.flat] + [act(base.flat, g) for g in elements])
             problems.append((model, Rows(flat, np.tile(base.lengths, len(elements) + 1))))
-        for (name, _), roots in zip(cases, mle_block(kind, problems, config.mle_tol)):
+        for (name, _), roots in zip(cases, mle_block(kind, problems)):
             base, *got = roots.theta.reshape(len(elements) + 1, len(sizes_cycle))
             worst = float(np.max([deviation(theta, base, g) for theta, g in zip(got, elements)]))
             records.append({
@@ -661,7 +638,7 @@ def _section_families(config: SuiteConfig) -> tuple[list[dict], list[dict]]:
                     "grid": len(xs),
                     "max_deviation": enc(worst),
                     "provenance": "numeric",
-                    "verdict": _verdict((worst, "<", config.score_tol)),
+                    "verdict": _verdict((worst, "<", 1e-6)),
                 })
 
             bounds = entry.analytic_bounds.get(kind_label)

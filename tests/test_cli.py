@@ -367,6 +367,16 @@ def test_cli_refuses_output_path_keys_and_counts_no_array_can_hold(tmp_path, mon
     assert captured.err.startswith("configuration error:")
 
 
+def _fresh(workdir, argv: str, flags=(), **options):
+    """``mlechar argv`` run in a fresh interpreter (with ``flags``) in ``workdir``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *flags, "-m", "mlechar.cli", *argv.split()],
+                          cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
+                          **options)
+
+
 #: the address space of a capped interpreter: start-up fits, a count of 10^12
 #: does not
 ADDRESS_SPACE = 2 * 1024 ** 3
@@ -382,13 +392,8 @@ def test_cli_maps_running_out_of_memory_to_exit_2(tmp_path, argv, doc):
     resource = pytest.importorskip("resource")
     (tmp_path / "g.json").write_text(json.dumps({"catalog": "gaussian"}))
     (tmp_path / "c.json").write_text(json.dumps(doc))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mlechar.cli", *argv.split()], cwd=tmp_path, env=env,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE,) * 2),
-        capture_output=True, text=True, timeout=120)
+    proc = _fresh(tmp_path, argv, preexec_fn=lambda: resource.setrlimit(
+        resource.RLIMIT_AS, (ADDRESS_SPACE,) * 2))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("configuration error: out of memory")
@@ -408,7 +413,8 @@ def test_cli_suite_invalid_config(tmp_path, capsys):
     {"trials": 2.9},
     {"sample_sizes": [2.7]},
     {"tilt_exponents": [10 ** 400]},
-    {"tolerances": {"mle_tol": 10 ** 400}},
+    # the config picks the workload; no threshold of a check is configurable
+    {**RESTRICTED, "tolerances": {"agreement_tol": 1e300}},
     {"families": [{"name": "gamma", "params": {"alpha": True}, "kinds": ["scale"]}]},
 ])
 def test_cli_suite_rejects_entry_keys_and_counts_it_would_drop(tmp_path, capsys, doc):
@@ -418,6 +424,27 @@ def test_cli_suite_rejects_entry_keys_and_counts_it_would_drop(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error:")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [(), ("-W", "error")])
+@pytest.mark.parametrize("argv", [
+    "tilt --family g.json --d 1e308 --kind loc",
+    "tilt --family sinh.json --d 1e300 --kind group",
+    "forge --target g.json --h odd-power:p=3,d=1e308",
+    "forge --target g.json --h odd-power:p=301",
+    "forge --target g.json --h cos-perturbation:amplitude=1e308",
+])
+def test_cli_overflow_is_one_numeric_error_line(tmp_path, argv, flags):
+    # an overflowing tilt or forge prints no warning before its error, so
+    # it exits 3 also when warnings are errors
+    (tmp_path / "g.json").write_text(json.dumps({"catalog": "gaussian"}))
+    (tmp_path / "sinh.json").write_text(json.dumps({"catalog": "sinh_arcsinh_skew_normal"}))
+    proc = _fresh(tmp_path, argv, flags)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numeric error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def _tabulated(support, grid):

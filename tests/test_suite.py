@@ -2,11 +2,11 @@ import json
 import os
 import pickle
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from mlechar import suite
+from mlechar import catalog, suite
 from mlechar.errors import BracketFailure, InvalidConfig, IoFailure, NotMonotone
 from mlechar.score import kind_profiles
 from mlechar.suite import (
@@ -38,8 +38,6 @@ def test_config_validation():
     with pytest.raises(InvalidConfig):
         SuiteConfig(sample_sizes=(0,)).validate()
     with pytest.raises(InvalidConfig):
-        SuiteConfig(mle_tol=-1.0).validate()
-    with pytest.raises(InvalidConfig):
         SuiteConfig(families=(("nonesuch", {}, ("location",)),)).validate()
     with pytest.raises(InvalidConfig):
         SuiteConfig(families=(("gaussian", {}, ("group",)),)).validate()
@@ -58,8 +56,6 @@ def test_config_validation():
         config_from_json({"output_path": 7})
     with pytest.raises(InvalidConfig, match="trails"):
         config_from_json({"trails": 20})
-    with pytest.raises(InvalidConfig, match="mle_tolerance"):
-        config_from_json({"tolerances": {"mle_tolerance": 1e-3}})
     with pytest.raises(InvalidConfig, match="'gaussian': kind$"):
         config_from_json({"families": [{"name": "gaussian", "kind": ["location"]}]})
     with pytest.raises(InvalidConfig, match="parms"):
@@ -96,17 +92,24 @@ def test_config_from_json_roundtrip():
 
 
 @pytest.mark.parametrize("doc", [
-    {"tolerances": {"mle_tol": True}}, {"tolerances": {"score_tol": "1e-6"}},
     {"tilt_exponents": [True]}, {"tilt_exponents": ["2"]}, {"tilt_exponents": [True, "2"]},
 ])
-def test_config_tolerances_and_tilt_exponents_take_json_numbers(doc):
+def test_config_tilt_exponents_take_json_numbers(doc):
     with pytest.raises(InvalidConfig):
         config_from_json(doc)
 
 
+def test_config_sets_no_tolerance():
+    # every check's threshold is fixed beside the check
+    with pytest.raises(InvalidConfig, match="^unknown suite config key: tolerances$"):
+        config_from_json({"tolerances": {"agreement_tol": 1e300}})
+    assert "tolerances" not in SuiteConfig().to_jsonable()
+    assert [f.name for f in fields(SuiteConfig)] == [
+        "families", "equivalence", "tilt_exponents", "trials", "sample_sizes", "seed"]
+
+
 @pytest.mark.parametrize("config", [
     SuiteConfig(trials=2.5), SuiteConfig(seed=1.5), SuiteConfig(trials=10 ** 20),
-    SuiteConfig(mle_tol=True), SuiteConfig(score_tol="1e-6"),
     SuiteConfig(tilt_exponents=(True,)), SuiteConfig(tilt_exponents=("2",)),
 ])
 def test_validate_checks_each_field_as_config_from_json_does(config):
@@ -196,13 +199,15 @@ def test_text_report_lists_sections(small_report):
         assert section in text
 
 
-def test_failing_verdict_marks_report(tmp_path):
+def test_failing_verdict_marks_report(tmp_path, monkeypatch):
     # an agreement tolerance below solver resolution flips a verdict; the
     # d=5 tilt root differs from the base root by a few ulps at this seed
+    # (a forked section inherits the patch)
+    monkeypatch.setattr(suite, "AGREEMENT_TOL", 1e-300)
     config = SuiteConfig(
         families=(("gaussian", {}, ("location",)),),
         equivalence=(("gaussian", {}, "location"),),
-        trials=20, sample_sizes=(5,), seed=7, agreement_tol=1e-300,
+        trials=20, sample_sizes=(5,), seed=7,
     )
     report = run_suite(config)
     assert not report.passed
@@ -214,12 +219,21 @@ def test_failing_verdict_marks_report(tmp_path):
     assert main(["suite", "--config", str(cfg_path)]) == 1
 
 
-def test_score_tolerance_flips_the_crosscheck_verdict():
-    # no finite-difference score matches the analytic one to 1e-300
+def test_a_wrong_analytic_score_flips_the_crosscheck_verdict(monkeypatch):
+    # an error of 1e-5 in the gaussian's analytic location score is above
+    # the check's fixed 1e-6
+    def planted(params):
+        entry = gaussian_entry(params)
+        scores = {**entry.analytic_scores, "location": lambda x: x + 1e-5}
+        return replace(entry, analytic_scores=scores)
+
+    gaussian_entry = catalog._BUILDERS["gaussian"]
+    monkeypatch.setitem(catalog._BUILDERS, "gaussian", planted)
     config = SuiteConfig(families=(("gaussian", {}, ("location", "scale")),),
-                         equivalence=(), trials=5, sample_sizes=(3,), seed=3,
-                         score_tol=1e-300)
+                         equivalence=(), trials=5, sample_sizes=(3,), seed=3)
     report = run_suite(config)
+    failed = [r["kind"] for r in report.sections["score_crosscheck"] if r["verdict"] == "fail"]
+    assert failed == ["location"]
     assert report.verdicts["score_crosscheck"] == "fail"
     assert report.verdicts["projectability"] == "pass"
     assert not report.passed
