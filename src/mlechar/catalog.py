@@ -29,10 +29,11 @@ parameter (group kind) with MNSS 3.
 Every formula is a numpy expression that takes a float or an ndarray, and is
 written once, in its family's builder.  Formulas whose exponentials, powers
 or squares of x can overflow are wrapped in ``density.quiet_overflow``, so
-they give an infinity without a warning.  A closed-form MLE is a ``(name,
-estimate)`` pair in ``CatalogEntry.closed_form`` whose estimate closes over
-the builder's own parameters and maps one sample, or an ``(m, n)`` block of
-rows, to one estimate per row.
+they give an infinity without a warning; the Student formulas, whose values
+stay finite, switch to their large-|x| forms there instead.  A closed-form
+MLE is a ``(name, estimate)`` pair in ``CatalogEntry.closed_form`` whose
+estimate closes over the builder's own parameters and maps one sample, or
+an ``(m, n)`` block of rows, to one estimate per row.
 """
 
 from __future__ import annotations
@@ -332,6 +333,14 @@ def _lgamma_half_step(z: float) -> float:
 
 
 def _student(params: dict) -> CatalogEntry:
+    """Student's t with ``nu`` degrees of freedom.
+
+    The log-density, its derivative and the scale score are their textbook
+    expressions wherever these stay finite, each checked once per call.
+    Where a square of x or its product with ``nu + 1`` overflows, each takes
+    its large-|x| form instead, so all three stay finite and quiet up to the
+    float limit.
+    """
     p = _check_params(params, {"nu": None})
     nu = p["nu"]
     if nu <= 0.0:
@@ -341,16 +350,35 @@ def _student(params: dict) -> CatalogEntry:
     expected_scale = max(math.ceil(_finite(lambda: 1.0 + max(nu, 1.0 / nu) - 1e-9,
                                            f"the scale MNSS at nu={nu:g}")), 3)
 
+    def log_pdf(x):
+        with np.errstate(over="ignore", divide="ignore"):
+            v = const - 0.5 * (nu + 1.0) * np.log1p(x * x / nu)
+            ok = np.isfinite(v)
+            # where x^2/nu overflows, log1p(x^2/nu) is 2 log|x| - log(nu)
+            return v if ok.all() else np.where(
+                ok, v, const - (nu + 1.0) * (np.log(np.abs(x)) - 0.5 * math.log(nu)))
+
+    def dlog_pdf(x):
+        with np.errstate(all="ignore"):
+            xx = x * x
+            v = -(nu + 1.0) * x / (nu + xx)
+            # the sum of v * xx is finite only if neither x^2 nor (nu + 1) x
+            # overflowed; where one did, the ratio is -(nu + 1) / (x + nu/x)
+            return v if math.isfinite(np.vdot(v, xx)) else np.where(
+                np.isfinite(v) & np.isfinite(xx), v, -(nu + 1.0) / (x + nu / x))
+
     def scale_score(x):
-        # (nu + 1) x^2 overflows for large |x|, and inf/inf is NaN; past
-        # |x| = 1e100 the score is -nu within nu(nu + 1)/x^2, so x is clipped there
-        x = np.clip(x, -1e100, 1e100)
-        return 1.0 - (nu + 1.0) * x * x / (nu + x * x)
+        with np.errstate(all="ignore"):
+            v = 1.0 - (nu + 1.0) * x * x / (nu + x * x)
+            ok = np.isfinite(v)
+            # where (nu + 1) x^2 overflows, the score is nu (r - 1) / (nu r + 1)
+            # with r = 1/x^2
+            return v if ok.all() else np.where(
+                ok, v, nu * (1.0 / (x * x) - 1.0) / (nu / (x * x) + 1.0))
 
     return _entry(
         "student", p, SupportSet.full_line(),
-        quiet_overflow(lambda x: const - 0.5 * (nu + 1.0) * np.log1p(x * x / nu)),
-        quiet_overflow(lambda x: -(nu + 1.0) * x / (nu + x * x)),
+        log_pdf, dlog_pdf,
         analytic_scores={"scale": scale_score},
         score_formulas={"scale": "psi(x) = 1 - (nu+1) x^2/(nu + x^2)"},
         analytic_bounds={"scale": (nu, 1.0)},

@@ -66,7 +66,14 @@ class SampleSize:
 
 
 def mcss(p_minus: float, p_plus: float) -> SampleSize:
-    """Minimal covering sample size for image bounds ``(p_minus, p_plus)``."""
+    """Minimal covering sample size for image bounds ``(p_minus, p_plus)``.
+
+    ``ceil(ratio + 1)`` takes ``ratio + 1`` down by ``CEIL_FUZZ`` of itself
+    first, so a value that noise lifted just above an integer counts as that
+    integer, but never below the integer under the value: from a ratio of
+    about 1e9 on the fuzz exceeds one, and an integer ratio k still gives
+    k + 1.
+    """
     pm = _validate_bound(p_minus, "p_minus")
     pp = _validate_bound(p_plus, "p_plus")
     if _bounds_equal(pm, pp):
@@ -78,7 +85,7 @@ def mcss(p_minus: float, p_plus: float) -> SampleSize:
         raise InvalidBounds(f"the bound ratio {max(pm, pp):g}/{min(pm, pp):g} "
                             "overflows a double")
     value = ratio + 1.0
-    n = int(math.ceil(value - CEIL_FUZZ * value))
+    n = math.ceil(max(value - CEIL_FUZZ * value, math.floor(value)))
     return SampleSize(max(n, 2))
 
 

@@ -16,9 +16,10 @@ with a unique root.  One solver serves every kind and every batch:
 samples (an ``(m, n)`` block, rows of different lengths, or a
 :class:`~mlechar.density.Rows`), and solves every sample of every problem
 as one lane of a single lockstep, returning per problem the arrays (θ,
-residual, iterations, bracket).  Each lane seeds a bracket from its sample,
-doubles its half-width (clipped to the kind's window) until the sum changes
-sign, and refines it with Brent's bisection/secant iteration
+residual, iterations, bracket).  One seeding step gives each lane a bracket
+centre and half-width from its sample; the lane doubles its half-width
+(clipped to the kind's window) until the sum changes sign, and refines the
+bracket with Brent's bisection/secant iteration
 (``score.brent_lanes``).  A step moves all live lanes with one action call,
 scores each problem's lanes with its own model and sums every row with one
 exact row summation.  A lane's result does not depend on the other rows or
@@ -164,7 +165,8 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
         x = flat[x]
         return row_score_sums(models, kind, x, counts, to_theta(t), np.searchsorted(lanes, ends))
 
-    lo, hi, s_lo, s_hi, doublings = (_bracket_one if m == 1 else _bracket_lanes)(kind, rows, s)
+    lo, hi, s_lo, s_hi, doublings = (_bracket_one if m == 1 else _bracket_lanes)(
+        kind.theta_window, *_seed(kind, rows), s)
     # refine far below a 1e-12 interval so the residual contract holds even
     # for interpolated (slightly jittery) scores
     roots, residuals, iterations, converged = brent_lanes(s, lo, hi, s_lo, s_hi, xtol=1e-15,
@@ -183,21 +185,29 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
     return [BlockRoots(*(v[a:b] for v in fields)) for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _bracket_lanes(kind: Kind, rows: Rows, s: Callable):
-    """Each lane's bracket in t, from its seed, with the score sums ``s`` at
-    its ends and its doublings, as arrays of m."""
+def _seed(kind: Kind, rows: Rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's bracket centre in t, clipped to the kind's window, and
+    half-width, as arrays of m.  The seed sees one ``(count, n)`` block per
+    row length, or the row's ``(1, n)`` view when there is one row; without
+    a seed every centre is 0."""
     m = rows.lengths.size
     w_lo, w_hi = kind.theta_window
     if kind.seed is None:
-        center, half = np.zeros(m), np.full(m, min(0.5, (w_hi - w_lo) / 4.0))
-    else:
-        # the seed sees one (count, n) block per row length; a sample range
-        # near the float limit overflows to an infinite half-width
-        center, half = np.empty(m), np.empty(m)
-        with np.errstate(over="ignore"):
-            for group, block in length_blocks(rows):
-                center[group], half[group] = kind.seed(block)
-    center = np.minimum(np.maximum(center, w_lo), w_hi)
+        return np.zeros(m), np.full(m, min(0.5, (w_hi - w_lo) / 4.0))
+    center, half = np.empty(m), np.empty(m)
+    # a sample range near the float limit overflows to an infinite half-width
+    with np.errstate(over="ignore"):
+        for group, block in [(slice(None), rows.flat[None])] if m == 1 else length_blocks(rows):
+            center[group], half[group] = kind.seed(block)
+    return np.minimum(np.maximum(center, w_lo), w_hi), half
+
+
+def _bracket_lanes(window, center: np.ndarray, half: np.ndarray, s: Callable):
+    """Each lane's bracket in t, doubled in lockstep from its seed inside
+    ``window``, with the score sums ``s`` at its ends and its doublings, as
+    arrays of m."""
+    m = center.size
+    w_lo, w_hi = window
     lo, hi, s_lo, s_hi = (np.empty(m) for _ in range(4))
     doubled = np.empty(m, dtype=int)
     doublings = 0
@@ -230,34 +240,29 @@ def _bracket_lanes(kind: Kind, rows: Rows, s: Callable):
     return lo, hi, s_lo, s_hi, doubled
 
 
-def _bracket_one(kind: Kind, rows: Rows, s: Callable):
-    """:func:`_bracket_lanes` on one lane, step for step in Python floats,
-    from the seed of the row's ``(1, n)`` view."""
-    w_lo, w_hi = kind.theta_window
-    if kind.seed is None:
-        center, half = 0.0, min(0.5, (w_hi - w_lo) / 4.0)
-    else:
-        with np.errstate(over="ignore"):
-            center, half = (np.asarray(v, dtype=float).item() for v in kind.seed(rows.flat[None]))
-    # max and min with the candidate first keep a NaN, as numpy does
-    center = min(max(center, w_lo), w_hi)
+def _bracket_one(window, center: np.ndarray, half: np.ndarray, s: Callable):
+    """:func:`_bracket_lanes` on one lane, from the arrays of one that
+    :func:`_seed` gave, step for step in Python floats, without numpy steps
+    on arrays of one, which cost more than the arithmetic.  A lane that
+    finds no bracket is handed to :func:`_bracket_lanes`, which fails it at
+    the same step and words the failure."""
+    w_lo, w_hi = window
+    (c,), (h,) = center.tolist(), half.tolist()
     lane = np.zeros(1, dtype=int)
     for doublings in range(MAX_DOUBLINGS + 1):
-        lo, hi = max(center - half, w_lo), min(center + half, w_hi)
+        # max and min with the candidate first keep a NaN, as numpy does
+        lo, hi = max(c - h, w_lo), min(c + h, w_hi)
         try:
             with np.errstate(over="ignore"):
                 s_lo, s_hi = s(np.array([lo]), lane).item(), s(np.array([hi]), lane).item()
-        except OutsideSupport as exc:
-            raise BracketFailure(f"no sign change before the action leaves the support "
-                                 f"within [{lo:.6g}, {hi:.6g}]") from exc
+        except OutsideSupport:
+            break
         if s_lo == 0.0 or s_hi == 0.0 or (s_lo > 0.0) != (s_hi > 0.0):
             return tuple(np.array([v]) for v in (lo, hi, s_lo, s_hi, doublings))
-        if doublings == MAX_DOUBLINGS or (lo == w_lo and hi == w_hi):
-            raise BracketFailure(
-                f"no sign change within {doublings} doublings (last bracket "
-                f"[{lo:.6g}, {hi:.6g}] with sums [{s_lo:.3g}, {s_hi:.3g}])"
-            )
-        half *= 2.0
+        if lo == w_lo and hi == w_hi:
+            break
+        h *= 2.0
+    return _bracket_lanes(window, center, half, s)
 
 
 def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> MleResult:

@@ -14,9 +14,10 @@ g. analytic vs finite-difference score cross-checks and image-bound agreement.
 
 Sections a and g come from one pass over the configured families, which
 profiles the score image of each (family, kind) once.  Section b, the
-longest, runs in a forked child beside the others where ``os.fork`` exists;
-the sections share no state and each is seeded on its own, so the report
-does not depend on it.
+longest, runs in a forked child beside the others where ``os.fork`` exists,
+and in-process when its records are asked for where it does not; the
+sections share no state and each is seeded on its own, so the report does
+not depend on it.
 
 Reports carry one record per check with a pass/fail verdict.  The machine
 format is deterministic: an identical configuration (seed included) emits
@@ -326,9 +327,7 @@ def emit_report(report: SuiteReport, format: str = "machine") -> bytes:
         verdict = report.verdicts[section]
         lines.append(f"-- {section}: {verdict.upper()} ({len(records)} records)")
         for rec in records:
-            flat = " ".join(
-                f"{k}={v}" for k, v in rec.items() if k not in ("verdict",)
-            )
+            flat = " ".join(f"{k}={v}" for k, v in rec.items() if k != "verdict")
             lines.append(f"   [{rec['verdict'].upper()}] {flat}")
     return ("\n".join(lines) + "\n").encode()
 
@@ -342,12 +341,8 @@ def parse_report(data: bytes) -> SuiteReport:
 
 
 def _derive_seed(base: int, *labels) -> int:
-    parts = [base & 0xFFFFFFFF]
-    for lab in labels:
-        if isinstance(lab, str):
-            parts.append(zlib.crc32(lab.encode()))
-        else:
-            parts.append(int(lab) & 0xFFFFFFFF)
+    parts = [zlib.crc32(lab.encode()) if isinstance(lab, str) else int(lab) & 0xFFFFFFFF
+             for lab in (base, *labels)]
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
@@ -676,20 +671,11 @@ def _beside(fn, *args):
     sends its outcome through a pipe as one pickle and ends with
     ``os._exit(0)``.  Leaving the block reaps the child, killing it first if
     ``result`` was not called, and closes the pipe.  Where ``os.fork`` does
-    not exist, ``fn`` runs here on entry and ``result`` hands back its outcome.
+    not exist, ``result`` is the call ``fn(*args)`` itself, run here when it
+    is made, so a block that leaves without asking never runs ``fn``.
     """
-    def unpack(outcome):
-        ok, value = outcome
-        if not ok:
-            raise value
-        return value
-
     if not hasattr(os, "fork"):
-        try:
-            outcome = (True, fn(*args))
-        except Exception as exc:
-            outcome = (False, exc)
-        yield lambda: unpack(outcome)
+        yield lambda: fn(*args)
         return
 
     read_fd, write_fd = os.pipe()
@@ -717,7 +703,10 @@ def _beside(fn, *args):
         if not data:
             raise ChildProcessError(f"{fn.__name__} ended without a result "
                                     f"(wait status {status})")
-        return unpack(pickle.loads(data))
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
 
     try:
         yield result

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,41 @@ def test_student_density_tends_to_the_gaussian(nu):
     assert log_pdf(0.0) == pytest.approx(-0.5 * math.log(2.0 * math.pi), abs=1e-4)
     assert log_pdf(1.0) == pytest.approx(-0.5 - 0.5 * math.log(2.0 * math.pi), abs=1e-4)
 
+
+
+#: Student points where a square of x, or its product with nu + 1, overflows
+#: for some nu, and points where they underflow
+STUDENT_XS = [0.0, 1e-320, -1e-320, 1.0, -1.0, 1e60, -1e60, 2e154, -2e154, 1e200, -1e200,
+              1.7e308, -1.7e308]
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0, 5.0, 1e200])
+def test_student_formulas_hold_to_the_float_limit(nu):
+    mpmath = pytest.importorskip("mpmath")
+    entry = lookup("student", {"nu": nu})
+    formulas = {"log_pdf": entry.model.log_pdf, "dlog_pdf": entry.model.dlog_pdf,
+                "scale": entry.analytic_scores["scale"]}
+    with mpmath.workdps(50):
+        v = mpmath.mpf(nu)
+        # the two log-gammas are of size nu log(nu), so their difference
+        # needs about log10 of that many more digits
+        with mpmath.workdps(250):
+            const = +(mpmath.loggamma((v + 1) / 2) - mpmath.loggamma(v / 2)
+                      - mpmath.log(v * mpmath.pi) / 2)
+        exact = {
+            "log_pdf": lambda x: const - (v + 1) / 2 * mpmath.log1p(x * x / v),
+            "dlog_pdf": lambda x: -(v + 1) * x / (v + x * x),
+            "scale": lambda x: v * (1 - x * x) / (v + x * x),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, formula in formulas.items():
+                on_array = formula(np.array(STUDENT_XS))
+                for x, got in zip(STUDENT_XS, on_array.tolist()):
+                    want = exact[name](mpmath.mpf(x))
+                    assert float(formula(x)) == got, (name, x)
+                    assert math.isfinite(got), (name, x)
+                    assert abs(got - want) <= max(1e-12 * abs(want), 1e-300), (name, x, got)
 
 #: each default suite family and its model name; the CLI prints these names
 #: and emitted spec files carry them

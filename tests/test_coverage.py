@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mlechar import (
@@ -71,6 +71,37 @@ def test_mcss_value_two_only_for_equal_bounds(a, b):
     if value == 2:
         assert abs(a - b) <= 1e-9 * max(a, b)
 
+
+
+#: integer bound ratios k, log-uniform in [1, 2^53 - 2], and a power-of-two
+#: scale that keeps each ratio exact
+integer_ratios = st.floats(min_value=0.0, max_value=math.log2(2.0 ** 53 - 2)).map(
+    lambda e: min(max(round(2.0 ** e), 1), 2 ** 53 - 2))
+
+
+@given(k=integer_ratios, scale=st.integers(min_value=-30, max_value=30), swap=st.booleans())
+@example(k=1, scale=0, swap=False)
+@example(k=10 ** 9, scale=0, swap=False)
+@example(k=2 ** 53 - 2, scale=0, swap=True)
+@settings(max_examples=300, deadline=None)
+def test_mcss_is_k_plus_one_at_every_integer_ratio(k, scale, swap):
+    c = 2.0 ** scale
+    pm, pp = (c, k * c) if swap else (k * c, c)
+    assert mcss(pm, pp).value == k + 1
+    assert not is_projectable(pm, pp, k) and is_projectable(pm, pp, k + 1)
+    assert projection_interval(pm, pp, k + 1) == (-pm, pp)
+    assert projection_interval(pm, pp, k) != (-pm, pp)
+
+
+@given(e=st.floats(min_value=0.0, max_value=math.log2(5e8)), swap=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_mcss_is_the_ceiling_away_from_integer_ratios(e, swap):
+    ratio = 2.0 ** e
+    # below a ratio of 5e8 the ceiling fuzz only moves ratios within 1e-9
+    # (relative) of an integer
+    assume(abs(ratio - round(ratio)) >= 1e-6 * ratio)
+    pm, pp = (1.0, ratio) if swap else (ratio, 1.0)
+    assert mcss(pm, pp).value == math.ceil(ratio + 1.0)
 
 def test_projection_interval_examples():
     assert projection_interval(INF, 1.0, 3) == (-2.0, 1.0)

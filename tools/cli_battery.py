@@ -108,6 +108,10 @@ COMMANDS = [
     "mcss --pminus 0 --pplus 2 --n 0",
     "mcss --pminus abc --pplus 2",
     "mcss --pminus 1e-320 --pplus 1e308",
+    # integer ratios where a relative ceiling fuzz would exceed one
+    "mcss --pminus 1e9 --pplus 1 --n 1000000000",
+    "mcss --pminus 1e9 --pplus 1 --n 1000000001",
+    "mcss --pminus 1 --pplus 1e12",
     "mcss --pminus 1 --pplus 2 --n 2.5",
     # analyze
     "analyze --family gaussian --kind loc",
