@@ -347,8 +347,10 @@ def _student(params: dict) -> CatalogEntry:
         raise InvalidParams(f"student needs nu > 0, got {nu}")
     const = _finite(lambda: _lgamma_half_step(0.5 * nu) - 0.5 * math.log(nu * math.pi),
                     f"the log-normalizer at nu={nu:g}")
-    expected_scale = max(math.ceil(_finite(lambda: 1.0 + max(nu, 1.0 / nu) - 1e-9,
-                                           f"the scale MNSS at nu={nu:g}")), 3)
+    # the ceiling of the bound ratio, plus one in integer arithmetic: from
+    # 2^53 on, 1 + ratio would round back to the ratio
+    expected_scale = max(math.ceil(_finite(lambda: max(nu, 1.0 / nu) - 1e-9,
+                                           f"the scale MNSS at nu={nu:g}")) + 1, 3)
 
     def log_pdf(x):
         with np.errstate(over="ignore", divide="ignore"):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -70,9 +71,10 @@ def mcss(p_minus: float, p_plus: float) -> SampleSize:
 
     ``ceil(ratio + 1)`` takes ``ratio + 1`` down by ``CEIL_FUZZ`` of itself
     first, so a value that noise lifted just above an integer counts as that
-    integer, but never below the integer under the value: from a ratio of
-    about 1e9 on the fuzz exceeds one, and an integer ratio k still gives
-    k + 1.
+    integer, but never below the integer under the value, ``floor(ratio) +
+    1`` in integer arithmetic: from a ratio of about 1e9 on the fuzz exceeds
+    one, and from 2^53 on ``ratio + 1.0`` rounds back to the ratio, and an
+    integer ratio k still gives k + 1.
     """
     pm = _validate_bound(p_minus, "p_minus")
     pp = _validate_bound(p_plus, "p_plus")
@@ -85,7 +87,7 @@ def mcss(p_minus: float, p_plus: float) -> SampleSize:
         raise InvalidBounds(f"the bound ratio {max(pm, pp):g}/{min(pm, pp):g} "
                             "overflows a double")
     value = ratio + 1.0
-    n = math.ceil(max(value - CEIL_FUZZ * value, math.floor(value)))
+    n = max(math.ceil(value - CEIL_FUZZ * value), math.floor(ratio) + 1)
     return SampleSize(max(n, 2))
 
 
@@ -93,16 +95,27 @@ def projection_interval(p_minus: float, p_plus: float, n: int) -> tuple[float, f
     """Coordinate projection of the zero-sum tuples inside the image cube.
 
     For sample size ``n`` the projection is the open interval
-    ``(-min(p_minus, (n-1) p_plus), min(p_plus, (n-1) p_minus))``.
+    ``(-min(p_minus, (n-1) p_plus), min(p_plus, (n-1) p_minus))``.  Where
+    ``n - 1`` is not a double, each product is compared with the other
+    bound exactly, so the interval reaches a bound exactly from the minimal
+    covering sample size on.
     """
     pm = _validate_bound(p_minus, "p_minus")
     pp = _validate_bound(p_plus, "p_plus")
     if n < 1:
         raise InvalidParams("n must be >= 1")
-    k = float(n - 1)
-    lo = -min(pm, k * pp)
-    hi = min(pp, k * pm)
-    return lo, hi
+    return -_reach(n - 1, pp, pm), _reach(n - 1, pm, pp)
+
+
+def _reach(count: int, p: float, bound: float) -> float:
+    """``min(bound, count * p)``.  Where ``count`` is not a double, the
+    comparison is exact, and a product below the bound stays below it."""
+    if count <= 2 ** 53:
+        return min(bound, count * p)
+    product = math.inf if math.isinf(p) else Fraction(count) * Fraction(p)
+    if product >= bound:
+        return bound
+    return float(min(product, Fraction(math.nextafter(bound, 0.0))))
 
 
 def is_projectable(p_minus: float, p_plus: float, n: int) -> bool:

@@ -41,6 +41,7 @@ log-density passes a scalar straight to the wrapped function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple, Optional
@@ -93,22 +94,55 @@ def call_array(fn: Callable, *args) -> np.ndarray:
     ``ValueError`` when it asks for an array's truth value.  Errors of any
     other type propagate.
     """
-    arrays = [np.asarray(a, dtype=float) for a in args]
-    try:
-        return np.asarray(fn(*arrays), dtype=float)
-    except (TypeError, ValueError):
-        shape = np.broadcast(*arrays).shape
-        columns = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
-        return np.array([fn(*point) for point in zip(*columns)],
-                        dtype=float).reshape(shape)
+    return bind_array(fn)(*(np.asarray(a, dtype=float) for a in args))
+
+
+def bind_array(fn: Callable) -> Callable:
+    """:func:`call_array` of ``fn`` on float arrays, with its fallback
+    decided on the first call: ``fn`` takes the arrays of every later call,
+    or is called once per element on every later call, without trying the
+    arrays again."""
+    def first(*arrays):
+        nonlocal call
+        try:
+            out = fn(*arrays)
+            call = fn
+        except (TypeError, ValueError):
+            call = functools.partial(_per_element, fn)
+            out = call(*arrays)
+        return out
+
+    call = first
+    return lambda *arrays: np.asarray(call(*arrays), dtype=float)
+
+
+def _per_element(fn: Callable, *arrays) -> np.ndarray:
+    shape = np.broadcast(*arrays).shape
+    columns = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
+    return np.array([fn(*point) for point in zip(*columns)], dtype=float).reshape(shape)
 
 
 def call_elementwise(fn: Callable, *args) -> np.ndarray:
     """``fn(*args)`` as a float array of the arguments' broadcast shape: the
     value of :func:`call_array`, a constant broadcast to that shape."""
-    out = call_array(fn, *args)
-    shape = np.broadcast(*args).shape
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+    return bind_elementwise(fn)(*(np.asarray(a, dtype=float) for a in args))
+
+
+def bind_elementwise(fn: Callable) -> Callable:
+    """:func:`call_elementwise` of ``fn`` on float arrays, with the fallback
+    of :func:`bind_array`; the broadcast shape is formed only when the value
+    does not have the last argument's shape."""
+    call = bind_array(fn)
+
+    def elementwise(*arrays):
+        out = call(*arrays)
+        if out.shape != arrays[-1].shape:
+            shape = np.broadcast(*arrays).shape
+            if out.shape != shape:
+                out = np.broadcast_to(out, shape).copy()
+        return out
+
+    return elementwise
 
 
 # np.unique and np.median import numpy.ma on their first call (15-20 ms of
@@ -221,6 +255,12 @@ class SupportSet:
         """Whether every element of a non-empty array is interior: two
         reductions and no boolean arrays.  A NaN fails."""
         return bool(self.lower < xs.min() and xs.max() < self.upper)
+
+    def require(self, xs: np.ndarray) -> None:
+        """Raise :class:`OutsideSupport`, naming the first point outside,
+        unless every element of the float array is interior."""
+        if xs.size and not self.holds(xs):
+            raise OutsideSupport(f"x={xs[~self.contains(xs)][0]} is not interior to {self}")
 
     def __str__(self) -> str:
         return f"({self.lower}, {self.upper})"
@@ -345,12 +385,19 @@ def eval_dlogf(model: DensityModel, x):
     shrunk so both probe points stay inside the support.
     """
     xs = np.asarray(x, dtype=float)
-    if xs.size and not model.support.holds(xs):
-        outside = ~model.support.contains(xs)
-        raise OutsideSupport(f"x={xs[outside][0]} is not interior to {model.support}")
-    out = (_central_difference(model, xs) if model.dlog_pdf is None
-           else call_elementwise(model.dlog_pdf, xs))
+    model.support.require(xs)
+    out = bind_dlogf(model)(xs)
     return out if xs.ndim else float(out)
+
+
+def bind_dlogf(model: DensityModel) -> Callable:
+    """``d/dx log f`` of the model on float arrays of interior points, bound
+    once: the analytic derivative with its array fallback decided on the
+    first call (:func:`bind_elementwise`), or else the central difference
+    of :func:`eval_dlogf`."""
+    if model.dlog_pdf is None:
+        return functools.partial(_central_difference, model)
+    return bind_elementwise(model.dlog_pdf)
 
 
 def check_dlog_pdf(model: DensityModel, xs, tol: float = 1e-6) -> float:

@@ -20,16 +20,19 @@ residual, iterations, bracket).  One seeding step gives each lane a bracket
 centre and half-width from its sample; the lane doubles its half-width
 (clipped to the kind's window) until the sum changes sign, and refines the
 bracket with Brent's bisection/secant iteration
-(``score.brent_lanes``).  A step moves all live lanes with one action call,
-scores each problem's lanes with its own model and sums every row with one
-exact row summation.  A lane's result does not depend on the other rows or
-problems, so :func:`mle`, the one place that builds an :class:`MleResult`
-from a solve, is one problem of one row, bracketed and refined in Python
-floats and summed by extraction from ``score.EXTRACT_MIN_ONE_ROW``
-observations on.  A
-catalog family that writes a closed-form estimator for a kind gets a direct
-fast path via :func:`closed_form_mle`; the formulas live in the catalog's
-family builders, so this module names no family.
+(``score.brent_lanes``).  A solve binds its evaluation once
+(``score.ScoreSums``): the model's derivative, which kind factors are
+constants, the action, ``to_theta`` and whether each callable takes arrays.
+A step then moves all live lanes with one action call, tests the support
+once, scores each problem's lanes with its own model and sums every row
+with one exact row summation.  A lane's result does not depend on the other
+rows or problems, so :func:`mle`, the one place that builds an
+:class:`MleResult` from a solve, is one problem of one row, bracketed and
+refined in Python floats and summed by extraction from
+``score.EXTRACT_MIN_ONE_ROW`` observations on, with no block scaffolding.
+A catalog family that writes a closed-form estimator for a kind gets a
+direct fast path via :func:`closed_form_mle`; the formulas live in the
+catalog's family builders, so this module names no family.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .density import DensityModel, Rows, Sample, call_elementwise, length_blocks
+from .density import DensityModel, Rows, Sample, bind_elementwise, length_blocks
 from .errors import (
     BracketFailure,
     NoClosedForm,
@@ -50,7 +53,9 @@ from .score import (
     LOCATION,
     SCALE,
     Kind,
+    ScoreSums,
     brent_lanes,
+    brent_one,
     flatten_rows,
     identity,
     row_score_sums,
@@ -58,6 +63,11 @@ from .score import (
 
 DEFAULT_TOL = 1e-10      # score-sum residual tolerance
 MAX_DOUBLINGS = 60
+#: Brent's absolute tolerance in t, far below a 1e-12 interval so the
+#: residual contract holds even for interpolated (slightly jittery) scores,
+#: and its step budget
+XTOL = 1e-15
+MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -100,9 +110,8 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     Python floats and sums by extraction from ``EXTRACT_MIN_ONE_ROW``
     observations on.
     """
-    (roots,) = mle_block(kind, [(model, sample)], tol)
-    (theta,), (residual,), (iterations,), ((lo, hi),) = (
-        v.tolist() for v in (roots.theta, roots.residual, roots.iterations, roots.bracket))
+    _admit(kind, [(model, sample)])
+    theta, residual, iterations, lo, hi, _ = _solve_row(kind, model, sample.values, tol)
     return MleResult(theta, residual, BracketedRoot(iterations, (lo, hi)), kind)
 
 
@@ -127,77 +136,118 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
     ``(m, n)`` block, a sequence of m 1-D rows of any lengths, a
     :class:`~mlechar.density.Rows` or a :class:`~mlechar.density.Sample`
     (one row).  Returns one :class:`BlockRoots` per problem, whose lane i
-    equals ``mle(model, kind, Sample(rows[i]), tol)`` bit for bit.  One
-    bracket search and one Brent lockstep serve the lanes of all problems:
-    each step moves every live lane with one ``kind.h`` call, scores each
+    equals ``mle(model, kind, Sample(rows[i]), tol)`` bit for bit.  Each
+    solve binds its evaluation once (``score.ScoreSums``).  One bracket
+    search and one Brent lockstep serve the lanes of all problems: each
+    step moves every live lane with one ``kind.h`` call, scores each
     problem's lanes with its own model and sums all rows with one
-    ``row_fsums`` call.  One problem of one row seeds its row as a
-    ``(1, n)`` view and brackets and refines it in Python floats, where
-    numpy steps on arrays of one would cost more than the arithmetic.
-    Raises as soon as one row fails.
+    ``row_fsums`` call.  One problem of one row is solved as :func:`mle`
+    solves it, in Python floats, where numpy steps on arrays of one would
+    cost more than the arithmetic.  Raises as soon as one row fails.
     """
-    if kind.h is None:
-        raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
-    if not problems:
+    blocks = _admit(kind, problems)
+    if not blocks:
         return []
-    models, blocks = zip(*((model, flatten_rows(rows)) for model, rows in problems))
-    for (model, given), block in zip(problems, blocks):
-        kind.check(model.support)
-        # a Sample was checked as one row when it was made
-        (given if isinstance(given, Sample) else Sample(block.flat)).require_inside(model)
+    if len(blocks) == 1 and blocks[0].lengths.size == 1:
+        theta, residual, iterations, lo, hi, doublings = _solve_row(
+            kind, problems[0][0], blocks[0].flat, tol)
+        return [BlockRoots(np.array([theta]), np.array([residual]), np.array([iterations]),
+                           np.array([[lo, hi]]), np.array([doublings]))]
     flat, lengths = rows = Rows(*map(np.concatenate, zip(*blocks))) if blocks[1:] else blocks[0]
     # the lane after each problem's last
     ends = np.cumsum([block.lengths.size for block in blocks]).tolist()
     m = lengths.size
     starts = np.cumsum(lengths) - lengths
-
-    def to_theta(t: np.ndarray) -> np.ndarray:
-        return t if kind.to_theta is identity else call_elementwise(kind.to_theta, t)
+    sums = ScoreSums(kind, [model for model, _ in problems])
+    to_theta = _to_theta(kind)
 
     def s(t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         if lanes.size == m:
-            return row_score_sums(models, kind, flat, lengths, to_theta(t), ends)
+            return sums(to_theta(t), flat, lengths, ends)
         counts = lengths[lanes]
         # positions in flat of the listed rows, row after row, summed in place
         # and dropped once the points are taken, to hold one index array
         x = np.repeat(starts[lanes] - (np.cumsum(counts) - counts), counts)
         x += np.arange(counts.sum())
         x = flat[x]
-        return row_score_sums(models, kind, x, counts, to_theta(t), np.searchsorted(lanes, ends))
+        return sums(to_theta(t), x, counts, np.searchsorted(lanes, ends))
 
-    lo, hi, s_lo, s_hi, doublings = (_bracket_one if m == 1 else _bracket_lanes)(
-        kind.theta_window, *_seed(kind, rows), s)
-    # refine far below a 1e-12 interval so the residual contract holds even
-    # for interpolated (slightly jittery) scores
-    roots, residuals, iterations, converged = brent_lanes(s, lo, hi, s_lo, s_hi, xtol=1e-15,
-                                                          maxiter=300)
+    lo, hi, s_lo, s_hi, doublings = _bracket_lanes(
+        kind.theta_window, *_seed(kind, m, length_blocks(rows)), s)
+    roots, residuals, iterations, converged = brent_lanes(s, lo, hi, s_lo, s_hi, xtol=XTOL,
+                                                          maxiter=MAX_ITER)
     if not converged.all():
-        raise BracketFailure(f"Brent iteration did not converge within 300 steps "
-                             f"(theta={float(roots[~converged][0])!r})")
+        raise _unconverged(roots[~converged][0])
     bad = ~(np.abs(residuals) < tol)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise BracketFailure(
-            f"residual {residuals[i]:.3e} at theta={float(roots[i])!r} exceeds tol={tol:g}"
-        )
+        raise _above_tol(residuals[i], roots[i], tol)
     fields = (to_theta(roots), residuals, iterations,
               np.stack([to_theta(lo), to_theta(hi)], axis=1), doublings)
     return [BlockRoots(*(v[a:b] for v in fields)) for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _seed(kind: Kind, rows: Rows) -> tuple[np.ndarray, np.ndarray]:
+def _admit(kind: Kind, problems) -> list[Rows]:
+    """Each problem's rows, once the kind has an action, the rows are rows
+    of observations and each problem's support admits the kind and holds
+    its rows."""
+    if kind.h is None:
+        raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
+    blocks = [flatten_rows(rows) for _, rows in problems]
+    for (model, given), block in zip(problems, blocks):
+        kind.check(model.support)
+        # a Sample was checked as one row when it was made
+        (given if isinstance(given, Sample) else Sample(block.flat)).require_inside(model)
+    return blocks
+
+
+def _to_theta(kind: Kind) -> Callable[[np.ndarray], np.ndarray]:
+    return (lambda t: t) if kind.to_theta is identity else bind_elementwise(kind.to_theta)
+
+
+def _solve_row(kind: Kind, model: DensityModel, x: np.ndarray, tol: float):
+    """:func:`mle_block`'s lane of one problem of the one row ``x``, in
+    Python floats: theta, the residual, the iterations, the bracket ends in
+    theta and the doublings."""
+    sums = ScoreSums(kind, [model])
+    to_theta = _to_theta(kind)
+
+    def s(t: float) -> float:
+        return sums.row(to_theta(np.array([t])), x)
+
+    center, half = _seed(kind, 1, [(slice(None), x[None])])
+    lo, hi, s_lo, s_hi, doublings = _bracket_one(kind.theta_window, center, half, s)
+    root, residual, iterations, converged = brent_one(s, lo, hi, s_lo, s_hi, XTOL, MAX_ITER)
+    if not converged:
+        raise _unconverged(root)
+    if not abs(residual) < tol:
+        raise _above_tol(residual, root, tol)
+    theta, lo, hi = to_theta(np.array([root, lo, hi])).tolist()
+    return theta, residual, iterations, lo, hi, doublings
+
+
+def _unconverged(root) -> BracketFailure:
+    return BracketFailure(f"Brent iteration did not converge within {MAX_ITER} steps "
+                          f"(theta={float(root)!r})")
+
+
+def _above_tol(residual, root, tol: float) -> BracketFailure:
+    return BracketFailure(f"residual {residual:.3e} at theta={float(root)!r} exceeds tol={tol:g}")
+
+
+def _seed(kind: Kind, m: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Each lane's bracket centre in t, clipped to the kind's window, and
-    half-width, as arrays of m.  The seed sees one ``(count, n)`` block per
-    row length, or the row's ``(1, n)`` view when there is one row; without
-    a seed every centre is 0."""
-    m = rows.lengths.size
+    half-width, as arrays of m.  The seed sees each ``(group, block)`` of
+    ``blocks``: one ``(count, n)`` block per row length, or the row's
+    ``(1, n)`` view when there is one row; without a seed every centre is
+    0."""
     w_lo, w_hi = kind.theta_window
     if kind.seed is None:
         return np.zeros(m), np.full(m, min(0.5, (w_hi - w_lo) / 4.0))
     center, half = np.empty(m), np.empty(m)
     # a sample range near the float limit overflows to an infinite half-width
     with np.errstate(over="ignore"):
-        for group, block in [(slice(None), rows.flat[None])] if m == 1 else length_blocks(rows):
+        for group, block in blocks:
             center[group], half[group] = kind.seed(block)
     return np.minimum(np.maximum(center, w_lo), w_hi), half
 
@@ -240,29 +290,30 @@ def _bracket_lanes(window, center: np.ndarray, half: np.ndarray, s: Callable):
     return lo, hi, s_lo, s_hi, doubled
 
 
-def _bracket_one(window, center: np.ndarray, half: np.ndarray, s: Callable):
+def _bracket_one(window, center: np.ndarray, half: np.ndarray, s: Callable[[float], float]):
     """:func:`_bracket_lanes` on one lane, from the arrays of one that
-    :func:`_seed` gave, step for step in Python floats, without numpy steps
-    on arrays of one, which cost more than the arithmetic.  A lane that
-    finds no bracket is handed to :func:`_bracket_lanes`, which fails it at
-    the same step and words the failure."""
+    :func:`_seed` gave, step for step in Python floats, of a score sum ``s``
+    of a Python float.  A lane that finds no bracket is handed to
+    :func:`_bracket_lanes`, which fails it at the same step and words the
+    failure."""
     w_lo, w_hi = window
     (c,), (h,) = center.tolist(), half.tolist()
-    lane = np.zeros(1, dtype=int)
-    for doublings in range(MAX_DOUBLINGS + 1):
-        # max and min with the candidate first keep a NaN, as numpy does
-        lo, hi = max(c - h, w_lo), min(c + h, w_hi)
-        try:
-            with np.errstate(over="ignore"):
-                s_lo, s_hi = s(np.array([lo]), lane).item(), s(np.array([hi]), lane).item()
-        except OutsideSupport:
-            break
-        if s_lo == 0.0 or s_hi == 0.0 or (s_lo > 0.0) != (s_hi > 0.0):
-            return tuple(np.array([v]) for v in (lo, hi, s_lo, s_hi, doublings))
-        if lo == w_lo and hi == w_hi:
-            break
-        h *= 2.0
-    return _bracket_lanes(window, center, half, s)
+    # a bracket end or an action that overflows gives an infinity, outside
+    # every support
+    with np.errstate(over="ignore"):
+        for doublings in range(MAX_DOUBLINGS + 1):
+            # max and min with the candidate first keep a NaN, as numpy does
+            lo, hi = max(c - h, w_lo), min(c + h, w_hi)
+            try:
+                s_lo, s_hi = s(lo), s(hi)
+            except OutsideSupport:
+                break
+            if s_lo == 0.0 or s_hi == 0.0 or (s_lo > 0.0) != (s_hi > 0.0):
+                return lo, hi, s_lo, s_hi, doublings
+            if lo == w_lo and hi == w_hi:
+                break
+            h *= 2.0
+    return _bracket_lanes(window, center, half, lambda t, lanes: np.array([s(t.item())]))
 
 
 def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> MleResult:

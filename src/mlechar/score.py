@@ -26,16 +26,19 @@ Scores follow the array contract of :mod:`mlechar.density`: a kind's
 ``u1``, ``u2``, ``h`` and ``to_theta`` take floats or ndarrays, and
 ``u1`` and ``u2`` may return a constant, which the score keeps scalar (a
 location score is ``0 + (-1) f'/f`` without arrays of -1 and 0).
-:func:`kind_score` scores a point or a whole probe grid in one
+One evaluator serves every score: :class:`Scorer` binds one model's score
+once (support test, factors, derivative) and :class:`ScoreSums` the action
+and the row sums of a solve, so each step of a solve does only their
+arithmetic.  :func:`kind_score` scores a point or a whole probe grid in one
 call, and :func:`row_score_sums` scores m samples, as rows of equal or
 different lengths back to back, in one call, with one model or with
 consecutive runs of rows each scored by its own model.  Each row sum is the
 correctly rounded exact sum of the row's scores, the value ``math.fsum``
-gives (:func:`row_fsums`): a call of one row of at least
-``EXTRACT_MIN_ONE_ROW`` (700) scores sums it by error-free extraction on
-its score array alone; otherwise a call of fewer than
-``EXTRACT_MIN_SCORES`` (1024) scores sums each row with ``math.fsum`` over
-a list, and a larger one sums all its rows at once by error-free extraction.
+gives (:func:`row_fsums`): one row of at least ``EXTRACT_MIN_ONE_ROW``
+(700) scores is summed by error-free extraction on its score array alone
+(:func:`fsum_row`); otherwise a call of fewer than ``EXTRACT_MIN_SCORES``
+(1024) scores sums each row with ``math.fsum`` over a list, and a larger
+one sums all its rows at once by error-free extraction.
 :func:`brent_lanes` is the one root finder: Brent's method run lane by
 lane over a batch of brackets, step for step as SciPy's Brent solver runs it,
 in numpy lockstep over the lanes not yet converged, and in Python floats for
@@ -62,10 +65,11 @@ from .density import (
     Rows,
     Sample,
     SupportSet,
-    call_array,
+    bind_array,
+    bind_dlogf,
+    bind_elementwise,
     call_elementwise,
     effective_interval,
-    eval_dlogf,
     median,
     probe_grid,
 )
@@ -201,33 +205,57 @@ SCALE = Kind(
 # ---------------------------------------------------------------------------
 
 
-def _scores(model: DensityModel, kind: Kind, x: np.ndarray) -> np.ndarray:
-    # support admission is the caller's job (once per profile, solve or tilt)
-    # constant factors stay 0-d: location scores without copies of -1 and 0
-    a = call_array(kind.u1, x)
-    b = call_array(kind.u2, x)
-    zero = a == 0.0
-    # a constant gives one numpy bool, tested without any()'s reduction call
-    if not (zero.any() if a.ndim else zero):
-        scores = a * eval_dlogf(model, x)
-        scores += b
-        return scores
-    # where u1 vanishes (the origin, for scale) the score is u2 wherever log f
-    # is finite, whether or not f is differentiable there
-    a, zero = np.broadcast_to(a, x.shape), np.broadcast_to(zero, x.shape)
-    if not np.isfinite(model.log_pdf(x[zero])).all():
-        raise NonFiniteLogDensity(f"log-density not finite at x={x[zero][0]}")
-    rest = ~zero
-    out = np.broadcast_to(b, x.shape).copy()
-    out[rest] += a[rest] * eval_dlogf(model, x[rest])
-    return out
+class Scorer:
+    """The kind's score ``u2 + u1 f'/f`` of one model on float arrays, with
+    its evaluation bound once, for a solve or for one call.
+
+    A call tests the support first: a point outside it raises
+    :class:`OutsideSupport`.  ``u1``, ``u2`` and the model's derivative
+    (analytic or a central difference, :func:`~mlechar.density.bind_dlogf`)
+    each take the arrays, or are called once per element, from their first
+    call on (:func:`~mlechar.density.bind_array`).  A factor that gives one
+    0-d value for several points is that constant from then on, kept
+    scalar: a location score is ``0 + (-1) f'/f`` without arrays of -1 and
+    0, and only a u1 that is not a nonzero constant is tested for zeros.
+    Where u1 vanishes (the origin, for scale on the full line) the score is
+    u2 wherever log f is finite, whether or not f is differentiable there.
+    """
+
+    def __init__(self, model: DensityModel, kind: Kind):
+        self.model, self.dlog = model, bind_dlogf(model)
+        self.u1, self.u2 = bind_array(kind.u1), bind_array(kind.u2)
+        # the constant factors, once a call of several points shows them
+        self.a = self.b = None
+        self.open = True
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.model.support.require(x)
+        a = self.u1(x) if self.a is None else self.a
+        b = self.u2(x) if self.b is None else self.b
+        if self.open and x.size > 1:
+            self.open = False
+            if not a.ndim and a != 0.0:
+                self.a = a
+            if not b.ndim:
+                self.b = b
+        if self.a is not None or a.all():
+            scores = a * self.dlog(x)
+            scores += b
+            return scores
+        a, zero = np.broadcast_to(a, x.shape), np.broadcast_to(a == 0.0, x.shape)
+        if not np.isfinite(self.model.log_pdf(x[zero])).all():
+            raise NonFiniteLogDensity(f"log-density not finite at x={x[zero][0]}")
+        rest = ~zero
+        out = np.broadcast_to(b, x.shape).copy()
+        out[rest] += a[rest] * self.dlog(x[rest])
+        return out
 
 
 def kind_score(model: DensityModel, kind: Kind, x):
     """Score ``u2(x) + u1(x) f'(x)/f(x)`` of ``kind`` at ``x``: a float for a
     float, an ndarray for an ndarray."""
     kind.check(model.support)
-    out = _scores(model, kind, np.asarray(x, dtype=float))
+    out = Scorer(model, kind)(np.asarray(x, dtype=float))
     return out if np.ndim(x) else float(out)
 
 
@@ -272,10 +300,9 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     """``math.fsum`` of each row, bit for bit: m rows of the given lengths
     back to back in the 1-D float array ``scores``.
 
-    One row of at least ``EXTRACT_MIN_ONE_ROW`` scores is summed alone by
-    the rounds of :func:`_fsum_rest`, from its whole row.  Otherwise fewer
-    than ``EXTRACT_MIN_SCORES`` scores go through ``math.fsum`` over a
-    list, and more are summed all at once by error-free extraction
+    One row is summed by :func:`fsum_row`.  Otherwise fewer than
+    ``EXTRACT_MIN_SCORES`` scores go through ``math.fsum`` over a list, and
+    more are summed all at once by error-free extraction
     (``ExtractVector`` of Rump, Ogita and Oishi, "Accurate floating-point
     summation, part I", SIAM J. Sci. Comput. 31(1), 2008).  With
     ``2^M >= n + 2`` for a row of n and ``sigma = 2^M 2^e`` for its
@@ -293,12 +320,10 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     overflows as it would on the scores.
     """
     lengths = np.asarray(lengths)
-    if lengths.size == 1 and scores.size >= EXTRACT_MIN_ONE_ROW:
-        return np.array([_fsum_rest(scores, scores, (scores.size + 1).bit_length(), [])])
+    if lengths.size == 1:
+        return np.array([fsum_row(scores)])
     if scores.size < EXTRACT_MIN_SCORES:
-        values = scores.tolist()
-        rows = [values] if lengths.size == 1 else map(islice, repeat(iter(values)), lengths)
-        return np.array(list(map(math.fsum, rows)))
+        return np.array(list(map(math.fsum, map(islice, repeat(iter(scores.tolist())), lengths))))
     starts = np.cumsum(lengths) - lengths
     # M = ceil(log2(n + 2)), the bit length of n + 1
     spread = np.frexp(lengths + 1)[1]
@@ -322,24 +347,106 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     return out
 
 
+def fsum_row(scores: np.ndarray) -> float:
+    """``math.fsum`` of one row of scores, bit for bit: by the extraction
+    rounds of :func:`_fsum_rest` from ``EXTRACT_MIN_ONE_ROW`` scores on,
+    with no ``reduceat``, and by ``math.fsum`` over a list below."""
+    if scores.size >= EXTRACT_MIN_ONE_ROW:
+        return _fsum_rest(scores, scores, (scores.size + 1).bit_length(), [])
+    return math.fsum(scores.tolist())
+
+
 def _fsum_rest(row: np.ndarray, rest: np.ndarray, spread: int, parts: list) -> float:
     """``math.fsum`` of a row from the exact part sums extracted so far and
     the remainder ``rest`` (the row itself before any round), which it
-    leaves as it is: more rounds of the row alone while the remainder is
-    finite and its ``sigma`` stays below the float limit, ``math.fsum`` of
-    the row otherwise."""
+    leaves as it is: ``math.fsum`` of the row where the remainder is not
+    finite or its ``sigma`` would pass the float limit, else more rounds of
+    the row alone until no remainder is left.  The first round takes its
+    ``sigma`` from the largest remainder; a round leaves
+    ``|rest| <= 2^-53 sigma``, so each later one takes ``sigma`` from that
+    bound, with no pass over the remainder, and updates it in place."""
     part = np.empty_like(rest)
     top = float(np.abs(rest, out=part).max())
     if not math.isfinite(top) or spread + math.frexp(top)[1] > 1023:
         return math.fsum(row.tolist())
-    while top != 0.0:
-        sigma = math.ldexp(1.0, spread + math.frexp(top)[1])
+    if top == 0.0:
+        return math.fsum(parts)
+    # a power of two times a power of two: exact until it underflows, and a
+    # sigma of zero takes what is left as its part
+    sigma, shrink = math.ldexp(1.0, spread + math.frexp(top)[1]), math.ldexp(1.0, spread - 53)
+    np.add(rest, sigma, out=part)
+    part -= sigma
+    parts.append(float(part.sum()))
+    rest = rest - part
+    # the second round runs unasked: the first one nearly always leaves a
+    # remainder
+    while True:
+        sigma *= shrink
         np.add(rest, sigma, out=part)
         part -= sigma
         parts.append(float(part.sum()))
-        rest = rest - part
-        top = float(np.abs(rest, out=part).max())
-    return math.fsum(parts)
+        rest -= part
+        if not rest.any():
+            return math.fsum(parts)
+
+
+class ScoreSums:
+    """Exact row sums of one kind's score, bound once for a solve: the
+    action ``kind.h`` and each model's :class:`Scorer`, whose callables
+    decide on their first call whether they take arrays.
+
+    A call moves the rows by one ``h`` call, scores each model's rows and
+    sums each row with :func:`row_fsums`; :meth:`row` sums one row to a
+    float.  A sum that ``math.fsum`` cannot form, such as scores of both
+    infinite signs, raises :class:`BracketFailure`.
+    """
+
+    def __init__(self, kind: Kind, models):
+        self.h = bind_elementwise(kind.h)
+        self.scorers = [Scorer(model, kind) for model in models]
+
+    def __call__(self, theta: np.ndarray, flat: np.ndarray, lengths: np.ndarray,
+                 ends=None) -> np.ndarray:
+        """m row sums, row i at ``h(theta[i], x)``: ``flat`` holds the rows
+        back to back, and model j scores the rows from ``ends[j-1]`` (0 for
+        the first) up to ``ends[j]`` (all rows, for one model)."""
+        # a single row needs no theta repeated
+        moved = self.h(theta if theta.size == 1 else np.repeat(theta, lengths), flat)
+        if len(self.scorers) == 1:
+            scores = self.scorers[0](moved)
+        else:
+            # each model scores the contiguous slice of its rows' points
+            stops = np.concatenate([[0], np.cumsum(lengths)])[ends].tolist()
+            scores = np.empty_like(moved)
+            for scorer, start, stop in zip(self.scorers, [0] + stops, stops):
+                if start < stop:
+                    scores[start:stop] = scorer(moved[start:stop])
+        # the moved points go before the row sums take two arrays of their size
+        del moved
+        try:
+            return row_fsums(scores, lengths)
+        except (ValueError, OverflowError):
+            # sum again row by row, only to name the row that failed
+            rows = iter(scores.tolist())
+            for row_theta, n in zip(theta.tolist(), lengths):
+                try:
+                    math.fsum(islice(rows, n))
+                except (ValueError, OverflowError) as exc:
+                    raise _no_sum(row_theta, exc) from exc
+            raise
+
+    def row(self, theta: np.ndarray, x: np.ndarray) -> float:
+        """The sum of the one row ``x`` of the first model at ``h(theta, x)``,
+        for ``theta`` an array of one."""
+        scores = self.scorers[0](self.h(theta, x))
+        try:
+            return fsum_row(scores)
+        except (ValueError, OverflowError) as exc:
+            raise _no_sum(theta.item(), exc) from exc
+
+
+def _no_sum(theta: float, exc: Exception) -> BracketFailure:
+    return BracketFailure(f"the score sum at theta={theta!r} has no value: {exc}")
 
 
 def row_score_sums(model, kind: Kind, flat: np.ndarray, lengths, theta,
@@ -354,34 +461,11 @@ def row_score_sums(model, kind: Kind, flat: np.ndarray, lengths, theta,
     that row's own scores, ``math.fsum`` of them (:func:`row_fsums`), so it
     does not depend on the other rows.  A sum that ``math.fsum`` cannot
     form, such as scores of both infinite signs, raises
-    :class:`BracketFailure`.
+    :class:`BracketFailure`.  This is one call of :class:`ScoreSums`.
     """
-    theta = np.asarray(theta, dtype=float)
-    # a single row needs no theta repeated
-    moved = call_elementwise(kind.h, theta if theta.size == 1 else np.repeat(theta, lengths), flat)
-    if ends is None or len(ends) == 1:
-        scores = _scores(model if ends is None else model[0], kind, moved)
-    else:
-        # each model scores the contiguous slice of its rows' points
-        stops = np.concatenate([[0], np.cumsum(lengths)])[ends].tolist()
-        scores = np.empty_like(moved)
-        for part, start, stop in zip(model, [0] + stops, stops):
-            if start < stop:
-                scores[start:stop] = _scores(part, kind, moved[start:stop])
-    # the moved points go before the row sums take two arrays of their size
-    del moved
-    try:
-        return row_fsums(scores, lengths)
-    except (ValueError, OverflowError):
-        # sum again row by row, only to name the row that failed
-        rows = iter(scores.tolist())
-        for row_theta, n in zip(theta.tolist(), lengths):
-            try:
-                math.fsum(islice(rows, n))
-            except (ValueError, OverflowError) as exc:
-                raise BracketFailure(f"the score sum at theta={row_theta!r} "
-                                     f"has no value: {exc}") from exc
-        raise
+    sums = ScoreSums(kind, [model] if ends is None else model)
+    return sums(np.asarray(theta, dtype=float), np.asarray(flat, dtype=float),
+                np.asarray(lengths), ends)
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +683,14 @@ def anchored_antiderivative(model: DensityModel, profile: ScoreProfile, integran
 BRENT_RTOL = 8.9e-16
 
 
-def _brent_one(f: Callable, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float,
-               maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`brent_lanes` on one lane: the loop of SciPy's Brent solver as
-    written, in Python floats."""
-    def lane(*values):
-        return tuple(np.array([value]) for value in values)
-
+def brent_one(f: Callable[[float], float], xpre: float, xcur: float, fpre: float, fcur: float,
+              xtol: float, maxiter: int) -> tuple[float, float, int, bool]:
+    """:func:`brent_lanes` on one lane, of a function of a Python float: the
+    loop of SciPy's Brent solver as written, in Python floats."""
     if fpre == 0.0:
-        return lane(xpre, fpre, 0, True)
+        return xpre, fpre, 0, True
     if fcur == 0.0:
-        return lane(xcur, fcur, 0, True)
-    lanes = np.zeros(1, dtype=int)
+        return xcur, fcur, 0, True
     xblk = fblk = spre = scur = 0.0
     for steps in range(1, maxiter + 1):
         if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
@@ -622,7 +702,7 @@ def _brent_one(f: Callable, xpre: float, xcur: float, fpre: float, fcur: float, 
         delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return lane(xcur, fcur, steps, True)
+            return xcur, fcur, steps, True
         take = False
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
@@ -640,8 +720,8 @@ def _brent_one(f: Callable, xpre: float, xcur: float, fpre: float, fcur: float, 
         spre, scur = (scur, stry) if take else (sbis, sbis)
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(np.array([xcur]), lanes)[0])
-    return lane(xcur, fcur, maxiter, False)
+        fcur = f(xcur)
+    return xcur, fcur, maxiter, False
 
 
 def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
@@ -671,7 +751,10 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
     xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
     fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
     if xcur.size == 1:
-        return _brent_one(f, xpre.item(), xcur.item(), fpre.item(), fcur.item(), xtol, maxiter)
+        lane = np.zeros(1, dtype=int)
+        return tuple(np.array([v]) for v in brent_one(
+            lambda x: float(f(np.array([x]), lane)[0]), xpre.item(), xcur.item(), fpre.item(),
+            fcur.item(), xtol, maxiter))
     roots, values = np.where(fpre == 0.0, xpre, xcur), np.where(fpre == 0.0, fpre, fcur)
     # a zero at an end returns that end before any iteration
     converged = (fpre == 0.0) | (fcur == 0.0)

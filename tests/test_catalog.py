@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mlechar import closed_form_mle, expected_mnss, lookup, mnss, sample_from
+from mlechar import closed_form_mle, expected_mnss, lookup, mcss, mnss, sample_from
 from mlechar.errors import InvalidParams, NotCharacterizable, UnknownFamily
 from mlechar.catalog import kind_for
 from mlechar.density import InverseCdfSampler, Sample
@@ -177,6 +177,15 @@ def test_lookup_headline_facts(gaussian, logistic):
     assert math.isinf(gaussian.expected["scale"])
     assert logistic.expected["location"] == 3
     assert lookup("student", {"nu": 0.5}).expected["scale"] == 3
+
+
+@pytest.mark.parametrize("nu", [2 ** 53, 2 ** 60])
+def test_student_scale_mnss_is_nu_plus_one_beyond_two_to_the_53(nu):
+    # 1 + nu rounds back to nu from 2^53 on; the reference and the MCSS rule
+    # on the analytic bounds both take nu + 1 in integer arithmetic
+    entry = lookup("student", {"nu": float(nu)})
+    assert entry.expected["scale"] == nu + 1
+    assert mcss(*entry.analytic_bounds["scale"]).value == nu + 1
 
 
 def test_blocked_kinds_and_reasons():

@@ -447,6 +447,21 @@ def test_cli_overflow_is_one_numeric_error_line(tmp_path, argv, flags):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [(), ("-W", "error")])
+def test_cli_scale_mle_whose_action_underflows_names_the_support(tmp_path, flags):
+    # theta * 1e-300 underflows onto the origin of gamma's half-line: the
+    # bracket fails there, not on a log-density at a point of no sample
+    (tmp_path / "gamma2.json").write_text(json.dumps({"catalog": "gamma",
+                                                      "params": {"alpha": 2}}))
+    (tmp_path / "x.txt").write_text("1e-300\n1e300\n")
+    proc = _fresh(tmp_path, "mle --family gamma2.json --kind scale --data x.txt", flags)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numeric error: no sign change before the action leaves "
+                                  "the support within ")
+    assert proc.stderr.count("\n") == 1
+
+
 def _tabulated(support, grid):
     return json.dumps({"tabulated": {"support": support, "grid": grid,
                                      "log_pdf": [-0.5 * x * x for x in grid]}})

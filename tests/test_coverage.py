@@ -73,19 +73,25 @@ def test_mcss_value_two_only_for_equal_bounds(a, b):
 
 
 
-#: integer bound ratios k, log-uniform in [1, 2^53 - 2], and a power-of-two
-#: scale that keeps each ratio exact
-integer_ratios = st.floats(min_value=0.0, max_value=math.log2(2.0 ** 53 - 2)).map(
-    lambda e: min(max(round(2.0 ** e), 1), 2 ** 53 - 2))
+#: integer-valued double bound ratios k, log-uniform in [1, 2^990], and a
+#: power-of-two scale that keeps each ratio exact; from 2^53 on, k + 1 and
+#: k - 1 are not doubles
+integer_ratios = st.floats(min_value=0.0, max_value=990.0).map(
+    lambda e: max(round(2.0 ** e), 1))
 
 
 @given(k=integer_ratios, scale=st.integers(min_value=-30, max_value=30), swap=st.booleans())
 @example(k=1, scale=0, swap=False)
 @example(k=10 ** 9, scale=0, swap=False)
 @example(k=2 ** 53 - 2, scale=0, swap=True)
+@example(k=2 ** 53, scale=0, swap=False)
+@example(k=2 ** 53 + 2, scale=0, swap=True)
+@example(k=2 ** 60, scale=0, swap=False)
+@example(k=2 ** 990, scale=30, swap=True)
 @settings(max_examples=300, deadline=None)
 def test_mcss_is_k_plus_one_at_every_integer_ratio(k, scale, swap):
     c = 2.0 ** scale
+    assert float(k) == k
     pm, pp = (c, k * c) if swap else (k * c, c)
     assert mcss(pm, pp).value == k + 1
     assert not is_projectable(pm, pp, k) and is_projectable(pm, pp, k + 1)

@@ -42,11 +42,11 @@ from mlechar.estimator import (
     mle,
     mle_block,
 )
-from mlechar import estimator
 from mlechar.score import (
     BRENT_RTOL,
     EXTRACT_MIN_ONE_ROW,
     Kind,
+    Scorer,
     brent_lanes,
     flatten_rows,
     row_score_sums,
@@ -558,6 +558,175 @@ def test_one_lane_equals_a_lockstep_lane_at_large_n(name, params, label, n):
     assert one.doublings.tolist() == pair.doublings[:1].tolist()
 
 
+def _draw(rng, name, params, n):
+    # the draws of the benchmark's mle_large workload, at theta = 0 or 1
+    if name in ("gaussian", "sinh_arcsinh_skew_normal"):
+        return rng.standard_normal(n)
+    if name == "student":
+        return rng.standard_t(params["nu"], size=n)
+    if name == "gamma":
+        return rng.gamma(params["alpha"], size=n)
+    if name == "weibull":
+        return rng.weibull(params["k"], size=n)
+    return getattr(rng, name)(size=n)
+
+
+#: theta, the residual and the bracket ends (float.hex), the iterations and
+#: the doublings of the 16 mle_large solves of seeds 1 and 2, as they were
+#: before each solve bound its evaluation once
+MLE_LARGE_BITS = {
+    (1, "gaussian/location", 1000): (
+        "-0x1.bc71412f148b4p-5", "-0x1.1140000000000p-45", "-0x1.0aaa38db9f751p+3",
+        "0x1.08902f93b1045p+3", 3, 0),
+    (1, "gaussian/location", 10000): (
+        "-0x1.22c77eb10dabbp-7", "-0x1.8e40800000000p-43", "-0x1.1911c22d8020bp+3",
+        "0x1.184d2350e2b89p+3", 4, 0),
+    (1, "gaussian/scale", 1000): (
+        "0x1.04cb82e2a7c9ap+0", "-0x1.7700000000000p-44", "0x1.94807be31696ep-1",
+        "0x1.94807be31696ep+1", 9, 0),
+    (1, "gaussian/scale", 10000): (
+        "0x1.01e9ce2fba96bp+0", "0x1.87c8000000000p-40", "0x1.80a037b84261ap-1",
+        "0x1.80a037b842619p+1", 10, 0),
+    (1, "logistic/location", 1000): (
+        "-0x1.6629867117f20p-5", "0x1.519e000000000p-48", "-0x1.f7046079d0cffp+3",
+        "0x1.f29f87b8b8253p+3", 7, 0),
+    (1, "logistic/location", 10000): (
+        "0x1.878ec80cf1bbfp-7", "0x1.4cd74c0000000p-44", "-0x1.4b01c878c7a39p+4",
+        "0x1.4b4c3e80a4061p+4", 7, 0),
+    (1, "gumbel/location", 1000): (
+        "0x1.deb0d2372ea21p-6", "-0x1.0300000000000p-45", "-0x1.3bfb8cdbc3323p+3",
+        "0x1.552ed58266e5bp+3", 12, 0),
+    (1, "gumbel/location", 10000): (
+        "0x1.2c83bd8619075p-9", "0x1.4d40000000000p-43", "-0x1.ab06be946e03ep+3",
+        "0x1.c2b78985672f6p+3", 12, 0),
+    (1, "gamma/scale", 1000): (
+        "0x1.06cd5f4f8562ep+0", "-0x1.5c00000000000p-47", "0x1.3bbc45a87bce9p-2",
+        "0x1.3bbc45a87bce9p+0", 8, 0),
+    (1, "gamma/scale", 10000): (
+        "0x1.00cf5d58b19acp+0", "-0x1.5f10000000000p-40", "0x1.300589bd95cc7p-2",
+        "0x1.300589bd95cc8p+0", 8, 0),
+    (1, "weibull/scale", 1000): (
+        "0x1.055a4081f5558p+0", "0x1.d060000000000p-42", "0x1.3ce4ceb460ef1p-1",
+        "0x1.3ce4ceb460ef1p+1", 10, 0),
+    (1, "weibull/scale", 10000): (
+        "0x1.ff3e8ce920536p-1", "-0x1.0974000000000p-38", "0x1.33fc09d4b0f6ep-1",
+        "0x1.33fc09d4b0f6ep+1", 10, 0),
+    (1, "student/scale", 1000): (
+        "0x1.eef9b4877e861p-1", "0x1.dd80000000000p-44", "0x1.3ad2d4f81e251p-1",
+        "0x1.3ad2d4f81e251p+1", 8, 0),
+    (1, "student/scale", 10000): (
+        "0x1.01fa87c9b86bfp+0", "-0x1.1940000000000p-40", "0x1.53175518c899fp-1",
+        "0x1.53175518c899ep+1", 8, 0),
+    (1, "sinh_arcsinh_skew_normal/group", 1000): (
+        "0x1.380774f88435ep-6", "0x1.4098480000000p-43", "-0x1.0000000000000p-1",
+        "0x1.0000000000000p-1", 7, 0),
+    (1, "sinh_arcsinh_skew_normal/group", 10000): (
+        "-0x1.63e8b742c483cp-9", "0x1.213a200000000p-40", "-0x1.0000000000000p-1",
+        "0x1.0000000000000p-1", 7, 0),
+    (2, "gaussian/location", 1000): (
+        "-0x1.6f2669a615193p-6", "0x1.80cc000000000p-44", "-0x1.c77657f181a15p+2",
+        "0x1.c48f36fcfc6ebp+2", 3, 0),
+    (2, "gaussian/location", 10000): (
+        "0x1.efc2367fb5981p-7", "-0x1.b77e000000000p-44", "-0x1.12558effcf2d6p+3",
+        "0x1.13dc1ab17cff8p+3", 3, 0),
+    (2, "gaussian/scale", 1000): (
+        "0x1.0156bd120240bp+0", "0x1.b3c0000000000p-42", "0x1.7551a6c282f39p-1",
+        "0x1.7551a6c282f39p+1", 10, 0),
+    (2, "gaussian/scale", 10000): (
+        "0x1.014c2131dbdc4p+0", "-0x1.4848000000000p-40", "0x1.7bc86c34ef13cp-1",
+        "0x1.7bc86c34ef13cp+1", 10, 0),
+    (2, "logistic/location", 1000): (
+        "-0x1.9f0f83cb378c5p-7", "0x1.03dd400000000p-46", "-0x1.1af1b38c83d07p+4",
+        "0x1.1c97a07e46b9fp+4", 8, 0),
+    (2, "logistic/location", 10000): (
+        "-0x1.db2978bb7f7eap-7", "0x1.f1d2fc0000000p-44", "-0x1.413f560cfc0c0p+4",
+        "0x1.409d11cff52e0p+4", 7, 0),
+    (2, "gumbel/location", 1000): (
+        "-0x1.077d5b6cdde80p-5", "0x1.4200000000000p-46", "-0x1.5cdeb39689578p+3",
+        "0x1.7217639a1776ep+3", 12, 0),
+    (2, "gumbel/location", 10000): (
+        "-0x1.bf73486bce902p-7", "-0x1.a740000000000p-43", "-0x1.99236e876ccccp+3",
+        "0x1.afdd91fa208a6p+3", 12, 0),
+    (2, "gamma/scale", 1000): (
+        "0x1.031b37c316223p+0", "0x1.6700000000000p-45", "0x1.351fe1d054589p-2",
+        "0x1.351fe1d054589p+0", 8, 0),
+    (2, "gamma/scale", 10000): (
+        "0x1.038b9b71fe1f9p+0", "-0x1.5690000000000p-40", "0x1.33e2f7226beb3p-2",
+        "0x1.33e2f7226beb3p+0", 8, 0),
+    (2, "weibull/scale", 1000): (
+        "0x1.fa33a8fca2f9fp-1", "-0x1.7480000000000p-44", "0x1.35d7e53e7e13fp-1",
+        "0x1.35d7e53e7e13fp+1", 10, 0),
+    (2, "weibull/scale", 10000): (
+        "0x1.fbb0ddb9f7d61p-1", "0x1.d130000000000p-39", "0x1.30e6fc54c516bp-1",
+        "0x1.30e6fc54c516bp+1", 10, 0),
+    (2, "student/scale", 1000): (
+        "0x1.f3cfe2e7c0308p-1", "0x1.6c00000000000p-47", "0x1.4e38df7747e24p-1",
+        "0x1.4e38df7747e24p+1", 8, 0),
+    (2, "student/scale", 10000): (
+        "0x1.fc3adb821412ap-1", "0x1.79c0000000000p-43", "0x1.4fb1cf1f0c66dp-1",
+        "0x1.4fb1cf1f0c66cp+1", 8, 0),
+    (2, "sinh_arcsinh_skew_normal/group", 1000): (
+        "0x1.6984b2739e942p-6", "-0x1.b7d4000000000p-47", "-0x1.0000000000000p-1",
+        "0x1.0000000000000p-1", 8, 0),
+    (2, "sinh_arcsinh_skew_normal/group", 10000): (
+        "0x1.0a7de27b33172p-6", "-0x1.bec3612000000p-40", "-0x1.0000000000000p-1",
+        "0x1.0000000000000p-1", 7, 0),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mle_large_solves_keep_their_bits(seed):
+    rng = np.random.default_rng(seed)
+    for name, params, label in ONE_LANE_CASES[:8]:
+        entry = lookup(name, params)
+        kind = kind_for(entry, label)
+        for n in (1000, 10_000):
+            sample = Sample(_draw(rng, name, params, n))
+            fit = mle(entry.model, kind, sample)
+            (roots,) = mle_block(kind, [(entry.model, sample)])
+            (lo, hi) = fit.method.bracket
+            got = (fit.theta_hat.hex(), fit.residual.hex(), lo.hex(), hi.hex(),
+                   fit.method.iterations, int(roots.doublings[0]))
+            assert got == MLE_LARGE_BITS[seed, f"{name}/{label}", n]
+            assert (float(roots.theta[0]), float(roots.residual[0])) == (fit.theta_hat,
+                                                                         fit.residual)
+
+
+#: a gumbel density whose derivative is written with math, and the scale
+#: kind in log-rate coordinates whose action is: both reject arrays and are
+#: called once per element
+GUMBEL_MATH = DensityModel("gumbel_math", SupportSet.full_line(), lambda x: -x - np.exp(-x),
+                           lambda x: math.exp(-x) - 1.0)
+LOG_RATE_MATH = Kind(u1=SCALE.u1, u2=SCALE.u2, h=lambda t, x: math.exp(t) * x,
+                     theta_window=SCALE.theta_window, label="scale", supports=SCALE.supports,
+                     seed=SCALE.seed)
+
+
+@pytest.mark.parametrize("model,kind,draw,rejects,bits", [
+    (GUMBEL_MATH, LOCATION, lambda rng: rng.gumbel(size=(3, 15)),
+     lambda x: GUMBEL_MATH.dlog_pdf(x),
+     (["0x1.805c6fd9f907ap-4", "-0x1.34178ff8d0ac2p-2", "0x1.38f1a24a8e9b0p-2"],
+      ["-0x1.8000000000000p-51", "0x1.9000000000000p-49", "-0x1.6000000000000p-48"],
+      [12, 12, 12])),
+    (lookup("gamma", {"alpha": 2.0}).model, LOG_RATE_MATH,
+     lambda rng: rng.gamma(2.0, size=(3, 15)), lambda x: LOG_RATE_MATH.h(x, x),
+     (["0x1.ac15122c47004p-2", "0x1.d4782ba618d15p-5", "0x1.f0c0eb2a1061fp-4"],
+      ["0x0.0p+0", "0x1.2000000000000p-50", "0x1.c000000000000p-51"], [9, 8, 8])),
+])
+def test_callables_that_reject_arrays_solve_as_before(model, kind, draw, rejects, bits):
+    # the fallback to one call per element is decided on the first call of a
+    # solve, alone or in the lockstep; the roots are as before that decision
+    rows = draw(np.random.default_rng(7))
+    with pytest.raises(TypeError):
+        rejects(rows[0])
+    (block,) = mle_block(kind, [(model, rows)])
+    assert ([v.hex() for v in block.theta.tolist()], [v.hex() for v in block.residual.tolist()],
+            block.iterations.tolist()) == bits
+    fit = mle(model, kind, Sample(rows[0]))
+    assert (fit.theta_hat.hex(), fit.residual.hex(), fit.method.iterations) == tuple(
+        column[0] for column in bits)
+
+
 def _failing_kind(entry, label):
     if label == "narrow":
         tr = entry.transform
@@ -596,6 +765,33 @@ def test_a_one_row_bracket_fails_as_a_lockstep_lane(name, label, values):
     assert str(alone.value) == str(lanes.value)
 
 
+@pytest.mark.parametrize("name,params,rows", [
+    ("gamma", {"alpha": 2.0}, 1),
+    ("gamma", {"alpha": 2.0}, 2),
+    ("weibull", {"k": 2.0}, 1),
+])
+def test_an_action_that_underflows_onto_a_half_line_origin_leaves_the_support(name, params,
+                                                                              rows):
+    # theta * 1e-300 underflows to 0.0, which is neither a sample value nor
+    # in the support: the bracket end fails as every end outside the support
+    # does, quietly, alone or beside another row
+    model = lookup(name, params).model
+    x = np.array([1e-300, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BracketFailure, match="^no sign change before the action leaves "
+                                                 "the support within "):
+            if rows == 1:
+                mle(model, SCALE, Sample(x))
+            else:
+                mle_block(SCALE, [(model, [x, np.array([1.0, 2.0])])])
+        # scale on the full line keeps the origin, where the score is u2
+        fit = mle(lookup("gaussian").model, SCALE, s(0.0, 1.0, -2.0, 0.5))
+    assert (fit.theta_hat.hex(), fit.residual.hex()) == ("0x1.bee9056fb9c39p-1",
+                                                         "-0x1.8000000000000p-52")
+    assert fit.method == BracketedRoot(10, (0.5, 2.0))
+
+
 @pytest.mark.parametrize("name,params,label,values", [
     ("gaussian", {}, "location", (0.3, -1.2, 2.5, 0.7)),
     ("gamma", {"alpha": 2.0}, "scale", (1.0, 1.0, 1.0, 1e6)),
@@ -604,12 +800,14 @@ def test_a_one_row_bracket_fails_as_a_lockstep_lane(name, label, values):
 ])
 def test_a_solve_counts_its_score_sums(monkeypatch, name, params, label, values):
     # two score sums per bracket tried and one per Brent step but the last:
-    # the step that converges evaluates nothing
+    # the step that converges evaluates nothing; a solve of one model scores
+    # once per sum
     entry = lookup(name, params)
     kind = kind_for(entry, label)
     calls = []
-    monkeypatch.setattr(estimator, "row_score_sums",
-                        lambda *args: calls.append(1) or row_score_sums(*args))
+    scores = Scorer.__call__
+    monkeypatch.setattr(Scorer, "__call__",
+                        lambda self, x: calls.append(1) or scores(self, x))
     for rows in (Sample(np.array(values)), [np.array(values)] * 3):
         calls.clear()
         (roots,) = mle_block(kind, [(entry.model, rows)])

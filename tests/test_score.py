@@ -276,6 +276,13 @@ def _block_row(style: str, n: int, rng) -> np.ndarray:
         x = (1.0 + rng.integers(1, 2 ** 20, n) * 2.0 ** -52) * 2.0 ** -rng.integers(50, 900, n)
         x[0] = 1.0
         return x * signs
+    if style == "2^0 to 2^-1070":
+        # full mantissas at every binade from a unit down into the
+        # subnormals: the extraction rounds, each shrinking sigma by its
+        # bound, run down to sigmas that are subnormal
+        x = rng.uniform(1.0, 2.0, n) * 2.0 ** -rng.integers(0, 1071, n)
+        x[0] = 1.0
+        return x * signs
     if style == "near 2^1022":
         # sigma passes 2^1022; some of these sums overflow
         return rng.uniform(0.5, 1.0, n) * 2.0 ** rng.integers(1010, 1024, n) * signs
@@ -331,7 +338,7 @@ ONE_ROW_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 1.7e308, -1.8e308, 1.
 
 
 @given(style=st.sampled_from(["normal", "spread", "ties", "cancel", "three rounds",
-                              "near 2^1022", "non-finite", "zeros"]),
+                              "2^0 to 2^-1070", "near 2^1022", "non-finite", "zeros"]),
        n=st.integers(EXTRACT_MIN_ONE_ROW - 2, 4096),
        edges=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                                 st.sampled_from(ONE_ROW_EDGES)), max_size=4),
@@ -339,6 +346,7 @@ ONE_ROW_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 1.7e308, -1.8e308, 1.
 @example(style="normal", n=EXTRACT_MIN_ONE_ROW, edges=[(0.5, 1.79e308)], seed=0)
 @example(style="zeros", n=EXTRACT_MIN_ONE_ROW, edges=[], seed=0)
 @example(style="three rounds", n=4096, edges=[(0.0, 5e-324)], seed=2)
+@example(style="2^0 to 2^-1070", n=4096, edges=[(0.5, 5e-324)], seed=3)
 @settings(max_examples=150, deadline=None)
 def test_one_row_sums_are_math_fsum_bit_for_bit(style, n, edges, seed):
     # one row around and above the one-row crossover, summed alone: its sum

@@ -1,12 +1,14 @@
 """The repository tools: the machine-report diff, the code-line counter, the
-BENCH file writer, the benchmark pair runner and the CLI battery; and the
-python examples of the README."""
+BENCH file writer, the benchmark pair runner, the CLI battery and the solve
+digest; and the python examples of the README."""
 
 import copy
 import hashlib
 import importlib.util
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,3 +243,18 @@ def test_cli_battery_runs_its_commands_in_fresh_interpreters(tmp_path):
     digest = hashlib.sha256((tmp_path / "t.json").read_bytes()).hexdigest()
     assert out.splitlines()[1] == "exit=0"
     assert out.splitlines()[-1] == f"file t.json sha256={digest}"
+
+
+def test_solve_digest_prints_one_line_per_mle_large_solve():
+    src = TOOLS.parent / "src"
+    proc = subprocess.run([sys.executable, str(TOOLS / "solve_digest.py"), str(src), "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 16
+    assert lines[0].startswith("seed=1 gaussian/location n=1000 theta=")
+    for line in lines:
+        fields = dict(field.split("=") for field in line.split() if field.count("=") == 1)
+        iterations, doublings = int(fields["iterations"]), int(fields["doublings"])
+        assert int(fields["sums"]) == 2 * (doublings + 1) + max(iterations - 1, 0)
+        float.fromhex(fields["theta"])

@@ -60,6 +60,8 @@ INPUTS = {
     "one.txt": "1.0\n",
     "huge.txt": "1e308\n1.5e308\n",
     "huge4.txt": "1e308\n1.5e308\n1.7e308\n1.2e308\n",
+    # theta * 1e-300 underflows onto the origin of a half-line
+    "tiny_huge.txt": "1e-300\n1e300\n",
     # 2,000 gumbel quantiles: one row long enough to be summed by extraction
     "big.txt": "".join(f"{-math.log(-math.log((i + 0.5) / 2000))!r}\n" for i in range(2000)),
     "empty.txt": "",
@@ -112,6 +114,10 @@ COMMANDS = [
     "mcss --pminus 1e9 --pplus 1 --n 1000000000",
     "mcss --pminus 1e9 --pplus 1 --n 1000000001",
     "mcss --pminus 1 --pplus 1e12",
+    # integer ratios from 2^53 on, where ratio + 1.0 rounds back
+    "mcss --pminus 9007199254740992 --pplus 1 --n 9007199254740992",
+    "mcss --pminus 9007199254740992 --pplus 1 --n 9007199254740993",
+    "mcss --pminus 1 --pplus 1152921504606846976 --n 1152921504606846976",
     "mcss --pminus 1 --pplus 2 --n 2.5",
     # analyze
     "analyze --family gaussian --kind loc",
@@ -149,6 +155,8 @@ COMMANDS = [
     "mle --family gauss.json --kind loc --data one.txt",
     "mle --family logistic.json --kind loc --data huge.txt",
     "mle --family logistic.json --kind loc --data huge4.txt",
+    "mle --family gamma2.json --kind scale --data tiny_huge.txt",
+    "mle --family weibull2.json --kind scale --data tiny_huge.txt",
     "mle --family gamma2.json --kind loc --data scale.txt",
     "mle --family gauss.json --kind loc --data empty.txt",
     "mle --family gauss.json --kind loc --data nan.txt",
