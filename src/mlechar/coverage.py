@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -109,13 +108,20 @@ def projection_interval(p_minus: float, p_plus: float, n: int) -> tuple[float, f
 
 def _reach(count: int, p: float, bound: float) -> float:
     """``min(bound, count * p)``.  Where ``count`` is not a double, the
-    comparison is exact, and a product below the bound stays below it."""
+    comparison is exact, on the doubles' integer ratios, and a product below
+    the bound stays below it."""
     if count <= 2 ** 53:
         return min(bound, count * p)
-    product = math.inf if math.isinf(p) else Fraction(count) * Fraction(p)
-    if product >= bound:
+    if math.isinf(p):
         return bound
-    return float(min(product, Fraction(math.nextafter(bound, 0.0))))
+    a, b = p.as_integer_ratio()
+    for edge in (bound, math.nextafter(bound, 0.0)):
+        if math.isfinite(edge):
+            c, d = edge.as_integer_ratio()
+            if count * a * d >= c * b:
+                return edge
+    # int division rounds correctly
+    return count * a / b
 
 
 def is_projectable(p_minus: float, p_plus: float, n: int) -> bool:

@@ -202,7 +202,7 @@ def _admit(kind: Kind, problems) -> list[Rows]:
 
 
 def _to_theta(kind: Kind) -> Callable[[np.ndarray], np.ndarray]:
-    return (lambda t: t) if kind.to_theta is identity else bind_elementwise(kind.to_theta)
+    return identity if kind.to_theta is identity else bind_elementwise(kind.to_theta)
 
 
 def _solve_row(kind: Kind, model: DensityModel, x: np.ndarray, tol: float):

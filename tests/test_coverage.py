@@ -113,6 +113,10 @@ def test_projection_interval_examples():
     assert projection_interval(INF, 1.0, 3) == (-2.0, 1.0)
     assert projection_interval(1.0, 3.0, 3) == (-1.0, 2.0)
     assert projection_interval(1.0, 1.0, 2) == (-1.0, 1.0)
+    # a count beyond the doubles: (n - 1) p is compared with the other bound
+    # exactly, and one past the float range stays below an infinite bound
+    assert projection_interval(1.0, 3.0, 10 ** 400) == (-1.0, 3.0)
+    assert projection_interval(INF, 1.0, 10 ** 400) == (-1.7976931348623157e308, 1.0)
 
 
 @given(a=bounds_strategy, b=bounds_strategy)
