@@ -94,7 +94,11 @@ def call_array(fn: Callable, *args) -> np.ndarray:
     ``ValueError`` when it asks for an array's truth value.  Errors of any
     other type propagate.
     """
-    return bind_array(fn)(*(np.asarray(a, dtype=float) for a in args))
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    try:
+        return np.asarray(fn(*arrays), dtype=float)
+    except (TypeError, ValueError):
+        return _per_element(fn, *arrays)
 
 
 def bind_array(fn: Callable) -> Callable:
@@ -125,7 +129,9 @@ def _per_element(fn: Callable, *arrays) -> np.ndarray:
 def call_elementwise(fn: Callable, *args) -> np.ndarray:
     """``fn(*args)`` as a float array of the arguments' broadcast shape: the
     value of :func:`call_array`, a constant broadcast to that shape."""
-    return bind_elementwise(fn)(*(np.asarray(a, dtype=float) for a in args))
+    out = call_array(fn, *args)
+    shape = np.broadcast(*args).shape
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def bind_elementwise(fn: Callable) -> Callable:

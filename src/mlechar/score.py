@@ -47,7 +47,6 @@ one lane.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -250,13 +249,17 @@ class Scorer:
         out[rest] += a[rest] * self.dlog(x[rest])
         return out
 
+    def at(self, x):
+        """The score at ``x``: a float for a float, an ndarray for an ndarray."""
+        out = self(np.asarray(x, dtype=float))
+        return out if np.ndim(x) else float(out)
+
 
 def kind_score(model: DensityModel, kind: Kind, x):
     """Score ``u2(x) + u1(x) f'(x)/f(x)`` of ``kind`` at ``x``: a float for a
     float, an ndarray for an ndarray."""
     kind.check(model.support)
-    out = Scorer(model, kind)(np.asarray(x, dtype=float))
-    return out if np.ndim(x) else float(out)
+    return Scorer(model, kind).at(x)
 
 
 def flatten_rows(rows) -> Rows:
@@ -580,8 +583,10 @@ def analyze_image(model: DensityModel, kind: Kind,
     bounds come from endpoint limit estimation.
     """
     domain = model.support if domain is None else domain
-    # kind_score admits the model's support on each call
-    evaluate = functools.partial(kind_score, model, kind)
+    # one scorer serves the grid, the tail walks and later callers of the
+    # profile
+    kind.check(model.support)
+    evaluate = Scorer(model, kind).at
     xs = _central_grid(domain)
     vs = evaluate(xs)
     bad = ~np.isfinite(vs)
