@@ -225,14 +225,12 @@ class Scorer:
         self.u1, self.u2 = bind_array(kind.u1), bind_array(kind.u2)
         # the constant factors, once a call of several points shows them
         self.a = self.b = None
-        self.open = True
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.model.support.require(x)
         a = self.u1(x) if self.a is None else self.a
         b = self.u2(x) if self.b is None else self.b
-        if self.open and x.size > 1:
-            self.open = False
+        if x.size > 1:
             if not a.ndim and a != 0.0:
                 self.a = a
             if not b.ndim:
