@@ -572,8 +572,8 @@ def _draw(rng, name, params, n):
 
 
 #: theta, the residual and the bracket ends (float.hex), the iterations and
-#: the doublings of the 16 mle_large solves of seeds 1 and 2, as they were
-#: before each solve bound its evaluation once
+#: the doublings of the 16 mle_large solves of seeds 1 and 2: the solver's
+#: bits, which a change to how a step is evaluated must keep
 MLE_LARGE_BITS = {
     (1, "gaussian/location", 1000): (
         "-0x1.bc71412f148b4p-5", "-0x1.1140000000000p-45", "-0x1.0aaa38db9f751p+3",
@@ -684,7 +684,7 @@ def test_mle_large_solves_keep_their_bits(seed):
             sample = Sample(_draw(rng, name, params, n))
             fit = mle(entry.model, kind, sample)
             (roots,) = mle_block(kind, [(entry.model, sample)])
-            (lo, hi) = fit.method.bracket
+            lo, hi = fit.method.bracket
             got = (fit.theta_hat.hex(), fit.residual.hex(), lo.hex(), hi.hex(),
                    fit.method.iterations, int(roots.doublings[0]))
             assert got == MLE_LARGE_BITS[seed, f"{name}/{label}", n]
@@ -713,9 +713,10 @@ LOG_RATE_MATH = Kind(u1=SCALE.u1, u2=SCALE.u2, h=lambda t, x: math.exp(t) * x,
      (["0x1.ac15122c47004p-2", "0x1.d4782ba618d15p-5", "0x1.f0c0eb2a1061fp-4"],
       ["0x0.0p+0", "0x1.2000000000000p-50", "0x1.c000000000000p-51"], [9, 8, 8])),
 ])
-def test_callables_that_reject_arrays_solve_as_before(model, kind, draw, rejects, bits):
+def test_callables_that_reject_arrays_solve_to_pinned_bits(model, kind, draw, rejects, bits):
     # the fallback to one call per element is decided on the first call of a
-    # solve, alone or in the lockstep; the roots are as before that decision
+    # solve, alone or in the lockstep, and gives the bits of a fallback tried
+    # on every call
     rows = draw(np.random.default_rng(7))
     with pytest.raises(TypeError):
         rejects(rows[0])
