@@ -74,6 +74,9 @@ DE_LEVELS = 10
 #: the double-exponential rules sum over u in [-DE_SPAN, DE_SPAN]
 DE_SPAN = 5.0
 
+#: step halvings whose nodes the first log-density call of each rule takes
+DE_BATCH = 6
+
 #: log-density drop below the mode that delimits the effective support
 EFFECTIVE_DROP = 60.0
 
@@ -473,19 +476,27 @@ def _mapped(support: SupportSet) -> bool:
     return support.kind != OPEN_INTERVAL
 
 
+def compact_nodes(support: SupportSet, t_lo: float, t_hi: float,
+                  points: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, x)`` grids of ``points`` nodes uniform in ``t`` between t-ends.
+
+    On unbounded supports ``x = t / (1 - t**2)``; on bounded ones ``t = x``.
+    The t-ends and the count fix the nodes bit for bit: they are the rule a
+    tabulated file stores in place of its grid.
+    """
+    ts = np.linspace(t_lo, t_hi, points)
+    return ts, (_from_t(ts) if _mapped(support) else ts)
+
+
 def compact_grid(support: SupportSet, lo: float, hi: float, points: int,
                  inset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """``(t, x)`` grids of ``points`` nodes uniform in ``t`` between x-ends.
-
-    On unbounded supports ``x = t / (1 - t**2)``, so infinite ends map to
-    ``t = +-1``; on bounded ones ``t = x``.  ``inset`` pulls both t-ends in
-    by that fraction of the t-range.
+    """:func:`compact_nodes` between x-ends, whose infinite ends map to
+    ``t = +-1`` on unbounded supports.  ``inset`` pulls both t-ends in by
+    that fraction of the t-range.
     """
-    mapped = _mapped(support)
-    t_lo, t_hi = (_to_t(lo), _to_t(hi)) if mapped else (lo, hi)
+    t_lo, t_hi = (_to_t(lo), _to_t(hi)) if _mapped(support) else (lo, hi)
     margin = (t_hi - t_lo) * inset
-    ts = np.linspace(t_lo + margin, t_hi - margin, points)
-    return ts, (_from_t(ts) if mapped else ts)
+    return compact_nodes(support, t_lo + margin, t_hi - margin, points)
 
 
 def _scan(model: DensityModel) -> tuple[np.ndarray, np.ndarray]:
@@ -548,6 +559,23 @@ def _de_map(a: float, b: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, math.log(2.0 * (b - a)) + log_ds - 2.0 * np.logaddexp(s, -s)
 
 
+def _de_level(k: int) -> np.ndarray:
+    """The u-nodes level ``k`` adds: the integers of ``[-DE_SPAN, DE_SPAN]``
+    at level 0, the odd multiples of ``2**-k`` there at level ``k >= 1``."""
+    if k == 0:
+        return np.arange(-DE_SPAN, DE_SPAN + 1.0)
+    h = 0.5 ** k
+    return np.arange(h - DE_SPAN, DE_SPAN, 2.0 * h)
+
+
+@functools.lru_cache(maxsize=None)
+def _de_nodes(first: int, last: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The u-nodes of levels ``first`` to ``last``, back to back, and the
+    offsets at which each level starts, with the end."""
+    us = [_de_level(k) for k in range(first, last + 1)]
+    return np.concatenate(us), tuple(int(i) for i in np.cumsum([0] + [u.size for u in us]))
+
+
 def log_mass(model: DensityModel) -> float:
     """Log of the model's mass over its support, summed in log space.
 
@@ -557,12 +585,16 @@ def log_mass(model: DensityModel) -> float:
     smooth piece of the model's tables.  Each of the two outer pieces takes
     the double-exponential rule of :func:`_de_map` over ``|u| <= DE_SPAN``,
     with the step halved until the mass changes by at most ``MASS_TOL``,
-    relative.  A level is one array call of the log-density per piece, and
-    densities whose values underflow still have a mass.
+    relative.  The nodes of level 0 and of the first ``DE_BATCH`` halvings
+    take one array call of the log-density per piece, and each later level
+    one more; the mass is still summed and tested level by level, so the
+    batch changes no bit of it.  Densities whose values underflow still
+    have a mass.
 
     Raises :class:`DivergentIntegral` when ``DE_LEVELS`` halvings do not
-    settle the mass, when the terms at ``u = +-DE_SPAN`` exceed ``MASS_TOL``
-    of it, or when it is not finite and positive.
+    settle the mass, when the terms at ``u = +-DE_SPAN`` (level 0's first
+    and last nodes) exceed ``MASS_TOL`` of it, or when it is not finite and
+    positive.
     """
     support, cuts = model.support, model.breaks
     if not cuts.size:
@@ -570,29 +602,36 @@ def log_mass(model: DensityModel) -> float:
         cuts = xs[[int(np.argmax(vals))]]
     pieces = ((support.lower, float(cuts[0])), (float(cuts[-1]), support.upper))
 
-    def terms(u):
-        return np.concatenate([model.log_pdf(x) + log_dx
-                               for x, log_dx in (_de_map(*p, u) for p in pieces)])
+    def terms(first, last):
+        # per level, the terms of both pieces back to back
+        u, bounds = _de_nodes(first, last)
+        per_piece = [model.log_pdf(x) + log_dx for x, log_dx in (_de_map(*p, u) for p in pieces)]
+        return [np.concatenate([t[a:b] for t in per_piece]) for a, b in zip(bounds, bounds[1:])]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        found = terms(np.arange(-DE_SPAN, DE_SPAN + 1.0))
+        batch = terms(0, DE_BATCH)
+        found = batch[0]
         # exponents relative to the largest first term or break value keep
         # the sums in range and the tolerances relative to the mass
         ref = float(np.max(np.concatenate([found, model.log_pdf(cuts)])))
         if not math.isfinite(ref):
             raise DivergentIntegral(f"mass of {model.name} is not finite and positive")
-        cells = _cell_integrals(lambda x: np.exp(model.log_pdf(x) - ref), cuts).sum()
+        # one cut leaves no cell
+        cells = (_cell_integrals(lambda x: np.exp(model.log_pdf(x) - ref), cuts).sum()
+                 if cuts.size > 1 else 0.0)
         h, mass = 1.0, float(np.log(cells + np.exp(found - ref).sum()))
-        for _ in range(DE_LEVELS):
+        for k in range(1, DE_LEVELS + 1):
             h /= 2.0
-            found = np.concatenate([found, terms(np.arange(h - DE_SPAN, DE_SPAN, 2.0 * h))])
+            found = np.concatenate([found, batch[k] if k <= DE_BATCH else terms(k, k)[0]])
             settled, mass = mass, float(np.log(cells + h * np.exp(found - ref).sum()))
             if abs(mass - settled) <= MASS_TOL:
                 break
         else:
             raise DivergentIntegral(f"mass of {model.name} did not settle in "
                                     f"{DE_LEVELS} step halvings")
-        ends = float(np.max(terms(np.array([-DE_SPAN, DE_SPAN])))) - ref
+        # level 0 holds each piece's nodes from u = -DE_SPAN to DE_SPAN
+        n = batch[0].size // 2
+        ends = float(np.max(batch[0][[0, n - 1, n, -1]])) - ref
     if ends + math.log(h) > mass + math.log(MASS_TOL):
         raise DivergentIntegral(f"mass of {model.name} does not decay toward "
                                 f"the ends of {support}")

@@ -77,7 +77,8 @@ class AllZeroSample(MlecharError):
 
 
 class NoClosedForm(MlecharError):
-    """The catalog entry declares no closed-form estimator for this kind."""
+    """The catalog entry declares no closed-form estimator for this kind, or
+    its closed form has no value in the kind's range on the sample."""
 
 
 # --- catalog layer ----------------------------------------------------------

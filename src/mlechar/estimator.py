@@ -37,6 +37,7 @@ catalog's family builders, so this module names no family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -363,11 +364,18 @@ def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
     ``entry`` must expose ``closed_form`` (kind label to a ``(name,
     estimate)`` pair) and ``model``; raises :class:`NoClosedForm` otherwise.
     The sample must lie inside the model's support, as for :func:`mle`.
+    An estimate outside the kind's open range of theta (finite, and positive
+    for a scale) raises :class:`NoClosedForm`, naming the closed form.
     """
     estimate = closed_form_estimator(entry, kind)
     kind.check(entry.model.support)
     sample.require_inside(entry.model)
-    theta = estimate(sample.values)
-    residual = row_score_sums(entry.model, kind, sample.values, [sample.n], [theta])[0]
     name, _ = entry.closed_form[kind.label]
-    return MleResult(float(theta), float(residual), ClosedForm(name), kind)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        theta = float(estimate(sample.values))
+        lo, hi = (float(kind.to_theta(t)) for t in (-math.inf, math.inf))
+    if not lo < theta < hi:
+        raise NoClosedForm(f"closed form {name} has no {kind.label} value in "
+                           f"({lo:g}, {hi:g}) on this sample")
+    residual = row_score_sums(entry.model, kind, sample.values, [sample.n], [theta])[0]
+    return MleResult(theta, float(residual), ClosedForm(name), kind)

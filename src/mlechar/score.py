@@ -170,8 +170,12 @@ def _rate_seed(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(block.shape[0])
     median = mags[rows, counts // 2]
     even = counts % 2 == 0
-    # half of each middle value: their sum can overflow, their halves cannot
-    median[even] = mags[rows[even], counts[even] // 2 - 1] / 2.0 + median[even] / 2.0
+    lo, hi = mags[rows[even], counts[even] // 2 - 1], median[even]
+    # beyond magnitude 1 the halves of the middle values are added, whose
+    # sum cannot overflow; below it their sum is halved, as halving a
+    # subnormal can round it to 0
+    half = np.where(hi > 1.0, 0.5, 1.0)
+    median[even] = (lo * half + hi * half) / (2.0 * half)
     return -np.log(median), np.full(rows.size, math.log(2.0))
 
 

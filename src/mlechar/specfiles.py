@@ -8,6 +8,14 @@ Two shapes are accepted::
                    "grid": [...], "log_pdf": [...],
                    "normalized": true}}
 
+The grid is spelled in one of two ways.  A list gives the nodes
+themselves.  A rule ``{"compact": [t_lo, t_hi], "points": 4001}`` gives
+``points`` nodes uniform in the compactified coordinate ``t`` between the
+two t-ends (:func:`~mlechar.density.compact_nodes`): ``x = t / (1 - t**2)``
+with ``-1 < t_lo < t_hi < 1`` on an unbounded support, ``x = t`` on a
+bounded one.  :func:`write_tabulated` writes the rule, whose nodes load bit
+for bit as the writer made them; hand-written files list their nodes.
+
 Supports are spelled ``full_line``, ``positive_half_line``,
 ``negative_half_line`` or a two-element ``[a, b]`` list.  Tabulated densities
 are interpolated with monotone cubic pieces and normalized on load unless the
@@ -17,6 +25,7 @@ document says they already are.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional
 
@@ -25,14 +34,22 @@ import numpy as np
 from .catalog import CatalogEntry, lookup
 from .density import (
     NAMED_SUPPORTS,
+    OPEN_INTERVAL,
     DensityModel,
     SupportSet,
     compact_grid,
+    compact_nodes,
     effective_interval,
     normalize,
     tabulated_model,
 )
-from .errors import InvalidConfig, IoFailure
+from .errors import InvalidConfig, IoFailure, NonFiniteLogDensity
+
+#: nodes of the grids :func:`write_tabulated` writes
+WRITTEN_POINTS = 4001
+
+#: the most nodes a grid rule may ask for
+MAX_RULE_POINTS = 1 << 20
 
 
 def _parse_support(spec) -> SupportSet:
@@ -53,6 +70,27 @@ def _support_to_json(support: SupportSet):
     if support.kind in NAMED_SUPPORTS:
         return support.kind
     return [support.lower, support.upper]
+
+
+def _rule_nodes(support: SupportSet, rule: dict) -> np.ndarray:
+    """The x-nodes of a grid rule, checked as outside input before any
+    array is made."""
+    points, ends = rule.get("points"), rule.get("compact")
+    if isinstance(points, bool) or not isinstance(points, int) or not (
+            4 <= points <= MAX_RULE_POINTS):
+        raise InvalidConfig(f"grid rule points must be an integer in "
+                            f"[4, {MAX_RULE_POINTS}], got {points!r}")
+    if not (isinstance(ends, list) and len(ends) == 2 and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in ends)):
+        raise InvalidConfig(f"grid rule compact must be two numbers, got {ends!r}")
+    t_lo, t_hi = float(ends[0]), float(ends[1])
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
+        raise InvalidConfig(f"grid rule t-ends must be finite and increasing, "
+                            f"got {t_lo!r}, {t_hi!r}")
+    if support.kind != OPEN_INTERVAL and not -1.0 < t_lo < t_hi < 1.0:
+        raise InvalidConfig(f"grid rule t-ends must lie in (-1, 1) on {support}, "
+                            f"got {t_lo!r}, {t_hi!r}")
+    return compact_nodes(support, t_lo, t_hi, points)[1]
 
 
 def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
@@ -77,13 +115,15 @@ def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
         for key in ("support", "grid", "log_pdf"):
             if key not in tab:
                 raise InvalidConfig(f"tabulated spec misses {key!r}")
+        support = _parse_support(tab["support"])
         try:
-            grid = np.asarray(tab["grid"], dtype=float)
+            grid = (_rule_nodes(support, tab["grid"]) if isinstance(tab["grid"], dict)
+                    else np.asarray(tab["grid"], dtype=float))
             log_pdf = np.asarray(tab["log_pdf"], dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"tabulated grid and log_pdf must be numbers: {exc}") from exc
         model = tabulated_model(
-            _parse_support(tab["support"]),
+            support,
             grid,
             log_pdf,
             name=tab.get("name", "tabulated"),
@@ -98,20 +138,31 @@ def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
 def write_tabulated(model: DensityModel, path) -> None:
     """Emit a model as a tabulated family-spec file over its effective range.
 
-    The 4001 grid nodes are uniform in the compactified coordinate on unbounded
+    The grid nodes are uniform in the compactified coordinate on unbounded
     supports, which concentrates resolution in the bulk of the density (and
-    around score zero crossings) rather than on far tails.
+    around score zero crossings) rather than on far tails; the file holds
+    their rule.  Where the log-density is not finite at the outer nodes, the
+    grid shrinks to the t-ends and count of the finite run between them and
+    is evaluated anew; a value that is still not finite raises
+    :class:`NonFiniteLogDensity`.
     """
-    _, xs = compact_grid(model.support, *effective_interval(model), 4001)
+    ts, xs = compact_grid(model.support, *effective_interval(model), WRITTEN_POINTS)
     ys = model.log_pdf(xs)
     finite = np.flatnonzero(np.isfinite(ys))
-    # clip to the finite part of the grid
-    xs, ys = xs[finite[0]:finite[-1] + 1], ys[finite[0]:finite[-1] + 1]
+    if not finite.size:
+        raise NonFiniteLogDensity(f"log-density of {model.name} is not finite on its grid")
+    rule = {"compact": [float(ts[finite[0]]), float(ts[finite[-1]])],
+            "points": int(finite[-1] - finite[0]) + 1}
+    if finite.size < ys.size:
+        ys = model.log_pdf(compact_nodes(model.support, *rule["compact"], rule["points"])[1])
+        if not np.isfinite(ys).all():
+            raise NonFiniteLogDensity(f"log-density of {model.name} is not finite "
+                                      "between the ends of its finite run")
     doc = {
         "tabulated": {
             "name": model.name,
             "support": _support_to_json(model.support),
-            "grid": xs.tolist(),
+            "grid": rule,
             "log_pdf": ys.tolist(),
             "normalized": bool(model.normalized),
         }

@@ -9,12 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlechar import tilt
+from mlechar import OddPower, forge_odd_h, lookup, tilt
 from mlechar.cli import main
-from mlechar.density import SupportSet, check_dlog_pdf, normalize, tabulated_model
+from mlechar.density import (
+    DensityModel,
+    SupportSet,
+    check_dlog_pdf,
+    compact_grid,
+    effective_interval,
+    normalize,
+    tabulated_model,
+)
 from mlechar.errors import InvalidConfig
 from mlechar.estimator import DEFAULT_TOL, mle_block
-from mlechar.score import LOCATION
+from mlechar.score import LOCATION, SCALE
 from mlechar.specfiles import load_family_spec, write_tabulated
 from mlechar.suite import config_from_json, emit_report, run_suite
 
@@ -70,6 +78,63 @@ def test_mle_on_a_loaded_tilt_meets_the_residual_contract(tmp_path, gaussian, d)
     (roots,) = mle_block(LOCATION, [(loaded, np.array(rows))], DEFAULT_TOL)
     assert (np.abs(roots.residual) < DEFAULT_TOL).all()
     assert np.abs(roots.theta - np.mean(rows, axis=1)).max() < 1e-5
+
+
+def _sinh_group_tilt():
+    sinh = lookup("sinh_arcsinh_skew_normal")
+    return tilt(sinh.model, 2.0, sinh.transform)
+
+
+#: a model of each construction written as a tabulated file
+WRITTEN_MODELS = {
+    "location tilt": lambda: tilt(lookup("gaussian").model, 2.0, LOCATION),
+    "half-line scale tilt": lambda: tilt(lookup("gamma", {"alpha": 2.0}).model, 2.0, SCALE),
+    "group tilt": _sinh_group_tilt,
+    "forged": lambda: forge_odd_h(lookup("gaussian").model, OddPower(1.0, 3)),
+}
+
+
+@pytest.mark.parametrize("build", WRITTEN_MODELS.values(), ids=list(WRITTEN_MODELS))
+def test_a_written_grid_rule_loads_as_the_list_of_its_nodes(tmp_path, build):
+    # the rule stands for the 4001 nodes uniform in t between the ends of
+    # the effective interval, which a file could list instead; both load to
+    # the same table, bit for bit
+    model = build()
+    ruled, listed = tmp_path / "rule.json", tmp_path / "list.json"
+    write_tabulated(model, ruled)
+    doc = json.loads(ruled.read_text())
+    assert doc["tabulated"]["grid"]["points"] == 4001
+    doc["tabulated"]["grid"] = compact_grid(model.support, *effective_interval(model),
+                                            4001)[1].tolist()
+    listed.write_text(json.dumps(doc))
+    (a, _), (b, _) = load_family_spec(ruled), load_family_spec(listed)
+    assert a.breaks.tobytes() == b.breaks.tobytes()
+    # probes from halfway to the support's lower end (or a quarter of the
+    # span beyond the first node) to a quarter of the span beyond the last
+    lo, hi = a.breaks[0], a.breaks[-1]
+    below = (lo - 0.25 * (hi - lo) if model.support.lower == -math.inf
+             else 0.5 * (model.support.lower + lo))
+    probe = np.linspace(below, hi + 0.25 * (hi - lo), 1999)
+    assert a.log_pdf(probe).tobytes() == b.log_pdf(probe).tobytes()
+    assert a.dlog_pdf(probe).tobytes() == b.dlog_pdf(probe).tobytes()
+
+
+def test_a_density_without_values_at_its_outer_nodes_round_trips(tmp_path):
+    # -inf beyond |x| = 2, where the effective interval's padding cell puts
+    # both ends: the grid shrinks to the finite run's own rule
+    raw = DensityModel("cut", SupportSet.full_line(),
+                       lambda x: np.where(np.abs(x) < 2.0, -0.5 * x * x, -math.inf))
+    assert not np.isfinite(raw.log_pdf(np.array(effective_interval(raw)))).any()
+    path = tmp_path / "cut.json"
+    write_tabulated(raw, path)
+    grid = json.loads(path.read_text())["tabulated"]["grid"]
+    assert grid["points"] < 4001
+    loaded, _ = load_family_spec(path)
+    nodes = loaded.breaks
+    assert nodes.size == grid["points"] and -2.0 < nodes[0] and nodes[-1] < 2.0
+    # normalized on load: the table is the density's shape plus a constant
+    shift = loaded.log_pdf(nodes) - raw.log_pdf(nodes)
+    assert np.ptp(shift) <= 1e-12
 
 
 def test_spec_loader_catalog(gamma_spec):
@@ -462,6 +527,19 @@ def test_cli_scale_mle_whose_action_underflows_names_the_support(tmp_path, flags
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [(), ("-W", "error")])
+@pytest.mark.parametrize("family", ["gaussian", "student"])
+def test_cli_scale_mle_on_subnormal_magnitudes_is_one_numeric_error_line(tmp_path, flags,
+                                                                          family):
+    (tmp_path / "f.json").write_text(json.dumps({"catalog": family, "params": (
+        {"nu": 3} if family == "student" else {})}))
+    (tmp_path / "x.txt").write_text("-0.0\n5e-324\n-5e-324\n")
+    proc = _fresh(tmp_path, "mle --family f.json --kind scale --data x.txt", flags)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numeric error: no sign change within ")
+    assert proc.stderr.count("\n") == 1
+
+
 def _tabulated(support, grid):
     return json.dumps({"tabulated": {"support": support, "grid": grid,
                                      "log_pdf": [-0.5 * x * x for x in grid]}})
@@ -504,6 +582,12 @@ def test_cli_invalid_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert captured.err.startswith("configuration error:")
 
 
+def _rule(support, compact, points):
+    # a grid rule of four values, which no count but 4 matches
+    return {"tabulated": {"support": support, "grid": {"compact": compact, "points": points},
+                          "log_pdf": [0, -1, -1, 0]}}
+
+
 @pytest.mark.parametrize("doc", [
     5,
     {"catalog": ["gaussian"]},
@@ -517,6 +601,25 @@ def test_cli_invalid_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     {"tabulated": {"support": [0, 10 ** 400], "grid": [1, 2, 3, 4], "log_pdf": [0, 0, 0, 0]}},
     {"tabulated": {"support": "full_line", "grid": [0, 1, 2, 10 ** 400],
                    "log_pdf": [0, 0, 0, 0]}},
+    # grid rules: the count, then the t-ends
+    _rule("full_line", [-0.5, 0.5], 4.0),
+    _rule("full_line", [-0.5, 0.5], True),
+    _rule("full_line", [-0.5, 0.5], "4"),
+    _rule("full_line", [-0.5, 0.5], 3),
+    _rule("full_line", [-0.5, 0.5], 10 ** 12),
+    _rule("full_line", [-0.5, 0.5], None),
+    _rule("full_line", [-0.5], 4),
+    _rule("full_line", [-0.5, "0.5"], 4),
+    _rule("full_line", [-0.5, 10 ** 400], 4),
+    _rule("full_line", [-0.5, float("inf")], 4),
+    _rule("full_line", [float("nan"), 0.5], 4),
+    _rule("full_line", [0.5, -0.5], 4),
+    _rule("full_line", [0.5, 0.5], 4),
+    _rule("full_line", [-1.0, 0.5], 4),
+    _rule("full_line", [-0.5, 1.0], 4),
+    _rule("positive_half_line", [0.1, 2.0], 4),
+    # a count that the values do not match
+    _rule([0, 4], [1.0, 3.0], 5),
 ])
 def test_cli_malformed_spec_exit_2(tmp_path, capsys, doc):
     spec, data = tmp_path / "spec.json", tmp_path / "data.txt"

@@ -11,6 +11,8 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as gamma_fn
 
 from mlechar import OddPower, PlusEvenDerivative, forge_odd_h, lookup, normalize, sample_from
+from mlechar import density
+from mlechar.catalog import kind_for
 from mlechar.density import (
     DensityModel,
     InverseCdfSampler,
@@ -327,6 +329,91 @@ def test_heavy_tailed_tilts_without_mass_raise(family, params, d):
     # tails of order |x|^-0.8 and |x|^-1 carry infinite mass
     with pytest.raises(DivergentIntegral):
         tilt(lookup(family, params).model, d, LOCATION)
+
+
+#: log_mass of the raw tilts and forged densities the construction benchmark
+#: normalizes, as float.hex, from the level-by-level rule before its first
+#: halvings were batched into one log-density call; a batch that changed the
+#: nodes, their order or the summation would move these bits
+TILT_LOG_MASS_BITS = [
+    ("gaussian", "location", 0.25, "0x1.61e1c2aa2e47cp+0"),
+    ("gaussian", "location", 0.5, "0x1.9cb1a63af7c52p-1"),
+    ("gaussian", "location", 2.0, "-0x1.43f89a3f0edd6p+0"),
+    ("gaussian", "location", 5.0, "-0x1.1ec0123301100p+2"),
+    ("gaussian", "location", 8.0, "-0x1.de3a01f2711bap+2"),
+    ("logistic", "location", 0.25, "0x1.007896f87868cp+1"),
+    ("logistic", "location", 0.5, "0x1.250d048e7a1bcp+0"),
+    ("logistic", "location", 2.0, "-0x1.cab0bfa2a2003p+0"),
+    ("logistic", "location", 5.0, "-0x1.9c86ac6bdc2a6p+2"),
+    ("logistic", "location", 8.0, "-0x1.5b2a966240e2dp+3"),
+    ("gumbel", "location", 0.25, "0x1.a274e417ffd77p+0"),
+    ("gumbel", "location", 0.5, "0x1.d67f1c864beb4p-1"),
+    ("gumbel", "location", 2.0, "-0x1.62e42fefa39efp+0"),
+    ("gumbel", "location", 5.0, "-0x1.379feb79fda04p+2"),
+    ("gumbel", "location", 8.0, "-0x1.038828b498ab7p+3"),
+    ("gamma", "scale", 0.25, "0x1.43f89a3f0edd4p+0"),
+    ("gamma", "scale", 0.5, "0x1.62e42fefa39f0p-1"),
+    ("gamma", "scale", 2.0, "-0x1.f62f40794a7b9p-1"),
+    ("gamma", "scale", 5.0, "-0x1.a57255103e2c4p+1"),
+    ("gamma", "scale", 8.0, "-0x1.57cb760de0e82p+2"),
+    ("weibull", "scale", 0.25, "0x1.1d5f521e227bcp+0"),
+    ("weibull", "scale", 0.5, "0x1.250d048e7a1bep-1"),
+    ("weibull", "scale", 2.0, "-0x1.62e42fefa39f0p-1"),
+    ("weibull", "scale", 5.0, "-0x1.0c5ba70457a19p+1"),
+    ("weibull", "scale", 8.0, "-0x1.a1114eef0457ap+1"),
+    ("sinh_arcsinh_skew_normal", "group", 0.25, "0x1.001ba56458245p+0"),
+    ("sinh_arcsinh_skew_normal", "group", 0.5, "0x1.3c9bc6c55756ep-1"),
+    ("sinh_arcsinh_skew_normal", "group", 2.0, "-0x1.1539084ec0bffp+0"),
+    ("sinh_arcsinh_skew_normal", "group", 5.0, "-0x1.03f3ebc4536c6p+2"),
+    ("sinh_arcsinh_skew_normal", "group", 8.0, "-0x1.bbc6c05b8a335p+2"),
+]
+FORGE_LOG_MASS_BITS = [
+    ("gaussian", "odd-power p=3", "0x1.e205983115ca5p-1"),
+    ("gaussian", "odd-power p=5", "0x1.d55ff4f4e5449p-1"),
+    ("gaussian", "cos-perturbation", "0x1.eb2a2cfcd4bcbp-1"),
+    ("logistic", "odd-power p=3", "0x1.c43c50f041a31p+0"),
+    ("logistic", "odd-power p=5", "0x1.ebd926f96d89cp+0"),
+    ("logistic", "cos-perturbation", "0x1.72363021a48adp+0"),
+]
+FORGE_SPECS = {
+    "odd-power p=3": OddPower(1.0, 3),
+    "odd-power p=5": OddPower(1.0, 5),
+    "cos-perturbation": PlusEvenDerivative(w=lambda y: 0.1 * math.cos(y),
+                                           w_prime=lambda y: -0.1 * math.sin(y)),
+}
+
+
+def _normalized_log_mass(monkeypatch, build) -> float:
+    """The log mass the last ``normalize`` inside ``build()`` took."""
+    seen = []
+
+    def record(model):
+        seen.append(log_mass(model))
+        return seen[-1]
+
+    monkeypatch.setattr(density, "log_mass", record)
+    build()
+    return seen[-1]
+
+
+@pytest.mark.parametrize("family,label,d,bits", TILT_LOG_MASS_BITS)
+def test_tilt_log_masses_keep_their_bits(monkeypatch, family, label, d, bits):
+    entry = lookup(family, TILT_PARAMS.get(family, {}))
+    build = lambda: tilt(entry.model, d, kind_for(entry, label))
+    assert _normalized_log_mass(monkeypatch, build).hex() == bits
+
+
+@pytest.mark.parametrize("target,spec,bits", FORGE_LOG_MASS_BITS)
+def test_forged_log_masses_keep_their_bits(monkeypatch, target, spec, bits):
+    build = lambda: forge_odd_h(lookup(target).model, FORGE_SPECS[spec])
+    assert _normalized_log_mass(monkeypatch, build).hex() == bits
+
+
+def test_a_mass_that_never_settles_keeps_its_message():
+    with pytest.raises(DivergentIntegral) as info:
+        tilt(lookup("student", {"nu": 1.0}).model, 0.4, LOCATION)
+    assert str(info.value) == ("mass of student(nu=1)~tilt(d=0.4,location) did not "
+                               "settle in 10 step halvings")
 
 
 @given(k=st.floats(min_value=-300.0, max_value=300.0),

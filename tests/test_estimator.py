@@ -50,6 +50,7 @@ from mlechar.score import (
     brent_lanes,
     flatten_rows,
     row_score_sums,
+    _rate_seed,
 )
 from mlechar.suite import CLOSED_FORM_CASES, DEFAULT_EQUIVALENCE, DEFAULT_FAMILIES
 
@@ -293,6 +294,42 @@ def test_rate_below_the_scale_window_is_a_bracket_failure():
     assert closed_form_mle(laplace, SCALE, sample).theta_hat == 8e-309
     with pytest.raises(BracketFailure):
         mle(laplace.model, SCALE, sample)
+
+
+#: a row whose two nonzero magnitudes are the smallest subnormal
+SUBNORMAL_ROW = (-0.0, 5e-324, -5e-324)
+
+
+@pytest.mark.parametrize("name,params", [("gaussian", {}), ("student", {"nu": 3.0})])
+def test_a_subnormal_scale_row_is_a_bracket_failure_without_a_warning(name, params):
+    # the seed's median of the two middle magnitudes is 5e-324: halving each
+    # first would round both to 0 and take the log of 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BracketFailure):
+            mle(lookup(name, params).model, SCALE, s(*SUBNORMAL_ROW))
+
+
+@given(st.lists(st.floats(min_value=2.0 ** -1021, max_value=1e300) | st.sampled_from([0.0]),
+                min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_the_rate_seed_is_minus_the_log_of_the_median_magnitude(values):
+    # on normal magnitudes whose middle sum stays finite, the seed is
+    # np.median's midpoint of the nonzero magnitudes
+    mags = np.abs([v for v in values if v != 0.0])
+    assume(mags.size)
+    centre, _ = _rate_seed(np.array([values]))
+    assert centre[0] == -np.log(np.median(mags))
+
+
+def test_a_closed_form_without_a_positive_finite_rate_names_itself():
+    # 1 / 5e-324 overflows: the gaussian rate is not a finite float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoClosedForm) as info:
+            closed_form_mle(lookup("gaussian"), SCALE, s(*SUBNORMAL_ROW))
+    assert str(info.value) == ("closed form gaussian_scale has no scale value in (0, inf) "
+                               "on this sample")
 
 
 @pytest.mark.parametrize("name,values", [
