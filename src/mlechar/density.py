@@ -14,7 +14,9 @@ this interface, so the module also provides the shared numeric machinery:
   RIMS 9, 1974) on the two outer pieces,
 - one discretization of a support: probe points per support shape
   (``probe_grid``), grids uniform in a compactified coordinate
-  (``compact_grid``) and fixed-order Gauss-Legendre cell integrals,
+  (``compact_grid``) and fixed-order Gauss-Legendre cell integrals; each
+  model keeps its log-density on one such grid (``DensityModel.scan``),
+  which effective intervals, normalizer cuts and samplers read,
 - one interpolation table (``_Table``): monotone cubic (PCHIP) pieces through
   nodes, continued linearly past the end nodes, with its derivative; a numpy
   port of SciPy's ``PchipInterpolator`` that gives its values bit for bit.
@@ -80,6 +82,9 @@ DE_BATCH = 6
 #: log-density drop below the mode that delimits the effective support
 EFFECTIVE_DROP = 60.0
 
+#: supports whose scan grids are kept (the catalog has three shapes)
+SCAN_GRIDS = 8
+
 #: Gauss-Legendre cells of the sampler's CDF and of cumulative integrals
 TABLE_CELLS = 2048
 
@@ -126,7 +131,7 @@ def bind_array(fn: Callable) -> Callable:
 def _per_element(fn: Callable, *arrays) -> np.ndarray:
     shape = np.broadcast(*arrays).shape
     columns = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
-    return np.array([fn(*point) for point in zip(*columns)], dtype=float).reshape(shape)
+    return np.array(list(map(fn, *columns)), dtype=float).reshape(shape)
 
 
 def call_elementwise(fn: Callable, *args) -> np.ndarray:
@@ -324,6 +329,15 @@ class DensityModel:
         object.__setattr__(self, "_raw_log_pdf", raw)
         object.__setattr__(self, "log_pdf", guarded)
 
+    @functools.cached_property
+    def scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support's scan grid and the log-density there, with ``-inf``
+        where it is not finite, as read-only arrays; computed once per model
+        (a ``dataclasses.replace`` copy scans anew).  The effective interval,
+        the cut of :func:`log_mass` and the sampler's range read it."""
+        xs = _scan_grid(self.support)
+        return xs, _scan_values(self.log_pdf(xs))
+
 
 @dataclass(frozen=True, eq=False)
 class Sample:
@@ -499,27 +513,34 @@ def compact_grid(support: SupportSet, lo: float, hi: float, points: int,
     return compact_nodes(support, t_lo + margin, t_hi - margin, points)
 
 
-def _scan(model: DensityModel) -> tuple[np.ndarray, np.ndarray]:
-    """4097 points of the (compactified) support and the log-density there,
-    with ``-inf`` where it is not finite."""
-    support = model.support
+@functools.lru_cache(maxsize=SCAN_GRIDS)
+def _scan_grid(support: SupportSet) -> np.ndarray:
+    """4097 points of the (compactified) support, read-only."""
     _, xs = compact_grid(support, support.lower, support.upper, 4097, inset=1e-7)
-    vals = model.log_pdf(xs)
+    xs.flags.writeable = False
+    return xs
+
+
+def _scan_values(vals: np.ndarray) -> np.ndarray:
+    """Log-density values of a scan, read-only, with ``-inf`` where they are
+    not finite; raises :class:`NonFiniteLogDensity` when none is finite."""
     finite = np.isfinite(vals)
     if not finite.any():
         raise NonFiniteLogDensity("log-density is -inf on the whole scan grid")
-    return xs, np.where(finite, vals, -math.inf)
+    vals = np.where(finite, vals, -math.inf)
+    vals.flags.writeable = False
+    return vals
 
 
 def effective_interval(model: DensityModel,
                        drop: float = EFFECTIVE_DROP) -> tuple[float, float]:
     """Finite interval outside which the density is negligible.
 
-    Scans 4097 points of the (compactified) support and keeps the hull of
-    points whose log-density lies within ``drop`` of the maximum, padded by
-    one scan cell.
+    Reads the model's scan of 4097 points of the (compactified) support and
+    keeps the hull of points whose log-density lies within ``drop`` of the
+    maximum, padded by one scan cell.
     """
-    xs, vals = _scan(model)
+    xs, vals = model.scan
     keep = np.flatnonzero(vals >= vals.max() - drop)
     i0, i1 = max(int(keep[0]) - 1, 0), min(int(keep[-1]) + 1, xs.size - 1)
     return float(xs[i0]), float(xs[i1])
@@ -598,7 +619,7 @@ def log_mass(model: DensityModel) -> float:
     """
     support, cuts = model.support, model.breaks
     if not cuts.size:
-        xs, vals = _scan(model)
+        xs, vals = model.scan
         cuts = xs[[int(np.argmax(vals))]]
     pieces = ((support.lower, float(cuts[0])), (float(cuts[-1]), support.upper))
 
@@ -644,12 +665,22 @@ def normalize(model: DensityModel):
     Returns ``(c, normalized_model)``: adding ``log c = -log_mass(model)``
     to the log-density makes it integrate to one over the support.  ``c``
     itself overflows to ``inf`` when ``log c`` lies beyond exp's range.
+    When ``model`` has its scan, the copy takes it plus ``log c``: that is
+    the copy's own scan, bit for bit, for a log-density of float64 values.
     """
     shift = -log_mass(model)
     with np.errstate(over="ignore"):
         c = float(np.exp(shift))
     inner = model._raw_log_pdf
-    return c, replace(model, log_pdf=lambda x: inner(x) + shift, normalized=True)
+    normalized = replace(model, log_pdf=lambda x: inner(x) + shift, normalized=True)
+    if "scan" in vars(model):
+        xs, vals = model.scan
+        vals = vals + shift
+        # a shift that overflows every value is left to the copy's own
+        # scan, which raises when it is asked for
+        if np.isfinite(vals).any():
+            object.__setattr__(normalized, "scan", (xs, _scan_values(vals)))
+    return c, normalized
 
 
 # ---------------------------------------------------------------------------

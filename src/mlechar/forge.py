@@ -78,8 +78,9 @@ HSpec = Union[OddPower, PlusEvenDerivative]
 def h_function(spec: HSpec) -> Callable:
     """The map h described by an :class:`HSpec`.
 
-    Odd powers take floats or ndarrays; an even-derivative perturbation
-    takes whatever its ``w`` or ``w_prime`` takes.
+    Both take floats or ndarrays.  An even-derivative perturbation forms
+    ``y + w'(y)`` on the array, and only ``w'`` is called once per element
+    when it rejects arrays (:func:`~mlechar.density.call_elementwise`).
     """
     if isinstance(spec, OddPower):
         d, p = spec.d, spec.p
@@ -89,7 +90,7 @@ def h_function(spec: HSpec) -> Callable:
     if w_prime is None:
         w = spec.w
         w_prime = lambda y: (w(y + 1e-6) - w(y - 1e-6)) / 2e-6
-    return lambda y: y + w_prime(y)
+    return lambda y: y + call_elementwise(w_prime, y)
 
 
 def _check_h_increasing(h: Callable, y_lo: float, y_hi: float) -> None:

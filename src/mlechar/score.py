@@ -313,12 +313,13 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     ``2^M >= n + 2`` for a row of n and ``sigma = 2^M 2^e`` for its
     ``max|p| < 2^e``, the parts ``q = (sigma + p) - sigma`` are multiples of
     ``2^-53 sigma`` whose sum is exact in any order, and ``p - q`` is exact.
-    Two rounds, each with its ``sigma`` from the row's largest remainder,
-    leave no remainder in nearly every row; the one IEEE addition of its two
-    exact part sums then rounds the row's exact sum correctly (for
-    ``sigma <= 2^1023`` nothing overflows).  Each row's ``sigma`` comes from
-    one ``np.maximum.reduceat`` of the remainders' magnitudes and its part
-    sums from ``np.add.reduceat``.  A row with a remainder left takes more
+    Two rounds leave no remainder in nearly every row; the one IEEE addition
+    of its two exact part sums then rounds the row's exact sum correctly
+    (for ``sigma <= 2^1023`` nothing overflows).  The first round's
+    ``sigma`` comes from one ``np.maximum.reduceat`` of the scores'
+    magnitudes; it leaves ``|rest| <= 2^-53 sigma``, so the second round's
+    is ``2^(M - 53) sigma``, as in :func:`_fsum_rest`.  The part sums come
+    from ``np.add.reduceat``.  A row with a remainder left takes more
     rounds alone, and ``math.fsum`` of its part sums rounds the total; a row
     with an infinite or NaN score, or whose ``sigma`` overflows, leaves NaN
     behind and goes through ``math.fsum`` itself, which then raises or
@@ -336,9 +337,12 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     # an infinite or NaN score, or a sigma that overflows, leaves NaN in its
     # row's remainder
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
-            top = np.maximum.reduceat(np.abs(rest, out=part), starts)
-            sigma = np.repeat(np.ldexp(1.0, spread + np.frexp(top)[1]), lengths)
+        top = np.maximum.reduceat(np.abs(rest, out=part), starts)
+        first = spread + np.frexp(top)[1]
+        # the first round leaves |rest| <= 2^-53 sigma, which gives the
+        # second round's sigma with no pass over the remainders
+        for exponent in (first, first + spread - 53):
+            sigma = np.repeat(np.ldexp(1.0, exponent), lengths)
             np.add(rest, sigma, out=part)
             part -= sigma
             sums.append(np.add.reduceat(part, starts))
@@ -550,26 +554,37 @@ def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
     probe sequences).  ``expected`` is the sign the increments must keep
     (ties allowed); a reversal means the score is not monotone out to the
     endpoint.
+
+    The ``TAIL_STEPS`` points are scored in one array call, quietly, and
+    the walk reads their values in order up to its stopping point.  If that
+    call raises (a point past the stopping point may reach a bounded end,
+    or overflow a ``math``-based callable), the walk scores point by point,
+    and only up to its stopping point.
     """
+    xs = list(_tail_points(domain, side, start))
+    try:
+        with np.errstate(all="ignore"):
+            scores = evaluate(np.array(xs)).tolist()
+    except Exception:
+        scores = map(evaluate, xs)
     values = [v_start]
-    for x in _tail_points(domain, side, start):
-        try:
-            v = evaluate(float(x))
-        except (OverflowError, NonFiniteLogDensity):
-            return math.copysign(math.inf, expected)
-        if math.isnan(v):
-            return math.copysign(math.inf, expected)
-        if math.isinf(v) or abs(v) >= INFINITE_THRESHOLD:
-            return math.copysign(math.inf, v)
-        dv = v - values[-1]
-        if dv * expected < -1e-9 * max(1.0, abs(v)):
-            raise NotMonotone(
-                f"score reverses direction approaching the {side} endpoint (x={x:g})"
-            )
-        values.append(v)
-        # gather three tail values so the acceleration step has material
-        if abs(dv) < CAUCHY_TOL and len(values) >= 3:
-            return _aitken(values[-3], values[-2], values[-1])
+    try:
+        for x, v in zip(xs, scores):
+            if math.isnan(v):
+                return math.copysign(math.inf, expected)
+            if math.isinf(v) or abs(v) >= INFINITE_THRESHOLD:
+                return math.copysign(math.inf, v)
+            dv = v - values[-1]
+            if dv * expected < -1e-9 * max(1.0, abs(v)):
+                raise NotMonotone(
+                    f"score reverses direction approaching the {side} endpoint (x={x:g})"
+                )
+            values.append(v)
+            # gather three tail values so the acceleration step has material
+            if abs(dv) < CAUCHY_TOL and len(values) >= 3:
+                return _aitken(values[-3], values[-2], values[-1])
+    except (OverflowError, NonFiniteLogDensity):
+        return math.copysign(math.inf, expected)
     # no convergence within budget: the values kept drifting, treat as infinite
     return math.copysign(math.inf, expected)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -25,13 +26,14 @@ from mlechar.density import (
     log_mass,
     median,
     probe_grid,
+    quiet_overflow,
     tabulated_model,
     _Table,
 )
 from mlechar.equivalence import tilt, tilt_with_spec
 from mlechar.errors import DivergentIntegral, InvalidParams, OutsideSupport
 from mlechar.score import LOCATION, SCALE
-from mlechar.specfiles import load_family_spec
+from mlechar.specfiles import load_family_spec, write_tabulated
 
 # frozen with an independent quadrature oracle (see test_quartic_normalizer):
 # integral of exp(-x^4/4) over R equals 2**(-1/2) * Gamma(1/4)
@@ -218,6 +220,70 @@ def test_normalize_overflowing_density():
                              [0.0, 1.0, 2.0, 3.0])
     with pytest.raises(DivergentIntegral):
         normalize(rising)
+
+
+def _scan_case(name, tmp_path):
+    """A normalized model of each construction the scan handover meets."""
+    if name == "location tilt":
+        return tilt(lookup("gaussian").model, 3.0, LOCATION)
+    if name == "half-line scale tilt":
+        return tilt(lookup("gamma", {"alpha": 2.0}).model, 0.5, SCALE)
+    if name == "group tilt":
+        entry = lookup("sinh_arcsinh_skew_normal")
+        return tilt(entry.model, 2.0, entry.transform)
+    if name == "forge":
+        return forge_odd_h(lookup("logistic").model, OddPower(1.0, 3))
+    if name == "loaded file":
+        write_tabulated(tilt(lookup("weibull", {"k": 2.0}).model, 2.0, SCALE),
+                        tmp_path / "tilt.json")
+        return load_family_spec(tmp_path / "tilt.json")[0]
+    # exp(x^2/2) overflows past |x| = 37.7: -inf on the outer scan nodes
+    raw = DensityModel("-inf tails", SupportSet.full_line(),
+                       quiet_overflow(lambda x: -np.exp(0.5 * x * x)))
+    assert np.isinf(raw.scan[1]).sum() > 10
+    return normalize(raw)[1]
+
+
+@pytest.mark.parametrize("name", ["location tilt", "half-line scale tilt", "group tilt",
+                                  "forge", "loaded file", "-inf at scan nodes"])
+def test_normalized_copy_takes_the_scan_of_its_model_plus_the_shift(name, tmp_path):
+    # the copy's scan is the raw model's plus the shift, and equals a fresh
+    # scan of the copy to the bit; tilts and the -inf model are handed their
+    # scan as they are built, forges and loaded files scan their own, and a
+    # model that has its scan hands it over when it is normalized again
+    model = _scan_case(name, tmp_path)
+    handed = "scan" in vars(model)
+    assert handed == (name in ("location tilt", "half-line scale tilt", "group tilt",
+                               "-inf at scan nodes"))
+    raw = dataclasses.replace(model, normalized=False)
+    raw.scan
+    shift = -log_mass(raw)
+    _, copy = normalize(raw)
+    assert "scan" in vars(copy)
+    for normalized in (model, copy):
+        fresh = dataclasses.replace(normalized).scan
+        for kept, anew in zip(normalized.scan, fresh):
+            assert kept.tobytes() == anew.tobytes()
+    xs, vals = raw.scan
+    assert copy.scan[0] is xs
+    assert copy.scan[1].tobytes() == (vals + shift).tobytes()
+
+
+def test_a_scan_is_kept_read_only_and_a_replace_copy_scans_anew(gaussian):
+    model = dataclasses.replace(gaussian.model)
+    xs, vals = model.scan
+    assert model.scan[1] is vals
+    assert not xs.flags.writeable and not vals.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0] = 0.0
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
+    # a copy with another log-density keeps nothing of the model's scan but
+    # the grid of their common support
+    wider = dataclasses.replace(model, log_pdf=lambda x: -0.125 * x * x)
+    assert wider.scan[0] is xs and wider.scan[1] is not vals
+    assert (wider.scan[1] > vals).any()
+    assert dataclasses.replace(model).scan[1] is not vals
 
 
 def _lbeta(a, b):

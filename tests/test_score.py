@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlechar import lookup
+from mlechar import MlecharError, OddPower, forge_odd_h, lookup, score, tilt
+from mlechar.catalog import kind_for
 from mlechar.density import DensityModel, SupportSet
-from mlechar.errors import NotMonotone, UnsupportedSupport
+from mlechar.errors import InvalidParams, NotMonotone, UnsupportedSupport
 from mlechar.score import (
     EXTRACT_MIN_ONE_ROW,
     EXTRACT_MIN_SCORES,
@@ -156,6 +157,116 @@ def test_group_profile_symmetric_image(gaussian, sinh_arcsinh):
     prof = analyze_image(gaussian.model, Group(tr.u1, tr.u2))
     assert math.isinf(prof.p_minus) and math.isinf(prof.p_plus)
     assert prof.crosses_zero and not prof.monotone_increasing
+
+
+def _bounds_hex(model, kind):
+    """The ``kind_profiles`` image bounds in hex, or the error raised."""
+    try:
+        return [(p.p_minus.hex(), p.p_plus.hex()) for p in kind_profiles(model, kind)]
+    except (MlecharError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _bounds_hex_per_point(model, kind):
+    """:func:`_bounds_hex` with every tail walk scored point by point: its
+    array call raises, as it does where a walk reaches a bounded end."""
+    walk = score._estimate_limit
+
+    def per_point(evaluate, *args):
+        def points_only(x):
+            if np.ndim(x):
+                raise TypeError("scored point by point")
+            return evaluate(x)
+        return walk(points_only, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(score, "_estimate_limit", per_point)
+        return _bounds_hex(model, kind)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+#: every catalog family, shape parameters log-uniform up to where lookup
+#: refuses them
+CATALOG_CASES = st.one_of(
+    st.sampled_from([("gaussian", {}), ("laplace", {}), ("gumbel", {}), ("logistic", {}),
+                     ("sinh_arcsinh_skew_normal", {})]),
+    st.builds(lambda a: ("gamma", {"alpha": a}), _log_uniform(-323.0, 306.0)),
+    st.builds(lambda k: ("weibull", {"k": k}), _log_uniform(-323.0, 308.0)),
+    st.builds(lambda nu: ("student", {"nu": nu}), _log_uniform(-323.0, 308.0)),
+    st.builds(lambda a, g, sign: ("generalized_gaussian", {"alpha": a, "gamma": sign * g}),
+              _log_uniform(-323.0, 306.0), _log_uniform(-323.0, 308.0),
+              st.sampled_from([-1.0, 1.0])),
+)
+
+
+@given(case=CATALOG_CASES)
+@example(case=("gaussian", {}))
+@example(case=("student", {"nu": 3.0}))
+@settings(max_examples=150, deadline=None)
+def test_tail_walks_in_one_array_call_give_the_per_point_bounds(case):
+    # each admitted kind of the family: its image bounds, or the error it
+    # raises, are those of walks scored point by point, to the bit
+    name, params = case
+    try:
+        entry = lookup(name, params)
+    except InvalidParams:
+        return
+    for label in ("location", "scale", "group"):
+        if label == "group" and entry.transform is None:
+            continue
+        kind = kind_for(entry, label)
+        assert _bounds_hex(entry.model, kind) == _bounds_hex_per_point(entry.model, kind)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (tilt(lookup("gamma", {"alpha": 2.0}).model, 3.0, SCALE), SCALE),
+    lambda: (forge_odd_h(lookup("gaussian").model, OddPower(1.0, 3)), LOCATION),
+], ids=["tilt", "forge"])
+def test_tail_walks_of_a_tilt_and_a_forge_give_the_per_point_bounds(build):
+    model, kind = build()
+    assert _bounds_hex(model, kind) == _bounds_hex_per_point(model, kind)
+
+
+def _math_logistic(overflow):
+    # the logistic in math functions, so every call is per element; its
+    # derivative overflows (an OverflowError) where exp(|x|) does, past
+    # |x| = 709, but is the logistic's wherever it returns
+    return DensityModel(
+        "math logistic", SupportSet.full_line(),
+        lambda x: -abs(x) - 2.0 * math.log1p(math.exp(-abs(x))),
+        lambda x: -math.tanh(0.5 * x) - 0.0 * overflow(abs(x)))
+
+
+def _math_asinh(overflow):
+    # log f = sqrt(1 + x^2) - x asinh(x): the location score asinh(x) drifts
+    # by log 2 a step along the walk and never settles
+    return DensityModel(
+        "math asinh", SupportSet.full_line(),
+        lambda x: math.sqrt(1.0 + x * x) - x * math.asinh(x),
+        lambda x: -math.asinh(x) - 0.0 * overflow(abs(x)))
+
+
+def test_a_math_score_that_overflows_past_the_stopping_point_keeps_its_limit():
+    # the walk stops at |x| = 80 with the limit 1; its array call reaches
+    # |x| = 20 * 2^80 and overflows, and the walk goes point by point
+    profile = analyze_image(_math_logistic(math.exp), LOCATION)
+    twin = analyze_image(_math_logistic(lambda x: 0.0), LOCATION)
+    assert (profile.p_minus, profile.p_plus) == (twin.p_minus, twin.p_plus) == (1.0, 1.0)
+    assert _bounds_hex(_math_logistic(math.exp), LOCATION) == \
+        _bounds_hex_per_point(_math_logistic(math.exp), LOCATION)
+
+
+def test_a_math_score_that_overflows_before_the_stopping_point_has_infinite_limits():
+    # the walk overflows at |x| = 1280 before it settles: the limits are
+    # infinite, as they are when the walk runs out of steps without overflow
+    profile = analyze_image(_math_asinh(math.exp), LOCATION)
+    twin = analyze_image(_math_asinh(lambda x: 0.0), LOCATION)
+    assert (profile.p_minus, profile.p_plus) == (twin.p_minus, twin.p_plus) == (math.inf,) * 2
+    assert _bounds_hex(_math_asinh(math.exp), LOCATION) == \
+        _bounds_hex_per_point(_math_asinh(math.exp), LOCATION)
 
 
 #: the gaussian location score is x itself; with u2 = -0.0 it keeps the sign

@@ -1,6 +1,6 @@
 """The repository tools: the machine-report diff, the code-line counter, the
-BENCH file writer, the benchmark pair runner, the CLI battery and the solve
-digest; and the python examples of the README."""
+BENCH file writer, the benchmark pair runner, the CLI battery, the solve
+digest and the construction digest; and the python examples of the README."""
 
 import copy
 import hashlib
@@ -258,3 +258,26 @@ def test_solve_digest_prints_one_line_per_mle_large_solve():
         iterations, doublings = int(fields["iterations"]), int(fields["doublings"])
         assert int(fields["sums"]) == 2 * (doublings + 1) + max(iterations - 1, 0)
         float.fromhex(fields["theta"])
+
+
+def test_construct_digest_prints_hex_lines_per_family_kind_and_construction():
+    src = TOOLS.parent / "src"
+    proc = subprocess.run([sys.executable, str(TOOLS / "construct_digest.py"), str(src),
+                           "gaussian"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("gaussian interval40.0=[")
+    assert lines[1] == "gaussian/location bounds=[inf inf]"
+    # scale on the full line: two half-line profiles and no tilt
+    assert lines[7].startswith("gaussian/scale bounds=[inf 0x1.") and lines[7].count("[") == 2
+    assert lines[8].startswith("gaussian/scale tilt d=0.5 SingletonClass: ")
+    assert sum(line.startswith("forge gaussian ") for line in lines) == 6
+    files = [line for line in lines if " file sha256=" in line]
+    assert len(files) == 4
+    for line in lines:
+        for value in re.findall(r"[-\w.]*0x[\w.+-]+", line):
+            float.fromhex(value)
+    # a second run prints the same bits
+    again = subprocess.run([sys.executable, str(TOOLS / "construct_digest.py"), str(src),
+                            "gaussian"], capture_output=True, text=True, timeout=300)
+    assert again.stdout == proc.stdout
