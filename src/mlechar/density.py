@@ -6,8 +6,10 @@ A :class:`DensityModel` couples a log-density with an open support and
 this interface, so the module also provides the shared numeric machinery:
 
 - one way to call any callable on arrays (``call_array``, which keeps a
-  constant 0-d, and ``call_elementwise``, which broadcasts it),
-- central finite differences with a boundary-aware step (``eval_dlogf``),
+  constant 0-d, and ``call_elementwise``, which broadcasts it), with no
+  state between calls,
+- one derivative of a log-density (``eval_dlogf``): the analytic one, or
+  central finite differences with a boundary-aware step,
 - the log of a density's mass over its support (``log_mass``, ``normalize``),
   summed in log space on arrays: fixed-order Gauss-Legendre cells between
   the model's breaks and double-exponential rules (Takahasi & Mori, Publ.
@@ -37,8 +39,9 @@ Array contract: log-densities, their derivatives, score factors, actions and
 antiderivatives take a float or an ndarray and work elementwise.  Grids,
 sampler cells and whole samples are evaluated in one call each.  Callables
 written for Python floats only (``math.*``) still work: ``call_array``
-calls them once per element when they reject an array.  A model's guarded
-log-density passes a scalar straight to the wrapped function.
+calls them once per element whenever they reject an array, and tries the
+array again on the next call.  A model's guarded log-density passes a
+scalar straight to the wrapped function.
 """
 
 from __future__ import annotations
@@ -100,32 +103,14 @@ def call_array(fn: Callable, *args) -> np.ndarray:
     called once per element, with Python floats, instead: numpy raises
     ``TypeError`` when such a callable converts an array to a scalar and
     ``ValueError`` when it asks for an array's truth value.  Errors of any
-    other type propagate.
+    other type propagate.  Each call tries the arrays first, so what one
+    call finds decides nothing for the next.
     """
     arrays = [np.asarray(a, dtype=float) for a in args]
     try:
         return np.asarray(fn(*arrays), dtype=float)
     except (TypeError, ValueError):
         return _per_element(fn, *arrays)
-
-
-def bind_array(fn: Callable) -> Callable:
-    """:func:`call_array` of ``fn`` on float arrays, with its fallback
-    decided on the first call: ``fn`` takes the arrays of every later call,
-    or is called once per element on every later call, without trying the
-    arrays again."""
-    def first(*arrays):
-        nonlocal call
-        try:
-            out = fn(*arrays)
-            call = fn
-        except (TypeError, ValueError):
-            call = functools.partial(_per_element, fn)
-            out = call(*arrays)
-        return out
-
-    call = first
-    return lambda *arrays: np.asarray(call(*arrays), dtype=float)
 
 
 def _per_element(fn: Callable, *arrays) -> np.ndarray:
@@ -136,27 +121,19 @@ def _per_element(fn: Callable, *arrays) -> np.ndarray:
 
 def call_elementwise(fn: Callable, *args) -> np.ndarray:
     """``fn(*args)`` as a float array of the arguments' broadcast shape: the
-    value of :func:`call_array`, a constant broadcast to that shape."""
-    out = call_array(fn, *args)
-    shape = np.broadcast(*args).shape
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
-
-
-def bind_elementwise(fn: Callable) -> Callable:
-    """:func:`call_elementwise` of ``fn`` on float arrays, with the fallback
-    of :func:`bind_array`; the broadcast shape is formed only when the value
-    does not have the last argument's shape."""
-    call = bind_array(fn)
-
-    def elementwise(*arrays):
-        out = call(*arrays)
-        if out.shape != arrays[-1].shape:
-            shape = np.broadcast(*arrays).shape
-            if out.shape != shape:
-                out = np.broadcast_to(out, shape).copy()
-        return out
-
-    return elementwise
+    value of :func:`call_array`, a constant broadcast to that shape.  The
+    broadcast shape is formed only for a 0-d value or one without the last
+    argument's shape."""
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    try:
+        out = np.asarray(fn(*arrays), dtype=float)
+    except (TypeError, ValueError):
+        return _per_element(fn, *arrays)
+    if not out.ndim or out.shape != arrays[-1].shape:
+        shape = np.broadcast(*arrays).shape
+        if out.shape != shape:
+            out = np.broadcast_to(out, shape).copy()
+    return out
 
 
 # np.unique and np.median import numpy.ma on their first call (15-20 ms of
@@ -401,26 +378,19 @@ def _central_difference(model: DensityModel, xs: np.ndarray) -> np.ndarray:
 
 
 def eval_dlogf(model: DensityModel, x):
-    """Evaluate ``d/dx log f`` at interior points (a float or an ndarray).
+    """Evaluate ``d/dx log f`` at interior points: a float for a float, an
+    ndarray for an ndarray.
 
-    Uses the analytic derivative when the model carries one, otherwise a
-    central finite difference with step ``FD_STEP_SCALE * max(1, |x|)``
-    shrunk so both probe points stay inside the support.
+    A point outside the support raises :class:`OutsideSupport`.  Uses the
+    analytic derivative when the model carries one (:func:`call_elementwise`),
+    otherwise a central finite difference with step ``FD_STEP_SCALE *
+    max(1, |x|)`` shrunk so both probe points stay inside the support.
     """
     xs = np.asarray(x, dtype=float)
     model.support.require(xs)
-    out = bind_dlogf(model)(xs)
+    out = (_central_difference(model, xs) if model.dlog_pdf is None
+           else call_elementwise(model.dlog_pdf, xs))
     return out if xs.ndim else float(out)
-
-
-def bind_dlogf(model: DensityModel) -> Callable:
-    """``d/dx log f`` of the model on float arrays of interior points, bound
-    once: the analytic derivative with its array fallback decided on the
-    first call (:func:`bind_elementwise`), or else the central difference
-    of :func:`eval_dlogf`."""
-    if model.dlog_pdf is None:
-        return functools.partial(_central_difference, model)
-    return bind_elementwise(model.dlog_pdf)
 
 
 def check_dlog_pdf(model: DensityModel, xs, tol: float = 1e-6) -> float:

@@ -20,16 +20,16 @@ residual, iterations, bracket).  One seeding step gives each lane a bracket
 centre and half-width from its sample; the lane doubles its half-width
 (clipped to the kind's window) until the sum changes sign, and refines the
 bracket with Brent's bisection/secant iteration
-(``score.brent_lanes``).  A solve binds its evaluation once
-(``score.ScoreSums``): the model's derivative, which kind factors are
-constants, the action, ``to_theta`` and whether each callable takes arrays.
-A step then moves all live lanes with one action call, tests the support
+(``score.brent_lanes``).  A solve holds one ``score.ScoreSums`` (the
+action and each model's score) and one ``to_theta``; every callable is
+tried on the arrays at each call.
+A step moves all live lanes with one action call, tests the support
 once, scores each problem's lanes with its own model and sums every row
 with one exact row summation.  A lane's result does not depend on the other
 rows or problems, so :func:`mle`, the one place that builds an
 :class:`MleResult` from a solve, is one problem of one row, bracketed and
-refined in Python floats and summed by extraction from
-``score.EXTRACT_MIN_ONE_ROW`` observations on, with no block scaffolding.
+refined in Python floats and summed by extraction on its score array,
+with no block scaffolding.
 A catalog family that writes a closed-form estimator for a kind gets a
 direct fast path via :func:`closed_form_mle`; the formulas live in the
 catalog's family builders, so this module names no family.
@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .density import DensityModel, Rows, Sample, bind_elementwise, length_blocks
+from .density import DensityModel, Rows, Sample, call_elementwise, length_blocks
 from .errors import (
     BracketFailure,
     NoClosedForm,
@@ -59,7 +60,6 @@ from .score import (
     brent_one,
     flatten_rows,
     identity,
-    row_score_sums,
 )
 
 DEFAULT_TOL = 1e-10      # score-sum residual tolerance
@@ -108,8 +108,7 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     window, until the score sum changes sign.  The root must bring the sum
     below ``tol`` in absolute value.  This is :func:`mle_block` on one
     problem of the one row ``sample``, which it brackets and refines in
-    Python floats and sums by extraction from ``EXTRACT_MIN_ONE_ROW``
-    observations on.
+    Python floats and sums by extraction on its score array.
     """
     _admit(kind, [(model, sample)])
     theta, residual, iterations, lo, hi, _ = _solve_row(kind, model, sample.values, tol)
@@ -138,7 +137,7 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
     :class:`~mlechar.density.Rows` or a :class:`~mlechar.density.Sample`
     (one row).  Returns one :class:`BlockRoots` per problem, whose lane i
     equals ``mle(model, kind, Sample(rows[i]), tol)`` bit for bit.  Each
-    solve binds its evaluation once (``score.ScoreSums``).  One bracket
+    solve holds one ``score.ScoreSums``.  One bracket
     search and one Brent lockstep serve the lanes of all problems: each
     step moves every live lane with one ``kind.h`` call, scores each
     problem's lanes with its own model and sums all rows with one
@@ -203,7 +202,7 @@ def _admit(kind: Kind, problems) -> list[Rows]:
 
 
 def _to_theta(kind: Kind) -> Callable[[np.ndarray], np.ndarray]:
-    return identity if kind.to_theta is identity else bind_elementwise(kind.to_theta)
+    return identity if kind.to_theta is identity else partial(call_elementwise, kind.to_theta)
 
 
 def _solve_row(kind: Kind, model: DensityModel, x: np.ndarray, tol: float):
@@ -377,5 +376,5 @@ def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
     if not lo < theta < hi:
         raise NoClosedForm(f"closed form {name} has no {kind.label} value in "
                            f"({lo:g}, {hi:g}) on this sample")
-    residual = row_score_sums(entry.model, kind, sample.values, [sample.n], [theta])[0]
-    return MleResult(theta, float(residual), ClosedForm(name), kind)
+    residual = ScoreSums(kind, [entry.model]).row(np.array([theta]), sample.values)
+    return MleResult(theta, residual, ClosedForm(name), kind)

@@ -26,23 +26,21 @@ Scores follow the array contract of :mod:`mlechar.density`: a kind's
 ``u1``, ``u2``, ``h`` and ``to_theta`` take floats or ndarrays, and
 ``u1`` and ``u2`` may return a constant, which the score keeps scalar (a
 location score is ``0 + (-1) f'/f`` without arrays of -1 and 0).
-One evaluator serves every score: :class:`Scorer` binds one model's score
-once (support test, factors, derivative) and :class:`ScoreSums` the action
-and the row sums of a solve, so each step of a solve does only their
-arithmetic.  :func:`kind_score` scores a point or a whole probe grid in one
-call, and :func:`row_score_sums` scores m samples, as rows of equal or
-different lengths back to back, in one call, with one model or with
+One evaluator serves every score: :class:`Scorer` scores one model
+(support test, factors, derivative) and :class:`ScoreSums` adds the action
+and the row sums of a solve; neither keeps what one call finds about its
+callables for the next.  :func:`kind_score` scores a point or a whole probe
+grid in one call, and one :class:`ScoreSums` call scores m samples, as rows
+of equal or different lengths back to back, with one model or with
 consecutive runs of rows each scored by its own model.  Each row sum is the
 correctly rounded exact sum of the row's scores, the value ``math.fsum``
-gives (:func:`row_fsums`): one row of at least ``EXTRACT_MIN_ONE_ROW``
-(700) scores is summed by error-free extraction on its score array alone
-(:func:`fsum_row`); otherwise a call of fewer than ``EXTRACT_MIN_SCORES``
-(1024) scores sums each row with ``math.fsum`` over a list, and a larger
-one sums all its rows at once by error-free extraction.
-:func:`brent_lanes` is the one root finder: Brent's method run lane by
-lane over a batch of brackets, step for step as SciPy's Brent solver runs it,
-in numpy lockstep over the lanes not yet converged, and in Python floats for
-one lane.
+gives (:func:`row_fsums`), by error-free extraction: one row on its score
+array alone (:func:`fsum_row`), several rows all at once.
+:func:`brent_lanes` is the root finder of every batch: Brent's method run
+lane by lane over a batch of brackets, step for step as SciPy's Brent solver
+runs it, in numpy lockstep over the lanes not yet converged;
+:func:`brent_one` runs the same steps in Python floats for the one-row
+solve.
 """
 
 from __future__ import annotations
@@ -50,7 +48,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice, repeat
+from functools import partial
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,11 +63,10 @@ from .density import (
     Rows,
     Sample,
     SupportSet,
-    bind_array,
-    bind_dlogf,
-    bind_elementwise,
+    call_array,
     call_elementwise,
     effective_interval,
+    eval_dlogf,
     median,
     probe_grid,
 )
@@ -209,46 +207,37 @@ SCALE = Kind(
 
 
 class Scorer:
-    """The kind's score ``u2 + u1 f'/f`` of one model on float arrays, with
-    its evaluation bound once, for a solve or for one call.
+    """The kind's score ``u2 + u1 f'/f`` of one model on float arrays, for a
+    solve or for one call.
 
-    A call tests the support first: a point outside it raises
-    :class:`OutsideSupport`.  ``u1``, ``u2`` and the model's derivative
-    (analytic or a central difference, :func:`~mlechar.density.bind_dlogf`)
-    each take the arrays, or are called once per element, from their first
-    call on (:func:`~mlechar.density.bind_array`).  A factor that gives one
-    0-d value for several points is that constant from then on, kept
-    scalar: a location score is ``0 + (-1) f'/f`` without arrays of -1 and
-    0, and only a u1 that is not a nonzero constant is tested for zeros.
-    Where u1 vanishes (the origin, for scale on the full line) the score is
-    u2 wherever log f is finite, whether or not f is differentiable there.
+    A point outside the support raises :class:`OutsideSupport`.  ``u1`` and
+    ``u2`` go through :func:`~mlechar.density.call_array` and the model's
+    derivative through :func:`~mlechar.density.eval_dlogf`, so each call
+    tries the arrays first and falls back to one call per element only when
+    a callable rejects them.  A factor that returns a constant stays 0-d: a
+    location score is ``0 + (-1) f'/f`` without arrays of -1 and 0.  Where
+    u1 vanishes (the origin, for scale on the full line) the score is u2
+    wherever log f is finite, whether or not f is differentiable there.
     """
 
     def __init__(self, model: DensityModel, kind: Kind):
-        self.model, self.dlog = model, bind_dlogf(model)
-        self.u1, self.u2 = bind_array(kind.u1), bind_array(kind.u2)
-        # the constant factors, once a call of several points shows them
-        self.a = self.b = None
+        self.model = model
+        self.u1, self.u2 = partial(call_array, kind.u1), partial(call_array, kind.u2)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.model.support.require(x)
-        a = self.u1(x) if self.a is None else self.a
-        b = self.u2(x) if self.b is None else self.b
-        if x.size > 1:
-            if not a.ndim and a != 0.0:
-                self.a = a
-            if not b.ndim:
-                self.b = b
-        if self.a is not None or a.all():
-            scores = a * self.dlog(x)
+        a, b = self.u1(x), self.u2(x)
+        if a.all():
+            # the derivative tests the support
+            scores = a * eval_dlogf(self.model, x)
             scores += b
             return scores
+        self.model.support.require(x)
         a, zero = np.broadcast_to(a, x.shape), np.broadcast_to(a == 0.0, x.shape)
         if not np.isfinite(self.model.log_pdf(x[zero])).all():
             raise NonFiniteLogDensity(f"log-density not finite at x={x[zero][0]}")
         rest = ~zero
         out = np.broadcast_to(b, x.shape).copy()
-        out[rest] += a[rest] * self.dlog(x[rest])
+        out[rest] += a[rest] * eval_dlogf(self.model, x[rest])
         return out
 
     def at(self, x):
@@ -290,24 +279,12 @@ def flatten_rows(rows) -> Rows:
     raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
 
 
-#: calls of at least this many scores are summed by extraction
-#: (:func:`row_fsums`); below about a thousand floats ``math.fsum`` over a
-#: list costs less
-EXTRACT_MIN_SCORES = 1024
-#: a call of one row is summed by extraction from this many scores on, where
-#: its rounds, with no ``reduceat``, cost less than ``math.fsum`` over a list
-#: (the two tie between 450 and 700 scores on a 2-vCPU x86-64 host, Python
-#: 3.11, numpy 2.4)
-EXTRACT_MIN_ONE_ROW = 700
-
-
 def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     """``math.fsum`` of each row, bit for bit: m rows of the given lengths
     back to back in the 1-D float array ``scores``.
 
-    One row is summed by :func:`fsum_row`.  Otherwise fewer than
-    ``EXTRACT_MIN_SCORES`` scores go through ``math.fsum`` over a list, and
-    more are summed all at once by error-free extraction
+    One row is summed by :func:`fsum_row`; more are summed all at once by
+    error-free extraction
     (``ExtractVector`` of Rump, Ogita and Oishi, "Accurate floating-point
     summation, part I", SIAM J. Sci. Comput. 31(1), 2008).  With
     ``2^M >= n + 2`` for a row of n and ``sigma = 2^M 2^e`` for its
@@ -328,8 +305,6 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     lengths = np.asarray(lengths)
     if lengths.size == 1:
         return np.array([fsum_row(scores)])
-    if scores.size < EXTRACT_MIN_SCORES:
-        return np.array(list(map(math.fsum, map(islice, repeat(iter(scores.tolist())), lengths))))
     starts = np.cumsum(lengths) - lengths
     # M = ceil(log2(n + 2)), the bit length of n + 1
     spread = np.frexp(lengths + 1)[1]
@@ -358,11 +333,8 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
 
 def fsum_row(scores: np.ndarray) -> float:
     """``math.fsum`` of one row of scores, bit for bit: by the extraction
-    rounds of :func:`_fsum_rest` from ``EXTRACT_MIN_ONE_ROW`` scores on,
-    with no ``reduceat``, and by ``math.fsum`` over a list below."""
-    if scores.size >= EXTRACT_MIN_ONE_ROW:
-        return _fsum_rest(scores, scores, (scores.size + 1).bit_length(), [])
-    return math.fsum(scores.tolist())
+    rounds of :func:`_fsum_rest`, with no ``reduceat``."""
+    return _fsum_rest(scores, scores, (scores.size + 1).bit_length(), [])
 
 
 def _fsum_rest(row: np.ndarray, rest: np.ndarray, spread: int, parts: list) -> float:
@@ -400,9 +372,9 @@ def _fsum_rest(row: np.ndarray, rest: np.ndarray, spread: int, parts: list) -> f
 
 
 class ScoreSums:
-    """Exact row sums of one kind's score, bound once for a solve: the
-    action ``kind.h`` and each model's :class:`Scorer`, whose callables
-    decide on their first call whether they take arrays.
+    """Exact row sums of one kind's score, for a solve or for one call: the
+    action ``kind.h`` (:func:`~mlechar.density.call_elementwise`) and each
+    model's :class:`Scorer`.
 
     A call moves the rows by one ``h`` call, scores each model's rows and
     sums each row with :func:`row_fsums`; :meth:`row` sums one row to a
@@ -411,7 +383,7 @@ class ScoreSums:
     """
 
     def __init__(self, kind: Kind, models):
-        self.h = bind_elementwise(kind.h)
+        self.h = partial(call_elementwise, kind.h)
         self.scorers = [Scorer(model, kind) for model in models]
 
     def __call__(self, theta: np.ndarray, flat: np.ndarray, lengths: np.ndarray,
@@ -456,25 +428,6 @@ class ScoreSums:
 
 def _no_sum(theta: float, exc: Exception) -> BracketFailure:
     return BracketFailure(f"the score sum at theta={theta!r} has no value: {exc}")
-
-
-def row_score_sums(model, kind: Kind, flat: np.ndarray, lengths, theta,
-                   ends=None) -> np.ndarray:
-    """m row sums of the kind's score, row i at ``h(theta[i], x)``.
-
-    ``flat`` holds the m rows back to back and ``lengths`` their sizes.  The
-    one :class:`DensityModel` ``model`` scores every row; with ``ends``,
-    ``model`` is a sequence of models and model j scores the rows from
-    ``ends[j-1]`` (0 for the first) up to ``ends[j]``, all moved by one
-    ``kind.h`` call.  Each row sum is the correctly rounded exact sum of
-    that row's own scores, ``math.fsum`` of them (:func:`row_fsums`), so it
-    does not depend on the other rows.  A sum that ``math.fsum`` cannot
-    form, such as scores of both infinite signs, raises
-    :class:`BracketFailure`.  This is one call of :class:`ScoreSums`.
-    """
-    sums = ScoreSums(kind, [model] if ends is None else model)
-    return sums(np.asarray(theta, dtype=float), np.asarray(flat, dtype=float),
-                np.asarray(lengths), ends)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +661,10 @@ BRENT_RTOL = 8.9e-16
 def brent_one(f: Callable[[float], float], xpre: float, xcur: float, fpre: float, fcur: float,
               xtol: float, maxiter: int) -> tuple[float, float, int, bool]:
     """:func:`brent_lanes` on one lane, of a function of a Python float: the
-    loop of SciPy's Brent solver as written, in Python floats."""
+    loop of SciPy's Brent solver as written, in Python floats, where a numpy
+    step would cost far more than the arithmetic.  A secant or
+    inverse-quadratic step whose denominator is zero is not taken, as an
+    infinite or NaN step is not in C.  Both give the same bits."""
     if fpre == 0.0:
         return xpre, fpre, 0, True
     if fcur == 0.0:
@@ -765,18 +721,10 @@ def brent_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
     Several lanes step in numpy lockstep, which keeps the state of the live
     lanes only and drops each lane from it as it converges, so a step costs
     about as much for 25 lanes as for 800 and the slow last lanes step
-    alone.  One lane steps in Python floats, where a
-    numpy step would cost far more than the arithmetic; a secant or
-    inverse-quadratic step whose denominator is zero is not taken, as an
-    infinite or NaN step is not in C.  Both give the same bits.
+    alone.
     """
     xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
     fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
-    if xcur.size == 1:
-        lane = np.zeros(1, dtype=int)
-        return tuple(np.array([v]) for v in brent_one(
-            lambda x: float(f(np.array([x]), lane)[0]), xpre.item(), xcur.item(), fpre.item(),
-            fcur.item(), xtol, maxiter))
     roots, values = np.where(fpre == 0.0, xpre, xcur), np.where(fpre == 0.0, fpre, fcur)
     # a zero at an end returns that end before any iteration
     converged = (fpre == 0.0) | (fcur == 0.0)

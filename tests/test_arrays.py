@@ -20,7 +20,7 @@ from mlechar.density import (DensityModel, InverseCdfSampler, Sample, SupportSet
                              eval_dlogf)
 from mlechar.forge import h_function
 from mlechar.estimator import mle
-from mlechar.score import Kind, kind_score
+from mlechar.score import Kind, Scorer, kind_score
 from mlechar.specfiles import load_family_spec, write_tabulated
 from mlechar.suite import DEFAULT_EQUIVALENCE, DEFAULT_FAMILIES
 
@@ -286,3 +286,30 @@ def test_scalar_only_callables_give_the_same_results(gaussian, logistic, sinh_ar
     array_forge = forge_odd_h(gaussian.model, PlusEvenDerivative(w, w_prime))
     assert np.array_equal(scalar_forge.log_pdf(xs), array_forge.log_pdf(xs))
     assert np.array_equal(scalar_forge.dlog_pdf(xs), array_forge.dlog_pdf(xs))
+
+
+@pytest.mark.parametrize("log_pdf,dlog_pdf", [
+    (lambda x: -math.log(math.cosh(x)), lambda x: -math.tanh(x)),
+    # a truth-value callable takes a 0-d array and rejects a longer one
+    (lambda x: -abs(x), lambda x: -1.0 if x > 0 else 1.0),
+])
+def test_one_solve_scores_floats_then_arrays(log_pdf, dlog_pdf):
+    # what the first call finds about a callable decides nothing for the next
+    model = DensityModel("scalar-only", SupportSet.full_line(), log_pdf, dlog_pdf=dlog_pdf)
+    scorer = Scorer(model, LOCATION)
+    first = scorer.at(1.0)
+    assert scorer.at(np.array([1.0, -2.0])).tolist() == [first, scorer.at(-2.0)]
+    assert scorer.at(np.array([0.5])).tolist() == [-dlog_pdf(0.5)]
+
+
+def test_integer_arrays_give_the_float_arrays_bits(gaussian, gamma2):
+    # 10**10 squared overflows int64; every entry point takes float64 first
+    ints = np.array([1, 3, 10 ** 10])
+    floats = ints.astype(float)
+    for model in (gaussian.model, gamma2.model):
+        assert np.array_equal(model.log_pdf(ints), model.log_pdf(floats))
+        assert np.array_equal(eval_dlogf(model, ints), eval_dlogf(model, floats))
+        assert np.array_equal(kind_score(model, SCALE, ints), kind_score(model, SCALE, floats))
+    assert np.array_equal(gamma2.model.log_pdf(-ints), gamma2.model.log_pdf(-floats))
+    assert np.array_equal(kind_score(gaussian.model, LOCATION, ints),
+                          kind_score(gaussian.model, LOCATION, floats))

@@ -44,12 +44,11 @@ from mlechar.estimator import (
 )
 from mlechar.score import (
     BRENT_RTOL,
-    EXTRACT_MIN_ONE_ROW,
     Kind,
     Scorer,
+    ScoreSums,
     brent_lanes,
     flatten_rows,
-    row_score_sums,
     _rate_seed,
 )
 from mlechar.suite import CLOSED_FORM_CASES, DEFAULT_EQUIVALENCE, DEFAULT_FAMILIES
@@ -224,7 +223,7 @@ def test_equivalence_class_members_share_mles(gaussian, gamma2, d):
 
 def test_residual_contract(gaussian, gamma2):
     def score_sum(model, kind, sample, theta):
-        return row_score_sums(model, kind, sample.values, [sample.n], [theta])[0]
+        return ScoreSums(kind, [model])(np.array([theta]), sample.values, np.array([sample.n]))[0]
 
     sample = sample_from(gaussian.model, 7, seed=9)
     r = mle_location(gaussian.model, sample, tol=1e-10)
@@ -451,8 +450,8 @@ def test_brent_lanes_reproduces_scipy_brentq(case, n, m, seed, widths):
     lo, hi = t_hat - widths[0], t_hat + widths[1]
 
     def lanes_fn(t, lanes):
-        return row_score_sums(entry.model, kind, *flatten_rows(block[lanes]),
-                              kind.to_theta(t))
+        flat, lengths = flatten_rows(block[lanes])
+        return ScoreSums(kind, [entry.model])(kind.to_theta(t), flat, lengths)
 
     f_lo, f_hi = lanes_fn(lo, np.arange(m)), lanes_fn(hi, np.arange(m))
     assume(np.all(np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo * f_hi < 0.0)))
@@ -541,7 +540,8 @@ def test_block_residuals_are_the_score_sums_at_the_roots(case, lengths, seed):
     except MlecharError:
         return
     for i, row in enumerate(rows):
-        alone = float(row_score_sums(entry.model, kind, row, [row.size], [roots.theta[i]])[0])
+        alone = float(ScoreSums(kind, [entry.model])(roots.theta[i:i + 1], row,
+                                                     np.array([row.size]))[0])
         assert float(roots.residual[i]).hex() == alone.hex()
 
 
@@ -576,12 +576,12 @@ ONE_LANE_CASES = [
 ONE_LANE_CASES += [case for case in CATALOG_KINDS if case not in ONE_LANE_CASES]
 
 
-@pytest.mark.parametrize("n", [1000, 10_000, EXTRACT_MIN_ONE_ROW - 1, EXTRACT_MIN_ONE_ROW, 1024])
+@pytest.mark.parametrize("n", [1000, 10_000, 699, 700, 1024])
 @pytest.mark.parametrize("name,params,label", ONE_LANE_CASES)
 def test_one_lane_equals_a_lockstep_lane_at_large_n(name, params, label, n):
     # one row brackets and solves in Python floats and is summed by
-    # extraction from EXTRACT_MIN_ONE_ROW scores on; two rows step in the
-    # numpy lockstep, whose calls of 1,024 scores or more are summed at once
+    # extraction on its own; two rows step in the numpy lockstep, whose
+    # calls are summed at once
     entry = lookup(name, params)
     kind = kind_for(entry, label)
     row = _block(entry, n, 1, 2024)[0]

@@ -1,11 +1,13 @@
 """The repository tools: the machine-report diff, the code-line counter, the
 BENCH file writer, the benchmark pair runner, the CLI battery, the solve
-digest and the construction digest; and the python examples of the README."""
+digest and the construction digest; the python examples of the README; and
+one operation of each benchmark workload."""
 
 import copy
 import hashlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -281,3 +283,37 @@ def test_construct_digest_prints_hex_lines_per_family_kind_and_construction():
     again = subprocess.run([sys.executable, str(TOOLS / "construct_digest.py"), str(src),
                             "gaussian"], capture_output=True, text=True, timeout=300)
     assert again.stdout == proc.stdout
+
+
+# one operation of each benchmark workload, run as the benchmark runs it; -B
+# keeps the import from writing bytecode beside the benchmark's files
+WORKLOAD_SMOKE = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+out = {}
+for name, cls in workloads.WORKLOADS.items():
+    workdir = Path(sys.argv[2]) / name
+    workdir.mkdir()
+    workload = cls(1, workdir)
+    workload.op(False)
+    out[name] = {"attempted": workload.tally.attempted, "wrong": dict(workload.tally.wrong)}
+print(json.dumps(out))
+"""
+
+
+def test_one_operation_of_each_benchmark_workload_is_correct(tmp_path):
+    # a change that makes a workload's output wrong fails here, before a
+    # benchmark run reports it
+    root = TOOLS.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", WORKLOAD_SMOKE, str(root / "perfbench"),
+                           str(tmp_path)], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    tallies = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(tallies) == ["cli_session", "construct", "mle_large", "suite_default"]
+    for name, tally in tallies.items():
+        assert tally["attempted"] > 0, name
+        assert tally["wrong"] == {}, (name, tally["wrong"])
