@@ -152,14 +152,19 @@ def median(a: np.ndarray) -> np.ndarray:
     still finite there.  A NaN makes its median NaN."""
     a = np.sort(a, axis=-1)
     n = a.shape[-1]
-    lo, hi = a[..., (n - 1) // 2], a[..., n // 2]
-    # the mean of the two middle values (one value twice for odd n), formed
-    # as np.median forms it; beyond magnitude 1 their halves are added
-    # instead, whose sum cannot overflow (halving a subnormal can round)
-    half = np.where(np.maximum(-lo, hi) > 1.0, 0.5, 1.0)
-    mid = (lo * half + hi * half) / (2.0 * half)
+    # one value twice for odd n
+    mid = middle_mean(a[..., (n - 1) // 2], a[..., n // 2])
     # NaNs sort last
     return np.where(np.isnan(a[..., -1]), math.nan, mid)
+
+
+def middle_mean(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The mean of two sorted middle values ``lo <= hi``, formed as
+    ``np.median`` forms it, ``lo`` itself where ``lo == hi``; beyond
+    magnitude 1 their halves are added instead, whose sum cannot overflow
+    (halving a subnormal can round)."""
+    half = np.where(np.maximum(-lo, hi) > 1.0, 0.5, 1.0)
+    return (lo * half + hi * half) / (2.0 * half)
 
 
 def quiet_overflow(fn: Callable) -> Callable:

@@ -106,12 +106,25 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     coordinate t (``theta = kind.to_theta(t)``): the bracket starts at the
     kind's sample seed and its half-width doubles, clipped to the kind's
     window, until the score sum changes sign.  The root must bring the sum
-    below ``tol`` in absolute value.  This is :func:`mle_block` on one
-    problem of the one row ``sample``, which it brackets and refines in
-    Python floats and sums by extraction on its score array.
+    below ``tol`` in absolute value.  This is :func:`mle_block`'s lane on
+    the one row ``sample``, bracketed and refined in Python floats
+    (``score.brent_one``) and summed by extraction on its score array.
     """
     _admit(kind, [(model, sample)])
-    theta, residual, iterations, lo, hi, _ = _solve_row(kind, model, sample.values, tol)
+    sums = ScoreSums(kind, [model])
+    to_theta = _to_theta(kind)
+
+    def s(t: float) -> float:
+        return sums.row(to_theta(np.array([t])), sample.values)
+
+    center, half = _seed(kind, 1, [(slice(None), sample.values[None])])
+    lo, hi, s_lo, s_hi, _ = _bracket_one(kind.theta_window, center, half, s)
+    root, residual, iterations, converged = brent_one(s, lo, hi, s_lo, s_hi, XTOL, MAX_ITER)
+    if not converged:
+        raise _unconverged(root)
+    if not abs(residual) < tol:
+        raise _above_tol(residual, root, tol)
+    theta, lo, hi = to_theta(np.array([root, lo, hi])).tolist()
     return MleResult(theta, residual, BracketedRoot(iterations, (lo, hi)), kind)
 
 
@@ -141,18 +154,12 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
     search and one Brent lockstep serve the lanes of all problems: each
     step moves every live lane with one ``kind.h`` call, scores each
     problem's lanes with its own model and sums all rows with one
-    ``row_fsums`` call.  One problem of one row is solved as :func:`mle`
-    solves it, in Python floats, where numpy steps on arrays of one would
-    cost more than the arithmetic.  Raises as soon as one row fails.
+    ``row_fsums`` call, also when there is one lane.  Raises as soon as one
+    row fails.
     """
     blocks = _admit(kind, problems)
     if not blocks:
         return []
-    if len(blocks) == 1 and blocks[0].lengths.size == 1:
-        theta, residual, iterations, lo, hi, doublings = _solve_row(
-            kind, problems[0][0], blocks[0].flat, tol)
-        return [BlockRoots(np.array([theta]), np.array([residual]), np.array([iterations]),
-                           np.array([[lo, hi]]), np.array([doublings]))]
     flat, lengths = rows = Rows(*map(np.concatenate, zip(*blocks))) if blocks[1:] else blocks[0]
     # the lane after each problem's last
     ends = np.cumsum([block.lengths.size for block in blocks]).tolist()
@@ -203,27 +210,6 @@ def _admit(kind: Kind, problems) -> list[Rows]:
 
 def _to_theta(kind: Kind) -> Callable[[np.ndarray], np.ndarray]:
     return identity if kind.to_theta is identity else partial(call_elementwise, kind.to_theta)
-
-
-def _solve_row(kind: Kind, model: DensityModel, x: np.ndarray, tol: float):
-    """:func:`mle_block`'s lane of one problem of the one row ``x``, in
-    Python floats: theta, the residual, the iterations, the bracket ends in
-    theta and the doublings."""
-    sums = ScoreSums(kind, [model])
-    to_theta = _to_theta(kind)
-
-    def s(t: float) -> float:
-        return sums.row(to_theta(np.array([t])), x)
-
-    center, half = _seed(kind, 1, [(slice(None), x[None])])
-    lo, hi, s_lo, s_hi, doublings = _bracket_one(kind.theta_window, center, half, s)
-    root, residual, iterations, converged = brent_one(s, lo, hi, s_lo, s_hi, XTOL, MAX_ITER)
-    if not converged:
-        raise _unconverged(root)
-    if not abs(residual) < tol:
-        raise _above_tol(residual, root, tol)
-    theta, lo, hi = to_theta(np.array([root, lo, hi])).tolist()
-    return theta, residual, iterations, lo, hi, doublings
 
 
 def _unconverged(root) -> BracketFailure:

@@ -25,15 +25,17 @@ import numpy as np
 
 from .density import (
     MAX_COUNT,
+    CumulativeIntegral,
     DensityModel,
     InverseCdfSampler,
     call_elementwise,
+    effective_interval,
     normalize,
     quiet_overflow,
 )
 from .errors import InvalidParams, NotMonotone
 from .estimator import mle_block
-from .score import LOCATION, analyze_image, anchored_antiderivative
+from .score import LOCATION, analyze_image, bracketed_root
 
 #: the gap below which two location MLEs of one sample agree, for analytic
 #: densities: the suite's shared-MLE checks and the command-line default
@@ -121,7 +123,11 @@ def forge_odd_h(target: DensityModel, h_spec: HSpec) -> DensityModel:
         out = call_elementwise(h, phi(y))
         return out if np.ndim(y) else float(out)
 
-    antider = anchored_antiderivative(target, profile, h_phi, 80.0)
+    # the antiderivative vanishes at phi's zero and spans the target's
+    # effective interval, widened to reach one unit beyond that anchor
+    anchor = bracketed_root(profile)
+    lo, hi = effective_interval(target, drop=80.0)
+    antider = CumulativeIntegral(h_phi, anchor, min(lo, anchor - 1.0), max(hi, anchor + 1.0))
     if isinstance(h_spec, PlusEvenDerivative):
         phis = phi(np.linspace(antider.lo, antider.hi, 201))
         _check_h_increasing(h, float(phis.min()), float(phis.max()))

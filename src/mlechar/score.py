@@ -39,8 +39,8 @@ array alone (:func:`fsum_row`), several rows all at once.
 :func:`brent_lanes` is the root finder of every batch: Brent's method run
 lane by lane over a batch of brackets, step for step as SciPy's Brent solver
 runs it, in numpy lockstep over the lanes not yet converged;
-:func:`brent_one` runs the same steps in Python floats for the one-row
-solve.
+:func:`brent_one` runs the same steps in Python floats for any single
+function: the one-row solve and the zero of a score profile.
 """
 
 from __future__ import annotations
@@ -58,16 +58,15 @@ from .density import (
     FULL_LINE,
     NEGATIVE_HALF_LINE,
     POSITIVE_HALF_LINE,
-    CumulativeIntegral,
     DensityModel,
     Rows,
     Sample,
     SupportSet,
     call_array,
     call_elementwise,
-    effective_interval,
     eval_dlogf,
     median,
+    middle_mean,
     probe_grid,
 )
 from .errors import (
@@ -148,9 +147,9 @@ class Kind:
             )
 
 
-def Group(u1: Callable, u2: Callable) -> Kind:
-    """Action-less kind with the factor functions ``u1`` and ``u2 = u1'``."""
-    return Kind(u1, u2)
+#: ``Group(u1, u2)`` is the action-less kind with the factor functions
+#: ``u1`` and ``u2 = u1'``
+Group = Kind
 
 
 def _location_seed(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,15 +165,8 @@ def _rate_seed(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise AllZeroSample("scale estimation needs a nonzero observation")
     mags = np.sort(np.where(nonzero, np.abs(block), np.inf), axis=1)
     rows = np.arange(block.shape[0])
-    median = mags[rows, counts // 2]
-    even = counts % 2 == 0
-    lo, hi = mags[rows[even], counts[even] // 2 - 1], median[even]
-    # beyond magnitude 1 the halves of the middle values are added, whose
-    # sum cannot overflow; below it their sum is halved, as halving a
-    # subnormal can round it to 0
-    half = np.where(hi > 1.0, 0.5, 1.0)
-    median[even] = (lo * half + hi * half) / (2.0 * half)
-    return -np.log(median), np.full(rows.size, math.log(2.0))
+    mid = middle_mean(mags[rows, (counts - 1) // 2], mags[rows, counts // 2])
+    return -np.log(mid), np.full(rows.size, math.log(2.0))
 
 
 LOCATION = Kind(
@@ -632,25 +624,11 @@ def bracketed_root(profile: ScoreProfile) -> float:
     if flips.size == 0:
         raise NotMonotone("no sign change on the probe grid")
     i = int(flips[0])
-    roots, _, _, converged = brent_lanes(lambda x, lanes: profile.evaluate(x),
-                                      xs[i:i + 1], xs[i + 1:i + 2], vs[i:i + 1],
-                                      vs[i + 1:i + 2], xtol=1e-13, maxiter=100)
-    if not converged[0]:
+    (a, b), (fa, fb) = xs[i:i + 2].tolist(), vs[i:i + 2].tolist()
+    root, _, _, converged = brent_one(profile.evaluate, a, b, fa, fb, xtol=1e-13, maxiter=100)
+    if not converged:
         raise BracketFailure("Brent iteration did not converge within 100 steps")
-    return float(roots[0])
-
-
-def anchored_antiderivative(model: DensityModel, profile: ScoreProfile, integrand: Callable,
-                            drop: float) -> CumulativeIntegral:
-    """Antiderivative of ``integrand`` that vanishes at the zero of a score.
-
-    ``profile`` is a zero-crossing score profile of ``model``; the anchor is
-    its root.  The table spans the model's effective interval at ``drop``,
-    widened to reach at least one unit beyond the anchor on either side.
-    """
-    anchor = bracketed_root(profile)
-    lo, hi = effective_interval(model, drop=drop)
-    return CumulativeIntegral(integrand, anchor, min(lo, anchor - 1.0), max(hi, anchor + 1.0))
+    return root
 
 
 #: relative tolerance of every Brent solve, just above the 4 eps floor that

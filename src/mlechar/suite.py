@@ -21,7 +21,8 @@ not depend on it.
 
 Reports carry one record per check with a pass/fail verdict.  The machine
 format is deterministic: an identical configuration (seed included) emits
-byte-identical JSON.
+byte-identical JSON for one numpy build on one SIMD dispatch path, and the
+same verdicts and non-numeric fields on every path.
 """
 
 from __future__ import annotations

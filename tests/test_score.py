@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mlechar import MlecharError, OddPower, forge_odd_h, lookup, score, tilt
 from mlechar.catalog import kind_for
-from mlechar.density import DensityModel, SupportSet
+from mlechar.density import DensityModel, SupportSet, tabulated_model
 from mlechar.errors import InvalidParams, NotMonotone, UnsupportedSupport
 from mlechar.score import (
     LOCATION,
@@ -16,6 +16,7 @@ from mlechar.score import (
     Group,
     analyze_image,
     bracketed_root,
+    brent_lanes,
     kind_profiles,
     kind_score,
     ScoreSums,
@@ -133,21 +134,36 @@ def test_score_turning_back_beyond_the_probe_grid_is_not_monotone():
         analyze_image(bump, LOCATION)
 
 
+def _tabulated_logistic():
+    # a logistic log-density centred at 0.3, off every node and probe point
+    xs = np.linspace(-40.0, 40.0, 801)
+    z = xs - 0.3
+    return tabulated_model(SupportSet.full_line(), xs, -z - 2.0 * np.log1p(np.exp(-z)))
+
+
 @pytest.mark.parametrize("name,params,kind", [
     ("gaussian", {}, "location"),
     ("gumbel", {}, "location"),
     ("logistic", {}, "location"),
     ("gamma", {"alpha": 2.0}, "scale"),
     ("weibull", {"k": 2.0}, "scale"),
+    ("tabulated", None, "location"),
 ])
 def test_score_root_is_tiny_at_bracketed_zero(name, params, kind):
-    entry = lookup(name, params)
-    if kind == "location":
-        prof = analyze_image(entry.model, LOCATION)
-    else:
-        prof = analyze_image(entry.model, SCALE)
+    model = _tabulated_logistic() if params is None else lookup(name, params).model
+    prof = analyze_image(model, LOCATION if kind == "location" else SCALE)
     root = bracketed_root(prof)
     assert abs(prof.evaluate(root)) < 1e-8
+    # the float steps end where a one-lane lockstep on the first sign-change
+    # cell of the probe grid ends, bit for bit
+    xs = score._central_grid(prof.domain)
+    vs = prof.evaluate(xs)
+    i = int(np.flatnonzero(np.sign(vs[:-1]) * np.sign(vs[1:]) <= 0)[0])
+    roots, _, _, converged = brent_lanes(lambda x, lanes: prof.evaluate(x), xs[i:i + 1],
+                                         xs[i + 1:i + 2], vs[i:i + 1], vs[i + 1:i + 2],
+                                         xtol=1e-13, maxiter=100)
+    assert converged[0]
+    assert root.hex() == float(roots[0]).hex()
 
 
 def test_group_profile_symmetric_image(gaussian, sinh_arcsinh):

@@ -1,8 +1,10 @@
 """The repository tools: the machine-report diff, the code-line counter, the
 BENCH file writer, the benchmark pair runner, the CLI battery, the solve
-digest and the construction digest; the python examples of the README; and
-one operation of each benchmark workload."""
+digest, the construction digest and the traffic trace; the python examples
+of the README; one operation of each benchmark workload; and the reports'
+host contract across numpy's SIMD dispatch paths."""
 
+import ast
 import copy
 import hashlib
 import importlib.util
@@ -285,6 +287,33 @@ def test_construct_digest_prints_hex_lines_per_family_kind_and_construction():
     assert again.stdout == proc.stdout
 
 
+def test_traffic_lists_the_statements_no_workload_runs():
+    traffic = load("traffic")
+    src = TOOLS.parent / "src"
+    proc = subprocess.run([sys.executable, str(TOOLS / "traffic.py"), str(src)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    headings = [line.split(":")[0] for line in lines if not line.startswith(" ")]
+    modules = sorted(f"mlechar/{path.name}" for path in (src / "mlechar").glob("*.py"))
+    assert headings == modules + ["total"]
+    # only tests call CatalogEntry.group_density: every statement of it is listed
+    start = next(i for i, line in enumerate(lines) if line.startswith("mlechar/catalog.py"))
+    listed = {}
+    for line in lines[start + 1:]:
+        if not line.startswith("  "):
+            break
+        scope, spans = line.strip().split(": ")
+        listed[scope] = [tuple(map(int, span.split("-"))) if "-" in span else (int(span),) * 2
+                         for span in spans.split(", ")]
+    source = (src / "mlechar" / "catalog.py").read_text()
+    own = [(scope, first) for scope, first, _ in traffic.statements(ast.parse(source))
+           if scope.startswith("CatalogEntry.group_density")]
+    assert own
+    for scope, first in own:
+        assert any(a <= first <= b for a, b in listed.get(scope, ())), (scope, first)
+
+
 # one operation of each benchmark workload, run as the benchmark runs it; -B
 # keeps the import from writing bytecode beside the benchmark's files
 WORKLOAD_SMOKE = """
@@ -317,3 +346,92 @@ def test_one_operation_of_each_benchmark_workload_is_correct(tmp_path):
     for name, tally in tallies.items():
         assert tally["attempted"] > 0, name
         assert tally["wrong"] == {}, (name, tally["wrong"])
+
+
+# a reduced suite that reaches every section, and three commands, run
+# in-process through the CLI; prints each command's exit code and stdout
+DISPATCH_CHILD = """
+import contextlib, io, json, sys
+from pathlib import Path
+from mlechar import cli
+out = Path(sys.argv[1])
+config = {
+    "families": [{"name": "gaussian", "params": {}, "kinds": ["location", "scale"]},
+                 {"name": "gamma", "params": {"alpha": 2}, "kinds": ["scale"]},
+                 {"name": "student", "params": {"nu": 3}, "kinds": ["scale"]},
+                 {"name": "sinh_arcsinh_skew_normal", "params": {}, "kinds": ["group"]}],
+    "equivalence": [{"name": "gaussian", "params": {}, "kind": "location"},
+                    {"name": "gamma", "params": {"alpha": 2}, "kind": "scale"},
+                    {"name": "sinh_arcsinh_skew_normal", "params": {}, "kind": "group"}],
+    "trials": 20, "sample_sizes": [3, 8], "seed": 1}
+(out / "config.json").write_text(json.dumps(config))
+(out / "student3.json").write_text(json.dumps({"catalog": "student", "params": {"nu": 3}}))
+(out / "data.txt").write_text("0.3\\n-1.2\\n2.5\\n0.7\\n-0.4\\n")
+commands = {
+    "suite": ["suite", "--config", str(out / "config.json"), "--output", str(out / "report.json")],
+    "analyze": ["analyze", "--family", "student", "--params", "nu=3", "--kind", "scale"],
+    "mle": ["mle", "--family", str(out / "student3.json"), "--kind", "scale",
+            "--data", str(out / "data.txt")],
+    "tilt": ["tilt", "--family", str(out / "student3.json"), "--kind", "loc", "--d", "2"],
+}
+runs = {}
+for name, argv in commands.items():
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    runs[name] = {"exit": code, "stdout": stdout.getvalue()}
+print(json.dumps(runs))
+"""
+
+#: numpy's AVX-512 dispatch targets, whose loops move the last bits of some
+#: sums and transcendental functions
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+def _printed(stdout: str) -> dict:
+    return dict(line.split("=", 1) for line in stdout.splitlines() if "=" in line)
+
+
+def test_reports_agree_across_numpy_dispatch_paths(tmp_path, capsys):
+    # bytes are identical for one numpy build on one SIMD dispatch path;
+    # verdicts and everything report_diff treats as non-numeric are
+    # identical on every path
+    root = TOOLS.parent
+    runs = []
+    for name, disabled in (("native", None), ("no_avx512", NO_AVX512)):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        (tmp_path / name).mkdir()
+        proc = subprocess.run([sys.executable, "-c", DISPATCH_CHILD, str(tmp_path / name)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout.splitlines()[-1]))
+    native, reduced = runs
+    assert {k: v["exit"] for k, v in native.items()} == {k: v["exit"] for k, v in reduced.items()}
+    assert native["suite"]["exit"] == 0
+    reports = [tmp_path / name / "report.json" for name in ("native", "no_avx512")]
+    assert json.loads(reports[0].read_text())["verdicts"] == \
+        json.loads(reports[1].read_text())["verdicts"]
+    if not _cpu_features().get("AVX512F"):
+        # both children take the one dispatch path this host has
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+    assert load("report_diff").main([str(path) for path in reports]) == 0
+    out = capsys.readouterr().out
+    assert out == "" or out.endswith(", 0 other differences\n"), out
+    floats = re.compile(r"\d\.\d|\d[eE][-+]?\d")
+    for command in ("analyze", "mle", "tilt"):
+        a, b = _printed(native[command]["stdout"]), _printed(reduced[command]["stdout"])
+        assert a and list(a) == list(b), command
+        for key, value in a.items():
+            if not floats.search(value):
+                assert b[key] == value, (command, key)
