@@ -28,9 +28,10 @@ parameter (group kind) with MNSS 3.
 
 Every formula is a numpy expression that takes a float or an ndarray, and is
 written once, in its family's builder.  Formulas whose exponentials, powers
-or squares of x can overflow are wrapped in ``density.quiet_overflow``, so
-they give an infinity without a warning; the Student formulas, whose values
-stay finite, switch to their large-|x| forms there instead.  A closed-form
+or squares of x, or divisions by x, can overflow are wrapped in
+``density.quiet_overflow``, so they give an infinity without a warning; the
+Student formulas, whose values stay finite, switch to their large-|x| forms
+there instead.  A closed-form
 MLE is a ``(name, estimate)`` pair in ``CatalogEntry.closed_form`` whose
 estimate closes over the builder's own parameters and maps one sample, or
 an ``(m, n)`` block of rows, to one estimate per row.
@@ -224,7 +225,7 @@ def _gamma(params: dict) -> CatalogEntry:
     return _entry(
         "gamma", p, SupportSet.positive_half_line(),
         lambda x: (alpha - 1.0) * np.log(x) - x - lgam,
-        lambda x: (alpha - 1.0) / x - 1.0,
+        quiet_overflow(lambda x: (alpha - 1.0) / x - 1.0),
         analytic_scores={"scale": lambda x: alpha - x},
         score_formulas={"scale": f"psi(x) = {alpha:g} - x"},
         analytic_bounds={"scale": (math.inf, alpha)},

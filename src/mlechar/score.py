@@ -18,7 +18,9 @@ tilts weigh by ``|u1|^(d-1)`` and family members by ``u1(h)/u1``.
 ``analyze_image`` classifies a kind's score over a domain: strict
 monotonicity, zero crossing, and the image bounds ``(-p_minus, p_plus)`` with
 the two endpoint limits estimated along geometric sequences approaching the
-domain endpoints.
+domain endpoints.  A walk that settles gives a finite limit, one that
+reverses is not monotone, and one that does not settle ends at the infinity
+it was heading for.
 ``kind_profiles`` analyzes the score on each monotone piece of the support:
 the support itself, or the two half-lines when ``u1`` vanishes inside it.
 
@@ -447,12 +449,12 @@ class ScoreProfile:
     provenance: str
 
 
-#: endpoint sequences: geometric ratio, step budget, Cauchy tolerance of a
-#: finite limit and the magnitude that declares a limit infinite
+#: endpoint sequences: geometric ratio, step budget and the Cauchy tolerance
+#: of a finite limit; a walk that does not settle within the budget heads for
+#: an infinite limit
 TAIL_RATIO = 2.0
 TAIL_STEPS = 80
 CAUCHY_TOL = 1e-6
-INFINITE_THRESHOLD = 1e8
 
 
 def _central_grid(domain: SupportSet) -> np.ndarray:
@@ -491,46 +493,45 @@ def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
                     v_start: float, expected: float) -> float:
     """Endpoint limit of a monotone score.
 
-    Walks a geometric sequence toward the endpoint; a limit is declared
-    infinite once |value| reaches ``INFINITE_THRESHOLD`` (or overflows),
-    finite once successive values agree within the Cauchy tolerance.  Finite
-    limits are sharpened by Aitken extrapolation of the last three values
-    (the tails of all smooth scores converge geometrically along geometric
-    probe sequences).  ``expected`` is the sign the increments must keep
-    (ties allowed); a reversal means the score is not monotone out to the
-    endpoint.
+    Walks a geometric sequence toward the endpoint, with one rule per
+    outcome.  A walk that settles, once successive values agree within the
+    Cauchy tolerance, gives a finite limit, sharpened by Aitken extrapolation
+    of the last three values (the tails of all smooth scores converge
+    geometrically along geometric probe sequences).  ``expected`` is the sign
+    the increments must keep (ties allowed); a reversal means the score is
+    not monotone out to the endpoint and raises :class:`NotMonotone`.  A walk
+    that does not settle ends at the infinity of the expected sign: a value
+    that is NaN or infinite, an overflow while scoring, or the ``TAIL_STEPS``
+    budget running out.
 
-    The ``TAIL_STEPS`` points are scored in one array call, quietly, and
-    the walk reads their values in order up to its stopping point.  If that
-    call raises (a point past the stopping point may reach a bounded end,
-    or overflow a ``math``-based callable), the walk scores point by point,
-    and only up to its stopping point.
+    The ``TAIL_STEPS`` points are scored in one array call, and the walk
+    reads their values in order up to its stopping point.  If that call
+    raises (a point past the stopping point may reach a bounded end, or
+    overflow a ``math``-based callable), the walk scores point by point, and
+    only up to its stopping point.  Both modes score quietly.
     """
     xs = list(_tail_points(domain, side, start))
-    try:
-        with np.errstate(all="ignore"):
-            scores = evaluate(np.array(xs)).tolist()
-    except Exception:
-        scores = map(evaluate, xs)
     values = [v_start]
-    try:
-        for x, v in zip(xs, scores):
-            if math.isnan(v):
-                return math.copysign(math.inf, expected)
-            if math.isinf(v) or abs(v) >= INFINITE_THRESHOLD:
-                return math.copysign(math.inf, v)
-            dv = v - values[-1]
-            if dv * expected < -1e-9 * max(1.0, abs(v)):
-                raise NotMonotone(
-                    f"score reverses direction approaching the {side} endpoint (x={x:g})"
-                )
-            values.append(v)
-            # gather three tail values so the acceleration step has material
-            if abs(dv) < CAUCHY_TOL and len(values) >= 3:
-                return _aitken(values[-3], values[-2], values[-1])
-    except (OverflowError, NonFiniteLogDensity):
-        return math.copysign(math.inf, expected)
-    # no convergence within budget: the values kept drifting, treat as infinite
+    with np.errstate(all="ignore"):
+        try:
+            scores = evaluate(np.array(xs)).tolist()
+        except Exception:
+            scores = map(evaluate, xs)
+        try:
+            for x, v in zip(xs, scores):
+                if not math.isfinite(v):
+                    break
+                dv = v - values[-1]
+                if dv * expected < -1e-9 * max(1.0, abs(v)):
+                    raise NotMonotone(
+                        f"score reverses direction approaching the {side} endpoint (x={x:g})"
+                    )
+                values.append(v)
+                # gather three tail values so the acceleration step has material
+                if abs(dv) < CAUCHY_TOL and len(values) >= 3:
+                    return _aitken(values[-3], values[-2], values[-1])
+        except (OverflowError, NonFiniteLogDensity):
+            pass
     return math.copysign(math.inf, expected)
 
 

@@ -10,7 +10,7 @@ from mlechar.errors import InvalidParams, NotCharacterizable, UnknownFamily
 from mlechar.catalog import kind_for
 from mlechar.density import InverseCdfSampler, Sample
 from mlechar.estimator import ClosedForm
-from mlechar.score import u1_vanishes_inside
+from mlechar.score import kind_profiles, u1_vanishes_inside
 from mlechar.suite import DEFAULT_FAMILIES, build_profiles
 
 
@@ -303,6 +303,24 @@ def test_numeric_pipeline_reproduces_expected_mnss(name, params, kind):
         assert not computed.is_finite
     else:
         assert computed.value == expected
+
+
+@pytest.mark.parametrize("name,params,kind,rtol", [
+    *[("student", {"nu": nu}, "scale", 1e-12) for nu in (1.5e8, 1e10, 1e15, 1e20)],
+    *[("gamma", {"alpha": alpha}, "scale", 1e-12) for alpha in (1e9, 1e11)],
+    *[("generalized_gaussian", {"alpha": 1e9, "gamma": gam}, "location", 1e-8)
+      for gam in (1.0, -1.0)],
+])
+def test_image_bounds_past_1e8_are_the_analytic_ones(name, params, kind, rtol):
+    # a finite limit is where the tail walk settles, however large it is;
+    # a walk that never settles heads for an infinite one
+    entry = lookup(name, params)
+    kind_ = kind_for(entry, kind)
+    profiles = kind_profiles(entry.model, kind_)
+    for prof in profiles:
+        for got, want in zip((prof.p_minus, prof.p_plus), entry.analytic_bounds[kind]):
+            assert got == want if math.isinf(want) else abs(got - want) <= rtol * want
+    assert mnss(profiles, kind_).value == entry.expected[kind]
 
 
 def test_gumbel_location_numeric_bounds(gumbel):

@@ -309,6 +309,20 @@ def test_a_subnormal_scale_row_is_a_bracket_failure_without_a_warning(name, para
             mle(lookup(name, params).model, SCALE, s(*SUBNORMAL_ROW))
 
 
+def test_a_gamma_scale_row_whose_derivative_overflows_gives_no_warning():
+    # (alpha - 1) / x overflows at x = 5e-324: the solve fails with a
+    # BracketFailure and the closed form keeps its estimate, both quietly
+    gamma = lookup("gamma", {"alpha": 2.0})
+    sample = s(4.227, 5e-324, 1.41e-10, 1.184, 1.17e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BracketFailure):
+            mle(gamma.model, SCALE, sample)
+        closed = closed_form_mle(gamma, SCALE, sample)
+    assert closed.theta_hat == 1.8480872296291244
+    assert closed.residual == math.inf
+
+
 @given(st.lists(st.floats(min_value=2.0 ** -1021, max_value=1e300) | st.sampled_from([0.0]),
                 min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)

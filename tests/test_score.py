@@ -219,6 +219,7 @@ CATALOG_CASES = st.one_of(
 @given(case=CATALOG_CASES)
 @example(case=("gaussian", {}))
 @example(case=("student", {"nu": 3.0}))
+@example(case=("generalized_gaussian", {"alpha": 1e28, "gamma": -1.0}))
 @settings(max_examples=150, deadline=None)
 def test_tail_walks_in_one_array_call_give_the_per_point_bounds(case):
     # each admitted kind of the family: its image bounds, or the error it
@@ -281,6 +282,19 @@ def test_a_math_score_that_overflows_before_the_stopping_point_has_infinite_limi
     assert (profile.p_minus, profile.p_plus) == (twin.p_minus, twin.p_plus) == (math.inf,) * 2
     assert _bounds_hex(_math_asinh(math.exp), LOCATION) == \
         _bounds_hex_per_point(_math_asinh(math.exp), LOCATION)
+
+
+def test_a_walk_that_meets_an_infinity_ends_at_the_infinity_it_was_heading_for():
+    # the score rises toward the upper end, then reads -inf past x = 1000:
+    # the walk did not settle, and its limit is +inf, the walk's own sign
+    def rises_then_breaks(x):
+        if np.ndim(x):
+            raise TypeError("scored point by point")
+        return -math.inf if x > 1e3 else x
+
+    limit = score._estimate_limit(rises_then_breaks, SupportSet.full_line(), "upper",
+                                  20.0, 20.0, 1.0)
+    assert limit == math.inf
 
 
 #: the gaussian location score is x itself; with u2 = -0.0 it keeps the sign

@@ -287,6 +287,23 @@ def test_construct_digest_prints_hex_lines_per_family_kind_and_construction():
     assert again.stdout == proc.stdout
 
 
+def test_param_sweep_prints_count_lines_then_wrong_cases():
+    src = TOOLS.parent / "src"
+    proc = subprocess.run([sys.executable, str(TOOLS / "param_sweep.py"), str(src)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    counts = [line for line in lines if not line.startswith("wrong ")]
+    assert [line.split()[0] for line in counts] == \
+        ["gamma", "weibull", "student", "generalized_gaussian", "all"]
+    for line in counts:
+        assert re.fullmatch(r"\w+ cases=\d+ right=\d+ wrong=\d+( [A-Z]\w*=\d+)*", line)
+    assert lines[:len(counts)] == counts
+    for line in lines[len(counts):]:
+        assert re.fullmatch(r"wrong \w+\(\S+\) (location|scale|group) "
+                            r"mnss=(\d+|inf) expected=(\d+|inf)", line)
+
+
 def test_traffic_lists_the_statements_no_workload_runs():
     traffic = load("traffic")
     src = TOOLS.parent / "src"
