@@ -47,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coverage import SampleSize
-from .density import DensityModel, SupportSet, quiet_overflow
+from .density import FULL_LINE, DensityModel, SupportSet, quiet_overflow
 from .errors import (
     AllZeroSample,
     InvalidConfig,
@@ -81,7 +81,6 @@ class CatalogEntry:
     analytic_bounds: dict = field(default_factory=dict)   # kind label -> (p-, p+)
     expected: dict = field(default_factory=dict)          # kind label -> value
     closed_form: dict = field(default_factory=dict)       # kind label -> (name, estimate)
-    needs_scale_identification: bool = False
     blocked: dict = field(default_factory=dict)           # kind label -> reason
     transform: Optional[Kind] = None
 
@@ -89,6 +88,13 @@ class CatalogEntry:
     def characterizable_kinds(self) -> tuple:
         """Kind labels with a recorded MNSS, the ones the results cover."""
         return tuple(self.expected)
+
+    @property
+    def needs_scale_identification(self) -> bool:
+        """Whether the scale class needs the scale-identification filter to
+        pin d = 1: a recorded scale MNSS on a half-line support, the one
+        scale support besides the full line."""
+        return "scale" in self.expected and self.model.support.kind != FULL_LINE
 
     def group_density(self, theta: float) -> DensityModel:
         """Density of the group-family member at parameter ``theta``."""
@@ -231,7 +237,6 @@ def _gamma(params: dict) -> CatalogEntry:
         analytic_bounds={"scale": (math.inf, alpha)},
         expected={"scale": math.inf},
         closed_form={"scale": ("gamma_scale", lambda x: alpha * _power_mean_rate(x, 1.0))},
-        needs_scale_identification=True,
         blocked={"location": "support"},
     )
 
@@ -300,7 +305,6 @@ def _weibull(params: dict) -> CatalogEntry:
         analytic_bounds={"scale": (math.inf, k)},
         expected={"scale": math.inf},
         closed_form={"scale": ("weibull_scale", lambda x: _power_mean_rate(x, k))},
-        needs_scale_identification=True,
         blocked={"location": "support"},
     )
 

@@ -13,10 +13,10 @@ action ``h``:
 Monotone scores that cross zero make each sum strictly monotone in theta
 with a unique root.  One solver serves every kind and every batch:
 :func:`mle_block` takes a kind and a list of problems, each a model with its
-samples (an ``(m, n)`` block, rows of different lengths, or a
-:class:`~mlechar.density.Rows`), and solves every sample of every problem
-as one lane of a single lockstep, returning per problem the arrays (θ,
-residual, iterations, bracket).  One seeding step gives each lane a bracket
+samples as a :class:`~mlechar.density.Rows` (rows of any lengths back to
+back), and solves every sample of every problem as one lane of a single
+lockstep, returning per problem the arrays (θ, residual, iterations,
+bracket).  One seeding step gives each lane a bracket
 centre and half-width from its sample; the lane doubles its half-width
 (clipped to the kind's window) until the sum changes sign, and refines the
 bracket with Brent's bisection/secant iteration
@@ -47,6 +47,7 @@ import numpy as np
 from .density import DensityModel, Rows, Sample, call_elementwise, length_blocks
 from .errors import (
     BracketFailure,
+    InvalidParams,
     NoClosedForm,
     NotCharacterizable,
     OutsideSupport,
@@ -58,7 +59,6 @@ from .score import (
     ScoreSums,
     brent_lanes,
     brent_one,
-    flatten_rows,
     identity,
 )
 
@@ -110,7 +110,7 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     the one row ``sample``, bracketed and refined in Python floats
     (``score.brent_one``) and summed by extraction on its score array.
     """
-    _admit(kind, [(model, sample)])
+    _admit(kind, [(model, Rows(sample.values, np.array([sample.n])))])
     sums = ScoreSums(kind, [model])
     to_theta = _to_theta(kind)
 
@@ -145,11 +145,11 @@ class BlockRoots(NamedTuple):
 def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots]:
     """MLEs of the rows of several models in one solve, as :func:`mle`.
 
-    ``problems`` lists ``(model, rows)`` pairs, where ``rows`` is an
-    ``(m, n)`` block, a sequence of m 1-D rows of any lengths, a
-    :class:`~mlechar.density.Rows` or a :class:`~mlechar.density.Sample`
-    (one row).  Returns one :class:`BlockRoots` per problem, whose lane i
-    equals ``mle(model, kind, Sample(rows[i]), tol)`` bit for bit.  Each
+    ``problems`` lists ``(model, rows)`` pairs, where ``rows`` is a
+    :class:`~mlechar.density.Rows` of m >= 1 rows of n >= 1 observations;
+    any other value raises :class:`InvalidParams`.  Returns one
+    :class:`BlockRoots` per problem, whose lane i equals
+    ``mle(model, kind, Sample(row_i), tol)`` bit for bit.  Each
     solve holds one ``score.ScoreSums``.  One bracket
     search and one Brent lockstep serve the lanes of all problems: each
     step moves every live lane with one ``kind.h`` call, scores each
@@ -195,16 +195,22 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
 
 
 def _admit(kind: Kind, problems) -> list[Rows]:
-    """Each problem's rows, once the kind has an action, the rows are rows
-    of observations and each problem's support admits the kind and holds
-    its rows."""
+    """Each problem's rows, once the kind has an action, each is a
+    :class:`~mlechar.density.Rows` of m >= 1 rows of n >= 1 observations,
+    and each problem's support admits the kind and holds its rows."""
     if kind.h is None:
         raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
-    blocks = [flatten_rows(rows) for _, rows in problems]
-    for (model, given), block in zip(problems, blocks):
+    blocks = []
+    for model, rows in problems:
+        if isinstance(rows, Rows):
+            rows = Rows(np.asarray(rows.flat, dtype=float), np.asarray(rows.lengths))
+        if not (isinstance(rows, Rows) and rows.flat.ndim == 1 and rows.lengths.size
+                and rows.lengths.dtype.kind in "iu" and rows.lengths.min() >= 1
+                and rows.lengths.sum() == rows.flat.size):
+            raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
         kind.check(model.support)
-        # a Sample was checked as one row when it was made
-        (given if isinstance(given, Sample) else Sample(block.flat)).require_inside(model)
+        Sample(rows.flat).require_inside(model)
+        blocks.append(rows)
     return blocks
 
 

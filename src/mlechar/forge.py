@@ -28,6 +28,7 @@ from .density import (
     CumulativeIntegral,
     DensityModel,
     InverseCdfSampler,
+    Rows,
     call_elementwise,
     effective_interval,
     normalize,
@@ -202,7 +203,8 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
     solver_tol = max(1e-10, 1e-3 * tol)
     agree = 0
     worst: Optional[Witness] = None
-    roots_f, roots_g = mle_block(LOCATION, [(f, block), (g, block)], solver_tol)
+    rows = Rows(block.ravel(), np.full(trials, n))
+    roots_f, roots_g = mle_block(LOCATION, [(f, rows), (g, rows)], solver_tol)
     for values, tf, tg in zip(block, roots_f.theta.tolist(), roots_g.theta.tolist()):
         gap = abs(tf - tg)
         if gap < tol:

@@ -33,11 +33,12 @@ One evaluator serves every score: :class:`Scorer` scores one model
 and the row sums of a solve; neither keeps what one call finds about its
 callables for the next.  :func:`kind_score` scores a point or a whole probe
 grid in one call, and one :class:`ScoreSums` call scores m samples, as rows
-of equal or different lengths back to back, with one model or with
-consecutive runs of rows each scored by its own model.  Each row sum is the
+of equal or different lengths back to back (a :class:`~mlechar.density.Rows`),
+each consecutive run of rows by its own model.  Each row sum is the
 correctly rounded exact sum of the row's scores, the value ``math.fsum``
-gives (:func:`row_fsums`), by error-free extraction: one row on its score
-array alone (:func:`fsum_row`), several rows all at once.
+gives, by error-free extraction: all rows at once (:func:`row_fsums`), or
+the one row of :meth:`ScoreSums.row` on its score array alone
+(:func:`fsum_row`).
 :func:`brent_lanes` is the root finder of every batch: Brent's method run
 lane by lane over a batch of brackets, step for step as SciPy's Brent solver
 runs it, in numpy lockstep over the lanes not yet converged;
@@ -61,8 +62,6 @@ from .density import (
     NEGATIVE_HALF_LINE,
     POSITIVE_HALF_LINE,
     DensityModel,
-    Rows,
-    Sample,
     SupportSet,
     call_array,
     call_elementwise,
@@ -74,7 +73,6 @@ from .density import (
 from .errors import (
     AllZeroSample,
     BracketFailure,
-    InvalidParams,
     NonFiniteLogDensity,
     NotMonotone,
     UnsupportedSupport,
@@ -247,38 +245,11 @@ def kind_score(model: DensityModel, kind: Kind, x):
     return Scorer(model, kind).at(x)
 
 
-def flatten_rows(rows) -> Rows:
-    """The rows of an ``(m, n)`` block, m 1-D rows of any lengths or a
-    :class:`Rows`, back to back as one float array, with the m row lengths;
-    a :class:`Sample` is one row.
-
-    Makes no numpy call per row.  Raises :class:`InvalidParams` unless there
-    are m >= 1 rows of n >= 1 observations.
-    """
-    if isinstance(rows, Sample):
-        return Rows(rows.values, np.array([rows.n]))
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        rows = Rows(rows.ravel(), np.full(rows.shape[0], rows.shape[1]))
-    elif not isinstance(rows, Rows) and np.iterable(rows):
-        rows = list(rows)
-        try:
-            # concatenate rejects scalars, no rows or rows of mixed dimensions
-            rows = Rows(np.concatenate(rows), np.array(list(map(len, rows))))
-        except (TypeError, ValueError):
-            pass
-    if isinstance(rows, Rows):
-        flat, lengths = np.asarray(rows.flat, dtype=float), np.asarray(rows.lengths)
-        if flat.ndim == 1 and lengths.size and lengths.min() >= 1 and lengths.sum() == flat.size:
-            return Rows(flat, lengths)
-    raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
-
-
 def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     """``math.fsum`` of each row, bit for bit: m rows of the given lengths
     back to back in the 1-D float array ``scores``.
 
-    One row is summed by :func:`fsum_row`; more are summed all at once by
-    error-free extraction
+    The rows are summed all at once by error-free extraction
     (``ExtractVector`` of Rump, Ogita and Oishi, "Accurate floating-point
     summation, part I", SIAM J. Sci. Comput. 31(1), 2008).  With
     ``2^M >= n + 2`` for a row of n and ``sigma = 2^M 2^e`` for its
@@ -297,8 +268,6 @@ def row_fsums(scores: np.ndarray, lengths) -> np.ndarray:
     overflows as it would on the scores.
     """
     lengths = np.asarray(lengths)
-    if lengths.size == 1:
-        return np.array([fsum_row(scores)])
     starts = np.cumsum(lengths) - lengths
     # M = ceil(log2(n + 2)), the bit length of n + 1
     spread = np.frexp(lengths + 1)[1]
@@ -384,18 +353,16 @@ class ScoreSums:
                  ends=None) -> np.ndarray:
         """m row sums, row i at ``h(theta[i], x)``: ``flat`` holds the rows
         back to back, and model j scores the rows from ``ends[j-1]`` (0 for
-        the first) up to ``ends[j]`` (all rows, for one model)."""
-        # a single row needs no theta repeated
-        moved = self.h(theta if theta.size == 1 else np.repeat(theta, lengths), flat)
-        if len(self.scorers) == 1:
-            scores = self.scorers[0](moved)
-        else:
-            # each model scores the contiguous slice of its rows' points
-            stops = np.concatenate([[0], np.cumsum(lengths)])[ends].tolist()
-            scores = np.empty_like(moved)
-            for scorer, start, stop in zip(self.scorers, [0] + stops, stops):
-                if start < stop:
-                    scores[start:stop] = scorer(moved[start:stop])
+        the first) up to ``ends[j]`` (by default, one model scores all
+        rows)."""
+        moved = self.h(np.repeat(theta, lengths), flat)
+        # each model scores the contiguous slice of its rows' points
+        ends = [lengths.size] if ends is None else ends
+        stops = np.concatenate([[0], np.cumsum(lengths)])[ends].tolist()
+        scores = np.empty_like(moved)
+        for scorer, start, stop in zip(self.scorers, [0] + stops, stops):
+            if start < stop:
+                scores[start:stop] = scorer(moved[start:stop])
         # the moved points go before the row sums take two arrays of their size
         del moved
         try:
@@ -443,10 +410,14 @@ class ScoreProfile:
     domain: SupportSet
     evaluate: Callable
     monotone_increasing: bool
-    crosses_zero: bool
     p_minus: float
     p_plus: float
     provenance: str
+
+    @property
+    def crosses_zero(self) -> bool:
+        """Whether the image ``(-p_minus, p_plus)`` holds zero."""
+        return self.p_minus > 0.0 < self.p_plus
 
 
 #: endpoint sequences: geometric ratio, step budget and the Cauchy tolerance
@@ -573,13 +544,11 @@ def analyze_image(model: DensityModel, kind: Kind,
     hi_limit = _estimate_limit(evaluate, domain, "upper", float(xs[-1]), float(vs[-1]),
                                1.0 if increasing else -1.0)
     inf_limit, sup_limit = (lo_limit, hi_limit) if increasing else (hi_limit, lo_limit)
-    crosses = inf_limit < 0.0 < sup_limit
 
     return ScoreProfile(
         domain=domain,
         evaluate=evaluate,
         monotone_increasing=increasing,
-        crosses_zero=crosses,
         p_minus=-inf_limit,
         p_plus=sup_limit,
         provenance="numeric",

@@ -161,16 +161,6 @@ class SuiteConfig:
         return {name: write(getattr(self, name)) for name, (_, write) in _FIELDS.items()}
 
 
-class _Case(tuple):
-    """An ``equivalence`` case ``(name, params, kind)`` that knows whether its
-    class is a singleton, the fact the tilt-exponent rule needs."""
-
-    def __new__(cls, case: tuple, singleton: bool = False):
-        self = super().__new__(cls, case)
-        self.singleton = singleton
-        return self
-
-
 def _same(value):
     return value
 
@@ -237,7 +227,7 @@ def _equivalence(value):
             kind.check(entry.model.support)
         except MlecharError as exc:
             raise InvalidConfig(f"equivalence {name!r}/{label}: {exc}") from exc
-        yield _Case((name, params, label), u1_vanishes_inside(kind, entry.model.support))
+        yield name, params, label
 
 
 #: each SuiteConfig field: the reader of its JSON value, which checks all
@@ -272,10 +262,12 @@ def config_from_json(doc: dict) -> SuiteConfig:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"malformed suite config: {exc!r}") from exc
     # the one rule that spans two fields
-    singleton = next((case for case in config.equivalence if case.singleton), None)
-    if singleton and any(d != 1.0 for d in config.tilt_exponents):
-        raise InvalidConfig(f"equivalence {singleton[0]!r}/{singleton[2]}: the class is a "
-                            "singleton, so every tilt exponent must be 1")
+    if any(d != 1.0 for d in config.tilt_exponents):
+        for name, params, label in config.equivalence:
+            entry = cat.lookup(name, params)
+            if u1_vanishes_inside(cat.kind_for(entry, label), entry.model.support):
+                raise InvalidConfig(f"equivalence {name!r}/{label}: the class is a "
+                                    "singleton, so every tilt exponent must be 1")
     return config
 
 
@@ -444,7 +436,7 @@ def _section_counterexample(config: SuiteConfig, gaussian, forged) -> list[dict]
         "verdict": _verdict((rep2.agreement_fraction, "==", 1.0)),
     })
 
-    witness = [np.array([0.0, 0.0, 3.0])]
+    witness = Rows(np.array([0.0, 0.0, 3.0]), np.array([3]))
     tf, tg = (float(roots.theta[0]) for roots in mle_block(
         LOCATION, [(gaussian, witness), (forged, witness)]))
     expected_tg = 3.0 / (1.0 + 2.0 ** (1.0 / 3.0))

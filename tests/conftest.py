@@ -6,6 +6,22 @@ from mlechar.suite import SuiteConfig, run_suite
 
 
 @pytest.fixture(scope="session")
+def avx512():
+    """Whether numpy takes its AVX-512 (Skylake-X and later) loops here.
+
+    Some of its sums and transcendental functions round differently in the
+    last place there than in its AVX2 loops, which a process started with
+    ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` takes on the
+    same CPU; a test that pins such bits keeps one literal per path.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512_SKX"))
+
+
+@pytest.fixture(scope="session")
 def gaussian():
     return lookup("gaussian")
 

@@ -13,6 +13,7 @@ from mlechar import OddPower, forge_odd_h, lookup, tilt
 from mlechar.cli import main
 from mlechar.density import (
     DensityModel,
+    Rows,
     SupportSet,
     check_dlog_pdf,
     compact_grid,
@@ -75,7 +76,8 @@ def test_mle_on_a_loaded_tilt_meets_the_residual_contract(tmp_path, gaussian, d)
     for seed in range(60):
         rng = np.random.default_rng(seed)
         rows.append(rng.normal(rng.uniform(-1.0, 1.0), 1.0, 50))
-    (roots,) = mle_block(LOCATION, [(loaded, np.array(rows))], DEFAULT_TOL)
+    (roots,) = mle_block(LOCATION, [(loaded, Rows(np.concatenate(rows), np.full(60, 50)))],
+                         DEFAULT_TOL)
     assert (np.abs(roots.residual) < DEFAULT_TOL).all()
     assert np.abs(roots.theta - np.mean(rows, axis=1)).max() < 1e-5
 

@@ -212,8 +212,8 @@ def test_mnss_requires_zero_crossing(gaussian):
     shifted = type(prof)(
         domain=prof.domain,
         evaluate=lambda x: prof.evaluate(x) ** 2 + 1.0,
-        monotone_increasing=True, crosses_zero=False,
-        p_minus=1.0, p_plus=math.inf,
+        monotone_increasing=True,
+        p_minus=-1.0, p_plus=math.inf,
         provenance=prof.provenance,
     )
     with pytest.raises(NotCharacterizable):

@@ -400,7 +400,9 @@ def test_heavy_tailed_tilts_without_mass_raise(family, params, d):
 #: log_mass of the raw tilts and forged densities the construction benchmark
 #: normalizes, as float.hex, from the level-by-level rule before its first
 #: halvings were batched into one log-density call; a batch that changed the
-#: nodes, their order or the summation would move these bits
+#: nodes, their order or the summation would move these bits.  The values
+#: are numpy's AVX-512 loops'; TILT_LOG_MASS_BITS_AVX2 holds the ones its
+#: AVX2 loops round differently
 TILT_LOG_MASS_BITS = [
     ("gaussian", "location", 0.25, "0x1.61e1c2aa2e47cp+0"),
     ("gaussian", "location", 0.5, "0x1.9cb1a63af7c52p-1"),
@@ -433,6 +435,10 @@ TILT_LOG_MASS_BITS = [
     ("sinh_arcsinh_skew_normal", "group", 5.0, "-0x1.03f3ebc4536c6p+2"),
     ("sinh_arcsinh_skew_normal", "group", 8.0, "-0x1.bbc6c05b8a335p+2"),
 ]
+TILT_LOG_MASS_BITS_AVX2 = {
+    ("gamma", 2.0): "-0x1.f62f40794a7b7p-1",
+    ("gamma", 5.0): "-0x1.a57255103e2c3p+1",
+}
 FORGE_LOG_MASS_BITS = [
     ("gaussian", "odd-power p=3", "0x1.e205983115ca5p-1"),
     ("gaussian", "odd-power p=5", "0x1.d55ff4f4e5449p-1"),
@@ -463,9 +469,11 @@ def _normalized_log_mass(monkeypatch, build) -> float:
 
 
 @pytest.mark.parametrize("family,label,d,bits", TILT_LOG_MASS_BITS)
-def test_tilt_log_masses_keep_their_bits(monkeypatch, family, label, d, bits):
+def test_tilt_log_masses_keep_their_bits(monkeypatch, avx512, family, label, d, bits):
     entry = lookup(family, TILT_PARAMS.get(family, {}))
     build = lambda: tilt(entry.model, d, kind_for(entry, label))
+    if not avx512:
+        bits = TILT_LOG_MASS_BITS_AVX2.get((family, d), bits)
     assert _normalized_log_mass(monkeypatch, build).hex() == bits
 
 

@@ -155,7 +155,9 @@ def test_config_sample_sizes_must_not_be_empty():
 def test_a_validated_config_pickles():
     config = SuiteConfig(equivalence=(("gaussian", {}, "scale"),), tilt_exponents=(1.0,))
     again = pickle.loads(pickle.dumps(config.validate()))
-    assert again == config and again.equivalence[0].singleton
+    assert again == config
+    with pytest.raises(InvalidConfig, match="the class is a singleton"):
+        replace(again, tilt_exponents=(2.0,)).validate()
 
 
 def test_run_suite_runs_the_validated_config():

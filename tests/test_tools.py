@@ -2,7 +2,7 @@
 BENCH file writer, the benchmark pair runner, the CLI battery, the solve
 digest, the construction digest and the traffic trace; the python examples
 of the README; one operation of each benchmark workload; and the reports'
-host contract across numpy's SIMD dispatch paths."""
+and the pinned bits' host contract across numpy's SIMD dispatch paths."""
 
 import ast
 import copy
@@ -229,6 +229,29 @@ def test_readme_python_blocks_run():
         exec(compile(block, str(README), "exec"), {})
 
 
+def test_readme_library_block_gives_the_values_its_comments_state():
+    # each bare expression of the "## Library" block is evaluated in order
+    # and kept by its source text
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```", section, re.S | re.M).group(1)
+    scope, values = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), str(README), "eval")
+            values[ast.get_source_segment(block, stmt)] = eval(code, scope)
+        else:
+            exec(compile(ast.Module([stmt], []), str(README), "exec"), scope)
+    assert abs(values["m.kind_score(entry.model, m.SCALE, 2.0)"] + 9 / 7) <= 1e-15
+    assert values["m.mnss((neg, pos), m.SCALE).value"] == 4
+    assert abs(values["m.same_class(gamma.model, tilted, m.SCALE)"] - 2.0) <= 1e-6
+    assert values["m.scale_identification(gamma.model, tilted).verdict"] == "mismatch"
+    # alpha / mean(x), the gamma(2) scale MLE in closed form
+    closed = 2.0 / scope["sample"].values.mean()
+    assert abs(values["m.mle(gamma.model, m.SCALE, sample).theta_hat"] - closed) <= 1e-12 * closed
+    assert abs(values["m.closed_form_mle(gamma, m.SCALE, sample).theta_hat"] - closed) <= \
+        1e-15 * closed
+
+
 def test_cli_battery_runs_its_commands_in_fresh_interpreters(tmp_path):
     battery = load("cli_battery")
     subcommands = {command.split()[0] for command in battery.COMMANDS if command}
@@ -415,6 +438,25 @@ def _cpu_features() -> dict:
 
 def _printed(stdout: str) -> dict:
     return dict(line.split("=", 1) for line in stdout.splitlines() if "=" in line)
+
+
+#: the tests that pin bits of numpy's vector loops, with one literal per
+#: dispatch path where the paths round differently
+PINNED_BITS_TESTS = ("tests/test_density.py::test_tilt_log_masses_keep_their_bits",
+                     "tests/test_estimator.py::test_mle_large_solves_keep_their_bits")
+
+
+def test_pinned_bits_hold_on_the_avx2_dispatch_path():
+    # a child process with numpy's AVX-512 targets disabled takes its AVX2
+    # loops, and the pinned tests pick that path's literals
+    root = TOOLS.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *PINNED_BITS_TESTS], cwd=root, capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    # every case ran and passed, none skipped
+    assert re.fullmatch(r"\d+ passed in .*", proc.stdout.splitlines()[-1]), proc.stdout[-3000:]
 
 
 def test_reports_agree_across_numpy_dispatch_paths(tmp_path, capsys):

@@ -22,7 +22,8 @@ from pathlib import Path
 def digest(seeds) -> list[str]:
     import numpy as np
 
-    from mlechar import MlecharError, Sample, catalog
+    from mlechar import MlecharError, catalog
+    from mlechar.density import Rows
     from mlechar.estimator import mle_block
     from workloads import MLE_CASES, MLE_SIZES, MLE_TOL, draw
 
@@ -34,9 +35,9 @@ def digest(seeds) -> list[str]:
             kind = catalog.kind_for(entry, label)
             for n in MLE_SIZES:
                 case = f"seed={seed} {name}/{label} n={n}"
-                sample = Sample(draw(rng, name, params, n))
+                rows = Rows(draw(rng, name, params, n), np.array([n]))
                 try:
-                    (roots,) = mle_block(kind, [(entry.model, sample)], MLE_TOL)
+                    (roots,) = mle_block(kind, [(entry.model, rows)], MLE_TOL)
                 except MlecharError as exc:
                     lines.append(f"{case} {type(exc).__name__}: {exc}")
                     continue
