@@ -121,12 +121,13 @@ def _cmd_analyze(args) -> int:
         _kv("characterizable", "false")
         _kv("reason", str(exc))
         return 0
+    # a profile that does not cross zero fails here, before its mcss is asked for
+    computed = mnss(profiles, cat.kind_for(entry, kind))
     for prof in profiles:
         tag = f"bounds{prof.domain}"
         _kv(tag, f"(-{prof.p_minus}, {prof.p_plus})")
         _kv(f"provenance{prof.domain}", prof.provenance)
         _kv(f"mcss{prof.domain}", mcss(prof.p_minus, prof.p_plus).value)
-    computed = mnss(profiles, cat.kind_for(entry, kind))
     expected = cat.expected_mnss(entry, kind)
     _kv("mnss", computed.value)
     _kv("expected_mnss", expected.value)

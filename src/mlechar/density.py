@@ -882,7 +882,10 @@ class InverseCdfSampler:
     def draw(self, runs) -> Rows:
         """Rows of seeded draws, back to back, from one :meth:`invert` call:
         ``runs`` lists ``(seed, sizes)``, and each seed gives one row per
-        size, in order, from the uniforms of ``numpy.random.default_rng(seed)``."""
+        size, in order, from the uniforms of ``numpy.random.default_rng(seed)``.
+        Seeds and sizes are at least 0."""
+        if any(seed < 0 or min(sizes, default=0) < 0 for seed, sizes in runs):
+            raise InvalidParams("sampler seeds and sizes must be >= 0")
         counts = [sum(sizes) for _, sizes in runs]
         if sum(counts) > MAX_COUNT:
             raise InvalidParams(f"{sum(counts)} values exceed the {MAX_COUNT} an array holds")

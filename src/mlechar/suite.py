@@ -165,16 +165,18 @@ def _same(value):
     return value
 
 
-def _count(value, what: str = "") -> int:
+def _count(value, what: str, low: int = 1, high: int = MAX_COUNT) -> int:
     """A JSON number with an integral value, as an int: 3 and 3.0 pass; 2.9,
     "3" and true do not, nor a value above MAX_COUNT, the most values an
-    array holds.  A count named by ``what`` must also be at least 1."""
+    array holds.  The count named by ``what`` must also lie in [low, high]."""
     if not (cat.is_number(value) and float(value).is_integer()):
         raise InvalidConfig(f"trials, sample_sizes and seed take integers, got {value!r}")
     if value > MAX_COUNT:
         raise InvalidConfig(f"trials, sample_sizes and seed must be <= {MAX_COUNT}, got {value}")
-    if what and value < 1:
-        raise InvalidConfig(f"{what} must be >= 1, got {int(value)}")
+    if value > high:
+        raise InvalidConfig(f"{what} must be <= {high}, got {int(value)}")
+    if value < low:
+        raise InvalidConfig(f"{what} must be >= {low}, got {int(value)}")
     return int(value)
 
 
@@ -242,7 +244,9 @@ _FIELDS = {
     "trials": (lambda v: _count(v, "trials"), _same),
     # an empty list reads as [0], so it is refused
     "sample_sizes": (lambda v: tuple(_count(n, "sample sizes") for n in v or [0]), list),
-    "seed": (_count, _same),
+    # _derive_seed keeps 32 bits of each label, so a seed outside [0, 2**32 - 1]
+    # would run the sections of one inside
+    "seed": (lambda v: _count(v, "seed", 0, 0xFFFFFFFF), _same),
 }
 
 
@@ -358,6 +362,14 @@ def _verdict(*checks) -> str:
                          for value, rule, threshold in checks) else "fail"
 
 
+def _record(check: str, checks, provenance: str = "numeric", **fields) -> dict:
+    """One report record: ``check``, then ``fields`` in their order, each
+    through ``enc``, then ``provenance`` and the verdict of the
+    ``(value, rule, threshold)`` ``checks`` (see ``_verdict``)."""
+    return {"check": check, **{key: enc(value) for key, value in fields.items()},
+            "provenance": provenance, "verdict": _verdict(*checks)}
+
+
 def build_profiles(entry, kind_label: str):
     """Score profiles for a catalog entry and kind (see ``kind_profiles``):
     one profile, or the (negative, positive) half-line pair for scale
@@ -392,32 +404,25 @@ def _section_equivalence(config: SuiteConfig, gaussian, forged) -> list[dict]:
     roots = _solve(problems)
     for (name, kind_label, d, d_hat), base, tilted in zip(cases, roots[::2], roots[1::2]):
         max_gap = float(np.max(np.abs(base.theta - tilted.theta)))
-        records.append({
-            "check": "shared_mle",
-            "family": name,
-            "kind": kind_label,
-            "d": d,
-            "trials_per_size": config.trials,
-            "sizes": "/".join(str(n) for n in config.sample_sizes),
-            "max_gap": enc(max_gap),
-            "d_recovered": enc(d_hat) if d_hat is not None else "none",
-            "provenance": "numeric",
-            "verdict": _verdict((math.inf if d_hat is None else abs(d_hat - d), "<", 1e-6),
-                                (max_gap, "<", AGREEMENT_TOL)),
-        })
+        checks = [(math.inf if d_hat is None else abs(d_hat - d), "<", 1e-6),
+                  (max_gap, "<", AGREEMENT_TOL)]
+        records.append(_record("shared_mle", checks,
+                               family=name,
+                               kind=kind_label,
+                               d=d,
+                               trials_per_size=config.trials,
+                               sizes="/".join(str(n) for n in config.sample_sizes),
+                               max_gap=max_gap,
+                               d_recovered=d_hat if d_hat is not None else "none"))
 
     logistic = cat.lookup("logistic").model
     for label, other in (("gaussian_vs_logistic", logistic),
                          ("gaussian_vs_quartic_forge", forged)):
         verdict_d = same_class(gaussian, other, LOCATION)
-        records.append({
-            "check": "class_discrimination",
-            "pair": label,
-            "kind": "location",
-            "d_recovered": enc(verdict_d) if verdict_d is not None else "distinct",
-            "provenance": "numeric",
-            "verdict": _verdict((verdict_d, "==", None)),
-        })
+        records.append(_record("class_discrimination", [(verdict_d, "==", None)],
+                               pair=label,
+                               kind="location",
+                               d_recovered=verdict_d if verdict_d is not None else "distinct"))
     return records
 
 
@@ -427,47 +432,36 @@ def _section_counterexample(config: SuiteConfig, gaussian, forged) -> list[dict]
     rep2 = verify_counterexample(gaussian, forged, n=2, trials=config.trials,
                                  seed=_derive_seed(config.seed, "forge", 2),
                                  tol=AGREEMENT_TOL)
-    records.append({
-        "check": "agreement_n2",
-        "trials": rep2.trials,
-        "agreement_fraction": rep2.agreement_fraction,
-        "worst_gap": enc(rep2.worst.gap) if rep2.worst else "none",
-        "provenance": "numeric",
-        "verdict": _verdict((rep2.agreement_fraction, "==", 1.0)),
-    })
+    records.append(_record("agreement_n2", [(rep2.agreement_fraction, "==", 1.0)],
+                           trials=rep2.trials,
+                           agreement_fraction=rep2.agreement_fraction,
+                           worst_gap=rep2.worst.gap if rep2.worst else "none"))
 
     witness = Rows(np.array([0.0, 0.0, 3.0]), np.array([3]))
     tf, tg = (float(roots.theta[0]) for roots in mle_block(
         LOCATION, [(gaussian, witness), (forged, witness)]))
     expected_tg = 3.0 / (1.0 + 2.0 ** (1.0 / 3.0))
-    records.append({
-        "check": "witness_n3",
-        "sample": "0,0,3",
-        "theta_target": enc(tf),
-        "theta_forged": enc(tg),
-        "expected_forged": enc(expected_tg),
-        "gap": enc(abs(tf - tg)),
-        "provenance": "analytic",
-        "verdict": _verdict((abs(tf - tg), ">", 0.3), (abs(tg - expected_tg), "<", 1e-6),
-                            (abs(tf - 1.0), "<", 1e-9)),
-    })
+    checks = [(abs(tf - tg), ">", 0.3), (abs(tg - expected_tg), "<", 1e-6),
+              (abs(tf - 1.0), "<", 1e-9)]
+    records.append(_record("witness_n3", checks, "analytic",
+                           sample="0,0,3",
+                           theta_target=tf,
+                           theta_forged=tg,
+                           expected_forged=expected_tg,
+                           gap=abs(tf - tg)))
 
     rep3 = verify_counterexample(gaussian, forged, n=3, trials=config.trials,
                                  seed=_derive_seed(config.seed, "forge", 3),
                                  tol=1e-4)
-    records.append({
-        "check": "agreement_n3_random",
-        "trials": rep3.trials,
-        "agreement_fraction": rep3.agreement_fraction,
-        "worst_sample": ",".join(f"{v:.6g}" for v in rep3.worst.sample)
-        if rep3.worst else "none",
-        "worst_gap": enc(rep3.worst.gap) if rep3.worst else "none",
-        "no_simultaneous_agreement": not (rep2.agreement_fraction == 1.0
-                                          and rep3.agreement_fraction == 1.0),
-        "provenance": "numeric",
-        # a fraction below 0.05 also rules out simultaneous agreement
-        "verdict": _verdict((rep3.agreement_fraction, "<", 0.05)),
-    })
+    # a fraction below 0.05 also rules out simultaneous agreement
+    records.append(_record("agreement_n3_random", [(rep3.agreement_fraction, "<", 0.05)],
+                           trials=rep3.trials,
+                           agreement_fraction=rep3.agreement_fraction,
+                           worst_sample=",".join(f"{v:.6g}" for v in rep3.worst.sample)
+                           if rep3.worst else "none",
+                           worst_gap=rep3.worst.gap if rep3.worst else "none",
+                           no_simultaneous_agreement=not (rep2.agreement_fraction == 1.0
+                                                          and rep3.agreement_fraction == 1.0)))
     return records
 
 
@@ -475,25 +469,17 @@ def _section_projectability(config: SuiteConfig) -> list[dict]:
     cases = [(pm, pp, n) for pm in LATTICE for pp in LATTICE for n in range(2, 9)]
     mismatches = [f"({pm},{pp},n={n})" for pm, pp, n in cases
                   if is_projectable(pm, pp, n) != brute_force_projectable(pm, pp, n, grid=41)]
-    records = [{
-        "check": "lattice_oracle",
-        "cases": len(cases),
-        "agreements": len(cases) - len(mismatches),
-        "mismatches": ";".join(mismatches) or "none",
-        "provenance": "numeric",
-        "verdict": _verdict((len(mismatches), "==", 0)),
-    }]
+    records = [_record("lattice_oracle", [(len(mismatches), "==", 0)],
+                       cases=len(cases),
+                       agreements=len(cases) - len(mismatches),
+                       mismatches=";".join(mismatches) or "none")]
     for (pm, pp), expected in (((1.0, 3.0), 4), ((1.0, 1.0), 2)):
         value = mcss(pm, pp).value
-        records.append({
-            "check": "mcss_example",
-            "p_minus": pm,
-            "p_plus": pp,
-            "mcss": enc(value),
-            "expected": expected,
-            "provenance": "analytic",
-            "verdict": _verdict((value, "==", expected)),
-        })
+        records.append(_record("mcss_example", [(value, "==", expected)], "analytic",
+                               p_minus=pm,
+                               p_plus=pp,
+                               mcss=value,
+                               expected=expected))
     return records
 
 
@@ -522,16 +508,12 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
         # rates compare relatively, locations absolutely
         worst = float(np.max(np.abs(closed - numeric.theta)
                              / (np.abs(numeric.theta) if kind is SCALE else 1.0)))
-        records.append({
-            "check": "closed_vs_numeric",
-            "family": name,
-            "kind": kind.label,
-            "formula": entry.closed_form[kind.label][0],
-            "samples": len(sizes_cycle),
-            "max_deviation": enc(worst),
-            "provenance": "numeric",
-            "verdict": _verdict((worst, "<", 1e-8)),
-        })
+        records.append(_record("closed_vs_numeric", [(worst, "<", 1e-8)],
+                               family=name,
+                               kind=kind.label,
+                               formula=entry.closed_form[kind.label][0],
+                               samples=len(sizes_cycle),
+                               max_deviation=worst))
     return records
 
 
@@ -561,15 +543,11 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
         for (name, _), roots in zip(cases, mle_block(kind, problems)):
             base, *got = roots.theta.reshape(len(elements) + 1, len(sizes_cycle))
             worst = float(np.max([deviation(theta, base, g) for theta, g in zip(got, elements)]))
-            records.append({
-                "check": check,
-                "family": name,
-                "samples": len(sizes_cycle),
-                key: "/".join(str(g) for g in elements),
-                "max_deviation": enc(worst),
-                "provenance": "numeric",
-                "verdict": _verdict((worst, "<", 1e-8)),
-            })
+            records.append(_record(check, [(worst, "<", 1e-8)],
+                                   family=name,
+                                   samples=len(sizes_cycle),
+                                   **{key: "/".join(str(g) for g in elements)},
+                                   max_deviation=worst))
     return records
 
 
@@ -619,15 +597,11 @@ def _section_families(config: SuiteConfig) -> tuple[list[dict], list[dict]]:
                 xs = _crosscheck_grid(entry)
                 worst = float(np.max(np.abs(kind_score(fd_model, kind, xs)
                                             - call_elementwise(analytic, xs))))
-                score_records.append({
-                    "check": "fd_vs_analytic_score",
-                    "family": name,
-                    "kind": kind_label,
-                    "grid": len(xs),
-                    "max_deviation": enc(worst),
-                    "provenance": "numeric",
-                    "verdict": _verdict((worst, "<", 1e-6)),
-                })
+                score_records.append(_record("fd_vs_analytic_score", [(worst, "<", 1e-6)],
+                                             family=name,
+                                             kind=kind_label,
+                                             grid=len(xs),
+                                             max_deviation=worst))
 
             bounds = entry.analytic_bounds.get(kind_label)
             if bounds is not None:
@@ -636,15 +610,12 @@ def _section_families(config: SuiteConfig) -> tuple[list[dict], list[dict]]:
                           else (abs(est - ref), "<=", 1e-3 * abs(ref))
                           for p in profiles
                           for est, ref in ((p.p_minus, bounds[0]), (p.p_plus, bounds[1]))]
-                bound_records.append({
-                    "check": "numeric_vs_analytic_bounds",
-                    "family": name,
-                    "kind": kind_label,
-                    "numeric": " ".join(f"({enc(p.p_minus)},{enc(p.p_plus)})" for p in profiles),
-                    "analytic": f"({enc(bounds[0])},{enc(bounds[1])})",
-                    "provenance": "numeric",
-                    "verdict": _verdict(*checks),
-                })
+                numeric = " ".join(f"({enc(p.p_minus)},{enc(p.p_plus)})" for p in profiles)
+                bound_records.append(_record("numeric_vs_analytic_bounds", checks,
+                                             family=name,
+                                             kind=kind_label,
+                                             numeric=numeric,
+                                             analytic=f"({enc(bounds[0])},{enc(bounds[1])})"))
         # a family's bound checks follow its score checks
         score_records += bound_records
     return mnss_records, score_records

@@ -245,6 +245,17 @@ def test_cli_analyze(capsys):
     assert out["reason"] == "not_monotone"
 
 
+def test_cli_analyze_names_a_score_that_does_not_cross_zero(capsys):
+    # the numeric image of gamma(1e-300)'s scale score lies below 0 in
+    # floating point, so the zero crossing fails before the profile's mcss
+    assert main(["analyze", "--family", "gamma", "--params", "alpha=1e-300",
+                 "--kind", "scale"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numeric error: scale score on (0.0, inf) "
+                            "does not cross zero\n")
+    assert "characterizable" not in captured.out and "bounds" not in captured.out
+
+
 def test_cli_analyze_unknown_family(capsys):
     assert main(["analyze", "--family", "nonesuch", "--kind", "loc"]) == 2
 

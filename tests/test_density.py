@@ -567,6 +567,20 @@ def test_one_sampler_or_one_per_call_draws_the_same_rows(gaussian):
     assert not any(isinstance(v, InverseCdfSampler) for v in vars(model).values())
 
 
+def test_a_negative_seed_or_size_is_refused(gaussian):
+    sampler = InverseCdfSampler(gaussian.model)
+    for call in (lambda: sample_from(gaussian.model, 5, -1),
+                 lambda: sampler.rows(5, [3, -2]),
+                 lambda: sampler.draw([(-1, [3])]),
+                 lambda: sampler.draw([(1, [3, -2])]),
+                 lambda: sampler.draw([(1, [3]), (2, [-1, 4])])):
+        with pytest.raises(InvalidParams, match="^sampler seeds and sizes must be >= 0$"):
+            call()
+    # a size of 0 draws an empty row
+    rows = sampler.draw([(1, [0, 2]), (0, [])])
+    assert rows.lengths.tolist() == [0, 2] and rows.flat.size == 2
+
+
 def test_sample_requires_normalized(quartic_unnormalized):
     with pytest.raises(ValueError):
         sample_from(quartic_unnormalized, 10, seed=1)

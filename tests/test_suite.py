@@ -1,8 +1,10 @@
 import json
 import os
 import pickle
+import re
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +147,21 @@ def test_config_counts_no_array_can_hold_are_refused(doc):
         config_from_json(doc)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (-(2 ** 32) + 5, "seed must be >= 0, got -4294967291"),
+    (2 ** 32, "seed must be <= 4294967295, got 4294967296"),
+    (2 ** 32 + 5, "seed must be <= 4294967295, got 4294967301"),
+])
+def test_config_seeds_outside_32_bits_are_refused(seed, message):
+    # seeds are kept to 32 bits, so a wider one would run a narrower one's sections
+    for build in (lambda: config_from_json({"seed": seed}),
+                  lambda: SuiteConfig(seed=seed).validate()):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            build()
+    assert [config_from_json({"seed": s}).seed for s in (0, 2 ** 32 - 1)] == [0, 2 ** 32 - 1]
+
+
 def test_config_sample_sizes_must_not_be_empty():
     with pytest.raises(InvalidConfig, match="sample sizes must be >= 1"):
         config_from_json({"sample_sizes": []})
@@ -279,10 +296,25 @@ def test_empty_family_config_yields_empty_records():
 
 
 def test_every_record_has_provenance_and_verdict(small_report):
-    for records in small_report.sections.values():
+    for section, records in small_report.sections.items():
+        assert records
         for rec in records:
             assert rec["verdict"] in ("pass", "fail")
             assert rec["provenance"] in ("numeric", "analytic")
+            # the text report prints the fields in this order
+            if section != "catalog_mnss":
+                keys = list(rec)
+                assert keys[0] == "check" and keys[-2:] == ["provenance", "verdict"], keys
+
+
+def test_readme_threshold_table_names_each_check_of_a_default_report(default_report):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Each check's fixed threshold\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    checks = {rec["check"] for section, records in default_report.sections.items()
+              if section != "catalog_mnss" for rec in records}
+    assert len(checks) == 12
+    assert sorted(rows) == sorted(checks | {"catalog_mnss"})
 
 
 def test_report_json_is_plain(small_report):

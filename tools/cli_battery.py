@@ -87,6 +87,9 @@ INPUTS = {
         families=[{"name": "gaussian", "params": {}, "kinds": "location"}]),
     "suite_output_path.json": _suite(output_path="report.json"),
     "suite_huge_trials.json": _suite(trials=1e30),
+    # seeds are kept to 32 bits, so a seed outside [0, 2**32 - 1] is refused
+    "suite_wide_seed.json": _suite(seed=4294967301),
+    "suite_negative_seed.json": _suite(seed=-1),
 }
 
 #: the commands, as the arguments after ``mlechar``
@@ -124,6 +127,8 @@ COMMANDS = [
     "analyze --family gaussian --kind scale",
     "analyze --family gamma --params alpha=2 --kind scale",
     "analyze --family gamma --params alpha=2 --kind loc",
+    # a numeric image that does not cross zero
+    "analyze --family gamma --params alpha=1e-300 --kind scale",
     "analyze --family generalized_gaussian --params alpha=2,gamma=-0.5 --kind location",
     "analyze --family generalized_gaussian --kind sca",
     "analyze --family generalized_gaussian --params alpha=1e300,gamma=1e300 --kind loc",
@@ -232,6 +237,8 @@ COMMANDS = [
     "suite --config suite_string_kinds.json",
     "suite --config suite_output_path.json",
     "suite --config suite_huge_trials.json",
+    "suite --config suite_wide_seed.json",
+    "suite --config suite_negative_seed.json",
     "suite --config missing.json",
     "suite --config broken.json",
 ]
