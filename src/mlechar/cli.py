@@ -34,7 +34,7 @@ from .errors import (
 from .estimator import mle
 from .forge import AGREEMENT_TOL, OddPower, PlusEvenDerivative, forge_odd_h, verify_counterexample
 from .score import kind_profiles
-from .specfiles import load_family_spec, write_tabulated
+from .specfiles import load_family_spec, read_json, write_tabulated
 
 KIND_ALIASES = {"loc": "location", "location": "location",
                 "scale": "scale", "sca": "scale",
@@ -255,14 +255,8 @@ def _cmd_suite(args) -> int:
     # the one subcommand that needs the suite module
     from .suite import SuiteConfig, config_from_json, emit_report, run_suite
 
-    if args.config:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidConfig(f"cannot read suite config {args.config}: {exc}") from exc
-        config = config_from_json(doc)
-    else:
-        config = SuiteConfig()
+    config = (config_from_json(read_json(args.config, "suite config")) if args.config
+              else SuiteConfig())
     report = run_suite(config)
     if args.output:
         try:

@@ -16,6 +16,15 @@ with ``-1 < t_lo < t_hi < 1`` on an unbounded support, ``x = t`` on a
 bounded one.  :func:`write_tabulated` writes the rule, whose nodes load bit
 for bit as the writer made them; hand-written files list their nodes.
 
+The log-density values are spelled in one of two ways too.  A list gives
+them as JSON numbers.  ``{"float64le": "<base64>"}`` gives their
+little-endian IEEE-754 doubles in padded standard base64 without newlines;
+only the canonical text is accepted, and the bytes must be a whole number of
+doubles.  :func:`write_tabulated` writes the encoded spelling, so a file
+loads the values the writer evaluated bit for bit, at about 43 KB for 4001
+nodes (83 KB as a list).  List-spelled files load as before; files written
+in the encoded spelling need a version that reads it.
+
 Supports are spelled ``full_line``, ``positive_half_line``,
 ``negative_half_line`` or a two-element ``[a, b]`` list.  Tabulated densities
 are interpolated with monotone cubic pieces and normalized on load unless the
@@ -24,6 +33,7 @@ document says they already are.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 from pathlib import Path
@@ -93,12 +103,33 @@ def _rule_nodes(support: SupportSet, rule: dict) -> np.ndarray:
     return compact_nodes(support, t_lo, t_hi, points)[1]
 
 
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; a file that cannot be read,
+    decoded or parsed raises :class:`IoFailure` naming it as ``what``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _decode_doubles(spec: dict) -> np.ndarray:
+    """The doubles of a ``{"float64le": "<base64>"}`` object, checked as
+    outside input: the one key, canonical text and a whole number of doubles."""
+    text = spec.get("float64le")
+    try:
+        raw = binascii.a2b_base64(text)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"tabulated log_pdf is not base64 text: {exc}") from exc
+    if (spec.keys() != {"float64le"} or len(raw) % 8
+            or binascii.b2a_base64(raw, newline=False) != text.encode()):
+        raise InvalidConfig('tabulated log_pdf must be {"float64le": "<base64>"}, '
+                            "canonical and of whole doubles")
+    return np.frombuffer(raw, dtype="<f8").astype(float)
+
+
 def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
     """Resolve a family-spec file into a normalized model (+ entry if catalog)."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IoFailure(f"cannot read family spec {path}: {exc}") from exc
+    doc = read_json(path, "family spec")
     if not isinstance(doc, dict):
         raise InvalidConfig(f"family spec {path} is not a JSON object")
 
@@ -116,10 +147,14 @@ def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
             if key not in tab:
                 raise InvalidConfig(f"tabulated spec misses {key!r}")
         support = _parse_support(tab["support"])
+        normalized = tab.get("normalized", False)
+        if not isinstance(normalized, bool):
+            raise InvalidConfig(f"tabulated normalized must be true or false, got {normalized!r}")
         try:
             grid = (_rule_nodes(support, tab["grid"]) if isinstance(tab["grid"], dict)
                     else np.asarray(tab["grid"], dtype=float))
-            log_pdf = np.asarray(tab["log_pdf"], dtype=float)
+            log_pdf = (_decode_doubles(tab["log_pdf"]) if isinstance(tab["log_pdf"], dict)
+                       else np.asarray(tab["log_pdf"], dtype=float))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"tabulated grid and log_pdf must be numbers: {exc}") from exc
         model = tabulated_model(
@@ -127,7 +162,7 @@ def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
             grid,
             log_pdf,
             name=tab.get("name", "tabulated"),
-            normalized=bool(tab.get("normalized", False)),
+            normalized=normalized,
         )
         if not model.normalized:
             _, model = normalize(model)
@@ -141,9 +176,10 @@ def write_tabulated(model: DensityModel, path) -> None:
     The grid nodes are uniform in the compactified coordinate on unbounded
     supports, which concentrates resolution in the bulk of the density (and
     around score zero crossings) rather than on far tails; the file holds
-    their rule.  Where the log-density is not finite at the outer nodes, the
-    grid shrinks to the t-ends and count of the finite run between them and
-    is evaluated anew; a value that is still not finite raises
+    their rule, and the log-density values as their encoded doubles.  Where
+    the log-density is not finite at the outer nodes, the grid shrinks to
+    the t-ends and count of the finite run between them and is evaluated
+    anew; a value that is still not finite raises
     :class:`NonFiniteLogDensity`.
     """
     ts, xs = compact_grid(model.support, *effective_interval(model), WRITTEN_POINTS)
@@ -163,7 +199,8 @@ def write_tabulated(model: DensityModel, path) -> None:
             "name": model.name,
             "support": _support_to_json(model.support),
             "grid": rule,
-            "log_pdf": ys.tolist(),
+            "log_pdf": {"float64le": binascii.b2a_base64(
+                np.asarray(ys, dtype="<f8").tobytes(), newline=False).decode()},
             "normalized": bool(model.normalized),
         }
     }

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -99,8 +100,8 @@ WRITTEN_MODELS = {
 @pytest.mark.parametrize("build", WRITTEN_MODELS.values(), ids=list(WRITTEN_MODELS))
 def test_a_written_grid_rule_loads_as_the_list_of_its_nodes(tmp_path, build):
     # the rule stands for the 4001 nodes uniform in t between the ends of
-    # the effective interval, which a file could list instead; both load to
-    # the same table, bit for bit
+    # the effective interval, and the encoded log_pdf for its doubles, which
+    # a file could list instead; both load to the same table, bit for bit
     model = build()
     ruled, listed = tmp_path / "rule.json", tmp_path / "list.json"
     write_tabulated(model, ruled)
@@ -108,6 +109,8 @@ def test_a_written_grid_rule_loads_as_the_list_of_its_nodes(tmp_path, build):
     assert doc["tabulated"]["grid"]["points"] == 4001
     doc["tabulated"]["grid"] = compact_grid(model.support, *effective_interval(model),
                                             4001)[1].tolist()
+    encoded = doc["tabulated"]["log_pdf"]["float64le"]
+    doc["tabulated"]["log_pdf"] = np.frombuffer(base64.b64decode(encoded), "<f8").tolist()
     listed.write_text(json.dumps(doc))
     (a, _), (b, _) = load_family_spec(ruled), load_family_spec(listed)
     assert a.breaks.tobytes() == b.breaks.tobytes()
@@ -578,6 +581,11 @@ def _tabulated(support, grid):
     "mle --family decreasing.json --kind loc --data one.txt",
     "mle --family reversed.json --kind loc --data one.txt",
     "mle --family two_points.json --kind loc --data one.txt",
+    # files that are not UTF-8 or nest deeper than the parser recurses
+    "mle --family latin1.json --kind loc --data one.txt",
+    "mle --family nested.json --kind loc --data one.txt",
+    "suite --config latin1.json",
+    "suite --config nested.json",
 ])
 def test_cli_invalid_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -589,10 +597,27 @@ def test_cli_invalid_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
         _tabulated("full_line", [2.0, 1.0, 0.0, -1.0, -2.0]))
     (tmp_path / "reversed.json").write_text(_tabulated([2, 1], [1.2, 1.4, 1.6, 1.8]))
     (tmp_path / "two_points.json").write_text(_tabulated("full_line", [0.0, 1.0]))
+    (tmp_path / "latin1.json").write_bytes('{"catalog": "gaussian", "name": "Gauß"}'
+                                           .encode("latin-1"))
+    (tmp_path / "nested.json").write_text("[" * 200_000)
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error:")
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+#: the canonical text of four values, one per node of ``_encoded``'s grid
+FOUR_VALUES = _b64([0.0, -1.0, -1.0, 0.0])
+
+
+def _encoded(payload, **extra):
+    # encoded values on a grid of four nodes
+    return {"tabulated": {"support": "full_line", "grid": [0, 1, 2, 3],
+                          "log_pdf": {"float64le": payload, **extra}}}
 
 
 def _rule(support, compact, points):
@@ -633,6 +658,16 @@ def _rule(support, compact, points):
     _rule("positive_half_line", [0.1, 2.0], 4),
     # a count that the values do not match
     _rule([0, 4], [1.0, 3.0], 5),
+    # encoded values: the payload, its text, its byte count, its doubles
+    _encoded(5),
+    _encoded(FOUR_VALUES[:20] + "\n" + FOUR_VALUES[20:]),
+    _encoded(FOUR_VALUES.rstrip("=")),
+    _encoded(base64.b64encode(bytes(31)).decode()),
+    _encoded(_b64([0.0, -1.0, -1.0])),
+    _encoded(_b64([0.0, float("nan"), -1.0, 0.0])),
+    _encoded(FOUR_VALUES, extra="key"),
+    {"tabulated": {"support": "full_line", "grid": [0, 1, 2, 3], "log_pdf": [0, -1, -1, 0],
+                   "normalized": "false"}},
 ])
 def test_cli_malformed_spec_exit_2(tmp_path, capsys, doc):
     spec, data = tmp_path / "spec.json", tmp_path / "data.txt"

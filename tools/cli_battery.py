@@ -14,11 +14,13 @@ command-line behaviour:
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -27,10 +29,14 @@ from pathlib import Path
 TIMEOUT_S = 300
 
 
-def _tabulated_gaussian() -> dict:
+def _tabulated_gaussian(encoded: bool = False, **extra) -> dict:
     grid = [i / 10.0 for i in range(-80, 81)]
-    return {"tabulated": {"support": "full_line", "grid": grid,
-                          "log_pdf": [-0.5 * x * x for x in grid]}}
+    log_pdf = [-0.5 * x * x for x in grid]
+    if encoded:
+        raw = struct.pack(f"<{len(log_pdf)}d", *log_pdf)
+        log_pdf = {"float64le": binascii.b2a_base64(raw, newline=False).decode()}
+    return {"tabulated": {"support": "full_line", "grid": grid, "log_pdf": log_pdf,
+                          **extra}}
 
 
 def _suite(**overrides) -> dict:
@@ -40,7 +46,8 @@ def _suite(**overrides) -> dict:
     return {**doc, **overrides}
 
 
-#: the input files, by name: JSON documents or, for a string, the raw text
+#: the input files, by name: JSON documents or, for a string or bytes, the
+#: raw content
 INPUTS = {
     "gauss.json": {"catalog": "gaussian"},
     "gamma2.json": {"catalog": "gamma", "params": {"alpha": 2}},
@@ -50,11 +57,17 @@ INPUTS = {
     "student3.json": {"catalog": "student", "params": {"nu": 3}},
     "sinh.json": {"catalog": "sinh_arcsinh_skew_normal"},
     "tab_gauss.json": _tabulated_gaussian(),
+    # the same table with its values encoded: every command prints the same
+    "tab_gauss_f8.json": _tabulated_gaussian(encoded=True),
+    # normalized takes a JSON boolean only
+    "tab_gauss_normalized_string.json": _tabulated_gaussian(normalized="false"),
     "five.json": 5,
     "no_kind.json": {"catalog": "cauchy"},
     "gamma_true.json": {"catalog": "gamma", "params": {"alpha": True}},
     "gamma_string.json": {"catalog": "gamma", "params": {"alpha": "2"}},
     "broken.json": "{",
+    "latin1.json": '{"catalog": "gaussian", "name": "Gauß"}'.encode("latin-1"),
+    "nested.json": "[" * 200_000,
     "loc.txt": "-0.7\n0.2\n1.9\n0.4\n-1.1\n2.3\n0.05\n",
     "scale.txt": "0.8\n2.5\n1.1\n3.9\n0.35\n1.6\n",
     "one.txt": "1.0\n",
@@ -157,6 +170,7 @@ COMMANDS = [
     "mle --family student3.json --kind scale --data loc.txt",
     "mle --family sinh.json --kind group --data loc.txt",
     "mle --family tab_gauss.json --kind loc --data loc.txt",
+    "mle --family tab_gauss_f8.json --kind loc --data loc.txt",
     "mle --family gauss.json --kind loc --data one.txt",
     "mle --family logistic.json --kind loc --data huge.txt",
     "mle --family logistic.json --kind loc --data huge4.txt",
@@ -170,6 +184,9 @@ COMMANDS = [
     "mle --family missing.json --kind loc --data loc.txt",
     "mle --family five.json --kind loc --data loc.txt",
     "mle --family broken.json --kind loc --data loc.txt",
+    "mle --family latin1.json --kind loc --data loc.txt",
+    "mle --family nested.json --kind loc --data loc.txt",
+    "mle --family tab_gauss_normalized_string.json --kind loc --data loc.txt",
     "mle --family no_kind.json --kind loc --data loc.txt",
     "mle --family gamma_true.json --kind scale --data scale.txt",
     "mle --family gamma_string.json --kind scale --data scale.txt",
@@ -187,6 +204,7 @@ COMMANDS = [
     "tilt --family gauss.json --d -1 --kind loc",
     "tilt --family gauss.json --d nan --kind loc",
     "tilt --family tab_gauss.json --d 2 --kind loc",
+    "tilt --family tab_gauss_f8.json --d 2 --kind loc",
     "tilt --family gauss.json --d 2 --kind loc --emit no_dir/t.json",
     "tilt --family gauss.json --d 1e308 --kind loc",
     "tilt --family sinh.json --d 1e300 --kind group",
@@ -241,6 +259,8 @@ COMMANDS = [
     "suite --config suite_negative_seed.json",
     "suite --config missing.json",
     "suite --config broken.json",
+    "suite --config latin1.json",
+    "suite --config nested.json",
 ]
 
 _WALL_CLOCK = re.compile(r"^(overall: \w+)  \[[0-9.]+s\]$")
@@ -249,7 +269,11 @@ _WALL_CLOCK = re.compile(r"^(overall: \w+)  \[[0-9.]+s\]$")
 def write_inputs(workdir: Path) -> None:
     """Write the battery's input files into ``workdir``."""
     for name, doc in INPUTS.items():
-        (workdir / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        path = workdir / name
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
 
 def _hashes(workdir: Path) -> dict:
