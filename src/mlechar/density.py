@@ -14,11 +14,14 @@ this interface, so the module also provides the shared numeric machinery:
   summed in log space on arrays: fixed-order Gauss-Legendre cells between
   the model's breaks and double-exponential rules (Takahasi & Mori, Publ.
   RIMS 9, 1974) on the two outer pieces,
-- one discretization of a support: probe points per support shape
-  (``probe_grid``), grids uniform in a compactified coordinate
-  (``compact_grid``) and fixed-order Gauss-Legendre cell integrals; each
-  model keeps its log-density on one such grid (``DensityModel.scan``),
-  which effective intervals, normalizer cuts and samplers read,
+- one discretization of a support: grids uniform in a compactified
+  coordinate (``compact_grid``) and fixed-order Gauss-Legendre cell
+  integrals.  Each support has one scan grid (``scan_grid``), 4097 such
+  points over the whole support: each model keeps its log-density there
+  (``DensityModel.scan``), which effective intervals, normalizer cuts and
+  samplers read, and the image analysis, its root and the checks on a
+  kind's factors score it there.  A grid over a window, such as an
+  effective interval, is ``compact_grid`` of the window,
 - one interpolation table (``_Table``): monotone cubic (PCHIP) pieces through
   nodes, continued linearly past the end nodes, with its derivative; a numpy
   port of SciPy's ``PchipInterpolator`` that gives its values bit for bit.
@@ -317,7 +320,7 @@ class DensityModel:
         where it is not finite, as read-only arrays; computed once per model
         (a ``dataclasses.replace`` copy scans anew).  The effective interval,
         the cut of :func:`log_mass` and the sampler's range read it."""
-        xs = _scan_grid(self.support)
+        xs = scan_grid(self.support)
         return xs, _scan_values(self.log_pdf(xs))
 
 
@@ -417,33 +420,6 @@ def check_dlog_pdf(model: DensityModel, xs, tol: float = 1e-6) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _clip(lo: float, hi: float, floor: float, cap: float) -> tuple[float, float]:
-    a, b = max(lo, floor), min(hi, cap)
-    return (a, b) if a < b else (lo, hi)
-
-
-def probe_grid(support: SupportSet, window: tuple[float, float], points: int,
-               radius: float, inner: float, pad: float) -> np.ndarray:
-    """``points`` increasing probe points in ``window`` for the support's shape.
-
-    Full line: uniform within ``+-radius``.  Half-line: geometric from
-    ``inner`` out to ``radius`` (mirrored on the negative one).  A window
-    that lies wholly beyond these caps is probed between its own ends.
-    Bounded interval: uniform, inset from both window ends by ``pad`` of its
-    width.
-    """
-    lo, hi = window
-    kind = support.kind
-    if kind == FULL_LINE:
-        return np.linspace(*_clip(lo, hi, -radius, radius), points)
-    if kind == POSITIVE_HALF_LINE:
-        return np.geomspace(*_clip(lo, hi, inner, radius), points)
-    if kind == NEGATIVE_HALF_LINE:
-        return -np.geomspace(*_clip(-hi, -lo, inner, radius), points)[::-1]
-    inset = (hi - lo) * pad
-    return np.linspace(lo + inset, hi - inset, points)
-
-
 def _from_t(t: np.ndarray) -> np.ndarray:
     return t / (1.0 - t * t)
 
@@ -489,8 +465,11 @@ def compact_grid(support: SupportSet, lo: float, hi: float, points: int,
 
 
 @functools.lru_cache(maxsize=SCAN_GRIDS)
-def _scan_grid(support: SupportSet) -> np.ndarray:
-    """4097 points of the (compactified) support, read-only."""
+def scan_grid(support: SupportSet) -> np.ndarray:
+    """The support's scan grid: 4097 points uniform in the compactified
+    coordinate, inset from its ends by 1e-7 of the coordinate's range,
+    read-only.  On the full line |x| reaches about 2.5e6; on a half-line it
+    runs from about 1e-7 to about 5e6."""
     _, xs = compact_grid(support, support.lower, support.upper, 4097, inset=1e-7)
     xs.flags.writeable = False
     return xs

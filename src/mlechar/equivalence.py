@@ -11,7 +11,7 @@ for location, ``log|x|`` for scale on a half-line, ``log sqrt(1 + x^2)`` for
 the sinh-arcsinh transform.  Classes whose ``u1`` vanishes at an interior
 point, scale over the full line among them, are singletons: only ``d = 1``
 is admissible.  The reverse direction, :func:`same_class`, recovers ``d``
-from the pointwise score ratio when that ratio is constant on a probe grid.
+from the pointwise score ratio when that ratio is constant on a grid.
 
 Half-line scale families additionally admit a scale-identification filter, a
 limit comparison of ``g(lambda x)/g(x)`` against the target at the origin,
@@ -32,11 +32,12 @@ from .density import (
     DensityModel,
     call_array,
     call_elementwise,
+    compact_grid,
     effective_interval,
     median,
     normalize,
-    probe_grid,
     quiet_overflow,
+    scan_grid,
 )
 from .errors import DegenerateScore, InvalidParams, SingletonClass, UnsupportedSupport
 from .score import Kind, kind_score, u1_vanishes_inside
@@ -51,8 +52,10 @@ def tilt_with_spec(model: DensityModel, d: float,
     """Like :func:`tilt` but also returns the normalizer.
 
     Raises :class:`InvalidParams` when ``u2`` is not the derivative of
-    ``u1`` (central differences on 41 probe points of the support, within
-    1e-6 relative plus absolute): such a pair belongs to no group.
+    ``u1`` (central differences on the support's scan grid, with steps of
+    1e-6 of ``1 + |x|`` or of the distance to a finite end, whichever is
+    less, within 1e-6 relative plus absolute): such a pair belongs to no
+    group.
     """
     if not (math.isfinite(d) and d > 0.0):
         raise InvalidParams(f"tilt exponent must be a positive real, got {d}")
@@ -69,10 +72,14 @@ def tilt_with_spec(model: DensityModel, d: float,
             )
         log_pdf, dlog = base_log, base_dlog
     else:
-        xs = probe_grid(model.support, (model.support.lower, model.support.upper),
-                        41, 20.0, 1e-3, 1e-3)
-        step = 1e-6 * (1.0 + np.abs(xs))
-        slope = (call_array(u1, xs + step) - call_array(u1, xs - step)) / (2.0 * step)
+        xs = scan_grid(model.support)
+        lo, hi = model.support.lower, model.support.upper
+        # the step shrinks toward a finite end, so the differences stay
+        # inside; near an end it is a few hundred ulps of x, so the slope
+        # divides by the step the rounded points actually take
+        step = 1e-6 * np.minimum(1.0 + np.abs(xs), np.minimum(xs - lo, hi - xs))
+        below, above = xs - step, xs + step
+        slope = (call_array(u1, above) - call_array(u1, below)) / (above - below)
         derivative = call_array(u2, xs)
         if not (np.abs(derivative - slope) <= 1e-6 * (1.0 + np.abs(derivative))).all():
             raise InvalidParams(f"u2 of the {kind!r} kind is not the derivative of u1, "
@@ -111,7 +118,8 @@ def tilt(model: DensityModel, d: float, kind: Kind) -> DensityModel:
 
 
 def _default_grid(f: DensityModel, g: DensityModel) -> np.ndarray:
-    """41 probe points inside the overlap of both models' effective regions.
+    """The 41 interior nodes of a 43-node :func:`compact_grid` over the
+    overlap of both models' effective regions.
 
     Tabulated or forged densities may be finite only on a bounded hull;
     confining the grid keeps both scores evaluable, as the comparison
@@ -122,7 +130,7 @@ def _default_grid(f: DensityModel, g: DensityModel) -> np.ndarray:
     lo, hi = max(f_lo, g_lo), min(f_hi, g_hi)
     if not lo < hi:
         raise DegenerateScore("effective supports do not overlap")
-    return probe_grid(f.support, (lo, hi), 41, 8.0, 0.05, 1e-3)
+    return compact_grid(f.support, lo, hi, 43)[1][1:-1]
 
 
 def same_class(f: DensityModel, g: DensityModel, kind: Kind,

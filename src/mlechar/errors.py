@@ -34,7 +34,8 @@ class UnsupportedSupport(MlecharError):
 
 
 class NotMonotone(MlecharError):
-    """A score function violated strict monotonicity on the probe grid."""
+    """A score function turned back, or was flat short of its float limit, on
+    its scan grid or past it."""
 
 
 # --- coverage layer ---------------------------------------------------------

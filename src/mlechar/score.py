@@ -15,12 +15,21 @@ score ``u2(x) + u1(x) f'(x)/f(x)`` with ``u2 = u1'``, and the action
 Since ``u2/u1 = (log|u1|)'``, ``log|u1|`` is the one log-Jacobian of a kind:
 tilts weigh by ``|u1|^(d-1)`` and family members by ``u1(h)/u1``.
 
-``analyze_image`` classifies a kind's score over a domain: strict
-monotonicity, zero crossing, and the image bounds ``(-p_minus, p_plus)`` with
-the two endpoint limits estimated along geometric sequences approaching the
-domain endpoints.  A walk that settles gives a finite limit, one that
-reverses is not monotone, and one that does not settle ends at the infinity
-it was heading for.
+``analyze_image`` classifies a kind's score over a domain from its values on
+the domain's scan grid (:func:`~mlechar.density.scan_grid`): monotonicity,
+zero crossing, and the image bounds ``(-p_minus, p_plus)``.  A score is
+monotone when no step turns back by more than round-off and every flat run
+(steps within a few ulps) is one where the score has reached its float
+limit: a flat run that a larger step enters or leaves, and still does when
+that step's cell is split finer, such as Laplace's sign(x) or Huber's
+clipped score, is refused.  An end of the grid where the score is flat
+gives that value as its bound, and one where it is not finite the infinity
+it was heading for.  Past any other end, a walk by powers of two (from the
+power of two just past the grid's end, or just below it toward a half-line
+origin) estimates the limit, its first step held to the flat-run rule with
+the grid's last one: a walk that settles gives a finite limit, one that
+reverses is not monotone, and one that does not settle ends at the
+infinity it was heading for.
 ``kind_profiles`` analyzes the score on each monotone piece of the support:
 the support itself, or the two half-lines when ``u1`` vanishes inside it.
 
@@ -31,8 +40,8 @@ location score is ``0 + (-1) f'/f`` without arrays of -1 and 0).
 One evaluator serves every score: :class:`Scorer` scores one model
 (support test, factors, derivative) and :class:`ScoreSums` adds the action
 and the row sums of a solve; neither keeps what one call finds about its
-callables for the next.  :func:`kind_score` scores a point or a whole probe
-grid in one call, and one :class:`ScoreSums` call scores m samples, as rows
+callables for the next.  :func:`kind_score` scores a point or a whole grid in
+one call, and one :class:`ScoreSums` call scores m samples, as rows
 of equal or different lengths back to back (a :class:`~mlechar.density.Rows`),
 each consecutive run of rows by its own model.  Each row sum is the
 correctly rounded exact sum of the row's scores, the value ``math.fsum``
@@ -68,7 +77,7 @@ from .density import (
     eval_dlogf,
     median,
     middle_mean,
-    probe_grid,
+    scan_grid,
 )
 from .errors import (
     AllZeroSample,
@@ -400,7 +409,8 @@ def _no_sum(theta: float, exc: Exception) -> BracketFailure:
 class ScoreProfile:
     """Monotonicity, zero crossing and image bounds of a score function.
 
-    A profile is only ever produced for strictly monotone scores;
+    A profile is only ever produced for monotone scores, flat only where
+    they have reached their float limit (see :func:`analyze_image`);
     ``monotone_increasing`` records the direction.  When the score crosses
     zero its image is the open interval ``(-p_minus, p_plus)`` with both
     bounds positive (possibly infinite).  ``provenance`` says how the bounds
@@ -427,24 +437,31 @@ TAIL_RATIO = 2.0
 TAIL_STEPS = 80
 CAUCHY_TOL = 1e-6
 
+#: the largest step against its direction that a monotone score may take,
+#: relative to max(1, |score|): round-off, not a turn
+REVERSAL_SLACK = 1e-9
 
-def _central_grid(domain: SupportSet) -> np.ndarray:
-    # 201 points within |x| <= 20, from 1e-3 off a half-line origin
-    return probe_grid(domain, (domain.lower, domain.upper), 201, 20.0, 1e-3, 1e-6)
+#: steps within this many ulps of the score are flat
+FLAT_ULPS = 8.0
+
+#: points a cell is split into before a flat step next to its larger step is
+#: refused: enough that a smooth score passes through steps between the two
+#: sizes on its way to its float limit
+EDGE_POINTS = 64
 
 
-def _tail_points(domain: SupportSet, side: str, start: float):
-    """Geometric sequence from ``start`` toward the given domain endpoint."""
+def _tail_points(domain: SupportSet, side: str, start: float) -> np.ndarray:
+    """``TAIL_STEPS`` points from ``start`` toward the given domain endpoint:
+    doubling from the power of two just past ``start`` toward an infinite
+    end, or halving the gap to a finite end from the power of two just below
+    ``start``'s gap, so that toward a half-line origin every point is a power
+    of two."""
     end = domain.lower if side == "lower" else domain.upper
-    x = start
-    for _ in range(TAIL_STEPS):
-        if math.isinf(end):
-            # starting points share the endpoint's sign (central grids end at
-            # +-20 or at +-1e-3 on the matching side)
-            x = x * TAIL_RATIO
-        else:
-            x = end + (x - end) / TAIL_RATIO
-        yield x
+    powers = TAIL_RATIO ** np.arange(TAIL_STEPS)
+    if math.isinf(end):
+        return math.copysign(math.ldexp(1.0, math.frexp(start)[1]), start) * powers
+    gap = start - end
+    return end + math.copysign(math.ldexp(0.5, math.frexp(gap)[1]), gap) / powers
 
 
 def _aitken(v0: float, v1: float, v2: float) -> float:
@@ -460,99 +477,181 @@ def _aitken(v0: float, v1: float, v2: float) -> float:
     return accel
 
 
-def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
-                    v_start: float, expected: float) -> float:
-    """Endpoint limit of a monotone score.
+def _steps(vs: np.ndarray):
+    """The steps of the scores ``vs``; which of them are flat (within
+    ``FLAT_ULPS`` ulps of the score they reach) and which large (past
+    ``REVERSAL_SLACK``); and the edges, the indices ``j`` where one of the
+    steps ``j`` and ``j + 1`` is flat and the other large."""
+    steps, size = np.diff(vs), np.abs(vs[1:])
+    flat = np.abs(steps) <= FLAT_ULPS * np.spacing(size)
+    large = np.abs(steps) > REVERSAL_SLACK * np.maximum(1.0, size)
+    return steps, flat, large, np.flatnonzero((flat[1:] & large[:-1]) | (flat[:-1] & large[1:]))
 
-    Walks a geometric sequence toward the endpoint, with one rule per
-    outcome.  A walk that settles, once successive values agree within the
-    Cauchy tolerance, gives a finite limit, sharpened by Aitken extrapolation
-    of the last three values (the tails of all smooth scores converge
-    geometrically along geometric probe sequences).  ``expected`` is the sign
-    the increments must keep (ties allowed); a reversal means the score is
-    not monotone out to the endpoint and raises :class:`NotMonotone`.  A walk
-    that does not settle ends at the infinity of the expected sign: a value
-    that is NaN or infinite, an overflow while scoring, or the ``TAIL_STEPS``
-    budget running out.
+
+def _refuse_sharp_edges(evaluate, xs: np.ndarray, large: np.ndarray, edges: np.ndarray,
+                        where: str) -> None:
+    """Raise :class:`NotMonotone` for an edge (see :func:`_steps`) of scores
+    at ``xs`` that stays an edge when the large step's cell is split into
+    ``EDGE_POINTS`` points (geometric where its ends share a sign): a
+    clipped score's does, while a smooth score that reaches its float limit
+    inside a wide cell passes through steps of sizes in between."""
+    for j in edges.tolist():
+        a, b, far = (j, j + 1, j + 2) if large[j] else (j + 2, j + 1, j)
+        split = np.geomspace if xs[a] * xs[b] > 0.0 else np.linspace
+        fine = np.append(split(xs[a], xs[b], EDGE_POINTS), xs[far])
+        if _steps(_scan_scores(evaluate, fine))[3].size:
+            raise NotMonotone(f"score is flat short of its float limit at x={xs[j + 1]:g} {where}")
+
+
+def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
+                    v_start: float, expected: float,
+                    before: Optional[tuple[float, float]] = None) -> float:
+    """Endpoint limit of a monotone score past the scan grid's end point
+    ``start``, where the score is ``v_start``; ``before`` is the scan's
+    point before ``start`` with its score, if it has one.
+
+    Walks the geometric sequence of :func:`_tail_points` toward the
+    endpoint, with one rule per outcome.  A walk that settles, once
+    successive values agree within the Cauchy tolerance, gives a finite
+    limit, sharpened by Aitken extrapolation of its last three values (the
+    tails of all smooth scores converge geometrically along geometric probe
+    sequences).  ``expected`` is the sign the increments must keep, within
+    ``REVERSAL_SLACK``; a reversal means the score is not monotone out to
+    the endpoint and raises :class:`NotMonotone`, and so does a flat first
+    step that makes an edge with the scan's last step
+    (:func:`_refuse_sharp_edges`).  Past its first step the walk reads a
+    flat run as the limit reached.  A walk that does not settle ends at the
+    infinity of the expected sign: a value that is NaN or infinite, an
+    overflow while scoring, or the ``TAIL_STEPS`` budget running out.
 
     The ``TAIL_STEPS`` points are scored in one array call, and the walk
     reads their values in order up to its stopping point.  If that call
     raises (a point past the stopping point may reach a bounded end, or
     overflow a ``math``-based callable), the walk scores point by point, and
-    only up to its stopping point.  Both modes score quietly.
+    only up to its stopping point, with NaN where a point overflows.  Both
+    modes score quietly.
     """
-    xs = list(_tail_points(domain, side, start))
+    xs = _tail_points(domain, side, start)
     values = [v_start]
     with np.errstate(all="ignore"):
         try:
-            scores = evaluate(np.array(xs)).tolist()
+            scores = evaluate(xs).tolist()
         except Exception:
-            scores = map(evaluate, xs)
-        try:
-            for x, v in zip(xs, scores):
-                if not math.isfinite(v):
-                    break
-                dv = v - values[-1]
-                if dv * expected < -1e-9 * max(1.0, abs(v)):
-                    raise NotMonotone(
-                        f"score reverses direction approaching the {side} endpoint (x={x:g})"
-                    )
-                values.append(v)
-                # gather three tail values so the acceleration step has material
-                if abs(dv) < CAUCHY_TOL and len(values) >= 3:
-                    return _aitken(values[-3], values[-2], values[-1])
-        except (OverflowError, NonFiniteLogDensity):
-            pass
+            scores = map(partial(_quiet_point, evaluate), xs.tolist())
+        for x, v in zip(xs.tolist(), scores):
+            if not math.isfinite(v):
+                break
+            # a flat first step may make an edge with the scan's last one
+            first = before is not None and len(values) == 1
+            if first and abs(v - v_start) <= FLAT_ULPS * math.ulp(v):
+                edge_xs = np.array([before[0], start, x])
+                edge_vs = np.array([before[1], v_start, v])
+                _refuse_sharp_edges(evaluate, edge_xs, *_steps(edge_vs)[2:],
+                                    f"approaching the {side} endpoint")
+            dv = v - values[-1]
+            if dv * expected < -REVERSAL_SLACK * max(1.0, abs(v)):
+                raise NotMonotone(
+                    f"score reverses direction approaching the {side} endpoint (x={x:g})"
+                )
+            values.append(v)
+            # three values of the walk itself give the acceleration step its
+            # material
+            if abs(dv) < CAUCHY_TOL and len(values) > 3:
+                return _aitken(values[-3], values[-2], values[-1])
     return math.copysign(math.inf, expected)
+
+
+def _scan_scores(evaluate, xs: np.ndarray) -> np.ndarray:
+    """The score on a scan grid, quietly: in one array call, or where that
+    call raises, one point at a time, with NaN where a point overflows."""
+    with np.errstate(all="ignore"):
+        try:
+            return evaluate(xs)
+        except Exception:
+            return np.array([_quiet_point(evaluate, x) for x in xs.tolist()])
+
+
+def _quiet_point(evaluate, x: float) -> float:
+    try:
+        return evaluate(x)
+    except (OverflowError, NonFiniteLogDensity):
+        return math.nan
 
 
 def analyze_image(model: DensityModel, kind: Kind,
                   domain: Optional[SupportSet] = None) -> ScoreProfile:
     """Build a :class:`ScoreProfile` for ``kind``'s score of ``model``.
 
-    The score is analyzed on ``domain`` (default: the model's support).
-    Strict monotonicity is required across the central probe grid (slack 0);
-    violations raise :class:`NotMonotone`, which signals that the family is
-    outside the scope of the characterization theory for this kind.  Image
-    bounds come from endpoint limit estimation.
+    The score is analyzed on ``domain`` (default: the model's support), on
+    its scan grid (:func:`~mlechar.density.scan_grid`), in one quiet call.
+    Non-finite scores are allowed only in runs that reach an end of the
+    grid; one elsewhere raises :class:`NonFiniteLogDensity`.  The score's
+    direction is that of its whole change.  A step against it larger than
+    ``REVERSAL_SLACK``, a score none of whose steps is larger, or a flat run
+    (steps within ``FLAT_ULPS`` ulps) that a larger step enters or leaves,
+    also in that step's cell split finer (:func:`_refuse_sharp_edges`),
+    raises :class:`NotMonotone`, which signals that the family is outside
+    the scope of the characterization theory for this kind.  So a score may
+    be flat only where it has reached its float limit.  Each image bound is
+    the value of a flat run at that end, the infinity of a non-finite end,
+    or the limit of :func:`_estimate_limit`'s walk on from the grid's end,
+    whose first step is held to the flat-run rule with the grid's last one.
     """
     domain = model.support if domain is None else domain
     # one scorer serves the grid, the tail walks and later callers of the
     # profile
     kind.check(model.support)
     evaluate = Scorer(model, kind).at
-    xs = _central_grid(domain)
-    vs = evaluate(xs)
+    xs = scan_grid(domain)
+    vs = _scan_scores(evaluate, xs)
     bad = ~np.isfinite(vs)
-    if bad.any():
-        raise NonFiniteLogDensity(f"score is not finite at probe x={xs[bad][0]:g}")
-    diffs = np.diff(vs)
-    if (diffs > 0).all():
-        increasing = True
-    elif (diffs < 0).all():
-        increasing = False
-    else:
-        raise NotMonotone(
-            "score is not strictly monotone on the probe grid "
-            f"(domain {domain})"
-        )
+    # the finite scores lo:hi; a non-finite one inside them is refused
+    lo, hi = int(np.argmin(bad)), bad.size - int(np.argmin(bad[::-1]))
+    if bad[lo:hi].any():
+        raise NonFiniteLogDensity("score is not finite at scan point "
+                                  f"x={xs[lo + int(np.argmax(bad[lo:hi]))]:g}")
+    xs, v = xs[lo:hi], vs[lo:hi]
+    steps, flat, large, edges = _steps(v)
+    direction = 1.0 if v[-1] >= v[0] else -1.0
+    if not large.any():
+        raise NotMonotone(f"score does not change on the scan grid (domain {domain})")
+    turns = np.flatnonzero(large & (steps * direction < 0.0))
+    if turns.size:
+        raise NotMonotone(f"score reverses direction at x={xs[turns[0] + 1]:g} "
+                          f"on the scan grid (domain {domain})")
+    _refuse_sharp_edges(evaluate, xs, large, edges, f"on the scan grid (domain {domain})")
 
-    # walking toward the lower endpoint, an increasing score must keep
-    # decreasing; toward the upper endpoint it must keep increasing
-    lo_limit = _estimate_limit(evaluate, domain, "lower", float(xs[0]), float(vs[0]),
-                               -1.0 if increasing else 1.0)
-    hi_limit = _estimate_limit(evaluate, domain, "upper", float(xs[-1]), float(vs[-1]),
-                               1.0 if increasing else -1.0)
-    inf_limit, sup_limit = (lo_limit, hi_limit) if increasing else (hi_limit, lo_limit)
+    # toward the lower endpoint an increasing score must keep decreasing,
+    # toward the upper endpoint it must keep increasing
+    lo_limit = _end_limit(evaluate, domain, "lower", xs[1::-1], v[1::-1], -direction,
+                          flat[0], lo > 0)
+    hi_limit = _end_limit(evaluate, domain, "upper", xs[-2:], v[-2:], direction,
+                          flat[-1], hi < vs.size)
+    inf_limit, sup_limit = (lo_limit, hi_limit) if direction > 0.0 else (hi_limit, lo_limit)
 
     return ScoreProfile(
         domain=domain,
         evaluate=evaluate,
-        monotone_increasing=increasing,
+        monotone_increasing=direction > 0.0,
         p_minus=-inf_limit,
         p_plus=sup_limit,
         provenance="numeric",
     )
+
+
+def _end_limit(evaluate, domain: SupportSet, side: str, xs: np.ndarray, vs: np.ndarray,
+               expected: float, flat: bool, cut: bool) -> float:
+    """One image bound of :func:`analyze_image` from the scan's last two
+    points ``xs`` toward that end and their scores ``vs``: the score at the
+    end point when the step to it is flat, the infinity of the expected sign
+    when the scan is cut short by non-finite scores, otherwise the limit of
+    the walk on from the end point."""
+    if flat:
+        return float(vs[1])
+    if cut:
+        return math.copysign(math.inf, expected)
+    return _estimate_limit(evaluate, domain, side, float(xs[1]), float(vs[1]), expected,
+                           (float(xs[0]), float(vs[0])))
 
 
 def u1_vanishes_inside(kind: Kind, support: SupportSet) -> bool:
@@ -560,10 +659,7 @@ def u1_vanishes_inside(kind: Kind, support: SupportSet) -> bool:
 
     Vanishing limits at the support's ends do not count.
     """
-    # u1 is probed on twice the points of a score, and closer to half-line
-    # origins
-    xs = probe_grid(support, (support.lower, support.upper), 401, 20.0, 1e-8, 1e-6)
-    vals = call_elementwise(kind.u1, xs)
+    vals = call_elementwise(kind.u1, scan_grid(support))
     return bool((np.abs(vals) < 1e-12).any()
                 or (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0).any())
 
@@ -587,12 +683,12 @@ def bracketed_root(profile: ScoreProfile) -> float:
     """Zero crossing of a monotone score, located by bracketed root-finding."""
     if not profile.crosses_zero:
         raise NotMonotone("score does not cross zero; no root to bracket")
-    xs = _central_grid(profile.domain)
-    vs = profile.evaluate(xs)
+    xs = scan_grid(profile.domain)
+    vs = _scan_scores(profile.evaluate, xs)
     sign = np.sign(vs)
     flips = np.where(sign[:-1] * sign[1:] <= 0)[0]
     if flips.size == 0:
-        raise NotMonotone("no sign change on the probe grid")
+        raise NotMonotone("no sign change on the scan grid")
     i = int(flips[0])
     (a, b), (fa, fb) = xs[i:i + 2].tolist(), vs[i:i + 2].tolist()
     root, _, _, converged = brent_one(profile.evaluate, a, b, fa, fb, xtol=1e-13, maxiter=100)

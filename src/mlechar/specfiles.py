@@ -82,9 +82,17 @@ def _support_to_json(support: SupportSet):
     return [support.lower, support.upper]
 
 
+def _known_keys(spec: dict, allowed: tuple, what: str) -> None:
+    """Raise :class:`InvalidConfig` naming the keys of ``spec`` outside
+    ``allowed``."""
+    if set(spec) - set(allowed):
+        raise InvalidConfig(f"unknown {what} key: {', '.join(sorted(set(spec) - set(allowed)))}")
+
+
 def _rule_nodes(support: SupportSet, rule: dict) -> np.ndarray:
     """The x-nodes of a grid rule, checked as outside input before any
     array is made."""
+    _known_keys(rule, ("compact", "points"), "grid rule")
     points, ends = rule.get("points"), rule.get("compact")
     if isinstance(points, bool) or not isinstance(points, int) or not (
             4 <= points <= MAX_RULE_POINTS):
@@ -133,6 +141,8 @@ def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
     if not isinstance(doc, dict):
         raise InvalidConfig(f"family spec {path} is not a JSON object")
 
+    # a catalog family with its params, or a table, never both
+    _known_keys(doc, ("catalog", "params") if "catalog" in doc else ("tabulated",), "family spec")
     if "catalog" in doc:
         params = doc.get("params", {})
         if not isinstance(params, dict):
@@ -143,6 +153,7 @@ def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
         tab = doc["tabulated"]
         if not isinstance(tab, dict):
             raise InvalidConfig("tabulated spec is not a JSON object")
+        _known_keys(tab, ("name", "support", "grid", "log_pdf", "normalized"), "tabulated spec")
         for key in ("support", "grid", "log_pdf"):
             if key not in tab:
                 raise InvalidConfig(f"tabulated spec misses {key!r}")

@@ -48,9 +48,9 @@ from .density import (
     InverseCdfSampler,
     Rows,
     call_elementwise,
+    compact_grid,
     effective_interval,
     length_blocks,
-    probe_grid,
 )
 from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
@@ -552,10 +552,11 @@ def _section_equivariance(config: SuiteConfig) -> list[dict]:
 
 
 def _crosscheck_grid(entry) -> np.ndarray:
-    """201 interior probe points, kept inside the effective support so the
-    finite-difference reference is not dominated by truncation/cancellation."""
+    """The 201 interior nodes of a 203-node :func:`compact_grid` over the
+    effective support, kept inside it so the finite-difference reference is
+    not dominated by truncation/cancellation."""
     support = entry.model.support
-    xs = probe_grid(support, effective_interval(entry.model, drop=60.0), 201, 8.0, 1e-2, 1e-3)
+    xs = compact_grid(support, *effective_interval(entry.model, drop=60.0), 203)[1][1:-1]
     # offset so the grid avoids 0 (kinked densities) and stays symmetric-ish
     return xs + 0.0137 if support.kind == FULL_LINE else xs
 

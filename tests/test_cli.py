@@ -668,6 +668,17 @@ def _rule(support, compact, points):
     _encoded(FOUR_VALUES, extra="key"),
     {"tabulated": {"support": "full_line", "grid": [0, 1, 2, 3], "log_pdf": [0, -1, -1, 0],
                    "normalized": "false"}},
+    # unknown keys: at the top, beside a catalog family, in a table, in a grid
+    # rule, and a catalog family and a table in one spec
+    {"catalog": "gaussian", "kind": "scale"},
+    {"params": {}},
+    {"tabulated": {"support": "full_line", "grid": [0, 1, 2, 3], "log_pdf": [0, -1, -1, 0],
+                   "dlog_pdf": [1, 0, 0, -1]}},
+    {"tabulated": {"support": "full_line", "grid": {"compact": [-0.5, 0.5], "points": 4,
+                                                    "inset": 0.1},
+                   "log_pdf": [0, -1, -1, 0]}},
+    {"catalog": "gaussian",
+     "tabulated": {"support": "full_line", "grid": [0, 1, 2, 3], "log_pdf": [0, -1, -1, 0]}},
 ])
 def test_cli_malformed_spec_exit_2(tmp_path, capsys, doc):
     spec, data = tmp_path / "spec.json", tmp_path / "data.txt"

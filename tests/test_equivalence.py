@@ -142,6 +142,26 @@ def test_group_tilt_matches_scale_tilt_on_halfline(gamma2):
         assert abs(by_group.log_pdf(x) - by_scale.log_pdf(x)) < 1e-12
 
 
+def test_tilt_checks_u2_only_where_u1_is_defined(gamma2):
+    # u1 = sqrt(x) is not defined left of a half-line's origin, where the
+    # scan grid's first points would step; its tilt weighs by x^((d-1)/2)
+    kind = Group(np.sqrt, lambda x: 0.5 / np.sqrt(x))
+    tilted = tilt(gamma2.model, 2.0, kind)
+    assert abs(same_class(gamma2.model, tilted, kind) - 2.0) < 1e-6
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (2.0, 3.0), (-5.0, 7.0)])
+def test_tilt_on_an_open_interval_checks_u2_up_to_its_ends(a, b):
+    # u1 = (x - a)(b - x) has u2 = a + b - 2x; the scan grid comes within
+    # 1e-7 of the width of each end, where the check's steps are a few
+    # hundred ulps of x
+    model = DensityModel("beta(2,2)", SupportSet.open_interval(a, b),
+                         lambda x: np.log((x - a) * (b - x)))
+    kind = Group(lambda x: (x - a) * (b - x), lambda x: (a + b) - 2.0 * x)
+    tilted = tilt(model, 2.0, kind)
+    assert abs(same_class(model, tilted, kind) - 2.0) < 1e-6
+
+
 def test_tilt_rejects_a_pair_whose_u2_is_not_the_derivative_of_u1(gaussian):
     # u2 = 0.3 is not (1)' = 0, so no group has this pair and |u1|^(d-1) is
     # not the class's weight

@@ -1,14 +1,16 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlechar import MlecharError, OddPower, forge_odd_h, lookup, score, tilt
+from mlechar import MlecharError, OddPower, forge_odd_h, lookup, mnss, score, tilt
 from mlechar.catalog import kind_for
-from mlechar.density import DensityModel, SupportSet, tabulated_model
+from mlechar.density import DensityModel, SupportSet, scan_grid, tabulated_model
 from mlechar.errors import InvalidParams, NotMonotone, UnsupportedSupport
 from mlechar.score import (
     LOCATION,
@@ -155,8 +157,8 @@ def test_score_root_is_tiny_at_bracketed_zero(name, params, kind):
     root = bracketed_root(prof)
     assert abs(prof.evaluate(root)) < 1e-8
     # the float steps end where a one-lane lockstep on the first sign-change
-    # cell of the probe grid ends, bit for bit
-    xs = score._central_grid(prof.domain)
+    # cell of the scan grid ends, bit for bit
+    xs = scan_grid(prof.domain)
     vs = prof.evaluate(xs)
     i = int(np.flatnonzero(np.sign(vs[:-1]) * np.sign(vs[1:]) <= 0)[0])
     roots, _, _, converged = brent_lanes(lambda x, lanes: prof.evaluate(x), xs[i:i + 1],
@@ -234,6 +236,92 @@ def test_tail_walks_in_one_array_call_give_the_per_point_bounds(case):
             continue
         kind = kind_for(entry, label)
         assert _bounds_hex(entry.model, kind) == _bounds_hex_per_point(entry.model, kind)
+
+
+def _load_tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: location families phi = alpha + sum a tanh(b x + c), whose images are exact
+KNOWN = _load_tool("known_families")
+
+
+@st.composite
+def tanh_families(draw):
+    terms = [(draw(_log_uniform(-2.0, 2.0)), draw(_log_uniform(-3.0, 3.0)),
+              draw(st.floats(-10.0, 10.0))) for _ in range(draw(st.integers(1, 3)))]
+    alpha = draw(st.floats(-0.95, 0.95)) * math.fsum(a for a, _, _ in terms)
+    return alpha, terms
+
+
+#: the hyperbolic secant law f ~ sech(b x)^(1/b): phi = tanh(b x), image (-1, 1)
+SECH_LAWS = [(0.0, [(1.0, b, 0.0)]) for b in (0.5, 1.0, 2.0, 4.0)]
+
+
+@given(family=tanh_families())
+@example(family=SECH_LAWS[0])
+@example(family=SECH_LAWS[1])
+@example(family=SECH_LAWS[2])
+@example(family=SECH_LAWS[3])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_families_with_exact_images_are_answered_right_or_refused(family):
+    # exact bounds within 1e-8 relative and the exact MNSS, or an error of
+    # the package: never a wrong answer
+    alpha, terms = family
+    try:
+        profiles = kind_profiles(KNOWN.tanh_family(alpha, terms), LOCATION)
+        got = mnss(profiles, LOCATION).value
+    except MlecharError:
+        return
+    p_minus, p_plus, size = KNOWN.exact_answer(alpha, terms)
+    (profile,) = profiles
+    assert abs(profile.p_minus - p_minus) <= 1e-8 * p_minus
+    assert abs(profile.p_plus - p_plus) <= 1e-8 * p_plus
+    assert got == size
+
+
+@pytest.mark.parametrize("family", SECH_LAWS, ids=["b=0.5", "b=1", "b=2", "b=4"])
+def test_hyperbolic_secant_law_has_image_of_one_and_mnss_3(family):
+    # tanh(b x) reaches its float limit 1.0 inside the scan grid: a flat run
+    # at each end whose value is the bound
+    profiles = kind_profiles(KNOWN.tanh_family(*family), LOCATION)
+    assert [(p.p_minus, p.p_plus) for p in profiles] == [(1.0, 1.0)]
+    assert mnss(profiles, LOCATION).value == 3
+
+
+@pytest.mark.parametrize("k", [1.5, 600.0, 2000.0])
+def test_a_flat_run_short_of_the_float_limit_is_not_monotone(k):
+    # Huber's least favourable density (1964): the location score
+    # clip(x, -k, k) is flat on |x| >= k.  For k = 1.5 a step of the scan
+    # grid enters each flat run; k = 600 lies inside the wide cell from about
+    # 512 to 1023, and k = 2000 inside the last one, up to about 2.5e6, so
+    # the tail walk's first step is flat after the scan's large last step
+    huber = DensityModel("huber", SupportSet.full_line(),
+                         lambda x: np.where(np.abs(x) <= k, -0.5 * x * x,
+                                            0.5 * k * k - k * np.abs(x)),
+                         lambda x: -np.clip(x, -k, k))
+    with pytest.raises(NotMonotone, match="flat"):
+        analyze_image(huber, LOCATION)
+
+
+@pytest.mark.parametrize("params,kind", [
+    ({"alpha": 1.0, "gamma": 1e-3}, LOCATION),
+    ({"alpha": 1.0, "gamma": -1e-3}, LOCATION),
+    ({"alpha": 1.0, "gamma": 1e6}, LOCATION),
+    ({"alpha": 0.1, "gamma": 1.0}, SCALE),
+], ids=["gamma=1e-3", "gamma=-1e-3", "gamma=1e6", "scale"])
+def test_a_smooth_score_reaching_its_float_limit_inside_a_wide_cell_is_answered(params, kind):
+    # the generalized gaussian's score reaches its finite bound inside the
+    # scan's last cell (about 1023 to 2.5e6; 1e-7 to 2.4e-4 next to the
+    # origin) or, for gamma = 1e6, inside the cell next to x = 0: a large
+    # step, then a flat one, until the cell is split finer
+    entry = lookup("generalized_gaussian", params)
+    got = [(p.p_minus, p.p_plus) for p in kind_profiles(entry.model, kind)]
+    assert set(got) == {entry.analytic_bounds[kind.label]}
 
 
 @pytest.mark.parametrize("build", [

@@ -327,6 +327,43 @@ def test_param_sweep_prints_count_lines_then_wrong_cases():
                             r"mnss=(\d+|inf) expected=(\d+|inf)", line)
 
 
+def test_param_sweep_prints_one_outcome_line_per_case_with_cases():
+    src = TOOLS.parent / "src"
+    proc = subprocess.run([sys.executable, str(TOOLS / "param_sweep.py"), str(src), "--cases"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # the five count lines, then one line per case
+    counts, cases = lines[:5], lines[5:]
+    assert [line.split()[0] for line in counts] == \
+        ["gamma", "weibull", "student", "generalized_gaussian", "all"]
+    tally = dict(field.split("=") for field in counts[-1].split()[1:])
+    assert len(cases) == int(tally["cases"])
+    outcomes = [re.fullmatch(r"\w+\(\S+\) (location|scale|group) "
+                             r"(right|wrong (\d+|inf)|[A-Z]\w*)", line).group(2).split()[0]
+                for line in cases]
+    assert {key: str(outcomes.count(key)) for key in set(outcomes)} == \
+        {key: value for key, value in tally.items() if key != "cases" and value != "0"}
+
+
+def test_known_families_prints_counts_per_range():
+    proc = subprocess.run([sys.executable, str(TOOLS / "known_families.py"), "7", "4"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == \
+        ["log10_b=[-3,3]", "log10_b=[-1,1]", "log10_b=[-0.5,0.5]"]
+    for line in lines:
+        match = re.fullmatch(r"\S+ families=4 right=(\d+)((?: [A-Z]\w*=\d+)*) "
+                             r"wrong_bounds=(\d+) wrong_mnss=(\d+)", line)
+        assert match, line
+        errors = [int(field.split("=")[1]) for field in match.group(2).split()]
+        assert int(match.group(1)) + sum(errors) + int(match.group(3)) + int(match.group(4)) == 4
+    # the hyperbolic secant law, which the docstring names
+    known = load("known_families")
+    assert known.judge(0.0, [(1.0, 1.0, 0.0)]) == "right"
+
+
 def test_traffic_lists_the_statements_no_workload_runs():
     traffic = load("traffic")
     src = TOOLS.parent / "src"

@@ -68,6 +68,13 @@ INPUTS = {
     "broken.json": "{",
     "latin1.json": '{"catalog": "gaussian", "name": "Gauß"}'.encode("latin-1"),
     "nested.json": "[" * 200_000,
+    # keys a family spec does not know, and a catalog family beside a table
+    "extra_key.json": {"catalog": "gaussian", "kind": "scale"},
+    "tab_gauss_extra_key.json": _tabulated_gaussian(dlog_pdf=[0.0]),
+    "tab_rule_extra_key.json": {"tabulated": {"support": "full_line", "log_pdf": [0, -1, -1, 0],
+                                              "grid": {"compact": [-0.5, 0.5], "points": 4,
+                                                       "inset": 0.1}}},
+    "catalog_and_table.json": {"catalog": "gaussian", **_tabulated_gaussian()},
     "loc.txt": "-0.7\n0.2\n1.9\n0.4\n-1.1\n2.3\n0.05\n",
     "scale.txt": "0.8\n2.5\n1.1\n3.9\n0.35\n1.6\n",
     "one.txt": "1.0\n",
@@ -187,6 +194,10 @@ COMMANDS = [
     "mle --family latin1.json --kind loc --data loc.txt",
     "mle --family nested.json --kind loc --data loc.txt",
     "mle --family tab_gauss_normalized_string.json --kind loc --data loc.txt",
+    "mle --family extra_key.json --kind loc --data loc.txt",
+    "mle --family tab_gauss_extra_key.json --kind loc --data loc.txt",
+    "mle --family tab_rule_extra_key.json --kind loc --data loc.txt",
+    "mle --family catalog_and_table.json --kind loc --data loc.txt",
     "mle --family no_kind.json --kind loc --data loc.txt",
     "mle --family gamma_true.json --kind scale --data scale.txt",
     "mle --family gamma_string.json --kind scale --data scale.txt",
