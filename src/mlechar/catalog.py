@@ -96,25 +96,6 @@ class CatalogEntry:
         scale support besides the full line."""
         return "scale" in self.expected and self.model.support.kind != FULL_LINE
 
-    def group_density(self, theta: float) -> DensityModel:
-        """Density of the group-family member at parameter ``theta``."""
-        if self.transform is None:
-            raise NotCharacterizable(f"{self.name} carries no group transform")
-        tr = self.transform
-        base = self.model
-
-        def log_pdf(x):
-            # h(theta, .) is the flow of u1, so its x-derivative is u1(h) / u1
-            y = tr.h(theta, x)
-            return np.log(np.abs(tr.u1(y) / tr.u1(x))) + base.log_pdf(y)
-
-        return DensityModel(
-            name=f"{self.name}(theta={theta:g})",
-            support=base.support,
-            log_pdf=log_pdf,
-            normalized=base.normalized,
-        )
-
 
 def is_number(value) -> bool:
     """Whether ``value`` is a real number: neither JSON true nor a numeric

@@ -19,16 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
+from .density import integer
 from .errors import BudgetExceeded, InvalidBounds, InvalidParams, NotCharacterizable
 from .score import Kind, ScoreProfile
 
 #: relative fuzz applied before the ceiling so floating noise cannot
 #: inflate an exact-integer ratio into the next sample size
 CEIL_FUZZ = 1e-9
+
+#: lattice points of the image in the brute-force projectability oracle
+ORACLE_GRID = 41
 
 
 def _validate_bound(value: float, name: str) -> float:
@@ -48,18 +52,9 @@ def _bounds_equal(a: float, b: float) -> bool:
 
 @dataclass(frozen=True)
 class SampleSize:
-    """A minimal covering or necessary sample size: an int, or ``math.inf``.
-
-    An MNSS of a scale parameter on the full line keeps the sizes of its two
-    half-lines in ``per_halfline``.
-    """
+    """A minimal covering or necessary sample size: an int, or ``math.inf``."""
 
     value: Union[int, float]
-    per_halfline: Optional[tuple["SampleSize", "SampleSize"]] = None
-
-    @property
-    def is_finite(self) -> bool:
-        return not math.isinf(self.value)
 
     def __str__(self) -> str:
         return "inf" if math.isinf(self.value) else str(int(self.value))
@@ -101,7 +96,7 @@ def projection_interval(p_minus: float, p_plus: float, n: int) -> tuple[float, f
     """
     pm = _validate_bound(p_minus, "p_minus")
     pp = _validate_bound(p_plus, "p_plus")
-    if n < 1:
+    if integer(n) < 1:
         raise InvalidParams("n must be >= 1")
     return -_reach(n - 1, pp, pm), _reach(n - 1, pm, pp)
 
@@ -131,16 +126,15 @@ def is_projectable(p_minus: float, p_plus: float, n: int) -> bool:
     :func:`projection_interval` reaches both image bounds exactly from the
     minimal covering sample size on.
     """
-    return n >= mcss(p_minus, p_plus).value
+    return integer(n) >= mcss(p_minus, p_plus).value
 
 
-def brute_force_projectable(p_minus: float, p_plus: float, n: int,
-                            grid: int = 41) -> bool:
+def brute_force_projectable(p_minus: float, p_plus: float, n: int) -> bool:
     """Enumeration oracle for projectability over a discretized image.
 
-    The image ``(-p_minus, p_plus)`` is discretized into ``grid`` lattice
-    points.  Candidate coordinates are the strictly interior lattice values;
-    companion coordinates may sit anywhere on the closed lattice hull
+    The image ``(-p_minus, p_plus)`` is discretized into ``ORACLE_GRID``
+    lattice points.  Candidate coordinates are the strictly interior lattice
+    values; companion coordinates may sit anywhere on the closed lattice hull
     (approaching the open endpoints arbitrarily closely).  The attainable
     ``(n-1)``-fold sums are enumerated by repeated discrete convolution, and
     the oracle reports whether ``-b1`` is attainable for every candidate
@@ -150,18 +144,16 @@ def brute_force_projectable(p_minus: float, p_plus: float, n: int,
     pp = _validate_bound(p_plus, "p_plus")
     if not (math.isfinite(pm) and math.isfinite(pp)):
         raise BudgetExceeded("brute force handles finite bounds only")
-    if n < 2 or n > 8:
+    if integer(n) < 2 or n > 8:
         raise BudgetExceeded(f"n={n} outside the enumeration budget (2..8)")
-    if grid < 5 or grid > 101:
-        raise BudgetExceeded(f"grid={grid} outside the allowed range (5..101)")
 
-    lattice = np.linspace(-pm, pp, grid)
-    h = (pp + pm) / (grid - 1)
+    lattice = np.linspace(-pm, pp, ORACLE_GRID)
+    h = (pp + pm) / (ORACLE_GRID - 1)
     probes = lattice[1:-1]
 
     # attainable sums of (n-1) companion values, over the sum lattice
     # starting at (n-1) * (-p_minus) with step h
-    indicator = np.ones(grid)
+    indicator = np.ones(ORACLE_GRID)
     reach = indicator.copy()
     for _ in range(n - 2):
         reach = np.convolve(reach, indicator)
@@ -184,21 +176,16 @@ def mnss(profiles: Sequence[ScoreProfile], kind: Kind) -> SampleSize:
     ``profiles`` is what :func:`~mlechar.score.kind_profiles` returns: one
     profile, which yields ``max(mcss, 3)``, or the two half-line profiles of
     scale parameters on the full line, which yield the maximum of the
-    per-half-line values.  Profiles that do not cross zero fall outside the
+    two half-line values.  Profiles that do not cross zero fall outside the
     characterization results and raise :class:`NotCharacterizable`.
     """
     if len(profiles) not in (1, 2):
         raise InvalidParams("mnss expects one profile or a half-line pair")
 
-    results = []
     for prof in profiles:
         if not prof.crosses_zero:
             raise NotCharacterizable(
                 f"{kind!r} score on {prof.domain} does not cross zero"
             )
-        # an infinite MCSS stays infinite
-        results.append(SampleSize(max(mcss(prof.p_minus, prof.p_plus).value, 3)))
-
-    if len(results) == 1:
-        return results[0]
-    return SampleSize(max(r.value for r in results), per_halfline=tuple(results))
+    # an infinite MCSS stays infinite
+    return SampleSize(max(3, *(mcss(prof.p_minus, prof.p_plus).value for prof in profiles)))

@@ -52,6 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -97,6 +98,15 @@ TABLE_CELLS = 2048
 #: steps of the sampler's search for a quantile inside its CDF cell at most;
 #: the Newton steps end in 3 to 6
 INVERT_STEPS = 60
+
+
+def integer(value):
+    """``value`` itself when it is an integer, a numpy one included, and not
+    a bool; :class:`InvalidParams` otherwise.  The one rule for every count
+    and seed."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidParams(f"counts and seeds must be integers, got {value!r}")
+    return value
 
 
 def call_array(fn: Callable, *args) -> np.ndarray:
@@ -210,9 +220,11 @@ class SupportSet:
     upper: float
 
     def __post_init__(self) -> None:
-        lo, hi = float(self.lower), float(self.upper)
-        if math.isnan(lo) or math.isnan(hi) or not lo < hi:
+        # a NaN fails the comparison
+        if not (isinstance(self.lower, Real) and isinstance(self.upper, Real)
+                and self.lower < self.upper):
             raise InvalidParams(f"invalid support bounds ({self.lower}, {self.upper})")
+        lo, hi = float(self.lower), float(self.upper)
         if math.isinf(lo) != math.isinf(hi) and 0.0 not in (lo, hi):
             raise InvalidParams(f"a half-line support must end at 0, got ({lo}, {hi})")
         object.__setattr__(self, "lower", lo)
@@ -852,7 +864,7 @@ class InverseCdfSampler:
 
         Row i inverts the ``n`` uniforms of ``numpy.random.default_rng(seeds[i])``.
         """
-        if n < 1:
+        if integer(n) < 1:
             raise InvalidParams("n must be >= 1")
         if n * len(seeds) > MAX_COUNT:
             raise InvalidParams(f"{n} x {len(seeds)} values exceed the {MAX_COUNT} an array holds")
@@ -862,8 +874,9 @@ class InverseCdfSampler:
         """Rows of seeded draws, back to back, from one :meth:`invert` call:
         ``runs`` lists ``(seed, sizes)``, and each seed gives one row per
         size, in order, from the uniforms of ``numpy.random.default_rng(seed)``.
-        Seeds and sizes are at least 0."""
-        if any(seed < 0 or min(sizes, default=0) < 0 for seed, sizes in runs):
+        Seeds and sizes are integers, at least 0."""
+        if any(integer(seed) < 0 or min(map(integer, sizes), default=0) < 0
+               for seed, sizes in runs):
             raise InvalidParams("sampler seeds and sizes must be >= 0")
         counts = [sum(sizes) for _, sizes in runs]
         if sum(counts) > MAX_COUNT:

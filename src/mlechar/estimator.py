@@ -106,11 +106,11 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     coordinate t (``theta = kind.to_theta(t)``): the bracket starts at the
     kind's sample seed and its half-width doubles, clipped to the kind's
     window, until the score sum changes sign.  The root must bring the sum
-    below ``tol`` in absolute value.  This is :func:`mle_block`'s lane on
+    below ``tol`` (> 0) in absolute value.  This is :func:`mle_block`'s lane on
     the one row ``sample``, bracketed and refined in Python floats
     (``score.brent_one``) and summed by extraction on its score array.
     """
-    _admit(kind, [(model, Rows(sample.values, np.array([sample.n])))])
+    _admit(kind, [(model, Rows(sample.values, np.array([sample.n])))], tol)
     sums = ScoreSums(kind, [model])
     to_theta = _to_theta(kind)
 
@@ -157,7 +157,7 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
     ``row_fsums`` call, also when there is one lane.  Raises as soon as one
     row fails.
     """
-    blocks = _admit(kind, problems)
+    blocks = _admit(kind, problems, tol)
     if not blocks:
         return []
     flat, lengths = rows = Rows(*map(np.concatenate, zip(*blocks))) if blocks[1:] else blocks[0]
@@ -194,12 +194,15 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
     return [BlockRoots(*(v[a:b] for v in fields)) for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _admit(kind: Kind, problems) -> list[Rows]:
-    """Each problem's rows, once the kind has an action, each is a
-    :class:`~mlechar.density.Rows` of m >= 1 rows of n >= 1 observations,
-    and each problem's support admits the kind and holds its rows."""
+def _admit(kind: Kind, problems, tol: float) -> list[Rows]:
+    """Each problem's rows, once the kind has an action, the tolerance is
+    positive, each is a :class:`~mlechar.density.Rows` of m >= 1 rows of n
+    >= 1 observations, and each problem's support admits the kind and holds
+    its rows."""
     if kind.h is None:
         raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
+    if not tol > 0.0:
+        raise InvalidParams(f"tolerance must be > 0, got {tol}")
     blocks = []
     for model, rows in problems:
         if isinstance(rows, Rows):
@@ -333,22 +336,6 @@ def mle_group(model: DensityModel, transform: Kind, sample: Sample,
     return mle(model, transform, sample, tol)
 
 
-def closed_form_estimator(entry, kind: Kind) -> Callable[[np.ndarray], np.ndarray]:
-    """A catalog entry's closed-form estimator for the given kind, as a
-    function of the observations alone: no support check and no residual.
-
-    The function takes one sample, or a block of equal-length samples as
-    rows, and returns one estimate per row, as floats: an ``(m, n)`` block
-    gives m of them, each equal bit for bit to the row's own estimate.
-    ``entry`` must expose ``closed_form`` (kind label to a ``(name,
-    estimate)`` pair); raises :class:`NoClosedForm` otherwise.
-    """
-    if kind.label not in entry.closed_form:
-        raise NoClosedForm(f"{entry.name} has no closed-form {kind.label} MLE")
-    _, estimate = entry.closed_form[kind.label]
-    return lambda values: np.asarray(estimate(values), dtype=float)
-
-
 def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
     """Evaluate a catalog entry's closed-form estimator for the given kind.
 
@@ -358,10 +345,11 @@ def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
     An estimate outside the kind's open range of theta (finite, and positive
     for a scale) raises :class:`NoClosedForm`, naming the closed form.
     """
-    estimate = closed_form_estimator(entry, kind)
+    if kind.label not in entry.closed_form:
+        raise NoClosedForm(f"{entry.name} has no closed-form {kind.label} MLE")
+    name, estimate = entry.closed_form[kind.label]
     kind.check(entry.model.support)
     sample.require_inside(entry.model)
-    name, _ = entry.closed_form[kind.label]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta = float(estimate(sample.values))
         lo, hi = (float(kind.to_theta(t)) for t in (-math.inf, math.inf))

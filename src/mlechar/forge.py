@@ -31,6 +31,7 @@ from .density import (
     Rows,
     call_elementwise,
     effective_interval,
+    integer,
     normalize,
     quiet_overflow,
 )
@@ -188,11 +189,11 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
     report is reproducible and trials are independent.  All trials are drawn
     in one call and solved for both densities in one lockstep.
     """
-    if trials < 1:
+    if integer(trials) < 1:
         raise InvalidParams("trials must be >= 1")
     if trials > MAX_COUNT:
         raise InvalidParams(f"trials must be <= {MAX_COUNT}, got {trials}")
-    if seed < 0:
+    if integer(seed) < 0:
         raise InvalidParams(f"seed must be >= 0, got {seed}")
     if not tol > 0.0:
         raise InvalidParams(f"tolerance must be > 0, got {tol}")

@@ -54,7 +54,7 @@ from .density import (
 )
 from .equivalence import same_class, tilt
 from .errors import InvalidConfig, IoFailure, MlecharError
-from .estimator import closed_form_estimator, mle_block
+from .estimator import mle_block
 from .forge import AGREEMENT_TOL, OddPower, forge_odd_h, verify_counterexample
 from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_vanishes_inside
 
@@ -468,7 +468,7 @@ def _section_counterexample(config: SuiteConfig, gaussian, forged) -> list[dict]
 def _section_projectability(config: SuiteConfig) -> list[dict]:
     cases = [(pm, pp, n) for pm in LATTICE for pp in LATTICE for n in range(2, 9)]
     mismatches = [f"({pm},{pp},n={n})" for pm, pp, n in cases
-                  if is_projectable(pm, pp, n) != brute_force_projectable(pm, pp, n, grid=41)]
+                  if is_projectable(pm, pp, n) != brute_force_projectable(pm, pp, n)]
     records = [_record("lattice_oracle", [(len(mismatches), "==", 0)],
                        cases=len(cases),
                        agreements=len(cases) - len(mismatches),
@@ -500,7 +500,7 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
     kinds = [cat.kind_for(entry, kind_label) for entry, (_, _, kind_label) in zip(entries, cases)]
     roots = _solve(list(zip(kinds, [entry.model for entry in entries], draws)))
     for (name, _, _), entry, kind, rows, numeric in zip(cases, entries, kinds, draws, roots):
-        estimate = closed_form_estimator(entry, kind)
+        formula, estimate = entry.closed_form[kind.label]
         # one closed-form call per row length, on the block of those rows
         closed = np.empty(rows.lengths.size)
         for group, block in length_blocks(rows):
@@ -511,7 +511,7 @@ def _section_closed_form(config: SuiteConfig) -> list[dict]:
         records.append(_record("closed_vs_numeric", [(worst, "<", 1e-8)],
                                family=name,
                                kind=kind.label,
-                               formula=entry.closed_form[kind.label][0],
+                               formula=formula,
                                samples=len(sizes_cycle),
                                max_deviation=worst))
     return records

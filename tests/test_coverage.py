@@ -11,7 +11,7 @@ from mlechar import (
     mnss,
     projection_interval,
 )
-from mlechar.errors import BudgetExceeded, InvalidBounds, NotCharacterizable
+from mlechar.errors import BudgetExceeded, InvalidBounds, InvalidParams, NotCharacterizable
 from mlechar.score import LOCATION, SCALE, analyze_image, kind_profiles
 from mlechar import lookup
 
@@ -165,18 +165,29 @@ def test_is_projectable_matches_interval_and_two_sided_rule(a, b, n):
 
 
 def test_brute_force_examples():
-    assert brute_force_projectable(1.0, 1.0, 2, grid=41)
-    assert not brute_force_projectable(1.0, 3.0, 3, grid=41)
-    assert brute_force_projectable(1.0, 3.0, 4, grid=41)
+    assert brute_force_projectable(1.0, 1.0, 2)
+    assert not brute_force_projectable(1.0, 3.0, 3)
+    assert brute_force_projectable(1.0, 3.0, 4)
 
 
 def test_brute_force_budget():
     with pytest.raises(BudgetExceeded):
-        brute_force_projectable(1.0, 2.0, 9, grid=41)
+        brute_force_projectable(1.0, 2.0, 9)
     with pytest.raises(BudgetExceeded):
-        brute_force_projectable(1.0, 2.0, 4, grid=201)
-    with pytest.raises(BudgetExceeded):
-        brute_force_projectable(INF, 2.0, 4, grid=41)
+        brute_force_projectable(INF, 2.0, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: projection_interval(1.0, 2.0, 2.5),
+    lambda: projection_interval(1.0, 2.0, True),
+    lambda: is_projectable(1.0, 2.0, 2.5),
+    lambda: brute_force_projectable(1.0, 2.0, 2.5),
+], ids=["interval_2.5", "interval_true", "projectable_2.5", "brute_force_2.5"])
+def test_a_sample_size_that_is_no_integer_is_refused(call):
+    # the interval gave (-1.0, 1.5) at 2.5 and (-0.0, 0.0) at True, and
+    # is_projectable gave False
+    with pytest.raises(InvalidParams, match="^counts and seeds must be integers"):
+        call()
 
 
 def test_lattice_agreement():
@@ -185,7 +196,7 @@ def test_lattice_agreement():
         for pp in lattice:
             for n in range(2, 9):
                 assert is_projectable(pm, pp, n) == \
-                    brute_force_projectable(pm, pp, n, grid=41), (pm, pp, n)
+                    brute_force_projectable(pm, pp, n), (pm, pp, n)
 
 
 def test_mnss_from_profiles(gaussian):
@@ -195,7 +206,6 @@ def test_mnss_from_profiles(gaussian):
     pair = kind_profiles(gaussian.model, SCALE)
     result = mnss(pair, SCALE)
     assert math.isinf(result.value)
-    assert result.per_halfline is not None
 
     student3 = lookup("student", {"nu": 3.0}).model
     assert mnss(kind_profiles(student3, SCALE), SCALE).value == 4

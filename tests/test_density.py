@@ -580,6 +580,32 @@ def test_a_negative_seed_or_size_is_refused(gaussian):
     assert rows.lengths.tolist() == [0, 2] and rows.flat.size == 2
 
 
+@pytest.mark.parametrize("call", [
+    lambda sampler: sampler.draw([(1, [2.5])]),
+    lambda sampler: sampler.rows(True, [1]),
+    lambda sampler: sampler.draw([(1.5, [3])]),
+    lambda sampler: sampler.rows(3, [np.float64(1.0)]),
+], ids=["size_2.5", "n_true", "seed_1.5", "seed_numpy_float"])
+def test_a_sampler_count_or_seed_that_is_no_integer_is_refused(gaussian, call):
+    sampler = InverseCdfSampler(gaussian.model)
+    with pytest.raises(InvalidParams, match="^counts and seeds must be integers"):
+        call(sampler)
+    # numpy integers are integers
+    assert sampler.rows(np.int64(3), [np.uint32(1)]).shape == (1, 3)
+
+
+def test_sample_from_refuses_a_seed_that_is_no_integer(gaussian):
+    # 1.5 drew seed 1's sample
+    with pytest.raises(InvalidParams, match="got 1.5"):
+        sample_from(gaussian.model, 3, 1.5)
+
+
+@pytest.mark.parametrize("lower", [None, "a", "0.5"])
+def test_support_bounds_that_are_no_real_numbers_are_refused(lower):
+    with pytest.raises(InvalidParams, match="invalid support bounds"):
+        SupportSet(lower, 1.0)
+
+
 def test_sample_requires_normalized(quartic_unnormalized):
     with pytest.raises(ValueError):
         sample_from(quartic_unnormalized, 10, seed=1)

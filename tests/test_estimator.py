@@ -39,7 +39,6 @@ from mlechar.errors import (
 from mlechar.estimator import (
     BracketedRoot,
     ClosedForm,
-    closed_form_estimator,
     mle,
     mle_block,
 )
@@ -256,6 +255,16 @@ def test_all_zero_sample_closed_form(gaussian):
 def test_residual_above_tol_is_a_bracket_failure(logistic):
     with pytest.raises(BracketFailure, match="exceeds tol"):
         mle(logistic.model, LOCATION, s(0.3, -1.2, 2.5, 0.7), tol=1e-300)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_a_tolerance_that_is_not_positive_is_refused(gaussian, tol):
+    # not the BracketFailure "residual 0.000e+00 ... exceeds tol=0"
+    with pytest.raises(InvalidParams, match="tolerance must be > 0"):
+        mle(gaussian.model, LOCATION, s(1.0, 2.0), tol=tol)
+    rows = Rows(np.array([1.0, 2.0]), np.array([2]))
+    with pytest.raises(InvalidParams, match="tolerance must be > 0"):
+        mle_block(LOCATION, [(gaussian.model, rows)], tol)
 
 
 def test_bracket_failure_outside_window(gaussian, sinh_arcsinh):
@@ -1104,10 +1113,9 @@ ROW_CLOSED_FORMS = {
 def test_closed_form_estimator_on_a_block_equals_each_row_bit_for_bit(case, n, m, seed, factor):
     name, params, label = case
     entry = lookup(name, params)
-    estimate = closed_form_estimator(entry, kind_for(entry, label))
     block = _block(entry, n, m, seed) * factor
+    name, estimate = entry.closed_form[label]
     got = estimate(block)
-    name, _ = entry.closed_form[label]
     want = [ROW_CLOSED_FORMS[name](row, entry.params) for row in block]
     assert got.shape == (m,)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]

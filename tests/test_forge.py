@@ -136,6 +136,14 @@ def test_verify_counterexample_rejects_a_negative_seed(gaussian, quartic_forge):
         verify_counterexample(gaussian.model, quartic_forge, 2, 5, -1, 1e-7)
 
 
+@pytest.mark.parametrize("n,trials,seed", [(2, 1.5, 1), (2.5, 2, 1), (2, 2, 1.5), (True, 2, 1)],
+                         ids=["trials_1.5", "n_2.5", "seed_1.5", "n_true"])
+def test_verify_counterexample_refuses_counts_and_seeds_that_are_no_integers(gaussian, n,
+                                                                             trials, seed):
+    with pytest.raises(InvalidParams, match="^counts and seeds must be integers"):
+        verify_counterexample(gaussian.model, gaussian.model, n, trials, seed, 1e-7)
+
+
 def test_verify_counterexample_on_shared_class(gaussian):
     tilted = tilt(gaussian.model, 2.0, LOCATION)
     rep = verify_counterexample(gaussian.model, tilted, n=4, trials=40,

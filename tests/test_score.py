@@ -120,8 +120,13 @@ def test_not_monotone_families():
     with pytest.raises(NotMonotone):
         analyze_image(lookup("student", {"nu": 3.0}).model, LOCATION)
     # a visibly skewed member of the sinh-arcsinh family has a location
-    # score with an interior dip (the base at theta=0 is just the normal)
-    skewed = lookup("sinh_arcsinh_skew_normal").group_density(1.5)
+    # score with an interior dip (the base at theta=0 is just the normal);
+    # h(theta, .) is the flow of u1, so its x-derivative is u1(h) / u1
+    entry = lookup("sinh_arcsinh_skew_normal")
+    tr, base = entry.transform, entry.model
+    skewed = DensityModel("skewed", base.support,
+                          lambda x: np.log(np.abs(tr.u1(tr.h(1.5, x)) / tr.u1(x)))
+                          + base.log_pdf(tr.h(1.5, x)), normalized=True)
     with pytest.raises(NotMonotone):
         analyze_image(skewed, LOCATION)
 

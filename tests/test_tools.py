@@ -310,26 +310,9 @@ def test_construct_digest_prints_hex_lines_per_family_kind_and_construction():
     assert again.stdout == proc.stdout
 
 
-def test_param_sweep_prints_count_lines_then_wrong_cases():
+def test_param_sweep_prints_count_lines_then_one_outcome_line_per_case():
     src = TOOLS.parent / "src"
     proc = subprocess.run([sys.executable, str(TOOLS / "param_sweep.py"), str(src)],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    counts = [line for line in lines if not line.startswith("wrong ")]
-    assert [line.split()[0] for line in counts] == \
-        ["gamma", "weibull", "student", "generalized_gaussian", "all"]
-    for line in counts:
-        assert re.fullmatch(r"\w+ cases=\d+ right=\d+ wrong=\d+( [A-Z]\w*=\d+)*", line)
-    assert lines[:len(counts)] == counts
-    for line in lines[len(counts):]:
-        assert re.fullmatch(r"wrong \w+\(\S+\) (location|scale|group) "
-                            r"mnss=(\d+|inf) expected=(\d+|inf)", line)
-
-
-def test_param_sweep_prints_one_outcome_line_per_case_with_cases():
-    src = TOOLS.parent / "src"
-    proc = subprocess.run([sys.executable, str(TOOLS / "param_sweep.py"), str(src), "--cases"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -337,6 +320,8 @@ def test_param_sweep_prints_one_outcome_line_per_case_with_cases():
     counts, cases = lines[:5], lines[5:]
     assert [line.split()[0] for line in counts] == \
         ["gamma", "weibull", "student", "generalized_gaussian", "all"]
+    for line in counts:
+        assert re.fullmatch(r"\w+ cases=\d+ right=\d+ wrong=\d+( [A-Z]\w*=\d+)*", line)
     tally = dict(field.split("=") for field in counts[-1].split()[1:])
     assert len(cases) == int(tally["cases"])
     outcomes = [re.fullmatch(r"\w+\(\S+\) (location|scale|group) "
@@ -344,6 +329,10 @@ def test_param_sweep_prints_one_outcome_line_per_case_with_cases():
                 for line in cases]
     assert {key: str(outcomes.count(key)) for key in set(outcomes)} == \
         {key: value for key, value in tally.items() if key != "cases" and value != "0"}
+    # a flag is refused with the usage line
+    proc = subprocess.run([sys.executable, str(TOOLS / "param_sweep.py"), str(src), "--cases"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and proc.stderr.startswith("python tools/param_sweep.py SRC")
 
 
 def test_known_families_prints_counts_per_range():
@@ -374,8 +363,8 @@ def test_traffic_lists_the_statements_no_workload_runs():
     headings = [line.split(":")[0] for line in lines if not line.startswith(" ")]
     modules = sorted(f"mlechar/{path.name}" for path in (src / "mlechar").glob("*.py"))
     assert headings == modules + ["total"]
-    # only tests call CatalogEntry.group_density: every statement of it is listed
-    start = next(i for i, line in enumerate(lines) if line.startswith("mlechar/catalog.py"))
+    # only tests call density.check_dlog_pdf: every statement of it is listed
+    start = next(i for i, line in enumerate(lines) if line.startswith("mlechar/density.py"))
     listed = {}
     for line in lines[start + 1:]:
         if not line.startswith("  "):
@@ -383,9 +372,9 @@ def test_traffic_lists_the_statements_no_workload_runs():
         scope, spans = line.strip().split(": ")
         listed[scope] = [tuple(map(int, span.split("-"))) if "-" in span else (int(span),) * 2
                          for span in spans.split(", ")]
-    source = (src / "mlechar" / "catalog.py").read_text()
+    source = (src / "mlechar" / "density.py").read_text()
     own = [(scope, first) for scope, first, _ in traffic.statements(ast.parse(source))
-           if scope.startswith("CatalogEntry.group_density")]
+           if scope.startswith("check_dlog_pdf")]
     assert own
     for scope, first in own:
         assert any(a <= first <= b for a, b in listed.get(scope, ())), (scope, first)

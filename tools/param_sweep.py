@@ -12,13 +12,12 @@ recorded MNSS.  The shape parameters are 10^e for each e in ``EXPONENTS``:
 Lookups that raise are skipped, and each distinct (family, parameters, kind)
 runs once.  It prints one count line per family and one for all of them: the
 cases, how many gave the recorded MNSS (``right``), how many gave another
-(``wrong``), and one count per error class raised.  Then one line per wrong
-case, with its MNSS and the recorded one; with ``--cases``, one outcome line
-per case instead: ``right``, ``wrong <mnss>`` or the error class.  It exits
-0 whatever the counts; run it with ``--cases`` on two source trees and diff
-the outputs to see which cases a change mends or breaks:
+(``wrong``), and one count per error class raised.  Then one outcome line
+per case: ``right``, ``wrong <mnss>`` or the error class.  It exits 0
+whatever the counts; run it on two source trees and diff the outputs to see
+which cases a change mends or breaks:
 
-    python tools/param_sweep.py SRC [--cases] > sweep.txt
+    python tools/param_sweep.py SRC > sweep.txt
 """
 
 from __future__ import annotations
@@ -43,13 +42,13 @@ def cases() -> list[tuple[str, dict]]:
     return grid
 
 
-def sweep(per_case: bool = False) -> list[str]:
+def sweep() -> list[str]:
     from mlechar import MlecharError, expected_mnss, lookup, mnss
     from mlechar.catalog import kind_for
     from mlechar.score import kind_profiles
 
     counts: dict[str, Counter] = {}
-    wrong, outcomes, seen = [], [], set()
+    outcomes, seen = [], set()
     for name, params in cases():
         try:
             entry = lookup(name, params)
@@ -72,8 +71,6 @@ def sweep(per_case: bool = False) -> list[str]:
                 outcome = "right" if got.value == expected.value else f"wrong {got}"
             tally[outcome.split()[0]] += 1
             outcomes.append(f"{name}({label}) {kind} {outcome}")
-            if outcome.startswith("wrong"):
-                wrong.append(f"wrong {name}({label}) {kind} mnss={got} expected={expected}")
     total = sum(counts.values(), Counter())
     lines = []
     for family, tally in [*counts.items(), ("all", total)]:
@@ -81,16 +78,16 @@ def sweep(per_case: bool = False) -> list[str]:
         lines.append(f"{family} cases={sum(tally.values())} right={tally['right']} "
                      f"wrong={tally['wrong']}"
                      + "".join(f" {key}={tally[key]}" for key in errors))
-    return lines + (outcomes if per_case else wrong)
+    return lines + outcomes
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2) or argv[1:] not in ([], ["--cases"]):
+    if len(argv) != 1:
         print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
         return 2
     sys.path.insert(0, str(Path(argv[0]).resolve()))
     warnings.simplefilter("error")
-    print("\n".join(sweep(per_case=argv[1:] == ["--cases"])))
+    print("\n".join(sweep()))
     return 0
 
 
