@@ -41,13 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
 
 from .coverage import SampleSize
-from .density import FULL_LINE, DensityModel, SupportSet, quiet_overflow
+from .density import FULL_LINE, DensityModel, SupportSet, quiet_overflow, real
 from .errors import (
     AllZeroSample,
     InvalidConfig,
@@ -97,22 +96,17 @@ class CatalogEntry:
         return "scale" in self.expected and self.model.support.kind != FULL_LINE
 
 
-def is_number(value) -> bool:
-    """Whether ``value`` is a real number: neither JSON true nor a numeric
-    string such as "2" is one."""
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
 def _check_params(given: dict, allowed: dict) -> dict:
     unknown = set(given) - set(allowed)
     if unknown:
         raise InvalidParams(f"unknown parameters {sorted(unknown)}")
-    if not all(is_number(v) for v in given.values()):
-        raise InvalidParams(f"parameters must be numbers, got {given}")
     try:
-        values = {k: float(v) for k, v in given.items()}
-    except OverflowError as exc:
-        raise InvalidParams(f"parameters must be finite: {exc}") from exc
+        values = {k: real(v) for k, v in given.items()}
+    except InvalidParams as exc:
+        # real chains the OverflowError of an integer beyond the float
+        # range; neither JSON true nor a numeric string such as "2" is a number
+        why = f"finite: {exc.__cause__}" if exc.__cause__ else f"numbers, got {given}"
+        raise InvalidParams(f"parameters must be {why}") from exc
     nonfinite = sorted(k for k, v in values.items() if not math.isfinite(v))
     if nonfinite:
         raise InvalidParams(f"parameters {nonfinite} must be finite")

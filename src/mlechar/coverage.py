@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .density import integer
+from .density import integer, real
 from .errors import BudgetExceeded, InvalidBounds, InvalidParams, NotCharacterizable
 from .score import Kind, ScoreProfile
 
@@ -36,7 +36,7 @@ ORACLE_GRID = 41
 
 
 def _validate_bound(value: float, name: str) -> float:
-    v = float(value)
+    v = real(value)
     if math.isnan(v) or v <= 0.0:
         raise InvalidBounds(f"{name} must be > 0 (possibly inf), got {value}")
     return v

@@ -102,11 +102,35 @@ INVERT_STEPS = 60
 
 def integer(value):
     """``value`` itself when it is an integer, a numpy one included, and not
-    a bool; :class:`InvalidParams` otherwise.  The one rule for every count
-    and seed."""
+    a bool; :class:`InvalidParams` otherwise.  The one rule for every count,
+    seed and other integer argument."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InvalidParams(f"counts and seeds must be integers, got {value!r}")
     return value
+
+
+def real(value) -> float:
+    """``value`` as a float when it is a real number, a numpy one included,
+    and not a bool; :class:`InvalidParams` otherwise, also for an integer
+    beyond the float range.  The one rule for every real argument; NaN and
+    the infinities pass, for each caller's range check to judge."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidParams(f"reals must be numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InvalidParams(f"reals must be finite: {exc}") from exc
+
+
+def tolerance(value) -> float:
+    """``value`` as a float when it is a :func:`real` above 0, an infinity
+    included; :class:`InvalidParams` otherwise.  The one rule for every
+    tolerance."""
+    tol = real(value)
+    # a NaN fails the comparison
+    if not tol > 0.0:
+        raise InvalidParams(f"tolerance must be > 0, got {tol}")
+    return tol
 
 
 def call_array(fn: Callable, *args) -> np.ndarray:
@@ -220,11 +244,14 @@ class SupportSet:
     upper: float
 
     def __post_init__(self) -> None:
+        bounds = f"invalid support bounds ({self.lower}, {self.upper})"
+        try:
+            lo, hi = real(self.lower), real(self.upper)
+        except InvalidParams as exc:
+            raise InvalidParams(f"{bounds}: {exc}") from exc
         # a NaN fails the comparison
-        if not (isinstance(self.lower, Real) and isinstance(self.upper, Real)
-                and self.lower < self.upper):
-            raise InvalidParams(f"invalid support bounds ({self.lower}, {self.upper})")
-        lo, hi = float(self.lower), float(self.upper)
+        if not lo < hi:
+            raise InvalidParams(bounds)
         if math.isinf(lo) != math.isinf(hi) and 0.0 not in (lo, hi):
             raise InvalidParams(f"a half-line support must end at 0, got ({lo}, {hi})")
         object.__setattr__(self, "lower", lo)
@@ -244,7 +271,7 @@ class SupportSet:
 
     @classmethod
     def open_interval(cls, a: float, b: float) -> "SupportSet":
-        if not (math.isfinite(a) and math.isfinite(b)):
+        if not (math.isfinite(real(a)) and math.isfinite(real(b))):
             raise InvalidParams("open_interval requires finite endpoints")
         return cls(a, b)
 
@@ -343,7 +370,11 @@ class Sample:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        try:
+            vals = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            # a value that is no number is no observation
+            vals = np.empty(0)
         if vals.ndim != 1 or vals.size < 1:
             raise InvalidParams("a sample holds at least one scalar observation")
         object.__setattr__(self, "values", vals)
@@ -420,7 +451,7 @@ def check_dlog_pdf(model: DensityModel, xs, tol: float = 1e-6) -> float:
     xs = np.asarray(xs, dtype=float)
     fd = _central_difference(model, xs)
     worst = float(np.max(np.abs(fd - call_elementwise(model.dlog_pdf, xs))))
-    if not worst < tol:
+    if not worst < tolerance(tol):
         raise NonFiniteLogDensity(
             f"analytic dlog_pdf deviates from finite differences by {worst:.3e}"
         )
@@ -875,8 +906,11 @@ class InverseCdfSampler:
         ``runs`` lists ``(seed, sizes)``, and each seed gives one row per
         size, in order, from the uniforms of ``numpy.random.default_rng(seed)``.
         Seeds and sizes are integers, at least 0."""
-        if any(integer(seed) < 0 or min(map(integer, sizes), default=0) < 0
-               for seed, sizes in runs):
+        values = [v for seed, sizes in runs for v in (seed, *sizes)]
+        # the rule reads a value's type only: the first value of each type is checked
+        for cls in dict.fromkeys(map(type, values)):
+            integer(next(v for v in values if type(v) is cls))
+        if min(values, default=0) < 0:
             raise InvalidParams("sampler seeds and sizes must be >= 0")
         counts = [sum(sizes) for _, sizes in runs]
         if sum(counts) > MAX_COUNT:

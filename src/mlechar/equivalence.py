@@ -37,7 +37,9 @@ from .density import (
     median,
     normalize,
     quiet_overflow,
+    real,
     scan_grid,
+    tolerance,
 )
 from .errors import DegenerateScore, InvalidParams, SingletonClass, UnsupportedSupport
 from .score import Kind, kind_score, u1_vanishes_inside
@@ -57,6 +59,7 @@ def tilt_with_spec(model: DensityModel, d: float,
     less, within 1e-6 relative plus absolute): such a pair belongs to no
     group.
     """
+    d = real(d)
     if not (math.isfinite(d) and d > 0.0):
         raise InvalidParams(f"tilt exponent must be a positive real, got {d}")
     kind.check(model.support)
@@ -142,8 +145,7 @@ def same_class(f: DensityModel, g: DensityModel, kind: Kind,
     when the ratio deviates from its median by less than ``tol`` and the
     median is positive.
     """
-    if not tol > 0.0:
-        raise InvalidParams(f"tolerance must be > 0, got {tol}")
+    tol = tolerance(tol)
     if f.support != g.support:
         raise UnsupportedSupport("class comparison requires a common support")
     xs = _default_grid(f, g)
@@ -206,6 +208,7 @@ def scale_identification(target: DensityModel, candidate: DensityModel,
         raise UnsupportedSupport("scale identification applies to half-line supports")
     if candidate.support != target.support:
         raise UnsupportedSupport("scale identification requires a common support")
+    lam = real(lam)
     if not (math.isfinite(lam) and lam > 0.0 and lam != 1.0):
         raise InvalidParams(f"lam must be finite, positive and different from 1, got {lam}")
 

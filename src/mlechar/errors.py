@@ -91,7 +91,9 @@ class UnknownFamily(MlecharError):
 
 class InvalidParams(MlecharError, ValueError):
     """Arguments violate their domain constraints: family parameters, sample
-    sizes, supports, tabulated grids, tilt exponents, tolerances."""
+    sizes, supports, tabulated grids, tilt exponents, tolerances.  Counts
+    and seeds must be integers and reals must be numbers, neither a bool,
+    and tolerances must be reals above 0; anything else raises this too."""
 
 
 # --- harness -----------------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .density import DensityModel, Rows, Sample, call_elementwise, length_blocks
+from .density import DensityModel, Rows, Sample, call_elementwise, length_blocks, tolerance
 from .errors import (
     BracketFailure,
     InvalidParams,
@@ -110,7 +110,7 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     the one row ``sample``, bracketed and refined in Python floats
     (``score.brent_one``) and summed by extraction on its score array.
     """
-    _admit(kind, [(model, Rows(sample.values, np.array([sample.n])))], tol)
+    _, tol = _admit(kind, [(model, Rows(sample.values, np.array([sample.n])))], tol)
     sums = ScoreSums(kind, [model])
     to_theta = _to_theta(kind)
 
@@ -157,7 +157,7 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
     ``row_fsums`` call, also when there is one lane.  Raises as soon as one
     row fails.
     """
-    blocks = _admit(kind, problems, tol)
+    blocks, tol = _admit(kind, problems, tol)
     if not blocks:
         return []
     flat, lengths = rows = Rows(*map(np.concatenate, zip(*blocks))) if blocks[1:] else blocks[0]
@@ -194,15 +194,15 @@ def mle_block(kind: Kind, problems, tol: float = DEFAULT_TOL) -> list[BlockRoots
     return [BlockRoots(*(v[a:b] for v in fields)) for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _admit(kind: Kind, problems, tol: float) -> list[Rows]:
-    """Each problem's rows, once the kind has an action, the tolerance is
-    positive, each is a :class:`~mlechar.density.Rows` of m >= 1 rows of n
+def _admit(kind: Kind, problems, tol: float) -> tuple[list[Rows], float]:
+    """Each problem's rows and the tolerance as a float, once the kind has
+    an action, the tolerance is a :func:`~mlechar.density.tolerance`, each
+    problem's rows are a :class:`~mlechar.density.Rows` of m >= 1 rows of n
     >= 1 observations, and each problem's support admits the kind and holds
     its rows."""
     if kind.h is None:
         raise NotCharacterizable(f"the {kind!r} kind carries no action to estimate")
-    if not tol > 0.0:
-        raise InvalidParams(f"tolerance must be > 0, got {tol}")
+    tol = tolerance(tol)
     blocks = []
     for model, rows in problems:
         if isinstance(rows, Rows):
@@ -214,7 +214,7 @@ def _admit(kind: Kind, problems, tol: float) -> list[Rows]:
         kind.check(model.support)
         Sample(rows.flat).require_inside(model)
         blocks.append(rows)
-    return blocks
+    return blocks, tol
 
 
 def _to_theta(kind: Kind) -> Callable[[np.ndarray], np.ndarray]:

@@ -34,6 +34,8 @@ from .density import (
     integer,
     normalize,
     quiet_overflow,
+    real,
+    tolerance,
 )
 from .errors import InvalidParams, NotMonotone
 from .estimator import mle_block
@@ -56,9 +58,10 @@ class OddPower:
     p: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", real(self.d))
         if not (math.isfinite(self.d) and self.d > 0.0):
             raise InvalidParams(f"OddPower needs d > 0, got {self.d}")
-        if self.p < 1 or self.p % 2 == 0:
+        if integer(self.p) < 1 or self.p % 2 == 0:
             raise InvalidParams(f"OddPower needs odd p >= 1, got {self.p}")
 
 
@@ -195,8 +198,7 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
         raise InvalidParams(f"trials must be <= {MAX_COUNT}, got {trials}")
     if integer(seed) < 0:
         raise InvalidParams(f"seed must be >= 0, got {seed}")
-    if not tol > 0.0:
-        raise InvalidParams(f"tolerance must be > 0, got {tol}")
+    tol = tolerance(tol)
     block = InverseCdfSampler(f).rows(n, np.random.SeedSequence(seed).generate_state(trials))
     # the solver residual requirement stays subordinate to the agreement
     # tolerance under test: interpolated densities carry evaluation noise

@@ -50,10 +50,12 @@ from .density import (
     compact_grid,
     compact_nodes,
     effective_interval,
+    integer,
     normalize,
+    real,
     tabulated_model,
 )
-from .errors import InvalidConfig, IoFailure, NonFiniteLogDensity
+from .errors import InvalidConfig, InvalidParams, IoFailure, NonFiniteLogDensity
 
 #: nodes of the grids :func:`write_tabulated` writes
 WRITTEN_POINTS = 4001
@@ -69,8 +71,8 @@ def _parse_support(spec) -> SupportSet:
         return getattr(SupportSet, spec)()
     if isinstance(spec, (list, tuple)) and len(spec) == 2:
         try:
-            lower, upper = float(spec[0]), float(spec[1])
-        except (TypeError, ValueError, OverflowError) as exc:
+            lower, upper = real(spec[0]), real(spec[1])
+        except InvalidParams as exc:
             raise InvalidConfig(f"unparseable support {spec!r}") from exc
         return SupportSet.open_interval(lower, upper)
     raise InvalidConfig(f"unparseable support {spec!r}")
@@ -94,14 +96,14 @@ def _rule_nodes(support: SupportSet, rule: dict) -> np.ndarray:
     array is made."""
     _known_keys(rule, ("compact", "points"), "grid rule")
     points, ends = rule.get("points"), rule.get("compact")
-    if isinstance(points, bool) or not isinstance(points, int) or not (
-            4 <= points <= MAX_RULE_POINTS):
+    # a count or a t-end of another type raises InvalidParams, which
+    # load_family_spec reports as a configuration error
+    if not 4 <= integer(points) <= MAX_RULE_POINTS:
         raise InvalidConfig(f"grid rule points must be an integer in "
                             f"[4, {MAX_RULE_POINTS}], got {points!r}")
-    if not (isinstance(ends, list) and len(ends) == 2 and all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in ends)):
+    if not (isinstance(ends, list) and len(ends) == 2):
         raise InvalidConfig(f"grid rule compact must be two numbers, got {ends!r}")
-    t_lo, t_hi = float(ends[0]), float(ends[1])
+    t_lo, t_hi = map(real, ends)
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
         raise InvalidConfig(f"grid rule t-ends must be finite and increasing, "
                             f"got {t_lo!r}, {t_hi!r}")
@@ -166,6 +168,7 @@ def load_family_spec(path) -> tuple[DensityModel, Optional[CatalogEntry]]:
                     else np.asarray(tab["grid"], dtype=float))
             log_pdf = (_decode_doubles(tab["log_pdf"]) if isinstance(tab["log_pdf"], dict)
                        else np.asarray(tab["log_pdf"], dtype=float))
+        # InvalidParams, of a grid rule, is a ValueError
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"tabulated grid and log_pdf must be numbers: {exc}") from exc
         model = tabulated_model(

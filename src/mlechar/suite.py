@@ -50,10 +50,12 @@ from .density import (
     call_elementwise,
     compact_grid,
     effective_interval,
+    integer,
     length_blocks,
+    real,
 )
 from .equivalence import same_class, tilt
-from .errors import InvalidConfig, IoFailure, MlecharError
+from .errors import InvalidConfig, InvalidParams, IoFailure, MlecharError
 from .estimator import mle_block
 from .forge import AGREEMENT_TOL, OddPower, forge_odd_h, verify_counterexample
 from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_vanishes_inside
@@ -169,21 +171,29 @@ def _count(value, what: str, low: int = 1, high: int = MAX_COUNT) -> int:
     """A JSON number with an integral value, as an int: 3 and 3.0 pass; 2.9,
     "3" and true do not, nor a value above MAX_COUNT, the most values an
     array holds.  The count named by ``what`` must also lie in [low, high]."""
-    if not (cat.is_number(value) and float(value).is_integer()):
-        raise InvalidConfig(f"trials, sample_sizes and seed take integers, got {value!r}")
-    if value > MAX_COUNT:
+    try:
+        # JSON spells 3 as 3.0 too
+        count = integer(int(value) if isinstance(value, float) and value.is_integer() else value)
+    except InvalidParams as exc:
+        raise InvalidConfig(f"trials, sample_sizes and seed take integers, got {value!r}") from exc
+    if count > MAX_COUNT:
         raise InvalidConfig(f"trials, sample_sizes and seed must be <= {MAX_COUNT}, got {value}")
-    if value > high:
-        raise InvalidConfig(f"{what} must be <= {high}, got {int(value)}")
-    if value < low:
-        raise InvalidConfig(f"{what} must be >= {low}, got {int(value)}")
-    return int(value)
+    if count > high:
+        raise InvalidConfig(f"{what} must be <= {high}, got {count}")
+    if count < low:
+        raise InvalidConfig(f"{what} must be >= {low}, got {count}")
+    return int(count)
 
 
 def _tilt_exponents(value) -> tuple:
-    if not all(cat.is_number(d) and math.isfinite(d) and d > 0.0 for d in value):
+    try:
+        exponents = tuple(map(real, value))
+        admitted = all(math.isfinite(d) and d > 0.0 for d in exponents)
+    except InvalidParams:
+        admitted = False
+    if not admitted:
         raise InvalidConfig("tilt exponents must be positive reals")
-    return tuple(float(d) for d in value)
+    return exponents
 
 
 def _entries(value, kind_key: str, default):

@@ -414,6 +414,59 @@ def test_one_operation_of_each_benchmark_workload_is_correct(tmp_path):
         assert tally["wrong"] == {}, (name, tally["wrong"])
 
 
+# the cli_session workload's command mix for seeds 1-20, each command run
+# in-process through cli.main in the workload's directory and judged by the
+# workload's own op(); an uncaught exception exits 1, as in a fresh process
+CLI_SESSION_CHILD = """
+import contextlib, io, json, os, subprocess, sys, traceback
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+from mlechar import cli
+
+def launch(argv, stats_path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+attempted, errors, wrong = 0, {}, {}
+for seed in range(1, 21):
+    workdir = Path(sys.argv[2]) / str(seed)
+    workdir.mkdir()
+    workload = workloads.CliSession(seed, workdir)
+    workload._launch = launch
+    os.chdir(workdir)
+    workload.op(False)
+    attempted += workload.tally.attempted
+    errors.update(workload.tally.errors)
+    wrong.update(workload.tally.wrong)
+print(json.dumps({"attempted": attempted, "errors": errors, "wrong": wrong}))
+"""
+
+
+def test_twenty_rounds_of_the_cli_session_mix_give_no_wrong_output(tmp_path):
+    # the benchmark counts a command with a wrong output, or one that ends
+    # in a traceback, as a wrong operation of the cli_session workload
+    root = TOOLS.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", CLI_SESSION_CHILD,
+                           str(root / "perfbench"), str(tmp_path)], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    tally = json.loads(proc.stdout.splitlines()[-1])
+    assert tally["attempted"] == 20 * 13
+    assert tally["wrong"] == {}, tally["wrong"]
+    # a command may fail only as the workload's one known defect
+    assert all(": known defect: " in reason for reason in tally["errors"]), tally["errors"]
+
+
 # a reduced suite that reaches every section, and three commands, run
 # in-process through the CLI; prints each command's exit code and stdout
 DISPATCH_CHILD = """
