@@ -430,7 +430,11 @@ def lookup(name: str, params: Optional[dict] = None) -> CatalogEntry:
         raise UnknownFamily(
             f"unknown family {name!r}; known: {', '.join(sorted(_BUILDERS))}"
         )
-    return builder(dict(params or {}))
+    try:
+        params = dict(params or {})
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"parameters must be a mapping, got {params!r}") from exc
+    return builder(params)
 
 
 def expected_mnss(entry: CatalogEntry, kind_label: str) -> SampleSize:

@@ -122,6 +122,16 @@ def real(value) -> float:
         raise InvalidParams(f"reals must be finite: {exc}") from exc
 
 
+def reals(value) -> np.ndarray:
+    """``value`` as a float array when numpy converts each of its elements
+    to a float; :class:`InvalidParams` otherwise.  The one rule for every
+    array of reals."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams(f"arrays must hold numbers: {exc}") from exc
+
+
 def tolerance(value) -> float:
     """``value`` as a float when it is a :func:`real` above 0, an infinity
     included; :class:`InvalidParams` otherwise.  The one rule for every
@@ -370,11 +380,7 @@ class Sample:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            vals = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            # a value that is no number is no observation
-            vals = np.empty(0)
+        vals = reals(self.values)
         if vals.ndim != 1 or vals.size < 1:
             raise InvalidParams("a sample holds at least one scalar observation")
         object.__setattr__(self, "values", vals)
@@ -723,11 +729,9 @@ class _Table:
 
     ``ends`` holds the slopes of the continuation below ``x[0]`` and above
     ``x[-1]``; by default they are the interpolant's own end derivatives.
-    ``offset`` is subtracted from every value.  :meth:`derivative` is the
-    derivative of the same pieces.  A float is evaluated as a 0-d array.
+    :meth:`derivative` is the derivative of the same pieces.  A float is
+    evaluated as a 0-d array.
     """
-
-    offset = 0.0
 
     def __init__(self, x, y, ends=None):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -774,7 +778,7 @@ class _Table:
                 out = np.where(below, self._y_lo + self._slope_lo * (x - self.lo), out)
             if above.any():
                 out = np.where(above, self._y_hi + self._slope_hi * (x - self.hi), out)
-        return out - self.offset
+        return out
 
     def derivative(self, x):
         """Derivative of the interpolant: of its cubic inside the tabulated
@@ -786,13 +790,15 @@ class _Table:
 
 
 class CumulativeIntegral(_Table):
-    """Antiderivative of an integrand, anchored at a point.
+    """Antiderivative of an integrand, vanishing at the left node of the
+    cell that holds the anchor.
 
     The integral is tabulated once on ``TABLE_CELLS`` Gauss-Legendre cells
-    across ``(lo, hi)``, summed outward from the cell that holds the anchor;
-    beyond the tabulated range it is extended linearly using the integrand
-    value at the nearest end.  Cheap enough to sit inside MLE root-finding
-    loops.  ``lo`` and ``hi`` are the ends of the tabulated range.
+    across ``(lo, hi)``, summed outward from that node, so an anchor in
+    another cell changes it by a constant up to rounding; beyond the
+    tabulated range it is extended linearly using the integrand value at the
+    nearest end.  Cheap enough to sit inside MLE root-finding loops.  ``lo``
+    and ``hi`` are the ends of the tabulated range.
     """
 
     def __init__(self, integrand: Callable, anchor: float,
@@ -811,7 +817,6 @@ class CumulativeIntegral(_Table):
         if not np.isfinite(cum).all():
             raise DivergentIntegral("cumulative integrand is not finite on the grid")
         super().__init__(edges, cum, ends=(integrand(lo), integrand(hi)))
-        self.offset = float(self(anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -949,8 +954,7 @@ def tabulated_model(support: SupportSet, grid, log_pdf_values, name: str = "tabu
     wherever solvers probe; a rising end slope simply makes ``normalize``
     fail with :class:`DivergentIntegral`, as it should.
     """
-    xs = np.asarray(grid, dtype=float)
-    ys = np.asarray(log_pdf_values, dtype=float)
+    xs, ys = reals(grid), reals(log_pdf_values)
     if xs.ndim != 1 or xs.size < 4 or xs.shape != ys.shape:
         raise InvalidParams("tabulated density needs matching 1-d arrays (>= 4 points)")
     if not (np.diff(xs) > 0).all():

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .density import DensityModel, Rows, Sample, call_elementwise, length_blocks, tolerance
+from .density import DensityModel, Rows, Sample, call_elementwise, length_blocks, reals, tolerance
 from .errors import (
     BracketFailure,
     InvalidParams,
@@ -206,7 +206,7 @@ def _admit(kind: Kind, problems, tol: float) -> tuple[list[Rows], float]:
     blocks = []
     for model, rows in problems:
         if isinstance(rows, Rows):
-            rows = Rows(np.asarray(rows.flat, dtype=float), np.asarray(rows.lengths))
+            rows = Rows(reals(rows.flat), np.asarray(rows.lengths))
         if not (isinstance(rows, Rows) and rows.flat.ndim == 1 and rows.lengths.size
                 and rows.lengths.dtype.kind in "iu" and rows.lengths.min() >= 1
                 and rows.lengths.sum() == rows.flat.size):

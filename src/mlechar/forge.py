@@ -3,12 +3,16 @@
 Given a target f with odd, strictly increasing location score phi, any odd
 strictly increasing h yields a density g with ``-g'/g = h o phi``:
 
-    log g(x) = -int_{x0}^{x} h(phi(y)) dy + log c,
+    log g(x) = -int_{x0}^{x} h(phi(y)) dy + log c.
 
-anchored at phi's zero crossing x0.  Such a g shares f's MLE on every
-symmetric two-point sample (both estimators return the midpoint) while, for
-h other than a positive multiple of the identity, g sits in a different
-equivalence class and the shared-MLE property breaks down at sample size 3.
+The anchor x0 is the node of the target's scan where its log-density is
+largest, the cut of ``log_mass``.  Any interior x0 gives the same g: moving
+it adds a constant to log g, and the normalizer c removes that constant.
+
+Such a g shares f's MLE on every symmetric two-point sample (both
+estimators return the midpoint) while, for h other than a positive multiple
+of the identity, g sits in a different equivalence class and the shared-MLE
+property breaks down at sample size 3.
 
 Two shapes of h are supported: odd powers ``h(y) = d * y**p`` and the
 even-derivative perturbation ``h(y) = y + w'(y)`` for an even differentiable
@@ -39,7 +43,7 @@ from .density import (
 )
 from .errors import InvalidParams, NotMonotone
 from .estimator import mle_block
-from .score import LOCATION, analyze_image, bracketed_root
+from .score import LOCATION, analyze_image
 
 #: the gap below which two location MLEs of one sample agree, for analytic
 #: densities: the suite's shared-MLE checks and the command-line default
@@ -61,7 +65,8 @@ class OddPower:
         object.__setattr__(self, "d", real(self.d))
         if not (math.isfinite(self.d) and self.d > 0.0):
             raise InvalidParams(f"OddPower needs d > 0, got {self.d}")
-        if integer(self.p) < 1 or self.p % 2 == 0:
+        # np.power takes p as a float, so p must have a float value
+        if real(integer(self.p)) < 1 or self.p % 2 == 0:
             raise InvalidParams(f"OddPower needs odd p >= 1, got {self.p}")
 
 
@@ -128,26 +133,24 @@ def forge_odd_h(target: DensityModel, h_spec: HSpec) -> DensityModel:
         out = call_elementwise(h, phi(y))
         return out if np.ndim(y) else float(out)
 
-    # the antiderivative vanishes at phi's zero and spans the target's
-    # effective interval, widened to reach one unit beyond that anchor
-    anchor = bracketed_root(profile)
-    lo, hi = effective_interval(target, drop=80.0)
-    antider = CumulativeIntegral(h_phi, anchor, min(lo, anchor - 1.0), max(hi, anchor + 1.0))
+    # the antiderivative is anchored at the target's scan mode, which is
+    # interior to the effective interval when it is not a grid end
+    if not profile.crosses_zero:
+        raise NotMonotone("score does not cross zero; no root to bracket")
+    xs, vals = target.scan
+    mode = int(np.argmax(vals))
+    if mode in (0, xs.size - 1):
+        raise NotMonotone("no sign change on the scan grid")
+    antider = CumulativeIntegral(h_phi, float(xs[mode]), *effective_interval(target, drop=80.0))
     if isinstance(h_spec, PlusEvenDerivative):
         phis = phi(np.linspace(antider.lo, antider.hi, 201))
         _check_h_increasing(h, float(phis.min()), float(phis.max()))
 
-    def log_pdf(x):
-        return -antider(x)
-
-    def dlog(x):
-        return -h_phi(x)
-
     raw = DensityModel(
         name=f"forged({target.name})",
         support=target.support,
-        log_pdf=log_pdf,
-        dlog_pdf=dlog,
+        log_pdf=lambda x: -antider(x),
+        dlog_pdf=lambda x: -h_phi(x),
         breaks=np.concatenate([target.breaks, antider.nodes]),
     )
     _, forged = normalize(raw)

@@ -51,8 +51,8 @@ the one row of :meth:`ScoreSums.row` on its score array alone
 :func:`brent_lanes` is the root finder of every batch: Brent's method run
 lane by lane over a batch of brackets, step for step as SciPy's Brent solver
 runs it, in numpy lockstep over the lanes not yet converged;
-:func:`brent_one` runs the same steps in Python floats for any single
-function: the one-row solve and the zero of a score profile.
+:func:`brent_one` runs the same steps in Python floats for the one-row
+solve.
 """
 
 from __future__ import annotations
@@ -654,47 +654,48 @@ def _end_limit(evaluate, domain: SupportSet, side: str, xs: np.ndarray, vs: np.n
                            (float(xs[0]), float(vs[0])))
 
 
-def u1_vanishes_inside(kind: Kind, support: SupportSet) -> bool:
-    """Whether ``kind.u1`` vanishes or changes sign inside ``support``.
+def u1_zero(kind: Kind, support: SupportSet) -> Optional[float]:
+    """Where ``kind.u1`` vanishes inside ``support``, or None.
 
-    Vanishing limits at the support's ends do not count.
+    On the support's scan grid: the node where ``|u1|`` is least when that
+    is below 1e-12, otherwise the secant zero of the first cell where ``u1``
+    changes sign.  Vanishing limits at the support's ends do not count.
     """
-    vals = call_elementwise(kind.u1, scan_grid(support))
-    return bool((np.abs(vals) < 1e-12).any()
-                or (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0).any())
+    xs = scan_grid(support)
+    u = call_elementwise(kind.u1, xs)
+    # least, not first: a u1 below 1e-12 over a run of nodes vanishes at one
+    size = np.where(np.isnan(u), np.inf, np.abs(u))
+    if size.min() < 1e-12:
+        return float(xs[np.argmin(size)])
+    with np.errstate(all="ignore"):
+        secants = xs[:-1] - u[:-1] * np.diff(xs) / np.diff(u)
+    zeros = secants[np.sign(u[:-1]) * np.sign(u[1:]) < 0]
+    return float(zeros[0]) if zeros.size else None
 
 
-#: the two sides of an interior zero of u1, taken to be the origin
+def u1_vanishes_inside(kind: Kind, support: SupportSet) -> bool:
+    """Whether :func:`u1_zero` finds a zero of ``kind.u1`` inside ``support``."""
+    return u1_zero(kind, support) is not None
+
+
+#: the two sides of an interior zero of u1 at the origin
 _HALF_LINES = (SupportSet.negative_half_line(), SupportSet.positive_half_line())
 
 
 def kind_profiles(model: DensityModel, kind: Kind) -> tuple[ScoreProfile, ...]:
     """Score profiles of ``kind`` on the monotone pieces of the model's support.
 
-    One piece, the support itself; or, when ``u1`` vanishes inside the
-    support (scale on the full line), the ``(negative, positive)`` half-lines.
+    One piece, the support itself; or, when ``u1`` vanishes at the origin
+    (scale on the full line), the ``(negative, positive)`` half-lines.  A
+    zero elsewhere raises :class:`UnsupportedSupport`: the pieces would end
+    at it, and a support cannot.
     """
-    if not u1_vanishes_inside(kind, model.support):
+    zero = u1_zero(kind, model.support)
+    if zero is None:
         return (analyze_image(model, kind),)
+    if zero != 0.0:
+        raise UnsupportedSupport(f"u1 of the {kind!r} kind vanishes at x={zero:g}, not at 0")
     return tuple(analyze_image(model, kind, half) for half in _HALF_LINES)
-
-
-def bracketed_root(profile: ScoreProfile) -> float:
-    """Zero crossing of a monotone score, located by bracketed root-finding."""
-    if not profile.crosses_zero:
-        raise NotMonotone("score does not cross zero; no root to bracket")
-    xs = scan_grid(profile.domain)
-    vs = _scan_scores(profile.evaluate, xs)
-    sign = np.sign(vs)
-    flips = np.where(sign[:-1] * sign[1:] <= 0)[0]
-    if flips.size == 0:
-        raise NotMonotone("no sign change on the scan grid")
-    i = int(flips[0])
-    (a, b), (fa, fb) = xs[i:i + 2].tolist(), vs[i:i + 2].tolist()
-    root, _, _, converged = brent_one(profile.evaluate, a, b, fa, fb, xtol=1e-13, maxiter=100)
-    if not converged:
-        raise BracketFailure("Brent iteration did not converge within 100 steps")
-    return root
 
 
 #: relative tolerance of every Brent solve, just above the 4 eps floor that

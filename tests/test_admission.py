@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from mlechar import lookup
 from mlechar.coverage import brute_force_projectable, is_projectable, mcss, projection_interval
-from mlechar.density import Rows, Sample, SupportSet, real, sample_from, tolerance
+from mlechar.density import (
+    Rows,
+    Sample,
+    SupportSet,
+    real,
+    sample_from,
+    tabulated_model,
+    tolerance,
+)
 from mlechar.equivalence import same_class, scale_identification, tilt
 from mlechar.errors import InvalidParams, MlecharError
 from mlechar.estimator import mle, mle_block
@@ -49,11 +57,18 @@ ROWS = Rows(SAMPLE.values, np.array([SAMPLE.n]))
     lambda: OddPower(True, 3),
     lambda: mcss(True, 1.0),
     lambda: SupportSet(False, True),
+    # arrays and containers of no numbers leaked ValueError
+    lambda: mle_block(LOCATION, [(GAUSSIAN, Rows(["a"], np.array([1])))]),
+    lambda: tabulated_model(SupportSet.full_line(), ["a", 1, 2, 3], [0, 0, 0, 0]),
+    lambda: lookup("gamma", "alpha"),
+    # an odd p beyond the float range leaked OverflowError from np.power
+    lambda: OddPower(1.0, 10 ** 400 + 1),
 ], ids=["mle_tol_none", "mle_tol_str", "same_class_tol_str", "verify_tol_none",
         "tilt_d_str", "tilt_d_none", "odd_power_d_str", "odd_power_p_str",
         "odd_power_p_3.5", "mcss_str", "mcss_none", "sample_str", "mle_tol_true",
         "same_class_tol_true", "tilt_d_true", "odd_power_p_true", "odd_power_d_true",
-        "mcss_true", "support_bools"])
+        "mcss_true", "support_bools", "mle_block_rows_str", "tabulated_grid_str",
+        "lookup_params_str", "odd_power_p_beyond_float"])
 def test_a_malformed_argument_raises_invalid_params(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

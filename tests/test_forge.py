@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,16 @@ from mlechar import (
     tilt,
     verify_counterexample,
 )
-from mlechar.density import Sample
+from mlechar.density import (
+    CumulativeIntegral,
+    DensityModel,
+    Sample,
+    effective_interval,
+    normalize,
+)
 from mlechar.errors import InvalidParams, NotMonotone
+from mlechar.forge import h_function
+from mlechar.score import analyze_image
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +49,35 @@ def test_forged_quartic_log_density(gaussian, quartic_forge):
         want = -(x ** 4) / 4.0
         got = quartic_forge.log_pdf(x) - quartic_forge.log_pdf(0.0)
         assert abs(got - want) < 1e-6
+
+
+def test_any_interior_anchor_forges_the_same_density(gaussian, quartic_forge):
+    # the antiderivative anchored at the target's scan mode and at the nodes
+    # 5 and 50 scan cells either side of it, on the forged density's
+    # effective interval: the tables differ by constants, which normalizing
+    # removes
+    target = gaussian.model
+    phi = analyze_image(target, LOCATION).evaluate
+    h = h_function(OddPower(1.0, 3))
+    h_phi = lambda y: h(phi(y))
+    xs, vals = target.scan
+    mode = int(np.argmax(vals))
+    lo, hi = effective_interval(target, drop=80.0)
+    grid = np.linspace(*effective_interval(quartic_forge), 2001)
+    tables, forged = [], []
+    for step in (0, -50, -5, 5, 50):
+        antider = CumulativeIntegral(h_phi, float(xs[mode + step]), lo, hi)
+        raw = DensityModel(name="forged", support=target.support,
+                           log_pdf=lambda x, a=antider: -a(x), dlog_pdf=lambda x: -h_phi(x),
+                           breaks=np.concatenate([target.breaks, antider.nodes]))
+        tables.append(antider(grid))
+        forged.append(normalize(raw)[1])
+    # the one anchored at the mode is the forge's own, bit for bit
+    assert np.array_equal(forged[0].log_pdf(grid), quartic_forge.log_pdf(grid))
+    for (t1, g1), (t2, g2) in itertools.combinations(zip(tables, forged), 2):
+        assert np.ptp(t1 - t2) < 1e-12
+        assert np.abs(g1.log_pdf(grid) - g2.log_pdf(grid)).max() < 1e-12
+        assert np.array_equal(g1.dlog_pdf(grid), g2.dlog_pdf(grid))
 
 
 def test_identity_h_reproduces_target(gaussian):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ from mlechar.score import (
     SCALE,
     Group,
     analyze_image,
-    bracketed_root,
     brent_lanes,
+    brent_one,
     kind_profiles,
     kind_score,
     ScoreSums,
@@ -114,6 +115,20 @@ def test_split_halflines_images(gaussian):
         assert abs(prof.p_minus - 1.0) < 1e-3 and abs(prof.p_plus - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("name,params,u1,zero", [
+    ("gaussian", {}, lambda x: x - 1.0, "1"),
+    ("gaussian", {}, lambda x: x + 1e-3, "-0.001"),
+    ("gamma", {"alpha": 2.0}, lambda x: x - 1.0, "1"),
+], ids=["full_line_zero_at_1", "full_line_zero_at_-0.001", "half_line_zero_at_1"])
+def test_a_zero_of_u1_away_from_the_origin_is_refused(name, params, u1, zero):
+    # a scale group about the zero (u2 = u1' = 1), whose pieces would end
+    # there: a support cannot, so the kind is refused where it vanishes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedSupport, match=f"vanishes at x={zero}, not at 0"):
+            kind_profiles(lookup(name, params).model, Group(u1, lambda x: 1.0))
+
+
 def test_not_monotone_families():
     with pytest.raises(NotMonotone):
         analyze_image(lookup("laplace").model, LOCATION)
@@ -159,13 +174,15 @@ def _tabulated_logistic():
 def test_score_root_is_tiny_at_bracketed_zero(name, params, kind):
     model = _tabulated_logistic() if params is None else lookup(name, params).model
     prof = analyze_image(model, LOCATION if kind == "location" else SCALE)
-    root = bracketed_root(prof)
-    assert abs(prof.evaluate(root)) < 1e-8
-    # the float steps end where a one-lane lockstep on the first sign-change
-    # cell of the scan grid ends, bit for bit
+    # the float steps on the first sign-change cell of the scan grid end
+    # where a one-lane lockstep on that cell ends, bit for bit
     xs = scan_grid(prof.domain)
     vs = prof.evaluate(xs)
     i = int(np.flatnonzero(np.sign(vs[:-1]) * np.sign(vs[1:]) <= 0)[0])
+    (a, b), (fa, fb) = xs[i:i + 2].tolist(), vs[i:i + 2].tolist()
+    root, _, _, converged = brent_one(prof.evaluate, a, b, fa, fb, xtol=1e-13, maxiter=100)
+    assert converged
+    assert abs(prof.evaluate(root)) < 1e-8
     roots, _, _, converged = brent_lanes(lambda x, lanes: prof.evaluate(x), xs[i:i + 1],
                                          xs[i + 1:i + 2], vs[i:i + 1], vs[i + 1:i + 2],
                                          xtol=1e-13, maxiter=100)

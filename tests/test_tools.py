@@ -222,6 +222,38 @@ def test_bench_pairs_alternates_the_sides_and_prints_every_run(tmp_path, capsys)
         == [1, 2, 9]
 
 
+def test_bench_pairs_gives_each_side_one_fresh_bytecode_cache(tmp_path, monkeypatch, capsys):
+    bench_pairs = load("bench_pairs")
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "op_s", "unit": "s", "better": "lower", "bound": 0.24}]}))
+    caches = {}
+
+    def fake_run(args, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        # empty at its side's first run, and the same for all of them
+        if Path(cwd).name not in caches:
+            assert cache.is_dir() and not any(cache.iterdir())
+            caches[Path(cwd).name] = cache
+        assert caches[Path(cwd).name] == cache
+        assert {k: v for k, v in env.items() if k != "PYTHONPYCACHEPREFIX"} == dict(os.environ)
+        (cache / "module.pyc").write_bytes(b"")
+        line = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                           "metrics": {"op_s": {"value": 1.0, "unit": "s"}}})
+        return subprocess.CompletedProcess(args, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                             "construct", "--seeds", "1-3", "--seconds", "1",
+                             "--out", str(tmp_path / "out")]) == 0
+    # one cache per side, outside both checkouts, removed afterwards
+    assert caches["parent"] != caches["change"]
+    assert all(tmp_path not in cache.parents and not cache.exists()
+               for cache in caches.values())
+    assert len(capsys.readouterr().out.splitlines()) == 7
+
+
 def test_readme_python_blocks_run():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
     assert blocks

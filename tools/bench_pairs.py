@@ -18,9 +18,12 @@ pairs the change won (ties count for neither side) and two verdicts:
   quartile distance exceeds the bound and not every change run beats every
   parent run, ``within bound`` otherwise.
 
-Each run also appends its full record to ``OUT/parent.jsonl`` or
-``OUT/change.jsonl``, which ``tools/bench_json.py`` summarizes.  Exits 1 when
-a run fails or reports a wrong output.
+Each side runs with its own fresh, empty ``PYTHONPYCACHEPREFIX`` directory
+for all of its runs, so both start from no bytecode whatever ``__pycache__``
+their checkouts hold (a stale one would recompile in every child), and
+neither checkout is written.  Each run also appends its full record to
+``OUT/parent.jsonl`` or ``OUT/change.jsonl``, which ``tools/bench_json.py``
+summarizes.  Exits 1 when a run fails or reports a wrong output.
 
     python tools/bench_pairs.py PARENT CHANGE --workload suite_default \\
         --seeds 1-10 --seconds 20 --out DIR
@@ -30,10 +33,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -78,13 +83,16 @@ def judge(parent: list[float], change: list[float], better: str, bound: float) -
             "wins": wins, "pairs": len(parent), "gain": gain, "versus_bound": versus_bound}
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, out: Path) -> tuple[dict, int]:
-    """One benchmark run: its result line and the minor page faults it took."""
+def run(checkout: Path, workload: str, seed: int, seconds: float, out: Path,
+        pycache: Path) -> tuple[dict, int]:
+    """One benchmark run, its bytecode kept under ``pycache``: its result
+    line and the minor page faults it took."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
                            "--out", str(out)],
-                          cwd=checkout, capture_output=True, text=True)
+                          cwd=checkout, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)})
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = proc.stdout.splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -109,13 +117,17 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     names = [m["name"] for m in metrics]
+    caches = tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-")
+    pycache = {side: Path(caches.name) / side for side in SIDES}
+    for path in pycache.values():
+        path.mkdir()
     code = 0
     for workload in args.workload:
         values = {side: {name: [] for name in names} for side in SIDES}
         for pair, seed in enumerate(args.seeds):
             for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
                 result, faults = run(checkouts[side], workload, seed, args.seconds,
-                                     (args.out / f"{side}.jsonl").resolve())
+                                     (args.out / f"{side}.jsonl").resolve(), pycache[side])
                 for name in names:
                     values[side][name].append(result["metrics"][name]["value"])
                 ok = result["correct"] and not result["failed"]
@@ -135,6 +147,7 @@ def main(argv=None) -> int:
                   f"[{v['ratio'][1]:.4g}, {v['ratio'][2]:.4g}] wins {v['wins']}/{v['pairs']} "
                   f"{'gain' if v['gain'] else 'no gain'}; {v['versus_bound']} {metric['bound']}",
                   flush=True)
+    caches.cleanup()
     return code
 
 
