@@ -10,9 +10,10 @@ minimal covering sample size (MCSS) is
 - ``infinity``                   when exactly one bound is infinite.
 
 The minimal necessary sample size (MNSS) for a characterization is then
-``max(MCSS, 3)``, combined across the two half-lines for scale parameters on
-the full line.  A brute-force enumeration oracle over a discretized image is
-provided as an independent check of the covering rule.
+``max(MCSS, 3)``, combined across the two sides of the origin when ``u1``
+vanishes there (scale parameters on the full line).  A brute-force
+enumeration oracle over a discretized image is provided as an independent
+check of the covering rule.
 """
 
 from __future__ import annotations
@@ -174,10 +175,11 @@ def mnss(profiles: Sequence[ScoreProfile], kind: Kind) -> SampleSize:
     """Minimal necessary sample size from the profiles of a score's pieces.
 
     ``profiles`` is what :func:`~mlechar.score.kind_profiles` returns: one
-    profile, which yields ``max(mcss, 3)``, or the two half-line profiles of
-    scale parameters on the full line, which yield the maximum of the
-    two half-line values.  Profiles that do not cross zero fall outside the
-    characterization results and raise :class:`NotCharacterizable`.
+    profile, which yields ``max(mcss, 3)``, or the profiles of the two sides
+    of the origin where ``u1`` vanishes (scale parameters on the full line),
+    which yield the maximum of the two sides' values.  Profiles that do not
+    cross zero fall outside the characterization results and raise
+    :class:`NotCharacterizable`.
     """
     if len(profiles) not in (1, 2):
         raise InvalidParams("mnss expects one profile or a half-line pair")

@@ -42,7 +42,7 @@ from .density import (
     tolerance,
 )
 from .errors import DegenerateScore, InvalidParams, SingletonClass, UnsupportedSupport
-from .score import Kind, kind_score, u1_vanishes_inside
+from .score import Kind, kind_score, u1_zeros
 
 #: how far ``same_class``'s score ratios may stray from their median, and how
 #: small a reference score it leaves out, for analytic densities
@@ -67,7 +67,7 @@ def tilt_with_spec(model: DensityModel, d: float,
     base_log = model.log_pdf
     base_dlog = model.dlog_pdf
 
-    if u1_vanishes_inside(kind, model.support):
+    if u1_zeros(kind, model.support):
         if d != 1.0:
             raise SingletonClass(
                 f"u1 of the {kind!r} kind vanishes inside {model.support}; "

@@ -31,7 +31,10 @@ the grid's last one: a walk that settles gives a finite limit, one that
 reverses is not monotone, and one that does not settle ends at the
 infinity it was heading for.
 ``kind_profiles`` analyzes the score on each monotone piece of the support:
-the support itself, or the two half-lines when ``u1`` vanishes inside it.
+the support itself, or its two sides of the origin when ``u1`` vanishes
+there.  A kind's ``u1`` also says where it acts: ``h``, the flow of ``u1``,
+cannot cross a zero of it, so ``Kind.check`` admits a support exactly when
+``u1`` vanishes at each of its finite ends.
 
 Scores follow the array contract of :mod:`mlechar.density`: a kind's
 ``u1``, ``u2``, ``h`` and ``to_theta`` take floats or ndarrays, and
@@ -67,9 +70,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .density import (
-    FULL_LINE,
-    NEGATIVE_HALF_LINE,
-    POSITIVE_HALF_LINE,
     DensityModel,
     SupportSet,
     call_array,
@@ -126,13 +126,13 @@ class Kind:
     solver calls it once per row length), and returns two arrays of m
     values; it is the one field that is never called per element.  Any
     common factor T(theta) of the score is dropped, so the window must keep
-    it of constant nonzero sign.  ``supports`` lists the admitted support
-    shapes (``None``: any).
+    it of constant nonzero sign.
 
     A kind without an action still has scores, image profiles and tilts,
     but no estimator.  ``u1`` must be nonzero on the support except possibly
-    at isolated points; an interior zero collapses the equivalence class to
-    a singleton.
+    at the origin, where a zero collapses the equivalence class to a
+    singleton, and it must vanish at each finite end of the support
+    (:meth:`check`).
     """
 
     u1: Callable
@@ -140,7 +140,6 @@ class Kind:
     h: Optional[Callable] = None
     theta_window: tuple[float, float] = (-16.0, 16.0)
     label: str = "group"
-    supports: Optional[tuple[str, ...]] = None
     seed: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     to_theta: Callable = identity
 
@@ -148,12 +147,14 @@ class Kind:
         return self.label
 
     def check(self, support: SupportSet) -> None:
-        """Raise :class:`UnsupportedSupport` unless ``support`` is admitted."""
-        if self.supports is not None and support.kind not in self.supports:
-            raise UnsupportedSupport(
-                f"{self.label} parameters need {' or '.join(self.supports)} "
-                f"support, got {support}"
-            )
+        """Raise :class:`UnsupportedSupport` unless ``u1`` vanishes at each
+        finite end of ``support``: its flow ``h`` cannot cross a zero of it,
+        so otherwise ``h`` does not map the support onto itself.  ``u1`` is
+        called once per finite end, with a float."""
+        for end in filter(math.isfinite, (support.lower, support.upper)):
+            if not vanishes(u := _u1(self, support, end)):
+                raise UnsupportedSupport(f"{self.label} parameters need u1 to vanish at the "
+                                         f"finite ends of {support}, got u1({end:g}) = {u:g}")
 
 
 #: ``Group(u1, u2)`` is the action-less kind with the factor functions
@@ -184,7 +185,6 @@ LOCATION = Kind(
     h=lambda theta, x: x - theta,
     theta_window=(-math.inf, math.inf),
     label="location",
-    supports=(FULL_LINE,),
     seed=_location_seed,
 )
 
@@ -196,7 +196,6 @@ SCALE = Kind(
     h=lambda theta, x: theta * x,
     theta_window=(math.log(sys.float_info.min), math.log(sys.float_info.max)),
     label="scale",
-    supports=(FULL_LINE, POSITIVE_HALF_LINE, NEGATIVE_HALF_LINE),
     seed=_rate_seed,
     to_theta=np.exp,
 )
@@ -654,48 +653,59 @@ def _end_limit(evaluate, domain: SupportSet, side: str, xs: np.ndarray, vs: np.n
                            (float(xs[0]), float(vs[0])))
 
 
-def u1_zero(kind: Kind, support: SupportSet) -> Optional[float]:
-    """Where ``kind.u1`` vanishes inside ``support``, or None.
+def vanishes(u):
+    """Whether ``|u1|`` is below 1e-12: a float, or each element of an ndarray."""
+    return abs(u) < 1e-12
 
-    On the support's scan grid: the node where ``|u1|`` is least when that
-    is below 1e-12, otherwise the secant zero of the first cell where ``u1``
-    changes sign.  Vanishing limits at the support's ends do not count.
+
+def _u1(kind: Kind, support: SupportSet, x):
+    """``kind.u1`` at the float ``x``, as a float, or on the array ``x``, as
+    an array.  Where ``u1`` raises ``ValueError`` or ``ArithmeticError``,
+    numpy's division by zero and invalid operations included, it is not
+    defined, which raises :class:`UnsupportedSupport`; an overflow is quiet."""
+    try:
+        with np.errstate(divide="raise", over="ignore", invalid="raise"):
+            return call_elementwise(kind.u1, x) if isinstance(x, np.ndarray) else float(kind.u1(x))
+    except (ValueError, ArithmeticError) as exc:
+        raise UnsupportedSupport(
+            f"u1 of the {kind!r} kind is not defined on {support}: {exc}") from exc
+
+
+def u1_zeros(kind: Kind, support: SupportSet) -> list[float]:
+    """The zeros of ``kind.u1`` inside ``support``, in order.
+
+    On the support's scan grid: each run of nodes where ``u1`` vanishes
+    (:func:`vanishes`) is one zero, at its least ``|u1|``, and each sign
+    change between two nodes where it does not is one, at the secant zero.
+    Vanishing limits at the support's ends do not count.
     """
     xs = scan_grid(support)
-    u = call_elementwise(kind.u1, xs)
-    # least, not first: a u1 below 1e-12 over a run of nodes vanishes at one
-    size = np.where(np.isnan(u), np.inf, np.abs(u))
-    if size.min() < 1e-12:
-        return float(xs[np.argmin(size)])
-    with np.errstate(all="ignore"):
-        secants = xs[:-1] - u[:-1] * np.diff(xs) / np.diff(u)
-    zeros = secants[np.sign(u[:-1]) * np.sign(u[1:]) < 0]
-    return float(zeros[0]) if zeros.size else None
-
-
-def u1_vanishes_inside(kind: Kind, support: SupportSet) -> bool:
-    """Whether :func:`u1_zero` finds a zero of ``kind.u1`` inside ``support``."""
-    return u1_zero(kind, support) is not None
-
-
-#: the two sides of an interior zero of u1 at the origin
-_HALF_LINES = (SupportSet.negative_half_line(), SupportSet.positive_half_line())
+    u = _u1(kind, support, xs)
+    small = vanishes(u)
+    # each run of vanishing nodes starts and stops where `small` flips
+    flips = np.flatnonzero(np.diff(small, prepend=False, append=False)).tolist()
+    zeros = [a + int(np.argmin(np.abs(u[a:b]))) for a, b in zip(flips[::2], flips[1::2])]
+    i = np.flatnonzero((np.signbit(u[:-1]) != np.signbit(u[1:])) & ~small[:-1] & ~small[1:])
+    secants = xs[i] - u[i] * (xs[i + 1] - xs[i]) / (u[i + 1] - u[i])
+    return sorted(xs[zeros].tolist() + secants.tolist())
 
 
 def kind_profiles(model: DensityModel, kind: Kind) -> tuple[ScoreProfile, ...]:
     """Score profiles of ``kind`` on the monotone pieces of the model's support.
 
     One piece, the support itself; or, when ``u1`` vanishes at the origin
-    (scale on the full line), the ``(negative, positive)`` half-lines.  A
-    zero elsewhere raises :class:`UnsupportedSupport`: the pieces would end
-    at it, and a support cannot.
+    alone (scale on the full line), the support's ``(negative, positive)``
+    sides of it.  Any other zero raises :class:`UnsupportedSupport` naming
+    every zero: the pieces would end at it, and a support cannot.
     """
-    zero = u1_zero(kind, model.support)
-    if zero is None:
+    zeros = u1_zeros(kind, model.support)
+    if not zeros:
         return (analyze_image(model, kind),)
-    if zero != 0.0:
-        raise UnsupportedSupport(f"u1 of the {kind!r} kind vanishes at x={zero:g}, not at 0")
-    return tuple(analyze_image(model, kind, half) for half in _HALF_LINES)
+    if zeros != [0.0]:
+        where = " and ".join(f"x={zero:g}" for zero in zeros)
+        raise UnsupportedSupport(f"u1 of the {kind!r} kind vanishes at {where}, not at 0 alone")
+    halves = (SupportSet(model.support.lower, 0.0), SupportSet(0.0, model.support.upper))
+    return tuple(analyze_image(model, kind, half) for half in halves)
 
 
 #: relative tolerance of every Brent solve, just above the 4 eps floor that

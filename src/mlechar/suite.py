@@ -58,7 +58,7 @@ from .equivalence import same_class, tilt
 from .errors import InvalidConfig, InvalidParams, IoFailure, MlecharError
 from .estimator import mle_block
 from .forge import AGREEMENT_TOL, OddPower, forge_odd_h, verify_counterexample
-from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_vanishes_inside
+from .score import LOCATION, SCALE, kind_profiles, kind_score, u1_zeros
 
 SCHEMA_VERSION = "mlechar-report-1"
 
@@ -279,7 +279,7 @@ def config_from_json(doc: dict) -> SuiteConfig:
     if any(d != 1.0 for d in config.tilt_exponents):
         for name, params, label in config.equivalence:
             entry = cat.lookup(name, params)
-            if u1_vanishes_inside(cat.kind_for(entry, label), entry.model.support):
+            if u1_zeros(cat.kind_for(entry, label), entry.model.support):
                 raise InvalidConfig(f"equivalence {name!r}/{label}: the class is a "
                                     "singleton, so every tilt exponent must be 1")
     return config

@@ -10,7 +10,7 @@ from mlechar.errors import InvalidParams, NotCharacterizable, UnknownFamily
 from mlechar.catalog import kind_for
 from mlechar.density import InverseCdfSampler, Sample
 from mlechar.estimator import ClosedForm
-from mlechar.score import kind_profiles, u1_vanishes_inside
+from mlechar.score import kind_profiles, u1_zeros
 from mlechar.suite import DEFAULT_FAMILIES, build_profiles
 
 
@@ -301,7 +301,7 @@ def test_numeric_pipeline_reproduces_expected_mnss(name, params, kind):
     entry = lookup(name, params)
     profiles = build_profiles(entry, kind)
     # one profile per monotone piece: two exactly when u1 vanishes inside
-    interior = u1_vanishes_inside(kind_for(entry, kind), entry.model.support)
+    interior = u1_zeros(kind_for(entry, kind), entry.model.support)
     assert isinstance(profiles, tuple)
     assert len(profiles) == (2 if interior else 1)
     computed = mnss(profiles, kind_for(entry, kind))

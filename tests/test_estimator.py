@@ -812,8 +812,7 @@ def test_mle_large_solves_keep_their_bits(avx512, seed):
 GUMBEL_MATH = DensityModel("gumbel_math", SupportSet.full_line(), lambda x: -x - np.exp(-x),
                            lambda x: math.exp(-x) - 1.0)
 LOG_RATE_MATH = Kind(u1=SCALE.u1, u2=SCALE.u2, h=lambda t, x: math.exp(t) * x,
-                     theta_window=SCALE.theta_window, label="scale", supports=SCALE.supports,
-                     seed=SCALE.seed)
+                     theta_window=SCALE.theta_window, label="scale", seed=SCALE.seed)
 
 
 @pytest.mark.parametrize("model,kind,draw,rejects,bits", [

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlechar import MlecharError, OddPower, forge_odd_h, lookup, mnss, score, tilt
+from mlechar import MlecharError, OddPower, forge_odd_h, lookup, mnss, same_class, score, tilt
 from mlechar.catalog import kind_for
-from mlechar.density import DensityModel, SupportSet, scan_grid, tabulated_model
+from mlechar.density import DensityModel, Rows, Sample, SupportSet, scan_grid, tabulated_model
+from mlechar.estimator import mle, mle_block
 from mlechar.errors import InvalidParams, NotMonotone, UnsupportedSupport
 from mlechar.score import (
     LOCATION,
     SCALE,
     Group,
+    Kind,
     analyze_image,
     brent_lanes,
     brent_one,
@@ -24,6 +26,7 @@ from mlechar.score import (
     kind_score,
     ScoreSums,
     row_fsums,
+    u1_zeros,
 )
 
 
@@ -127,6 +130,126 @@ def test_a_zero_of_u1_away_from_the_origin_is_refused(name, params, u1, zero):
         warnings.simplefilter("error")
         with pytest.raises(UnsupportedSupport, match=f"vanishes at x={zero}, not at 0"):
             kind_profiles(lookup(name, params).model, Group(u1, lambda x: 1.0))
+
+
+def _logit_h(theta, x):
+    # expit(logit x + theta)
+    return 1.0 / (1.0 + np.exp(-(np.log(x / (1.0 - x)) + theta)))
+
+
+#: the logit group on (0, 1), H_theta(x) = expit(logit x + theta): a kind with
+#: no code of its own
+LOGIT = Kind(u1=lambda x: x * (1.0 - x), u2=lambda x: 1.0 - 2.0 * x, h=_logit_h)
+#: u1 = x (1 - x^2), with zeros at -1, 0 and 1 and no action
+CUBIC = Group(lambda x: x * (1.0 - x * x), lambda x: 1.0 - 3.0 * x * x)
+SINH = lookup("sinh_arcsinh_skew_normal").transform
+GAMMA2 = lookup("gamma", {"alpha": 2.0}).model
+_ENDS = (-2.0, -1.0, 0.0, 1.0, 2.0)
+SUPPORTS = [SupportSet.full_line(), SupportSet.positive_half_line(),
+            SupportSet.negative_half_line()] + [SupportSet(a, b) for a in _ENDS for b in _ENDS
+                                                if a < b]
+#: the support shapes location and scale listed by hand before their u1 decided
+OLD_SHAPES = {LOCATION: ("full_line",),
+              SCALE: ("full_line", "positive_half_line", "negative_half_line")}
+
+
+@given(kind=st.sampled_from([LOCATION, SCALE, SINH, LOGIT, CUBIC]),
+       support=st.sampled_from(SUPPORTS))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_kind_admits_a_support_exactly_when_u1_vanishes_at_its_finite_ends(kind, support):
+    ends = [end for end in (support.lower, support.upper) if math.isfinite(end)]
+    try:
+        kind.check(support)
+        admitted = True
+    except UnsupportedSupport:
+        admitted = False
+    assert admitted == all(abs(kind.u1(end)) < 1e-12 for end in ends)
+    if kind in OLD_SHAPES:
+        assert admitted == (support.kind in OLD_SHAPES[kind])
+    # the logit group's action is its flow on (0, 1) alone: toward an
+    # infinite end u1 = x (1 - x) grows faster than x, and the flow leaves
+    # the line in finite time, which no rule at the finite ends can see
+    if admitted and kind.h is not None and (kind is not LOGIT or support.kind == "open_interval"):
+        xs = scan_grid(support)
+        for t in (-1.0, 1.0):
+            assert support.contains(kind.h(kind.to_theta(t), xs)).all()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kind_profiles(GAMMA2, SINH),
+    lambda: tilt(GAMMA2, 2.0, SINH),
+    lambda: mle(GAMMA2, SINH, Sample([0.5, 1.0, 2.0])),
+], ids=["kind_profiles", "tilt", "mle"])
+def test_the_sinh_transform_is_refused_on_a_half_line(call):
+    # H_-2(1) = -1.367 lies outside (0, inf): u1 = sqrt(1 + x^2) is 1 at the
+    # support's end 0, so the flow crosses it
+    with pytest.raises(UnsupportedSupport, match=r"got u1\(0\) = 1$"):
+        call()
+
+
+def test_a_zero_at_the_origin_splits_the_support_itself():
+    # f = (1 - x^2)^2 on (-1, 1) with u1 = x (1 - x^2): the score is 1 - 7x^2
+    model = DensityModel("quartic", SupportSet.open_interval(-1.0, 1.0),
+                         lambda x: 2.0 * np.log1p(-x * x), lambda x: -4.0 * x / (1.0 - x * x))
+    profiles = kind_profiles(model, CUBIC)
+    assert [p.domain for p in profiles] == [SupportSet(-1.0, 0.0), SupportSet(0.0, 1.0)]
+    for p in profiles:
+        assert abs(p.p_minus - 6.0) < 1e-6 and abs(p.p_plus - 1.0) < 1e-6
+    assert mnss(profiles, CUBIC).value == 7
+
+
+def test_the_logit_group_acts_on_beta_with_no_code_of_its_own():
+    # beta(2, 3): the logit score is 2 - 5x, with image (-3, 2)
+    beta = DensityModel("beta(2,3)", SupportSet.open_interval(0.0, 1.0),
+                        lambda x: np.log(x) + 2.0 * np.log1p(-x),
+                        lambda x: 1.0 / x - 2.0 / (1.0 - x))
+    (profile,) = kind_profiles(beta, LOGIT)
+    assert abs(profile.p_minus - 3.0) < 1e-8 and abs(profile.p_plus - 2.0) < 1e-8
+    assert mnss((profile,), LOGIT).value == 3
+    assert abs(same_class(beta, tilt(beta, 2.0, LOGIT), LOGIT) - 2.0) < 1e-6
+    xs = np.random.default_rng(7).beta(2.0, 3.0, size=25)
+    fit = mle(beta, LOGIT, Sample(xs))
+    assert abs(fit.residual) < 1e-10
+    (roots,) = mle_block(LOGIT, [(beta, Rows(xs, np.array([xs.size])))])
+    assert (fit.theta_hat.hex(), fit.residual.hex()) == (float(roots.theta[0]).hex(),
+                                                         float(roots.residual[0]).hex())
+
+
+def test_u1_zeros_counts_a_run_of_vanishing_nodes_once():
+    full = SupportSet.full_line()
+    # |x^5| < 1e-12 on the 17 nodes within 4e-3 of 0, whose least |u1| is at 0
+    fifth = Group(lambda x: x ** 5, lambda x: 5.0 * x ** 4)
+    assert (np.abs(fifth.u1(scan_grid(full))) < 1e-12).sum() == 17
+    assert u1_zeros(fifth, full) == [0.0]
+    # sign changes at the secant zeros of their cells
+    assert np.allclose(u1_zeros(CUBIC, full), [-1.0, 0.0, 1.0], rtol=0.0, atol=1e-5)
+    assert u1_zeros(LOCATION, full) == [] and u1_zeros(SCALE, SupportSet(0.0, math.inf)) == []
+
+
+def test_a_u1_with_zeros_beside_the_origin_is_refused_naming_each(gaussian):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedSupport,
+                           match="vanishes at x=0 and x=0.999999, not at 0 alone"):
+            kind_profiles(gaussian.model, Group(lambda x: x * (x - 1.0), lambda x: 2 * x - 1.0))
+
+
+#: log x, not defined left of the origin nor at it
+LOG_U1 = Group(math.log, lambda x: 1.0 / x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kind_profiles(lookup("gaussian").model, LOG_U1),
+    lambda: tilt(lookup("gaussian").model, 2.0, LOG_U1),
+    # the support's end: math.log(0.0)
+    lambda: kind_score(GAMMA2, LOG_U1, 1.0),
+    lambda: kind_profiles(lookup("gaussian").model, Group(np.log, lambda x: 1.0 / x)),
+], ids=["kind_profiles", "tilt", "check_at_an_end", "numpy_log"])
+def test_a_u1_not_defined_on_the_support_is_refused(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedSupport, match=r"u1 of the group kind is not defined on"):
+            call()
 
 
 def test_not_monotone_families():

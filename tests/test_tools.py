@@ -254,6 +254,36 @@ def test_bench_pairs_gives_each_side_one_fresh_bytecode_cache(tmp_path, monkeypa
     assert len(capsys.readouterr().out.splitlines()) == 7
 
 
+def test_bench_pairs_prints_why_a_run_failed(tmp_path, monkeypatch, capsys):
+    bench_pairs = load("bench_pairs")
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "op_s", "unit": "s", "better": "lower", "bound": 0.24}]}))
+
+    def fake_run(args, cwd, **kwargs):
+        # the change's run reports one wrong output and one signalled failure
+        wrong = Path(cwd).name == "change"
+        report = ["== cli_session (seed 1, trace 0): one user",
+                  "   failed_frac = 0.5 (2/4)",
+                  "   WRONG x1: mle: exit 1", "   error x1: tilt: exit 3"] if wrong else []
+        line = json.dumps({"correct": not wrong, "attempted": 4, "failed": 2 if wrong else 0,
+                           "metrics": {"op_s": {"value": 1.0, "unit": "s"}}})
+        return subprocess.CompletedProcess(args, 1 if wrong else 0,
+                                           stdout="\n".join(report + [line]) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                             "cli_session", "--seeds", "1", "--seconds", "1",
+                             "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[5] == "parent" and " failed=0/4" in lines[0]
+    assert lines[1].split()[5] == "change" and lines[1].endswith(" failed=2/4 WRONG")
+    # the reasons go under their run's line, and nothing else of the report
+    assert lines[2:4] == ["    WRONG x1: mle: exit 1", "    error x1: tilt: exit 3"]
+    assert lines[4].startswith("cli_session op_s: ") and len(lines) == 5
+
+
 def test_readme_python_blocks_run():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
     assert blocks

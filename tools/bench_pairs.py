@@ -23,7 +23,10 @@ for all of its runs, so both start from no bytecode whatever ``__pycache__``
 their checkouts hold (a stale one would recompile in every child), and
 neither checkout is written.  Each run also appends its full record to
 ``OUT/parent.jsonl`` or ``OUT/change.jsonl``, which ``tools/bench_json.py``
-summarizes.  Exits 1 when a run fails or reports a wrong output.
+summarizes.  Under a run that failed operations or reported a wrong output
+it prints the reasons from perfbench's report (its ``WRONG xN: ...`` and
+``error xN: ...`` lines).  Exits 1 when a run fails or reports a wrong
+output.
 
     python tools/bench_pairs.py PARENT CHANGE --workload suite_default \\
         --seeds 1-10 --seconds 20 --out DIR
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import resource
 import statistics
 import subprocess
@@ -42,6 +46,9 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+#: perfbench's report line of one failure reason: ``   WRONG x2: <reason>``
+REASON = re.compile(r"^\s+(WRONG|error) x\d+: ")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -84,9 +91,9 @@ def judge(parent: list[float], change: list[float], better: str, bound: float) -
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, out: Path,
-        pycache: Path) -> tuple[dict, int]:
+        pycache: Path) -> tuple[dict, int, list[str]]:
     """One benchmark run, its bytecode kept under ``pycache``: its result
-    line and the minor page faults it took."""
+    line, the minor page faults it took and its report's failure reasons."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -98,7 +105,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, out: Path,
     if proc.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1]), faults
+    return json.loads(lines[-1]), faults, [line.strip() for line in lines if REASON.match(line)]
 
 
 def main(argv=None) -> int:
@@ -126,8 +133,9 @@ def main(argv=None) -> int:
         values = {side: {name: [] for name in names} for side in SIDES}
         for pair, seed in enumerate(args.seeds):
             for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                result, faults = run(checkouts[side], workload, seed, args.seconds,
-                                     (args.out / f"{side}.jsonl").resolve(), pycache[side])
+                result, faults, reasons = run(checkouts[side], workload, seed, args.seconds,
+                                              (args.out / f"{side}.jsonl").resolve(),
+                                              pycache[side])
                 for name in names:
                     values[side][name].append(result["metrics"][name]["value"])
                 ok = result["correct"] and not result["failed"]
@@ -136,6 +144,8 @@ def main(argv=None) -> int:
                       + " ".join(f"{name}={values[side][name][-1]:.6g}" for name in names)
                       + f" minflt={faults} failed={result['failed']}/{result['attempted']}"
                       + ("" if result["correct"] else " WRONG"), flush=True)
+                for reason in reasons:
+                    print(f"    {reason}", flush=True)
         for metric in metrics:
             name = metric["name"]
             v = judge(values["parent"][name], values["change"][name], metric["better"],
