@@ -38,11 +38,10 @@ from .density import (
     normalize,
     quiet_overflow,
     real,
-    scan_grid,
     tolerance,
 )
 from .errors import DegenerateScore, InvalidParams, SingletonClass, UnsupportedSupport
-from .score import Kind, kind_score, u1_zeros
+from .score import Kind, kind_score, require_group, u1_zeros
 
 #: how far ``same_class``'s score ratios may stray from their median, and how
 #: small a reference score it leaves out, for analytic densities
@@ -54,9 +53,7 @@ def tilt_with_spec(model: DensityModel, d: float,
     """Like :func:`tilt` but also returns the normalizer.
 
     Raises :class:`InvalidParams` when ``u2`` is not the derivative of
-    ``u1`` (central differences on the support's scan grid, with steps of
-    1e-6 of ``1 + |x|`` or of the distance to a finite end, whichever is
-    less, within 1e-6 relative plus absolute): such a pair belongs to no
+    ``u1`` (:func:`~mlechar.score.require_group`): such a pair belongs to no
     group.
     """
     d = real(d)
@@ -75,19 +72,7 @@ def tilt_with_spec(model: DensityModel, d: float,
             )
         log_pdf, dlog = base_log, base_dlog
     else:
-        xs = scan_grid(model.support)
-        lo, hi = model.support.lower, model.support.upper
-        # the step shrinks toward a finite end, so the differences stay
-        # inside; near an end it is a few hundred ulps of x, so the slope
-        # divides by the step the rounded points actually take
-        step = 1e-6 * np.minimum(1.0 + np.abs(xs), np.minimum(xs - lo, hi - xs))
-        below, above = xs - step, xs + step
-        slope = (call_array(u1, above) - call_array(u1, below)) / (above - below)
-        derivative = call_array(u2, xs)
-        if not (np.abs(derivative - slope) <= 1e-6 * (1.0 + np.abs(derivative))).all():
-            raise InvalidParams(f"u2 of the {kind!r} kind is not the derivative of u1, "
-                                "so the kind is not a group's")
-
+        require_group(kind, model.support)
         # constant factors (location) stay 0-d; the base terms give the shape;
         # a large d overflows to an infinity, which normalize refuses
         log_pdf = quiet_overflow(

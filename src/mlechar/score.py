@@ -62,8 +62,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import partial, wraps
 from itertools import islice
 from typing import Callable, Optional
 
@@ -82,6 +82,7 @@ from .density import (
 from .errors import (
     AllZeroSample,
     BracketFailure,
+    InvalidParams,
     NonFiniteLogDensity,
     NotMonotone,
     UnsupportedSupport,
@@ -133,6 +134,10 @@ class Kind:
     at the origin, where a zero collapses the equivalence class to a
     singleton, and it must vanish at each finite end of the support
     (:meth:`check`).
+
+    What :func:`u1_zeros` and :func:`require_group` find on a support
+    depends on the kind and the support alone, so the kind keeps it, per
+    support, as a model keeps its scan.
     """
 
     u1: Callable
@@ -142,6 +147,7 @@ class Kind:
     label: str = "group"
     seed: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     to_theta: Callable = identity
+    _facts: dict = field(default_factory=dict, init=False)
 
     def __repr__(self) -> str:
         return self.label
@@ -671,14 +677,21 @@ def _u1(kind: Kind, support: SupportSet, x):
             f"u1 of the {kind!r} kind is not defined on {support}: {exc}") from exc
 
 
-def u1_zeros(kind: Kind, support: SupportSet) -> list[float]:
-    """The zeros of ``kind.u1`` inside ``support``, in order.
+def _per_support(find: Callable) -> Callable:
+    """``find(kind, support)`` found once per support and kept by the kind;
+    a call that raises keeps nothing, so the next one raises again."""
+    @wraps(find)
+    def known(kind: Kind, support: SupportSet):
+        key = (find, support)
+        if key not in kind._facts:
+            kind._facts[key] = find(kind, support)
+        return kind._facts[key]
 
-    On the support's scan grid: each run of nodes where ``u1`` vanishes
-    (:func:`vanishes`) is one zero, at its least ``|u1|``, and each sign
-    change between two nodes where it does not is one, at the secant zero.
-    Vanishing limits at the support's ends do not count.
-    """
+    return known
+
+
+@_per_support
+def _u1_zeros(kind: Kind, support: SupportSet) -> tuple[float, ...]:
     xs = scan_grid(support)
     u = _u1(kind, support, xs)
     small = vanishes(u)
@@ -687,7 +700,39 @@ def u1_zeros(kind: Kind, support: SupportSet) -> list[float]:
     zeros = [a + int(np.argmin(np.abs(u[a:b]))) for a, b in zip(flips[::2], flips[1::2])]
     i = np.flatnonzero((np.signbit(u[:-1]) != np.signbit(u[1:])) & ~small[:-1] & ~small[1:])
     secants = xs[i] - u[i] * (xs[i + 1] - xs[i]) / (u[i + 1] - u[i])
-    return sorted(xs[zeros].tolist() + secants.tolist())
+    return tuple(sorted(xs[zeros].tolist() + secants.tolist()))
+
+
+def u1_zeros(kind: Kind, support: SupportSet) -> list[float]:
+    """The zeros of ``kind.u1`` inside ``support``, in order, as a new list;
+    found once per (kind, support).
+
+    On the support's scan grid: each run of nodes where ``u1`` vanishes
+    (:func:`vanishes`) is one zero, at its least ``|u1|``, and each sign
+    change between two nodes where it does not is one, at the secant zero.
+    Vanishing limits at the support's ends do not count.
+    """
+    return list(_u1_zeros(kind, support))
+
+
+@_per_support
+def require_group(kind: Kind, support: SupportSet) -> None:
+    """Raise :class:`InvalidParams` unless ``u2`` is the derivative of
+    ``u1``: central differences on the support's scan grid, with steps of
+    1e-6 of ``1 + |x|`` or of the distance to a finite end, whichever is
+    less, within 1e-6 relative plus absolute.  Any other pair belongs to no
+    group.  Checked once per (kind, support) that passes."""
+    xs = scan_grid(support)
+    # the step shrinks toward a finite end, so the differences stay inside;
+    # near an end it is a few hundred ulps of x, so the slope divides by the
+    # step the rounded points actually take
+    step = 1e-6 * np.minimum(1.0 + np.abs(xs), np.minimum(xs - support.lower, support.upper - xs))
+    below, above = xs - step, xs + step
+    slope = (call_array(kind.u1, above) - call_array(kind.u1, below)) / (above - below)
+    derivative = call_array(kind.u2, xs)
+    if not (np.abs(derivative - slope) <= 1e-6 * (1.0 + np.abs(derivative))).all():
+        raise InvalidParams(f"u2 of the {kind!r} kind is not the derivative of u1, "
+                            "so the kind is not a group's")
 
 
 def kind_profiles(model: DensityModel, kind: Kind) -> tuple[ScoreProfile, ...]:

@@ -232,10 +232,25 @@ def _scan_case(name, tmp_path):
         return tilt(entry.model, 2.0, entry.transform)
     if name == "forge":
         return forge_odd_h(lookup("logistic").model, OddPower(1.0, 3))
-    if name == "loaded file":
+    if name in ("loaded file", "tabulated tilt"):
         write_tabulated(tilt(lookup("weibull", {"k": 2.0}).model, 2.0, SCALE),
                         tmp_path / "tilt.json")
-        return load_family_spec(tmp_path / "tilt.json")[0]
+        loaded = load_family_spec(tmp_path / "tilt.json")[0]
+        if name == "loaded file":
+            return loaded
+        # log_mass cuts a tabulated tilt at its breaks: neither it nor its
+        # base is scanned
+        tilted = tilt(loaded, 2.0, SCALE)
+        assert loaded.breaks.size and "scan" not in vars(loaded)
+        return tilted
+    if name == "tilt of -inf and NaN":
+        # the base is -inf on the outer scan nodes and NaN on three inner ones
+        nan_nodes = density.scan_grid(SupportSet.full_line())[[1000, 2048, 3000]]
+        base = DensityModel("-inf and NaN", SupportSet.full_line(), quiet_overflow(
+            lambda x: np.where(np.isin(x, nan_nodes), np.nan, -np.exp(0.5 * x * x))[()]))
+        assert np.isnan(base.log_pdf(nan_nodes)).all()
+        entry = lookup("sinh_arcsinh_skew_normal")
+        return tilt(base, 2.0, entry.transform)
     # exp(x^2/2) overflows past |x| = 37.7: -inf on the outer scan nodes
     raw = DensityModel("-inf tails", SupportSet.full_line(),
                        quiet_overflow(lambda x: -np.exp(0.5 * x * x)))
@@ -244,16 +259,19 @@ def _scan_case(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["location tilt", "half-line scale tilt", "group tilt",
-                                  "forge", "loaded file", "-inf at scan nodes"])
+                                  "forge", "loaded file", "-inf at scan nodes",
+                                  "tilt of -inf and NaN", "tabulated tilt"])
 def test_normalized_copy_takes_the_scan_of_its_model_plus_the_shift(name, tmp_path):
     # the copy's scan is the raw model's plus the shift, and equals a fresh
-    # scan of the copy to the bit; tilts and the -inf model are handed their
-    # scan as they are built, forges and loaded files scan their own, and a
-    # model that has its scan hands it over when it is normalized again
+    # scan of the copy to the bit; tilts of a base without breaks and the
+    # -inf model are handed their scan as they are built (log_mass cuts the
+    # raw model at its scan's mode), forges, loaded files and tilts of them
+    # (cut at their breaks) scan their own, and a model that has its scan
+    # hands it over when it is normalized again
     model = _scan_case(name, tmp_path)
     handed = "scan" in vars(model)
     assert handed == (name in ("location tilt", "half-line scale tilt", "group tilt",
-                               "-inf at scan nodes"))
+                               "-inf at scan nodes", "tilt of -inf and NaN"))
     raw = dataclasses.replace(model, normalized=False)
     raw.scan
     shift = -log_mass(raw)

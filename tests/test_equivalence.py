@@ -164,9 +164,11 @@ def test_tilt_on_an_open_interval_checks_u2_up_to_its_ends(a, b):
 
 def test_tilt_rejects_a_pair_whose_u2_is_not_the_derivative_of_u1(gaussian):
     # u2 = 0.3 is not (1)' = 0, so no group has this pair and |u1|^(d-1) is
-    # not the class's weight
-    with pytest.raises(InvalidParams, match="not the derivative"):
-        tilt(gaussian.model, 2.0, Group(lambda x: 1.0, lambda x: 0.3))
+    # not the class's weight; the kind keeps no refusal, so each tilt refuses
+    kind = Group(lambda x: 1.0, lambda x: 0.3)
+    for d in (2.0, 2.0, 0.5):
+        with pytest.raises(InvalidParams, match="not the derivative"):
+            tilt(gaussian.model, d, kind)
 
 
 def test_tilt_divergent_for_heavy_tail():

@@ -224,6 +224,34 @@ def test_u1_zeros_counts_a_run_of_vanishing_nodes_once():
     # sign changes at the secant zeros of their cells
     assert np.allclose(u1_zeros(CUBIC, full), [-1.0, 0.0, 1.0], rtol=0.0, atol=1e-5)
     assert u1_zeros(LOCATION, full) == [] and u1_zeros(SCALE, SupportSet(0.0, math.inf)) == []
+    # each call returns a new list, whatever the caller does with the last
+    zeros = u1_zeros(fifth, full)
+    zeros.append(1.0)
+    assert u1_zeros(fifth, full) == [0.0]
+
+
+@pytest.mark.parametrize("family,params,calls,scans", [
+    # scale on the full line: the profiles score its two halves, and d = 1
+    # tilts to the base itself
+    ("gaussian", {}, lambda model, kind: (kind_profiles(model, kind), tilt(model, 1.0, kind)),
+     0),
+    # on a half-line each tilt scans its own log-density, which weighs by u1
+    ("gamma", {"alpha": 2.0}, lambda model, kind: [tilt(model, d, kind) for d in (0.5, 2, 3)],
+     9),
+], ids=["full line", "half-line"])
+def test_u1_zeros_scan_the_grid_once_per_kind_and_support(family, params, calls, scans):
+    model = lookup(family, params).model
+    grid = scan_grid(model.support)
+    on_grid = []
+
+    def u1(x):
+        on_grid.append(np.shape(x) == grid.shape and bool((x == grid).all()))
+        return x
+
+    kind = Group(u1, lambda x: 1.0)
+    for _ in range(3):
+        calls(model, kind)
+    assert sum(on_grid) == 1 + scans
 
 
 def test_a_u1_with_zeros_beside_the_origin_is_refused_naming_each(gaussian):

@@ -5,7 +5,9 @@ package under SRC first on the import path, it prints the model's effective
 intervals at drops 40 and 60.  For each kind the family admits (location,
 scale, and group where the family carries a transform) it prints the image
 bounds of every ``kind_profiles`` profile and, for tilts at d = 0.5 and 3,
-the normalizer, the tilt's own ``log_mass`` and its effective intervals.
+the normalizer, the tilt's own ``log_mass``, its effective intervals and
+the sha256 of its scan (grid and log-density bytes), which the tilt is
+handed as it is built.
 The d = 3 tilt is written as a tabulated file and loaded back: the line
 gives the file's sha256 and the loaded model's ``log_mass`` and intervals.
 The six forged densities of the benchmark's ``construct`` workload (three
@@ -41,14 +43,17 @@ def _intervals(model) -> str:
 
 
 def _model_lines(case: str, model, workdir: Path, write: bool) -> list[str]:
-    """``log_mass`` and intervals of a normalized model; with ``write``, also
-    its tabulated file's sha256 and the loaded copy's numbers."""
+    """``log_mass``, intervals and scan sha256 of a normalized model; with
+    ``write``, also its tabulated file's sha256 and the loaded copy's
+    numbers."""
     from mlechar import MlecharError, specfiles
     from mlechar.density import log_mass
 
     lines = []
     try:
-        lines.append(f"{case} log_mass={_hex(log_mass(model))} {_intervals(model)}")
+        scan = hashlib.sha256(b"".join(a.tobytes() for a in model.scan)).hexdigest()
+        lines.append(f"{case} log_mass={_hex(log_mass(model))} {_intervals(model)} "
+                     f"scan sha256={scan}")
         if write:
             path = workdir / "written.json"
             specfiles.write_tabulated(model, path)
