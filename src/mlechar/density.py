@@ -32,7 +32,7 @@ this interface, so the module also provides the shared numeric machinery:
 - seeded inverse-CDF sampling from an arbitrary log-density
   (``InverseCdfSampler``, ``sample_from``).  A sampler is built on each
   call of ``sample_from``; callers that draw from one model many times hold
-  one sampler and call its ``rows``.
+  one sampler and call its ``draw``.
 
 Supports are open sets; endpoints are never evaluated.  Infinite ranges are
 mapped through ``x = t / (1 - t**2)`` when a finite parameterization is
@@ -389,10 +389,6 @@ class Sample:
     def n(self) -> int:
         return int(self.values.size)
 
-    def require_inside(self, model: DensityModel) -> None:
-        if not model.support.holds(self.values):
-            raise OutsideSupport(f"sample contains values outside support {model.support}")
-
 
 class Rows(NamedTuple):
     """m samples back to back in one 1-D float array, with their m lengths."""
@@ -443,7 +439,7 @@ def eval_dlogf(model: DensityModel, x):
     otherwise a central finite difference with step ``FD_STEP_SCALE *
     max(1, |x|)`` shrunk so both probe points stay inside the support.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = reals(x)
     model.support.require(xs)
     out = (_central_difference(model, xs) if model.dlog_pdf is None
            else call_elementwise(model.dlog_pdf, xs))
@@ -454,7 +450,7 @@ def check_dlog_pdf(model: DensityModel, xs, tol: float = 1e-6) -> float:
     """Max |analytic - finite difference| of d/dx log f over probe points."""
     if model.dlog_pdf is None:
         raise InvalidParams("model has no analytic dlog_pdf to check")
-    xs = np.asarray(xs, dtype=float)
+    xs = reals(xs)
     fd = _central_difference(model, xs)
     worst = float(np.max(np.abs(fd - call_elementwise(model.dlog_pdf, xs))))
     if not worst < tolerance(tol):
@@ -895,17 +891,6 @@ class InverseCdfSampler:
             raise InversionFailure("CDF inversion produced non-finite quantiles")
         return t
 
-    def rows(self, n: int, seeds) -> np.ndarray:
-        """One size-``n`` sample per seed, as the rows of an array.
-
-        Row i inverts the ``n`` uniforms of ``numpy.random.default_rng(seeds[i])``.
-        """
-        if integer(n) < 1:
-            raise InvalidParams("n must be >= 1")
-        if n * len(seeds) > MAX_COUNT:
-            raise InvalidParams(f"{n} x {len(seeds)} values exceed the {MAX_COUNT} an array holds")
-        return self.draw([(seed, [n]) for seed in seeds]).flat.reshape(len(seeds), n)
-
     def draw(self, runs) -> Rows:
         """Rows of seeded draws, back to back, from one :meth:`invert` call:
         ``runs`` lists ``(seed, sizes)``, and each seed gives one row per
@@ -930,11 +915,11 @@ class InverseCdfSampler:
 def sample_from(model: DensityModel, n: int, seed: int) -> Sample:
     """Draw ``n`` i.i.d. observations from a normalized model.
 
-    Row 0 of ``InverseCdfSampler(model).rows(n, [seed])``.  Each call builds
-    the CDF anew; repeated draws from one model go through one
+    The one row of ``InverseCdfSampler(model).draw([(seed, [n])])``.  Each
+    call builds the CDF anew; repeated draws from one model go through one
     :class:`InverseCdfSampler`.
     """
-    return Sample(InverseCdfSampler(model).rows(n, [seed])[0])
+    return Sample(InverseCdfSampler(model).draw([(seed, [n])]).flat)
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,13 @@ class BracketedRoot:
 
 @dataclass(frozen=True)
 class MleResult:
-    """An estimated parameter with its residual score sum and diagnostics."""
+    """An estimated parameter with its residual score sum and the method that
+    found it: a closed form, or a bracketed root with its Brent steps and
+    bracket in theta."""
 
     theta_hat: float
     residual: float
     method: Union[ClosedForm, BracketedRoot]
-    kind: Kind
 
     @property
     def sigma_hat(self) -> float:
@@ -125,7 +126,7 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     if not abs(residual) < tol:
         raise _above_tol(residual, root, tol)
     theta, lo, hi = to_theta(np.array([root, lo, hi])).tolist()
-    return MleResult(theta, residual, BracketedRoot(iterations, (lo, hi)), kind)
+    return MleResult(theta, residual, BracketedRoot(iterations, (lo, hi)))
 
 
 class BlockRoots(NamedTuple):
@@ -212,7 +213,7 @@ def _admit(kind: Kind, problems, tol: float) -> tuple[list[Rows], float]:
                 and rows.lengths.sum() == rows.flat.size):
             raise InvalidParams("a block holds m >= 1 samples of n >= 1 observations")
         kind.check(model.support)
-        Sample(rows.flat).require_inside(model)
+        model.support.require(rows.flat)
         blocks.append(rows)
     return blocks, tol
 
@@ -349,7 +350,7 @@ def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
         raise NoClosedForm(f"{entry.name} has no closed-form {kind.label} MLE")
     name, estimate = entry.closed_form[kind.label]
     kind.check(entry.model.support)
-    sample.require_inside(entry.model)
+    entry.model.support.require(sample.values)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta = float(estimate(sample.values))
         lo, hi = (float(kind.to_theta(t)) for t in (-math.inf, math.inf))
@@ -357,4 +358,4 @@ def closed_form_mle(entry, kind: Kind, sample: Sample) -> MleResult:
         raise NoClosedForm(f"closed form {name} has no {kind.label} value in "
                            f"({lo:g}, {hi:g}) on this sample")
     residual = ScoreSums(kind, [entry.model]).row(np.array([theta]), sample.values)
-    return MleResult(theta, residual, ClosedForm(name), kind)
+    return MleResult(theta, residual, ClosedForm(name))

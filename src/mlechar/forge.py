@@ -32,7 +32,6 @@ from .density import (
     CumulativeIntegral,
     DensityModel,
     InverseCdfSampler,
-    Rows,
     call_elementwise,
     effective_interval,
     integer,
@@ -72,16 +71,14 @@ class OddPower:
 
 @dataclass(frozen=True, eq=False)
 class PlusEvenDerivative:
-    """h(y) = y + w'(y) for an even differentiable w.
-
-    ``w_prime`` may be supplied analytically; otherwise it is taken by
-    central differences of ``w``.  :func:`forge_odd_h` rejects w whose
-    perturbation destroys strict monotonicity of h (min slope at most 1e-3
-    on a uniform grid over the target score's range).
+    """h(y) = y + w'(y) for an even differentiable w, with ``w_prime`` its
+    derivative w'.  :func:`forge_odd_h` rejects w whose perturbation
+    destroys strict monotonicity of h (min slope at most 1e-3 on a uniform
+    grid over the target score's range).
     """
 
     w: Callable[[float], float]
-    w_prime: Optional[Callable[[float], float]] = None
+    w_prime: Callable[[float], float]
 
 
 HSpec = Union[OddPower, PlusEvenDerivative]
@@ -99,9 +96,6 @@ def h_function(spec: HSpec) -> Callable:
         # np.power overflows to an infinity where a float's ** would raise
         return quiet_overflow(lambda y: d * np.power(y, p))
     w_prime = spec.w_prime
-    if w_prime is None:
-        w = spec.w
-        w_prime = lambda y: (w(y + 1e-6) - w(y - 1e-6)) / 2e-6
     return lambda y: y + call_elementwise(w_prime, y)
 
 
@@ -202,16 +196,19 @@ def verify_counterexample(f: DensityModel, g: DensityModel, n: int, trials: int,
     if integer(seed) < 0:
         raise InvalidParams(f"seed must be >= 0, got {seed}")
     tol = tolerance(tol)
-    block = InverseCdfSampler(f).rows(n, np.random.SeedSequence(seed).generate_state(trials))
+    if integer(n) < 1:
+        raise InvalidParams("n must be >= 1")
+    seeds = np.random.SeedSequence(seed).generate_state(trials)
+    rows = InverseCdfSampler(f).draw([(s, [n]) for s in seeds])
     # the solver residual requirement stays subordinate to the agreement
     # tolerance under test: interpolated densities carry evaluation noise
     # that a 1e-10 residual demand cannot beat
     solver_tol = max(1e-10, 1e-3 * tol)
     agree = 0
     worst: Optional[Witness] = None
-    rows = Rows(block.ravel(), np.full(trials, n))
     roots_f, roots_g = mle_block(LOCATION, [(f, rows), (g, rows)], solver_tol)
-    for values, tf, tg in zip(block, roots_f.theta.tolist(), roots_g.theta.tolist()):
+    for values, tf, tg in zip(rows.flat.reshape(trials, n), roots_f.theta.tolist(),
+                              roots_g.theta.tolist()):
         gap = abs(tf - tg)
         if gap < tol:
             agree += 1

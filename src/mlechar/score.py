@@ -77,6 +77,7 @@ from .density import (
     eval_dlogf,
     median,
     middle_mean,
+    reals,
     scan_grid,
 )
 from .errors import (
@@ -248,7 +249,7 @@ class Scorer:
 
     def at(self, x):
         """The score at ``x``: a float for a float, an ndarray for an ndarray."""
-        out = self(np.asarray(x, dtype=float))
+        out = self(reals(x))
         return out if np.ndim(x) else float(out)
 
 
@@ -415,16 +416,15 @@ class ScoreProfile:
     """Monotonicity, zero crossing and image bounds of a score function.
 
     A profile is only ever produced for monotone scores, flat only where
-    they have reached their float limit (see :func:`analyze_image`);
-    ``monotone_increasing`` records the direction.  When the score crosses
-    zero its image is the open interval ``(-p_minus, p_plus)`` with both
-    bounds positive (possibly infinite).  ``provenance`` says how the bounds
-    were found: ``"numeric"``, by endpoint limit estimation.
+    they have reached their float limit (see :func:`analyze_image`).  When
+    the score crosses zero its image is the open interval
+    ``(-p_minus, p_plus)`` with both bounds positive (possibly infinite).
+    ``provenance`` says how the bounds were found: ``"numeric"``, by
+    endpoint limit estimation.
     """
 
     domain: SupportSet
     evaluate: Callable
-    monotone_increasing: bool
     p_minus: float
     p_plus: float
     provenance: str
@@ -509,11 +509,10 @@ def _refuse_sharp_edges(evaluate, xs: np.ndarray, large: np.ndarray, edges: np.n
 
 
 def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
-                    v_start: float, expected: float,
-                    before: Optional[tuple[float, float]] = None) -> float:
+                    v_start: float, expected: float, before: tuple[float, float]) -> float:
     """Endpoint limit of a monotone score past the scan grid's end point
     ``start``, where the score is ``v_start``; ``before`` is the scan's
-    point before ``start`` with its score, if it has one.
+    point before ``start`` with its score.
 
     Walks the geometric sequence of :func:`_tail_points` toward the
     endpoint, with one rule per outcome.  A walk that settles, once
@@ -547,8 +546,7 @@ def _estimate_limit(evaluate, domain: SupportSet, side: str, start: float,
             if not math.isfinite(v):
                 break
             # a flat first step may make an edge with the scan's last one
-            first = before is not None and len(values) == 1
-            if first and abs(v - v_start) <= FLAT_ULPS * math.ulp(v):
+            if len(values) == 1 and abs(v - v_start) <= FLAT_ULPS * math.ulp(v):
                 edge_xs = np.array([before[0], start, x])
                 edge_vs = np.array([before[1], v_start, v])
                 _refuse_sharp_edges(evaluate, edge_xs, *_steps(edge_vs)[2:],
@@ -637,7 +635,6 @@ def analyze_image(model: DensityModel, kind: Kind,
     return ScoreProfile(
         domain=domain,
         evaluate=evaluate,
-        monotone_increasing=direction > 0.0,
         p_minus=-inf_limit,
         p_plus=sup_limit,
         provenance="numeric",

@@ -17,6 +17,8 @@ from mlechar.density import (
     Rows,
     Sample,
     SupportSet,
+    check_dlog_pdf,
+    eval_dlogf,
     real,
     sample_from,
     tabulated_model,
@@ -26,7 +28,7 @@ from mlechar.equivalence import same_class, scale_identification, tilt
 from mlechar.errors import InvalidParams, MlecharError
 from mlechar.estimator import mle, mle_block
 from mlechar.forge import OddPower, verify_counterexample
-from mlechar.score import LOCATION
+from mlechar.score import LOCATION, kind_score
 
 GAUSSIAN = lookup("gaussian").model
 GAMMA = lookup("gamma", {"alpha": 2.0}).model
@@ -61,6 +63,9 @@ ROWS = Rows(SAMPLE.values, np.array([SAMPLE.n]))
     lambda: mle_block(LOCATION, [(GAUSSIAN, Rows(["a"], np.array([1])))]),
     lambda: tabulated_model(SupportSet.full_line(), ["a", 1, 2, 3], [0, 0, 0, 0]),
     lambda: lookup("gamma", "alpha"),
+    lambda: eval_dlogf(GAUSSIAN, "a"),
+    lambda: kind_score(GAUSSIAN, LOCATION, [1, "b"]),
+    lambda: check_dlog_pdf(GAUSSIAN, "a"),
     # an odd p beyond the float range leaked OverflowError from np.power
     lambda: OddPower(1.0, 10 ** 400 + 1),
 ], ids=["mle_tol_none", "mle_tol_str", "same_class_tol_str", "verify_tol_none",
@@ -68,7 +73,8 @@ ROWS = Rows(SAMPLE.values, np.array([SAMPLE.n]))
         "odd_power_p_3.5", "mcss_str", "mcss_none", "sample_str", "mle_tol_true",
         "same_class_tol_true", "tilt_d_true", "odd_power_p_true", "odd_power_d_true",
         "mcss_true", "support_bools", "mle_block_rows_str", "tabulated_grid_str",
-        "lookup_params_str", "odd_power_p_beyond_float"])
+        "lookup_params_str", "eval_dlogf_str", "kind_score_str", "check_dlog_pdf_str",
+        "odd_power_p_beyond_float"])
 def test_a_malformed_argument_raises_invalid_params(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -381,7 +381,8 @@ def test_closed_form_names_are_distinct():
 def test_each_closed_form_is_the_root_of_its_score_sum(name, params, label, n):
     entry = lookup(name, params)
     formula, _ = entry.closed_form[label]
-    for row in InverseCdfSampler(entry.model).rows(n, list(range(5))):
+    rows = InverseCdfSampler(entry.model).draw([(s, [n]) for s in range(5)])
+    for row in rows.flat.reshape(5, n):
         result = closed_form_mle(entry, kind_for(entry, label), Sample(row))
         assert result.method == ClosedForm(formula)
         assert abs(result.residual) < 1e-10

@@ -572,14 +572,16 @@ def test_one_sampler_or_one_per_call_draws_the_same_rows(gaussian):
     model = gaussian.model
     sampler = InverseCdfSampler(model)
     once = sample_from(model, 50, seed=5).values
-    assert np.array_equal(once, InverseCdfSampler(model).rows(50, [5])[0])
-    assert np.array_equal(once, sampler.rows(50, [5])[0])
-    assert np.array_equal(once, sampler.rows(50, [4, 5])[1])
+    assert np.array_equal(once, InverseCdfSampler(model).draw([(5, [50])]).flat)
+    assert np.array_equal(once, sampler.draw([(5, [50])]).flat)
+    assert np.array_equal(once, sampler.draw([(4, [50]), (5, [50])]).flat[50:])
     # runs of several rows and seeds, inverted in one call, cut the same rows
     flat, lengths = sampler.draw([(4, [20, 30]), (5, [10, 40])])
     assert lengths.tolist() == [20, 30, 10, 40]
-    assert np.array_equal(flat[50:], once) and np.array_equal(flat[:50], sampler.rows(50, [4])[0])
-    assert sampler.rows(50, []).shape == (0, 50) and sampler.draw([]).flat.size == 0
+    assert np.array_equal(flat[50:], once) and np.array_equal(flat[:50],
+                                                              sampler.draw([(4, [50])]).flat)
+    empty = sampler.draw([])
+    assert empty.lengths.size == 0 and empty.flat.size == 0
     # drawing leaves the model as it was: no sampler is kept on it
     assert not any(isinstance(v, InverseCdfSampler) for v in vars(model).values())
 
@@ -587,7 +589,7 @@ def test_one_sampler_or_one_per_call_draws_the_same_rows(gaussian):
 def test_a_negative_seed_or_size_is_refused(gaussian):
     sampler = InverseCdfSampler(gaussian.model)
     for call in (lambda: sample_from(gaussian.model, 5, -1),
-                 lambda: sampler.rows(5, [3, -2]),
+                 lambda: sampler.draw([(3, [5]), (-2, [5])]),
                  lambda: sampler.draw([(-1, [3])]),
                  lambda: sampler.draw([(1, [3, -2])]),
                  lambda: sampler.draw([(1, [3]), (2, [-1, 4])])):
@@ -600,16 +602,16 @@ def test_a_negative_seed_or_size_is_refused(gaussian):
 
 @pytest.mark.parametrize("call", [
     lambda sampler: sampler.draw([(1, [2.5])]),
-    lambda sampler: sampler.rows(True, [1]),
+    lambda sampler: sampler.draw([(1, [True])]),
     lambda sampler: sampler.draw([(1.5, [3])]),
-    lambda sampler: sampler.rows(3, [np.float64(1.0)]),
+    lambda sampler: sampler.draw([(np.float64(1.0), [3])]),
 ], ids=["size_2.5", "n_true", "seed_1.5", "seed_numpy_float"])
 def test_a_sampler_count_or_seed_that_is_no_integer_is_refused(gaussian, call):
     sampler = InverseCdfSampler(gaussian.model)
     with pytest.raises(InvalidParams, match="^counts and seeds must be integers"):
         call(sampler)
     # numpy integers are integers
-    assert sampler.rows(np.int64(3), [np.uint32(1)]).shape == (1, 3)
+    assert sampler.draw([(np.uint32(1), [np.int64(3)])]).flat.shape == (3,)
 
 
 def test_sample_from_refuses_a_seed_that_is_no_integer(gaussian):
@@ -633,9 +635,9 @@ def test_sample_container_validation(gaussian, gamma2):
     with pytest.raises(ValueError):
         Sample(np.array([]))
     s = Sample(np.array([1.0, 2.0]))
-    s.require_inside(gaussian.model)
+    gaussian.model.support.require(s.values)
     with pytest.raises(OutsideSupport):
-        Sample(np.array([-1.0, 2.0])).require_inside(gamma2.model)
+        gamma2.model.support.require(Sample(np.array([-1.0, 2.0])).values)
 
 
 def test_tabulated_model_interpolates():
@@ -792,5 +794,5 @@ def test_interior_checks_name_the_first_offending_value(gamma2, values, bad):
     with pytest.raises(OutsideSupport, match=f"^x={bad} is not interior"):
         eval_dlogf(gamma2.model, x)
     with pytest.raises(OutsideSupport):
-        Sample(x).require_inside(gamma2.model)
+        gamma2.model.support.require(Sample(x).values)
     assert eval_dlogf(gamma2.model, np.empty(0)).shape == (0,)

@@ -242,6 +242,13 @@ def test_scale_requires_positive_values_in_support(gamma2):
         mle_scale(gamma2.model, s(1.0, -2.0))
 
 
+def test_a_sample_outside_the_support_is_refused_naming_its_first_value(gamma2):
+    with pytest.raises(OutsideSupport, match=r"^x=-0\.5 is not interior"):
+        mle(gamma2.model, SCALE, Sample([1.0, -0.5, 2.0]))
+    with pytest.raises(OutsideSupport, match=r"^x=-1\.0 is not interior"):
+        closed_form_mle(gamma2, SCALE, s(-1.0, -2.0))
+
+
 def test_all_zero_sample(gaussian):
     with pytest.raises(AllZeroSample):
         mle_scale(gaussian.model, s(0.0, 0.0))
@@ -467,7 +474,8 @@ CATALOG_KINDS = [(name, params, label) for name, params, labels in DEFAULT_FAMIL
 
 
 def _block(entry, n, m, seed):
-    return InverseCdfSampler(entry.model).rows(n, range(seed, seed + m))
+    runs = [(s, [n]) for s in range(seed, seed + m)]
+    return InverseCdfSampler(entry.model).draw(runs).flat.reshape(m, n)
 
 
 @given(case=st.sampled_from(CATALOG_KINDS), n=st.integers(min_value=1, max_value=12),
@@ -570,7 +578,7 @@ def test_block_residuals_are_the_score_sums_at_the_roots(case, lengths, seed):
     name, params, label = case
     entry = lookup(name, params)
     kind = kind_for(entry, label)
-    draw = InverseCdfSampler(entry.model).rows(sum(lengths), [seed])[0]
+    draw = InverseCdfSampler(entry.model).draw([(seed, [sum(lengths)])]).flat
     rows = np.split(draw, np.cumsum(lengths)[:-1])
     try:
         (roots,) = mle_block(kind, [(entry.model, rows_of(rows))])
@@ -599,7 +607,6 @@ def assert_lanes_equal_single_sample_mles(entry, kind, rows):
         assert alone.residual == roots.residual[i]
         assert alone.method == BracketedRoot(int(roots.iterations[i]),
                                              tuple(roots.bracket[i].tolist()))
-        assert alone.kind is kind
 
 
 #: the perfbench mle_large cases, then every other (family, kind) of the
@@ -949,7 +956,7 @@ def test_ragged_block_mle_equals_single_sample_mles(case, lengths, seed):
     # rows of different lengths, cut from one draw, solved in one call
     name, params, label = case
     entry = lookup(name, params)
-    draw = InverseCdfSampler(entry.model).rows(sum(lengths), [seed])[0]
+    draw = InverseCdfSampler(entry.model).draw([(seed, [sum(lengths)])]).flat
     rows = np.split(draw, np.cumsum(lengths)[:-1])
     assert_lanes_equal_single_sample_mles(entry, kind_for(entry, label), rows)
 

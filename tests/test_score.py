@@ -85,7 +85,7 @@ def test_group_score_reductions_pointwise(gaussian):
 
 def test_analyze_image_gaussian_location(gaussian):
     prof = analyze_image(gaussian.model, LOCATION)
-    assert prof.monotone_increasing and prof.crosses_zero
+    assert prof.crosses_zero
     assert math.isinf(prof.p_minus) and math.isinf(prof.p_plus)
     assert prof.provenance == "numeric"
 
@@ -99,7 +99,6 @@ def test_analyze_image_gumbel_location(gumbel):
 def test_analyze_image_student_scale_halfline():
     model = lookup("student", {"nu": 3.0}).model
     prof = analyze_image(model, SCALE, SupportSet.positive_half_line())
-    assert not prof.monotone_increasing
     assert prof.crosses_zero
     assert abs(prof.p_minus - 3.0) < 3e-3
     assert abs(prof.p_plus - 1.0) < 1e-3
@@ -254,6 +253,25 @@ def test_u1_zeros_scan_the_grid_once_per_kind_and_support(family, params, calls,
     assert sum(on_grid) == 1 + scans
 
 
+def test_each_lookup_holds_one_sinh_arcsinh_transform_and_its_u1_zeros():
+    entry = lookup("sinh_arcsinh_skew_normal")
+    kind_profiles(entry.model, entry.transform)
+    again = lookup("sinh_arcsinh_skew_normal")
+    assert again.transform is entry.transform
+    grid = scan_grid(again.model.support)
+    u1 = score._u1
+    scans = []
+
+    def counted(kind, support, x):
+        scans.append(np.shape(x) == grid.shape)
+        return u1(kind, support, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(score, "_u1", counted)
+        kind_profiles(again.model, again.transform)
+    assert not any(scans)
+
+
 def test_a_u1_with_zeros_beside_the_origin_is_refused_naming_each(gaussian):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -345,7 +363,7 @@ def test_group_profile_symmetric_image(gaussian, sinh_arcsinh):
     tr = sinh_arcsinh.transform
     prof = analyze_image(gaussian.model, Group(tr.u1, tr.u2))
     assert math.isinf(prof.p_minus) and math.isinf(prof.p_plus)
-    assert prof.crosses_zero and not prof.monotone_increasing
+    assert prof.crosses_zero
 
 
 def _bounds_hex(model, kind):
@@ -554,7 +572,7 @@ def test_a_walk_that_meets_an_infinity_ends_at_the_infinity_it_was_heading_for()
         return -math.inf if x > 1e3 else x
 
     limit = score._estimate_limit(rises_then_breaks, SupportSet.full_line(), "upper",
-                                  20.0, 20.0, 1.0)
+                                  20.0, 20.0, 1.0, (10.0, 10.0))
     assert limit == math.inf
 
 

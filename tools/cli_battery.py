@@ -170,6 +170,8 @@ COMMANDS = [
     "mle --family gauss.json --kind loc --data loc.txt",
     "mle --family gauss.json --kind scale --data loc.txt",
     "mle --family gamma2.json --kind scale --data scale.txt",
+    # negative data on a half-line: the refusal names the first value outside
+    "mle --family gamma2.json --kind scale --data loc.txt",
     "mle --family logistic.json --kind loc --data loc.txt",
     "mle --family gumbel.json --kind location --data loc.txt",
     "mle --family gumbel.json --kind location --data big.txt",
