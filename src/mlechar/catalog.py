@@ -70,7 +70,7 @@ def _sqrt1p2(x):
 
 #: the sinh-arcsinh transform H_theta(x) = sinh(arcsinh(x) + theta), one kind
 #: for every lookup, so that what it finds per support is found once
-SINH_ARCSINH = Kind(
+_SINH_ARCSINH = Kind(
     u1=_sqrt1p2,
     u2=lambda x: x / _sqrt1p2(x),
     h=lambda theta, x: np.sinh(np.arcsinh(x) + theta),
@@ -411,7 +411,7 @@ def _sinh_arcsinh(params: dict) -> CatalogEntry:
         analytic_bounds={"group": (math.inf, math.inf)},
         expected={"group": 3},
         blocked={"location": "not_monotone", "scale": "not_monotone"},
-        transform=SINH_ARCSINH,
+        transform=_SINH_ARCSINH,
     )
 
 

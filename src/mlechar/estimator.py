@@ -27,9 +27,9 @@ A step moves all live lanes with one action call, tests the support
 once, scores each problem's lanes with its own model and sums every row
 with one exact row summation.  A lane's result does not depend on the other
 rows or problems, so :func:`mle`, the one place that builds an
-:class:`MleResult` from a solve, is one problem of one row, bracketed and
-refined in Python floats and summed by extraction on its score array,
-with no block scaffolding.
+:class:`MleResult` from a solve, is one problem of one row, bracketed by
+the lockstep's doubling on its one lane, refined in Python floats and
+summed by extraction on its score array, with no block scaffolding.
 A catalog family that writes a closed-form estimator for a kind gets a
 direct fast path via :func:`closed_form_mle`; the formulas live in the
 catalog's family builders, so this module names no family.
@@ -108,8 +108,9 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
     kind's sample seed and its half-width doubles, clipped to the kind's
     window, until the score sum changes sign.  The root must bring the sum
     below ``tol`` (> 0) in absolute value.  This is :func:`mle_block`'s lane on
-    the one row ``sample``, bracketed and refined in Python floats
-    (``score.brent_one``) and summed by extraction on its score array.
+    the one row ``sample``, bracketed by the lockstep's doubling on one lane,
+    refined in Python floats (``score.brent_one``) and summed by extraction
+    on its score array.
     """
     _, tol = _admit(kind, [(model, Rows(sample.values, np.array([sample.n])))], tol)
     sums = ScoreSums(kind, [model])
@@ -119,7 +120,8 @@ def mle(model: DensityModel, kind: Kind, sample: Sample,
         return sums.row(to_theta(np.array([t])), sample.values)
 
     center, half = _seed(kind, 1, [(slice(None), sample.values[None])])
-    lo, hi, s_lo, s_hi, _ = _bracket_one(kind.theta_window, center, half, s)
+    lo, hi, s_lo, s_hi, _ = (v.item() for v in _bracket_lanes(
+        kind.theta_window, center, half, lambda t, lanes: np.array([s(t.item())])))
     root, residual, iterations, converged = brent_one(s, lo, hi, s_lo, s_hi, XTOL, MAX_ITER)
     if not converged:
         raise _unconverged(root)
@@ -284,32 +286,6 @@ def _bracket_lanes(window, center: np.ndarray, half: np.ndarray, s: Callable):
         half[pending] *= 2.0
         doublings += 1
     return lo, hi, s_lo, s_hi, doubled
-
-
-def _bracket_one(window, center: np.ndarray, half: np.ndarray, s: Callable[[float], float]):
-    """:func:`_bracket_lanes` on one lane, from the arrays of one that
-    :func:`_seed` gave, step for step in Python floats, of a score sum ``s``
-    of a Python float.  A lane that finds no bracket is handed to
-    :func:`_bracket_lanes`, which fails it at the same step and words the
-    failure."""
-    w_lo, w_hi = window
-    (c,), (h,) = center.tolist(), half.tolist()
-    # a bracket end or an action that overflows gives an infinity, outside
-    # every support
-    with np.errstate(over="ignore"):
-        for doublings in range(MAX_DOUBLINGS + 1):
-            # max and min with the candidate first keep a NaN, as numpy does
-            lo, hi = max(c - h, w_lo), min(c + h, w_hi)
-            try:
-                s_lo, s_hi = s(lo), s(hi)
-            except OutsideSupport:
-                break
-            if s_lo == 0.0 or s_hi == 0.0 or (s_lo > 0.0) != (s_hi > 0.0):
-                return lo, hi, s_lo, s_hi, doublings
-            if lo == w_lo and hi == w_hi:
-                break
-            h *= 2.0
-    return _bracket_lanes(window, center, half, lambda t, lanes: np.array([s(t.item())]))
 
 
 def mle_location(model: DensityModel, sample: Sample, tol: float = DEFAULT_TOL) -> MleResult:

@@ -72,7 +72,8 @@ class OddPower:
 @dataclass(frozen=True, eq=False)
 class PlusEvenDerivative:
     """h(y) = y + w'(y) for an even differentiable w, with ``w_prime`` its
-    derivative w'.  :func:`forge_odd_h` rejects w whose perturbation
+    derivative w'.  Only ``w_prime`` is read; ``w`` is kept for callers that
+    still pass it.  :func:`forge_odd_h` rejects w whose perturbation
     destroys strict monotonicity of h (min slope at most 1e-3 on a uniform
     grid over the target score's range).
     """
